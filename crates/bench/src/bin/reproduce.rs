@@ -10,18 +10,20 @@
 //! writes the numbers to `BENCH_filter.json` for machine-readable
 //! before/after tracking.
 //!
-//! `bench-kernels` is the §4 dynamics-kernel benchmark: the 7-point
-//! stencil (both layouts), the real upwind advection operator, and the
-//! full tendency step, reference `from_fn` path vs the `agcm-kernels`
-//! flat kernels, written to `BENCH_kernels.json`.
+//! `bench-kernels` is the §4 kernel benchmark: the 7-point stencil (both
+//! layouts), the real upwind advection operator and the full tendency
+//! step, reference `from_fn` path vs the `agcm-kernels` flat kernels; and
+//! the column-physics pass, batch kernel vs the per-column `run_column`
+//! oracle, with its divide bound beside it. Written to
+//! `BENCH_kernels.json`.
 //!
 //! `trace` runs a short instrumented model and emits `trace.json` (Chrome
 //! trace-event format — open at <https://ui.perfetto.dev>) plus
 //! `metrics.jsonl` (one structured record per step and per run), then
 //! validates both artifacts and exits non-zero if they are malformed.
 //!
-//! `bench-check` re-times the filter and dynamics kernels and judges each
-//! speedup against the *trend* of recent runs recorded in
+//! `bench-check` re-times the filter, dynamics and physics kernels and
+//! judges each speedup against the *trend* of recent runs recorded in
 //! `bench_history.jsonl` (median − 3·MAD over the newest window); with
 //! fewer than 5 recorded runs it falls back to the committed
 //! `BENCH_filter.json` / `BENCH_kernels.json` value divided by the
@@ -540,14 +542,30 @@ fn record_history(suite: &str, metrics: Vec<(String, f64)>) {
     }
 }
 
-/// `bench-kernels`: the §4 dynamics-kernel benchmark — stencil (both
-/// layouts), real upwind advection, and the full tendency step, reference
-/// vs `agcm-kernels` paths. Prints the tables and writes
+/// The kernel speedups `bench-kernels` and `bench-check` both append to
+/// the history (and `bench-check` gates).
+fn kernel_history(b: &agcm_bench::kernels::KernelBench) -> Vec<(String, f64)> {
+    vec![
+        ("stencil.kernel_speedup".into(), b.stencil.kernel_speedup()),
+        (
+            "advection.kernel_speedup".into(),
+            b.advection.kernel_speedup(),
+        ),
+        ("tendency_step.speedup".into(), b.step.kernel_speedup()),
+        ("physics.speedup".into(), b.physics.kernel_speedup()),
+    ]
+}
+
+/// `bench-kernels`: the §4 kernel benchmark — stencil (both layouts),
+/// real upwind advection, the full tendency step and the column-physics
+/// pass, reference vs kernel paths. Prints the tables and writes
 /// `BENCH_kernels.json` (committed, gated by `bench-check`).
 fn bench_kernels(smoke: bool) {
-    use agcm_bench::kernels::run_kernel_bench;
+    use agcm_bench::kernels::{
+        divide_seconds, physics_bytes_per_column, physics_divides_per_column, run_kernel_bench,
+    };
 
-    println!("\n=== Dynamics kernels: reference vs flat vs block (paper §4) ===\n");
+    println!("\n=== Single-node kernels: reference vs flat vs block (paper §4) ===\n");
     let b = run_kernel_bench(smoke);
 
     let mut t = Table::new(
@@ -565,6 +583,7 @@ fn bench_kernels(smoke: bool) {
         ("7-pt stencil, 12 fields 32^3", &b.stencil),
         ("upwind advection, 144x90x9", &b.advection),
         ("full tendency step, 9-layer", &b.step),
+        ("column physics, 9-layer (per column)", &b.physics),
     ] {
         t.add_row(vec![
             name.into(),
@@ -578,8 +597,19 @@ fn bench_kernels(smoke: bool) {
     }
     println!("{t}");
     println!(
-        "paper §4: hoisted metric factors + flat traversals on the real operators;\nblock column is per tracer ({} interleaved).\n",
+        "paper §4: hoisted metric factors + flat traversals on the real operators;\nblock column is per tracer ({} interleaved).",
         4
+    );
+    let n_lev = GridSpec::paper_9_layer().n_lev;
+    let (divides, bytes) = (
+        physics_divides_per_column(n_lev),
+        physics_bytes_per_column(n_lev),
+    );
+    let bound_ns = divides as f64 * divide_seconds(if smoke { 3 } else { 9 }) * 1e9;
+    let bound_fraction = bound_ns / b.physics.ns_per_point(b.physics.kernel);
+    println!(
+        "column physics: bound by the longwave's {divides} f64 divides per column (bit-identity\nforbids reciprocals) = {bound_ns:.1} ns at this machine's divider throughput; the kernel\nreaches {:.0}% of that bound; {bytes} B of field per column.\n",
+        100.0 * bound_fraction
     );
 
     let path = |p: &agcm_bench::kernels::PathTimes| {
@@ -592,7 +622,7 @@ fn bench_kernels(smoke: bool) {
         )
     };
     let json = format!(
-        "{{\n  \"benchmark\": \"dyn_kernels\",\n  \"stencil\": {{\n    \"config\": \"12 fields 32x32x32\",\n    \"ns_per_point\": {},\n    \"kernel_speedup\": {:.2},\n    \"block_speedup\": {:.2}\n  }},\n  \"advection\": {{\n    \"config\": \"144x90x9, block m=4\",\n    \"ns_per_point\": {},\n    \"kernel_speedup\": {:.2},\n    \"block_speedup\": {:.2}\n  }},\n  \"tendency_step\": {{\n    \"config\": \"paper 9-layer, 1 rank, no filter\",\n    \"ns_per_point\": {},\n    \"speedup\": {:.2}\n  }}\n}}\n",
+        "{{\n  \"benchmark\": \"dyn_kernels\",\n  \"stencil\": {{\n    \"config\": \"12 fields 32x32x32\",\n    \"ns_per_point\": {},\n    \"kernel_speedup\": {:.2},\n    \"block_speedup\": {:.2}\n  }},\n  \"advection\": {{\n    \"config\": \"144x90x9, block m=4\",\n    \"ns_per_point\": {},\n    \"kernel_speedup\": {:.2},\n    \"block_speedup\": {:.2}\n  }},\n  \"tendency_step\": {{\n    \"config\": \"paper 9-layer, 1 rank, no filter\",\n    \"ns_per_point\": {},\n    \"speedup\": {:.2}\n  }},\n  \"physics\": {{\n    \"config\": \"paper 9-layer, 1 rank, batch kernel vs run_column oracle\",\n    \"ns_per_column\": {{\n      \"reference\": {:.1},\n      \"kernel\": {:.1}\n    }},\n    \"speedup\": {:.2},\n    \"divides_per_column\": {divides},\n    \"bytes_per_column\": {bytes},\n    \"divide_bound_ns_per_column\": {bound_ns:.1},\n    \"bound_fraction\": {bound_fraction:.2}\n  }}\n}}\n",
         path(&b.stencil),
         b.stencil.kernel_speedup(),
         b.stencil.block_speedup().unwrap_or(1.0),
@@ -601,21 +631,14 @@ fn bench_kernels(smoke: bool) {
         b.advection.block_speedup().unwrap_or(1.0),
         path(&b.step),
         b.step.kernel_speedup(),
+        b.physics.ns_per_point(b.physics.reference),
+        b.physics.ns_per_point(b.physics.kernel),
+        b.physics.kernel_speedup(),
     );
     std::fs::write("BENCH_kernels.json", &json)
         .unwrap_or_else(|e| eprintln!("could not write BENCH_kernels.json: {e}"));
     println!("wrote BENCH_kernels.json");
-    record_history(
-        "kernels",
-        vec![
-            ("stencil.kernel_speedup".into(), b.stencil.kernel_speedup()),
-            (
-                "advection.kernel_speedup".into(),
-                b.advection.kernel_speedup(),
-            ),
-            ("tendency_step.speedup".into(), b.step.kernel_speedup()),
-        ],
-    );
+    record_history("kernels", kernel_history(&b));
 }
 
 /// Time the filter kernel both ways. Shared by `bench-filter` (which
@@ -1035,8 +1058,8 @@ fn profile(smoke: bool) {
     }
 }
 
-/// `bench-check`: re-time the filter and dynamics kernels and judge each
-/// speedup with the trend gate — median − 3·MAD over the recent
+/// `bench-check`: re-time the filter, dynamics and physics kernels and
+/// judge each speedup with the trend gate — median − 3·MAD over the recent
 /// `bench_history.jsonl` runs, falling back to the committed
 /// `BENCH_filter.json` / `BENCH_kernels.json` value over the tolerance
 /// when the history is too thin. Writes every verdict to
@@ -1124,6 +1147,12 @@ fn bench_check() {
             committed_of("tendency_step", "speedup"),
             b.step.kernel_speedup(),
         ),
+        (
+            "kernels",
+            "physics.speedup",
+            committed_of("physics", "speedup"),
+            b.physics.kernel_speedup(),
+        ),
     ];
     let verdicts: Vec<TrendVerdict> = measurements
         .iter()
@@ -1159,17 +1188,7 @@ fn bench_check() {
 
     // This run's measurements extend the trend for the next one.
     record_history("filter", vec![("kernel_speedup".into(), filter_speedup)]);
-    record_history(
-        "kernels",
-        vec![
-            ("stencil.kernel_speedup".into(), b.stencil.kernel_speedup()),
-            (
-                "advection.kernel_speedup".into(),
-                b.advection.kernel_speedup(),
-            ),
-            ("tendency_step.speedup".into(), b.step.kernel_speedup()),
-        ],
-    );
+    record_history("kernels", kernel_history(&b));
 
     let failed: Vec<&TrendVerdict> = verdicts.iter().filter(|v| !v.ok).collect();
     if !failed.is_empty() {

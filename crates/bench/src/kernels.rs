@@ -2,7 +2,7 @@
 //! `agcm-kernels` flat-slice kernels vs the block-interleaved layout, on
 //! the paper's own configurations.
 //!
-//! Three experiments, shared by `reproduce bench-kernels` (which reports
+//! Four experiments, shared by `reproduce bench-kernels` (which reports
 //! and records `BENCH_kernels.json`) and `reproduce bench-check` (which
 //! gates against the committed record):
 //!
@@ -16,12 +16,17 @@
 //!   (kernel path over the reusable scratch) vs
 //!   `Dynamics::step_reference` (original allocating `from_fn` path) on
 //!   the paper's 9-layer grid, single rank.
+//! - **column physics** — the paper's other §4 target ("a routine
+//!   involved in the longwave radiation calculation"): the row-batched
+//!   table-driven `PhysicsStep::run_local` vs the per-column `run_column`
+//!   oracle on the same grid, in ns per column.
 
 use crate::harness::time_median;
 use agcm_dynamics::advection::upwind_tendency;
 use agcm_dynamics::core::{Dynamics, DynamicsConfig};
 use agcm_dynamics::state::ModelState;
 use agcm_dynamics::timestep::{max_stable_dt, signal_speed};
+use agcm_grid::arakawa::Variable;
 use agcm_grid::decomp::Decomp;
 use agcm_grid::field::BlockField;
 use agcm_grid::halo::HaloField;
@@ -32,6 +37,7 @@ use agcm_kernels::stencil::{laplace_block_into, laplace_separate_into};
 use agcm_kernels::HaloView;
 use agcm_mps::runtime::run;
 use agcm_mps::topology::CartComm;
+use agcm_physics::step::{run_column, PhysicsConfig, PhysicsStep};
 use agcm_singlenode::blockarray::{laplace_separate, paper_test_fields};
 use std::hint::black_box;
 
@@ -67,7 +73,7 @@ impl PathTimes {
     }
 }
 
-/// All three experiments.
+/// All four experiments.
 #[derive(Debug, Clone, Copy)]
 pub struct KernelBench {
     /// 7-point Laplace, 12 fields of 32³.
@@ -76,6 +82,8 @@ pub struct KernelBench {
     pub advection: PathTimes,
     /// Full dynamics timestep, paper 9-layer grid, 1 rank.
     pub step: PathTimes,
+    /// One physics pass, paper 9-layer grid, 1 rank; a "point" is a column.
+    pub physics: PathTimes,
 }
 
 /// §3.4 stencil: 12 fields of 32³ (the paper's configuration). The
@@ -219,13 +227,92 @@ pub fn bench_step(steps: usize, reps: usize) -> PathTimes {
     }
 }
 
-/// Run all three experiments. `smoke` shortens the repetitions for CI.
+/// Divides the batch kernel performs per column of `n_lev` layers: one
+/// per layer pair of the longwave exchange. With no reciprocal allowed
+/// (bit-identity) the divider's throughput is the kernel's stated bound.
+pub fn physics_divides_per_column(n_lev: usize) -> usize {
+    n_lev * (n_lev - 1) / 2
+}
+
+/// Seconds per f64 divide at this machine's divider throughput: an
+/// L1-resident stream of independent quotients, the same `slice / scalar`
+/// shape (and so the same vector width) as the kernel's pair loop.
+/// `divides × this` is the kernel's lower bound per column.
+pub fn divide_seconds(reps: usize) -> f64 {
+    const N: usize = 1024;
+    const SWEEPS: usize = 64;
+    let num: Vec<f64> = (0..N).map(|c| 1.0 + c as f64 * 0.37).collect();
+    let mut out = vec![0.0; N];
+    time_median(reps, || {
+        for s in 0..SWEEPS {
+            let d = black_box(2.0 + s as f64);
+            for (o, &x) in out.iter_mut().zip(black_box(&num)) {
+                *o = x / d;
+            }
+            black_box(&mut out);
+        }
+    }) / (N * SWEEPS) as f64
+}
+
+/// Bytes of the field one column moves through memory per pass: every
+/// level read and written once; the block scratch stays in L1.
+pub fn physics_bytes_per_column(n_lev: usize) -> usize {
+    2 * 8 * n_lev
+}
+
+/// One physics pass on the paper's 9-layer grid, single rank: the batch
+/// kernel behind `PhysicsStep::run_local` vs the per-column oracle loop it
+/// replaced (`column` → `run_column` → `set_column`). Time advances one
+/// model step per pass so day/night and the noise buckets move as in a
+/// run. `passes` passes per timed repetition.
+pub fn bench_physics(passes: usize, reps: usize) -> PathTimes {
+    let grid = GridSpec::paper_9_layer();
+    let sub = Decomp::new(grid, 1, 1).subdomain_of_rank(0);
+    let dt = max_stable_dt(&grid, signal_speed(), 0.3, None);
+    let out = run(1, move |c| {
+        let theta0 = ModelState::initial(grid, sub).fields[Variable::Theta.index()].clone();
+        let cfg = PhysicsConfig::for_grid(&grid);
+        let step = PhysicsStep::new(grid, sub);
+        let (mut th_ref, mut th_ker) = (theta0.clone(), theta0);
+        step.run_local(c, &mut th_ker, 0.0);
+        let (mut t_ref, mut t_ker) = (0.0, dt);
+        let reference = time_median(reps, || {
+            for _ in 0..passes {
+                for j in 0..sub.nj {
+                    for i in 0..sub.ni {
+                        let mut col = th_ref.column(i, j);
+                        black_box(run_column(&cfg, &grid, i, j, t_ref, &mut col));
+                        th_ref.set_column(i, j, &col);
+                    }
+                }
+                t_ref += dt;
+            }
+        }) / passes as f64;
+        let kernel = time_median(reps, || {
+            for _ in 0..passes {
+                black_box(step.run_local(c, black_box(&mut th_ker), t_ker));
+                t_ker += dt;
+            }
+        }) / passes as f64;
+        (reference, kernel)
+    });
+    let (reference, kernel) = out[0];
+    PathTimes {
+        reference,
+        kernel,
+        block: None,
+        points: grid.columns(),
+    }
+}
+
+/// Run all four experiments. `smoke` shortens the repetitions for CI.
 pub fn run_kernel_bench(smoke: bool) -> KernelBench {
     let (reps, steps) = if smoke { (3, 2) } else { (9, 4) };
     KernelBench {
         stencil: bench_stencil(reps),
         advection: bench_advection(reps),
         step: bench_step(steps, if smoke { 3 } else { 7 }),
+        physics: bench_physics(steps, reps),
     }
 }
 
@@ -241,5 +328,9 @@ mod tests {
         assert!(b.block_speedup().unwrap() > 0.0);
         let s = bench_step(1, 1);
         assert!(s.reference > 0.0 && s.kernel > 0.0 && s.block.is_none());
+        let p = bench_physics(1, 1);
+        assert!(p.reference > 0.0 && p.kernel > 0.0 && p.points == 144 * 90);
+        assert_eq!(physics_divides_per_column(9), 36);
+        assert!(divide_seconds(1) > 0.0);
     }
 }

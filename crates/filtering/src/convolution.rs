@@ -101,7 +101,7 @@ impl ConvolutionFilter {
         let mut bundle = Vec::with_capacity(filtered_lats.len() * nk * sub.ni);
         for &lat in &filtered_lats {
             for lev in 0..nk {
-                bundle.extend_from_slice(&fields[var].row(lat - sub.j0, lev));
+                bundle.extend_from_slice(fields[var].row_slice(lat - sub.j0, lev));
             }
         }
 

@@ -52,7 +52,7 @@ const TAG_BWD: u64 = 402;
 /// path. Buffers grow to the high-water mark on the first filtered step
 /// and are reused verbatim afterwards. (Outgoing message buffers are the
 /// one exception: the transport takes ownership of each sent `Vec`, so
-/// those are built fresh per send.)
+/// those are built per send, sized once from the line counts.)
 #[derive(Default)]
 pub struct FilterScratch {
     /// Workspace for the allocation-free FFT executor.
@@ -68,6 +68,8 @@ pub struct FilterScratch {
     ret_bufs: Vec<Vec<f64>>,
     /// Per-rank consumption cursors (reset per phase).
     cursors: Vec<usize>,
+    /// Values bound for each rank in the movement being packed.
+    sizes: Vec<usize>,
 }
 
 impl FilterScratch {
@@ -85,6 +87,19 @@ impl FilterScratch {
         self.ret_bufs.resize(p, Vec::new());
         self.cursors.clear();
         self.cursors.resize(p, 0);
+        self.sizes.clear();
+        self.sizes.resize(p, 0);
+    }
+
+    /// Outgoing buffers for a movement of `sizes[dst]` values to each
+    /// `dst`, each allocated once at its final size; what `rank` addresses
+    /// to itself is packed straight into its staging buffer instead.
+    fn outgoing(&self, rank: usize) -> Vec<Vec<f64>> {
+        self.sizes
+            .iter()
+            .enumerate()
+            .map(|(dst, &len)| Vec::with_capacity(if dst == rank { 0 } else { len }))
+            .collect()
     }
 
     fn reset_cursors(&mut self) {
@@ -125,14 +140,23 @@ pub(crate) fn redistribute_filter(
     // Send buffers are freshly allocated: `Payload::F64` hands the Vec to
     // the transport, which owns it until the receiver drains it.
     comm.phase_begin("redist_fwd");
-    let mut send: Vec<Vec<f64>> = vec![Vec::new(); p];
     for (idx, line) in lines.iter().enumerate() {
         if selected(line.var) && holds(line.lat) {
-            let row = fields[line.var].row(line.lat - sub.j0, line.lev);
-            send[owners[idx]].extend_from_slice(&row);
+            scratch.sizes[owners[idx]] += sub.ni;
         }
     }
-    scratch.bufs[rank] = std::mem::take(&mut send[rank]);
+    let mut send = scratch.outgoing(rank);
+    for (idx, line) in lines.iter().enumerate() {
+        if selected(line.var) && holds(line.lat) {
+            let row = fields[line.var].row_slice(line.lat - sub.j0, line.lev);
+            let dst = owners[idx];
+            if dst == rank {
+                scratch.bufs[rank].extend_from_slice(row);
+            } else {
+                send[dst].extend_from_slice(row);
+            }
+        }
+    }
     for (dst, buf) in send.into_iter().enumerate() {
         if dst != rank && !buf.is_empty() {
             comm.send(dst, TAG_FWD, Payload::F64(buf));
@@ -202,21 +226,26 @@ pub(crate) fn redistribute_filter(
 
     // --- Phase 3: inverse movement (same sparsity, reversed). ------------
     comm.phase_begin("redist_bwd");
-    let mut back: Vec<Vec<f64>> = vec![Vec::new(); p];
-    let mut assembled_pos = 0;
-    for (idx, line) in lines.iter().enumerate() {
-        if owners[idx] != rank || !selected(line.var) {
-            continue;
-        }
-        let out = &scratch.assembled[assembled_pos..assembled_pos + n_lon];
-        assembled_pos += n_lon;
-        let dst_row = setup.decomp.row_of_lat(line.lat);
+    scratch.sizes.iter_mut().for_each(|s| *s = 0);
+    for &lat in &scratch.lats {
+        let dst_row = setup.decomp.row_of_lat(lat);
         for c in 0..mesh_lon {
-            let (i0, ni) = setup.col_chunk(c);
-            back[dst_row * mesh_lon + c].extend_from_slice(&out[i0..i0 + ni]);
+            scratch.sizes[dst_row * mesh_lon + c] += setup.col_chunk(c).1;
         }
     }
-    scratch.ret_bufs[rank] = std::mem::take(&mut back[rank]);
+    let mut back = scratch.outgoing(rank);
+    for (out, &lat) in scratch.assembled.chunks_exact(n_lon).zip(&scratch.lats) {
+        let dst_row = setup.decomp.row_of_lat(lat);
+        for c in 0..mesh_lon {
+            let (i0, ni) = setup.col_chunk(c);
+            let dst = dst_row * mesh_lon + c;
+            if dst == rank {
+                scratch.ret_bufs[rank].extend_from_slice(&out[i0..i0 + ni]);
+            } else {
+                back[dst].extend_from_slice(&out[i0..i0 + ni]);
+            }
+        }
+    }
     for (dst, buf) in back.into_iter().enumerate() {
         if dst != rank && !buf.is_empty() {
             comm.send(dst, TAG_BWD, Payload::F64(buf));

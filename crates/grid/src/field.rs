@@ -105,11 +105,16 @@ impl Field3D {
         &mut self.data
     }
 
-    /// Copy one latitude row (all longitudes) at `(j, k)` — the unit of
-    /// data the polar filter redistributes.
-    pub fn row(&self, j: usize, k: usize) -> Vec<f64> {
+    /// Borrow one latitude row (all longitudes) at `(j, k)` — the unit of
+    /// data the polar filter redistributes, and a contiguous slice.
+    pub fn row_slice(&self, j: usize, k: usize) -> &[f64] {
         let start = self.offset(0, j, k);
-        self.data[start..start + self.ni].to_vec()
+        &self.data[start..start + self.ni]
+    }
+
+    /// Copy one latitude row at `(j, k)`.
+    pub fn row(&self, j: usize, k: usize) -> Vec<f64> {
+        self.row_slice(j, k).to_vec()
     }
 
     /// Overwrite one latitude row at `(j, k)`.

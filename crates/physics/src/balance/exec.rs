@@ -11,12 +11,13 @@
 //! unbalanced one.
 
 use super::Transfer;
-use crate::step::{column_cost, run_column, PhysicsConfig};
+use crate::kernel::ColumnKernel;
 use agcm_grid::decomp::Subdomain;
 use agcm_grid::field::Field3D;
 use agcm_grid::latlon::GridSpec;
 use agcm_mps::comm::Comm;
 use agcm_mps::message::Payload;
+use std::ops::Range;
 
 const TAG_META: u64 = 301;
 const TAG_DATA: u64 = 302;
@@ -35,6 +36,11 @@ pub struct BalancedRun {
 }
 
 /// Run one physics pass executing `plan` (in flop units).
+///
+/// Delegated columns are a prefix of the local columns in storage order
+/// (`j·ni + i`), so each transfer is a range of that order and every level
+/// of it is one contiguous slice of the field: columns travel packed
+/// level-major, which is the layout the batch kernel runs on.
 pub fn run_balanced(
     comm: &Comm,
     grid: &GridSpec,
@@ -43,64 +49,54 @@ pub fn run_balanced(
     t: f64,
     plan: &[Transfer],
 ) -> BalancedRun {
-    let cfg = PhysicsConfig::for_grid(grid);
+    let mut kernel = ColumnKernel::new(grid, t);
     let me = comm.rank();
     let nk = grid.n_lev;
+    let n_local = sub.ni * sub.nj;
+    let global = |cursor: usize| (sub.i0 + cursor % sub.ni, sub.j0 + cursor / sub.ni);
 
     // --- Select columns to delegate, one contiguous scan, no overlap. ----
     let my_out: Vec<&Transfer> = plan.iter().filter(|tr| tr.from == me).collect();
-    let mut delegated: Vec<Vec<(usize, usize)>> = vec![Vec::new(); my_out.len()]; // local (i, j)
-    let mut taken = vec![false; sub.ni * sub.nj];
-    {
-        let mut cursor = 0usize; // linear index over local columns
-        for (slot, tr) in my_out.iter().enumerate() {
-            let mut shipped = 0.0;
-            while shipped < tr.amount && cursor < sub.ni * sub.nj {
-                let (i, j) = (cursor % sub.ni, cursor / sub.ni);
-                let cost = column_cost(&cfg, grid, sub.i0 + i, sub.j0 + j, t).flops;
-                delegated[slot].push((i, j));
-                taken[cursor] = true;
-                shipped += cost;
-                cursor += 1;
-            }
+    let mut delegated: Vec<Range<usize>> = Vec::with_capacity(my_out.len());
+    let mut delegated_cost = 0.0;
+    let mut cursor = 0usize;
+    for tr in &my_out {
+        let start = cursor;
+        let mut shipped = 0.0;
+        while shipped < tr.amount && cursor < n_local {
+            let (gi, gj) = global(cursor);
+            shipped += kernel.forcing().cost(gi, gj).flops;
+            cursor += 1;
         }
+        delegated.push(start..cursor);
+        delegated_cost += shipped;
     }
 
     // --- Ship delegated columns. -----------------------------------------
-    let mut delegated_cost = 0.0;
-    for (slot, tr) in my_out.iter().enumerate() {
-        let cols = &delegated[slot];
-        delegated_cost += cols
-            .iter()
-            .map(|&(i, j)| column_cost(&cfg, grid, sub.i0 + i, sub.j0 + j, t).flops)
-            .sum::<f64>();
+    for (tr, cols) in my_out.iter().zip(&delegated) {
         let mut meta: Vec<i64> = Vec::with_capacity(1 + 2 * cols.len());
         meta.push(cols.len() as i64);
+        for (gi, gj) in cols.clone().map(global) {
+            meta.push(gi as i64);
+            meta.push(gj as i64);
+        }
         let mut data: Vec<f64> = Vec::with_capacity(cols.len() * nk);
-        for &(i, j) in cols {
-            meta.push((sub.i0 + i) as i64);
-            meta.push((sub.j0 + j) as i64);
-            data.extend_from_slice(&theta.column(i, j));
+        for level in theta.as_slice().chunks_exact(n_local) {
+            data.extend_from_slice(&level[cols.clone()]);
         }
         comm.send(tr.to, TAG_META, Payload::I64(meta));
         comm.send(tr.to, TAG_DATA, Payload::F64(data));
     }
 
-    // --- Process what stays local. ---------------------------------------
-    let mut flops = 0.0;
+    // --- Process what stays local: the rest of the cursor's row, then ----
+    // --- whole rows. -----------------------------------------------------
     let mut local_own = 0.0;
-    for j in 0..sub.nj {
-        for i in 0..sub.ni {
-            if taken[j * sub.ni + i] {
-                continue;
-            }
-            let mut col = theta.column(i, j);
-            let cost = run_column(&cfg, grid, sub.i0 + i, sub.j0 + j, t, &mut col);
-            flops += cost;
-            local_own += cost;
-            theta.set_column(i, j, &col);
-        }
+    let (mut j, mut i) = (cursor / sub.ni, cursor % sub.ni);
+    while j < sub.nj {
+        local_own += kernel.run_row(theta, sub, j, i..sub.ni);
+        (j, i) = (j + 1, 0);
     }
+    let mut flops = local_own;
 
     // --- Process foreign columns and return results. ---------------------
     for tr in plan.iter().filter(|tr| tr.to == me) {
@@ -108,27 +104,26 @@ pub fn run_balanced(
         let mut data = comm.recv_f64(tr.from, TAG_DATA);
         let n_cols = meta[0] as usize;
         assert_eq!(data.len(), n_cols * nk, "column data length mismatch");
-        for c in 0..n_cols {
-            let (gi, gj) = (meta[1 + 2 * c] as usize, meta[2 + 2 * c] as usize);
-            let col = &mut data[c * nk..(c + 1) * nk];
-            flops += run_column(&cfg, grid, gi, gj, t, col);
-        }
+        flops += kernel.run_packed(
+            |c| (meta[1 + 2 * c] as usize, meta[2 + 2 * c] as usize),
+            &mut data,
+        );
         comm.send(tr.from, TAG_RESULT, Payload::F64(data));
     }
     comm.record_flops(flops);
 
     // --- Collect results for our delegated columns. ----------------------
-    for (slot, tr) in my_out.iter().enumerate() {
+    for (tr, cols) in my_out.iter().zip(&delegated) {
         let data = comm.recv_f64(tr.to, TAG_RESULT);
-        for (c, &(i, j)) in delegated[slot].iter().enumerate() {
-            theta.set_column(i, j, &data[c * nk..(c + 1) * nk]);
+        for (k, level) in theta.as_mut_slice().chunks_exact_mut(n_local).enumerate() {
+            level[cols.clone()].copy_from_slice(&data[k * cols.len()..][..cols.len()]);
         }
     }
     let registry = agcm_telemetry::registry();
     registry.counter("physics.balanced_passes").inc();
     registry
         .counter("physics.columns_delegated")
-        .add(delegated.iter().map(|d| d.len() as u64).sum());
+        .add(cursor as u64);
     BalancedRun {
         performed: flops,
         owned: local_own + delegated_cost,

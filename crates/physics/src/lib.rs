@@ -18,8 +18,12 @@
 //!   cloud field ("unpredictability of the cloud distribution");
 //! * [`convection`] — conditionally-triggered cumulus adjustment with a
 //!   data-dependent iteration count;
-//! * [`step`] — the per-column physics step that does the arithmetic and
-//!   records its cost;
+//! * [`forcing`] — the per-latitude and per-longitude tables every
+//!   transcendental of a pass is hoisted into;
+//! * [`kernel`] — the batch kernel that advances a latitude row (or any
+//!   packed list of columns) side by side, allocation-free;
+//! * [`step`] — one rank's physics pass over that kernel, and the original
+//!   per-column formulation kept as its test oracle;
 //! * [`load`] — load estimation from the previous pass's measured cost
 //!   (the paper's §3.4 estimator) and the imbalance metric of Tables 1–3;
 //! * [`balance`] — scheme 1 (cyclic all-to-all shuffle, Figure 4),
@@ -30,10 +34,13 @@
 pub mod balance;
 pub mod clouds;
 pub mod convection;
+pub mod forcing;
+pub mod kernel;
 pub mod load;
 pub mod radiation;
 pub mod step;
 
 pub use balance::{BalanceScheme, Transfer};
+pub use forcing::ColumnCost;
 pub use load::imbalance;
-pub use step::{ColumnCost, PhysicsConfig, PhysicsStep};
+pub use step::{PhysicsConfig, PhysicsStep};

@@ -1,4 +1,4 @@
-//! The per-column physics step and its cost structure.
+//! The physics step of one rank and its cost structure.
 //!
 //! One physics pass visits every owned column, runs longwave radiation
 //! (always), shortwave (sunlit columns only) and cumulus adjustment
@@ -6,14 +6,20 @@
 //! floating-point work. The *cost* of a column is a deterministic function
 //! of (lat, lon, t) — which is what makes load estimation from the
 //! previous pass a sensible strategy, exactly as the paper found.
+//!
+//! [`PhysicsStep`] runs the pass a latitude row at a time through the
+//! batch [`ColumnKernel`]; [`run_column`] is the original per-column
+//! formulation, kept as the oracle the kernel is tested against.
 
 use crate::clouds::cloud_fraction;
 use crate::convection::{adjust, adjustment_iterations, instability};
-use crate::radiation::{is_day, longwave, shortwave, solar_zenith_cos};
+use crate::kernel::ColumnKernel;
+use crate::radiation::{longwave, shortwave, solar_zenith_cos};
 use agcm_grid::decomp::Subdomain;
 use agcm_grid::field::Field3D;
 use agcm_grid::latlon::GridSpec;
 use agcm_mps::comm::Comm;
+use std::cell::RefCell;
 
 /// Static configuration of the physics emulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,38 +41,10 @@ impl PhysicsConfig {
     }
 }
 
-/// Breakdown of one column's work.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ColumnCost {
-    /// Whether the column is sunlit (shortwave runs).
-    pub day: bool,
-    /// Convective adjustment iterations triggered.
-    pub convection_iters: usize,
-    /// Total predicted flops.
-    pub flops: f64,
-}
-
-/// Predict the cost of the column at grid point (i, j) at time `t` without
-/// doing the work — used to pick which columns to delegate when balancing.
-pub fn column_cost(cfg: &PhysicsConfig, grid: &GridSpec, i: usize, j: usize, t: f64) -> ColumnCost {
-    let (lat, lon) = (grid.latitude(j), grid.longitude(i));
-    let k = cfg.n_lev as f64;
-    let day = is_day(lat, lon, t);
-    let iters = adjustment_iterations(instability(lat, lon, t));
-    let mut flops = cfg.base_flops + crate::radiation::LW_FLOPS_PER_PAIR * k * k; // longwave
-    if day {
-        flops += crate::radiation::SW_FLOPS_PER_LEVEL * k; // shortwave
-    }
-    flops += crate::convection::ADJ_FLOPS_PER_PAIR * (iters * (cfg.n_lev - 1)) as f64; // convection
-    ColumnCost {
-        day,
-        convection_iters: iters,
-        flops,
-    }
-}
-
 /// Execute the physics on one column profile in place; returns the flops
-/// actually performed (matches [`column_cost`] by construction).
+/// performed. This is the reference formulation — scalar, one column at a
+/// time, every transcendental evaluated on the spot — and the oracle of
+/// the batch kernel's equivalence tests; the model never calls it.
 pub fn run_column(
     cfg: &PhysicsConfig,
     grid: &GridSpec,
@@ -96,24 +74,18 @@ pub fn run_column(
 
 /// The physics driver for one rank's subdomain.
 pub struct PhysicsStep {
-    cfg: PhysicsConfig,
-    grid: GridSpec,
     sub: Subdomain,
+    /// Forcing tables and kernel scratch, reused across passes.
+    kernel: RefCell<ColumnKernel>,
 }
 
 impl PhysicsStep {
     /// Driver for one rank.
     pub fn new(grid: GridSpec, sub: Subdomain) -> PhysicsStep {
         PhysicsStep {
-            cfg: PhysicsConfig::for_grid(&grid),
-            grid,
             sub,
+            kernel: RefCell::new(ColumnKernel::new(&grid, 0.0)),
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &PhysicsConfig {
-        &self.cfg
     }
 
     /// Run physics on every owned column without load balancing. Records
@@ -122,26 +94,17 @@ impl PhysicsStep {
     /// "a timing on the previous pass of physics component was performed
     /// at each processor and the result was used as an estimate".
     pub fn run_local(&self, comm: &Comm, theta: &mut Field3D, t: f64) -> f64 {
-        let mut total = 0.0;
         let (ni, nj, _) = theta.shape();
         assert_eq!(
             (ni, nj),
             (self.sub.ni, self.sub.nj),
             "field must match the subdomain"
         );
+        let mut kernel = self.kernel.borrow_mut();
+        kernel.set_time(t);
+        let mut total = 0.0;
         for j in 0..nj {
-            for i in 0..ni {
-                let mut col = theta.column(i, j);
-                total += run_column(
-                    &self.cfg,
-                    &self.grid,
-                    self.sub.i0 + i,
-                    self.sub.j0 + j,
-                    t,
-                    &mut col,
-                );
-                theta.set_column(i, j, &col);
-            }
+            total += kernel.run_row(theta, &self.sub, j, 0..ni);
         }
         comm.record_flops(total);
         total
@@ -149,10 +112,13 @@ impl PhysicsStep {
 
     /// Predicted total load (flops) of this subdomain at time `t`.
     pub fn predicted_load(&self, t: f64) -> f64 {
+        let mut kernel = self.kernel.borrow_mut();
+        kernel.set_time(t);
+        let forcing = kernel.forcing();
         let mut total = 0.0;
         for j in self.sub.lats() {
             for i in self.sub.lons() {
-                total += column_cost(&self.cfg, &self.grid, i, j, t).flops;
+                total += forcing.cost(i, j).flops;
             }
         }
         total
@@ -162,6 +128,7 @@ impl PhysicsStep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::forcing::{ColumnCost, Forcing};
     use agcm_grid::decomp::Decomp;
     use agcm_mps::runtime::{run, run_traced};
 
@@ -173,8 +140,9 @@ mod tests {
     fn prediction_matches_execution() {
         let g = grid();
         let cfg = PhysicsConfig::for_grid(&g);
+        let forcing = Forcing::new(&g, 7200.0);
         for (i, j) in [(0, 0), (17, 11), (35, 23), (9, 12)] {
-            let predicted = column_cost(&cfg, &g, i, j, 7200.0).flops;
+            let predicted = forcing.cost(i, j).flops;
             let mut col = vec![0.5; g.n_lev];
             let actual = run_column(&cfg, &g, i, j, 7200.0, &mut col);
             assert_eq!(predicted, actual, "column ({i},{j})");
@@ -184,13 +152,11 @@ mod tests {
     #[test]
     fn day_columns_cost_more() {
         let g = grid();
-        let cfg = PhysicsConfig::for_grid(&g);
+        let forcing = Forcing::new(&g, 0.0);
         // Scan a latitude circle at high latitude (no convection noise
         // there — instability is negligible poleward) and compare day/night.
         let j = 22; // near-polar row
-        let costs: Vec<ColumnCost> = (0..g.n_lon)
-            .map(|i| column_cost(&cfg, &g, i, j, 0.0))
-            .collect();
+        let costs: Vec<ColumnCost> = (0..g.n_lon).map(|i| forcing.cost(i, j)).collect();
         let day_avg: f64 = {
             let d: Vec<f64> = costs.iter().filter(|c| c.day).map(|c| c.flops).collect();
             d.iter().sum::<f64>() / d.len() as f64
@@ -205,12 +171,8 @@ mod tests {
     #[test]
     fn tropics_cost_more_than_midlatitudes() {
         let g = grid();
-        let cfg = PhysicsConfig::for_grid(&g);
-        let row_cost = |j: usize| -> f64 {
-            (0..g.n_lon)
-                .map(|i| column_cost(&cfg, &g, i, j, 3600.0).flops)
-                .sum()
-        };
+        let forcing = Forcing::new(&g, 3600.0);
+        let row_cost = |j: usize| -> f64 { (0..g.n_lon).map(|i| forcing.cost(i, j).flops).sum() };
         let equator = row_cost(12);
         let midlat = row_cost(20);
         assert!(equator > midlat, "equator {equator} vs midlat {midlat}");
@@ -254,10 +216,11 @@ mod tests {
         let d = Decomp::new(g, 2, 3);
         let sub = d.subdomain_of_rank(4);
         let step = PhysicsStep::new(g, sub);
+        let forcing = Forcing::new(&g, 500.0);
         let by_hand: f64 = sub
             .lats()
             .flat_map(|j| sub.lons().map(move |i| (i, j)))
-            .map(|(i, j)| column_cost(step.config(), &g, i, j, 500.0).flops)
+            .map(|(i, j)| forcing.cost(i, j).flops)
             .sum();
         assert_eq!(step.predicted_load(500.0), by_hand);
     }
