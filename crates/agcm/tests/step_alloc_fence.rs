@@ -1,11 +1,12 @@
 //! Whole-step allocation fence: a warmed-up timestep of the paper's
-//! 144×90×9 model on one rank stays under **1,500 heap allocations and
-//! 2 MB requested**. Before the physics and the filter glue were made
-//! allocation-free a step cost 28,548 allocations / 18.8 MB; it now costs
-//! a few hundred (message buffers the transport takes ownership of, trace
-//! events, the filter's per-latitude grouping). The fence is loose on
-//! purpose — it catches a per-column or per-line allocation coming back,
-//! not a handful of buffers.
+//! 144×90×9 model on one rank stays under **200 heap allocations and
+//! 0.5 MB requested**. Before the physics and the filter glue were made
+//! allocation-free a step cost 28,548 allocations / 18.8 MB; with the
+//! filter's grouping and owner tables moved into a cached pass plan it
+//! costs about 14 / 0.1 MB (the halo's message buffers, which the
+//! transport takes ownership of, and trace events). The fence leaves room
+//! for a handful of buffers — it catches a per-line, per-latitude or
+//! per-column allocation coming back.
 //!
 //! Measured as the benchmark's `agcm.allocs_per_step` is: a 2N-step run
 //! minus an N-step run, divided by N, so set-up cancels. The counter is
@@ -72,11 +73,11 @@ fn warmed_up_paper_grid_step_stays_under_the_allocation_fence() {
     let allocs = a2.saturating_sub(a1) as f64 / N as f64;
     let bytes = b2.saturating_sub(b1) as f64 / N as f64;
     assert!(
-        allocs <= 1_500.0,
-        "a steady 1x1 paper-grid step performed {allocs} heap allocations (fence 1,500)"
+        allocs <= 200.0,
+        "a steady 1x1 paper-grid step performed {allocs} heap allocations (fence 200)"
     );
     assert!(
-        bytes <= 2.0e6,
-        "a steady 1x1 paper-grid step requested {bytes} bytes (fence 2 MB)"
+        bytes <= 0.5e6,
+        "a steady 1x1 paper-grid step requested {bytes} bytes (fence 0.5 MB)"
     );
 }

@@ -1,21 +1,27 @@
 //! Batched, allocation-free FFT filtering vs the per-line paths.
 //!
-//! The three rungs of the optimization ladder for one filtered latitude
-//! group (paper §3.2, Eq. 1):
+//! The rungs of the optimization ladder for one filtered latitude group
+//! (paper §3.2, Eq. 1):
 //!
 //! 1. `per_line_complex` — the original organization: every real line is
 //!    widened to a full complex transform, with fresh allocations per call
 //!    (`apply_spectral_multiplier`);
 //! 2. `per_line_real` — one line at a time through the workspace-backed
 //!    half-complex real transform (no allocations, still no batching);
-//! 3. `batched_real` — the production path: pairs of real lines packed
-//!    into single complex transforms (`filter_lines_flat`), workspace
-//!    reused across the whole batch.
+//! 3. `scalar_pairs` — pairs of real lines packed into single complex
+//!    transforms, one scalar transform at a time (`filter_pair`): the
+//!    arithmetic the production path reproduces bit for bit;
+//! 4. `batched_real` — the production path (`filter_lines_flat`): the
+//!    same pairs, eight at a time through the lane-batched executor;
+//! 5. `lane_batched` — that executor driven the way the filter engine
+//!    drives it (`LaneBatch`): lanes filled across latitude groups, each
+//!    lane with its own multiplier.
 //!
 //! Acceptance: `batched_real` beats `per_line_complex` by ≥2× at n=144.
 
-use agcm_fft::batch::{filter_line, filter_lines_flat};
+use agcm_fft::batch::{filter_line, filter_lines_flat, filter_pair};
 use agcm_fft::convolution::apply_spectral_multiplier;
+use agcm_fft::lanes::{LaneBatch, LINES};
 use agcm_fft::plan::FftPlan;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -69,10 +75,43 @@ fn bench_filter_paths(c: &mut Criterion) {
             })
         });
 
+        g.bench_function(BenchmarkId::new("scalar_pairs", BATCH), |b| {
+            let mut buf = base.clone();
+            let mut ws = plan.workspace();
+            b.iter(|| {
+                for pair in buf.chunks_exact_mut(2 * n) {
+                    let (x, y) = pair.split_at_mut(n);
+                    filter_pair(&plan, x, y, &mult, &mut ws);
+                }
+            })
+        });
+
         g.bench_function(BenchmarkId::new("batched_real", BATCH), |b| {
             let mut buf = base.clone();
             let mut ws = plan.workspace();
             b.iter(|| filter_lines_flat(&plan, &mut buf, &mult, &mut ws))
+        });
+
+        g.bench_function(BenchmarkId::new("lane_batched", BATCH), |b| {
+            let mut buf = base.clone();
+            let mut ws = plan.workspace();
+            b.iter(|| {
+                let mut lanes = LaneBatch::new(&plan, &mut ws);
+                for batch in buf.chunks_mut(LINES * n) {
+                    let pairs = batch.len() / (2 * n);
+                    lanes.begin(pairs);
+                    for lane in 0..pairs {
+                        lanes.set_multiplier(lane, &mult);
+                    }
+                    for (slot, line) in batch.chunks_exact(n).enumerate() {
+                        lanes.load(slot, 0, line);
+                    }
+                    lanes.run();
+                    for (slot, line) in batch.chunks_exact_mut(n).enumerate() {
+                        lanes.store(slot, 0, line);
+                    }
+                }
+            })
         });
         g.finish();
     }

@@ -52,7 +52,7 @@ use agcm_bench::paper;
 use agcm_core::report::{fmt_pct, fmt_ratio, fmt_secs, Table};
 use agcm_costmodel::machine::MachineProfile;
 use agcm_dynamics::advection::{advect_naive, advect_restructured, AdvShape};
-use agcm_fft::batch::filter_lines_flat;
+use agcm_fft::batch::{filter_lines_flat, filter_pair};
 use agcm_fft::convolution::apply_spectral_multiplier;
 use agcm_fft::plan::FftPlan;
 use agcm_filtering::driver::{FilterOrganization, FilterVariant};
@@ -470,10 +470,11 @@ fn singlenode() {
 /// tracking).
 fn bench_filter() {
     println!("\n=== Filter fast path: batched real vs per-line complex (n=144) ===\n");
-    let (n, batch, t_complex, t_batched) = measure_filter_kernel();
+    let k = measure_filter_kernel();
+    let (n, batch) = (k.n, k.batch);
     let ns_per_line = |t: f64| t * 1e9 / batch as f64;
     let lines_per_sec = |t: f64| batch as f64 / t;
-    let speedup = t_complex / t_batched;
+    let speedup = k.kernel_speedup();
 
     let mut t = Table::new(
         format!("Kernel, {batch} lines of n={n}"),
@@ -481,17 +482,43 @@ fn bench_filter() {
     );
     t.add_row(vec![
         "per-line complex (original)".into(),
-        format!("{:.0}", ns_per_line(t_complex)),
-        format!("{:.0}", lines_per_sec(t_complex)),
+        format!("{:.0}", ns_per_line(k.t_complex)),
+        format!("{:.0}", lines_per_sec(k.t_complex)),
         "1.00".into(),
     ]);
     t.add_row(vec![
-        "batched real (production)".into(),
-        format!("{:.0}", ns_per_line(t_batched)),
-        format!("{:.0}", lines_per_sec(t_batched)),
+        "scalar pairs (filter_pair, the oracle)".into(),
+        format!("{:.0}", ns_per_line(k.t_scalar_pairs)),
+        format!("{:.0}", lines_per_sec(k.t_scalar_pairs)),
+        fmt_ratio(k.t_complex / k.t_scalar_pairs),
+    ]);
+    t.add_row(vec![
+        "batched real (production, lane-batched)".into(),
+        format!("{:.0}", ns_per_line(k.t_batched)),
+        format!("{:.0}", lines_per_sec(k.t_batched)),
         fmt_ratio(speedup),
     ]);
     println!("{t}");
+
+    // The bound, ESCAPE-dwarf style: the flops the tracer charges a line,
+    // at the add+mul rate this core sustains at the executor's vector
+    // width, against what the executor achieves.
+    let target = agcm_fft::lanes::dispatch_target();
+    let lanes = agcm_fft::lanes::W;
+    let flops_per_line = agcm_fft::ops::pair_filter_flops(n) / 2.0;
+    let peak = agcm_bench::peak::add_mul_rate(7);
+    let bound_ns = flops_per_line / peak * 1e9;
+    let fraction = bound_ns / ns_per_line(k.t_batched);
+    println!(
+        "Lane-batched executor: W={lanes} pair-packed transforms per batch, dispatch target {target}; \
+         {:.0} ns/line, {:.2}x the scalar pair path.\n\
+         Bound: {flops_per_line:.0} flops/line at the measured add+mul rate {:.1} GFlop/s = {bound_ns:.0} ns/line; \
+         fraction achieved {:.2}\n",
+        ns_per_line(k.t_batched),
+        k.lane_speedup(),
+        peak / 1e9,
+        fraction,
+    );
 
     // Messages per filtered step: the aggregated organization moves all
     // variables of a filter class in one redistribute pass. Single-row
@@ -513,12 +540,15 @@ fn bench_filter() {
     );
 
     let json = format!(
-        "{{\n  \"benchmark\": \"filter_fast_path\",\n  \"n_lon\": {n},\n  \"batch_lines\": {batch},\n  \"per_line_complex\": {{\n    \"ns_per_line\": {:.1},\n    \"lines_per_sec\": {:.1}\n  }},\n  \"batched_real\": {{\n    \"ns_per_line\": {:.1},\n    \"lines_per_sec\": {:.1}\n  }},\n  \"kernel_speedup\": {:.2},\n  \"messages_per_filtered_step\": {{\n    \"variant\": \"{variant:?}\",\n    \"mesh\": \"{}x{}\",\n    \"aggregated\": {},\n    \"per_variable\": {}\n  }}\n}}\n",
-        ns_per_line(t_complex),
-        lines_per_sec(t_complex),
-        ns_per_line(t_batched),
-        lines_per_sec(t_batched),
+        "{{\n  \"benchmark\": \"filter_fast_path\",\n  \"n_lon\": {n},\n  \"batch_lines\": {batch},\n  \"per_line_complex\": {{\n    \"ns_per_line\": {:.1},\n    \"lines_per_sec\": {:.1}\n  }},\n  \"batched_real\": {{\n    \"ns_per_line\": {:.1},\n    \"lines_per_sec\": {:.1}\n  }},\n  \"kernel_speedup\": {:.2},\n  \"lane_batched\": {{\n    \"ns_per_line\": {:.1},\n    \"speedup\": {:.2},\n    \"lanes\": {lanes},\n    \"dispatch_target\": \"{target}\",\n    \"flops_per_line\": {flops_per_line:.0},\n    \"add_mul_gflops\": {:.1},\n    \"bound_ns_per_line\": {bound_ns:.1},\n    \"bound_fraction\": {fraction:.2}\n  }},\n  \"messages_per_filtered_step\": {{\n    \"variant\": \"{variant:?}\",\n    \"mesh\": \"{}x{}\",\n    \"aggregated\": {},\n    \"per_variable\": {}\n  }}\n}}\n",
+        ns_per_line(k.t_complex),
+        lines_per_sec(k.t_complex),
+        ns_per_line(k.t_batched),
+        lines_per_sec(k.t_batched),
         speedup,
+        ns_per_line(k.t_batched),
+        k.lane_speedup(),
+        peak / 1e9,
         mesh.0,
         mesh.1,
         agg.total_messages(),
@@ -527,7 +557,7 @@ fn bench_filter() {
     std::fs::write("BENCH_filter.json", &json)
         .unwrap_or_else(|e| eprintln!("could not write BENCH_filter.json: {e}"));
     println!("wrote BENCH_filter.json");
-    record_history("filter", vec![("kernel_speedup".into(), speedup)]);
+    record_history("filter", k.history());
 }
 
 /// Append one suite's measurements to `bench_history.jsonl` for the
@@ -641,10 +671,42 @@ fn bench_kernels(smoke: bool) {
     record_history("kernels", kernel_history(&b));
 }
 
-/// Time the filter kernel both ways. Shared by `bench-filter` (which
-/// reports and records) and `bench-check` (which compares against the
-/// committed record). Returns `(n, batch, t_complex, t_batched)`.
-fn measure_filter_kernel() -> (usize, usize, f64, f64) {
+/// One timing of the filter kernel on a 36-line latitude group, three
+/// ways. Shared by `bench-filter` (which reports and records) and
+/// `bench-check` (which compares against the committed record).
+struct FilterKernelTimes {
+    n: usize,
+    batch: usize,
+    /// Seconds per batch: every line widened to a complex transform.
+    t_complex: f64,
+    /// Seconds per batch: scalar `filter_pair` on consecutive pairs.
+    t_scalar_pairs: f64,
+    /// Seconds per batch: `filter_lines_flat` (lane-batched).
+    t_batched: f64,
+}
+
+impl FilterKernelTimes {
+    /// Production path over the original per-line complex path.
+    fn kernel_speedup(&self) -> f64 {
+        self.t_complex / self.t_batched
+    }
+
+    /// Lane-batched executor over the scalar pair path it reproduces.
+    fn lane_speedup(&self) -> f64 {
+        self.t_scalar_pairs / self.t_batched
+    }
+
+    /// The metrics `bench-filter` and `bench-check` both append to the
+    /// history (and `bench-check` gates).
+    fn history(&self) -> Vec<(String, f64)> {
+        vec![
+            ("kernel_speedup".into(), self.kernel_speedup()),
+            ("lane_batched.speedup".into(), self.lane_speedup()),
+        ]
+    }
+}
+
+fn measure_filter_kernel() -> FilterKernelTimes {
     let n = 144usize;
     // One strongly-filtered polar latitude in the 9-layer configuration
     // moves 4 variables × 9 levels = 36 lines.
@@ -670,10 +732,23 @@ fn measure_filter_kernel() -> (usize, usize, f64, f64) {
     });
     let mut buf = base.clone();
     let mut ws = plan.workspace();
+    let t_scalar_pairs = time_median(reps, || {
+        for pair in buf.chunks_exact_mut(2 * n) {
+            let (a, b) = pair.split_at_mut(n);
+            filter_pair(&plan, a, b, &mult, &mut ws);
+        }
+    });
+    let mut buf = base.clone();
     let t_batched = time_median(reps, || {
         filter_lines_flat(&plan, &mut buf, &mult, &mut ws);
     });
-    (n, batch, t_complex, t_batched)
+    FilterKernelTimes {
+        n,
+        batch,
+        t_complex,
+        t_scalar_pairs,
+        t_batched,
+    }
 }
 
 /// `trace`: run a short instrumented model with a file sink installed,
@@ -1087,12 +1162,15 @@ fn bench_check() {
             std::process::exit(1);
         }
     };
-    let Some(committed_speedup) = Value::parse(&committed_filter)
-        .ok()
-        .and_then(|v| v.get("kernel_speedup").and_then(Value::as_f64))
-    else {
-        eprintln!("BENCH_filter.json has no numeric 'kernel_speedup'");
-        std::process::exit(1);
+    let committed_filter = Value::parse(&committed_filter).ok();
+    let committed_filter_of = |path: &[&str]| -> f64 {
+        path.iter()
+            .fold(committed_filter.as_ref(), |v, key| v?.get(key))
+            .and_then(Value::as_f64)
+            .unwrap_or_else(|| {
+                eprintln!("BENCH_filter.json has no numeric '{}'", path.join("."));
+                std::process::exit(1);
+            })
     };
     let committed_kernels = match std::fs::read_to_string("BENCH_kernels.json") {
         Ok(t) => t,
@@ -1117,8 +1195,7 @@ fn bench_check() {
             })
     };
 
-    let (_, _, t_complex, t_batched) = measure_filter_kernel();
-    let filter_speedup = t_complex / t_batched;
+    let k = measure_filter_kernel();
     let b = agcm_bench::kernels::run_kernel_bench(true);
 
     // (suite, metric name in the history, committed anchor, observed)
@@ -1126,8 +1203,14 @@ fn bench_check() {
         (
             "filter",
             "kernel_speedup",
-            committed_speedup,
-            filter_speedup,
+            committed_filter_of(&["kernel_speedup"]),
+            k.kernel_speedup(),
+        ),
+        (
+            "filter",
+            "lane_batched.speedup",
+            committed_filter_of(&["lane_batched", "speedup"]),
+            k.lane_speedup(),
         ),
         (
             "kernels",
@@ -1187,7 +1270,7 @@ fn bench_check() {
     }
 
     // This run's measurements extend the trend for the next one.
-    record_history("filter", vec![("kernel_speedup".into(), filter_speedup)]);
+    record_history("filter", k.history());
     record_history("kernels", kernel_history(&b));
 
     let failed: Vec<&TrendVerdict> = verdicts.iter().filter(|v| !v.ok).collect();

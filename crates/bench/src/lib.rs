@@ -11,6 +11,8 @@
 //!   skew join, with machine-checked invariants;
 //! * [`history`] — `bench_history.jsonl` records and the median+MAD
 //!   trend gate behind `reproduce bench-check`;
+//! * [`peak`] — the add+mul peak probe behind `bench-filter`'s stated
+//!   bound;
 //! * [`alloccount`] — the counting global allocator the `reproduce`
 //!   binary installs for allocation-freedom checks;
 //! * the `reproduce` binary — prints each table with paper-reported and
@@ -25,6 +27,7 @@ pub mod harness;
 pub mod history;
 pub mod kernels;
 pub mod paper;
+pub mod peak;
 pub mod profile;
 pub mod serve;
 pub mod store;

@@ -10,26 +10,34 @@
 //!   `agcm-filtering`'s `filterfn`), packing lines a and b as
 //!   `z = a + i·b` and computing `IFFT(s ⊙ FFT(z))` filters both lines
 //!   *exactly* — the real part is the filtered a, the imaginary part the
-//!   filtered b. No spectrum untangling is needed at all.
+//!   filtered b. No spectrum untangling is needed at all. This scalar
+//!   form is the specification (and the test oracle) of the pair
+//!   arithmetic.
 //! * [`filter_line`] — the odd-tail path: a single real line through the
 //!   half-size real transform ([`crate::real::rfft_into`]) when n is even,
 //!   the full complex transform otherwise.
 //! * [`filter_lines`] / [`filter_lines_flat`] — drive a whole batch
-//!   (pairs + tail) through one plan and one workspace: zero heap
-//!   allocations after warm-up, contiguous memory traffic.
+//!   through one plan and one workspace: consecutive lines pair up, eight
+//!   pairs at a time advance together through the lane-batched executor
+//!   ([`crate::lanes`], bit-identical to [`filter_pair`] on each pair),
+//!   the odd tail goes through [`filter_line`]. Zero heap allocations
+//!   after warm-up.
 //!
 //! All entry points take the same-latitude invariant seriously: one call =
-//! one multiplier. Callers batching across latitudes group lines by
-//! latitude first (see `agcm-filtering`'s engine).
+//! one multiplier. Callers batching across latitudes drive
+//! [`crate::lanes::LaneBatch`] themselves, one multiplier per lane (see
+//! `agcm-filtering`'s engine).
 
 use crate::complex::Complex64;
+use crate::lanes::{LaneBatch, LINES};
 use crate::plan::FftPlan;
 use crate::real::{irfft_into, rfft_into};
 use crate::workspace::FftWorkspace;
 
 /// Debug-only check of the symmetry `s[k] = s[n−k]` that makes the
-/// two-for-one packing exact.
-fn debug_assert_symmetric(multiplier: &[f64]) {
+/// two-for-one packing exact. Public so callers that hand multipliers to
+/// [`LaneBatch`] directly can check each one once, where they build it.
+pub fn debug_assert_symmetric(multiplier: &[f64]) {
     if cfg!(debug_assertions) {
         let n = multiplier.len();
         for k in 1..n {
@@ -58,7 +66,19 @@ pub fn filter_pair(
     assert_eq!(b.len(), n);
     assert_eq!(multiplier.len(), n);
     debug_assert_symmetric(multiplier);
-    ws.with_line(n, |buf, ws| {
+    pair_core(plan, a, b, multiplier, ws);
+}
+
+/// [`filter_pair`] after its argument checks — what the lane executor's
+/// fallback runs per lane for plans it does not cover.
+pub(crate) fn pair_core(
+    plan: &FftPlan,
+    a: &mut [f64],
+    b: &mut [f64],
+    multiplier: &[f64],
+    ws: &mut FftWorkspace,
+) {
+    ws.with_line(plan.len(), |buf, ws| {
         for (j, slot) in buf.iter_mut().enumerate() {
             *slot = Complex64::new(a[j], b[j]);
         }
@@ -107,26 +127,42 @@ pub fn filter_line(plan: &FftPlan, x: &mut [f64], multiplier: &[f64], ws: &mut F
     }
 }
 
-/// Filter a batch of same-latitude lines: pairs via [`filter_pair`], the
-/// odd tail via [`filter_line`].
+/// Filter a batch of same-latitude lines: consecutive lines pair up and
+/// go through the lane-batched executor, an odd last line through
+/// [`filter_line`].
 pub fn filter_lines(
     plan: &FftPlan,
     lines: &mut [&mut [f64]],
     multiplier: &[f64],
     ws: &mut FftWorkspace,
 ) {
-    for chunk in lines.chunks_mut(2) {
-        match chunk {
-            [a, b] => filter_pair(plan, a, b, multiplier, ws),
-            [a] => filter_line(plan, a, multiplier, ws),
-            _ => unreachable!("chunks_mut(2) yields 1- or 2-element chunks"),
+    let n = plan.len();
+    assert_eq!(multiplier.len(), n);
+    debug_assert_symmetric(multiplier);
+    let (paired, tail) = lines.split_at_mut(lines.len() / 2 * 2);
+    if !paired.is_empty() {
+        let mut lanes = LaneBatch::new(plan, ws);
+        lanes.set_multiplier_all(multiplier);
+        for batch in paired.chunks_mut(LINES) {
+            lanes.begin(batch.len() / 2);
+            for (slot, line) in batch.iter().enumerate() {
+                assert_eq!(line.len(), n);
+                lanes.load(slot, 0, line);
+            }
+            lanes.run();
+            for (slot, line) in batch.iter_mut().enumerate() {
+                lanes.store(slot, 0, line);
+            }
         }
+    }
+    if let [last] = tail {
+        filter_line(plan, last, multiplier, ws);
     }
 }
 
 /// Filter lines stored back to back in one flat buffer (`buf.len()` a
-/// multiple of the plan size) — the layout the redistribute engine
-/// assembles, so the whole batch is one linear memory walk.
+/// multiple of the plan size): the same pairing as [`filter_lines`], one
+/// linear memory walk.
 pub fn filter_lines_flat(
     plan: &FftPlan,
     buf: &mut [f64],
@@ -139,15 +175,25 @@ pub fn filter_lines_flat(
         "flat batch length {} is not a multiple of the line length {n}",
         buf.len()
     );
-    let mut rest = buf;
-    while rest.len() >= 2 * n {
-        let (pair, tail) = rest.split_at_mut(2 * n);
-        let (a, b) = pair.split_at_mut(n);
-        filter_pair(plan, a, b, multiplier, ws);
-        rest = tail;
+    assert_eq!(multiplier.len(), n);
+    debug_assert_symmetric(multiplier);
+    let (paired, tail) = buf.split_at_mut(buf.len() / (2 * n) * (2 * n));
+    if !paired.is_empty() {
+        let mut lanes = LaneBatch::new(plan, ws);
+        lanes.set_multiplier_all(multiplier);
+        for batch in paired.chunks_mut(LINES * n) {
+            lanes.begin(batch.len() / (2 * n));
+            for (slot, line) in batch.chunks_exact(n).enumerate() {
+                lanes.load(slot, 0, line);
+            }
+            lanes.run();
+            for (slot, line) in batch.chunks_exact_mut(n).enumerate() {
+                lanes.store(slot, 0, line);
+            }
+        }
     }
-    if !rest.is_empty() {
-        filter_line(plan, rest, multiplier, ws);
+    if !tail.is_empty() {
+        filter_line(plan, tail, multiplier, ws);
     }
 }
 

@@ -21,6 +21,7 @@ impl Complex64 {
     pub const ONE: Complex64 = Complex64 { re: 1.0, im: 0.0 };
 
     /// Construct from real and imaginary parts.
+    #[inline(always)]
     pub fn new(re: f64, im: f64) -> Complex64 {
         Complex64 { re, im }
     }
@@ -39,6 +40,7 @@ impl Complex64 {
     }
 
     /// Complex conjugate.
+    #[inline(always)]
     pub fn conj(self) -> Complex64 {
         Complex64 {
             re: self.re,
@@ -57,6 +59,7 @@ impl Complex64 {
     }
 
     /// Multiply by a real scalar.
+    #[inline(always)]
     pub fn scale(self, s: f64) -> Complex64 {
         Complex64 {
             re: self.re * s,
@@ -67,6 +70,7 @@ impl Complex64 {
 
 impl Add for Complex64 {
     type Output = Complex64;
+    #[inline(always)]
     fn add(self, o: Complex64) -> Complex64 {
         Complex64 {
             re: self.re + o.re,
@@ -84,6 +88,7 @@ impl AddAssign for Complex64 {
 
 impl Sub for Complex64 {
     type Output = Complex64;
+    #[inline(always)]
     fn sub(self, o: Complex64) -> Complex64 {
         Complex64 {
             re: self.re - o.re,
@@ -101,6 +106,7 @@ impl SubAssign for Complex64 {
 
 impl Mul for Complex64 {
     type Output = Complex64;
+    #[inline(always)]
     fn mul(self, o: Complex64) -> Complex64 {
         Complex64 {
             re: self.re * o.re - self.im * o.im,

@@ -18,7 +18,10 @@
 //!   points ([`plan::FftPlan::forward_into`] / `inverse_into`) allocate
 //!   nothing per transform;
 //! * [`batch`] — batched real-line filtering: two real lines packed per
-//!   complex transform, one spectral-multiplier pass over many lines.
+//!   complex transform, one spectral-multiplier pass over many lines;
+//! * [`lanes`] — the executor behind it: eight pair-packed transforms
+//!   advance together in structure-of-arrays form (the line index is the
+//!   SIMD dimension), bit-identical to the scalar pair path.
 //!
 //! Vendor FFT libraries (which the paper used on whole latitude lines after
 //! the transpose) are replaced by [`plan::FftPlan`], per the substitution
@@ -28,6 +31,7 @@ pub mod batch;
 pub mod complex;
 pub mod convolution;
 pub mod dft;
+pub mod lanes;
 pub mod ops;
 pub mod plan;
 pub mod radix2;

@@ -7,7 +7,7 @@
 //! arbitrary sizes fall back to Bluestein's algorithm so the filter works
 //! for any resolution.
 //!
-//! Two executors share each plan:
+//! Two single-transform executors share each plan:
 //!
 //! * [`FftPlan::forward`] / [`FftPlan::inverse`] — the original recursive
 //!   decimation-in-time evaluation, allocating its output. Kept as the
@@ -15,8 +15,13 @@
 //! * [`FftPlan::forward_into`] / [`FftPlan::inverse_into`] — an iterative
 //!   Stockham (self-sorting) evaluation over precomputed per-stage twiddle
 //!   tables, in place, with all scratch provided by a reusable
-//!   [`FftWorkspace`]: **zero heap allocations per transform**. This is the
-//!   production path of the batched filter engine.
+//!   [`FftWorkspace`]: **zero heap allocations per transform**.
+//!
+//! The batched filter's production path is a third walk over the same
+//! stage tables: [`crate::lanes`] runs eight pair-packed transforms at a
+//! time with the line index as the vector dimension, through the butterfly
+//! functions defined here, so it agrees with `forward_into`/`inverse_into`
+//! to the last bit.
 
 use crate::complex::Complex64;
 use crate::radix2::fft_pow2_inplace;
@@ -58,16 +63,16 @@ fn stage_factors(factors: &[usize]) -> Vec<usize> {
 }
 
 /// One Stockham stage: a radix-`r` butterfly pass over the whole signal.
-struct Stage {
+pub(crate) struct Stage {
     /// Butterfly radix.
-    r: usize,
+    pub(crate) r: usize,
     /// Sub-transform count at this stage (`n_cur / r`).
-    m: usize,
+    pub(crate) m: usize,
     /// Stride: product of the radices of all earlier stages.
-    s: usize,
+    pub(crate) s: usize,
     /// Twiddles `ω_{n_cur}^{p·v}`, laid out `[p·r + v]` (forward sign;
     /// conjugated on the fly for inverses).
-    tw: Vec<Complex64>,
+    pub(crate) tw: Vec<Complex64>,
     /// Radix roots `ω_r^{u·v}` (`r²` entries) for the generic butterfly;
     /// empty for the hardcoded radices 2/3/4.
     roots: Vec<Complex64>,
@@ -201,6 +206,18 @@ impl FftPlan {
         match &self.strategy {
             Strategy::MixedRadix { stages, .. } => stages.iter().map(|st| st.r).max().unwrap_or(1),
             _ => 1,
+        }
+    }
+
+    /// The stage schedule, if the lane-batched executor (`crate::lanes`)
+    /// covers it: a mixed-radix plan whose butterflies are all radix 2, 3
+    /// or 4. Bluestein sizes, radix-5 schedules and n = 1 return `None`.
+    pub(crate) fn lane_stages(&self) -> Option<&[Stage]> {
+        match &self.strategy {
+            Strategy::MixedRadix { stages, .. } if stages.iter().all(|st| st.r <= 4) => {
+                Some(stages)
+            }
+            _ => None,
         }
     }
 
@@ -504,8 +521,8 @@ fn build_stages(n: usize, twiddles: &[Complex64], factors: &[usize]) -> Vec<Stag
     stages
 }
 
-#[inline]
-fn tw_of(c: Complex64, inverse: bool) -> Complex64 {
+#[inline(always)]
+pub(crate) fn tw_of(c: Complex64, inverse: bool) -> Complex64 {
     if inverse {
         c.conj()
     } else {
@@ -514,9 +531,52 @@ fn tw_of(c: Complex64, inverse: bool) -> Complex64 {
 }
 
 /// Multiply by ±i: `i·c = (−im, re)`.
-#[inline]
+#[inline(always)]
 fn rot90(c: Complex64) -> Complex64 {
     Complex64::new(-c.im, c.re)
+}
+
+/// Butterfly sign: forward uses e^{-iθ} roots, inverse their conjugates.
+#[inline(always)]
+pub(crate) fn butterfly_sign(inverse: bool) -> f64 {
+    if inverse {
+        1.0
+    } else {
+        -1.0
+    }
+}
+
+// The hardcoded butterflies, twiddled: `out[v] = tw[v] · Σ_u a[u] ω_r^{uv}`
+// (`tw[0]` is 1 and is not applied). Shared with the lane-batched executor
+// (`crate::lanes`), which runs them with the line index as the vector
+// dimension — one definition of the arithmetic, so the two executors agree
+// to the last bit by construction.
+
+#[inline(always)]
+pub(crate) fn butterfly2(a: [Complex64; 2], tw: [Complex64; 2]) -> [Complex64; 2] {
+    [a[0] + a[1], (a[0] - a[1]) * tw[1]]
+}
+
+#[inline(always)]
+pub(crate) fn butterfly3(a: [Complex64; 3], tw: [Complex64; 3], sign: f64) -> [Complex64; 3] {
+    let sum = a[1] + a[2];
+    let t = a[0] - sum.scale(0.5);
+    // ±i·sin(2π/3)·(a1−a2)
+    let e = rot90(a[1] - a[2]).scale(sign * SIN_2PI_3);
+    [a[0] + sum, (t + e) * tw[1], (t - e) * tw[2]]
+}
+
+#[inline(always)]
+pub(crate) fn butterfly4(a: [Complex64; 4], tw: [Complex64; 4], sign: f64) -> [Complex64; 4] {
+    let (b0, b1) = (a[0] + a[2], a[0] - a[2]);
+    let (b2, b3) = (a[1] + a[3], a[1] - a[3]);
+    let jb3 = rot90(b3).scale(sign);
+    [
+        b0 + b2,
+        (b1 + jb3) * tw[1],
+        (b0 - b2) * tw[2],
+        (b1 - jb3) * tw[3],
+    ]
 }
 
 /// One Stockham decimation-in-frequency pass:
@@ -529,38 +589,34 @@ fn stage_apply(
     inverse: bool,
 ) {
     let (r, m, s) = (st.r, st.m, st.s);
-    // Butterfly sign: forward uses e^{-iθ} roots, inverse their conjugates.
-    let sign = if inverse { 1.0 } else { -1.0 };
+    let sign = butterfly_sign(inverse);
     for p in 0..m {
         let twp = &st.tw[p * r..p * r + r];
+        let tw = |v: usize| tw_of(twp[v], inverse);
         for q in 0..s {
             let at = |u: usize| src[q + s * (p + m * u)];
             let base = q + s * r * p;
             match r {
                 2 => {
-                    let (a, b) = (at(0), at(1));
-                    dst[base] = a + b;
-                    dst[base + s] = (a - b) * tw_of(twp[1], inverse);
+                    let out = butterfly2([at(0), at(1)], [tw(0), tw(1)]);
+                    dst[base] = out[0];
+                    dst[base + s] = out[1];
                 }
                 3 => {
-                    let (a0, a1, a2) = (at(0), at(1), at(2));
-                    let sum = a1 + a2;
-                    let t = a0 - sum.scale(0.5);
-                    // ±i·sin(2π/3)·(a1−a2)
-                    let e = rot90(a1 - a2).scale(sign * SIN_2PI_3);
-                    dst[base] = a0 + sum;
-                    dst[base + s] = (t + e) * tw_of(twp[1], inverse);
-                    dst[base + 2 * s] = (t - e) * tw_of(twp[2], inverse);
+                    let out = butterfly3([at(0), at(1), at(2)], [tw(0), tw(1), tw(2)], sign);
+                    for (v, &o) in out.iter().enumerate() {
+                        dst[base + v * s] = o;
+                    }
                 }
                 4 => {
-                    let (a0, a1, a2, a3) = (at(0), at(1), at(2), at(3));
-                    let (b0, b1) = (a0 + a2, a0 - a2);
-                    let (b2, b3) = (a1 + a3, a1 - a3);
-                    let jb3 = rot90(b3).scale(sign);
-                    dst[base] = b0 + b2;
-                    dst[base + s] = (b1 + jb3) * tw_of(twp[1], inverse);
-                    dst[base + 2 * s] = (b0 - b2) * tw_of(twp[2], inverse);
-                    dst[base + 3 * s] = (b1 - jb3) * tw_of(twp[3], inverse);
+                    let out = butterfly4(
+                        [at(0), at(1), at(2), at(3)],
+                        [tw(0), tw(1), tw(2), tw(3)],
+                        sign,
+                    );
+                    for (v, &o) in out.iter().enumerate() {
+                        dst[base + v * s] = o;
+                    }
                 }
                 _ => {
                     for (u, slot) in slots.iter_mut().enumerate().take(r) {
@@ -571,7 +627,7 @@ fn stage_apply(
                         for (u, &au) in slots.iter().enumerate().take(r) {
                             acc += au * tw_of(st.roots[u * r + v], inverse);
                         }
-                        dst[base + v * s] = acc * tw_of(twp[v], inverse);
+                        dst[base + v * s] = acc * tw(v);
                     }
                 }
             }

@@ -14,6 +14,7 @@
 //! re-allocates only when it meets a larger size, then never again).
 
 use crate::complex::Complex64;
+use crate::lanes::LaneScratch;
 use crate::plan::FftPlan;
 
 /// Scratch buffers for the iterative mixed-radix / Bluestein executors.
@@ -35,6 +36,9 @@ pub struct FftWorkspace {
     /// Half-spectrum staging buffer (`n/2 + 1` bins) for the even-size
     /// real-signal fast path.
     pub(crate) spec: Vec<Complex64>,
+    /// Batch storage of the lane-batched filter executor
+    /// (`crate::lanes::LaneBatch` borrows it per batch run).
+    pub(crate) lanes: LaneScratch,
 }
 
 impl FftWorkspace {
@@ -61,6 +65,7 @@ impl FftWorkspace {
         if self.spec.len() < spec {
             self.spec.resize(spec, Complex64::ZERO);
         }
+        self.lanes.reserve_for(plan);
     }
 
     /// Split into the stage ping-pong buffer and the butterfly slots, both

@@ -4,7 +4,7 @@
 //! the comparison across variants is the paper's Tables 8–11.
 
 use crate::convolution::{ConvMode, ConvolutionFilter};
-use crate::engine::FilterScratch;
+use crate::engine::{self, Assignment, FilterScratch};
 use crate::lines::FilterSetup;
 use agcm_grid::field::Field3D;
 use agcm_mps::topology::CartComm;
@@ -108,27 +108,25 @@ impl PolarFilter {
 
     /// Apply the full filtering step (both classes) to the local fields.
     pub fn apply(&self, setup: &FilterSetup, cart: &CartComm, fields: &mut [Field3D]) {
-        match self.variant {
-            FilterVariant::ConvolutionRing | FilterVariant::ConvolutionTree => self
-                .conv
-                .as_ref()
-                .expect("prepared in new")
-                .apply(setup, cart, fields),
-            FilterVariant::FftNoLb => crate::fft::apply_with(
-                setup,
-                cart,
-                fields,
-                self.organization,
-                &mut self.scratch.borrow_mut(),
-            ),
-            FilterVariant::LbFft => crate::lb_fft::apply_with(
-                setup,
-                cart,
-                fields,
-                self.organization,
-                &mut self.scratch.borrow_mut(),
-            ),
-        }
+        let assignment = match self.variant {
+            FilterVariant::ConvolutionRing | FilterVariant::ConvolutionTree => {
+                return self
+                    .conv
+                    .as_ref()
+                    .expect("prepared in new")
+                    .apply(setup, cart, fields);
+            }
+            FilterVariant::FftNoLb => Assignment::RowLocal,
+            FilterVariant::LbFft => Assignment::Balanced,
+        };
+        engine::apply(
+            setup,
+            cart,
+            fields,
+            assignment,
+            self.organization,
+            &mut self.scratch.borrow_mut(),
+        );
     }
 }
 

@@ -1,28 +1,38 @@
 //! The redistribute → filter → restore engine (Figures 2–3).
 //!
 //! Both FFT variants share the same three-phase structure; they differ only
-//! in the *assignment* of lines to processors:
+//! in the [`Assignment`] of lines to processors:
 //!
 //! 1. **Forward movement** — every rank packs, for each filterable line
 //!    whose latitude it owns, its longitude chunk, addressed to the line's
 //!    assigned filterer. One message per communicating pair; pairs with
 //!    nothing to exchange send nothing (a transpose within a processor row
 //!    costs O(row²) messages, not O(mesh²) — Figure 3's row transpose is
-//!    the row-local special case). Chunks a rank assigns to itself move by
-//!    local copy.
-//! 2. **Local filtering** — the assignee reassembles complete longitude
-//!    lines back to back in one contiguous buffer, groups them by latitude
-//!    (one spectral multiplier per latitude), and filters them through the
-//!    batched FFT engine: two real lines per complex transform, the odd
-//!    tail through the half-size real transform, all scratch reused from a
-//!    [`FilterScratch`].
-//! 3. **Inverse movement** — filtered lines are split back into the
-//!    original chunks and returned; "inverse data movements … restore the
-//!    data layout which existed prior to the filtering."
+//!    the row-local special case). Chunks a rank assigns to itself do not
+//!    move at all.
+//! 2. **Local filtering** — the assignee pairs up its lines latitude by
+//!    latitude (one spectral multiplier per latitude; consecutive lines of
+//!    a latitude in canonical order form a pair, an odd last line is a
+//!    tail) and runs the pairs eight at a time through the lane-batched
+//!    FFT executor (`agcm_fft::lanes`), lanes filled across latitude
+//!    groups, each lane with its latitude's multiplier. Chunks are gathered
+//!    **straight into the lanes** — from the field row when the chunk is
+//!    the rank's own, from the receive staging otherwise — and results
+//!    scattered straight back, to the field row or into the return
+//!    message. Tails go through the half-size real transform.
+//! 3. **Inverse movement** — the return messages restore "the data layout
+//!    which existed prior to the filtering."
 //!
 //! Packing order is the canonical line order on both sides, so no indices
 //! travel with the data — the set-up bookkeeping makes the streams
 //! self-describing.
+//!
+//! Everything about a pass that is fixed for the run — who sends what to
+//! whom, which lines this rank filters, how they pair, where each chunk of
+//! each line comes from and returns to — is a **pass plan**, built on the
+//! first application of a `(class, assignment, variable selection)` and
+//! cached in the [`FilterScratch`]; a warmed pass constructs no maps or
+//! sets and makes no counting sweeps.
 //!
 //! With `only_var: None` (the production organization) one pass moves
 //! *every* variable of a filter class, so a filtered step costs at most one
@@ -31,252 +41,423 @@
 //! reproduces the original one-variable-at-a-time organization for the
 //! paper-faithful runs.
 
+use crate::driver::FilterOrganization;
 use crate::filterfn::FilterKind;
 use crate::lines::FilterSetup;
-use agcm_fft::batch::filter_lines;
+use agcm_fft::batch::{debug_assert_symmetric, filter_line};
+use agcm_fft::lanes::{LaneBatch, W};
 use agcm_fft::ops::{pair_filter_flops, real_filter_flops};
 use agcm_fft::FftWorkspace;
 use agcm_grid::field::Field3D;
 use agcm_mps::message::Payload;
 use agcm_mps::topology::CartComm;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 const TAG_FWD: u64 = 401;
 const TAG_BWD: u64 = 402;
 
+/// Which of the set-up's two line → rank assignments a pass uses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Assignment {
+    /// Lines stay in the mesh row owning their latitude (FFT without load
+    /// balance).
+    RowLocal,
+    /// Lines spread evenly over all ranks (paper Eq. 3).
+    Balanced,
+}
+
+impl Assignment {
+    fn owners(self, setup: &FilterSetup, kind: FilterKind) -> &[usize] {
+        match self {
+            Assignment::RowLocal => setup.row_local_owners(kind),
+            Assignment::Balanced => setup.balanced_owners(kind),
+        }
+    }
+}
+
 /// Reusable per-rank state of the redistribute engine.
 ///
-/// Everything the engine needs across timesteps lives here — FFT
-/// workspace, line-assembly buffer, receive staging, pack cursors — so a
-/// long simulation stops paying the allocator on the filter's critical
-/// path. Buffers grow to the high-water mark on the first filtered step
-/// and are reused verbatim afterwards. (Outgoing message buffers are the
-/// one exception: the transport takes ownership of each sent `Vec`, so
-/// those are built per send, sized once from the line counts.)
+/// Everything the engine needs across timesteps lives here — the cached
+/// pass plans, FFT workspace (lane storage included), receive staging —
+/// so a long simulation stops paying the allocator on the filter's
+/// critical path. (Outgoing message buffers are the one exception: the
+/// transport takes ownership of each sent `Vec`, so those are built per
+/// send, at their final size.)
 #[derive(Default)]
 pub struct FilterScratch {
-    /// Workspace for the allocation-free FFT executor.
+    /// Pass plans built so far.
+    plans: Vec<PassPlan>,
+    /// Workspace for the allocation-free FFT executors.
     ws: FftWorkspace,
-    /// Complete owned lines, back to back in canonical line order.
-    assembled: Vec<f64>,
-    /// Latitude of each assembled line (parallel to the chunks of
-    /// `assembled`).
-    lats: Vec<usize>,
-    /// Receive staging, indexed by source rank.
-    bufs: Vec<Vec<f64>>,
-    /// Return-path staging, indexed by owner rank.
-    ret_bufs: Vec<Vec<f64>>,
-    /// Per-rank consumption cursors (reset per phase).
-    cursors: Vec<usize>,
-    /// Values bound for each rank in the movement being packed.
-    sizes: Vec<usize>,
+    /// Receive staging, indexed by peer rank: the forward messages, then
+    /// (once those are filtered) the return messages.
+    staging: Vec<Vec<f64>>,
+    /// Outgoing messages under construction, indexed by destination.
+    out: Vec<Vec<f64>>,
+    /// One assembled line, for the scalar tail path.
+    tail: Vec<f64>,
 }
 
 impl FilterScratch {
-    /// Empty scratch; buffers grow on first use.
+    /// Empty scratch; plans are built and buffers grow on first use.
     pub fn new() -> FilterScratch {
         FilterScratch::default()
     }
+}
 
-    fn reset(&mut self, p: usize) {
-        self.assembled.clear();
-        self.lats.clear();
-        self.bufs.iter_mut().for_each(Vec::clear);
-        self.bufs.resize(p, Vec::new());
-        self.ret_bufs.iter_mut().for_each(Vec::clear);
-        self.ret_bufs.resize(p, Vec::new());
-        self.cursors.clear();
-        self.cursors.resize(p, 0);
-        self.sizes.clear();
-        self.sizes.resize(p, 0);
+/// What a pass plan was built for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PlanKey {
+    setup: u64,
+    rank: usize,
+    kind: FilterKind,
+    assignment: Assignment,
+    only_var: Option<usize>,
+}
+
+/// A line this rank holds a longitude chunk of.
+struct Held {
+    var: usize,
+    /// Local latitude row.
+    j: usize,
+    lev: usize,
+    /// The rank that filters the line.
+    owner: usize,
+    /// Where the filtered chunk sits in `owner`'s return message.
+    offset: usize,
+}
+
+/// A line this rank filters.
+struct Owned {
+    var: usize,
+    lat: usize,
+    lev: usize,
+}
+
+/// One longitude chunk `i0..i0 + ni` of an owned line: held by rank `peer`
+/// at `offset` in the message it sends — and in the message it is sent
+/// back (each owned line has exactly one chunk per peer of its row, so
+/// the two streams line up). `peer` may be this rank itself: the chunk is
+/// then the line's row of the rank's own field.
+struct Chunk {
+    peer: usize,
+    offset: usize,
+    i0: usize,
+    ni: usize,
+}
+
+/// The run-constant bookkeeping of one pass (see the module docs).
+struct PassPlan {
+    key: PlanKey,
+    /// First latitude row of this rank's subdomain.
+    j0: usize,
+    held: Vec<Held>,
+    owned: Vec<Owned>,
+    /// `mesh_lon` chunks per owned line, in `owned` order.
+    chunks: Vec<Chunk>,
+    /// Values this rank sends to each rank forward — and gets back from
+    /// it in the inverse movement.
+    held_values: Vec<usize>,
+    /// Values each rank sends this rank forward — and gets back.
+    owned_values: Vec<usize>,
+    /// Two owned lines of one latitude filtered as one transform:
+    /// `(line a, line b, latitude)`, latitude groups in ascending order.
+    pairs: Vec<(usize, usize, usize)>,
+    /// Odd last lines of their latitude group: `(line, latitude)`.
+    tails: Vec<(usize, usize)>,
+    /// Flops charged per application: per latitude group
+    /// `pairs·pair_filter_flops + tail·real_filter_flops`.
+    flops: f64,
+}
+
+impl PassPlan {
+    fn build(setup: &FilterSetup, key: PlanKey) -> PassPlan {
+        let p = setup.decomp.size();
+        let rank = key.rank;
+        let sub = setup.decomp.subdomain_of_rank(rank);
+        let mesh_lon = setup.decomp.mesh_lon;
+        let n_lon = setup.grid.n_lon;
+        let lines = setup.lines(key.kind);
+        let owners = key.assignment.owners(setup, key.kind);
+        assert_eq!(owners.len(), lines.len(), "one owner per line");
+
+        let mut held = Vec::new();
+        let mut held_values = vec![0usize; p];
+        let mut owned = Vec::new();
+        let mut chunks = Vec::new();
+        let mut owned_values = vec![0usize; p];
+        let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for (line, &owner) in lines.iter().zip(owners) {
+            if key.only_var.is_some_and(|v| v != line.var) {
+                continue;
+            }
+            if sub.lats().contains(&line.lat) {
+                held.push(Held {
+                    var: line.var,
+                    j: line.lat - sub.j0,
+                    lev: line.lev,
+                    owner,
+                    offset: held_values[owner],
+                });
+                held_values[owner] += sub.ni;
+            }
+            if owner == rank {
+                groups.entry(line.lat).or_default().push(owned.len());
+                owned.push(Owned {
+                    var: line.var,
+                    lat: line.lat,
+                    lev: line.lev,
+                });
+                // Every column of the mesh row owning the latitude holds
+                // a non-empty chunk.
+                let src_row = setup.decomp.row_of_lat(line.lat);
+                for c in 0..mesh_lon {
+                    let peer = src_row * mesh_lon + c;
+                    let (i0, ni) = setup.col_chunk(c);
+                    chunks.push(Chunk {
+                        peer,
+                        offset: owned_values[peer],
+                        i0,
+                        ni,
+                    });
+                    owned_values[peer] += ni;
+                }
+            }
+        }
+
+        // All lines at one latitude share one multiplier, so they pair up
+        // into single transforms; the odd line is the group's tail.
+        let mut pairs = Vec::new();
+        let mut tails = Vec::new();
+        let mut flops = 0.0;
+        for (&lat, rows) in &groups {
+            debug_assert_symmetric(setup.multiplier(key.kind, lat));
+            let (paired, tail) = rows.split_at(rows.len() / 2 * 2);
+            pairs.extend(paired.chunks_exact(2).map(|ab| (ab[0], ab[1], lat)));
+            tails.extend(tail.iter().map(|&line| (line, lat)));
+            flops += (paired.len() / 2) as f64 * pair_filter_flops(n_lon)
+                + tail.len() as f64 * real_filter_flops(n_lon);
+        }
+        PassPlan {
+            key,
+            j0: sub.j0,
+            held,
+            owned,
+            chunks,
+            held_values,
+            owned_values,
+            pairs,
+            tails,
+            flops,
+        }
     }
 
-    /// Outgoing buffers for a movement of `sizes[dst]` values to each
-    /// `dst`, each allocated once at its final size; what `rank` addresses
-    /// to itself is packed straight into its staging buffer instead.
-    fn outgoing(&self, rank: usize) -> Vec<Vec<f64>> {
-        self.sizes
-            .iter()
-            .enumerate()
-            .map(|(dst, &len)| Vec::with_capacity(if dst == rank { 0 } else { len }))
-            .collect()
-    }
-
-    fn reset_cursors(&mut self) {
-        self.cursors.iter_mut().for_each(|c| *c = 0);
+    /// The chunks of owned line `line`.
+    fn chunks_of(&self, line: usize, mesh_lon: usize) -> &[Chunk] {
+        &self.chunks[line * mesh_lon..(line + 1) * mesh_lon]
     }
 }
 
-/// Run one filter class through the redistribute/filter/restore engine.
-///
-/// `owners[l]` names the rank that filters line `l` (indices into
-/// `setup.lines(kind)`). `only_var` restricts the pass to a single variable
-/// — the original code's one-variable-at-a-time organization; `None`
-/// moves every variable of the class concurrently (the §3.3
-/// reorganization).
-pub(crate) fn redistribute_filter(
+/// Where the chunks of owned lines live before and after filtering.
+struct ChunkEnds<'a> {
+    rank: usize,
+    /// First latitude row of this rank's subdomain.
+    j0: usize,
+    fields: &'a mut [Field3D],
+    /// Forward messages received, by source rank.
+    staging: &'a [Vec<f64>],
+    /// Return messages under construction, by destination rank.
+    out: &'a mut [Vec<f64>],
+}
+
+impl ChunkEnds<'_> {
+    /// The unfiltered values of chunk `c` of `line`: the rank's own field
+    /// row, or the peer's forward message.
+    fn source(&self, line: &Owned, c: &Chunk) -> &[f64] {
+        if c.peer == self.rank {
+            self.fields[line.var].row_slice(line.lat - self.j0, line.lev)
+        } else {
+            &self.staging[c.peer][c.offset..c.offset + c.ni]
+        }
+    }
+
+    /// Where the filtered values of chunk `c` of `line` go: the rank's own
+    /// field row, or the peer's return message.
+    fn sink(&mut self, line: &Owned, c: &Chunk) -> &mut [f64] {
+        if c.peer == self.rank {
+            self.fields[line.var].row_slice_mut(line.lat - self.j0, line.lev)
+        } else {
+            &mut self.out[c.peer][c.offset..c.offset + c.ni]
+        }
+    }
+}
+
+/// Apply both filter classes through the engine under `assignment`: one
+/// aggregated pass per class moving every variable (the production
+/// organization), or one pass per variable (paper-faithful).
+pub fn apply(
+    setup: &FilterSetup,
+    cart: &CartComm,
+    fields: &mut [Field3D],
+    assignment: Assignment,
+    organization: FilterOrganization,
+    scratch: &mut FilterScratch,
+) {
+    for kind in [FilterKind::Strong, FilterKind::Weak] {
+        match organization {
+            FilterOrganization::Aggregated => {
+                redistribute_filter(setup, cart, fields, kind, assignment, None, scratch);
+            }
+            FilterOrganization::PerVariable => {
+                for &var in setup.vars(kind) {
+                    redistribute_filter(setup, cart, fields, kind, assignment, Some(var), scratch);
+                }
+            }
+        }
+    }
+}
+
+/// Run one pass of one filter class through the
+/// redistribute/filter/restore engine. `only_var` restricts the pass to a
+/// single variable; `None` moves every variable of the class concurrently
+/// (the §3.3 reorganization).
+fn redistribute_filter(
     setup: &FilterSetup,
     cart: &CartComm,
     fields: &mut [Field3D],
     kind: FilterKind,
-    owners: &[usize],
+    assignment: Assignment,
     only_var: Option<usize>,
     scratch: &mut FilterScratch,
 ) {
     let comm = cart.comm();
     let p = comm.size();
     let rank = comm.rank();
-    let (my_row, my_col) = cart.coords();
-    let sub = setup.decomp.subdomain(my_row, my_col);
-    let lines = setup.lines(kind);
-    assert_eq!(owners.len(), lines.len(), "one owner per line");
-    let n_lon = setup.grid.n_lon;
     let mesh_lon = setup.decomp.mesh_lon;
-    let selected = |var: usize| only_var.is_none_or(|v| v == var);
-    let holds = |lat: usize| sub.lats().contains(&lat);
-    scratch.reset(p);
+    let key = PlanKey {
+        setup: setup.id(),
+        rank,
+        kind,
+        assignment,
+        only_var,
+    };
+    let FilterScratch {
+        plans,
+        ws,
+        staging,
+        out,
+        tail,
+    } = scratch;
+    let at = plans.iter().position(|plan| plan.key == key);
+    let at = at.unwrap_or_else(|| {
+        plans.push(PassPlan::build(setup, key));
+        plans.len() - 1
+    });
+    let plan = &plans[at];
+    staging.resize_with(p, Vec::new);
+    out.resize_with(p, Vec::new);
 
-    // --- Phase 1: forward movement (skip empty pairs, self by copy). -----
+    // --- Phase 1: forward movement (skip empty pairs, nothing to self). --
     // Send buffers are freshly allocated: `Payload::F64` hands the Vec to
     // the transport, which owns it until the receiver drains it.
     comm.phase_begin("redist_fwd");
-    for (idx, line) in lines.iter().enumerate() {
-        if selected(line.var) && holds(line.lat) {
-            scratch.sizes[owners[idx]] += sub.ni;
+    for (dst, &len) in plan.held_values.iter().enumerate() {
+        if dst != rank && len > 0 {
+            out[dst] = Vec::with_capacity(len);
         }
     }
-    let mut send = scratch.outgoing(rank);
-    for (idx, line) in lines.iter().enumerate() {
-        if selected(line.var) && holds(line.lat) {
-            let row = fields[line.var].row_slice(line.lat - sub.j0, line.lev);
-            let dst = owners[idx];
-            if dst == rank {
-                scratch.bufs[rank].extend_from_slice(row);
-            } else {
-                send[dst].extend_from_slice(row);
-            }
+    for h in &plan.held {
+        if h.owner != rank {
+            out[h.owner].extend_from_slice(fields[h.var].row_slice(h.j, h.lev));
         }
     }
-    for (dst, buf) in send.into_iter().enumerate() {
-        if dst != rank && !buf.is_empty() {
-            comm.send(dst, TAG_FWD, Payload::F64(buf));
+    for (dst, buf) in out.iter_mut().enumerate() {
+        if !buf.is_empty() {
+            comm.send(dst, TAG_FWD, Payload::F64(std::mem::take(buf)));
         }
     }
-    // Sources: every column of the mesh row owning the latitude of each
-    // line assigned to us (all hold a non-empty chunk).
-    let mut fwd_sources: BTreeSet<usize> = BTreeSet::new();
-    for (idx, line) in lines.iter().enumerate() {
-        if owners[idx] == rank && selected(line.var) {
-            let src_row = setup.decomp.row_of_lat(line.lat);
-            for c in 0..mesh_lon {
-                fwd_sources.insert(src_row * mesh_lon + c);
-            }
+    for (src, &len) in plan.owned_values.iter().enumerate() {
+        if src != rank && len > 0 {
+            staging[src] = comm.recv_f64(src, TAG_FWD);
+            assert_eq!(staging[src].len(), len, "forward message from rank {src}");
         }
     }
-    for &src in &fwd_sources {
-        if src != rank {
-            scratch.bufs[src] = comm.recv_f64(src, TAG_FWD);
-        }
-    }
-
     comm.phase_end("redist_fwd");
 
-    // --- Phase 2: assemble contiguously, batch-filter per latitude. ------
+    // --- Phase 2: gather into lanes, filter, scatter back. ---------------
     comm.phase_begin("filter_local");
-    for (idx, line) in lines.iter().enumerate() {
-        if owners[idx] != rank || !selected(line.var) {
-            continue;
+    for (dst, &len) in plan.owned_values.iter().enumerate() {
+        if dst != rank && len > 0 {
+            out[dst] = vec![0.0; len];
         }
-        let src_row = setup.decomp.row_of_lat(line.lat);
-        let start = scratch.assembled.len();
-        scratch.assembled.resize(start + n_lon, 0.0);
-        for c in 0..mesh_lon {
-            let src = src_row * mesh_lon + c;
-            let (i0, ni) = setup.col_chunk(c);
-            let cur = scratch.cursors[src];
-            scratch.assembled[start + i0..start + i0 + ni]
-                .copy_from_slice(&scratch.bufs[src][cur..cur + ni]);
-            scratch.cursors[src] += ni;
-        }
-        scratch.lats.push(line.lat);
     }
-    // All lines at one latitude share one multiplier, so they batch into
-    // pair-packed transforms (two lines per FFT; the odd line goes through
-    // the half-size real transform).
-    let mut groups: BTreeMap<usize, Vec<&mut [f64]>> = BTreeMap::new();
-    for (chunk, &lat) in scratch
-        .assembled
-        .chunks_exact_mut(n_lon)
-        .zip(scratch.lats.iter())
+    let mut ends = ChunkEnds {
+        rank,
+        j0: plan.j0,
+        fields: &mut *fields,
+        staging,
+        out: &mut *out,
+    };
     {
-        groups.entry(lat).or_default().push(chunk);
+        let mut lanes = LaneBatch::new(&setup.fft, ws);
+        for batch in plan.pairs.chunks(W) {
+            lanes.begin(batch.len());
+            for (lane, &(a, b, lat)) in batch.iter().enumerate() {
+                lanes.set_multiplier(lane, setup.multiplier(kind, lat));
+                for (slot, line) in [(2 * lane, a), (2 * lane + 1, b)] {
+                    for c in plan.chunks_of(line, mesh_lon) {
+                        lanes.load(slot, c.i0, ends.source(&plan.owned[line], c));
+                    }
+                }
+            }
+            lanes.run();
+            for (lane, &(a, b, _)) in batch.iter().enumerate() {
+                for (slot, line) in [(2 * lane, a), (2 * lane + 1, b)] {
+                    for c in plan.chunks_of(line, mesh_lon) {
+                        lanes.store(slot, c.i0, ends.sink(&plan.owned[line], c));
+                    }
+                }
+            }
+        }
     }
-    let mut flops = 0.0;
-    for (lat, mut rows) in groups {
-        let mult = setup.multiplier(kind, lat);
-        let (pairs, tail) = (rows.len() / 2, rows.len() % 2);
-        filter_lines(&setup.fft, &mut rows, mult, &mut scratch.ws);
-        flops += pairs as f64 * pair_filter_flops(n_lon) + tail as f64 * real_filter_flops(n_lon);
+    tail.resize(setup.grid.n_lon, 0.0);
+    for &(line, lat) in &plan.tails {
+        let owned = &plan.owned[line];
+        for c in plan.chunks_of(line, mesh_lon) {
+            tail[c.i0..c.i0 + c.ni].copy_from_slice(ends.source(owned, c));
+        }
+        filter_line(&setup.fft, tail, setup.multiplier(kind, lat), ws);
+        for c in plan.chunks_of(line, mesh_lon) {
+            ends.sink(owned, c)
+                .copy_from_slice(&tail[c.i0..c.i0 + c.ni]);
+        }
     }
-    comm.record_flops(flops);
+    comm.record_flops(plan.flops);
     agcm_telemetry::registry()
         .counter("filter.lines_filtered")
-        .add(scratch.lats.len() as u64);
+        .add(plan.owned.len() as u64);
     comm.phase_end("filter_local");
 
     // --- Phase 3: inverse movement (same sparsity, reversed). ------------
     comm.phase_begin("redist_bwd");
-    scratch.sizes.iter_mut().for_each(|s| *s = 0);
-    for &lat in &scratch.lats {
-        let dst_row = setup.decomp.row_of_lat(lat);
-        for c in 0..mesh_lon {
-            scratch.sizes[dst_row * mesh_lon + c] += setup.col_chunk(c).1;
+    for (dst, buf) in out.iter_mut().enumerate() {
+        if !buf.is_empty() {
+            comm.send(dst, TAG_BWD, Payload::F64(std::mem::take(buf)));
         }
     }
-    let mut back = scratch.outgoing(rank);
-    for (out, &lat) in scratch.assembled.chunks_exact(n_lon).zip(&scratch.lats) {
-        let dst_row = setup.decomp.row_of_lat(lat);
-        for c in 0..mesh_lon {
-            let (i0, ni) = setup.col_chunk(c);
-            let dst = dst_row * mesh_lon + c;
-            if dst == rank {
-                scratch.ret_bufs[rank].extend_from_slice(&out[i0..i0 + ni]);
-            } else {
-                back[dst].extend_from_slice(&out[i0..i0 + ni]);
-            }
+    for (src, &len) in plan.held_values.iter().enumerate() {
+        if src != rank && len > 0 {
+            staging[src] = comm.recv_f64(src, TAG_BWD);
+            assert_eq!(staging[src].len(), len, "return message from rank {src}");
         }
     }
-    for (dst, buf) in back.into_iter().enumerate() {
-        if dst != rank && !buf.is_empty() {
-            comm.send(dst, TAG_BWD, Payload::F64(buf));
+    for h in &plan.held {
+        // Lines this rank filtered itself were scattered in place.
+        if h.owner != rank {
+            let row = fields[h.var].row_slice_mut(h.j, h.lev);
+            let len = row.len();
+            row.copy_from_slice(&staging[h.owner][h.offset..h.offset + len]);
         }
-    }
-    // Sources of returned data: the owners of the lines whose chunks we
-    // hold.
-    let mut bwd_sources: BTreeSet<usize> = BTreeSet::new();
-    for (idx, line) in lines.iter().enumerate() {
-        if selected(line.var) && holds(line.lat) {
-            bwd_sources.insert(owners[idx]);
-        }
-    }
-    for &src in &bwd_sources {
-        if src != rank {
-            scratch.ret_bufs[src] = comm.recv_f64(src, TAG_BWD);
-        }
-    }
-    scratch.reset_cursors();
-    for (idx, line) in lines.iter().enumerate() {
-        if selected(line.var) && holds(line.lat) {
-            let o = owners[idx];
-            let cur = scratch.cursors[o];
-            let chunk = &scratch.ret_bufs[o][cur..cur + sub.ni];
-            fields[line.var].set_row(line.lat - sub.j0, line.lev, chunk);
-            scratch.cursors[o] += sub.ni;
-        }
-    }
-    // Every returned byte must have been consumed.
-    for (o, buf) in scratch.ret_bufs.iter().enumerate() {
-        debug_assert_eq!(scratch.cursors[o], buf.len(), "stray data from owner {o}");
     }
     comm.phase_end("redist_bwd");
 }

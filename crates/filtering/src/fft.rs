@@ -15,60 +15,22 @@
 //! paper-faithful Tables 8–11 runs.
 
 use crate::driver::FilterOrganization;
-use crate::engine::{redistribute_filter, FilterScratch};
-use crate::filterfn::FilterKind;
+use crate::engine::{self, Assignment, FilterScratch};
 use crate::lines::FilterSetup;
 use agcm_grid::field::Field3D;
 use agcm_mps::topology::CartComm;
 
-/// Apply both filter classes with row-local FFT filtering (aggregated
-/// organization, transient scratch).
+/// Apply both filter classes with row-local FFT filtering
+/// (aggregated organization, transient scratch).
 pub fn apply(setup: &FilterSetup, cart: &CartComm, fields: &mut [Field3D]) {
-    let mut scratch = FilterScratch::new();
-    apply_with(
+    engine::apply(
         setup,
         cart,
         fields,
+        Assignment::RowLocal,
         FilterOrganization::Aggregated,
-        &mut scratch,
+        &mut FilterScratch::new(),
     );
-}
-
-/// Apply both filter classes with an explicit organization and reusable
-/// scratch (the driver's entry point).
-pub fn apply_with(
-    setup: &FilterSetup,
-    cart: &CartComm,
-    fields: &mut [Field3D],
-    organization: FilterOrganization,
-    scratch: &mut FilterScratch,
-) {
-    for kind in [FilterKind::Strong, FilterKind::Weak] {
-        apply_kind(setup, cart, fields, kind, organization, scratch);
-    }
-}
-
-/// Apply one filter class: one aggregated pass moving every variable
-/// (default), or one pass per variable (paper-faithful).
-pub fn apply_kind(
-    setup: &FilterSetup,
-    cart: &CartComm,
-    fields: &mut [Field3D],
-    kind: FilterKind,
-    organization: FilterOrganization,
-    scratch: &mut FilterScratch,
-) {
-    let owners = setup.row_local_owners(kind);
-    match organization {
-        FilterOrganization::Aggregated => {
-            redistribute_filter(setup, cart, fields, kind, &owners, None, scratch);
-        }
-        FilterOrganization::PerVariable => {
-            for &var in setup.vars(kind) {
-                redistribute_filter(setup, cart, fields, kind, &owners, Some(var), scratch);
-            }
-        }
-    }
 }
 
 #[cfg(test)]

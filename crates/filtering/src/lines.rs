@@ -15,7 +15,7 @@ use agcm_fft::{shared_plan, FftPlan};
 use agcm_grid::arakawa::Variable;
 use agcm_grid::decomp::{block_partition, Decomp};
 use agcm_grid::latlon::GridSpec;
-use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One filterable line: variable × latitude × level.
@@ -39,9 +39,18 @@ pub struct FilterSetup {
     pub strong_vars: Vec<usize>,
     /// Field indices subject to weak filtering.
     pub weak_vars: Vec<usize>,
-    strong_lines: Vec<Line>,
-    weak_lines: Vec<Line>,
-    multipliers: HashMap<(FilterKind, usize), Vec<f64>>,
+    /// Lines per class (`[strong, weak]`), canonical order.
+    lines: [Vec<Line>; 2],
+    /// Spectral multiplier per class and global latitude row; `None` for
+    /// rows the class does not filter.
+    multipliers: [Vec<Option<Vec<f64>>>; 2],
+    /// Row-local owner of every line, per class.
+    row_local: [Vec<usize>; 2],
+    /// Load-balanced owner of every line, per class.
+    balanced: [Vec<usize>; 2],
+    /// Process-unique identity, so state derived from a setup (the
+    /// engine's cached pass plans) can tell which setup it belongs to.
+    id: u64,
     /// FFT plan for whole longitude lines, shared through the process-wide
     /// per-size plan cache (every rank and every setup of one run reuses
     /// the same plan — the paper's once-per-run setup cost, done once per
@@ -90,32 +99,44 @@ impl FilterSetup {
             }
             lines
         };
-        let strong_lines = enumerate(FilterKind::Strong, &strong_vars);
-        let weak_lines = enumerate(FilterKind::Weak, &weak_vars);
-        let mut multipliers = HashMap::new();
-        for kind in [FilterKind::Strong, FilterKind::Weak] {
+        let lines = [
+            enumerate(FilterKind::Strong, &strong_vars),
+            enumerate(FilterKind::Weak, &weak_vars),
+        ];
+        let multipliers = KINDS.map(|kind| {
+            let mut table = vec![None; grid.n_lat];
             for lat in kind.filtered_lats(&grid) {
-                multipliers.insert((kind, lat), kind.multiplier(&grid, lat));
+                table[lat] = Some(kind.multiplier(&grid, lat));
             }
-        }
+            table
+        });
+        let row_local = lines.each_ref().map(|l| row_local_assignment(&decomp, l));
+        let balanced = lines
+            .each_ref()
+            .map(|l| balanced_assignment(&decomp, l.len()));
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         FilterSetup {
             grid,
             decomp,
             strong_vars,
             weak_vars,
-            strong_lines,
-            weak_lines,
+            lines,
             multipliers,
+            row_local,
+            balanced,
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             fft: shared_plan(grid.n_lon),
         }
     }
 
+    /// Process-unique identity of this setup.
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
     /// All lines of one filter class, in canonical (var, lat, lev) order.
     pub fn lines(&self, kind: FilterKind) -> &[Line] {
-        match kind {
-            FilterKind::Strong => &self.strong_lines,
-            FilterKind::Weak => &self.weak_lines,
-        }
+        &self.lines[kind_index(kind)]
     }
 
     /// Variable indices of one filter class.
@@ -128,8 +149,9 @@ impl FilterSetup {
 
     /// The precomputed spectral multiplier for a filtered latitude.
     pub fn multiplier(&self, kind: FilterKind, lat: usize) -> &[f64] {
-        self.multipliers
-            .get(&(kind, lat))
+        self.multipliers[kind_index(kind)]
+            .get(lat)
+            .and_then(Option::as_deref)
             .unwrap_or_else(|| panic!("latitude {lat} is not filtered by {kind:?}"))
     }
 
@@ -141,18 +163,9 @@ impl FilterSetup {
     /// **Load-balanced assignment** (paper Eq. 3 / Figure 2): line `l` of
     /// `kind` is filtered by rank `owner[l]`, with every rank receiving
     /// ⌈L/P⌉ or ⌊L/P⌋ complete lines regardless of how many lines each
-    /// hemisphere contributes.
-    pub fn balanced_owners(&self, kind: FilterKind) -> Vec<usize> {
-        let n_lines = self.lines(kind).len();
-        let p = self.decomp.size();
-        let mut owners = vec![0usize; n_lines];
-        for rank in 0..p {
-            let (start, len) = block_partition(n_lines, p, rank);
-            for o in owners.iter_mut().skip(start).take(len) {
-                *o = rank;
-            }
-        }
-        owners
+    /// hemisphere contributes. Computed once at set-up.
+    pub fn balanced_owners(&self, kind: FilterKind) -> &[usize] {
+        &self.balanced[kind_index(kind)]
     }
 
     /// **Row-local assignment** (FFT *without* load balance): each line
@@ -161,24 +174,9 @@ impl FilterSetup {
     /// balanced within the row even when a single variable is processed at
     /// a time (any contiguous run of lines spreads across all columns).
     /// Polar rows stay overloaded relative to mid-latitude rows — that is
-    /// the point of the comparison.
-    pub fn row_local_owners(&self, kind: FilterKind) -> Vec<usize> {
-        let lines = self.lines(kind);
-        let mut per_row: HashMap<usize, Vec<usize>> = HashMap::new();
-        for (idx, line) in lines.iter().enumerate() {
-            per_row
-                .entry(self.decomp.row_of_lat(line.lat))
-                .or_default()
-                .push(idx);
-        }
-        let mut owners = vec![0usize; lines.len()];
-        let n_cols = self.decomp.mesh_lon;
-        for (row, idxs) in per_row {
-            for (pos, &line_idx) in idxs.iter().enumerate() {
-                owners[line_idx] = row * n_cols + pos % n_cols;
-            }
-        }
-        owners
+    /// the point of the comparison. Computed once at set-up.
+    pub fn row_local_owners(&self, kind: FilterKind) -> &[usize] {
+        &self.row_local[kind_index(kind)]
     }
 
     /// Per-rank line counts for an assignment — used by tests and by the
@@ -190,6 +188,41 @@ impl FilterSetup {
         }
         counts
     }
+}
+
+/// Both filter classes, in the order the per-class tables are indexed.
+const KINDS: [FilterKind; 2] = [FilterKind::Strong, FilterKind::Weak];
+
+fn kind_index(kind: FilterKind) -> usize {
+    match kind {
+        FilterKind::Strong => 0,
+        FilterKind::Weak => 1,
+    }
+}
+
+fn balanced_assignment(decomp: &Decomp, n_lines: usize) -> Vec<usize> {
+    let p = decomp.size();
+    let mut owners = vec![0usize; n_lines];
+    for rank in 0..p {
+        let (start, len) = block_partition(n_lines, p, rank);
+        owners[start..start + len].fill(rank);
+    }
+    owners
+}
+
+fn row_local_assignment(decomp: &Decomp, lines: &[Line]) -> Vec<usize> {
+    let n_cols = decomp.mesh_lon;
+    // Lines dealt so far within each mesh row.
+    let mut dealt = vec![0usize; decomp.mesh_lat];
+    lines
+        .iter()
+        .map(|line| {
+            let row = decomp.row_of_lat(line.lat);
+            let owner = row * n_cols + dealt[row] % n_cols;
+            dealt[row] += 1;
+            owner
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -214,7 +247,7 @@ mod tests {
     fn balanced_owners_match_eq3() {
         let s = setup(4, 8);
         let owners = s.balanced_owners(FilterKind::Strong);
-        let counts = s.owner_counts(&owners);
+        let counts = s.owner_counts(owners);
         let total: usize = counts.iter().sum();
         assert_eq!(total, s.lines(FilterKind::Strong).len());
         let max = *counts.iter().max().unwrap();
@@ -232,7 +265,7 @@ mod tests {
         let s = setup(6, 4);
         let lines = s.lines(FilterKind::Weak);
         let owners = s.row_local_owners(FilterKind::Weak);
-        for (line, &owner) in lines.iter().zip(&owners) {
+        for (line, &owner) in lines.iter().zip(owners) {
             let owner_row = owner / 4;
             assert_eq!(owner_row, s.decomp.row_of_lat(line.lat));
         }
@@ -243,8 +276,8 @@ mod tests {
         // The entire motivation for §3.3: equatorial rows idle under the
         // row-local scheme.
         let s = setup(8, 4);
-        let row_counts = s.owner_counts(&s.row_local_owners(FilterKind::Strong));
-        let lb_counts = s.owner_counts(&s.balanced_owners(FilterKind::Strong));
+        let row_counts = s.owner_counts(s.row_local_owners(FilterKind::Strong));
+        let lb_counts = s.owner_counts(s.balanced_owners(FilterKind::Strong));
         assert_eq!(
             row_counts.iter().copied().min().unwrap(),
             0,

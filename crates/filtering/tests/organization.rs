@@ -138,3 +138,57 @@ fn aggregation_strictly_reduces_messages() {
         );
     }
 }
+
+#[test]
+fn work_and_traffic_of_one_application_are_pinned() {
+    // Flops are charged per latitude group of each owner
+    // (pairs·pair_filter_flops + tail·real_filter_flops), and one
+    // application's messages and bytes are fixed by the assignment — none
+    // of it may move when the filter's executor or staging changes.
+    // (variant, organization, per-rank flops summed, messages, bytes) on a
+    // 2×3 mesh, CartComm set-up included; captured before the lane-batched
+    // executor and the pass plan went in.
+    let cases = [
+        (
+            FilterVariant::FftNoLb,
+            FilterOrganization::Aggregated,
+            184626.04802215387,
+            78,
+            66016,
+        ),
+        (
+            FilterVariant::FftNoLb,
+            FilterOrganization::PerVariable,
+            190002.0480221539,
+            174,
+            66016,
+        ),
+        (
+            FilterVariant::LbFft,
+            FilterOrganization::Aggregated,
+            184050.0480221539,
+            134,
+            82144,
+        ),
+        (
+            FilterVariant::LbFft,
+            FilterOrganization::PerVariable,
+            184050.0480221539,
+            134,
+            82144,
+        ),
+    ];
+    for (variant, organization, flops, messages, bytes) in cases {
+        let (_, trace) = run_filtered(variant, organization, (2, 3), true);
+        let got = (
+            trace.total_flops(),
+            trace.total_messages(),
+            trace.total_bytes(),
+        );
+        assert_eq!(
+            got,
+            (flops, messages, bytes),
+            "{variant:?} {organization:?}"
+        );
+    }
+}

@@ -112,6 +112,12 @@ impl Field3D {
         &self.data[start..start + self.ni]
     }
 
+    /// Mutably borrow one latitude row at `(j, k)`.
+    pub fn row_slice_mut(&mut self, j: usize, k: usize) -> &mut [f64] {
+        let start = self.offset(0, j, k);
+        &mut self.data[start..start + self.ni]
+    }
+
     /// Copy one latitude row at `(j, k)`.
     pub fn row(&self, j: usize, k: usize) -> Vec<f64> {
         self.row_slice(j, k).to_vec()

@@ -68,7 +68,7 @@ fn main() {
             setup.balanced_owners(FilterKind::Strong),
         ),
     ] {
-        let counts = setup.owner_counts(&owners);
+        let counts = setup.owner_counts(owners);
         t.add_row(vec![
             name.to_string(),
             counts.iter().min().unwrap().to_string(),
