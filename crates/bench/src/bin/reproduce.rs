@@ -582,17 +582,19 @@ fn kernel_history(b: &agcm_bench::kernels::KernelBench) -> Vec<(String, f64)> {
             b.advection.kernel_speedup(),
         ),
         ("tendency_step.speedup".into(), b.step.kernel_speedup()),
+        ("fd_sweeps.speedup".into(), b.fd.kernel_speedup()),
         ("physics.speedup".into(), b.physics.kernel_speedup()),
     ]
 }
 
 /// `bench-kernels`: the §4 kernel benchmark — stencil (both layouts),
-/// real upwind advection, the full tendency step and the column-physics
-/// pass, reference vs kernel paths. Prints the tables and writes
+/// real upwind advection, the full tendency step, its fd phase alone and
+/// the column-physics pass, reference vs kernel paths. Prints the tables and writes
 /// `BENCH_kernels.json` (committed, gated by `bench-check`).
 fn bench_kernels(smoke: bool) {
     use agcm_bench::kernels::{
         divide_seconds, physics_bytes_per_column, physics_divides_per_column, run_kernel_bench,
+        FD_DIVIDES_PER_POINT,
     };
 
     println!("\n=== Single-node kernels: reference vs flat vs block (paper §4) ===\n");
@@ -613,6 +615,7 @@ fn bench_kernels(smoke: bool) {
         ("7-pt stencil, 12 fields 32^3", &b.stencil),
         ("upwind advection, 144x90x9", &b.advection),
         ("full tendency step, 9-layer", &b.step),
+        ("fd sweeps alone, 9-layer", &b.fd),
         ("column physics, 9-layer (per column)", &b.physics),
     ] {
         t.add_row(vec![
@@ -635,7 +638,15 @@ fn bench_kernels(smoke: bool) {
         physics_divides_per_column(n_lev),
         physics_bytes_per_column(n_lev),
     );
-    let bound_ns = divides as f64 * divide_seconds(if smoke { 3 } else { 9 }) * 1e9;
+    let divide_ns = divide_seconds(if smoke { 3 } else { 9 }) * 1e9;
+    let fd_target = agcm_kernels::dispatch::dispatch_target();
+    let fd_bound_ns = FD_DIVIDES_PER_POINT as f64 * divide_ns;
+    let fd_bound_fraction = fd_bound_ns / b.fd.ns_per_point(b.fd.kernel);
+    println!(
+        "fd sweeps ({fd_target}): bound by {FD_DIVIDES_PER_POINT} f64 divides per point (bit-identity forbids\nreciprocals) = {fd_bound_ns:.1} ns at this machine's divider throughput; the three sweeps reach\n{:.0}% of that bound.\n",
+        100.0 * fd_bound_fraction
+    );
+    let bound_ns = divides as f64 * divide_ns;
     let bound_fraction = bound_ns / b.physics.ns_per_point(b.physics.kernel);
     println!(
         "column physics: bound by the longwave's {divides} f64 divides per column (bit-identity\nforbids reciprocals) = {bound_ns:.1} ns at this machine's divider throughput; the kernel\nreaches {:.0}% of that bound; {bytes} B of field per column.\n",
@@ -652,7 +663,7 @@ fn bench_kernels(smoke: bool) {
         )
     };
     let json = format!(
-        "{{\n  \"benchmark\": \"dyn_kernels\",\n  \"stencil\": {{\n    \"config\": \"12 fields 32x32x32\",\n    \"ns_per_point\": {},\n    \"kernel_speedup\": {:.2},\n    \"block_speedup\": {:.2}\n  }},\n  \"advection\": {{\n    \"config\": \"144x90x9, block m=4\",\n    \"ns_per_point\": {},\n    \"kernel_speedup\": {:.2},\n    \"block_speedup\": {:.2}\n  }},\n  \"tendency_step\": {{\n    \"config\": \"paper 9-layer, 1 rank, no filter\",\n    \"ns_per_point\": {},\n    \"speedup\": {:.2}\n  }},\n  \"physics\": {{\n    \"config\": \"paper 9-layer, 1 rank, batch kernel vs run_column oracle\",\n    \"ns_per_column\": {{\n      \"reference\": {:.1},\n      \"kernel\": {:.1}\n    }},\n    \"speedup\": {:.2},\n    \"divides_per_column\": {divides},\n    \"bytes_per_column\": {bytes},\n    \"divide_bound_ns_per_column\": {bound_ns:.1},\n    \"bound_fraction\": {bound_fraction:.2}\n  }}\n}}\n",
+        "{{\n  \"benchmark\": \"dyn_kernels\",\n  \"stencil\": {{\n    \"config\": \"12 fields 32x32x32\",\n    \"ns_per_point\": {},\n    \"kernel_speedup\": {:.2},\n    \"block_speedup\": {:.2}\n  }},\n  \"advection\": {{\n    \"config\": \"144x90x9, block m=4\",\n    \"ns_per_point\": {},\n    \"kernel_speedup\": {:.2},\n    \"block_speedup\": {:.2}\n  }},\n  \"tendency_step\": {{\n    \"config\": \"paper 9-layer, 1 rank, no filter\",\n    \"ns_per_point\": {},\n    \"speedup\": {:.2}\n  }},\n  \"fd_sweeps\": {{\n    \"config\": \"paper 9-layer, 1 rank, fd phase net of its halo exchange\",\n    \"ns_per_point\": {{\n      \"reference\": {:.1},\n      \"kernel\": {:.1}\n    }},\n    \"speedup\": {:.2},\n    \"divides_per_point\": {FD_DIVIDES_PER_POINT},\n    \"dispatch_target\": \"{fd_target}\",\n    \"divide_bound_ns_per_point\": {fd_bound_ns:.1},\n    \"bound_fraction\": {fd_bound_fraction:.2}\n  }},\n  \"physics\": {{\n    \"config\": \"paper 9-layer, 1 rank, batch kernel vs run_column oracle\",\n    \"ns_per_column\": {{\n      \"reference\": {:.1},\n      \"kernel\": {:.1}\n    }},\n    \"speedup\": {:.2},\n    \"divides_per_column\": {divides},\n    \"bytes_per_column\": {bytes},\n    \"divide_bound_ns_per_column\": {bound_ns:.1},\n    \"bound_fraction\": {bound_fraction:.2}\n  }}\n}}\n",
         path(&b.stencil),
         b.stencil.kernel_speedup(),
         b.stencil.block_speedup().unwrap_or(1.0),
@@ -661,6 +672,9 @@ fn bench_kernels(smoke: bool) {
         b.advection.block_speedup().unwrap_or(1.0),
         path(&b.step),
         b.step.kernel_speedup(),
+        b.fd.ns_per_point(b.fd.reference),
+        b.fd.ns_per_point(b.fd.kernel),
+        b.fd.kernel_speedup(),
         b.physics.ns_per_point(b.physics.reference),
         b.physics.ns_per_point(b.physics.kernel),
         b.physics.kernel_speedup(),
@@ -1229,6 +1243,12 @@ fn bench_check() {
             "tendency_step.speedup",
             committed_of("tendency_step", "speedup"),
             b.step.kernel_speedup(),
+        ),
+        (
+            "kernels",
+            "fd_sweeps.speedup",
+            committed_of("fd_sweeps", "speedup"),
+            b.fd.kernel_speedup(),
         ),
         (
             "kernels",

@@ -2,7 +2,7 @@
 //! `agcm-kernels` flat-slice kernels vs the block-interleaved layout, on
 //! the paper's own configurations.
 //!
-//! Four experiments, shared by `reproduce bench-kernels` (which reports
+//! Five experiments, shared by `reproduce bench-kernels` (which reports
 //! and records `BENCH_kernels.json`) and `reproduce bench-check` (which
 //! gates against the committed record):
 //!
@@ -16,6 +16,11 @@
 //!   (kernel path over the reusable scratch) vs
 //!   `Dynamics::step_reference` (original allocating `from_fn` path) on
 //!   the paper's 9-layer grid, single rank.
+//! - **fd sweeps** — the finite-difference phase alone, inside that
+//!   step: wall time of the traced "fd" phase net of its nested `h*` halo
+//!   exchange, the three fused sweeps vs `step_reference`'s operators.
+//!   Thirteen f64 divides per point and no reciprocal allowed, so the
+//!   divider's throughput is the stated bound.
 //! - **column physics** — the paper's other §4 target ("a routine
 //!   involved in the longwave radiation calculation"): the row-batched
 //!   table-driven `PhysicsStep::run_local` vs the per-column `run_column`
@@ -35,8 +40,9 @@ use agcm_grid::metrics::MetricTables;
 use agcm_kernels::advect::{upwind_block_into, upwind_into, BlockHalo};
 use agcm_kernels::stencil::{laplace_block_into, laplace_separate_into};
 use agcm_kernels::HaloView;
-use agcm_mps::runtime::run;
+use agcm_mps::runtime::{run, run_traced};
 use agcm_mps::topology::CartComm;
+use agcm_mps::trace::{Event, WorldTrace};
 use agcm_physics::step::{run_column, PhysicsConfig, PhysicsStep};
 use agcm_singlenode::blockarray::{laplace_separate, paper_test_fields};
 use std::hint::black_box;
@@ -73,7 +79,7 @@ impl PathTimes {
     }
 }
 
-/// All four experiments.
+/// All five experiments.
 #[derive(Debug, Clone, Copy)]
 pub struct KernelBench {
     /// 7-point Laplace, 12 fields of 32³.
@@ -82,6 +88,8 @@ pub struct KernelBench {
     pub advection: PathTimes,
     /// Full dynamics timestep, paper 9-layer grid, 1 rank.
     pub step: PathTimes,
+    /// The "fd" phase of that timestep, net of its nested halo exchange.
+    pub fd: PathTimes,
     /// One physics pass, paper 9-layer grid, 1 rank; a "point" is a column.
     pub physics: PathTimes,
 }
@@ -227,6 +235,64 @@ pub fn bench_step(steps: usize, reps: usize) -> PathTimes {
     }
 }
 
+/// f64 divides the fd sweeps perform per grid point: 3 in the flux
+/// divergence, 1 per gradient, 2 per upwind tendency of `u`, `v` and the
+/// two tracers.
+pub const FD_DIVIDES_PER_POINT: usize = 3 + 2 + 4 * 2;
+
+/// Wall seconds rank 0 spent in each "fd" phase of a traced run, net of
+/// the "halo" phases nested inside it.
+fn fd_phase_seconds(trace: &WorldTrace) -> Vec<f64> {
+    let phase_events = trace.ranks[0].iter().filter(|e| e.is_phase());
+    let (mut out, mut fd_begin, mut halo_begin, mut halo) = (Vec::new(), None, 0.0, 0.0);
+    for (ev, &wall) in phase_events.zip(&trace.walls[0]) {
+        match *ev {
+            Event::PhaseBegin("fd") => (fd_begin, halo) = (Some(wall), 0.0),
+            Event::PhaseBegin("halo") => halo_begin = wall,
+            Event::PhaseEnd("halo") if fd_begin.is_some() => halo += wall - halo_begin,
+            Event::PhaseEnd("fd") => {
+                let begin: f64 = fd_begin.take().expect("fd phases are balanced");
+                out.push(wall - begin - halo);
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+/// The finite-difference phase on the paper's 9-layer grid, single rank,
+/// no filter: median over `steps` traced steps of the "fd" phase's own
+/// time, `step_reference`'s operators vs the three fused sweeps.
+pub fn bench_fd_sweeps(steps: usize) -> PathTimes {
+    let grid = GridSpec::paper_9_layer();
+    let decomp = Decomp::new(grid, 1, 1);
+    let dt = max_stable_dt(&grid, signal_speed(), 0.3, None);
+    let fd_median = |reference: bool| {
+        let (_, trace) = run_traced(1, |c| {
+            let cart = CartComm::new(c, 1, 1, (false, true));
+            let dyn_core = Dynamics::new(grid, decomp, DynamicsConfig::new(dt, None));
+            let mut state = ModelState::initial(grid, decomp.subdomain_of_rank(0));
+            // One warm-up step (scratch built, pages touched), dropped below.
+            for _ in 0..=steps {
+                if reference {
+                    dyn_core.step_reference(&cart, black_box(&mut state));
+                } else {
+                    dyn_core.step(&cart, black_box(&mut state));
+                }
+            }
+        });
+        let mut fd = fd_phase_seconds(&trace).split_off(1);
+        fd.sort_by(f64::total_cmp);
+        fd[fd.len() / 2]
+    };
+    PathTimes {
+        reference: fd_median(true),
+        kernel: fd_median(false),
+        block: None,
+        points: grid.points(),
+    }
+}
+
 /// Divides the batch kernel performs per column of `n_lev` layers: one
 /// per layer pair of the longwave exchange. With no reciprocal allowed
 /// (bit-identity) the divider's throughput is the kernel's stated bound.
@@ -305,13 +371,14 @@ pub fn bench_physics(passes: usize, reps: usize) -> PathTimes {
     }
 }
 
-/// Run all four experiments. `smoke` shortens the repetitions for CI.
+/// Run all five experiments. `smoke` shortens the repetitions for CI.
 pub fn run_kernel_bench(smoke: bool) -> KernelBench {
     let (reps, steps) = if smoke { (3, 2) } else { (9, 4) };
     KernelBench {
         stencil: bench_stencil(reps),
         advection: bench_advection(reps),
         step: bench_step(steps, if smoke { 3 } else { 7 }),
+        fd: bench_fd_sweeps(if smoke { 6 } else { 40 }),
         physics: bench_physics(steps, reps),
     }
 }
@@ -328,6 +395,8 @@ mod tests {
         assert!(b.block_speedup().unwrap() > 0.0);
         let s = bench_step(1, 1);
         assert!(s.reference > 0.0 && s.kernel > 0.0 && s.block.is_none());
+        let f = bench_fd_sweeps(2);
+        assert!(f.reference > 0.0 && f.kernel > 0.0 && f.points == 144 * 90 * 9);
         let p = bench_physics(1, 1);
         assert!(p.reference > 0.0 && p.kernel > 0.0 && p.points == 144 * 90);
         assert_eq!(physics_divides_per_column(9), 36);

@@ -10,16 +10,21 @@
 //!
 //! Every phase is bracketed in the execution trace ("filter", "halo",
 //! "fd"), which is how Figure 1 and Tables 4–7 are regenerated. Inside
-//! "fd" the compute is sub-bracketed as "dyn.tendencies" (gradients,
-//! divergence, momentum) and "dyn.advection" (upwind transport) — phases
-//! accumulate inclusively in the cost-model replay, so the outer "fd"
-//! accounting is unchanged.
+//! "fd" the compute is three row-fused sweeps, sub-bracketed as
+//! "dyn.tendencies" (the continuity sweep, then — after the nested "halo"
+//! of `h*` — the momentum sweep) and "dyn.advection" (the tracer sweep).
+//! The momentum sweep computes the winds' upwind self-advection in the
+//! same pass as the gradients and the update, so those `2·UPWIND` flops
+//! per point are charged to "dyn.tendencies" with it; "dyn.advection"
+//! carries the two tracers. Phases accumulate inclusively in the
+//! cost-model replay and the per-step flop total is the same sum, so the
+//! outer "fd" accounting is unchanged.
 //!
-//! The production [`Dynamics::step`] runs the §4-optimized flat kernels
-//! from `agcm-kernels` over a reusable [`DynScratch`] workspace (zero
-//! heap allocations once warmed up); [`Dynamics::step_reference`] keeps
-//! the original allocating `from_fn` operators. Both paths are
-//! bit-identical — enforced by the equivalence tests below.
+//! The production [`Dynamics::step`] runs the §4-optimized sweeps from
+//! `agcm-kernels` over a reusable [`DynScratch`] workspace (zero heap
+//! allocations once warmed up); [`Dynamics::step_reference`] keeps the
+//! original allocating `from_fn` operators. Both paths are bit-identical
+//! — enforced by the equivalence tests below and in `tests/fd_sweeps.rs`.
 
 use crate::advection::upwind_tendency;
 use crate::state::ModelState;
@@ -31,10 +36,7 @@ use agcm_grid::arakawa::Variable;
 use agcm_grid::decomp::{Decomp, Subdomain};
 use agcm_grid::halo::HaloField;
 use agcm_grid::latlon::GridSpec;
-use agcm_kernels::advect::upwind_into;
-use agcm_kernels::tendency::{
-    advance_in_place, flux_divergence_into, grad_x_into, grad_y_into, momentum_update,
-};
+use agcm_kernels::sweeps::{continuity_sweep, momentum_sweep, tracer_sweep};
 use agcm_kernels::{DynScratch, HaloView};
 use agcm_mps::topology::CartComm;
 use agcm_telemetry::Counter;
@@ -122,78 +124,92 @@ impl Dynamics {
         }
     }
 
-    /// Continuity, flux form: h* = h − dt·∇·(h·u), then stage h* into its
-    /// halo (interior only; the caller exchanges).
-    fn continuity_kernels(&self, scratch: &mut DynScratch, state: &mut ModelState) {
-        {
-            let u_h = HaloView::of(&scratch.halos[Variable::U.index()]);
-            let v_h = HaloView::of(&scratch.halos[Variable::V.index()]);
-            let h_h = HaloView::of(&scratch.halos[Variable::Theta.index()]);
-            flux_divergence_into(&h_h, &u_h, &v_h, &scratch.tables, &mut scratch.div);
+    /// Refresh the halo interiors from `state`; the ghosts keep what they
+    /// hold until the caller exchanges them.
+    fn stage_halos(scratch: &mut DynScratch, state: &ModelState) {
+        for (h, f) in scratch.halos.iter_mut().zip(&state.fields) {
+            h.copy_interior_from(f);
         }
-        // Negative dt: h −= dt·div, bit-identical to the reference loop.
-        advance_in_place(
-            state.field_mut(Variable::Theta).as_mut_slice(),
-            &scratch.div,
-            -self.cfg.dt,
-        );
-        scratch
-            .hstar
-            .copy_interior_from(state.field(Variable::Theta));
     }
 
-    /// Pressure-gradient terms on the exchanged h*.
-    fn gradient_kernels(scratch: &mut DynScratch) {
-        let hs = HaloView::of(&scratch.hstar);
-        grad_x_into(&hs, &scratch.tables, &mut scratch.dhdx);
-        grad_y_into(&hs, &scratch.tables, &mut scratch.dhdy);
-    }
+    /// The finite-difference phase: the three forward-backward sweeps
+    /// over the staged halos. With a mesh each sweep is bracketed and
+    /// charged in the trace and `h*` is exchanged between continuity and
+    /// momentum; without one ([`Dynamics::compute_step_no_comm`]) nothing
+    /// is traced and the `h*` ghosts stay as they are.
+    fn fd_sweeps(&self, cart: Option<&CartComm>, scratch: &mut DynScratch, state: &mut ModelState) {
+        let sub = state.sub;
+        let npts = (sub.ni * sub.nj * self.grid.n_lev) as f64;
+        let dt = self.cfg.dt;
+        let traced = |name: &'static str, flops_per_pt: f64, sweep: &mut dyn FnMut()| match cart {
+            Some(cart) => cart.comm().phase(name, || {
+                sweep();
+                cart.comm().record_flops(flops_per_pt * npts);
+            }),
+            None => sweep(),
+        };
+        let DynScratch {
+            halos,
+            hstar,
+            tables,
+            f_cor,
+            rows,
+            ..
+        } = scratch;
+        let old = |v: Variable| HaloView::of(&halos[v.index()]);
+        let (u_h, v_h) = (old(Variable::U), old(Variable::V));
 
-    /// Upwind self-advection of the old winds.
-    fn wind_advection_kernels(scratch: &mut DynScratch) {
-        let u_h = HaloView::of(&scratch.halos[Variable::U.index()]);
-        let v_h = HaloView::of(&scratch.halos[Variable::V.index()]);
-        upwind_into(&u_h, &u_h, &v_h, &scratch.tables, &mut scratch.adv_u);
-        upwind_into(&v_h, &u_h, &v_h, &scratch.tables, &mut scratch.adv_v);
-    }
+        // 1. Continuity: h* = h − dt·∇·(h·u), into the field and h*'s
+        // interior at once.
+        traced("dyn.tendencies", flops::FLUX_DIV + 2.0, &mut || {
+            let theta = state.field_mut(Variable::Theta).as_mut_slice();
+            continuity_sweep(
+                &old(Variable::Theta),
+                &u_h,
+                &v_h,
+                tables,
+                dt,
+                theta,
+                hstar,
+                rows,
+            );
+        });
 
-    /// In-place forward-backward momentum update.
-    fn momentum_kernel(&self, scratch: &DynScratch, state: &mut ModelState) {
-        let shape = (state.sub.ni, state.sub.nj, self.grid.n_lev);
-        // u and v mutably at once: split the field vec at V's index.
-        let (left, right) = state.fields.split_at_mut(Variable::V.index());
-        momentum_update(
-            left[Variable::U.index()].as_mut_slice(),
-            right[0].as_mut_slice(),
-            &scratch.dhdx,
-            &scratch.dhdy,
-            &scratch.adv_u,
-            &scratch.adv_v,
-            &scratch.f_cor,
-            shape,
-            self.cfg.dt,
-            self.cfg.gravity,
-        );
-    }
-
-    /// Upwind advection of one tracer by the old winds, applied in place.
-    fn tracer_kernels(&self, scratch: &mut DynScratch, state: &mut ModelState, tracer: Variable) {
-        {
-            let q_h = HaloView::of(&scratch.halos[tracer.index()]);
-            let u_h = HaloView::of(&scratch.halos[Variable::U.index()]);
-            let v_h = HaloView::of(&scratch.halos[Variable::V.index()]);
-            upwind_into(&q_h, &u_h, &v_h, &scratch.tables, &mut scratch.adv_q);
+        // Refresh the thickness halo with the updated field (backward
+        // part of forward-backward).
+        if let Some(cart) = cart {
+            cart.comm().phase("halo", || hstar.exchange(cart));
         }
-        advance_in_place(
-            state.field_mut(tracer).as_mut_slice(),
-            &scratch.adv_q,
-            self.cfg.dt,
-        );
+
+        // 2. Momentum: Coriolis + pressure gradient on h* + advection.
+        let momentum_flops = 2.0 * (flops::GRAD + flops::UPWIND + flops::MOMENTUM);
+        traced("dyn.tendencies", momentum_flops, &mut || {
+            // u and v mutably at once: split the field vec at V's index.
+            let (left, right) = state.fields.split_at_mut(Variable::V.index());
+            let u = left[Variable::U.index()].as_mut_slice();
+            let v = right[0].as_mut_slice();
+            let hs = HaloView::of(hstar);
+            let g = self.cfg.gravity;
+            momentum_sweep(&hs, &u_h, &v_h, tables, f_cor, dt, g, u, v, rows);
+        });
+
+        // 3. Tracers: upwind advection by the old winds.
+        traced("dyn.advection", 2.0 * (flops::UPWIND + 2.0), &mut || {
+            let (left, right) = state.fields.split_at_mut(Variable::Ozone.index());
+            let mut tracers = [
+                (
+                    old(Variable::Humidity),
+                    left[Variable::Humidity.index()].as_mut_slice(),
+                ),
+                (old(Variable::Ozone), right[0].as_mut_slice()),
+            ];
+            tracer_sweep(&u_h, &v_h, tables, dt, &mut tracers, rows);
+        });
     }
 
     /// Advance the local state by one timestep. Collective over the mesh.
     ///
-    /// This is the optimized path: flat `agcm-kernels` operators over the
+    /// This is the optimized path: the fused `agcm-kernels` sweeps over the
     /// reusable scratch, bit-identical to [`Dynamics::step_reference`].
     pub fn step(&self, cart: &CartComm, state: &mut ModelState) {
         let comm = cart.comm();
@@ -212,55 +228,21 @@ impl Dynamics {
 
         // --- Ghost-point exchange (communication phase). -------------------
         comm.phase("halo", || {
-            for (h, f) in scratch.halos.iter_mut().zip(&state.fields) {
-                h.copy_interior_from(f);
+            Self::stage_halos(scratch, state);
+            for h in &mut scratch.halos {
                 h.exchange(cart);
             }
         });
 
         // --- Finite differences (forward-backward). ------------------------
-        comm.phase("fd", || {
-            let npts = (sub.ni * sub.nj * self.grid.n_lev) as f64;
-
-            // 1. Continuity: h* = h − dt·∇·(h·u).
-            comm.phase("dyn.tendencies", || {
-                self.continuity_kernels(scratch, state);
-                comm.record_flops((flops::FLUX_DIV + 2.0) * npts);
-            });
-
-            // Refresh the thickness halo with the updated field (backward
-            // part of forward-backward).
-            comm.phase("halo", || scratch.hstar.exchange(cart));
-
-            // 2. Momentum: Coriolis + pressure gradient on h* + advection.
-            comm.phase("dyn.tendencies", || {
-                Self::gradient_kernels(scratch);
-                comm.record_flops(2.0 * flops::GRAD * npts);
-            });
-            comm.phase("dyn.advection", || {
-                Self::wind_advection_kernels(scratch);
-                comm.record_flops(2.0 * flops::UPWIND * npts);
-            });
-            comm.phase("dyn.tendencies", || {
-                self.momentum_kernel(scratch, state);
-                comm.record_flops(2.0 * flops::MOMENTUM * npts);
-            });
-
-            // 3. Tracers: upwind advection by the old winds.
-            for tracer in [Variable::Humidity, Variable::Ozone] {
-                comm.phase("dyn.advection", || {
-                    self.tracer_kernels(scratch, state, tracer);
-                    comm.record_flops((flops::UPWIND + 2.0) * npts);
-                });
-            }
-        });
+        comm.phase("fd", || self.fd_sweeps(Some(cart), scratch, state));
 
         // h, u, v, and the two tracers each advanced once per point.
         self.points_updated
             .add((5 * sub.ni * sub.nj * self.grid.n_lev) as u64);
     }
 
-    /// The per-step kernel sequence with **no communication and no trace
+    /// The per-step sweep sequence with **no communication and no trace
     /// events**: halo interiors are refreshed from `state`, but ghosts
     /// keep whatever the scratch currently holds (neighbour data after a
     /// real [`Dynamics::step`], zeros on a fresh scratch) and h* is not
@@ -272,16 +254,8 @@ impl Dynamics {
         let mut scratch = self.scratch.borrow_mut();
         let scratch = &mut *scratch;
         self.ensure_scratch(scratch, sub);
-        for (h, f) in scratch.halos.iter_mut().zip(&state.fields) {
-            h.copy_interior_from(f);
-        }
-        self.continuity_kernels(scratch, state);
-        Self::gradient_kernels(scratch);
-        Self::wind_advection_kernels(scratch);
-        self.momentum_kernel(scratch, state);
-        for tracer in [Variable::Humidity, Variable::Ozone] {
-            self.tracer_kernels(scratch, state, tracer);
-        }
+        Self::stage_halos(scratch, state);
+        self.fd_sweeps(None, scratch, state);
     }
 
     /// The original `from_fn` timestep, kept verbatim as the bit-exact

@@ -147,13 +147,28 @@ impl HaloField {
         }
     }
 
-    /// Pack a block of columns `[i_lo, i_lo+h) × [j_lo, j_hi) × levels`.
+    /// Mutably borrow interior row `(j, k)` — `ni` contiguous values, no
+    /// ghosts. Lets a fused kernel write its result straight into the halo
+    /// interior instead of staging it through a `Field3D`.
+    #[inline]
+    pub fn interior_row_mut(&mut self, j: usize, k: usize) -> &mut [f64] {
+        let start = self.offset(0, j as isize, k);
+        &mut self.data[start..start + self.ni]
+    }
+
+    /// Pack a block of columns `[i_lo, i_lo+count_i) × [j_lo, j_hi) × levels`,
+    /// column index fastest. The block is a few values wide and many rows
+    /// tall, so each column is gathered by one strided walk down the rows
+    /// rather than by a tiny copy per row.
     fn pack(&self, i_lo: isize, j_lo: isize, j_hi: isize, count_i: usize) -> Vec<f64> {
-        let mut out = Vec::with_capacity(count_i * (j_hi - j_lo) as usize * self.nk);
-        for k in 0..self.nk {
-            for j in j_lo..j_hi {
-                for di in 0..count_i as isize {
-                    out.push(self.get(i_lo + di, j, k));
+        let per_level = count_i * (j_hi - j_lo) as usize;
+        let mut out = vec![0.0; per_level * self.nk];
+        for (k, block) in out.chunks_exact_mut(per_level).enumerate() {
+            let src = &self.data[self.offset(i_lo, j_lo, k)..];
+            for di in 0..count_i {
+                let column = src[di..].iter().step_by(self.row_stride());
+                for (o, &x) in block[di..].iter_mut().step_by(count_i).zip(column) {
+                    *o = x;
                 }
             }
         }
@@ -161,43 +176,56 @@ impl HaloField {
     }
 
     fn unpack(&mut self, buf: &[f64], i_lo: isize, j_lo: isize, j_hi: isize, count_i: usize) {
-        let mut it = buf.iter();
-        for k in 0..self.nk {
-            for j in j_lo..j_hi {
-                for di in 0..count_i as isize {
-                    self.set(i_lo + di, j, k, *it.next().expect("buffer sized by sender"));
+        let per_level = count_i * (j_hi - j_lo) as usize;
+        assert_eq!(buf.len(), per_level * self.nk, "halo buffer mis-sized");
+        let row = self.row_stride();
+        for (k, block) in buf.chunks_exact(per_level).enumerate() {
+            let first = self.offset(i_lo, j_lo, k);
+            let dst = &mut self.data[first..];
+            for di in 0..count_i {
+                let column = dst[di..].iter_mut().step_by(row);
+                for (x, &v) in column.zip(block[di..].iter().step_by(count_i)) {
+                    *x = v;
                 }
             }
         }
-        assert!(it.next().is_none(), "halo buffer larger than expected");
     }
 
-    /// Pack a block of rows `[lon incl. ghosts] × [j_lo, j_lo+h)`.
+    /// Padded span of the `count_j` full rows (ghost columns included)
+    /// from `j_lo` at level `k`: adjacent rows are adjacent in storage.
+    fn rows_span(&self, j_lo: isize, count_j: usize, k: usize) -> std::ops::Range<usize> {
+        let start = self.offset(-(self.h as isize), j_lo, k);
+        start..start + count_j * self.row_stride()
+    }
+
+    /// Pack a block of rows `[lon incl. ghosts] × [j_lo, j_lo+count_j)`.
     fn pack_rows(&self, j_lo: isize, count_j: usize) -> Vec<f64> {
-        let h = self.h as isize;
-        let width = self.ni + 2 * self.h;
-        let mut out = Vec::with_capacity(width * count_j * self.nk);
+        let mut out = Vec::with_capacity(self.row_stride() * count_j * self.nk);
         for k in 0..self.nk {
-            for dj in 0..count_j as isize {
-                for i in -h..self.ni as isize + h {
-                    out.push(self.get(i, j_lo + dj, k));
-                }
-            }
+            out.extend_from_slice(&self.data[self.rows_span(j_lo, count_j, k)]);
         }
         out
     }
 
     fn unpack_rows(&mut self, buf: &[f64], j_lo: isize, count_j: usize) {
-        let h = self.h as isize;
-        let mut it = buf.iter();
+        let per_level = self.row_stride() * count_j;
+        assert_eq!(buf.len(), per_level * self.nk, "halo buffer mis-sized");
+        for (k, rows) in buf.chunks_exact(per_level).enumerate() {
+            let span = self.rows_span(j_lo, count_j, k);
+            self.data[span].copy_from_slice(rows);
+        }
+    }
+
+    /// Zero-gradient pole treatment: copy full padded row `j_src` over
+    /// the `h` ghost rows starting at `j_ghost`, on every level.
+    fn replicate_row(&mut self, j_src: isize, j_ghost: isize) {
         for k in 0..self.nk {
-            for dj in 0..count_j as isize {
-                for i in -h..self.ni as isize + h {
-                    self.set(i, j_lo + dj, k, *it.next().expect("buffer sized by sender"));
-                }
+            let src = self.rows_span(j_src, 1, k);
+            for dj in 0..self.h as isize {
+                let dst = self.rows_span(j_ghost + dj, 1, k).start;
+                self.data.copy_within(src.clone(), dst);
             }
         }
-        assert!(it.next().is_none(), "halo buffer larger than expected");
     }
 
     /// Exchange ghost margins with the four mesh neighbours.
@@ -241,28 +269,14 @@ impl HaloField {
             self.unpack_rows(&buf, -(h as isize), h);
         } else {
             // South pole: zero-gradient.
-            for k in 0..self.nk {
-                for dj in 1..=h as isize {
-                    for i in -(h as isize)..nih + h as isize {
-                        let v = self.get(i, 0, k);
-                        self.set(i, -dj, k, v);
-                    }
-                }
-            }
+            self.replicate_row(0, -(h as isize));
         }
         if let Some(n) = north {
             let buf = comm.recv_f64(n, TAG_SOUTH);
             self.unpack_rows(&buf, njh, h);
         } else {
             // North pole: zero-gradient.
-            for k in 0..self.nk {
-                for dj in 0..h as isize {
-                    for i in -(h as isize)..nih + h as isize {
-                        let v = self.get(i, njh - 1, k);
-                        self.set(i, njh + dj, k, v);
-                    }
-                }
-            }
+            self.replicate_row(njh - 1, njh);
         }
     }
 }
@@ -280,31 +294,34 @@ mod tests {
 
     #[test]
     fn exchange_fills_ghosts_with_neighbor_values() {
-        // Global 8x6 grid on a 2x2 mesh, 2 levels, halo 1.
+        // Global 8x6 grid on a 2x2 mesh, 2 levels, halo widths 1 and 2.
         let (glon, glat) = (8usize, 6usize);
         run(4, |c| {
             let cart = CartComm::new(c, 2, 2, (false, true));
             let (row, col) = cart.coords();
-            let (ni, nj, nk, h) = (4usize, 3usize, 2usize, 1usize);
+            let (ni, nj, nk) = (4usize, 3usize, 2usize);
             let (i0, j0) = (col * ni, row * nj);
-            let mut f = HaloField::zeros(ni, nj, nk, h);
-            f.fill_interior(|i, j, k| truth(i0 + i, j0 + j, k));
-            f.exchange(&cart);
+            for h in [1usize, 2] {
+                let mut f = HaloField::zeros(ni, nj, nk, h);
+                f.fill_interior(|i, j, k| truth(i0 + i, j0 + j, k));
+                f.exchange(&cart);
 
-            // Every ghost point must hold the global value (with longitude
-            // wraparound), except polar rows which replicate the edge.
-            for k in 0..nk {
-                for j in -(h as isize)..(nj + h) as isize {
-                    for i in -(h as isize)..(ni + h) as isize {
-                        let gj_raw = j0 as isize + j;
-                        let gi = ((i0 as isize + i).rem_euclid(glon as isize)) as usize;
-                        let gj = gj_raw.clamp(0, glat as isize - 1) as usize;
-                        let expect = truth(gi, gj, k);
-                        assert_eq!(
-                            f.get(i, j, k),
-                            expect,
-                            "rank ({row},{col}) ghost at local ({i},{j},{k})"
-                        );
+                // Every ghost point must hold the global value (with
+                // longitude wraparound), except polar rows which replicate
+                // the edge.
+                for k in 0..nk {
+                    for j in -(h as isize)..(nj + h) as isize {
+                        for i in -(h as isize)..(ni + h) as isize {
+                            let gj_raw = j0 as isize + j;
+                            let gi = ((i0 as isize + i).rem_euclid(glon as isize)) as usize;
+                            let gj = gj_raw.clamp(0, glat as isize - 1) as usize;
+                            let expect = truth(gi, gj, k);
+                            assert_eq!(
+                                f.get(i, j, k),
+                                expect,
+                                "width {h} rank ({row},{col}) ghost at local ({i},{j},{k})"
+                            );
+                        }
                     }
                 }
             }

@@ -13,7 +13,7 @@
 //! reference operators in `agcm-dynamics` use per point, so kernels that
 //! read these tables stay bit-identical to the `from_fn` reference path.
 
-use crate::latlon::{GridSpec, EARTH_RADIUS_M};
+use crate::latlon::GridSpec;
 
 /// Per-latitude metric factors for the subdomain rows `[j0, j0 + nj)`.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,9 +33,6 @@ pub struct MetricTables {
     pub cos_half_north: Vec<f64>,
     /// `cos` at the southern cell face of each local row, clamped ≥ 0.
     pub cos_half_south: Vec<f64>,
-    /// `1 / (2 a cosφ_j Δλ)` — the centred zonal-difference reciprocal
-    /// used by the restructured (multiply-by-reciprocal) kernels.
-    pub rdx2: Vec<f64>,
 }
 
 impl MetricTables {
@@ -57,7 +54,6 @@ impl MetricTables {
             cos_lat: Vec::with_capacity(nj),
             cos_half_north: Vec::with_capacity(nj),
             cos_half_south: Vec::with_capacity(nj),
-            rdx2: Vec::with_capacity(nj),
         };
         for j in 0..nj {
             let jg = j0 + j;
@@ -65,7 +61,6 @@ impl MetricTables {
             t.cos_lat.push(lat.cos());
             t.cos_half_north.push(cos_half(jg as f64));
             t.cos_half_south.push(cos_half(jg as f64 - 1.0));
-            t.rdx2.push(1.0 / (2.0 * EARTH_RADIUS_M * lat.cos() * dlon));
         }
         t
     }
@@ -81,7 +76,6 @@ impl MetricTables {
             cos_lat: Vec::new(),
             cos_half_north: Vec::new(),
             cos_half_south: Vec::new(),
-            rdx2: Vec::new(),
         }
     }
 
@@ -127,10 +121,6 @@ mod tests {
                 .max(0.0);
             assert_eq!(t.cos_half_north[j], expect_n);
             assert_eq!(t.cos_half_south[j], expect_s);
-            assert_eq!(
-                t.rdx2[j],
-                1.0 / (2.0 * EARTH_RADIUS_M * grid.latitude(jg).cos() * grid.dlon())
-            );
         }
     }
 

@@ -1,6 +1,8 @@
 //! Upwind advection kernels, layout-parameterized.
 //!
-//! [`upwind_into`] is the production operator: bit-identical to
+//! `upwind_row` is the production operator, one row at a time — the
+//! fused sweeps in [`crate::sweeps`] run it on row buffers and
+//! [`upwind_into`] loops it over a whole field: bit-identical to
 //! `advection::upwind_tendency` with the metric factors hoisted per row.
 //! [`upwind_block_into`] runs the *same* operator over `m` tracers stored
 //! block-interleaved `q(m,i,j,k)` — the transformation the paper applied
@@ -9,50 +11,67 @@
 //! real operator rather than a toy field. Per tracer the arithmetic is
 //! identical, so both layouts produce bit-identical tendencies.
 
-use crate::view::HaloView;
+use crate::tendency::check_shapes;
+use crate::view::{HaloView, Star};
 use agcm_grid::halo::HaloField;
 use agcm_grid::latlon::EARTH_RADIUS_M;
 use agcm_grid::metrics::MetricTables;
 
-/// First-order upwind advective tendency `−(u ∂q/∂x + v ∂q/∂y)` into a
-/// caller-owned buffer. Flat-kernel twin of `upwind_tendency`.
-pub fn upwind_into(q: &HaloView, u: &HaloView, v: &HaloView, t: &MetricTables, out: &mut [f64]) {
-    assert!(
-        q.same_shape(u) && q.same_shape(v),
-        "field shapes must match"
-    );
-    assert_eq!(t.nj(), q.nj, "metric tables must cover the subdomain rows");
-    assert_eq!(out.len(), q.ni * q.nj * q.nk, "output buffer mis-sized");
-    let (ni, nj, nk) = (q.ni, q.nj, q.nk);
-    let (qd, ud, vd) = (q.data(), u.data(), v.data());
-    let row = q.row();
-    for k in 0..nk {
-        for j in 0..nj {
-            // Hoisted per row; identical expressions to the reference.
-            let dx = EARTH_RADIUS_M * t.cos_lat[j] * t.dlon;
-            let dy = EARTH_RADIUS_M * t.dlat;
-            let b = q.row_base(j, k);
-            let qc = &qd[b..b + ni];
-            let qe = &qd[b + 1..b + 1 + ni];
-            let qw = &qd[b - 1..b - 1 + ni];
-            let qn = &qd[b + row..b + row + ni];
-            let qs = &qd[b - row..b - row + ni];
-            let (uc, vc) = (&ud[b..b + ni], &vd[b..b + ni]);
-            let o = &mut out[(k * nj + j) * ni..(k * nj + j) * ni + ni];
-            for i in 0..ni {
-                let (uu, vv) = (uc[i], vc[i]);
-                let dqdx = if uu >= 0.0 {
-                    (qc[i] - qw[i]) / dx
-                } else {
-                    (qe[i] - qc[i]) / dx
-                };
-                let dqdy = if vv >= 0.0 {
-                    (qc[i] - qs[i]) / dy
-                } else {
-                    (qn[i] - qc[i]) / dy
-                };
-                o[i] = -(uu * dqdx + vv * dqdy);
-            }
+/// One row of the first-order upwind tendency `−(u ∂q/∂x + v ∂q/∂y)` of
+/// `q` under the winds `(uc, vc)` of the same row.
+///
+/// Branch-free: the wind's sign selects the *numerator* of the one-sided
+/// difference and a single division follows. The reference divides inside
+/// each arm of its `if`; either way the same two operands reach the same
+/// `/`, so every bit agrees — including for a `−0.0` wind (`>= 0.0` holds)
+/// and a NaN wind (it does not) — and the loop vectorizes as two
+/// subtractions, a blend and a packed divide per direction.
+#[inline(always)]
+pub(crate) fn upwind_row(
+    q: &Star,
+    uc: &[f64],
+    vc: &[f64],
+    t: &MetricTables,
+    j: usize,
+    out: &mut [f64],
+) {
+    // Hoisted per row; identical expressions to the reference.
+    let dx = EARTH_RADIUS_M * t.cos_lat[j] * t.dlon;
+    let dy = EARTH_RADIUS_M * t.dlat;
+    let n = out.len();
+    let (qc, qe, qw, qn, qs) = (&q.c[..n], &q.e[..n], &q.w[..n], &q.n[..n], &q.s[..n]);
+    let (uc, vc) = (&uc[..n], &vc[..n]);
+    for i in 0..n {
+        let (uu, vv) = (uc[i], vc[i]);
+        // Both one-sided differences are formed before the select, so no
+        // load hides behind a branch and the select compiles to a blend.
+        let (west, east) = (qc[i] - qw[i], qe[i] - qc[i]);
+        let (south, north) = (qc[i] - qs[i], qn[i] - qc[i]);
+        let dqdx = (if uu >= 0.0 { west } else { east }) / dx;
+        let dqdy = (if vv >= 0.0 { south } else { north }) / dy;
+        out[i] = -(uu * dqdx + vv * dqdy);
+    }
+}
+
+dispatched! {
+    /// First-order upwind advective tendency `−(u ∂q/∂x + v ∂q/∂y)` into a
+    /// caller-owned buffer. Flat-kernel twin of `upwind_tendency`.
+    pub fn upwind_into / upwind_body / upwind_avx2 / upwind_avx512 (
+        q: &HaloView,
+        u: &HaloView,
+        v: &HaloView,
+        t: &MetricTables,
+        out: &mut [f64],
+    ) {
+        check_shapes(q, t, out);
+        assert!(
+            q.same_shape(u) && q.same_shape(v),
+            "field shapes must match"
+        );
+        for (r, o) in out.chunks_exact_mut(q.ni).enumerate() {
+            let (j, k) = (r % q.nj, r / q.nj);
+            let (uc, vc) = (u.interior_row(j, k), v.interior_row(j, k));
+            upwind_row(&q.star(j, k), uc, vc, t, j, o);
         }
     }
 }
@@ -135,15 +154,13 @@ pub fn upwind_block_into(
     assert_eq!(t.nj(), nj, "metric tables must cover the subdomain rows");
     let m = q.m;
     assert_eq!(out.len(), ni * nj * nk * m, "output buffer mis-sized");
-    let (ud, vd) = (u.data(), v.data());
     let qd = &q.data[..];
     let (qrow, qm) = (q.row * m, m);
     for k in 0..nk {
         for j in 0..nj {
             let dx = EARTH_RADIUS_M * t.cos_lat[j] * t.dlon;
             let dy = EARTH_RADIUS_M * t.dlat;
-            let wb = u.row_base(j, k);
-            let (uc, vc) = (&ud[wb..wb + ni], &vd[wb..wb + ni]);
+            let (uc, vc) = (u.interior_row(j, k), v.interior_row(j, k));
             let qb = (q.origin + k * q.plane + j * q.row) * m;
             let ob = (k * nj + j) * ni * m;
             for i in 0..ni {

@@ -2,12 +2,14 @@
 //! to the timestep.
 //!
 //! The reference path allocates six fresh [`HaloField`]s, one `h*` halo,
-//! and seven tendency `Field3D`s *per timestep*. A [`DynScratch`] owns all
-//! of those buffers plus the per-latitude [`MetricTables`]; after the
+//! and seven tendency `Field3D`s *per timestep*. A [`DynScratch`] owns the
+//! halos, the per-latitude [`MetricTables`] and the few row-length
+//! buffers the fused [`crate::sweeps`] keep their tendencies in; after the
 //! first step on a given subdomain shape every buffer is reused, and the
 //! warmed-up compute path performs **zero** heap allocations (enforced by
 //! `agcm-dynamics`'s counting-allocator test).
 
+use crate::sweeps::ROW_BUFFERS;
 use agcm_grid::halo::HaloField;
 use agcm_grid::latlon::GridSpec;
 use agcm_grid::metrics::MetricTables;
@@ -26,18 +28,9 @@ pub struct DynScratch {
     /// Per-latitude Coriolis parameter (filled by the dynamical core,
     /// which owns Ω).
     pub f_cor: Vec<f64>,
-    /// `∇·(h·u)` tendency buffer.
-    pub div: Vec<f64>,
-    /// `∂h*/∂x` buffer.
-    pub dhdx: Vec<f64>,
-    /// `∂h*/∂y` buffer.
-    pub dhdy: Vec<f64>,
-    /// Upwind tendency of `u`.
-    pub adv_u: Vec<f64>,
-    /// Upwind tendency of `v`.
-    pub adv_v: Vec<f64>,
-    /// Upwind tendency of the tracer being advected.
-    pub adv_q: Vec<f64>,
+    /// The sweeps' tendency rows: [`ROW_BUFFERS`] × `ni` values, small
+    /// enough to stay in L1 between producer and consumer.
+    pub rows: Vec<f64>,
 }
 
 impl DynScratch {
@@ -49,12 +42,7 @@ impl DynScratch {
             hstar: HaloField::zeros(1, 1, 1, 1),
             tables: MetricTables::empty(),
             f_cor: Vec::new(),
-            div: Vec::new(),
-            dhdx: Vec::new(),
-            dhdy: Vec::new(),
-            adv_u: Vec::new(),
-            adv_v: Vec::new(),
-            adv_q: Vec::new(),
+            rows: Vec::new(),
         }
     }
 
@@ -82,13 +70,7 @@ impl DynScratch {
         self.hstar = HaloField::zeros(ni, nj, nk, 1);
         self.tables = MetricTables::new(grid, j0, nj);
         self.f_cor = vec![0.0; nj];
-        let n = ni * nj * nk;
-        self.div = vec![0.0; n];
-        self.dhdx = vec![0.0; n];
-        self.dhdy = vec![0.0; n];
-        self.adv_u = vec![0.0; n];
-        self.adv_v = vec![0.0; n];
-        self.adv_q = vec![0.0; n];
+        self.rows = vec![0.0; ROW_BUFFERS * ni];
         self.shape = shape;
         true
     }
@@ -111,7 +93,7 @@ mod tests {
         assert!(s.ensure(&grid, 0, 16, 8, 6));
         assert_eq!(s.halos.len(), 6);
         assert_eq!(s.halos[0].shape(), (16, 8, 2));
-        assert_eq!(s.div.len(), 16 * 8 * 2);
+        assert_eq!(s.rows.len(), ROW_BUFFERS * 16);
         assert_eq!(s.tables.nj(), 8);
         // Same shape: nothing rebuilt.
         assert!(!s.ensure(&grid, 0, 16, 8, 6));

@@ -9,6 +9,19 @@
 
 use agcm_grid::halo::HaloField;
 
+/// The five exact-length rows of the 5-point star around interior row
+/// `(j, k)`: the row itself (`c`), the same row one column east and west
+/// (`e`, `w`), and rows `j + 1` and `j − 1` (`n`, `s`) — `ni` values
+/// each, ghosts included where they reach.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Star<'a> {
+    pub c: &'a [f64],
+    pub e: &'a [f64],
+    pub w: &'a [f64],
+    pub n: &'a [f64],
+    pub s: &'a [f64],
+}
+
 /// A read-only flat view of a [`HaloField`]'s padded storage.
 #[derive(Debug, Clone, Copy)]
 pub struct HaloView<'a> {
@@ -46,16 +59,30 @@ impl<'a> HaloView<'a> {
         self.data
     }
 
-    /// Padded row stride.
-    #[inline]
-    pub fn row(&self) -> usize {
-        self.row
-    }
-
     /// Flat index of interior point `(0, j, k)`.
     #[inline]
     pub fn row_base(&self, j: usize, k: usize) -> usize {
         self.origin + k * self.plane + j * self.row
+    }
+
+    /// Interior row `(j, k)`: `ni` contiguous values, no ghosts.
+    #[inline(always)]
+    pub(crate) fn interior_row(&self, j: usize, k: usize) -> &'a [f64] {
+        let b = self.row_base(j, k);
+        &self.data[b..b + self.ni]
+    }
+
+    /// The stencil rows around interior row `(j, k)`.
+    #[inline(always)]
+    pub(crate) fn star(&self, j: usize, k: usize) -> Star<'a> {
+        let (d, b, ni, row) = (self.data, self.row_base(j, k), self.ni, self.row);
+        Star {
+            c: self.interior_row(j, k),
+            e: &d[b + 1..b + 1 + ni],
+            w: &d[b - 1..b - 1 + ni],
+            n: &d[b + row..b + row + ni],
+            s: &d[b - row..b - row + ni],
+        }
     }
 
     /// True if `other` shares this view's interior shape (and therefore,
@@ -87,5 +114,10 @@ mod tests {
         }
         // West ghost of (0, 0, 1) is one step before the row base.
         assert_eq!(v.data()[v.row_base(0, 1) - 1], -7.0);
+        let star = v.star(1, 1);
+        assert_eq!(star.w[0], h.get(-1, 1, 1));
+        assert_eq!(star.e[3], h.get(4, 1, 1));
+        assert_eq!((star.n[2], star.s[2]), (h.get(2, 2, 1), h.get(2, 0, 1)));
+        assert_eq!(star.c, &v.data()[v.row_base(1, 1)..][..4]);
     }
 }

@@ -14,6 +14,8 @@
 //! * [`filtering`] — the three polar-filter implementations (convolution,
 //!   transpose FFT, load-balanced FFT);
 //! * [`physics`] — column physics emulation and load-balancing schemes 1-3;
+//! * [`kernels`] — the §4 single-node kernels the dynamical core runs on:
+//!   row primitives, the three fused fd sweeps, the layout studies;
 //! * [`dynamics`] — the finite-difference dynamical core;
 //! * [`agcm`] — the assembled model, timers and report formatting;
 //! * [`resilience`] — checkpoint/restart and fault recovery (paired with
@@ -39,6 +41,7 @@ pub use agcm_ensemble as ensemble;
 pub use agcm_fft as fft;
 pub use agcm_filtering as filtering;
 pub use agcm_grid as grid;
+pub use agcm_kernels as kernels;
 pub use agcm_mps as mps;
 pub use agcm_physics as physics;
 pub use agcm_resilience as resilience;
