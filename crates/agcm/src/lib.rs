@@ -12,19 +12,16 @@
 //! * [`model`] — the driver: spawn the mesh, step the model, collect the
 //!   execution trace and per-rank results; [`model::run_model_resilient`]
 //!   adds checkpoint/restart recovery on top (see `agcm-resilience`);
-//! * [`timers`] — wall-clock component timers (the measurement
-//!   infrastructure of Tables 1–3);
 //! * [`report`] — fixed-width table formatting for the `reproduce`
-//!   harness, including paper-vs-measured columns;
-//! * [`templates`] — the paper's §5 reusable-component design: a
-//!   [`templates::Component`] trait and [`templates::Pipeline`] assembling
-//!   a model from parts.
+//!   harness, including paper-vs-measured columns.
+//!
+//! Component times are not measured here: the run returns its execution
+//! trace, and `agcm-costmodel`'s replay turns the traced phases into the
+//! per-component seconds of Figure 1 and Tables 1–7.
 
 pub mod config;
 pub mod model;
 pub mod report;
-pub mod templates;
-pub mod timers;
 
 pub use config::{AgcmConfig, ConfigError};
 pub use model::{

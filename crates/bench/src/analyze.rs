@@ -35,8 +35,7 @@ use agcm_telemetry::json::Value;
 
 use crate::harness::{filter_trace, model_run};
 
-/// One named pass/fail check in the report. The binary exits non-zero when
-/// any check fails; CI greps for them in `analysis.json`.
+/// One named pass/fail check in a report.
 #[derive(Debug, Clone)]
 pub struct Check {
     /// Stable key (also the JSON field name under `"checks"`).
@@ -47,6 +46,53 @@ pub struct Check {
     pub detail: String,
 }
 
+/// The machine checks of one report, and the one way they are reported:
+/// `"name":"ok"|"violated"` in the JSON artifact, a readable line plus a
+/// grep-stable `name:ok` line on stdout, and the binary's exit code.
+#[derive(Debug, Clone, Default)]
+pub struct Checks(Vec<Check>);
+
+impl Checks {
+    /// Append one check.
+    pub fn push(&mut self, check: Check) {
+        self.0.push(check);
+    }
+
+    /// The checks, in the order they were made.
+    pub fn iter(&self) -> std::slice::Iter<'_, Check> {
+        self.0.iter()
+    }
+
+    /// Whether every check passed.
+    pub fn all_ok(&self) -> bool {
+        self.0.iter().all(|c| c.ok)
+    }
+
+    /// The `"checks"` object of a JSON artifact.
+    pub fn to_json(&self) -> Value {
+        let verdict = |c: &Check| Value::Str(if c.ok { "ok" } else { "violated" }.to_string());
+        Value::obj(self.0.iter().map(|c| (c.name, verdict(c))).collect())
+    }
+
+    /// Print each check with its evidence, then one `name:ok` / `name:FAIL`
+    /// line per check for CI to count.
+    pub fn print_lines(&self) {
+        for c in &self.0 {
+            let verdict = if c.ok { "ok" } else { "VIOLATED" };
+            println!("check {}: {verdict} ({})", c.name, c.detail);
+        }
+        for c in &self.0 {
+            println!("{}:{}", c.name, if c.ok { "ok" } else { "FAIL" });
+        }
+    }
+}
+
+impl Extend<Check> for Checks {
+    fn extend<I: IntoIterator<Item = Check>>(&mut self, iter: I) {
+        self.0.extend(iter);
+    }
+}
+
 /// The full analysis report: printable tables, the JSON document, the
 /// checks, and the analyzed smoke-run for the flow-event Perfetto export.
 pub struct AnalyzeReport {
@@ -55,16 +101,9 @@ pub struct AnalyzeReport {
     /// The `analysis.json` document.
     pub doc: Value,
     /// Machine-checkable invariants.
-    pub checks: Vec<Check>,
+    pub checks: Checks,
     /// The analyzed 2×3 smoke run (source of `trace_analyzed.json`).
     pub smoke: TraceAnalysis,
-}
-
-impl AnalyzeReport {
-    /// Whether every check passed.
-    pub fn all_ok(&self) -> bool {
-        self.checks.iter().all(|c| c.ok)
-    }
 }
 
 /// The reduced grid every analysis experiment runs on: large enough to
@@ -90,7 +129,7 @@ pub fn polar_ranks(rows: usize, cols: usize) -> Vec<usize> {
 pub fn run_analysis(machine: &MachineProfile) -> Result<AnalyzeReport, Vec<PhaseFault>> {
     let grid = analysis_grid();
     let mut tables = Vec::new();
-    let mut checks = Vec::new();
+    let mut checks = Checks::default();
 
     let (scaling_table, scaling_json) = scaling_section(grid, machine)?;
     tables.push(scaling_table);
@@ -114,17 +153,6 @@ pub fn run_analysis(machine: &MachineProfile) -> Result<AnalyzeReport, Vec<Phase
     tables.push(kern_table);
     checks.extend(kern_checks);
 
-    let checks_json = Value::obj(
-        checks
-            .iter()
-            .map(|c| {
-                (
-                    c.name,
-                    Value::Str(if c.ok { "ok" } else { "violated" }.to_string()),
-                )
-            })
-            .collect(),
-    );
     let doc = Value::obj(vec![
         (
             "meta",
@@ -142,7 +170,7 @@ pub fn run_analysis(machine: &MachineProfile) -> Result<AnalyzeReport, Vec<Phase
         ("critical_path", crit_json),
         ("physics_balance", phys_json),
         ("kernels", kern_json),
-        ("checks", checks_json),
+        ("checks", checks.to_json()),
     ]);
 
     Ok(AnalyzeReport {

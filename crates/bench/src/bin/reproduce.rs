@@ -1,8 +1,13 @@
 //! Regenerate every table and figure of Lou & Farrara (SC'96).
 //!
 //! ```text
-//! reproduce [all|figure1|tables1to3|tables4to7|tables8to11|singlenode|summary|bench-filter|bench-kernels|trace|bench-check|profile]
+//! reproduce [all|figure1|tables1to3|tables4to7|tables8to11|singlenode|summary
+//!           |bench-filter|bench-kernels [--smoke]|trace|analyze|ensemble [--smoke]
+//!           |serve [--smoke]|profile [--smoke]|store [--smoke]|bench-check]
 //! ```
+//!
+//! `all` (the default) runs the paper's tables and figures plus the two
+//! kernel benchmarks.
 //!
 //! `bench-filter` is the filter fast-path regression benchmark: it times
 //! the batched real-input filtering kernel against the original per-line
@@ -34,9 +39,14 @@
 //!
 //! `profile` runs a short instrumented model under the in-process
 //! sampling profiler and writes `profile_folded.txt`, `flamegraph.svg`,
-//! and `profile.json` with the measured-vs-modeled skew report; four
-//! machine-checked invariants print as grep-able `name:ok` lines and a
-//! failure exits non-zero. `--smoke` keeps the run CI-sized.
+//! and `profile.json` with the measured-vs-modeled skew report.
+//! `--smoke` keeps the run CI-sized.
+//!
+//! `analyze`, `ensemble`, `serve`, `profile` and `store` each end in
+//! machine checks reported one way (`agcm_bench::analyze::Checks`):
+//! `"name":"ok"|"violated"` under `"checks"` in the JSON artifact, a
+//! grep-able `name:ok` line per check on stdout, and a non-zero exit when
+//! any check fails.
 //!
 //! Each table prints the paper-reported values next to the model-measured
 //! ones. Absolute agreement is not expected (the substrate is a simulator,
@@ -44,6 +54,7 @@
 //! — are the result. Run in release mode: the 240-rank experiments do the
 //! real filtering work.
 
+use agcm_bench::analyze::Checks;
 use agcm_bench::harness::{
     calibrate, day_times, filter_seconds_per_day, filter_trace, filter_trace_organized, model_run,
     physics_lb_simulation, time_median,
@@ -62,6 +73,7 @@ use agcm_singlenode::blockarray::{
     laplace_block, laplace_block_kernel, laplace_separate, laplace_separate_kernel,
     paper_test_fields,
 };
+use agcm_telemetry::json::Value;
 use std::path::Path;
 
 /// Counting allocator for the `profile` allocation-freedom check; it
@@ -765,13 +777,27 @@ fn measure_filter_kernel() -> FilterKernelTimes {
     }
 }
 
+/// The shared tail of every machine-checked report: print the checks,
+/// write the JSON artifact, exit non-zero if a check failed.
+fn conclude(what: &str, artifact: &str, doc: &Value, checks: &Checks) {
+    checks.print_lines();
+    if let Err(e) = std::fs::write(artifact, format!("{doc}\n")) {
+        eprintln!("could not write {artifact}: {e}");
+        std::process::exit(1);
+    }
+    println!("wrote {artifact}");
+    if !checks.all_ok() {
+        eprintln!("one or more {what} checks failed");
+        std::process::exit(1);
+    }
+}
+
 /// `trace`: run a short instrumented model with a file sink installed,
 /// export the per-rank timeline as Chrome trace-event JSON, print the
 /// per-phase load table, and validate both artifacts before exiting.
 fn trace() {
     use agcm_core::model::run_model;
     use agcm_core::AgcmConfig;
-    use agcm_telemetry::json::Value;
     use agcm_telemetry::{chrome, FileSink, RunMetrics, Timeline};
 
     println!("\n=== Instrumented run: trace.json + metrics.jsonl ===\n");
@@ -956,31 +982,15 @@ fn analyze() {
     for t in &report.tables {
         println!("{t}");
     }
-    for c in &report.checks {
-        println!(
-            "check {}: {} ({})",
-            c.name,
-            if c.ok { "ok" } else { "VIOLATED" },
-            c.detail
-        );
-    }
-
-    if let Err(e) = std::fs::write("analysis.json", format!("{}\n", report.doc)) {
-        eprintln!("could not write analysis.json: {e}");
-        std::process::exit(1);
-    }
     if let Err(e) = chrome::write_chrome_trace_analyzed("trace_analyzed.json", &report.smoke) {
         eprintln!("could not write trace_analyzed.json: {e}");
         std::process::exit(1);
     }
     println!(
-        "wrote analysis.json and trace_analyzed.json ({} flows on the smoke run)",
+        "wrote trace_analyzed.json ({} flows on the smoke run)",
         report.smoke.flows.len()
     );
-    if !report.all_ok() {
-        eprintln!("one or more analysis checks failed");
-        std::process::exit(1);
-    }
+    conclude("analysis", "analysis.json", &report.doc, &report.checks);
 }
 
 /// `ensemble`: the paper's scaling sweep served as a batch workload on a
@@ -994,23 +1004,7 @@ fn ensemble(smoke: bool) {
     println!("\n=== Ensemble serving: scaling sweep as a batch workload ===\n");
     let report = run_ensemble(smoke);
     println!("{}", report.table);
-    for c in &report.checks {
-        println!(
-            "check {}: {} ({})",
-            c.name,
-            if c.ok { "ok" } else { "VIOLATED" },
-            c.detail
-        );
-    }
-    if let Err(e) = std::fs::write("ensemble.json", format!("{}\n", report.doc)) {
-        eprintln!("could not write ensemble.json: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote ensemble.json");
-    if !report.all_ok() {
-        eprintln!("one or more ensemble checks failed");
-        std::process::exit(1);
-    }
+    conclude("ensemble", "ensemble.json", &report.doc, &report.checks);
 }
 
 /// `serve`: the network-facing serving layer exercised end to end over a
@@ -1025,23 +1019,7 @@ fn serve(smoke: bool) {
     println!("\n=== Serving layer: multi-tenant HTTP front end + journal recovery ===\n");
     let report = run_serve(smoke);
     println!("{}", report.table);
-    for c in &report.checks {
-        println!(
-            "check {}: {} ({})",
-            c.name,
-            if c.ok { "ok" } else { "VIOLATED" },
-            c.detail
-        );
-    }
-    if let Err(e) = std::fs::write("serve.json", format!("{}\n", report.doc)) {
-        eprintln!("could not write serve.json: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote serve.json");
-    if !report.all_ok() {
-        eprintln!("one or more serving checks failed");
-        std::process::exit(1);
-    }
+    conclude("serving", "serve.json", &report.doc, &report.checks);
 }
 
 /// `store [--smoke]`: the fleet-wide content-addressed checkpoint store
@@ -1049,43 +1027,21 @@ fn serve(smoke: bool) {
 /// full horizon, an extended run pays only for the extension, a
 /// byte-identical twin lineage dedups to zero new chunks, and GC
 /// reclaims terminals without touching a leased lineage — written to
-/// `store.json` with a machine-checkable `checks` section plus the
-/// grep-stable `name:ok` lines CI matches. Exits non-zero on any
-/// failed check.
+/// `store.json` with a machine-checkable `checks` section. Exits
+/// non-zero on any failed check.
 fn store(smoke: bool) {
     use agcm_bench::store::run_store;
 
     println!("\n=== Checkpoint store: fleet-wide prefix reuse, dedup, and GC ===\n");
     let report = run_store(smoke);
     println!("{}", report.table);
-    for c in &report.checks {
-        println!(
-            "check {}: {} ({})",
-            c.name,
-            if c.ok { "ok" } else { "VIOLATED" },
-            c.detail
-        );
-    }
-    // Stable grep targets for CI, one per invariant.
-    for c in &report.checks {
-        println!("{}:{}", c.name, if c.ok { "ok" } else { "FAIL" });
-    }
-    if let Err(e) = std::fs::write("store.json", format!("{}\n", report.doc)) {
-        eprintln!("could not write store.json: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote store.json");
-    if !report.all_ok() {
-        eprintln!("one or more store checks failed");
-        std::process::exit(1);
-    }
+    conclude("store", "store.json", &report.doc, &report.checks);
 }
 
 /// `profile [--smoke]`: sample a real run with the in-process wall-clock
 /// profiler; write `profile_folded.txt`, `flamegraph.svg`, and
-/// `profile.json`; print the per-phase table, the measured-vs-modeled
-/// skew table, and the machine-check `name:ok` lines CI greps for. Any
-/// failed invariant exits non-zero.
+/// `profile.json`; print the per-phase table and the measured-vs-modeled
+/// skew table. Any failed invariant exits non-zero.
 fn profile(smoke: bool) {
     use agcm_bench::profile::run_profile;
 
@@ -1110,19 +1066,6 @@ fn profile(smoke: bool) {
     println!("{t}");
     println!("{}", r.skew.table_text());
 
-    for c in &r.checks {
-        println!(
-            "check {}: {} ({})",
-            c.name,
-            if c.ok { "ok" } else { "VIOLATED" },
-            c.detail
-        );
-    }
-    // Stable grep targets for CI, one per invariant.
-    for c in &r.checks {
-        println!("{}:{}", c.name, if c.ok { "ok" } else { "FAIL" });
-    }
-
     if let Err(e) = std::fs::write("profile_folded.txt", r.report.folded()) {
         eprintln!("could not write profile_folded.txt: {e}");
         std::process::exit(1);
@@ -1136,15 +1079,8 @@ fn profile(smoke: bool) {
         eprintln!("could not write flamegraph.svg: {e}");
         std::process::exit(1);
     }
-    if let Err(e) = std::fs::write("profile.json", format!("{}\n", r.doc)) {
-        eprintln!("could not write profile.json: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote profile_folded.txt, flamegraph.svg, and profile.json");
-    if !r.all_ok() {
-        eprintln!("one or more profile checks failed");
-        std::process::exit(1);
-    }
+    println!("wrote profile_folded.txt and flamegraph.svg");
+    conclude("profile", "profile.json", &r.doc, &r.checks);
 }
 
 /// `bench-check`: re-time the filter, dynamics and physics kernels and
@@ -1156,7 +1092,6 @@ fn profile(smoke: bool) {
 /// committed, and floor values in the exit message.
 fn bench_check() {
     use agcm_bench::history::{judge, load, series, TrendVerdict};
-    use agcm_telemetry::json::Value;
 
     let tolerance = std::env::var("AGCM_BENCH_TOLERANCE")
         .ok()

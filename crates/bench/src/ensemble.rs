@@ -18,7 +18,7 @@
 //! Everything lands in `ensemble.json` with a machine-checkable `checks`
 //! section, mirroring `reproduce analyze`.
 
-use crate::analyze::{analysis_grid, Check};
+use crate::analyze::{analysis_grid, Check, Checks};
 use agcm_core::model::run_model;
 use agcm_core::report::Table;
 use agcm_core::AgcmConfig;
@@ -56,14 +56,7 @@ pub struct EnsembleReport {
     /// The `ensemble.json` document.
     pub doc: Value,
     /// Machine-checkable invariants.
-    pub checks: Vec<Check>,
-}
-
-impl EnsembleReport {
-    /// Whether every check passed.
-    pub fn all_ok(&self) -> bool {
-        self.checks.iter().all(|c| c.ok)
-    }
+    pub checks: Checks,
 }
 
 /// Build the standard sweep: each mesh under both filter organizations,
@@ -156,7 +149,7 @@ pub fn run_ensemble(smoke: bool) -> EnsembleReport {
     };
 
     // --- Checks -----------------------------------------------------------
-    let mut checks = Vec::new();
+    let mut checks = Checks::default();
 
     let incomplete: Vec<&str> = standard_ids
         .iter()
@@ -323,20 +316,7 @@ pub fn run_ensemble(smoke: bool) -> EnsembleReport {
         ),
         ("jobs", Value::Arr(records.iter().map(job_json).collect())),
         ("fleet", fleet.to_json()),
-        (
-            "checks",
-            Value::obj(
-                checks
-                    .iter()
-                    .map(|c| {
-                        (
-                            c.name,
-                            Value::Str(if c.ok { "ok" } else { "violated" }.to_string()),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
+        ("checks", checks.to_json()),
     ]);
 
     EnsembleReport { table, doc, checks }

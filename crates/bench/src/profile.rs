@@ -21,7 +21,7 @@
 //!   names are interned, measured by the binary's counting allocator.
 
 use crate::alloccount;
-use crate::analyze::{analysis_grid, Check};
+use crate::analyze::{analysis_grid, Check, Checks};
 use agcm_core::{try_run_model_observed, AgcmConfig, ModelRun};
 use agcm_costmodel::machine::MachineProfile;
 use agcm_filtering::driver::FilterVariant;
@@ -36,16 +36,9 @@ pub struct ProfileBenchReport {
     /// The measured-vs-modeled join.
     pub skew: SkewReport,
     /// Machine-checkable invariants.
-    pub checks: Vec<Check>,
+    pub checks: Checks,
     /// The `profile.json` document.
     pub doc: Value,
-}
-
-impl ProfileBenchReport {
-    /// Whether every check passed.
-    pub fn all_ok(&self) -> bool {
-        self.checks.iter().all(|c| c.ok)
-    }
 }
 
 /// Run one profiled model. Retries with more steps if the run finished
@@ -127,7 +120,7 @@ pub fn run_profile(smoke: bool) -> ProfileBenchReport {
         Err(faults) => panic!("trace has unbalanced phase events: {faults:?}"),
     };
 
-    let mut checks = Vec::new();
+    let mut checks = Checks::default();
     checks.push(Check {
         name: "sample_conservation",
         ok: report.conservation_ok() && report.total_samples > 0,
@@ -163,23 +156,7 @@ pub fn run_profile(smoke: bool) -> ProfileBenchReport {
         ("smoke", Value::Bool(smoke)),
         ("profile", report.to_json()),
         ("skew", skew.to_json()),
-        (
-            "checks",
-            Value::obj(
-                checks
-                    .iter()
-                    .map(|c| {
-                        (
-                            c.name,
-                            Value::obj(vec![
-                                ("ok", Value::Bool(c.ok)),
-                                ("detail", Value::Str(c.detail.clone())),
-                            ]),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
+        ("checks", checks.to_json()),
     ]);
 
     ProfileBenchReport {

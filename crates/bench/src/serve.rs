@@ -19,7 +19,7 @@
 //! section, mirroring `reproduce ensemble`; the binary exits non-zero
 //! when any check fails and CI greps the journal-recovery check.
 
-use crate::analyze::Check;
+use crate::analyze::{Check, Checks};
 use agcm_core::report::Table;
 use agcm_ensemble::{EnsembleConfig, TenantPolicy, TenantQuota};
 use agcm_server::client::{delete_job, get, post_job, ClientResponse};
@@ -52,14 +52,7 @@ pub struct ServeReport {
     /// The `serve.json` document.
     pub doc: Value,
     /// Machine-checkable invariants.
-    pub checks: Vec<Check>,
-}
-
-impl ServeReport {
-    /// Whether every check passed.
-    pub fn all_ok(&self) -> bool {
-        self.checks.iter().all(|c| c.ok)
-    }
+    pub checks: Checks,
 }
 
 /// A fresh journal directory under the working directory (gitignored).
@@ -708,7 +701,8 @@ pub fn run_serve(smoke: bool) -> ServeReport {
         ]);
     }
 
-    let mut checks = a.checks;
+    let mut checks = Checks::default();
+    checks.extend(a.checks);
     checks.extend(b.checks);
     let doc = Value::obj(vec![
         (
@@ -726,20 +720,7 @@ pub fn run_serve(smoke: bool) -> ServeReport {
         ("fleet", a.fleet),
         ("trace", a.trace),
         ("recovery", b.recovery),
-        (
-            "checks",
-            Value::obj(
-                checks
-                    .iter()
-                    .map(|c| {
-                        (
-                            c.name,
-                            Value::Str(if c.ok { "ok" } else { "violated" }.to_string()),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
+        ("checks", checks.to_json()),
     ]);
 
     ServeReport { table, doc, checks }

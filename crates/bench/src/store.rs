@@ -22,7 +22,7 @@
 //! (stored bytes strictly under ingested bytes), and `gc_safe` (GC
 //! reclaims only unleased lineages and a final sweep drains the store).
 
-use crate::analyze::Check;
+use crate::analyze::{Check, Checks};
 use agcm_ckptstore::Store;
 use agcm_core::{run_model, AgcmConfig, RankOutcome, Table};
 use agcm_ensemble::{Ensemble, EnsembleConfig, JobRecord, JobSpec, JobStatus, JobView};
@@ -43,14 +43,7 @@ pub struct StoreReport {
     /// The `store.json` document.
     pub doc: Value,
     /// Machine-checkable invariants.
-    pub checks: Vec<Check>,
-}
-
-impl StoreReport {
-    /// Whether every check passed.
-    pub fn all_ok(&self) -> bool {
-        self.checks.iter().all(|c| c.ok)
-    }
+    pub checks: Checks,
 }
 
 /// The shared trajectory every reusing job walks.
@@ -118,7 +111,7 @@ pub fn run_store(smoke: bool) -> StoreReport {
     let live = submit("live", live_cfg);
     ensemble.join();
 
-    let mut checks = Vec::new();
+    let mut checks = Checks::default();
 
     // --- prefix_reuse: resume provenance + bit-identity ---------------
     let lineage = config(base, every).lineage();
@@ -273,20 +266,7 @@ pub fn run_store(smoke: bool) -> StoreReport {
             "jobs",
             Value::Arr(jobs.iter().map(|r| job_json(r)).collect()),
         ),
-        (
-            "checks",
-            Value::obj(
-                checks
-                    .iter()
-                    .map(|c| {
-                        (
-                            c.name,
-                            Value::Str(if c.ok { "ok" } else { "violated" }.to_string()),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
+        ("checks", checks.to_json()),
     ]);
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -17,7 +17,7 @@ fn analyze_report_holds_its_invariants() {
     let report = run_analysis(&MachineProfile::t3d()).expect("model traces are phase-balanced");
 
     // Every check passes — the binary would exit non-zero otherwise.
-    for c in &report.checks {
+    for c in report.checks.iter() {
         assert!(c.ok, "check {} failed: {}", c.name, c.detail);
     }
     for name in [

@@ -11,9 +11,8 @@
 //!
 //! * [`store::Store`] — chunks each encoded `ModelCheckpoint` record
 //!   into FNV-1a-addressed content chunks, refcounts them across jobs,
-//!   and persists a checksummed metadata index with the same
-//!   tmp-fsync-rename commit discipline as the resilience coordinator
-//!   and the server journal;
+//!   and persists a checksummed metadata index through the resilience
+//!   coordinator's `write_atomic` (tmp, fsync, rename);
 //! * the **prefix index** — per config-lineage commit sets, so a job
 //!   whose `AgcmConfig` lineage matches an earlier run resumes from the
 //!   longest committed step at or below its own horizon instead of
@@ -35,5 +34,8 @@
 pub mod backend;
 pub mod store;
 
+/// The repo's one checksum, re-exported for crates (the server journal)
+/// that frame lines the way the index does without a resilience edge.
+pub use agcm_resilience::fnv1a;
 pub use backend::JobStoreBackend;
 pub use store::{GcReport, Store, StoreStats};

@@ -18,8 +18,8 @@
 //!
 //! The index holds manifests and commits only, one checksummed line
 //! each (`<fnv1a:016x> <payload>`, the server journal's line
-//! discipline), and is rewritten atomically (tmp, fsync, rename) on
-//! every mutation. Chunk **refcounts are derived**, not stored: on open
+//! discipline), and is rewritten atomically (`write_atomic`: tmp, fsync,
+//! rename) on every mutation. Chunk **refcounts are derived**, not stored: on open
 //! they are recomputed from the manifests, so the index can never
 //! disagree with itself about liveness. Reopening reconciles both
 //! directions — a chunk file no chunk list references is an orphan and
@@ -39,27 +39,16 @@
 //! describe live jobs of a live process, and a restarted server
 //! re-acquires them for journal-recovered jobs before sweeping.
 
-use agcm_resilience::checkpoint::CheckpointError;
-use agcm_resilience::coordinator::StoreError;
+use agcm_resilience::checkpoint::{fnv1a, CheckpointError};
+use agcm_resilience::coordinator::{write_atomic, StoreError};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 /// Default chunk size: large enough that a smoke-grid shard is a few
 /// chunks, small enough that shards sharing a prefix share chunks.
 pub const DEFAULT_CHUNK_SIZE: usize = 64 * 1024;
-
-/// FNV-1a over a byte slice (the repo's standing checksum).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn io_err(ctx: &str, path: &Path, e: std::io::Error) -> StoreError {
     StoreError::Io(format!("{ctx} {}: {e}", path.display()))
@@ -317,13 +306,7 @@ impl Store {
         if path.exists() {
             return Ok(());
         }
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = fs::File::create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
-            f.write_all(chunk).map_err(|e| io_err("write", &tmp, e))?;
-            f.sync_all().map_err(|e| io_err("sync", &tmp, e))?;
-        }
-        fs::rename(&tmp, &path).map_err(|e| io_err("rename", &tmp, e))
+        write_atomic(&path, chunk)
     }
 
     /// Publish `(lineage, step)` as committed: every rank `0..world`
@@ -555,15 +538,7 @@ impl Store {
                 out.push_str(&format!("{:016x} {payload}\n", fnv1a(payload.as_bytes())));
             }
         }
-        let path = self.root.join("index");
-        let tmp = self.root.join("index.tmp");
-        {
-            let mut f = fs::File::create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
-            f.write_all(out.as_bytes())
-                .map_err(|e| io_err("write", &tmp, e))?;
-            f.sync_all().map_err(|e| io_err("sync", &tmp, e))?;
-        }
-        fs::rename(&tmp, &path).map_err(|e| io_err("rename", &tmp, e))
+        write_atomic(&self.root.join("index"), out.as_bytes())
     }
 }
 

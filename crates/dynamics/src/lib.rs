@@ -19,8 +19,6 @@
 //! * [`advection`] — tracer advection, in the naive and restructured forms
 //!   of the paper's single-node study (§3.4: −35% on a T3D node);
 //! * [`tendencies`] — Coriolis, pressure-gradient and mass-flux terms;
-//! * [`implicit`] — the §5 linear-solver component: per-column Thomas
-//!   solver and unconditionally stable implicit vertical diffusion;
 //! * [`timestep`] — forward-backward/leapfrog stepping with an
 //!   Asselin-Robert filter and CFL accounting;
 //! * [`core`] — the per-step driver: polar filter → halo exchange →
@@ -28,7 +26,6 @@
 
 pub mod advection;
 pub mod core;
-pub mod implicit;
 pub mod state;
 pub mod tendencies;
 pub mod timestep;

@@ -16,9 +16,9 @@
 //! * [`filter_line`] — the odd-tail path: a single real line through the
 //!   half-size real transform ([`crate::real::rfft_into`]) when n is even,
 //!   the full complex transform otherwise.
-//! * [`filter_lines`] / [`filter_lines_flat`] — drive a whole batch
-//!   through one plan and one workspace: consecutive lines pair up, eight
-//!   pairs at a time advance together through the lane-batched executor
+//! * [`filter_lines_flat`] — drives a whole batch through one plan and
+//!   one workspace: consecutive lines pair up, eight pairs at a time
+//!   advance together through the lane-batched executor
 //!   ([`crate::lanes`], bit-identical to [`filter_pair`] on each pair),
 //!   the odd tail goes through [`filter_line`]. Zero heap allocations
 //!   after warm-up.
@@ -127,42 +127,10 @@ pub fn filter_line(plan: &FftPlan, x: &mut [f64], multiplier: &[f64], ws: &mut F
     }
 }
 
-/// Filter a batch of same-latitude lines: consecutive lines pair up and
-/// go through the lane-batched executor, an odd last line through
+/// Filter same-latitude lines stored back to back in one flat buffer
+/// (`buf.len()` a multiple of the plan size): consecutive lines pair up
+/// and go through the lane-batched executor, an odd last line through
 /// [`filter_line`].
-pub fn filter_lines(
-    plan: &FftPlan,
-    lines: &mut [&mut [f64]],
-    multiplier: &[f64],
-    ws: &mut FftWorkspace,
-) {
-    let n = plan.len();
-    assert_eq!(multiplier.len(), n);
-    debug_assert_symmetric(multiplier);
-    let (paired, tail) = lines.split_at_mut(lines.len() / 2 * 2);
-    if !paired.is_empty() {
-        let mut lanes = LaneBatch::new(plan, ws);
-        lanes.set_multiplier_all(multiplier);
-        for batch in paired.chunks_mut(LINES) {
-            lanes.begin(batch.len() / 2);
-            for (slot, line) in batch.iter().enumerate() {
-                assert_eq!(line.len(), n);
-                lanes.load(slot, 0, line);
-            }
-            lanes.run();
-            for (slot, line) in batch.iter_mut().enumerate() {
-                lanes.store(slot, 0, line);
-            }
-        }
-    }
-    if let [last] = tail {
-        filter_line(plan, last, multiplier, ws);
-    }
-}
-
-/// Filter lines stored back to back in one flat buffer (`buf.len()` a
-/// multiple of the plan size): the same pairing as [`filter_lines`], one
-/// linear memory walk.
 pub fn filter_lines_flat(
     plan: &FftPlan,
     buf: &mut [f64],
@@ -269,25 +237,6 @@ mod tests {
             assert!(
                 max_abs_diff(&flat, &expect) < 1e-10 * n as f64,
                 "lines={lines}"
-            );
-        }
-    }
-
-    #[test]
-    fn slice_batch_matches_flat() {
-        let n = 36;
-        let plan = FftPlan::new(n);
-        let mut ws = plan.workspace();
-        let s = multiplier(n);
-        let mut flat: Vec<f64> = (0..5).flat_map(|l| signal(n, l)).collect();
-        let mut rows: Vec<Vec<f64>> = (0..5).map(|l| signal(n, l)).collect();
-        filter_lines_flat(&plan, &mut flat, &s, &mut ws);
-        let mut refs: Vec<&mut [f64]> = rows.iter_mut().map(|r| r.as_mut_slice()).collect();
-        filter_lines(&plan, &mut refs, &s, &mut ws);
-        for (l, row) in rows.iter().enumerate() {
-            assert!(
-                max_abs_diff(row, &flat[l * n..(l + 1) * n]) < 1e-12,
-                "line {l}"
             );
         }
     }

@@ -6,17 +6,19 @@
 //! *FFT* at O(N log N). Both implementations are provided here, from
 //! scratch, so the `agcm-filtering` crate can reproduce the comparison:
 //!
-//! * [`dft`] — direct O(N²) DFT/IDFT, the correctness oracle;
-//! * [`radix2`] — iterative radix-2 FFT for power-of-two sizes;
+//! * [`dft`] — direct O(N²) DFT/IDFT, the one correctness oracle;
+//! * [`radix2`] — in-place radix-2 FFT for power-of-two sizes, the engine
+//!   inside the Bluestein fallback;
 //! * [`plan`] — mixed-radix Cooley-Tukey (factors 2/3/5; the AGCM's
 //!   N = 144 = 2⁴·3² longitudes are 2/3/5-smooth), with a Bluestein
-//!   fallback for arbitrary sizes;
+//!   fallback for arbitrary sizes, evaluated by one iterative Stockham
+//!   executor;
 //! * [`real`] — real-signal helpers (half-spectrum packing);
 //! * [`convolution`] — direct circular convolution and its FFT equivalent;
 //! * [`ops`] — operation-count estimators used by the execution tracer;
-//! * [`workspace`] — reusable scratch so the iterative executor entry
-//!   points ([`plan::FftPlan::forward_into`] / `inverse_into`) allocate
-//!   nothing per transform;
+//! * [`workspace`] — reusable scratch so the executor's entry points
+//!   ([`plan::FftPlan::forward_into`] / `inverse_into`) allocate nothing
+//!   per transform;
 //! * [`batch`] — batched real-line filtering: two real lines packed per
 //!   complex transform, one spectral-multiplier pass over many lines;
 //! * [`lanes`] — the executor behind it: eight pair-packed transforms

@@ -26,11 +26,6 @@ pub fn spectral_filter_flops(n: usize) -> f64 {
     2.0 * fft_flops(n) + 2.0 * n as f64
 }
 
-/// Flops for an elementwise combine (e.g. reduction) of `n` elements.
-pub fn elementwise_flops(n: usize) -> f64 {
-    n as f64
-}
-
 /// Flops for filtering **two** real lines through the pair-packed path
 /// (`agcm_fft::batch::filter_pair`): one forward + one inverse complex
 /// transform shared by both lines, plus the pointwise multiplier (2 flops

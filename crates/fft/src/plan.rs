@@ -7,17 +7,16 @@
 //! arbitrary sizes fall back to Bluestein's algorithm so the filter works
 //! for any resolution.
 //!
-//! Two single-transform executors share each plan:
+//! One single-transform executor runs every plan:
+//! [`FftPlan::forward_into`] / [`FftPlan::inverse_into`] — an iterative
+//! Stockham (self-sorting) evaluation over precomputed per-stage twiddle
+//! tables, in place, with all scratch provided by a reusable
+//! [`FftWorkspace`]: **zero heap allocations per transform**.
+//! [`FftPlan::forward`] / [`FftPlan::inverse`] are allocating conveniences
+//! over it (copy, transient workspace, `*_into`); the naive
+//! [`crate::dft`] is the oracle both are tested against.
 //!
-//! * [`FftPlan::forward`] / [`FftPlan::inverse`] — the original recursive
-//!   decimation-in-time evaluation, allocating its output. Kept as the
-//!   reference the iterative path is tested against.
-//! * [`FftPlan::forward_into`] / [`FftPlan::inverse_into`] — an iterative
-//!   Stockham (self-sorting) evaluation over precomputed per-stage twiddle
-//!   tables, in place, with all scratch provided by a reusable
-//!   [`FftWorkspace`]: **zero heap allocations per transform**.
-//!
-//! The batched filter's production path is a third walk over the same
+//! The batched filter's production path is a second walk over the same
 //! stage tables: [`crate::lanes`] runs eight pair-packed transforms at a
 //! time with the line index as the vector dimension, through the butterfly
 //! functions defined here, so it agrees with `forward_into`/`inverse_into`
@@ -82,10 +81,7 @@ enum Strategy {
     /// Size 1: identity.
     Identity,
     /// 2/3/5-smooth mixed-radix Cooley-Tukey.
-    MixedRadix {
-        factors: Vec<usize>,
-        stages: Vec<Stage>,
-    },
+    MixedRadix { stages: Vec<Stage> },
     /// Bluestein chirp-z via a padded power-of-two convolution.
     Bluestein {
         /// Padded convolution size (power of two ≥ 2n−1).
@@ -122,15 +118,8 @@ impl FftPlan {
         let strategy = if n == 1 {
             Strategy::Identity
         } else if let Some(factors) = smooth_factors(n) {
-            // The recursive combine gathers one slot per radix point from a
-            // fixed-size array; a larger factor would silently read
-            // truncated state, so the invariant is enforced at build time.
-            assert!(
-                factors.iter().all(|&r| r <= RECURSIVE_MAX_RADIX),
-                "mixed-radix factor exceeds the executor slot capacity {RECURSIVE_MAX_RADIX}: {factors:?}"
-            );
             let stages = build_stages(n, &twiddles, &stage_factors(&factors));
-            Strategy::MixedRadix { factors, stages }
+            Strategy::MixedRadix { stages }
         } else {
             // Bluestein: x[j]·c[j] convolved with conj-chirp, c[j]=e^{-iπj²/n}.
             let m = (2 * n - 1).next_power_of_two();
@@ -204,7 +193,7 @@ impl FftPlan {
     /// for the generic path).
     pub(crate) fn max_radix(&self) -> usize {
         match &self.strategy {
-            Strategy::MixedRadix { stages, .. } => stages.iter().map(|st| st.r).max().unwrap_or(1),
+            Strategy::MixedRadix { stages } => stages.iter().map(|st| st.r).max().unwrap_or(1),
             _ => 1,
         }
     }
@@ -214,9 +203,7 @@ impl FftPlan {
     /// or 4. Bluestein sizes, radix-5 schedules and n = 1 return `None`.
     pub(crate) fn lane_stages(&self) -> Option<&[Stage]> {
         match &self.strategy {
-            Strategy::MixedRadix { stages, .. } if stages.iter().all(|st| st.r <= 4) => {
-                Some(stages)
-            }
+            Strategy::MixedRadix { stages } if stages.iter().all(|st| st.r <= 4) => Some(stages),
             _ => None,
         }
     }
@@ -232,48 +219,19 @@ impl FftPlan {
         ws
     }
 
-    /// Forward FFT: `X[k] = Σ_j x[j] e^{-2πi jk/n}`.
+    /// Forward FFT: `X[k] = Σ_j x[j] e^{-2πi jk/n}`. Allocates its output
+    /// and a transient workspace; hot paths call [`FftPlan::forward_into`].
     pub fn forward(&self, x: &[Complex64]) -> Vec<Complex64> {
-        assert_eq!(
-            x.len(),
-            self.n,
-            "input length {} != plan size {}",
-            x.len(),
-            self.n
-        );
-        match &self.strategy {
-            Strategy::Identity => x.to_vec(),
-            Strategy::MixedRadix { factors, .. } => {
-                let mut out = vec![Complex64::ZERO; self.n];
-                self.mixed_radix(x, &mut out, self.n, 1, factors, false);
-                out
-            }
-            Strategy::Bluestein { .. } => self.bluestein(x, false),
-        }
+        let mut out = x.to_vec();
+        self.forward_into(&mut out, &mut self.workspace());
+        out
     }
 
-    /// Inverse FFT including the 1/n factor.
+    /// Inverse FFT including the 1/n factor; allocating like
+    /// [`FftPlan::forward`].
     pub fn inverse(&self, x: &[Complex64]) -> Vec<Complex64> {
-        assert_eq!(
-            x.len(),
-            self.n,
-            "input length {} != plan size {}",
-            x.len(),
-            self.n
-        );
-        let mut out = match &self.strategy {
-            Strategy::Identity => x.to_vec(),
-            Strategy::MixedRadix { factors, .. } => {
-                let mut out = vec![Complex64::ZERO; self.n];
-                self.mixed_radix(x, &mut out, self.n, 1, factors, true);
-                out
-            }
-            Strategy::Bluestein { .. } => self.bluestein(x, true),
-        };
-        let inv = 1.0 / self.n as f64;
-        for v in &mut out {
-            *v = v.scale(inv);
-        }
+        let mut out = x.to_vec();
+        self.inverse_into(&mut out, &mut self.workspace());
         out
     }
 
@@ -320,7 +278,7 @@ impl FftPlan {
     /// ping-pong between `buf` and the workspace scratch, one precomputed
     /// stage per radix, output in natural order with no permutation pass.
     fn stockham(&self, buf: &mut [Complex64], ws: &mut FftWorkspace, inverse: bool) {
-        let Strategy::MixedRadix { stages, .. } = &self.strategy else {
+        let Strategy::MixedRadix { stages } = &self.strategy else {
             unreachable!("stockham called on a non-mixed-radix plan")
         };
         let (scratch, slots) = ws.stage_buffers(self);
@@ -345,82 +303,8 @@ impl FftPlan {
         self.twiddles[t % self.n]
     }
 
-    /// Twiddle lookup: `e^{∓2πi t/n}` (conjugated for the inverse).
-    #[inline]
-    fn w(&self, t: usize, inverse: bool) -> Complex64 {
-        let tw = self.twiddles[t % self.n];
-        if inverse {
-            tw.conj()
-        } else {
-            tw
-        }
-    }
-
-    /// Recursive mixed-radix decimation-in-time.
-    ///
-    /// Computes the size-`n` transform of `x[0], x[stride], x[2·stride], …`
-    /// into `out[0..n]`. `factors` lists the remaining radices whose product
-    /// is `n`.
-    fn mixed_radix(
-        &self,
-        x: &[Complex64],
-        out: &mut [Complex64],
-        n: usize,
-        stride: usize,
-        factors: &[usize],
-        inverse: bool,
-    ) {
-        if n == 1 {
-            out[0] = x[0];
-            return;
-        }
-        let r = factors[0];
-        let m = n / r;
-        // Sub-transforms of the r interleaved subsequences.
-        for j in 0..r {
-            let (_, tail) = x.split_at(j * stride);
-            self.mixed_radix(
-                tail,
-                &mut out[j * m..(j + 1) * m],
-                m,
-                stride * r,
-                &factors[1..],
-                inverse,
-            );
-        }
-        // Combine: X[k + q·m] = Σ_j (w_n^{jk}·out_j[k]) · w_r^{jq}.
-        // Safe in place: for a given k we first gather all out[j·m + k],
-        // then write exactly those positions.
-        let full = self.n / n; // twiddle step: w_n = (w_N)^{N/n}
-        let mut a = [Complex64::ZERO; RECURSIVE_MAX_RADIX];
-        for k in 0..m {
-            for (j, slot) in a.iter_mut().enumerate().take(r) {
-                *slot = out[j * m + k] * self.w(full * j * k, inverse);
-            }
-            for q in 0..r {
-                let mut s = Complex64::ZERO;
-                for (j, &aj) in a.iter().enumerate().take(r) {
-                    // w_r^{jq} = w_N^{(N/r)·jq}
-                    s += aj * self.w((self.n / r) * ((j * q) % r), inverse);
-                }
-                out[q * m + k] = s;
-            }
-        }
-    }
-
-    /// Bluestein chirp-z transform through the power-of-two engine.
-    fn bluestein(&self, x: &[Complex64], inverse: bool) -> Vec<Complex64> {
-        let Strategy::Bluestein { m, .. } = &self.strategy else {
-            unreachable!("bluestein called on a non-Bluestein plan")
-        };
-        let mut a = vec![Complex64::ZERO; *m];
-        let mut out = vec![Complex64::ZERO; self.n];
-        self.bluestein_convolve(x, &mut a, &mut out, inverse);
-        out
-    }
-
-    /// Bluestein through workspace scratch: in-place on `buf`, zero
-    /// allocations.
+    /// Bluestein chirp-z transform through the power-of-two engine, in
+    /// place on `buf` with workspace scratch: zero allocations.
     fn bluestein_into(&self, buf: &mut [Complex64], ws: &mut FftWorkspace, inverse: bool) {
         let (scratch, _) = ws.stage_buffers(self);
         scratch.fill(Complex64::ZERO);
@@ -445,49 +329,10 @@ impl FftPlan {
             buf[k] = (scratch[k] * take(chirp[k])).scale(inv_m);
         }
     }
-
-    /// Shared Bluestein body: seed `a` (length m, zeroed), convolve, write
-    /// the de-chirped result into `out`.
-    fn bluestein_convolve(
-        &self,
-        x: &[Complex64],
-        a: &mut [Complex64],
-        out: &mut [Complex64],
-        inverse: bool,
-    ) {
-        let Strategy::Bluestein {
-            m,
-            chirp,
-            kernel_fft,
-        } = &self.strategy
-        else {
-            unreachable!("bluestein called on a non-Bluestein plan")
-        };
-        let n = self.n;
-        let take = |c: Complex64| if inverse { c.conj() } else { c };
-        for j in 0..n {
-            a[j] = x[j] * take(chirp[j]);
-        }
-        fft_pow2_inplace(a, -1.0);
-        for (av, &kv) in a.iter_mut().zip(kernel_fft.iter()) {
-            let k = if inverse { kv.conj() } else { kv };
-            *av *= k;
-        }
-        fft_pow2_inplace(a, 1.0);
-        let inv_m = 1.0 / *m as f64;
-        for k in 0..n {
-            out[k] = (a[k] * take(chirp[k])).scale(inv_m);
-        }
-    }
 }
 
-/// Slot-array capacity of the recursive combine; enforced at plan build so
-/// an over-large radix can never silently read truncated state.
-const RECURSIVE_MAX_RADIX: usize = 8;
-
-/// Precompute the Stockham stages. Stage twiddles are drawn from the same
-/// global table the recursive executor uses, so both paths see identical
-/// twiddle values.
+/// Precompute the Stockham stages; stage twiddles are drawn from the plan's
+/// global table.
 fn build_stages(n: usize, twiddles: &[Complex64], factors: &[usize]) -> Vec<Stage> {
     let mut stages = Vec::with_capacity(factors.len());
     let mut n_cur = n;
@@ -693,32 +538,6 @@ mod tests {
     }
 
     #[test]
-    fn iterative_matches_dft_smooth_sizes() {
-        for n in [1, 2, 3, 4, 5, 6, 9, 12, 20, 30, 45, 48, 72, 144] {
-            let plan = FftPlan::new(n);
-            let mut ws = plan.workspace();
-            let x = signal(n);
-            let mut buf = x.clone();
-            plan.forward_into(&mut buf, &mut ws);
-            let err = max_error(&buf, &dft(&x));
-            assert!(err < 1e-9 * (n.max(4)) as f64, "n={n}: err={err}");
-        }
-    }
-
-    #[test]
-    fn iterative_inverse_matches_idft() {
-        for n in [12, 144, 13, 90, 25] {
-            let plan = FftPlan::new(n);
-            let mut ws = plan.workspace();
-            let x = signal(n);
-            let mut buf = x.clone();
-            plan.inverse_into(&mut buf, &mut ws);
-            let err = max_error(&buf, &idft(&x));
-            assert!(err < 1e-9 * n as f64, "n={n}: err={err}");
-        }
-    }
-
-    #[test]
     fn iterative_roundtrip_reuses_workspace() {
         let plan = FftPlan::new(144);
         let mut ws = plan.workspace();
@@ -743,22 +562,8 @@ mod tests {
     }
 
     #[test]
-    fn bluestein_into_is_bitwise_identical_to_forward() {
-        // Both entry points run the same arithmetic in the same order, so
-        // the results must agree exactly, not just to rounding error.
-        for n in [7, 23, 97] {
-            let plan = FftPlan::new(n);
-            let mut ws = plan.workspace();
-            let x = signal(n);
-            let mut buf = x.clone();
-            plan.forward_into(&mut buf, &mut ws);
-            assert_eq!(buf, plan.forward(&x), "n={n}");
-        }
-    }
-
-    #[test]
     fn inverse_matches_idft() {
-        for n in [12, 144, 13, 90] {
+        for n in [12, 144, 13, 90, 25] {
             let plan = FftPlan::new(n);
             let x = signal(n);
             let err = max_error(&plan.inverse(&x), &idft(&x));
@@ -801,7 +606,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "input length")]
+    #[should_panic(expected = "buffer length")]
     fn wrong_length_rejected() {
         FftPlan::new(8).forward(&signal(7));
     }

@@ -1,10 +1,11 @@
-//! Satellite property test: the iterative workspace executor
-//! (`forward_into`/`inverse_into`) must agree with the original recursive
-//! executor (`forward`/`inverse`) to ≤1e-12 across every size 1..=96 plus
-//! the production longitude count 144 — covering mixed-radix schedules of
-//! every shape and the Bluestein fallback (where the two entry points run
-//! the identical arithmetic, so they agree exactly).
+//! The Stockham workspace executor (`forward_into`/`inverse_into`) is the
+//! only complex-FFT engine: it must agree with the naive `dft`/`idft`
+//! oracle across every size 1..=96 plus the production longitude count
+//! 144 — covering mixed-radix schedules of every shape and the Bluestein
+//! fallback — and the allocating `forward`/`inverse` conveniences must be
+//! the same arithmetic, bit for bit.
 
+use agcm_fft::dft::{dft, idft};
 use agcm_fft::{Complex64, FftPlan};
 
 fn signal(n: usize, seed: u64) -> Vec<Complex64> {
@@ -30,27 +31,48 @@ fn max_diff(a: &[Complex64], b: &[Complex64]) -> f64 {
         .fold(0.0, f64::max)
 }
 
+fn bits(v: &[Complex64]) -> Vec<(u64, u64)> {
+    v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+}
+
 #[test]
-fn iterative_executor_matches_recursive_all_sizes() {
-    let sizes: Vec<usize> = (1..=96).chain([144]).collect();
-    for &n in &sizes {
+fn executor_matches_the_dft_oracle_all_sizes() {
+    for n in (1..=96).chain([144]) {
         let plan = FftPlan::new(n);
         let mut ws = plan.workspace();
+        // Inputs are O(1), so an O(n log n) transform accumulates a few
+        // ulps per output against the O(n²) oracle's own rounding.
+        let tol = 1e-12 * n as f64;
         for seed in 0..3u64 {
             let x = signal(n, seed * 1000 + n as u64);
 
-            let expect_fwd = plan.forward(&x);
             let mut got = x.clone();
             plan.forward_into(&mut got, &mut ws);
-            let err = max_diff(&got, &expect_fwd);
-            assert!(err <= 1e-12, "forward n={n} seed={seed}: err={err:e}");
+            let err = max_diff(&got, &dft(&x));
+            assert!(err <= tol, "forward n={n} seed={seed}: err={err:e}");
 
-            let expect_inv = plan.inverse(&x);
             let mut got = x.clone();
             plan.inverse_into(&mut got, &mut ws);
-            let err = max_diff(&got, &expect_inv);
-            assert!(err <= 1e-12, "inverse n={n} seed={seed}: err={err:e}");
+            let err = max_diff(&got, &idft(&x));
+            assert!(err <= tol, "inverse n={n} seed={seed}: err={err:e}");
         }
+    }
+}
+
+#[test]
+fn allocating_conveniences_are_the_executor_bitwise() {
+    for n in (1..=96).chain([144]) {
+        let plan = FftPlan::new(n);
+        let mut ws = plan.workspace();
+        let x = signal(n, n as u64);
+
+        let mut got = x.clone();
+        plan.forward_into(&mut got, &mut ws);
+        assert_eq!(bits(&plan.forward(&x)), bits(&got), "forward n={n}");
+
+        let mut got = x.clone();
+        plan.inverse_into(&mut got, &mut ws);
+        assert_eq!(bits(&plan.inverse(&x)), bits(&got), "inverse n={n}");
     }
 }
 
@@ -63,8 +85,9 @@ fn shared_workspace_across_sizes_is_safe() {
         let x = signal(n, n as u64);
         let mut got = x.clone();
         plan.forward_into(&mut got, &mut ws);
-        assert!(
-            max_diff(&got, &plan.forward(&x)) <= 1e-12,
+        assert_eq!(
+            bits(&got),
+            bits(&plan.forward(&x)),
             "n={n} after mixed-size reuse"
         );
     }

@@ -19,17 +19,16 @@ pub fn dispatch_target() -> &'static str {
 /// `$avx2` / `$avx512` are `#[target_feature]` wrappers around it — so
 /// each gets its own vectorized compilation of the same code, and the
 /// only `unsafe` is entering them — and `$name` dispatches at runtime to
-/// the widest one the CPU supports. The idiom of `stencil.rs`, written
-/// once.
+/// the widest one the CPU supports.
 macro_rules! dispatched {
     (
         $(#[$doc:meta])*
-        pub fn $name:ident / $body:ident / $avx2:ident / $avx512:ident
+        $vis:vis fn $name:ident / $body:ident / $avx2:ident / $avx512:ident
         ($($arg:ident: $ty:ty),* $(,)?) $block:block
     ) => {
         $(#[$doc])*
         #[allow(clippy::too_many_arguments)] // whatever the operator takes
-        pub fn $name($($arg: $ty),*) {
+        $vis fn $name($($arg: $ty),*) {
             #[cfg(target_arch = "x86_64")]
             {
                 if is_x86_feature_detected!("avx512f") {

@@ -22,8 +22,8 @@
 //!   phase as three row-fused sweeps (continuity, momentum, tracers) built
 //!   from those primitives, tendencies in L1-sized row buffers;
 //! * [`dispatch`] — the one runtime SIMD dispatch (portable / AVX2 /
-//!   AVX-512F compilations of a safe body) the sweeps and the flat upwind
-//!   kernel go through;
+//!   AVX-512F compilations of a safe body) the sweeps, the flat upwind
+//!   kernel and the stencil go through;
 //! * [`stencil`] — the 7-point Laplace stencil of the §3.4 cache
 //!   experiment, separate vs block layout, over flat slices;
 //! * [`pointwise`] — the pointwise vector-multiply primitive (Eq. 4);

@@ -6,17 +6,17 @@
 //! laplace_block}`: same accumulation order (bit-identical results), but
 //! the per-point bounds-checked `get`/`set` offset arithmetic is replaced
 //! by exact-length row slices the compiler vectorizes. On x86-64 each
-//! kernel runtime-dispatches to an AVX-512F/AVX compilation of the same
-//! loop body where the CPU supports it — wider lanes, identical per-point
-//! arithmetic order. Interior points only; the boundary ring of `out` is
-//! zeroed.
+//! kernel runtime-dispatches (`dispatched!`) to an AVX-512F/AVX2
+//! compilation of the same loop body where the CPU supports it — wider
+//! lanes, identical per-point arithmetic order. Interior points only; the
+//! boundary ring of `out` is zeroed.
 
 /// Sum of 7-point Laplacians over fields stored separately, accumulated
 /// field-by-field into `out` (the reference's order).
 ///
 /// Dispatches at runtime to the widest SIMD compilation of the same loop
 /// body the CPU supports. Vector width cannot change results: each output
-/// point's addition chain lives entirely within one lane, so AVX lanes
+/// point's addition chain lives entirely within one lane, so vector lanes
 /// perform exactly the scalar sequence — bit-identical by construction.
 pub fn laplace_separate_into(fields: &[&[f64]], shape: (usize, usize, usize), out: &mut [f64]) {
     let (ni, nj, nk) = shape;
@@ -28,77 +28,54 @@ pub fn laplace_separate_into(fields: &[&[f64]], shape: (usize, usize, usize), ou
         assert_eq!(f.len(), n, "field mis-sized");
     }
     out.fill(0.0);
-    #[cfg(target_arch = "x86_64")]
-    {
-        if is_x86_feature_detected!("avx512f") {
-            // SAFETY: same safe body, compiled with AVX-512F enabled;
-            // gated on runtime detection above.
-            unsafe { separate_rows_avx512(fields, shape, out) };
-            return;
-        }
-        if is_x86_feature_detected!("avx") {
-            // SAFETY: as above, for AVX.
-            unsafe { separate_rows_avx(fields, shape, out) };
-            return;
-        }
-    }
     separate_rows(fields, shape, out);
 }
 
-/// The separate-layout loop body, shared verbatim by every dispatch
-/// target (`inline(always)` so each `#[target_feature]` wrapper gets its
-/// own vectorized compilation).
-#[inline(always)]
-fn separate_rows(fields: &[&[f64]], shape: (usize, usize, usize), out: &mut [f64]) {
-    let (ni, nj, nk) = shape;
-    if nj < 3 {
-        return; // no interior rows — out stays zeroed
-    }
-    let (rj, rk) = (ni, ni * nj);
-    // Fused-plane traversal: within each k-plane the interior rows form
-    // one contiguous span (the neighbour-offset formulas stay valid at the
-    // i-boundary columns in between — they just compute wrap-around
-    // garbage there, re-zeroed below). One long vector loop per
-    // (plane, field) instead of one short one per (row, field). Every
-    // interior point still accumulates its fields in reference order, so
-    // results stay bit-identical.
-    let span = (nj - 2) * ni - 2; // (1,1,k) ..= (ni-2,nj-2,k), contiguous
-    for k in 1..nk - 1 {
-        let b = (k * nj + 1) * ni + 1; // first interior point of the plane
-        let o = &mut out[b..b + span];
-        for f in fields {
-            let c = &f[b..b + span];
-            let w = &f[b - 1..b - 1 + span];
-            let e = &f[b + 1..b + 1 + span];
-            let s = &f[b - rj..b - rj + span];
-            let nn = &f[b + rj..b + rj + span];
-            let d = &f[b - rk..b - rk + span];
-            let u = &f[b + rk..b + rk + span];
-            for i in 0..span {
-                // Same chain as the reference: W + E + S + N + D + U − 6C.
-                let lap = w[i] + e[i] + s[i] + nn[i] + d[i] + u[i] - 6.0 * c[i];
-                o[i] += lap;
+dispatched! {
+    /// The separate-layout loop body over a zeroed `out`.
+    fn separate_rows / separate_rows_body / separate_rows_avx2 / separate_rows_avx512 (
+        fields: &[&[f64]],
+        shape: (usize, usize, usize),
+        out: &mut [f64],
+    ) {
+        let (ni, nj, nk) = shape;
+        if nj < 3 {
+            return; // no interior rows — out stays zeroed
+        }
+        let (rj, rk) = (ni, ni * nj);
+        // Fused-plane traversal: within each k-plane the interior rows form
+        // one contiguous span (the neighbour-offset formulas stay valid at the
+        // i-boundary columns in between — they just compute wrap-around
+        // garbage there, re-zeroed below). One long vector loop per
+        // (plane, field) instead of one short one per (row, field). Every
+        // interior point still accumulates its fields in reference order, so
+        // results stay bit-identical.
+        let span = (nj - 2) * ni - 2; // (1,1,k) ..= (ni-2,nj-2,k), contiguous
+        for k in 1..nk - 1 {
+            let b = (k * nj + 1) * ni + 1; // first interior point of the plane
+            let o = &mut out[b..b + span];
+            for f in fields {
+                let c = &f[b..b + span];
+                let w = &f[b - 1..b - 1 + span];
+                let e = &f[b + 1..b + 1 + span];
+                let s = &f[b - rj..b - rj + span];
+                let nn = &f[b + rj..b + rj + span];
+                let d = &f[b - rk..b - rk + span];
+                let u = &f[b + rk..b + rk + span];
+                for i in 0..span {
+                    // Same chain as the reference: W + E + S + N + D + U − 6C.
+                    let lap = w[i] + e[i] + s[i] + nn[i] + d[i] + u[i] - 6.0 * c[i];
+                    o[i] += lap;
+                }
+            }
+            // Re-zero the i-boundary columns the fused span swept through.
+            for j in 1..nj - 1 {
+                let row = (k * nj + j) * ni;
+                out[row] = 0.0;
+                out[row + ni - 1] = 0.0;
             }
         }
-        // Re-zero the i-boundary columns the fused span swept through.
-        for j in 1..nj - 1 {
-            let row = (k * nj + j) * ni;
-            out[row] = 0.0;
-            out[row + ni - 1] = 0.0;
-        }
     }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn separate_rows_avx(fields: &[&[f64]], shape: (usize, usize, usize), out: &mut [f64]) {
-    separate_rows(fields, shape, out)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn separate_rows_avx512(fields: &[&[f64]], shape: (usize, usize, usize), out: &mut [f64]) {
-    separate_rows(fields, shape, out)
 }
 
 /// The same sum over a block-interleaved array (variable index fastest):
@@ -112,68 +89,43 @@ pub fn laplace_block_into(block: &[f64], m: usize, shape: (usize, usize, usize),
     assert_eq!(block.len(), m * ni * nj * nk, "block mis-sized");
     assert_eq!(out.len(), ni * nj * nk, "output buffer mis-sized");
     out.fill(0.0);
-    #[cfg(target_arch = "x86_64")]
-    {
-        if is_x86_feature_detected!("avx512f") {
-            // SAFETY: same safe body compiled with AVX-512F; gated on
-            // runtime detection. Lane-independent chains — bit-identical.
-            unsafe { block_rows_avx512(block, m, shape, out) };
-            return;
-        }
-        if is_x86_feature_detected!("avx") {
-            // SAFETY: as above, for AVX.
-            unsafe { block_rows_avx(block, m, shape, out) };
-            return;
-        }
-    }
     block_rows(block, m, shape, out);
 }
 
-/// The block-layout loop body, shared by every dispatch target.
-#[inline(always)]
-fn block_rows(block: &[f64], m: usize, shape: (usize, usize, usize), out: &mut [f64]) {
-    let (ni, nj, nk) = shape;
-    let (rj, rk) = (ni * m, ni * nj * m);
-    for k in 1..nk - 1 {
-        for j in 1..nj - 1 {
-            let ob = (k * nj + j) * ni;
-            let o = &mut out[ob + 1..ob + ni - 1];
-            let bb = ob * m;
-            #[allow(clippy::needless_range_loop)] // o and block advance differently
-            for i in 0..ni - 2 {
-                let p = bb + (i + 1) * m;
-                let c = &block[p..p + m];
-                let w = &block[p - m..p];
-                let e = &block[p + m..p + 2 * m];
-                let s = &block[p - rj..p - rj + m];
-                let nn = &block[p + rj..p + rj + m];
-                let d = &block[p - rk..p - rk + m];
-                let u = &block[p + rk..p + rk + m];
-                let mut acc = 0.0;
-                for v in 0..m {
-                    acc += w[v] + e[v] + s[v] + nn[v] + d[v] + u[v] - 6.0 * c[v];
+dispatched! {
+    /// The block-layout loop body over a zeroed `out`.
+    fn block_rows / block_rows_body / block_rows_avx2 / block_rows_avx512 (
+        block: &[f64],
+        m: usize,
+        shape: (usize, usize, usize),
+        out: &mut [f64],
+    ) {
+        let (ni, nj, nk) = shape;
+        let (rj, rk) = (ni * m, ni * nj * m);
+        for k in 1..nk - 1 {
+            for j in 1..nj - 1 {
+                let ob = (k * nj + j) * ni;
+                let o = &mut out[ob + 1..ob + ni - 1];
+                let bb = ob * m;
+                #[allow(clippy::needless_range_loop)] // o and block advance differently
+                for i in 0..ni - 2 {
+                    let p = bb + (i + 1) * m;
+                    let c = &block[p..p + m];
+                    let w = &block[p - m..p];
+                    let e = &block[p + m..p + 2 * m];
+                    let s = &block[p - rj..p - rj + m];
+                    let nn = &block[p + rj..p + rj + m];
+                    let d = &block[p - rk..p - rk + m];
+                    let u = &block[p + rk..p + rk + m];
+                    let mut acc = 0.0;
+                    for v in 0..m {
+                        acc += w[v] + e[v] + s[v] + nn[v] + d[v] + u[v] - 6.0 * c[v];
+                    }
+                    o[i] = acc;
                 }
-                o[i] = acc;
             }
         }
     }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn block_rows_avx(block: &[f64], m: usize, shape: (usize, usize, usize), out: &mut [f64]) {
-    block_rows(block, m, shape, out)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn block_rows_avx512(
-    block: &[f64],
-    m: usize,
-    shape: (usize, usize, usize),
-    out: &mut [f64],
-) {
-    block_rows(block, m, shape, out)
 }
 
 #[cfg(test)]

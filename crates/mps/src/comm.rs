@@ -282,16 +282,6 @@ impl Comm {
         }
     }
 
-    /// Blocking receive returning a typed error instead of panicking when
-    /// the awaited peer dies before sending.
-    pub fn recv_result(&self, src: usize, tag: u64) -> Result<Packet, Error> {
-        assert!(
-            tag == ANY_TAG || tag & COLL_BIT == 0,
-            "user tags must leave bit 63 clear"
-        );
-        self.recv_deadline(src, tag, None)
-    }
-
     /// Receive with a deadline: [`Error::Timeout`] if no matching message
     /// arrives within `timeout`, [`Error::PeerDisconnected`] if the awaited
     /// peer dies first.

@@ -130,14 +130,6 @@ impl FaultPlan {
         self
     }
 
-    /// True if the plan perturbs messages at all (kills aside).
-    pub fn perturbs_messages(&self) -> bool {
-        self.drop_ppm > 0
-            || self.duplicate_ppm > 0
-            || self.delay_ppm > 0
-            || !self.targeted.is_empty()
-    }
-
     /// Decide the fate of the `seq`-th message from `src` to `dst`.
     /// Pure: same inputs, same answer.
     pub fn decide(&self, src: usize, dst: usize, seq: u64) -> FaultAction {

@@ -52,11 +52,6 @@ impl CartComm {
         &self.comm
     }
 
-    /// Mesh shape `(rows, cols)`.
-    pub fn dims(&self) -> (usize, usize) {
-        (self.rows, self.cols)
-    }
-
     /// This rank's `(row, col)` coordinates.
     pub fn coords(&self) -> (usize, usize) {
         self.coords_of(self.comm.rank())

@@ -95,7 +95,7 @@ impl Default for RankTrace {
 }
 
 impl RankTrace {
-    /// A new trace; recording is off until [`RankTrace::set_enabled`].
+    /// A new trace, recording events iff `enabled`.
     pub fn new(enabled: bool) -> Arc<Self> {
         RankTrace::with_epoch(enabled, Instant::now())
     }
@@ -115,11 +115,6 @@ impl RankTrace {
     /// Whether events are being recorded.
     pub fn enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Turn recording on or off.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
     }
 
     /// Append an event if recording is enabled. Phase events are also

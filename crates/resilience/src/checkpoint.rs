@@ -106,8 +106,10 @@ pub struct ModelCheckpoint {
     pub fields: Vec<Field3D>,
 }
 
-/// FNV-1a over a byte slice.
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a over a byte slice: the one checksum behind checkpoint records,
+/// `agcm-ckptstore` chunk addresses and index lines, and the server
+/// journal's line framing. Stored data depends on its exact values.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
@@ -337,6 +339,14 @@ mod tests {
                 Field3D::from_fn(2, 2, 1, |i, j, _| -((i + j) as f64)),
             ],
         }
+    }
+
+    #[test]
+    fn checksum_known_answers() {
+        // Indexes, journals and checkpoints on disk were written with
+        // these values; a different hash would orphan all of them.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //! Each rank writes its own shard; a checkpoint only counts once a `COMMIT`
 //! manifest exists in its step directory. The protocol:
 //!
-//! 1. every rank writes `rank_NNNN.agck.tmp` and renames it into place
-//!    (rename is atomic, so a shard is either absent or complete);
+//! 1. every rank publishes `rank_NNNN.agck` through [`write_atomic`]
+//!    (tmp, fsync, rename: a shard is either absent or complete);
 //! 2. barrier — all shards are now durable;
-//! 3. rank 0 verifies the shard count, writes `COMMIT.tmp`, renames it to
-//!    `COMMIT` (the atomic commit point);
+//! 3. rank 0 verifies the shard count and publishes `COMMIT` the same way
+//!    (the atomic commit point);
 //! 4. barrier — every rank knows the checkpoint committed.
 //!
 //! A crash between (1) and (3) leaves an uncommitted directory that restart
@@ -82,11 +82,30 @@ fn io_err(ctx: &str, path: &Path, e: std::io::Error) -> StoreError {
     StoreError::Io(format!("{ctx} {}: {e}", path.display()))
 }
 
+/// Publish `bytes` at `path` atomically: write `<path>.tmp`, fsync it,
+/// rename over `path`. A reader sees the old content, or nothing, or all of
+/// `bytes`. The temporary file is removed (best effort) on failure.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let written = (|| {
+        let mut f = fs::File::create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
+        f.write_all(bytes).map_err(|e| io_err("write", &tmp, e))?;
+        f.sync_all().map_err(|e| io_err("sync", &tmp, e))?;
+        fs::rename(&tmp, path).map_err(|e| io_err("rename", &tmp, e))
+    })();
+    if written.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    written
+}
+
 /// Byte-level storage for checkpoint shards, the seam behind
 /// [`CheckpointStore`].
 ///
-/// The default store writes each shard as a file under
-/// `step_XXXXXXXX/` and publishes a `COMMIT` manifest; a backend
+/// [`CheckpointStore::new`] stores each shard as a file under
+/// `step_XXXXXXXX/` and publishes a `COMMIT` manifest; another backend
 /// replaces that directory layout with its own storage (e.g. the
 /// content-addressed fleet store in `agcm-ckptstore`) while the commit
 /// protocol, encoding, and recovery loop above it stay unchanged. A
@@ -108,66 +127,21 @@ pub trait ShardBackend: Send + Sync {
     fn get_shard(&self, step: u64, rank: u32) -> Result<Vec<u8>, StoreError>;
     /// Shards present for `step`.
     fn shard_count(&self, step: u64) -> usize;
+    /// Drop every committed step older than the newest `keep`, returning
+    /// the steps removed. The default keeps everything: a shared store's
+    /// refcounted GC owns lifetime there.
+    fn prune(&self, _keep: usize) -> Vec<u64> {
+        Vec::new()
+    }
 }
 
-/// An on-disk checkpoint directory:
-/// `root/step_XXXXXXXX/{rank_NNNN.agck..., COMMIT}`,
-/// or a [`ShardBackend`] replacing that layout.
-#[derive(Clone)]
-pub struct CheckpointStore {
+/// The directory layout as a backend:
+/// `root/step_XXXXXXXX/{rank_NNNN.agck..., COMMIT}`.
+struct DirBackend {
     root: PathBuf,
-    order: ByteOrder,
-    backend: Option<Arc<dyn ShardBackend>>,
 }
 
-impl fmt::Debug for CheckpointStore {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CheckpointStore")
-            .field("root", &self.root)
-            .field("order", &self.order)
-            .field(
-                "backend",
-                &self.backend.as_ref().map(|_| "dyn ShardBackend"),
-            )
-            .finish()
-    }
-}
-
-impl CheckpointStore {
-    /// A store rooted at `root`, writing native-flavoured little-endian
-    /// records.
-    pub fn new(root: impl Into<PathBuf>) -> CheckpointStore {
-        CheckpointStore {
-            root: root.into(),
-            order: ByteOrder::Little,
-            backend: None,
-        }
-    }
-
-    /// Override the byte order of written shards (reads auto-detect).
-    pub fn with_order(mut self, order: ByteOrder) -> CheckpointStore {
-        self.order = order;
-        self
-    }
-
-    /// Route shard bytes through `backend` instead of the directory
-    /// layout. `root` is kept for display only; no files are written
-    /// under it.
-    pub fn with_backend(mut self, backend: Arc<dyn ShardBackend>) -> CheckpointStore {
-        self.backend = Some(backend);
-        self
-    }
-
-    /// Whether shards route through a [`ShardBackend`].
-    pub fn has_backend(&self) -> bool {
-        self.backend.is_some()
-    }
-
-    /// Root directory of the store.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
+impl DirBackend {
     fn step_dir(&self, step: u64) -> PathBuf {
         self.root.join(format!("step_{step:08}"))
     }
@@ -175,50 +149,22 @@ impl CheckpointStore {
     fn shard_path(&self, step: u64, rank: u32) -> PathBuf {
         self.step_dir(step).join(format!("rank_{rank:04}.agck"))
     }
+}
 
-    /// Write one rank's shard: tmp file, flush, atomic rename (or hand
-    /// the encoded record to the backend).
-    pub fn write_shard(&self, ckpt: &ModelCheckpoint) -> Result<(), StoreError> {
-        if let Some(b) = &self.backend {
-            return b.put_shard(ckpt.step, ckpt.rank, ckpt.world, &ckpt.encode(self.order));
-        }
-        let dir = self.step_dir(ckpt.step);
+impl ShardBackend for DirBackend {
+    fn put_shard(
+        &self,
+        step: u64,
+        rank: u32,
+        _world: u32,
+        record: &[u8],
+    ) -> Result<(), StoreError> {
+        let dir = self.step_dir(step);
         fs::create_dir_all(&dir).map_err(|e| io_err("create", &dir, e))?;
-        let final_path = self.shard_path(ckpt.step, ckpt.rank);
-        let tmp = final_path.with_extension("agck.tmp");
-        let record = ckpt.encode(self.order);
-        {
-            let mut f = fs::File::create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
-            f.write_all(&record).map_err(|e| io_err("write", &tmp, e))?;
-            f.sync_all().map_err(|e| io_err("sync", &tmp, e))?;
-        }
-        fs::rename(&tmp, &final_path).map_err(|e| io_err("rename", &tmp, e))
+        write_atomic(&self.shard_path(step, rank), record)
     }
 
-    /// Count the shards present for `step`.
-    pub fn shard_count(&self, step: u64) -> usize {
-        if let Some(b) = &self.backend {
-            return b.shard_count(step);
-        }
-        let Ok(entries) = fs::read_dir(self.step_dir(step)) else {
-            return 0;
-        };
-        entries
-            .flatten()
-            .filter(|e| {
-                let name = e.file_name();
-                let name = name.to_string_lossy();
-                name.starts_with("rank_") && name.ends_with(".agck")
-            })
-            .count()
-    }
-
-    /// Commit `step`: verify all `world` shards are in place, then publish
-    /// the `COMMIT` manifest with an atomic rename. Rank 0 only.
-    pub fn commit(&self, step: u64, world: u32) -> Result<(), StoreError> {
-        if let Some(b) = &self.backend {
-            return b.commit(step, world);
-        }
+    fn commit(&self, step: u64, world: u32) -> Result<(), StoreError> {
         let present = self.shard_count(step);
         if present != world as usize {
             return Err(StoreError::IncompleteCheckpoint {
@@ -227,22 +173,13 @@ impl CheckpointStore {
                 required: world as usize,
             });
         }
-        let dir = self.step_dir(step);
-        let tmp = dir.join("COMMIT.tmp");
-        let manifest = dir.join("COMMIT");
-        {
-            let mut f = fs::File::create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
-            writeln!(f, "step {step} world {world}").map_err(|e| io_err("write", &tmp, e))?;
-            f.sync_all().map_err(|e| io_err("sync", &tmp, e))?;
-        }
-        fs::rename(&tmp, &manifest).map_err(|e| io_err("rename", &tmp, e))
+        write_atomic(
+            &self.step_dir(step).join("COMMIT"),
+            format!("step {step} world {world}\n").as_bytes(),
+        )
     }
 
-    /// Steps with a published `COMMIT` manifest, ascending.
-    pub fn committed_steps(&self) -> Vec<u64> {
-        if let Some(b) = &self.backend {
-            return b.committed_steps();
-        }
+    fn committed_steps(&self) -> Vec<u64> {
         let Ok(entries) = fs::read_dir(&self.root) else {
             return Vec::new();
         };
@@ -259,6 +196,100 @@ impl CheckpointStore {
         steps
     }
 
+    fn get_shard(&self, step: u64, rank: u32) -> Result<Vec<u8>, StoreError> {
+        let path = self.shard_path(step, rank);
+        fs::read(&path).map_err(|e| io_err("read", &path, e))
+    }
+
+    fn shard_count(&self, step: u64) -> usize {
+        let Ok(entries) = fs::read_dir(self.step_dir(step)) else {
+            return 0;
+        };
+        entries
+            .flatten()
+            .filter(|e| {
+                let name = e.file_name();
+                let name = name.to_string_lossy();
+                name.starts_with("rank_") && name.ends_with(".agck")
+            })
+            .count()
+    }
+
+    /// Uncommitted (partial) directories are left for inspection.
+    fn prune(&self, keep: usize) -> Vec<u64> {
+        let mut steps = self.committed_steps();
+        steps.truncate(steps.len().saturating_sub(keep));
+        for &step in &steps {
+            let _ = fs::remove_dir_all(self.step_dir(step));
+        }
+        steps
+    }
+}
+
+/// A checkpoint store: the commit protocol, record encoding and shard
+/// identity checks over a [`ShardBackend`] — the on-disk directory layout
+/// by default.
+#[derive(Clone)]
+pub struct CheckpointStore {
+    root: PathBuf,
+    backend: Arc<dyn ShardBackend>,
+}
+
+impl fmt::Debug for CheckpointStore {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CheckpointStore")
+            .field("root", &self.root)
+            .finish_non_exhaustive()
+    }
+}
+
+impl CheckpointStore {
+    /// A store keeping its shards in the directory layout under `root`.
+    pub fn new(root: impl Into<PathBuf>) -> CheckpointStore {
+        let root = root.into();
+        CheckpointStore {
+            backend: Arc::new(DirBackend { root: root.clone() }),
+            root,
+        }
+    }
+
+    /// Route shard bytes through `backend` instead of the directory
+    /// layout. `root` is kept for display only; no files are written
+    /// under it.
+    pub fn with_backend(mut self, backend: Arc<dyn ShardBackend>) -> CheckpointStore {
+        self.backend = backend;
+        self
+    }
+
+    /// Root directory of the store.
+    pub fn root(&self) -> &Path {
+        &self.root
+    }
+
+    /// Store one rank's shard as a little-endian record (reads
+    /// auto-detect the byte order).
+    pub fn write_shard(&self, ckpt: &ModelCheckpoint) -> Result<(), StoreError> {
+        let record = ckpt.encode(ByteOrder::Little);
+        self.backend
+            .put_shard(ckpt.step, ckpt.rank, ckpt.world, &record)
+    }
+
+    /// Count the shards present for `step`.
+    pub fn shard_count(&self, step: u64) -> usize {
+        self.backend.shard_count(step)
+    }
+
+    /// Commit `step`: verify all `world` shards are in place, then publish
+    /// it atomically. Rank 0 only.
+    pub fn commit(&self, step: u64, world: u32) -> Result<(), StoreError> {
+        self.backend.commit(step, world)
+    }
+
+    /// Committed steps, ascending.
+    pub fn committed_steps(&self) -> Vec<u64> {
+        self.backend.committed_steps()
+    }
+
     /// The most recent committed step, if any checkpoint has committed.
     pub fn latest_committed(&self) -> Option<u64> {
         self.committed_steps().into_iter().max()
@@ -267,13 +298,7 @@ impl CheckpointStore {
     /// Load one rank's shard of a committed step, verifying its checksum
     /// and that it is the shard asked for.
     pub fn load_shard(&self, step: u64, rank: u32) -> Result<ModelCheckpoint, StoreError> {
-        let record = match &self.backend {
-            Some(b) => b.get_shard(step, rank)?,
-            None => {
-                let path = self.shard_path(step, rank);
-                fs::read(&path).map_err(|e| io_err("read", &path, e))?
-            }
-        };
+        let record = self.backend.get_shard(step, rank)?;
         let (ckpt, _) = ModelCheckpoint::decode(&record).map_err(StoreError::Format)?;
         if ckpt.step != step || ckpt.rank != rank {
             return Err(StoreError::ShardMismatch {
@@ -285,23 +310,10 @@ impl CheckpointStore {
     }
 
     /// Drop every *committed* checkpoint older than `keep` steps back from
-    /// the newest, returning the steps removed. Uncommitted (partial)
-    /// directories are left for inspection. With a backend the shared
-    /// store's refcounted GC owns chunk lifetime, so prune is a no-op.
+    /// the newest, returning the steps removed (see
+    /// [`ShardBackend::prune`]).
     pub fn prune(&self, keep: usize) -> Vec<u64> {
-        if self.backend.is_some() {
-            return Vec::new();
-        }
-        let steps = self.committed_steps();
-        if steps.len() <= keep {
-            return Vec::new();
-        }
-        let cut = steps.len() - keep;
-        let removed: Vec<u64> = steps[..cut].to_vec();
-        for &step in &removed {
-            let _ = fs::remove_dir_all(self.step_dir(step));
-        }
-        removed
+        self.backend.prune(keep)
     }
 }
 
@@ -424,7 +436,7 @@ mod tests {
     fn corrupt_shard_fails_to_load() {
         let store = CheckpointStore::new(scratch("corrupt"));
         store.write_shard(&shard(1, 0, 1)).unwrap();
-        let path = store.shard_path(1, 0);
+        let path = store.root().join("step_00000001/rank_0000.agck");
         let mut bytes = fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
@@ -434,6 +446,54 @@ mod tests {
             Err(StoreError::Format(CheckpointError::ChecksumMismatch { .. }))
         ));
         let _ = fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn directory_layout_is_the_one_earlier_versions_wrote() {
+        // The layout built by hand: what every earlier version left on
+        // disk, and byte for byte what a store writes today.
+        let root = scratch("layout");
+        let dir = root.join("step_00000005");
+        fs::create_dir_all(&dir).unwrap();
+        let written = CheckpointStore::new(scratch("layout-written"));
+        for rank in 0..2 {
+            let record = shard(5, rank, 2).encode(ByteOrder::Little);
+            fs::write(dir.join(format!("rank_{rank:04}.agck")), record).unwrap();
+            written.write_shard(&shard(5, rank, 2)).unwrap();
+        }
+        fs::write(dir.join("COMMIT"), "step 5 world 2\n").unwrap();
+        written.commit(5, 2).unwrap();
+        for file in ["rank_0000.agck", "rank_0001.agck", "COMMIT"] {
+            let theirs = fs::read(written.root().join("step_00000005").join(file)).unwrap();
+            assert_eq!(theirs, fs::read(dir.join(file)).unwrap(), "{file}");
+        }
+
+        let store = CheckpointStore::new(&root);
+        assert_eq!(store.committed_steps(), vec![5]);
+        assert_eq!(store.load_shard(5, 1).unwrap(), shard(5, 1, 2));
+        assert_eq!(store.prune(0), vec![5]);
+        assert!(!dir.exists());
+        let _ = fs::remove_dir_all(&root);
+        let _ = fs::remove_dir_all(written.root());
+    }
+
+    /// A write that fails after the temporary file exists (its name is a
+    /// symlink to the always-full device) leaves neither it nor the target.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn failed_atomic_write_leaves_no_tmp_and_no_target() {
+        let dir = scratch("atomic-fail");
+        fs::create_dir_all(&dir).unwrap();
+        let target = dir.join("index");
+        std::os::unix::fs::symlink("/dev/full", dir.join("index.tmp")).unwrap();
+        let err = write_atomic(&target, &[7u8; 4096]).unwrap_err();
+        assert!(matches!(err, StoreError::Io(_)), "{err}");
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 0, "dir left empty");
+        // The success path publishes the bytes and leaves no tmp either.
+        write_atomic(&target, b"payload").unwrap();
+        assert_eq!(fs::read(&target).unwrap(), b"payload");
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 1);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     /// Minimal in-memory backend: enough to prove the delegation seam.
@@ -494,7 +554,6 @@ mod tests {
     fn backend_routes_shards_away_from_the_directory_layout() {
         let store =
             CheckpointStore::new(scratch("backend")).with_backend(Arc::new(MemBackend::default()));
-        assert!(store.has_backend());
         store.write_shard(&shard(4, 0, 1)).unwrap();
         assert_eq!(store.shard_count(4), 1);
         assert_eq!(store.latest_committed(), None, "uncommitted is invisible");

@@ -29,8 +29,8 @@ pub mod coordinator;
 pub mod metrics;
 pub mod recovery;
 
-pub use checkpoint::{CheckpointError, ModelCheckpoint};
-pub use coordinator::{write_coordinated, CheckpointStore, ShardBackend, StoreError};
+pub use checkpoint::{fnv1a, CheckpointError, ModelCheckpoint};
+pub use coordinator::{write_atomic, write_coordinated, CheckpointStore, ShardBackend, StoreError};
 pub use metrics::ResilienceMetrics;
 pub use recovery::{
     run_recovered, AttemptFailure, RecoveryError, RecoveryOptions, RunProgress, RunReport,

@@ -36,7 +36,7 @@
 //!   the last committed checkpoint rather than step 0.
 //! - crash after `terminal` → compaction drops it; it is done.
 
-use agcm_ckptstore::Store;
+use agcm_ckptstore::{fnv1a, Store};
 use agcm_ensemble::{JobId, JobObserver, JobRecord};
 use agcm_telemetry::json::Value;
 use std::fs::{File, OpenOptions};
@@ -44,17 +44,6 @@ use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// FNV-1a, the repo's standard integrity hash (same constants as the
-/// checkpoint store).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// A journaled job that has not reached a terminal state — the unit of
 /// recovery.

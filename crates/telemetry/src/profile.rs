@@ -505,17 +505,6 @@ impl ProfileReport {
         self.stacks.iter().map(|s| s.samples).sum::<u64>() == self.total_samples
     }
 
-    /// Every distinct phase name observed on any stack (excluding the
-    /// [`IDLE_FRAME`] pseudo-frame).
-    pub fn sampled_phases(&self) -> BTreeSet<&str> {
-        self.stacks
-            .iter()
-            .flat_map(|s| s.frames.iter())
-            .map(String::as_str)
-            .filter(|f| *f != IDLE_FRAME)
-            .collect()
-    }
-
     /// Per-phase self/total sample counts, heaviest self first.
     pub fn phase_table(&self) -> Vec<PhaseStat> {
         let mut table: BTreeMap<&str, (u64, u64)> = BTreeMap::new();

@@ -17,7 +17,7 @@
 //! * [`kernels`] — the §4 single-node kernels the dynamical core runs on:
 //!   row primitives, the three fused fd sweeps, the layout studies;
 //! * [`dynamics`] — the finite-difference dynamical core;
-//! * [`agcm`] — the assembled model, timers and report formatting;
+//! * [`agcm`] — the assembled model and report formatting;
 //! * [`resilience`] — checkpoint/restart and fault recovery (paired with
 //!   the deterministic fault-injection plane in [`mps::fault`]);
 //! * [`ensemble`] — batch serving of many model runs on a bounded
