@@ -361,15 +361,18 @@ pub fn run_model_resilient(
             }
         },
         |comm, resume| {
-            let ctx = StepContext::new(&cfg, decomp, comm);
             let rank = comm.rank() as u32;
+            let sub = decomp.subdomain_of_rank(comm.rank());
             let (start, mut state, mut tracker, mut physics_loads) = match resume {
                 Some(step) => {
                     let ckpt = store
                         .load_shard(step, rank)
                         .expect("restart requires a loadable committed shard");
-                    let mut state = ModelState::zeros(cfg.grid, ctx.sub);
-                    state.fields = ckpt.fields;
+                    let state = ModelState {
+                        fields: ckpt.fields,
+                        sub,
+                        grid: cfg.grid,
+                    };
                     let mut tracker = LoadTracker::new();
                     if ckpt.scalars[0] != 0.0 {
                         tracker.record(ckpt.scalars[1]);
@@ -378,19 +381,28 @@ pub fn run_model_resilient(
                 }
                 None => (
                     0,
-                    ModelState::initial(cfg.grid, ctx.sub),
+                    ModelState::initial(cfg.grid, sub),
                     LoadTracker::new(),
                     Vec::with_capacity(cfg.steps),
                 ),
             };
 
-            for step in start..cfg.steps as u64 {
+            // A run that resumes at its own horizon computes nothing, so
+            // it builds no step machinery either (filter plans, physics
+            // tables, the mesh communicator). Every rank resumes at the
+            // same step, so the choice is collective.
+            let steps = start..cfg.steps as u64;
+            let ctx = (!steps.is_empty()).then(|| StepContext::new(&cfg, decomp, comm));
+            for step in steps {
+                let ctx = ctx.as_ref().expect("built whenever a step remains");
                 comm.begin_step(step);
                 let (performed, owned) = ctx.step(comm, &mut state, &tracker, step);
                 tracker.record(owned);
                 physics_loads.push(performed);
 
                 if cfg.checkpoint_every > 0 && (step + 1) % cfg.checkpoint_every as u64 == 0 {
+                    // The record borrows the state for the write: it is
+                    // encoded as the store consumes it, never copied.
                     let ckpt = ModelCheckpoint {
                         rank,
                         world: comm.size() as u32,
@@ -400,10 +412,12 @@ pub fn run_model_resilient(
                             Some(v) => vec![1.0, v],
                             None => vec![0.0, 0.0],
                         },
-                        series: physics_loads.clone(),
-                        fields: state.fields.clone(),
+                        series: std::mem::take(&mut physics_loads),
+                        fields: std::mem::take(&mut state.fields),
                     };
                     write_coordinated(comm, store, &ckpt).expect("checkpoint write must succeed");
+                    physics_loads = ckpt.series;
+                    state.fields = ckpt.fields;
                     // One notification per commit, not per shard.
                     if rank == 0 {
                         if let Some(progress) = &opts.progress {

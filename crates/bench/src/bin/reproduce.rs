@@ -1035,6 +1035,7 @@ fn store(smoke: bool) {
     println!("\n=== Checkpoint store: fleet-wide prefix reuse, dedup, and GC ===\n");
     let report = run_store(smoke);
     println!("{}", report.table);
+    println!("{}", report.cost);
     conclude("store", "store.json", &report.doc, &report.checks);
 }
 

@@ -40,6 +40,9 @@ pub const RANKS: usize = 2;
 pub struct StoreReport {
     /// Per-job provenance table for the terminal output.
     pub table: Table,
+    /// What the durable layer cost: puts, their wall time, and the
+    /// shares spent waiting for the store's lock and in fsync.
+    pub cost: Table,
     /// The `store.json` document.
     pub doc: Value,
     /// Machine-checkable invariants.
@@ -214,6 +217,24 @@ pub fn run_store(smoke: bool) -> StoreReport {
         ]);
     }
 
+    let mut cost = Table::new(
+        "Durable layer: cost of the session's shard puts",
+        &[
+            "Puts",
+            "Bytes written",
+            "Put ms (total)",
+            "Lock wait ms",
+            "Fsync ms",
+        ],
+    );
+    cost.add_row(vec![
+        final_stats.puts.to_string(),
+        final_stats.bytes_written.to_string(),
+        format!("{:.2}", final_stats.put_seconds * 1e3),
+        format!("{:.2}", final_stats.lock_wait_seconds * 1e3),
+        format!("{:.2}", final_stats.fsync_seconds * 1e3),
+    ]);
+
     let job_json = |r: &JobRecord| {
         Value::obj(vec![
             ("name", Value::Str(r.name.clone())),
@@ -260,6 +281,13 @@ pub fn run_store(smoke: bool) -> StoreReport {
                     Value::Num(final_stats.bytes_reclaimed as f64),
                 ),
                 ("final_chunks", Value::Num(final_stats.chunks as f64)),
+                ("puts", Value::Num(final_stats.puts as f64)),
+                ("put_seconds", Value::Num(final_stats.put_seconds)),
+                (
+                    "lock_wait_seconds",
+                    Value::Num(final_stats.lock_wait_seconds),
+                ),
+                ("fsync_seconds", Value::Num(final_stats.fsync_seconds)),
             ]),
         ),
         (
@@ -270,5 +298,10 @@ pub fn run_store(smoke: bool) -> StoreReport {
     ]);
 
     let _ = std::fs::remove_dir_all(&dir);
-    StoreReport { table, doc, checks }
+    StoreReport {
+        table,
+        cost,
+        doc,
+        checks,
+    }
 }

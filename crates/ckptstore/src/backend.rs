@@ -11,6 +11,7 @@
 //! steps; resuming below it recomputes only the tail.
 
 use crate::store::Store;
+use agcm_resilience::checkpoint::{RecordSource, RecordStream};
 use agcm_resilience::coordinator::{ShardBackend, StoreError};
 use std::sync::Arc;
 
@@ -40,9 +41,15 @@ impl JobStoreBackend {
 }
 
 impl ShardBackend for JobStoreBackend {
-    fn put_shard(&self, step: u64, rank: u32, world: u32, record: &[u8]) -> Result<(), StoreError> {
+    fn put_shard(
+        &self,
+        step: u64,
+        rank: u32,
+        world: u32,
+        record: &dyn RecordSource,
+    ) -> Result<(), StoreError> {
         self.store
-            .put_shard(self.lineage, step, rank, world, record)
+            .put_shard_from(self.lineage, step, rank, world, record)
     }
 
     fn commit(&self, step: u64, world: u32) -> Result<(), StoreError> {
@@ -57,8 +64,9 @@ impl ShardBackend for JobStoreBackend {
             .collect()
     }
 
-    fn get_shard(&self, step: u64, rank: u32) -> Result<Vec<u8>, StoreError> {
-        self.store.get_shard(self.lineage, step, rank)
+    fn open_shard(&self, step: u64, rank: u32) -> Result<Box<dyn RecordStream + '_>, StoreError> {
+        let shard = self.store.open_shard(self.lineage, step, rank)?;
+        Ok(Box::new(shard))
     }
 
     fn shard_count(&self, step: u64) -> usize {
@@ -86,7 +94,9 @@ mod tests {
         let store = Arc::new(Store::open(scratch("clamp")).unwrap());
         let writer = JobStoreBackend::new(store.clone(), 0x11, 40);
         for step in [10u64, 20, 40] {
-            writer.put_shard(step, 0, 1, &[step as u8; 64]).unwrap();
+            writer
+                .put_shard(step, 0, 1, &&[step as u8; 64][..])
+                .unwrap();
             writer.commit(step, 1).unwrap();
         }
         // A shorter-horizon job with the same lineage sees only the

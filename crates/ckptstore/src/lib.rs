@@ -9,10 +9,12 @@
 //! safe to key on. This crate turns those checkpoints into a shared,
 //! deduplicated store:
 //!
-//! * [`store::Store`] — chunks each encoded `ModelCheckpoint` record
-//!   into FNV-1a-addressed content chunks, refcounts them across jobs,
-//!   and persists a checksummed metadata index through the resilience
-//!   coordinator's `write_atomic` (tmp, fsync, rename);
+//! * [`store::Store`] — chunks each encoded `ModelCheckpoint` record,
+//!   as it streams in, into FNV-1a-addressed content chunks written
+//!   outside the store's lock behind one fsync barrier per shard,
+//!   refcounts them across jobs, and persists a checksummed metadata
+//!   index through the resilience coordinator's `write_atomic` (tmp,
+//!   fsync, rename);
 //! * the **prefix index** — per config-lineage commit sets, so a job
 //!   whose `AgcmConfig` lineage matches an earlier run resumes from the
 //!   longest committed step at or below its own horizon instead of

@@ -19,13 +19,55 @@
 //! The index holds manifests and commits only, one checksummed line
 //! each (`<fnv1a:016x> <payload>`, the server journal's line
 //! discipline), and is rewritten atomically (`write_atomic`: tmp, fsync,
-//! rename) on every mutation. Chunk **refcounts are derived**, not stored: on open
-//! they are recomputed from the manifests, so the index can never
-//! disagree with itself about liveness. Reopening reconciles both
+//! rename) on every mutation. Chunk **refcounts are derived**, not
+//! stored: on open they are recomputed from the manifests, so the index
+//! can never disagree with itself about liveness. Reopening reconciles both
 //! directions — a chunk file no chunk list references is an orphan and
 //! is swept; a manifest referencing a missing chunk file is dropped
 //! (with the commits that depended on it), because a checkpoint that
 //! cannot be reassembled must not be resumable.
+//!
+//! ## Putting a shard: reserve → write → fsync barrier → rename → publish
+//!
+//! A record streams into the store once ([`Store::put_shard_from`]):
+//! two FNV-1a chains advance over each block — the whole-record digest
+//! and the current chunk's address — and only one chunk is buffered.
+//! The store's one mutex guards the maps and the index rewrite; chunk
+//! files are written, synced and read outside it:
+//!
+//! 1. **Reserve** (lock, per chunk). A chunk whose key is in `refs` has
+//!    a durable file: the put takes a reference *now*, so a concurrent
+//!    `gc` cannot bring it to zero. Any other chunk the put will write
+//!    itself: it registers the key as *pending*.
+//! 2. **Write** (no lock). Each pending chunk goes to
+//!    `<chunk name>.<put id>.tmp`. The name is per writer because two
+//!    puts may be writing the same chunk at once — neither waits for
+//!    the other; both files hold the same bytes. A file already sitting
+//!    under an unreferenced chunk's name is never trusted: nothing
+//!    vouches for its length or content, so the chunk is written anew.
+//! 3. **Barrier** (no lock). `sync_all` every temporary file, then
+//!    rename each to its chunk name. One burst of fsyncs per shard
+//!    instead of one per chunk between writes lets the filesystem
+//!    coalesce its journal commits, and the bursts of two jobs overlap.
+//! 4. **Publish** (lock). If the slot is still empty: count the
+//!    manifest's references, insert it, rewrite the index
+//!    (`write_atomic`). If the slot meanwhile holds the same record it
+//!    is a dedup hit; another record, a conflict. Then the reservations
+//!    are returned — on any failure that leaves maps, index and chunk
+//!    files as if the put had never run: its temporary files are
+//!    removed, and a chunk it named is unlinked only if no manifest and
+//!    no other put in flight relies on it.
+//!
+//! The invariants: a chunk name never exists without durable content
+//! (every file is fsynced before its rename); the index never names a chunk that is not durable (publish
+//! after the barrier); readers see a whole shard or none (the manifest
+//! appears last). A crash anywhere leaves at most temporary files and
+//! unreferenced chunks, which the next open sweeps.
+//!
+//! Reading mirrors it ([`Store::open_shard`]): the manifest is copied
+//! under the lock, chunk files are read outside it through one buffer,
+//! and the read that delivers the last byte fails unless the record
+//! hashed to the manifest's digest.
 //!
 //! ## Leases and GC
 //!
@@ -35,16 +77,29 @@
 //! zero. A leased lineage is never touched, so interleaving GC with
 //! live writers is safe by construction; released lineages stay cached
 //! until a GC pass actually runs, which is what makes resubmit-after-
-//! completion reuse work. Leases are deliberately *not* persisted: they
-//! describe live jobs of a live process, and a restarted server
-//! re-acquires them for journal-recovered jobs before sweeping.
+//! completion reuse work. While a put is in flight `gc` may drop any
+//! *manifest* of an unleased lineage, but of the put's chunks it may
+//! unlink none: those the put found are held by its reference, and a
+//! pending chunk is left on disk even when the last manifest naming it
+//! goes (the put that is writing it publishes it or removes it). The
+//! decision to unlink and the unlink itself happen under the lock, so
+//! no put can reserve a chunk between the two. Leases are deliberately
+//! *not* persisted: they describe live jobs of a live process, and a
+//! restarted server re-acquires them for journal-recovered jobs before
+//! sweeping.
 
-use agcm_resilience::checkpoint::{fnv1a, CheckpointError};
+use agcm_resilience::checkpoint::{
+    fnv1a, CheckpointError, Fnv1a, RecordSink, RecordSource, RecordStream,
+};
 use agcm_resilience::coordinator::{write_atomic, StoreError};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::fmt::Write as _;
 use std::fs;
+use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 /// Default chunk size: large enough that a smoke-grid shard is a few
 /// chunks, small enough that shards sharing a prefix share chunks.
@@ -99,6 +154,10 @@ struct Counters {
     chunks_reclaimed: u64,
     bytes_reclaimed: u64,
     orphans_swept: u64,
+    puts: u64,
+    put_time: Duration,
+    lock_wait: Duration,
+    fsync_time: Duration,
 }
 
 #[derive(Debug, Default)]
@@ -107,8 +166,14 @@ struct Inner {
     manifests: BTreeMap<(u64, u64, u32), Manifest>,
     /// lineage → committed steps.
     commits: BTreeMap<u64, BTreeSet<u64>>,
-    /// Derived chunk refcounts (number of manifest references).
+    /// Derived chunk refcounts: manifest references, plus one per
+    /// in-flight put relying on the chunk. A key is present only while
+    /// its file exists with durable content.
     refs: HashMap<ChunkKey, u64>,
+    /// Chunks in-flight puts are writing themselves (the key was not in
+    /// `refs` when they asked), by number of such puts. Their files may
+    /// appear at any moment and belong to those puts, not to `gc`.
+    pending: HashMap<ChunkKey, u32>,
     /// lineage → job ids holding a lease.
     leases: BTreeMap<u64, BTreeSet<u64>>,
     counters: Counters,
@@ -149,6 +214,16 @@ pub struct StoreStats {
     pub bytes_reclaimed: u64,
     /// Orphan chunk files swept at open.
     pub orphans_swept: u64,
+    /// `put_shard` calls this session, whatever their outcome.
+    pub puts: u64,
+    /// Wall seconds spent inside those calls.
+    pub put_seconds: f64,
+    /// Of which: waiting for the store's mutex.
+    pub lock_wait_seconds: f64,
+    /// Of which: in `sync_all` on new chunk files (the per-shard
+    /// durability barrier; the index rewrite's own fsync is not split
+    /// out).
+    pub fsync_seconds: f64,
 }
 
 /// What one [`Store::gc`] pass reclaimed.
@@ -169,6 +244,8 @@ pub struct Store {
     root: PathBuf,
     chunk_size: usize,
     inner: Mutex<Inner>,
+    /// Names the temporary files of one put apart from every other's.
+    next_put: AtomicU64,
 }
 
 impl Store {
@@ -195,12 +272,24 @@ impl Store {
             root,
             chunk_size: chunk_size.max(512),
             inner: Mutex::new(inner),
+            next_put: AtomicU64::new(0),
         };
-        {
-            let inner = store.inner.lock().unwrap();
-            store.persist(&inner)?;
-        }
+        store.persist(&store.lock())?;
         Ok(store)
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner
+            .lock()
+            .expect("store mutex poisoned: a thread panicked while updating the maps")
+    }
+
+    /// [`Store::lock`], adding the time spent waiting to `waited`.
+    fn lock_timed(&self, waited: &mut Duration) -> MutexGuard<'_, Inner> {
+        let asked = Instant::now();
+        let inner = self.lock();
+        *waited += asked.elapsed();
+        inner
     }
 
     /// Root directory of the store.
@@ -226,93 +315,66 @@ impl Store {
         world: u32,
         record: &[u8],
     ) -> Result<(), StoreError> {
-        let digest = fnv1a(record);
-        let mut inner = self.inner.lock().unwrap();
-        inner.counters.bytes_ingested += record.len() as u64;
-        if let Some(m) = inner.manifests.get(&(lineage, step, rank)) {
-            if m.digest == digest && m.len == record.len() as u64 {
-                inner.counters.shard_dedup_hits += 1;
-                inner.counters.bytes_deduped += record.len() as u64;
-                return Ok(());
-            }
-            return Err(StoreError::Io(format!(
-                "lineage {lineage:016x} step {step} rank {rank}: conflicting shard content \
-                 (stored digest {:016x}, offered {digest:016x})",
-                m.digest
-            )));
-        }
-
-        // Write new chunks before touching the maps, so an I/O failure
-        // leaves the index unchanged; creations are remembered for
-        // cleanup on a later failure in the same call.
-        let mut keys = Vec::with_capacity(record.len() / self.chunk_size + 1);
-        let mut created: Vec<ChunkKey> = Vec::new();
-        for chunk in record.chunks(self.chunk_size) {
-            let key = ChunkKey {
-                hash: fnv1a(chunk),
-                len: chunk.len() as u32,
-            };
-            if inner.refs.contains_key(&key) || created.contains(&key) {
-                inner.counters.bytes_deduped += chunk.len() as u64;
-            } else {
-                if let Err(e) = self.write_chunk(&key, chunk) {
-                    for k in &created {
-                        let _ = fs::remove_file(self.chunk_path(k));
-                    }
-                    return Err(e);
-                }
-                created.push(key);
-                inner.counters.bytes_written += chunk.len() as u64;
-            }
-            keys.push(key);
-        }
-        for key in &keys {
-            *inner.refs.entry(*key).or_insert(0) += 1;
-        }
-        inner.manifests.insert(
-            (lineage, step, rank),
-            Manifest {
-                world,
-                len: record.len() as u64,
-                digest,
-                chunks: keys.clone(),
-            },
-        );
-        if let Err(e) = self.persist(&inner) {
-            // Roll back so memory and disk agree about what exists.
-            inner.manifests.remove(&(lineage, step, rank));
-            for key in &keys {
-                let emptied = match inner.refs.get_mut(key) {
-                    Some(r) => {
-                        *r -= 1;
-                        *r == 0
-                    }
-                    None => false,
-                };
-                if emptied {
-                    inner.refs.remove(key);
-                }
-            }
-            for k in &created {
-                let _ = fs::remove_file(self.chunk_path(k));
-            }
-            return Err(e);
-        }
-        Ok(())
+        self.put_shard_from(lineage, step, rank, world, &record)
     }
 
-    fn write_chunk(&self, key: &ChunkKey, chunk: &[u8]) -> Result<(), StoreError> {
-        let path = self.chunk_path(key);
-        if path.exists() {
-            return Ok(());
+    /// [`Store::put_shard`] for a record that is produced as it is
+    /// stored (see the module docs for the protocol): one traversal
+    /// hashes the record, addresses its chunks and writes the new ones,
+    /// and nothing larger than a chunk is buffered.
+    pub fn put_shard_from(
+        &self,
+        lineage: u64,
+        step: u64,
+        rank: u32,
+        world: u32,
+        record: &dyn RecordSource,
+    ) -> Result<(), StoreError> {
+        let started = Instant::now();
+        let mut put = Put {
+            store: self,
+            id: self.next_put.fetch_add(1, Ordering::Relaxed),
+            digest: Fnv1a::new(),
+            chunk: Fnv1a::new(),
+            buf: Vec::with_capacity(self.chunk_size),
+            len: 0,
+            keys: Vec::new(),
+            held: Vec::new(),
+            created: Vec::new(),
+            lock_wait: Duration::ZERO,
+            fsync_time: Duration::ZERO,
+        };
+        let written = record
+            .write_to(&mut put)
+            .and_then(|()| put.seal())
+            .and_then(|()| put.barrier());
+        put.finish((lineage, step, rank), world, written, started)
+    }
+
+    /// Drop one reference to `key`; a chunk nothing references any more
+    /// is unlinked unless an in-flight put is writing it. Returns
+    /// whether the file was removed. Must run under the lock: the
+    /// decision and the unlink are one step to every other put.
+    fn unref(&self, inner: &mut Inner, key: &ChunkKey) -> bool {
+        let Some(count) = inner.refs.get_mut(key) else {
+            return false;
+        };
+        *count -= 1;
+        if *count > 0 {
+            return false;
         }
-        write_atomic(&path, chunk)
+        inner.refs.remove(key);
+        if inner.pending.contains_key(key) {
+            return false;
+        }
+        let _ = fs::remove_file(self.chunk_path(key));
+        true
     }
 
     /// Publish `(lineage, step)` as committed: every rank `0..world`
     /// must have a manifest recording that world size.
     pub fn commit(&self, lineage: u64, step: u64, world: u32) -> Result<(), StoreError> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         let present = (0..world)
             .filter(|r| {
                 inner
@@ -337,7 +399,7 @@ impl Store {
 
     /// Committed steps of `lineage`, ascending.
     pub fn committed_steps(&self, lineage: u64) -> Vec<u64> {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.lock();
         inner
             .commits
             .get(&lineage)
@@ -350,7 +412,7 @@ impl Store {
     /// This is the dispatch-time reuse query; it keeps hit/miss
     /// counters.
     pub fn longest_prefix(&self, lineage: u64, max_step: u64) -> Option<u64> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         let hit = inner
             .commits
             .get(&lineage)
@@ -365,7 +427,7 @@ impl Store {
 
     /// Manifests present for `(lineage, step)`.
     pub fn shard_count(&self, lineage: u64, step: u64) -> usize {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.lock();
         inner
             .manifests
             .range((lineage, step, 0)..=(lineage, step, u32::MAX))
@@ -375,53 +437,66 @@ impl Store {
     /// Reassemble the encoded shard for `(lineage, step, rank)`,
     /// verifying length and whole-record digest.
     pub fn get_shard(&self, lineage: u64, step: u64, rank: u32) -> Result<Vec<u8>, StoreError> {
-        let inner = self.inner.lock().unwrap();
-        let m = inner.manifests.get(&(lineage, step, rank)).ok_or_else(|| {
-            StoreError::Io(format!(
-                "no shard for lineage {lineage:016x} step {step} rank {rank}"
-            ))
-        })?;
-        let mut record = Vec::with_capacity(m.len as usize);
-        for key in &m.chunks {
-            let path = self.chunk_path(key);
-            let chunk = fs::read(&path).map_err(|e| io_err("read", &path, e))?;
-            if chunk.len() != key.len as usize {
-                return Err(StoreError::Io(format!(
-                    "chunk {} is {} bytes, expected {}",
-                    path.display(),
-                    chunk.len(),
-                    key.len
-                )));
-            }
-            record.extend_from_slice(&chunk);
-        }
-        if record.len() as u64 != m.len {
-            return Err(StoreError::Io(format!(
-                "reassembled shard is {} bytes, manifest says {}",
-                record.len(),
-                m.len
-            )));
-        }
-        let computed = fnv1a(&record);
-        if computed != m.digest {
-            return Err(StoreError::Format(CheckpointError::ChecksumMismatch {
-                stored: m.digest,
-                computed,
-            }));
+        let mut shard = self.open_shard(lineage, step, rank)?;
+        let mut record = Vec::with_capacity(shard.remaining() as usize);
+        while shard.remaining() > 0 {
+            let n = shard.remaining().min(self.chunk_size as u64) as usize;
+            record.extend_from_slice(shard.read(n)?);
         }
         Ok(record)
     }
 
+    /// Open the shard for `(lineage, step, rank)` as a stream. Only the
+    /// manifest is copied under the lock; chunk files are read outside
+    /// it, one at a time through one buffer, and the read that delivers
+    /// the last byte fails unless the whole record hashed to the
+    /// manifest's digest. The caller's lease on `lineage` is what keeps
+    /// the chunks in place meanwhile.
+    pub fn open_shard(
+        &self,
+        lineage: u64,
+        step: u64,
+        rank: u32,
+    ) -> Result<ShardStream<'_>, StoreError> {
+        let manifest = self
+            .lock()
+            .manifests
+            .get(&(lineage, step, rank))
+            .cloned()
+            .ok_or_else(|| {
+                StoreError::Io(format!(
+                    "no shard for lineage {lineage:016x} step {step} rank {rank}"
+                ))
+            })?;
+        let stored: u64 = manifest.chunks.iter().map(|c| c.len as u64).sum();
+        if stored != manifest.len {
+            return Err(StoreError::Io(format!(
+                "reassembled shard is {stored} bytes, manifest says {}",
+                manifest.len
+            )));
+        }
+        Ok(ShardStream {
+            store: self,
+            remaining: manifest.len,
+            manifest,
+            next_chunk: 0,
+            chunk: Vec::new(),
+            pos: 0,
+            stitched: Vec::new(),
+            digest: Fnv1a::new(),
+        })
+    }
+
     /// Take a lease on `lineage` for `job`. Idempotent.
     pub fn acquire(&self, lineage: u64, job: u64) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         inner.leases.entry(lineage).or_default().insert(job);
     }
 
     /// Release `job`'s lease on `lineage`. Idempotent; the data stays
     /// cached until a [`Store::gc`] pass actually runs.
     pub fn release(&self, lineage: u64, job: u64) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         if let Some(jobs) = inner.leases.get_mut(&lineage) {
             jobs.remove(&job);
             if jobs.is_empty() {
@@ -435,7 +510,7 @@ impl Store {
     /// lineages — including chunks they share with reclaimed ones — are
     /// untouched.
     pub fn gc(&self) -> Result<GcReport, StoreError> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         inner.counters.gc_runs += 1;
         let lineages: Vec<u64> = inner
             .manifests
@@ -463,16 +538,7 @@ impl Store {
             for key in keys {
                 let m = inner.manifests.remove(&key).expect("key just enumerated");
                 for ck in &m.chunks {
-                    let emptied = match inner.refs.get_mut(ck) {
-                        Some(r) => {
-                            *r -= 1;
-                            *r == 0
-                        }
-                        None => false,
-                    };
-                    if emptied {
-                        inner.refs.remove(ck);
-                        let _ = fs::remove_file(self.chunk_path(ck));
+                    if self.unref(&mut inner, ck) {
                         report.chunks_reclaimed += 1;
                         report.bytes_reclaimed += ck.len as u64;
                     }
@@ -487,7 +553,7 @@ impl Store {
 
     /// Current stats snapshot.
     pub fn stats(&self) -> StoreStats {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.lock();
         let lineages: BTreeSet<u64> = inner
             .manifests
             .keys()
@@ -510,6 +576,10 @@ impl Store {
             chunks_reclaimed: inner.counters.chunks_reclaimed,
             bytes_reclaimed: inner.counters.bytes_reclaimed,
             orphans_swept: inner.counters.orphans_swept,
+            puts: inner.counters.puts,
+            put_seconds: inner.counters.put_time.as_secs_f64(),
+            lock_wait_seconds: inner.counters.lock_wait.as_secs_f64(),
+            fsync_seconds: inner.counters.fsync_time.as_secs_f64(),
         }
     }
 
@@ -517,28 +587,328 @@ impl Store {
     /// publish it atomically.
     fn persist(&self, inner: &Inner) -> Result<(), StoreError> {
         let mut out = String::new();
+        let mut payload = String::new();
+        let mut line = |payload: &str| {
+            let _ = writeln!(out, "{:016x} {payload}", fnv1a(payload.as_bytes()));
+        };
         for ((lineage, step, rank), m) in &inner.manifests {
-            let chunks: Vec<String> = m
-                .chunks
-                .iter()
-                .map(|c| format!("{:016x}:{}", c.hash, c.len))
-                .collect();
-            let payload = format!(
-                "manifest {lineage:016x} {step} {rank} {} {} {:016x} {}",
-                m.world,
-                m.len,
-                m.digest,
-                chunks.join(",")
+            payload.clear();
+            let _ = write!(
+                payload,
+                "manifest {lineage:016x} {step} {rank} {} {} {:016x} ",
+                m.world, m.len, m.digest
             );
-            out.push_str(&format!("{:016x} {payload}\n", fnv1a(payload.as_bytes())));
+            for (i, c) in m.chunks.iter().enumerate() {
+                let sep = if i == 0 { "" } else { "," };
+                let _ = write!(payload, "{sep}{:016x}:{}", c.hash, c.len);
+            }
+            line(&payload);
         }
         for (lineage, steps) in &inner.commits {
             for step in steps {
-                let payload = format!("commit {lineage:016x} {step}");
-                out.push_str(&format!("{:016x} {payload}\n", fnv1a(payload.as_bytes())));
+                payload.clear();
+                let _ = write!(payload, "commit {lineage:016x} {step}");
+                line(&payload);
             }
         }
         write_atomic(&self.root.join("index"), out.as_bytes())
+    }
+}
+
+/// One `put_shard` in flight: the [`RecordSink`] the record streams
+/// into, and the bookkeeping to publish it or take it back.
+struct Put<'a> {
+    store: &'a Store,
+    id: u64,
+    /// Chain over the whole record.
+    digest: Fnv1a,
+    /// Chain over the chunk being filled.
+    chunk: Fnv1a,
+    /// The chunk being filled.
+    buf: Vec<u8>,
+    len: u64,
+    /// The record's chunk list so far.
+    keys: Vec<ChunkKey>,
+    /// References taken on chunks that already existed, one per use.
+    held: Vec<ChunkKey>,
+    /// Chunks this put writes itself (registered in `Inner::pending`).
+    created: Vec<ChunkKey>,
+    lock_wait: Duration,
+    fsync_time: Duration,
+}
+
+impl RecordSink for Put<'_> {
+    fn write(&mut self, block: &[u8]) -> Result<(), StoreError> {
+        let mut rest = block;
+        while !rest.is_empty() {
+            if self.buf.len() == self.store.chunk_size {
+                self.seal()?;
+            }
+            let room = self.store.chunk_size - self.buf.len();
+            let (piece, tail) = rest.split_at(room.min(rest.len()));
+            self.digest.update_both(&mut self.chunk, piece);
+            self.buf.extend_from_slice(piece);
+            self.len += piece.len() as u64;
+            rest = tail;
+        }
+        Ok(())
+    }
+
+    fn digest(&self) -> u64 {
+        self.digest.value()
+    }
+}
+
+impl Put<'_> {
+    fn tmp_path(&self, key: &ChunkKey) -> PathBuf {
+        let name = format!("{}.{}.tmp", key.file_name(), self.id);
+        self.store.root.join("chunks").join(name)
+    }
+
+    /// The chunk in `buf` is complete: *reserve* it, and write it to a
+    /// temporary file if nothing vouches for a durable copy.
+    fn seal(&mut self) -> Result<(), StoreError> {
+        if self.buf.is_empty() {
+            return Ok(());
+        }
+        let key = ChunkKey {
+            hash: self.chunk.value(),
+            len: self.buf.len() as u32,
+        };
+        self.keys.push(key);
+        self.chunk = Fnv1a::new();
+        if !self.created.contains(&key) {
+            let mut inner = self.store.lock_timed(&mut self.lock_wait);
+            match inner.refs.get_mut(&key) {
+                Some(count) => {
+                    *count += 1;
+                    drop(inner);
+                    self.held.push(key);
+                }
+                None => {
+                    *inner.pending.entry(key).or_insert(0) += 1;
+                    drop(inner);
+                    // Registered before the write, so that a failed
+                    // write is taken back like a successful one.
+                    self.created.push(key);
+                    let tmp = self.tmp_path(&key);
+                    fs::File::create(&tmp)
+                        .and_then(|mut f| f.write_all(&self.buf))
+                        .map_err(|e| io_err("write", &tmp, e))?;
+                }
+            }
+        }
+        self.buf.clear();
+        Ok(())
+    }
+
+    /// The durability barrier: every new chunk is on disk under its
+    /// temporary name; fsync each, then give each its real name.
+    fn barrier(&mut self) -> Result<(), StoreError> {
+        let started = Instant::now();
+        for key in &self.created {
+            let tmp = self.tmp_path(key);
+            fs::OpenOptions::new()
+                .write(true)
+                .open(&tmp)
+                .and_then(|f| f.sync_all())
+                .map_err(|e| io_err("sync", &tmp, e))?;
+        }
+        self.fsync_time = started.elapsed();
+        for key in &self.created {
+            let tmp = self.tmp_path(key);
+            fs::rename(&tmp, self.store.chunk_path(key)).map_err(|e| io_err("rename", &tmp, e))?;
+        }
+        Ok(())
+    }
+
+    /// *Publish* the shard or take back everything this put reserved,
+    /// leaving maps, index and chunk files as they would be had it
+    /// never run; then account for it.
+    fn finish(
+        mut self,
+        slot: (u64, u64, u32),
+        world: u32,
+        written: Result<(), StoreError>,
+        started: Instant,
+    ) -> Result<(), StoreError> {
+        if written.is_err() {
+            // Temporary names are this put's alone: no lock needed.
+            for key in &self.created {
+                let _ = fs::remove_file(self.tmp_path(key));
+            }
+        }
+        let mut guard = self.store.lock_timed(&mut self.lock_wait);
+        let inner = &mut *guard;
+        let outcome = written.and_then(|()| self.publish(inner, slot, world));
+        self.release(inner);
+
+        let new_bytes: u64 = self.created.iter().map(|k| k.len as u64).sum();
+        let c = &mut inner.counters;
+        c.bytes_ingested += self.len;
+        match outcome {
+            Ok(true) => {
+                c.bytes_written += new_bytes;
+                c.bytes_deduped += self.len - new_bytes;
+            }
+            Ok(false) => {
+                c.shard_dedup_hits += 1;
+                c.bytes_deduped += self.len;
+            }
+            Err(_) => {}
+        }
+        c.puts += 1;
+        c.lock_wait += self.lock_wait;
+        c.fsync_time += self.fsync_time;
+        c.put_time += started.elapsed();
+        outcome.map(|_| ())
+    }
+
+    /// Under the lock, with every chunk durable under its name: give
+    /// the slot its manifest and rewrite the index. `Ok(false)` when
+    /// the slot already holds this very record (a dedup hit), an error
+    /// when it holds another.
+    fn publish(
+        &mut self,
+        inner: &mut Inner,
+        slot: (u64, u64, u32),
+        world: u32,
+    ) -> Result<bool, StoreError> {
+        let digest = self.digest.value();
+        if let Some(m) = inner.manifests.get(&slot) {
+            if m.digest == digest && m.len == self.len {
+                return Ok(false);
+            }
+            let (lineage, step, rank) = slot;
+            return Err(StoreError::Io(format!(
+                "lineage {lineage:016x} step {step} rank {rank}: conflicting shard content \
+                 (stored digest {:016x}, offered {digest:016x})",
+                m.digest
+            )));
+        }
+        for key in &self.keys {
+            *inner.refs.entry(*key).or_insert(0) += 1;
+        }
+        let manifest = Manifest {
+            world,
+            len: self.len,
+            digest,
+            chunks: std::mem::take(&mut self.keys),
+        };
+        inner.manifests.insert(slot, manifest);
+        if let Err(e) = self.store.persist(inner) {
+            // Roll back so memory and disk agree about what exists.
+            let m = inner.manifests.remove(&slot).expect("inserted above");
+            for key in &m.chunks {
+                self.store.unref(inner, key);
+            }
+            return Err(e);
+        }
+        Ok(true)
+    }
+
+    /// Under the lock: return the reservations. They have served — the
+    /// manifest holds its own references now, or nothing of this put is
+    /// to remain, in which case a chunk it named that no manifest and
+    /// no other put in flight relies on is unlinked.
+    fn release(&self, inner: &mut Inner) {
+        for key in &self.held {
+            self.store.unref(inner, key);
+        }
+        for key in &self.created {
+            let Some(count) = inner.pending.get_mut(key) else {
+                continue;
+            };
+            *count -= 1;
+            if *count == 0 {
+                inner.pending.remove(key);
+                if !inner.refs.contains_key(key) {
+                    let _ = fs::remove_file(self.store.chunk_path(key));
+                }
+            }
+        }
+    }
+}
+
+/// A stored shard being read back, chunk file by chunk file.
+#[derive(Debug)]
+pub struct ShardStream<'a> {
+    store: &'a Store,
+    manifest: Manifest,
+    next_chunk: usize,
+    /// The current chunk's bytes; `pos` of them are delivered.
+    chunk: Vec<u8>,
+    pos: usize,
+    /// A read that spans chunk files, put together.
+    stitched: Vec<u8>,
+    remaining: u64,
+    digest: Fnv1a,
+}
+
+impl RecordStream for ShardStream<'_> {
+    fn remaining(&self) -> u64 {
+        self.remaining
+    }
+
+    fn read(&mut self, n: usize) -> Result<&[u8], StoreError> {
+        if self.pos == self.chunk.len() && n > 0 {
+            self.load_next()?;
+        }
+        let block = if self.chunk.len() - self.pos >= n {
+            self.pos += n;
+            &self.chunk[self.pos - n..self.pos]
+        } else {
+            self.stitched.clear();
+            while self.stitched.len() < n {
+                if self.pos == self.chunk.len() {
+                    self.load_next()?;
+                }
+                let k = (self.chunk.len() - self.pos).min(n - self.stitched.len());
+                self.stitched
+                    .extend_from_slice(&self.chunk[self.pos..self.pos + k]);
+                self.pos += k;
+            }
+            &self.stitched
+        };
+        self.digest.update(block);
+        self.remaining -= n as u64;
+        let computed = self.digest.value();
+        if self.remaining == 0 && computed != self.manifest.digest {
+            return Err(StoreError::Format(CheckpointError::ChecksumMismatch {
+                stored: self.manifest.digest,
+                computed,
+            }));
+        }
+        Ok(block)
+    }
+
+    fn digest(&self) -> u64 {
+        self.digest.value()
+    }
+}
+
+impl ShardStream<'_> {
+    fn load_next(&mut self) -> Result<(), StoreError> {
+        let key = self
+            .manifest
+            .chunks
+            .get(self.next_chunk)
+            .ok_or_else(|| StoreError::Io("read past the end of a stored shard".to_string()))?;
+        self.next_chunk += 1;
+        let path = self.store.chunk_path(key);
+        let mut file = fs::File::open(&path).map_err(|e| io_err("read", &path, e))?;
+        let on_disk = file.metadata().map_err(|e| io_err("read", &path, e))?.len();
+        if on_disk != key.len as u64 {
+            return Err(StoreError::Io(format!(
+                "chunk {} is {on_disk} bytes, expected {}",
+                path.display(),
+                key.len
+            )));
+        }
+        self.chunk.resize(key.len as usize, 0);
+        self.pos = 0;
+        file.read_exact(&mut self.chunk)
+            .map_err(|e| io_err("read", &path, e))
     }
 }
 

@@ -7,7 +7,7 @@ use agcm_ckptstore::Store;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 fn scratch(tag: &str) -> PathBuf {
@@ -153,5 +153,129 @@ fn orphan_sweep_on_reopen_after_simulated_crash() {
     // The committed shard survived intact.
     assert_eq!(store.get_shard(0xC, 5, 0).unwrap(), record(5, 3, 1200));
     assert_eq!(store.committed_steps(0xC), vec![5]);
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// Writers whose shards share chunks put them at the same moment (a
+/// barrier per step), half of them into their leased lineage and half
+/// into an unleased throwaway one that the spinning collector reclaims
+/// — so chunks are concurrently being created by several puts, held by
+/// others and dropped by `gc`.
+/// Afterwards, and again after a reopen, every committed shard must
+/// reassemble and the maps must agree with the directory exactly.
+#[test]
+fn writers_sharing_chunks_race_gc_then_survive_a_reopen() {
+    const WRITERS: u64 = 4;
+    const STEPS: u64 = 16;
+    let root = scratch("shared-writers");
+    let store = Arc::new(Store::open_with_chunk_size(&root, 512).unwrap());
+    let stop = Arc::new(AtomicBool::new(false));
+    let in_step = Arc::new(Barrier::new(WRITERS as usize));
+
+    // Three chunks every writer offers at this step, then a private tail.
+    let shard = |w: u64, step: u64| {
+        let mut rec = record(step, 0, 1536);
+        rec.extend_from_slice(&record(step, w + 1, 700));
+        rec
+    };
+
+    let collector = {
+        let store = store.clone();
+        let stop = stop.clone();
+        thread::spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                store.gc().unwrap();
+                thread::yield_now();
+            }
+        })
+    };
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|w| {
+            let store = store.clone();
+            let in_step = in_step.clone();
+            thread::spawn(move || {
+                let lineage = 0x2000 + w;
+                store.acquire(lineage, w);
+                for step in 1..=STEPS {
+                    let keep = |store: &Store| {
+                        store
+                            .put_shard(lineage, step, 0, 1, &shard(w, step))
+                            .unwrap();
+                        store.commit(lineage, step, 1).unwrap();
+                    };
+                    // Unleased: the collector may reclaim it at once,
+                    // while the other half is still writing its chunks.
+                    let throw_away = |store: &Store| {
+                        store
+                            .put_shard(0x9000 + w, step, 0, 1, &record(step, 0, 1536))
+                            .unwrap();
+                    };
+                    in_step.wait();
+                    if (w + step) % 2 == 0 {
+                        keep(&store);
+                        throw_away(&store);
+                    } else {
+                        throw_away(&store);
+                        keep(&store);
+                    }
+                }
+            })
+        })
+        .collect();
+    for h in writers {
+        h.join().unwrap();
+    }
+    stop.store(true, Ordering::Relaxed);
+    collector.join().unwrap();
+    store.gc().unwrap();
+
+    let check = |store: &Store| {
+        for w in 0..WRITERS {
+            let lineage = 0x2000 + w;
+            assert_eq!(
+                store.committed_steps(lineage),
+                (1..=STEPS).collect::<Vec<_>>()
+            );
+            for step in 1..=STEPS {
+                let got = store
+                    .get_shard(lineage, step, 0)
+                    .unwrap_or_else(|e| panic!("lineage {lineage:#x} step {step} lost: {e}"));
+                assert_eq!(got, shard(w, step));
+            }
+        }
+        let names: Vec<String> = fs::read_dir(store.root().join("chunks"))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(
+            names.iter().all(|n| n.ends_with(".chk")),
+            "temporary files left behind: {names:?}"
+        );
+        assert_eq!(
+            names.len() as u64,
+            store.stats().chunks,
+            "a chunk file nothing references, or a reference without its file"
+        );
+    };
+    check(&store);
+    let live = store.stats();
+    assert_eq!(live.manifests, WRITERS * STEPS);
+
+    // Refcounts are recomputed from the manifests on open: they must
+    // come out as the live ones, with nothing to sweep.
+    drop(store);
+    let store = Store::open_with_chunk_size(&root, 512).unwrap();
+    let reopened = store.stats();
+    assert_eq!(reopened.orphans_swept, 0);
+    assert_eq!(
+        (reopened.chunks, reopened.live_bytes, reopened.manifests),
+        (live.chunks, live.live_bytes, live.manifests)
+    );
+    check(&store);
+
+    // Leases died with the old process: one pass drains the store.
+    store.gc().unwrap();
+    assert_eq!(store.stats().chunks, 0);
+    assert_eq!(fs::read_dir(root.join("chunks")).unwrap().count(), 0);
     let _ = fs::remove_dir_all(&root);
 }

@@ -21,7 +21,35 @@
 //! n_fields u32, then per field: ni u32 · nj u32 · nk u32 · f64 × ni·nj·nk
 //! checksum       u64      FNV-1a over every preceding byte
 //! ```
+//!
+//! ## Records are streams
+//!
+//! A paper-grid shard is 5.6 MB, and FNV-1a is a serial chain (one
+//! xor-multiply per byte), so every extra pass over a record and every
+//! record-sized buffer shows in a job's commit. The record is therefore
+//! produced and consumed as a stream, in blocks of a few thousand
+//! values:
+//!
+//! * writing — a [`RecordSource`] (a [`ModelCheckpoint`] encoding itself,
+//!   or bytes already encoded) pushes blocks into a [`RecordSink`] (a
+//!   `Vec`, a file, the content-addressed store's chunk writer);
+//! * reading — [`ModelCheckpoint::read_from`] pulls blocks from a
+//!   [`RecordStream`] (a slice, a file, the store's chunk files) and
+//!   converts them straight into the fields it returns.
+//!
+//! Both ends *hash what passes through them*, and that is what makes
+//! one traversal enough. The trailer checksum is the FNV-1a chain over
+//! the body, i.e. **the whole-record chain's state eight bytes before
+//! the end**: the encoder asks the sink for its digest instead of
+//! hashing the body itself, the decoder asks the stream; a store that
+//! lets the same chain run on over the trailer has its whole-record
+//! digest, and a second chain restarted at each chunk boundary
+//! ([`Fnv1a::update_both`] — two independent chains pipeline at the
+//! cost of one) has the chunk addresses. [`ModelCheckpoint::encode`] and
+//! [`ModelCheckpoint::decode`] are this path with a `Vec` and a slice at
+//! the far end.
 
+use crate::coordinator::StoreError;
 use agcm_grid::field::Field3D;
 use agcm_grid::history::ByteOrder;
 use std::fmt;
@@ -110,215 +138,465 @@ pub struct ModelCheckpoint {
 /// `agcm-ckptstore` chunk addresses and index lines, and the server
 /// journal's line framing. Stored data depends on its exact values.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = Fnv1a::new();
+    h.update(bytes);
+    h.value()
 }
 
-struct Writer {
-    buf: Vec<u8>,
+/// A running [`fnv1a`]: the hash of everything fed to it so far.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv1a(u64);
+
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+impl Fnv1a {
+    /// The hash of the empty string.
+    pub fn new() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Feed `bytes`.
+    pub fn update(&mut self, bytes: &[u8]) {
+        let mut h = self.0;
+        for &b in bytes {
+            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
+        }
+        self.0 = h;
+    }
+
+    /// Feed `bytes` to this chain and to `other` in one traversal. Each
+    /// chain is a serial xor-multiply, so two of them pipeline at the
+    /// cost of one; the store hashes the whole record and the current
+    /// chunk this way.
+    pub fn update_both(&mut self, other: &mut Fnv1a, bytes: &[u8]) {
+        let (mut a, mut b) = (self.0, other.0);
+        for &x in bytes {
+            a = (a ^ x as u64).wrapping_mul(FNV_PRIME);
+            b = (b ^ x as u64).wrapping_mul(FNV_PRIME);
+        }
+        self.0 = a;
+        other.0 = b;
+    }
+
+    /// The hash of the bytes fed so far.
+    pub fn value(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a::new()
+    }
+}
+
+/// Where an encoded record goes, block by block. A sink hashes what
+/// passes through it, which is what lets a record be written in one
+/// traversal: the trailer checksum of a record *is* the FNV-1a chain of
+/// the whole record eight bytes before its end, so the encoder asks the
+/// sink for [`digest`](RecordSink::digest) instead of hashing the body
+/// itself, and a store that continues the same chain over the trailer
+/// has its whole-record digest for free.
+pub trait RecordSink {
+    /// Accept the next bytes of the record.
+    fn write(&mut self, block: &[u8]) -> Result<(), StoreError>;
+    /// [`fnv1a`] of every byte written so far.
+    fn digest(&self) -> u64;
+}
+
+/// Anything that can produce an encoded record into a [`RecordSink`]:
+/// an already encoded `&[u8]`, or a [`ModelCheckpoint`] encoding itself
+/// on the fly ([`ModelCheckpoint::record`]), in which case the record
+/// never exists in memory as a whole.
+pub trait RecordSource {
+    /// Write the whole record to `sink`, front to back.
+    fn write_to(&self, sink: &mut dyn RecordSink) -> Result<(), StoreError>;
+}
+
+impl RecordSource for &[u8] {
+    fn write_to(&self, sink: &mut dyn RecordSink) -> Result<(), StoreError> {
+        sink.write(self)
+    }
+}
+
+/// Where an encoded record comes from, the mirror of [`RecordSink`]: a
+/// stream of known length that hashes what it delivers, so the decoder
+/// verifies the trailer checksum in the traversal that parses the
+/// record. A stream that knows what its bytes must hash to (a store
+/// manifest's digest) fails the read that delivers the last byte.
+pub trait RecordStream {
+    /// Bytes not yet delivered.
+    fn remaining(&self) -> u64;
+    /// The next `n` bytes, borrowed from the stream until its next
+    /// call; callers never ask for more than
+    /// [`remaining`](RecordStream::remaining).
+    fn read(&mut self, n: usize) -> Result<&[u8], StoreError>;
+    /// [`fnv1a`] of every byte delivered so far.
+    fn digest(&self) -> u64;
+}
+
+/// An in-memory record as a stream.
+struct SliceStream<'a> {
+    rest: &'a [u8],
+    digest: Fnv1a,
+}
+
+impl RecordStream for SliceStream<'_> {
+    fn remaining(&self) -> u64 {
+        self.rest.len() as u64
+    }
+    fn read(&mut self, n: usize) -> Result<&[u8], StoreError> {
+        let (head, tail) = self.rest.split_at(n);
+        self.digest.update(head);
+        self.rest = tail;
+        Ok(head)
+    }
+    fn digest(&self) -> u64 {
+        self.digest.value()
+    }
+}
+
+/// A growing in-memory record as a sink.
+#[derive(Default)]
+pub(crate) struct VecSink {
+    pub(crate) buf: Vec<u8>,
+    digest: Fnv1a,
+}
+
+impl RecordSink for VecSink {
+    fn write(&mut self, block: &[u8]) -> Result<(), StoreError> {
+        self.digest.update(block);
+        self.buf.extend_from_slice(block);
+        Ok(())
+    }
+    fn digest(&self) -> u64 {
+        self.digest.value()
+    }
+}
+
+/// Values travel to a sink and from a stream in blocks of this many
+/// bytes: small enough to stay in cache between the conversion and the
+/// hash, and never more than a store chunk.
+const BLOCK: usize = 32 * 1024;
+
+/// Encoder state: the sink, the byte order and the staging block, of
+/// which the first `staged` bytes wait to be flushed.
+struct Writer<'a> {
+    sink: &'a mut dyn RecordSink,
     big: bool,
+    block: Vec<u8>,
+    staged: usize,
 }
 
-impl Writer {
-    fn u32(&mut self, v: u32) {
+impl Writer<'_> {
+    /// Stage a few bytes, flushing first if the block cannot take them.
+    fn bytes(&mut self, b: &[u8]) -> Result<(), StoreError> {
+        if self.staged + b.len() > BLOCK {
+            self.flush()?;
+        }
+        self.block[self.staged..self.staged + b.len()].copy_from_slice(b);
+        self.staged += b.len();
+        Ok(())
+    }
+    fn flush(&mut self) -> Result<(), StoreError> {
+        if self.staged > 0 {
+            self.sink.write(&self.block[..self.staged])?;
+            self.staged = 0;
+        }
+        Ok(())
+    }
+    fn u32(&mut self, v: u32) -> Result<(), StoreError> {
         let b = if self.big {
             v.to_be_bytes()
         } else {
             v.to_le_bytes()
         };
-        self.buf.extend_from_slice(&b);
+        self.bytes(&b)
     }
-    fn u64(&mut self, v: u64) {
+    fn u64(&mut self, v: u64) -> Result<(), StoreError> {
         let b = if self.big {
             v.to_be_bytes()
         } else {
             v.to_le_bytes()
         };
-        self.buf.extend_from_slice(&b);
+        self.bytes(&b)
     }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
+    /// A run of 64-bit values, a block at a time. In the machine's own
+    /// byte order the conversion loop is a block copy; in the other it
+    /// is a vectorised byte swap.
+    fn words<T: Copy>(&mut self, vals: &[T], bits: impl Fn(T) -> u64) -> Result<(), StoreError> {
+        for run in vals.chunks(BLOCK / 8) {
+            self.flush()?;
+            self.staged = run.len() * 8;
+            let slots = self.block[..self.staged].chunks_exact_mut(8).zip(run);
+            if self.big {
+                slots.for_each(|(slot, &v)| slot.copy_from_slice(&bits(v).to_be_bytes()));
+            } else {
+                slots.for_each(|(slot, &v)| slot.copy_from_slice(&bits(v).to_le_bytes()));
+            }
+        }
+        Ok(())
+    }
+    fn f64s(&mut self, vals: &[f64]) -> Result<(), StoreError> {
+        self.words(vals, f64::to_bits)
     }
 }
 
+/// Decoder state: the stream and the byte order. The record's last
+/// eight bytes are the trailer, so structure reads stop short of them
+/// exactly as if the body were a slice of its own.
 struct Reader<'a> {
-    buf: &'a [u8],
+    stream: &'a mut dyn RecordStream,
     big: bool,
 }
 
 impl Reader<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], CheckpointError> {
-        if self.buf.len() < n {
-            return Err(CheckpointError::Truncated);
-        }
-        let (head, tail) = self.buf.split_at(n);
-        self.buf = tail;
-        Ok(head)
+    /// Bytes of body (everything before the trailer) not yet read.
+    fn body_left(&self) -> u64 {
+        self.stream.remaining().saturating_sub(8)
     }
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
-        let b: [u8; 4] = self.take(4)?.try_into().unwrap();
+    fn fixed<const N: usize>(&mut self) -> Result<[u8; N], StoreError> {
+        if self.body_left() < N as u64 {
+            return Err(StoreError::Format(CheckpointError::Truncated));
+        }
+        let b = self.stream.read(N)?;
+        Ok(b.try_into().expect("the stream delivers what it is asked"))
+    }
+    fn u32(&mut self) -> Result<u32, StoreError> {
+        let b = self.fixed::<4>()?;
         Ok(if self.big {
             u32::from_be_bytes(b)
         } else {
             u32::from_le_bytes(b)
         })
     }
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        let b: [u8; 8] = self.take(8)?.try_into().unwrap();
-        Ok(if self.big {
+    fn u64_of(&self, b: [u8; 8]) -> u64 {
+        if self.big {
             u64::from_be_bytes(b)
         } else {
             u64::from_le_bytes(b)
+        }
+    }
+    fn u64(&mut self) -> Result<u64, StoreError> {
+        let b = self.fixed::<8>()?;
+        Ok(self.u64_of(b))
+    }
+    /// `Truncated` unless the body still holds `words` 64-bit values:
+    /// checked before anything is allocated for a count read from the
+    /// record.
+    fn need(&self, words: u64) -> Result<(), StoreError> {
+        if self.body_left() / 8 < words {
+            return Err(StoreError::Format(CheckpointError::Truncated));
+        }
+        Ok(())
+    }
+    /// A run of 64-bit values (which [`need`](Reader::need) vouched for)
+    /// straight into `out`, a block at a time.
+    fn words<T>(&mut self, out: &mut [T], from: impl Fn(u64) -> T) -> Result<(), StoreError> {
+        for run in out.chunks_mut(BLOCK / 8) {
+            let block = self.stream.read(run.len() * 8)?;
+            let slots = run.iter_mut().zip(block.chunks_exact(8));
+            if self.big {
+                slots.for_each(|(v, b)| *v = from(u64::from_be_bytes(b.try_into().unwrap())));
+            } else {
+                slots.for_each(|(v, b)| *v = from(u64::from_le_bytes(b.try_into().unwrap())));
+            }
+        }
+        Ok(())
+    }
+    /// A counted run of 64-bit values.
+    fn counted<T: Clone>(
+        &mut self,
+        zero: T,
+        from: impl Fn(u64) -> T,
+    ) -> Result<Vec<T>, StoreError> {
+        let n = self.u32()? as u64;
+        self.need(n)?;
+        let mut out = vec![zero; n as usize];
+        self.words(&mut out, from)?;
+        Ok(out)
+    }
+    /// Deliver and drop bytes until only the trailer is left.
+    fn skip_body(&mut self) -> Result<(), StoreError> {
+        while self.body_left() > 0 {
+            let n = self.body_left().min(BLOCK as u64) as usize;
+            self.stream.read(n)?;
+        }
+        Ok(())
+    }
+    /// Everything between the endian marker and the trailer.
+    fn body(&mut self, total: u64) -> Result<ModelCheckpoint, StoreError> {
+        let version = self.u32()?;
+        if version != VERSION {
+            return Err(StoreError::Format(CheckpointError::BadVersion(version)));
+        }
+        let rank = self.u32()?;
+        let world = self.u32()?;
+        let step = self.u64()?;
+        let seeds = self.counted(0u64, |bits| bits)?;
+        let scalars = self.counted(0.0, f64::from_bits)?;
+        let series = self.counted(0.0, f64::from_bits)?;
+        let n_fields = self.u32()? as usize;
+        let mut fields = Vec::with_capacity(n_fields.min(1 << 10));
+        for _ in 0..n_fields {
+            let ni = self.u32()? as usize;
+            let nj = self.u32()? as usize;
+            let nk = self.u32()? as usize;
+            let len = ni
+                .checked_mul(nj)
+                .and_then(|x| x.checked_mul(nk))
+                .ok_or(StoreError::Format(CheckpointError::Truncated))?;
+            self.need(len as u64)?;
+            let mut field = Field3D::zeros(ni, nj, nk);
+            self.words(field.as_mut_slice(), f64::from_bits)?;
+            fields.push(field);
+        }
+        if self.body_left() > 0 {
+            return Err(StoreError::Format(CheckpointError::LengthMismatch {
+                expected: (total - self.body_left()) as usize,
+                found: total as usize,
+            }));
+        }
+        Ok(ModelCheckpoint {
+            rank,
+            world,
+            step,
+            seeds,
+            scalars,
+            series,
+            fields,
         })
     }
-    fn f64(&mut self) -> Result<f64, CheckpointError> {
-        Ok(f64::from_bits(self.u64()?))
+}
+
+/// A checkpoint encoding itself in a fixed byte order: the streamed
+/// form of [`ModelCheckpoint::encode`] that stores take.
+#[derive(Debug, Clone, Copy)]
+pub struct EncodedCheckpoint<'a> {
+    ckpt: &'a ModelCheckpoint,
+    order: ByteOrder,
+}
+
+impl RecordSource for EncodedCheckpoint<'_> {
+    fn write_to(&self, sink: &mut dyn RecordSink) -> Result<(), StoreError> {
+        let ckpt = self.ckpt;
+        let mut w = Writer {
+            sink,
+            big: self.order == ByteOrder::Big,
+            block: vec![0; BLOCK],
+            staged: 0,
+        };
+        w.bytes(MAGIC)?;
+        w.u32(ENDIAN_MARKER)?;
+        w.u32(VERSION)?;
+        w.u32(ckpt.rank)?;
+        w.u32(ckpt.world)?;
+        w.u64(ckpt.step)?;
+        w.u32(ckpt.seeds.len() as u32)?;
+        w.words(&ckpt.seeds, |s| s)?;
+        w.u32(ckpt.scalars.len() as u32)?;
+        w.f64s(&ckpt.scalars)?;
+        w.u32(ckpt.series.len() as u32)?;
+        w.f64s(&ckpt.series)?;
+        w.u32(ckpt.fields.len() as u32)?;
+        for f in &ckpt.fields {
+            let (ni, nj, nk) = f.shape();
+            w.u32(ni as u32)?;
+            w.u32(nj as u32)?;
+            w.u32(nk as u32)?;
+            w.f64s(f.as_slice())?;
+        }
+        w.flush()?;
+        // The body has passed through the sink: its hash is the checksum.
+        let sum = w.sink.digest();
+        w.u64(sum)?;
+        w.flush()
     }
 }
 
 impl ModelCheckpoint {
+    /// This checkpoint as a record in the requested byte order, encoded
+    /// as it is written: nothing larger than one block is buffered.
+    pub fn record(&self, order: ByteOrder) -> EncodedCheckpoint<'_> {
+        EncodedCheckpoint { ckpt: self, order }
+    }
+
+    /// Length in bytes of the encoded record.
+    fn encoded_len(&self) -> usize {
+        let payload: usize = self.fields.iter().map(|f| f.len() * 8 + 12).sum();
+        44 + (self.seeds.len() + self.scalars.len() + self.series.len()) * 8 + payload
+    }
+
     /// Encode in the requested byte order, checksum trailer included.
     pub fn encode(&self, order: ByteOrder) -> Vec<u8> {
-        let payload: usize = self.fields.iter().map(|f| f.len() * 8 + 12).sum();
-        let mut w = Writer {
-            buf: Vec::with_capacity(
-                44 + self.seeds.len() * 8 + (self.scalars.len() + self.series.len()) * 8 + payload,
-            ),
-            big: order == ByteOrder::Big,
-        };
-        w.buf.extend_from_slice(MAGIC);
-        w.u32(ENDIAN_MARKER);
-        w.u32(VERSION);
-        w.u32(self.rank);
-        w.u32(self.world);
-        w.u64(self.step);
-        w.u32(self.seeds.len() as u32);
-        for &s in &self.seeds {
-            w.u64(s);
-        }
-        w.u32(self.scalars.len() as u32);
-        for &v in &self.scalars {
-            w.f64(v);
-        }
-        w.u32(self.series.len() as u32);
-        for &v in &self.series {
-            w.f64(v);
-        }
-        w.u32(self.fields.len() as u32);
-        for f in &self.fields {
-            let (ni, nj, nk) = f.shape();
-            w.u32(ni as u32);
-            w.u32(nj as u32);
-            w.u32(nk as u32);
-            for &v in f.as_slice() {
-                w.f64(v);
-            }
-        }
-        let sum = fnv1a(&w.buf);
-        w.u64(sum);
-        w.buf
+        let mut sink = VecSink::default();
+        sink.buf.reserve_exact(self.encoded_len());
+        self.record(order)
+            .write_to(&mut sink)
+            .expect("an in-memory sink does not fail");
+        sink.buf
     }
 
     /// Decode a record, detecting its byte order and verifying the
     /// checksum. Returns the checkpoint and the detected order.
     pub fn decode(record: &[u8]) -> Result<(ModelCheckpoint, ByteOrder), CheckpointError> {
-        if record.len() < 12 {
-            return Err(CheckpointError::Truncated);
+        let mut stream = SliceStream {
+            rest: record,
+            digest: Fnv1a::new(),
+        };
+        ModelCheckpoint::read_from(&mut stream).map_err(|e| match e {
+            StoreError::Format(e) => e,
+            other => unreachable!("an in-memory stream does not fail: {other}"),
+        })
+    }
+
+    /// Decode a record as it is read: length, checksum and structure are
+    /// verified in one traversal and values land directly in the fields
+    /// returned. A record whose checksum disagrees is reported as
+    /// [`CheckpointError::ChecksumMismatch`] whatever else is wrong with
+    /// it past the endian marker — the structure of a corrupt record
+    /// means nothing — and never yields a checkpoint.
+    pub fn read_from(
+        stream: &mut dyn RecordStream,
+    ) -> Result<(ModelCheckpoint, ByteOrder), StoreError> {
+        let total = stream.remaining();
+        if total < 12 {
+            return Err(StoreError::Format(CheckpointError::Truncated));
         }
-        if &record[..4] != MAGIC {
-            return Err(CheckpointError::BadMagic(record[..4].try_into().unwrap()));
+        let head = stream.read(8)?;
+        if &head[..4] != MAGIC {
+            let magic = head[..4].try_into().unwrap();
+            return Err(StoreError::Format(CheckpointError::BadMagic(magic)));
         }
-        let marker = u32::from_le_bytes(record[4..8].try_into().unwrap());
-        let order = match marker {
+        let order = match u32::from_le_bytes(head[4..].try_into().unwrap()) {
             ENDIAN_MARKER => ByteOrder::Little,
             ENDIAN_MARKER_SWAPPED => ByteOrder::Big,
-            other => return Err(CheckpointError::BadEndianMarker(other)),
+            other => return Err(StoreError::Format(CheckpointError::BadEndianMarker(other))),
         };
-        let big = order == ByteOrder::Big;
-        // Checksum first: a corrupt record must fail fast, not parse.
-        if record.len() < 20 {
-            return Err(CheckpointError::Truncated);
-        }
-        let body = &record[..record.len() - 8];
-        let trailer: [u8; 8] = record[record.len() - 8..].try_into().unwrap();
-        let stored = if big {
-            u64::from_be_bytes(trailer)
-        } else {
-            u64::from_le_bytes(trailer)
-        };
-        let computed = fnv1a(body);
-        if stored != computed {
-            return Err(CheckpointError::ChecksumMismatch { stored, computed });
+        if total < 20 {
+            return Err(StoreError::Format(CheckpointError::Truncated));
         }
         let mut r = Reader {
-            buf: &body[8..],
-            big,
+            stream,
+            big: order == ByteOrder::Big,
         };
-        let version = r.u32()?;
-        if version != VERSION {
-            return Err(CheckpointError::BadVersion(version));
+        let parsed = match r.body(total) {
+            Err(io @ StoreError::Io(_)) => return Err(io),
+            parsed => parsed,
+        };
+        // Whatever the structure said, the checksum speaks first: hash
+        // the rest of the body and compare with the trailer.
+        r.skip_body()?;
+        let computed = r.stream.digest();
+        let trailer = r.stream.read(8)?.try_into().unwrap();
+        let stored = r.u64_of(trailer);
+        if stored != computed {
+            return Err(StoreError::Format(CheckpointError::ChecksumMismatch {
+                stored,
+                computed,
+            }));
         }
-        let rank = r.u32()?;
-        let world = r.u32()?;
-        let step = r.u64()?;
-        let n_seeds = r.u32()? as usize;
-        let mut seeds = Vec::with_capacity(n_seeds.min(1 << 16));
-        for _ in 0..n_seeds {
-            seeds.push(r.u64()?);
-        }
-        let n_scalars = r.u32()? as usize;
-        let mut scalars = Vec::with_capacity(n_scalars.min(1 << 16));
-        for _ in 0..n_scalars {
-            scalars.push(r.f64()?);
-        }
-        let n_series = r.u32()? as usize;
-        let mut series = Vec::with_capacity(n_series.min(1 << 16));
-        for _ in 0..n_series {
-            series.push(r.f64()?);
-        }
-        let n_fields = r.u32()? as usize;
-        let mut fields = Vec::with_capacity(n_fields.min(1 << 10));
-        for _ in 0..n_fields {
-            let ni = r.u32()? as usize;
-            let nj = r.u32()? as usize;
-            let nk = r.u32()? as usize;
-            let len = ni
-                .checked_mul(nj)
-                .and_then(|x| x.checked_mul(nk))
-                .ok_or(CheckpointError::Truncated)?;
-            // Cheap bound: the record must be able to hold the data it
-            // promises, before any allocation.
-            if r.buf.len() < len.checked_mul(8).ok_or(CheckpointError::Truncated)? {
-                return Err(CheckpointError::Truncated);
-            }
-            let mut field = Field3D::zeros(ni, nj, nk);
-            for v in field.as_mut_slice() {
-                *v = r.f64()?;
-            }
-            fields.push(field);
-        }
-        if !r.buf.is_empty() {
-            return Err(CheckpointError::LengthMismatch {
-                expected: record.len() - r.buf.len(),
-                found: record.len(),
-            });
-        }
-        Ok((
-            ModelCheckpoint {
-                rank,
-                world,
-                step,
-                seeds,
-                scalars,
-                series,
-                fields,
-            },
-            order,
-        ))
+        parsed.map(|ckpt| (ckpt, order))
     }
 }
 

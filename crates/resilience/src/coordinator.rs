@@ -13,12 +13,14 @@
 //! A crash between (1) and (3) leaves an uncommitted directory that restart
 //! ignores; recovery always resumes from the *latest committed* step.
 
-use crate::checkpoint::{CheckpointError, ModelCheckpoint};
+use crate::checkpoint::{
+    CheckpointError, Fnv1a, ModelCheckpoint, RecordSink, RecordSource, RecordStream,
+};
 use agcm_grid::history::ByteOrder;
 use agcm_mps::Comm;
 use std::fmt;
 use std::fs;
-use std::io::Write as _;
+use std::io::{BufReader, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -82,16 +84,20 @@ fn io_err(ctx: &str, path: &Path, e: std::io::Error) -> StoreError {
     StoreError::Io(format!("{ctx} {}: {e}", path.display()))
 }
 
-/// Publish `bytes` at `path` atomically: write `<path>.tmp`, fsync it,
-/// rename over `path`. A reader sees the old content, or nothing, or all of
-/// `bytes`. The temporary file is removed (best effort) on failure.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+/// Publish what `fill` writes at `path` atomically: create `<path>.tmp`,
+/// let `fill` write it, fsync it, rename over `path`. A reader sees the
+/// old content, or nothing, or all of the new. The temporary file is
+/// removed (best effort) on failure.
+fn publish_atomic(
+    path: &Path,
+    fill: impl FnOnce(&mut fs::File, &Path) -> Result<(), StoreError>,
+) -> Result<(), StoreError> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
     let written = (|| {
         let mut f = fs::File::create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
-        f.write_all(bytes).map_err(|e| io_err("write", &tmp, e))?;
+        fill(&mut f, &tmp)?;
         f.sync_all().map_err(|e| io_err("sync", &tmp, e))?;
         fs::rename(&tmp, path).map_err(|e| io_err("rename", &tmp, e))
     })();
@@ -99,6 +105,62 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
         let _ = fs::remove_file(&tmp);
     }
     written
+}
+
+/// Publish `bytes` at `path` atomically: write `<path>.tmp`, fsync it,
+/// rename over `path`. A reader sees the old content, or nothing, or all of
+/// `bytes`. The temporary file is removed (best effort) on failure.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+    publish_atomic(path, |f, tmp| {
+        f.write_all(bytes).map_err(|e| io_err("write", tmp, e))
+    })
+}
+
+/// A file being written as a [`RecordSink`].
+struct FileSink<'a> {
+    file: &'a mut fs::File,
+    path: &'a Path,
+    digest: Fnv1a,
+}
+
+impl RecordSink for FileSink<'_> {
+    fn write(&mut self, block: &[u8]) -> Result<(), StoreError> {
+        self.digest.update(block);
+        self.file
+            .write_all(block)
+            .map_err(|e| io_err("write", self.path, e))
+    }
+    fn digest(&self) -> u64 {
+        self.digest.value()
+    }
+}
+
+/// A file being read as a [`RecordStream`].
+struct FileStream {
+    file: BufReader<fs::File>,
+    path: PathBuf,
+    remaining: u64,
+    /// The bytes delivered last.
+    block: Vec<u8>,
+    digest: Fnv1a,
+}
+
+impl RecordStream for FileStream {
+    fn remaining(&self) -> u64 {
+        self.remaining
+    }
+    fn read(&mut self, n: usize) -> Result<&[u8], StoreError> {
+        self.block.resize(n, 0);
+        self.file
+            .read_exact(&mut self.block)
+            .map_err(|e| io_err("read", &self.path, e))?;
+        self.digest.update(&self.block);
+        self.remaining -= n as u64;
+        Ok(&self.block)
+    }
+    fn digest(&self) -> u64 {
+        self.digest.value()
+    }
 }
 
 /// Byte-level storage for checkpoint shards, the seam behind
@@ -110,7 +172,9 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
 /// content-addressed fleet store in `agcm-ckptstore`) while the commit
 /// protocol, encoding, and recovery loop above it stay unchanged. A
 /// backend speaks encoded records, not `ModelCheckpoint` values, so the
-/// checksummed wire format is the unit of storage everywhere.
+/// checksummed wire format is the unit of storage everywhere — in
+/// streamed form ([`RecordSource`] in, [`RecordStream`] out), so that
+/// neither side ever holds a whole record in memory.
 ///
 /// `committed_steps` is also the reuse surface: a backend may report
 /// steps committed by *another* job with the same lineage, which is how
@@ -118,13 +182,19 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
 pub trait ShardBackend: Send + Sync {
     /// Store one rank's encoded shard for `step`. Must be atomic: a
     /// concurrent reader sees the whole record or nothing.
-    fn put_shard(&self, step: u64, rank: u32, world: u32, record: &[u8]) -> Result<(), StoreError>;
+    fn put_shard(
+        &self,
+        step: u64,
+        rank: u32,
+        world: u32,
+        record: &dyn RecordSource,
+    ) -> Result<(), StoreError>;
     /// Publish `step` as committed once all `world` shards are stored.
     fn commit(&self, step: u64, world: u32) -> Result<(), StoreError>;
     /// Steps visible as committed, ascending.
     fn committed_steps(&self) -> Vec<u64>;
-    /// Retrieve the encoded shard for `(step, rank)`.
-    fn get_shard(&self, step: u64, rank: u32) -> Result<Vec<u8>, StoreError>;
+    /// Open the encoded shard for `(step, rank)` for reading.
+    fn open_shard(&self, step: u64, rank: u32) -> Result<Box<dyn RecordStream + '_>, StoreError>;
     /// Shards present for `step`.
     fn shard_count(&self, step: u64) -> usize;
     /// Drop every committed step older than the newest `keep`, returning
@@ -157,11 +227,17 @@ impl ShardBackend for DirBackend {
         step: u64,
         rank: u32,
         _world: u32,
-        record: &[u8],
+        record: &dyn RecordSource,
     ) -> Result<(), StoreError> {
         let dir = self.step_dir(step);
         fs::create_dir_all(&dir).map_err(|e| io_err("create", &dir, e))?;
-        write_atomic(&self.shard_path(step, rank), record)
+        publish_atomic(&self.shard_path(step, rank), |file, path| {
+            record.write_to(&mut FileSink {
+                file,
+                path,
+                digest: Fnv1a::new(),
+            })
+        })
     }
 
     fn commit(&self, step: u64, world: u32) -> Result<(), StoreError> {
@@ -196,9 +272,17 @@ impl ShardBackend for DirBackend {
         steps
     }
 
-    fn get_shard(&self, step: u64, rank: u32) -> Result<Vec<u8>, StoreError> {
+    fn open_shard(&self, step: u64, rank: u32) -> Result<Box<dyn RecordStream + '_>, StoreError> {
         let path = self.shard_path(step, rank);
-        fs::read(&path).map_err(|e| io_err("read", &path, e))
+        let file = fs::File::open(&path).map_err(|e| io_err("open", &path, e))?;
+        let remaining = file.metadata().map_err(|e| io_err("stat", &path, e))?.len();
+        Ok(Box::new(FileStream {
+            file: BufReader::new(file),
+            path,
+            remaining,
+            block: Vec::new(),
+            digest: Fnv1a::new(),
+        }))
     }
 
     fn shard_count(&self, step: u64) -> usize {
@@ -267,9 +351,9 @@ impl CheckpointStore {
     }
 
     /// Store one rank's shard as a little-endian record (reads
-    /// auto-detect the byte order).
+    /// auto-detect the byte order), encoded as the backend consumes it.
     pub fn write_shard(&self, ckpt: &ModelCheckpoint) -> Result<(), StoreError> {
-        let record = ckpt.encode(ByteOrder::Little);
+        let record = ckpt.record(ByteOrder::Little);
         self.backend
             .put_shard(ckpt.step, ckpt.rank, ckpt.world, &record)
     }
@@ -298,8 +382,8 @@ impl CheckpointStore {
     /// Load one rank's shard of a committed step, verifying its checksum
     /// and that it is the shard asked for.
     pub fn load_shard(&self, step: u64, rank: u32) -> Result<ModelCheckpoint, StoreError> {
-        let record = self.backend.get_shard(step, rank)?;
-        let (ckpt, _) = ModelCheckpoint::decode(&record).map_err(StoreError::Format)?;
+        let mut record = self.backend.open_shard(step, rank)?;
+        let (ckpt, _) = ModelCheckpoint::read_from(record.as_mut())?;
         if ckpt.step != step || ckpt.rank != rank {
             return Err(StoreError::ShardMismatch {
                 expected: (step, rank),
@@ -496,6 +580,27 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    struct MemStream {
+        record: Vec<u8>,
+        delivered: usize,
+        digest: Fnv1a,
+    }
+
+    impl RecordStream for MemStream {
+        fn remaining(&self) -> u64 {
+            (self.record.len() - self.delivered) as u64
+        }
+        fn read(&mut self, n: usize) -> Result<&[u8], StoreError> {
+            let block = &self.record[self.delivered..self.delivered + n];
+            self.digest.update(block);
+            self.delivered += n;
+            Ok(block)
+        }
+        fn digest(&self) -> u64 {
+            self.digest.value()
+        }
+    }
+
     /// Minimal in-memory backend: enough to prove the delegation seam.
     #[derive(Default)]
     struct MemBackend {
@@ -509,12 +614,11 @@ mod tests {
             step: u64,
             rank: u32,
             _world: u32,
-            record: &[u8],
+            record: &dyn RecordSource,
         ) -> Result<(), StoreError> {
-            self.shards
-                .lock()
-                .unwrap()
-                .insert((step, rank), record.to_vec());
+            let mut sink = crate::checkpoint::VecSink::default();
+            record.write_to(&mut sink)?;
+            self.shards.lock().unwrap().insert((step, rank), sink.buf);
             Ok(())
         }
         fn commit(&self, step: u64, world: u32) -> Result<(), StoreError> {
@@ -532,13 +636,20 @@ mod tests {
         fn committed_steps(&self) -> Vec<u64> {
             self.committed.lock().unwrap().iter().copied().collect()
         }
-        fn get_shard(&self, step: u64, rank: u32) -> Result<Vec<u8>, StoreError> {
-            self.shards
-                .lock()
-                .unwrap()
+        fn open_shard(
+            &self,
+            step: u64,
+            rank: u32,
+        ) -> Result<Box<dyn RecordStream + '_>, StoreError> {
+            let shards = self.shards.lock().unwrap();
+            let record = shards
                 .get(&(step, rank))
-                .cloned()
-                .ok_or_else(|| StoreError::Io(format!("no shard for step {step} rank {rank}")))
+                .ok_or_else(|| StoreError::Io(format!("no shard for step {step} rank {rank}")))?;
+            Ok(Box::new(MemStream {
+                record: record.clone(),
+                delivered: 0,
+                digest: Fnv1a::new(),
+            }))
         }
         fn shard_count(&self, step: u64) -> usize {
             self.shards

@@ -7,7 +7,9 @@
 //! * [`checkpoint`] — a versioned, checksummed multi-field model
 //!   checkpoint record (dynamics state, physics state, RNG seeds, timestep
 //!   counter), extending the single-field history snapshot of
-//!   `agcm_grid::history` and sharing its explicit byte-order discipline;
+//!   `agcm_grid::history` and sharing its explicit byte-order discipline,
+//!   written and read as a stream (one traversal, no record-sized
+//!   buffer) through the sink/source pair every shard store speaks;
 //! * [`coordinator`] — a per-rank shard store with an atomic rename commit
 //!   protocol: a checkpoint exists only once every shard is in place and
 //!   the `COMMIT` manifest has been published;

@@ -731,6 +731,10 @@ fn store_to_json(s: &agcm_ckptstore::StoreStats) -> Value {
         ("chunks_reclaimed", n(s.chunks_reclaimed)),
         ("bytes_reclaimed", n(s.bytes_reclaimed)),
         ("orphans_swept", n(s.orphans_swept)),
+        ("puts", n(s.puts)),
+        ("put_seconds", Value::Num(s.put_seconds)),
+        ("lock_wait_seconds", Value::Num(s.lock_wait_seconds)),
+        ("fsync_seconds", Value::Num(s.fsync_seconds)),
     ])
 }
 
@@ -787,9 +791,20 @@ fn prom_metrics(state: &ServerState) -> Response {
         ("store.live_bytes".to_string(), store.live_bytes as f64),
         ("store.lineages".to_string(), store.lineages as f64),
         (
+            "store.bytes_written".to_string(),
+            store.bytes_written as f64,
+        ),
+        (
             "store.bytes_deduped".to_string(),
             store.bytes_deduped as f64,
         ),
+        ("store.puts".to_string(), store.puts as f64),
+        ("store.put_seconds".to_string(), store.put_seconds),
+        (
+            "store.lock_wait_seconds".to_string(),
+            store.lock_wait_seconds,
+        ),
+        ("store.fsync_seconds".to_string(), store.fsync_seconds),
         ("store.prefix_hits".to_string(), store.prefix_hits as f64),
         (
             "store.prefix_misses".to_string(),
