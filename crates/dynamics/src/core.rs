@@ -34,7 +34,7 @@ use agcm_filtering::driver::{FilterOrganization, FilterVariant, PolarFilter};
 use agcm_filtering::lines::FilterSetup;
 use agcm_grid::arakawa::Variable;
 use agcm_grid::decomp::{Decomp, Subdomain};
-use agcm_grid::halo::HaloField;
+use agcm_grid::halo::{exchange_all, HaloField};
 use agcm_grid::latlon::GridSpec;
 use agcm_kernels::sweeps::{continuity_sweep, momentum_sweep, tracer_sweep};
 use agcm_kernels::{DynScratch, HaloView};
@@ -227,11 +227,11 @@ impl Dynamics {
         self.ensure_scratch(scratch, sub);
 
         // --- Ghost-point exchange (communication phase). -------------------
+        // All six fields in one exchange: each phase's sends are posted
+        // before its first receive, so they share one round trip.
         comm.phase("halo", || {
             Self::stage_halos(scratch, state);
-            for h in &mut scratch.halos {
-                h.exchange(cart);
-            }
+            exchange_all(&mut scratch.halos, cart);
         });
 
         // --- Finite differences (forward-backward). ------------------------

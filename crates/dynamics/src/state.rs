@@ -38,38 +38,49 @@ impl ModelState {
     /// A balanced, smoothly varying initial condition: a zonal jet in
     /// gradient balance with the thickness field, plus tracer plumes and a
     /// burst of short polar waves (the modes the filter exists to damp).
+    ///
+    /// Every term is a product of a factor of latitude, one of longitude
+    /// and one of level, so the transcendentals are evaluated once per
+    /// row and once per column, not once per point — this is nearly all
+    /// of a world's set-up time. Each point still sees the same
+    /// operations on the same operands in the same order.
     pub fn initial(grid: GridSpec, sub: Subdomain) -> ModelState {
         let mut s = ModelState::zeros(grid, sub);
+        // Per column: the longitude factors of h, the polar noise, v and
+        // ozone.
+        let columns: Vec<[f64; 4]> = (0..sub.ni)
+            .map(|i| {
+                let lon = grid.longitude(sub.i0 + i);
+                [
+                    40.0 * (3.0 * lon).cos(),
+                    6.0 * (20.0 * lon).sin(),
+                    0.5 * (5.0 * lon).sin(),
+                    1.0e-6 * (1.0 + 0.3 * (2.0 * lon).sin()),
+                ]
+            })
+            .collect();
         for k in 0..grid.n_lev {
+            // Weak vertical shear of the jet.
+            let shear = 1.0 + 0.08 * k as f64;
+            let pressure = 1.0e5 - 10.0 * k as f64;
             for j in 0..sub.nj {
                 let lat = grid.latitude(sub.j0 + j);
-                for i in 0..sub.ni {
-                    let lon = grid.longitude(sub.i0 + i);
-                    // Zonal jet peaking mid-latitude, weak vertical shear.
-                    let jet = 25.0 * (2.0 * lat).sin().powi(2) * (1.0 + 0.08 * k as f64);
-                    // Thickness in approximate balance + planetary wave.
-                    let h = MEAN_THICKNESS - 600.0 * lat.sin().powi(2)
-                        + 40.0 * (3.0 * lon).cos() * lat.cos();
-                    // Short polar noise, the CFL offenders.
-                    let polar_noise = 6.0 * (20.0 * lon).sin() * lat.sin().powi(4);
+                // Zonal jet peaking mid-latitude.
+                let jet = 25.0 * (2.0 * lat).sin().powi(2) * shear;
+                // Thickness in approximate balance (+ planetary wave).
+                let balanced = MEAN_THICKNESS - 600.0 * lat.sin().powi(2);
+                let cos_lat = lat.cos();
+                // Envelope of the short polar noise, the CFL offenders.
+                let polar = lat.sin().powi(4);
+                let humidity = (0.02 * (-(lat / 0.5).powi(2)).exp()).max(1e-6);
+                for (i, &[wave, noise, v, ozone]) in columns.iter().enumerate() {
+                    let h = balanced + wave * cos_lat;
                     s.field_mut(Variable::U).set(i, j, k, jet);
-                    s.field_mut(Variable::V)
-                        .set(i, j, k, 0.5 * (5.0 * lon).sin() * lat.cos());
-                    s.field_mut(Variable::Theta).set(i, j, k, h + polar_noise);
-                    s.field_mut(Variable::Pressure)
-                        .set(i, j, k, 1.0e5 - 10.0 * k as f64);
-                    s.field_mut(Variable::Humidity).set(
-                        i,
-                        j,
-                        k,
-                        (0.02 * (-(lat / 0.5).powi(2)).exp()).max(1e-6),
-                    );
-                    s.field_mut(Variable::Ozone).set(
-                        i,
-                        j,
-                        k,
-                        1.0e-6 * (1.0 + 0.3 * (2.0 * lon).sin()),
-                    );
+                    s.field_mut(Variable::V).set(i, j, k, v * cos_lat);
+                    s.field_mut(Variable::Theta).set(i, j, k, h + noise * polar);
+                    s.field_mut(Variable::Pressure).set(i, j, k, pressure);
+                    s.field_mut(Variable::Humidity).set(i, j, k, humidity);
+                    s.field_mut(Variable::Ozone).set(i, j, k, ozone);
                 }
             }
         }
@@ -123,6 +134,55 @@ mod tests {
             (mean_h - MEAN_THICKNESS).abs() < 1_000.0,
             "mean thickness {mean_h}"
         );
+    }
+
+    /// The per-point formulas `initial` factors, as they were written
+    /// before the factoring.
+    fn pointwise(grid: &GridSpec, gi: usize, gj: usize, k: usize) -> [f64; 6] {
+        let (lat, lon) = (grid.latitude(gj), grid.longitude(gi));
+        let jet = 25.0 * (2.0 * lat).sin().powi(2) * (1.0 + 0.08 * k as f64);
+        let h = MEAN_THICKNESS - 600.0 * lat.sin().powi(2) + 40.0 * (3.0 * lon).cos() * lat.cos();
+        let polar_noise = 6.0 * (20.0 * lon).sin() * lat.sin().powi(4);
+        [
+            jet,
+            0.5 * (5.0 * lon).sin() * lat.cos(),
+            h + polar_noise,
+            1.0e5 - 10.0 * k as f64,
+            (0.02 * (-(lat / 0.5).powi(2)).exp()).max(1e-6),
+            1.0e-6 * (1.0 + 0.3 * (2.0 * lon).sin()),
+        ]
+    }
+
+    #[test]
+    fn factored_initial_state_is_the_pointwise_one_to_the_bit() {
+        let grid = GridSpec::new(46, 30, 3);
+        let d = Decomp::new(grid, 2, 3);
+        let order = [
+            Variable::U,
+            Variable::V,
+            Variable::Theta,
+            Variable::Pressure,
+            Variable::Humidity,
+            Variable::Ozone,
+        ];
+        for rank in 0..d.size() {
+            let sub = d.subdomain_of_rank(rank);
+            let s = ModelState::initial(grid, sub);
+            for k in 0..grid.n_lev {
+                for j in 0..sub.nj {
+                    for i in 0..sub.ni {
+                        let expect = pointwise(&grid, sub.i0 + i, sub.j0 + j, k);
+                        for (v, e) in order.iter().zip(expect) {
+                            assert_eq!(
+                                s.field(*v).get(i, j, k).to_bits(),
+                                e.to_bits(),
+                                "rank {rank} {v:?} at ({i},{j},{k})"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -17,11 +17,13 @@
 //!    FFT executor (`agcm_fft::lanes`), lanes filled across latitude
 //!    groups, each lane with its latitude's multiplier. Chunks are gathered
 //!    **straight into the lanes** — from the field row when the chunk is
-//!    the rank's own, from the receive staging otherwise — and results
-//!    scattered straight back, to the field row or into the return
-//!    message. Tails go through the half-size real transform.
-//! 3. **Inverse movement** — the return messages restore "the data layout
-//!    which existed prior to the filtering."
+//!    the rank's own, from the received message otherwise — and results
+//!    scattered straight back **to where they came from**: the field row,
+//!    or the same offsets of the received message. Tails go through the
+//!    half-size real transform.
+//! 3. **Inverse movement** — each received message, now filtered, is sent
+//!    back as it is and restores "the data layout which existed prior to
+//!    the filtering."
 //!
 //! Packing order is the canonical line order on both sides, so no indices
 //! travel with the data — the set-up bookkeeping makes the streams
@@ -33,6 +35,18 @@
 //! first application of a `(class, assignment, variable selection)` and
 //! cached in the [`FilterScratch`]; a warmed pass constructs no maps or
 //! sets and makes no counting sweeps.
+//!
+//! **Message buffers circulate.** The `Vec` a rank packs for a peer
+//! travels there, is filtered in place, travels back, is unpacked and
+//! stays with the rank as its next forward buffer for that peer (`clear` +
+//! `extend`, capacity kept): a warmed pass allocates nothing and zeroes
+//! nothing. Filtering in place is safe because a chunk's source and sink
+//! are the same `offset..offset + ni` of the same message by construction
+//! of the pass plan, every chunk belongs to exactly one line, every line
+//! to exactly one pair or tail, and a lane batch loads all of its lines
+//! before it stores any. A buffer that never comes back (a fault run) is
+//! simply grown again by the next pack; which messages a pass sends is
+//! decided by its plan, never by what a buffer happens to hold.
 //!
 //! With `only_var: None` (the production organization) one pass moves
 //! *every* variable of a filter class, so a filtered step costs at most one
@@ -78,22 +92,21 @@ impl Assignment {
 /// Reusable per-rank state of the redistribute engine.
 ///
 /// Everything the engine needs across timesteps lives here — the cached
-/// pass plans, FFT workspace (lane storage included), receive staging —
-/// so a long simulation stops paying the allocator on the filter's
-/// critical path. (Outgoing message buffers are the one exception: the
-/// transport takes ownership of each sent `Vec`, so those are built per
-/// send, at their final size.)
+/// pass plans, FFT workspace (lane storage included), the message buffers
+/// in circulation — so a long simulation stops paying the allocator on
+/// the filter's critical path.
 #[derive(Default)]
 pub struct FilterScratch {
     /// Pass plans built so far.
     plans: Vec<PassPlan>,
     /// Workspace for the allocation-free FFT executors.
     ws: FftWorkspace,
-    /// Receive staging, indexed by peer rank: the forward messages, then
-    /// (once those are filtered) the return messages.
-    staging: Vec<Vec<f64>>,
-    /// Outgoing messages under construction, indexed by destination.
-    out: Vec<Vec<f64>>,
+    /// This rank's forward buffers, indexed by destination: packed, sent,
+    /// and put back here when they return filtered. Empty while away.
+    forward: Vec<Vec<f64>>,
+    /// Peers' forward buffers while this rank filters them, indexed by
+    /// source: received, filtered in place, sent back. Empty otherwise.
+    visiting: Vec<Vec<f64>>,
     /// One assembled line, for the scalar tail path.
     tail: Vec<f64>,
 }
@@ -102,6 +115,13 @@ impl FilterScratch {
     /// Empty scratch; plans are built and buffers grow on first use.
     pub fn new() -> FilterScratch {
         FilterScratch::default()
+    }
+
+    /// The forward buffers at rest, indexed by destination rank (empty
+    /// before the first pass and for ranks never sent to). Their pointers
+    /// and capacities are what the circulation test watches.
+    pub fn forward_buffers(&self) -> &[Vec<f64>] {
+        &self.forward
     }
 }
 
@@ -123,7 +143,8 @@ struct Held {
     lev: usize,
     /// The rank that filters the line.
     owner: usize,
-    /// Where the filtered chunk sits in `owner`'s return message.
+    /// Where the chunk sits in the message to `owner` — and, filtered, in
+    /// the same message when it returns.
     offset: usize,
 }
 
@@ -135,10 +156,9 @@ struct Owned {
 }
 
 /// One longitude chunk `i0..i0 + ni` of an owned line: held by rank `peer`
-/// at `offset` in the message it sends — and in the message it is sent
-/// back (each owned line has exactly one chunk per peer of its row, so
-/// the two streams line up). `peer` may be this rank itself: the chunk is
-/// then the line's row of the rank's own field.
+/// at `offset` in the message it sends, which is filtered in place and
+/// sent back. `peer` may be this rank itself: the chunk is then the
+/// line's row of the rank's own field.
 struct Chunk {
     peer: usize,
     offset: usize,
@@ -258,16 +278,22 @@ impl PassPlan {
     }
 }
 
-/// Where the chunks of owned lines live before and after filtering.
+/// The ranks other than `rank` that `values` (a plan's `held_values` or
+/// `owned_values`) exchanges a message with, and that message's length.
+fn peers_of(values: &[usize], rank: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let values = values.iter().enumerate();
+    values.filter_map(move |(peer, &len)| (peer != rank && len > 0).then_some((peer, len)))
+}
+
+/// Where the chunks of owned lines live — before and after filtering, the
+/// same place.
 struct ChunkEnds<'a> {
     rank: usize,
     /// First latitude row of this rank's subdomain.
     j0: usize,
     fields: &'a mut [Field3D],
     /// Forward messages received, by source rank.
-    staging: &'a [Vec<f64>],
-    /// Return messages under construction, by destination rank.
-    out: &'a mut [Vec<f64>],
+    visiting: &'a mut [Vec<f64>],
 }
 
 impl ChunkEnds<'_> {
@@ -277,17 +303,17 @@ impl ChunkEnds<'_> {
         if c.peer == self.rank {
             self.fields[line.var].row_slice(line.lat - self.j0, line.lev)
         } else {
-            &self.staging[c.peer][c.offset..c.offset + c.ni]
+            &self.visiting[c.peer][c.offset..c.offset + c.ni]
         }
     }
 
-    /// Where the filtered values of chunk `c` of `line` go: the rank's own
-    /// field row, or the peer's return message.
+    /// Where the filtered values of chunk `c` of `line` go: over the
+    /// unfiltered ones.
     fn sink(&mut self, line: &Owned, c: &Chunk) -> &mut [f64] {
         if c.peer == self.rank {
             self.fields[line.var].row_slice_mut(line.lat - self.j0, line.lev)
         } else {
-            &mut self.out[c.peer][c.offset..c.offset + c.ni]
+            &mut self.visiting[c.peer][c.offset..c.offset + c.ni]
         }
     }
 }
@@ -344,8 +370,8 @@ fn redistribute_filter(
     let FilterScratch {
         plans,
         ws,
-        staging,
-        out,
+        forward,
+        visiting,
         tail,
     } = scratch;
     let at = plans.iter().position(|plan| plan.key == key);
@@ -354,49 +380,45 @@ fn redistribute_filter(
         plans.len() - 1
     });
     let plan = &plans[at];
-    staging.resize_with(p, Vec::new);
-    out.resize_with(p, Vec::new);
+    forward.resize_with(p, Vec::new);
+    visiting.resize_with(p, Vec::new);
+    // The peers a pass exchanges messages with are the plan's, whatever
+    // the buffers hold: a forward buffer at rest still carries the last
+    // pass's (other class's, other variable's) values.
+    let peers = |values| peers_of(values, rank);
 
     // --- Phase 1: forward movement (skip empty pairs, nothing to self). --
-    // Send buffers are freshly allocated: `Payload::F64` hands the Vec to
-    // the transport, which owns it until the receiver drains it.
     comm.phase_begin("redist_fwd");
-    for (dst, &len) in plan.held_values.iter().enumerate() {
-        if dst != rank && len > 0 {
-            out[dst] = Vec::with_capacity(len);
-        }
+    for (dst, len) in peers(&plan.held_values) {
+        forward[dst].clear();
+        // Grows a buffer that is new, or was lost to a fault, in one step.
+        forward[dst].reserve(len);
     }
     for h in &plan.held {
         if h.owner != rank {
-            out[h.owner].extend_from_slice(fields[h.var].row_slice(h.j, h.lev));
+            forward[h.owner].extend_from_slice(fields[h.var].row_slice(h.j, h.lev));
         }
     }
-    for (dst, buf) in out.iter_mut().enumerate() {
-        if !buf.is_empty() {
-            comm.send(dst, TAG_FWD, Payload::F64(std::mem::take(buf)));
-        }
+    for (dst, _) in peers(&plan.held_values) {
+        comm.send(
+            dst,
+            TAG_FWD,
+            Payload::F64(std::mem::take(&mut forward[dst])),
+        );
     }
-    for (src, &len) in plan.owned_values.iter().enumerate() {
-        if src != rank && len > 0 {
-            staging[src] = comm.recv_f64(src, TAG_FWD);
-            assert_eq!(staging[src].len(), len, "forward message from rank {src}");
-        }
+    for (src, len) in peers(&plan.owned_values) {
+        visiting[src] = comm.recv_f64(src, TAG_FWD);
+        assert_eq!(visiting[src].len(), len, "forward message from rank {src}");
     }
     comm.phase_end("redist_fwd");
 
-    // --- Phase 2: gather into lanes, filter, scatter back. ---------------
+    // --- Phase 2: gather into lanes, filter, scatter back in place. ------
     comm.phase_begin("filter_local");
-    for (dst, &len) in plan.owned_values.iter().enumerate() {
-        if dst != rank && len > 0 {
-            out[dst] = vec![0.0; len];
-        }
-    }
     let mut ends = ChunkEnds {
         rank,
         j0: plan.j0,
         fields: &mut *fields,
-        staging,
-        out: &mut *out,
+        visiting,
     };
     {
         let mut lanes = LaneBatch::new(&setup.fft, ws);
@@ -438,25 +460,26 @@ fn redistribute_filter(
         .add(plan.owned.len() as u64);
     comm.phase_end("filter_local");
 
-    // --- Phase 3: inverse movement (same sparsity, reversed). ------------
+    // --- Phase 3: inverse movement (same sparsity, reversed): every ------
+    // --- visiting buffer goes home, every forward buffer comes home. -----
     comm.phase_begin("redist_bwd");
-    for (dst, buf) in out.iter_mut().enumerate() {
-        if !buf.is_empty() {
-            comm.send(dst, TAG_BWD, Payload::F64(std::mem::take(buf)));
-        }
+    for (dst, _) in peers(&plan.owned_values) {
+        comm.send(
+            dst,
+            TAG_BWD,
+            Payload::F64(std::mem::take(&mut visiting[dst])),
+        );
     }
-    for (src, &len) in plan.held_values.iter().enumerate() {
-        if src != rank && len > 0 {
-            staging[src] = comm.recv_f64(src, TAG_BWD);
-            assert_eq!(staging[src].len(), len, "return message from rank {src}");
-        }
+    for (src, len) in peers(&plan.held_values) {
+        forward[src] = comm.recv_f64(src, TAG_BWD);
+        assert_eq!(forward[src].len(), len, "return message from rank {src}");
     }
     for h in &plan.held {
         // Lines this rank filtered itself were scattered in place.
         if h.owner != rank {
             let row = fields[h.var].row_slice_mut(h.j, h.lev);
             let len = row.len();
-            row.copy_from_slice(&staging[h.owner][h.offset..h.offset + len]);
+            row.copy_from_slice(&forward[h.owner][h.offset..h.offset + len]);
         }
     }
     comm.phase_end("redist_bwd");

@@ -11,8 +11,21 @@
 //! The exchange is two-phase — east/west first, then north/south including
 //! the already-filled longitude ghosts — so diagonal (corner) ghosts come
 //! out right without extra messages.
+//!
+//! [`exchange_all`] is the one implementation, for any number of fields at
+//! once: within a phase it posts every field's sends before the first
+//! receive, so the fields share one round trip instead of waiting for one
+//! each. Messages and tags are those of exchanging the fields one by one;
+//! messages between two ranks with one tag are non-overtaking, so the
+//! k-th strip received under a tag belongs to the k-th field.
+//!
+//! Message buffers circulate: the strip sent towards a neighbour is packed
+//! into the buffer last received *from* that neighbour (same mesh row or
+//! column, so the same length), which the field keeps between exchanges —
+//! a warmed exchange allocates nothing.
 
 use crate::field::Field3D;
+use agcm_mps::comm::Comm;
 use agcm_mps::message::Payload;
 use agcm_mps::topology::CartComm;
 
@@ -21,11 +34,18 @@ const TAG_WEST: u64 = 102;
 const TAG_NORTH: u64 = 103;
 const TAG_SOUTH: u64 = 104;
 
+/// Indices into [`HaloField`]'s buffers at rest, by neighbour.
+const EAST: usize = 0;
+const WEST: usize = 1;
+const NORTH: usize = 2;
+const SOUTH: usize = 3;
+
 /// A local field with ghost margins of width `h` in longitude and latitude.
 ///
 /// Interior indices run `0..ni` / `0..nj`; ghosts are addressed with
-/// negative or overflowing indices through the signed accessors.
-#[derive(Debug, Clone, PartialEq)]
+/// negative or overflowing indices through the signed accessors. Two halo
+/// fields are equal when their shapes and padded values are.
+#[derive(Debug, Clone)]
 pub struct HaloField {
     ni: usize,
     nj: usize,
@@ -33,6 +53,16 @@ pub struct HaloField {
     h: usize,
     /// Padded data, shape `(ni + 2h) × (nj + 2h) × nk`, longitude fastest.
     data: Vec<f64>,
+    /// Message buffers at rest, by neighbour: `spare[d]` is what neighbour
+    /// `d` sent last and what the next strip for `d` is packed into.
+    spare: [Vec<f64>; 4],
+}
+
+impl PartialEq for HaloField {
+    fn eq(&self, other: &HaloField) -> bool {
+        (self.ni, self.nj, self.nk, self.h) == (other.ni, other.nj, other.nk, other.h)
+            && self.data == other.data
+    }
 }
 
 impl HaloField {
@@ -50,6 +80,7 @@ impl HaloField {
             nk,
             h,
             data: vec![0.0; (ni + 2 * h) * (nj + 2 * h) * nk],
+            spare: Default::default(),
         }
     }
 
@@ -157,12 +188,14 @@ impl HaloField {
     }
 
     /// Pack a block of columns `[i_lo, i_lo+count_i) × [j_lo, j_hi) × levels`,
-    /// column index fastest. The block is a few values wide and many rows
-    /// tall, so each column is gathered by one strided walk down the rows
-    /// rather than by a tiny copy per row.
-    fn pack(&self, i_lo: isize, j_lo: isize, j_hi: isize, count_i: usize) -> Vec<f64> {
+    /// column index fastest, into `out` (cleared first, capacity kept).
+    /// The block is a few values wide and many rows tall, so each column
+    /// is gathered by one strided walk down the rows rather than by a tiny
+    /// copy per row.
+    fn pack(&self, out: &mut Vec<f64>, i_lo: isize, j_lo: isize, j_hi: isize, count_i: usize) {
         let per_level = count_i * (j_hi - j_lo) as usize;
-        let mut out = vec![0.0; per_level * self.nk];
+        out.clear();
+        out.resize(per_level * self.nk, 0.0);
         for (k, block) in out.chunks_exact_mut(per_level).enumerate() {
             let src = &self.data[self.offset(i_lo, j_lo, k)..];
             for di in 0..count_i {
@@ -172,7 +205,6 @@ impl HaloField {
                 }
             }
         }
-        out
     }
 
     fn unpack(&mut self, buf: &[f64], i_lo: isize, j_lo: isize, j_hi: isize, count_i: usize) {
@@ -198,13 +230,13 @@ impl HaloField {
         start..start + count_j * self.row_stride()
     }
 
-    /// Pack a block of rows `[lon incl. ghosts] × [j_lo, j_lo+count_j)`.
-    fn pack_rows(&self, j_lo: isize, count_j: usize) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.row_stride() * count_j * self.nk);
+    /// Pack a block of rows `[lon incl. ghosts] × [j_lo, j_lo+count_j)`
+    /// into `out` (cleared first, capacity kept).
+    fn pack_rows(&self, out: &mut Vec<f64>, j_lo: isize, count_j: usize) {
+        out.clear();
         for k in 0..self.nk {
             out.extend_from_slice(&self.data[self.rows_span(j_lo, count_j, k)]);
         }
-        out
     }
 
     fn unpack_rows(&mut self, buf: &[f64], j_lo: isize, count_j: usize) {
@@ -228,55 +260,95 @@ impl HaloField {
         }
     }
 
-    /// Exchange ghost margins with the four mesh neighbours.
+    /// Exchange ghost margins with the four mesh neighbours:
+    /// [`exchange_all`] on this one field.
     ///
     /// Dimension 1 of `cart` (longitude) must be periodic; dimension 0
     /// (latitude) is bounded, and at the poles the ghost rows are filled by
     /// zero-gradient extrapolation.
     pub fn exchange(&mut self, cart: &CartComm) {
-        let comm = cart.comm();
-        let h = self.h;
-        let nih = self.ni as isize;
-        let njh = self.nj as isize;
+        exchange_all(std::slice::from_mut(self), cart);
+    }
 
-        // --- Phase 1: east-west (longitude, periodic). -------------------
-        let east = cart.neighbor(1, 1).expect("longitude is periodic");
-        let west = cart.neighbor(1, -1).expect("longitude is periodic");
-        // Send our easternmost h interior columns east; they become the
-        // east neighbour's west ghost. And vice versa.
-        let east_edge = self.pack(nih - h as isize, 0, njh, h);
-        let west_edge = self.pack(0, 0, njh, h);
-        comm.send(east, TAG_EAST, Payload::F64(east_edge));
-        comm.send(west, TAG_WEST, Payload::F64(west_edge));
-        let from_west = comm.recv_f64(west, TAG_EAST);
-        let from_east = comm.recv_f64(east, TAG_WEST);
-        self.unpack(&from_west, -(h as isize), 0, njh, h);
-        self.unpack(&from_east, nih, 0, njh, h);
+    /// Send the `h` interior columns from `i_lo` to neighbour `to`, in the
+    /// buffer last received from it.
+    fn send_columns(&mut self, comm: &Comm, to: usize, dir: usize, tag: u64, i_lo: isize) {
+        let mut edge = std::mem::take(&mut self.spare[dir]);
+        self.pack(&mut edge, i_lo, 0, self.nj as isize, self.h);
+        comm.send(to, tag, Payload::F64(edge));
+    }
 
-        // --- Phase 2: north-south (latitude, bounded), full padded rows. --
-        let north = cart.neighbor(0, 1);
-        let south = cart.neighbor(0, -1);
+    /// Receive neighbour `from`'s columns into the `h` ghost columns from
+    /// `i_lo`, and keep the buffer for the next send to it.
+    fn recv_columns(&mut self, comm: &Comm, from: usize, dir: usize, tag: u64, i_lo: isize) {
+        let buf = comm.recv_f64(from, tag);
+        self.unpack(&buf, i_lo, 0, self.nj as isize, self.h);
+        self.spare[dir] = buf;
+    }
+
+    /// Send the `h` full padded rows from `j_lo` to neighbour `to`.
+    fn send_rows(&mut self, comm: &Comm, to: usize, dir: usize, tag: u64, j_lo: isize) {
+        let mut edge = std::mem::take(&mut self.spare[dir]);
+        self.pack_rows(&mut edge, j_lo, self.h);
+        comm.send(to, tag, Payload::F64(edge));
+    }
+
+    /// Receive neighbour `from`'s rows into the `h` ghost rows from `j_lo`.
+    fn recv_rows(&mut self, comm: &Comm, from: usize, dir: usize, tag: u64, j_lo: isize) {
+        let buf = comm.recv_f64(from, tag);
+        self.unpack_rows(&buf, j_lo, self.h);
+        self.spare[dir] = buf;
+    }
+}
+
+/// Exchange the ghost margins of every field in `fields` with the four
+/// mesh neighbours — the same messages, tags and ghosts as exchanging
+/// them one after another, but each phase posts all its sends before its
+/// first receive (see the module docs). The fields may differ in shape and
+/// halo width.
+///
+/// Dimension 1 of `cart` (longitude) must be periodic; dimension 0
+/// (latitude) is bounded, and at the poles the ghost rows are filled by
+/// zero-gradient extrapolation.
+pub fn exchange_all(fields: &mut [HaloField], cart: &CartComm) {
+    let comm = cart.comm();
+
+    // --- Phase 1: east-west (longitude, periodic). -----------------------
+    let east = cart.neighbor(1, 1).expect("longitude is periodic");
+    let west = cart.neighbor(1, -1).expect("longitude is periodic");
+    // Our easternmost h interior columns go east and become the east
+    // neighbour's west ghost. And vice versa.
+    for f in fields.iter_mut() {
+        f.send_columns(comm, east, EAST, TAG_EAST, (f.ni - f.h) as isize);
+        f.send_columns(comm, west, WEST, TAG_WEST, 0);
+    }
+    for f in fields.iter_mut() {
+        f.recv_columns(comm, west, WEST, TAG_EAST, -(f.h as isize));
+        f.recv_columns(comm, east, EAST, TAG_WEST, f.ni as isize);
+    }
+
+    // --- Phase 2: north-south (latitude, bounded), full padded rows. ------
+    let north = cart.neighbor(0, 1);
+    let south = cart.neighbor(0, -1);
+    for f in fields.iter_mut() {
         if let Some(n) = north {
-            let edge = self.pack_rows(njh - h as isize, h);
-            comm.send(n, TAG_NORTH, Payload::F64(edge));
+            f.send_rows(comm, n, NORTH, TAG_NORTH, (f.nj - f.h) as isize);
         }
         if let Some(s) = south {
-            let edge = self.pack_rows(0, h);
-            comm.send(s, TAG_SOUTH, Payload::F64(edge));
+            f.send_rows(comm, s, SOUTH, TAG_SOUTH, 0);
         }
-        if let Some(s) = south {
-            let buf = comm.recv_f64(s, TAG_NORTH);
-            self.unpack_rows(&buf, -(h as isize), h);
-        } else {
+    }
+    for f in fields.iter_mut() {
+        let (h, njh) = (f.h as isize, f.nj as isize);
+        match south {
+            Some(s) => f.recv_rows(comm, s, SOUTH, TAG_NORTH, -h),
             // South pole: zero-gradient.
-            self.replicate_row(0, -(h as isize));
+            None => f.replicate_row(0, -h),
         }
-        if let Some(n) = north {
-            let buf = comm.recv_f64(n, TAG_SOUTH);
-            self.unpack_rows(&buf, njh, h);
-        } else {
+        match north {
+            Some(n) => f.recv_rows(comm, n, NORTH, TAG_SOUTH, njh),
             // North pole: zero-gradient.
-            self.replicate_row(njh - 1, njh);
+            None => f.replicate_row(njh - 1, njh),
         }
     }
 }

@@ -17,6 +17,7 @@ use agcm_grid::field::Field3D;
 use agcm_grid::latlon::GridSpec;
 use agcm_mps::comm::Comm;
 use agcm_mps::message::Payload;
+use std::cell::RefCell;
 use std::ops::Range;
 
 const TAG_META: u64 = 301;
@@ -35,6 +36,26 @@ pub struct BalancedRun {
     pub owned: f64,
 }
 
+/// What a rank keeps from one balanced pass to the next, so a warmed pass
+/// builds no tables and allocates no column buffers. [`run_balanced`] is a
+/// free function called once per step by whoever drives the model, and a
+/// rank is a thread, so the state is the thread's.
+struct PassState {
+    grid: GridSpec,
+    /// Forcing tables and kernel scratch, moved to each pass's time.
+    kernel: ColumnKernel,
+    /// This pass's outgoing transfers: receiver and delegated columns.
+    out: Vec<(usize, Range<usize>)>,
+    /// Column buffers at rest, one per outgoing transfer. A buffer goes
+    /// out as `TAG_DATA`, is advanced in place by the receiver, comes back
+    /// as `TAG_RESULT` and is kept for the next pass.
+    columns: Vec<Vec<f64>>,
+}
+
+thread_local! {
+    static PASS: RefCell<Option<PassState>> = const { RefCell::new(None) };
+}
+
 /// Run one physics pass executing `plan` (in flop units).
 ///
 /// Delegated columns are a prefix of the local columns in storage order
@@ -49,84 +70,119 @@ pub fn run_balanced(
     t: f64,
     plan: &[Transfer],
 ) -> BalancedRun {
-    let mut kernel = ColumnKernel::new(grid, t);
-    let me = comm.rank();
-    let nk = grid.n_lev;
-    let n_local = sub.ni * sub.nj;
-    let global = |cursor: usize| (sub.i0 + cursor % sub.ni, sub.j0 + cursor / sub.ni);
+    PASS.with_borrow_mut(|state| {
+        let state = match state {
+            Some(state) if state.grid == *grid => state,
+            _ => state.insert(PassState {
+                grid: *grid,
+                kernel: ColumnKernel::new(grid, t),
+                out: Vec::new(),
+                columns: Vec::new(),
+            }),
+        };
+        state.kernel.set_time(t);
+        state.run(comm, sub, theta, plan)
+    })
+}
 
-    // --- Select columns to delegate, one contiguous scan, no overlap. ----
-    let my_out: Vec<&Transfer> = plan.iter().filter(|tr| tr.from == me).collect();
-    let mut delegated: Vec<Range<usize>> = Vec::with_capacity(my_out.len());
-    let mut delegated_cost = 0.0;
-    let mut cursor = 0usize;
-    for tr in &my_out {
-        let start = cursor;
-        let mut shipped = 0.0;
-        while shipped < tr.amount && cursor < n_local {
-            let (gi, gj) = global(cursor);
-            shipped += kernel.forcing().cost(gi, gj).flops;
-            cursor += 1;
+impl PassState {
+    fn run(
+        &mut self,
+        comm: &Comm,
+        sub: &Subdomain,
+        theta: &mut Field3D,
+        plan: &[Transfer],
+    ) -> BalancedRun {
+        let PassState {
+            grid,
+            kernel,
+            out,
+            columns,
+        } = self;
+        let me = comm.rank();
+        let nk = grid.n_lev;
+        let n_local = sub.ni * sub.nj;
+        let global = |cursor: usize| (sub.i0 + cursor % sub.ni, sub.j0 + cursor / sub.ni);
+
+        // --- Select columns to delegate, one contiguous scan, no overlap. -
+        out.clear();
+        let mut delegated_cost = 0.0;
+        let mut cursor = 0usize;
+        for tr in plan.iter().filter(|tr| tr.from == me) {
+            let start = cursor;
+            let mut shipped = 0.0;
+            while shipped < tr.amount && cursor < n_local {
+                let (gi, gj) = global(cursor);
+                shipped += kernel.forcing().cost(gi, gj).flops;
+                cursor += 1;
+            }
+            out.push((tr.to, start..cursor));
+            delegated_cost += shipped;
         }
-        delegated.push(start..cursor);
-        delegated_cost += shipped;
-    }
-
-    // --- Ship delegated columns. -----------------------------------------
-    for (tr, cols) in my_out.iter().zip(&delegated) {
-        let mut meta: Vec<i64> = Vec::with_capacity(1 + 2 * cols.len());
-        meta.push(cols.len() as i64);
-        for (gi, gj) in cols.clone().map(global) {
-            meta.push(gi as i64);
-            meta.push(gj as i64);
+        if columns.len() < out.len() {
+            columns.resize_with(out.len(), Vec::new);
         }
-        let mut data: Vec<f64> = Vec::with_capacity(cols.len() * nk);
-        for level in theta.as_slice().chunks_exact(n_local) {
-            data.extend_from_slice(&level[cols.clone()]);
+
+        // --- Ship delegated columns. --------------------------------------
+        for ((to, cols), data) in out.iter().zip(columns.iter_mut()) {
+            // The coordinates travel one way, so their buffer cannot come
+            // home: the one message buffer a pass allocates.
+            let mut meta: Vec<i64> = Vec::with_capacity(1 + 2 * cols.len());
+            meta.push(cols.len() as i64);
+            for (gi, gj) in cols.clone().map(global) {
+                meta.push(gi as i64);
+                meta.push(gj as i64);
+            }
+            let mut data = std::mem::take(data);
+            data.clear();
+            for level in theta.as_slice().chunks_exact(n_local) {
+                data.extend_from_slice(&level[cols.clone()]);
+            }
+            comm.send(*to, TAG_META, Payload::I64(meta));
+            comm.send(*to, TAG_DATA, Payload::F64(data));
         }
-        comm.send(tr.to, TAG_META, Payload::I64(meta));
-        comm.send(tr.to, TAG_DATA, Payload::F64(data));
-    }
 
-    // --- Process what stays local: the rest of the cursor's row, then ----
-    // --- whole rows. -----------------------------------------------------
-    let mut local_own = 0.0;
-    let (mut j, mut i) = (cursor / sub.ni, cursor % sub.ni);
-    while j < sub.nj {
-        local_own += kernel.run_row(theta, sub, j, i..sub.ni);
-        (j, i) = (j + 1, 0);
-    }
-    let mut flops = local_own;
-
-    // --- Process foreign columns and return results. ---------------------
-    for tr in plan.iter().filter(|tr| tr.to == me) {
-        let meta = comm.recv_i64(tr.from, TAG_META);
-        let mut data = comm.recv_f64(tr.from, TAG_DATA);
-        let n_cols = meta[0] as usize;
-        assert_eq!(data.len(), n_cols * nk, "column data length mismatch");
-        flops += kernel.run_packed(
-            |c| (meta[1 + 2 * c] as usize, meta[2 + 2 * c] as usize),
-            &mut data,
-        );
-        comm.send(tr.from, TAG_RESULT, Payload::F64(data));
-    }
-    comm.record_flops(flops);
-
-    // --- Collect results for our delegated columns. ----------------------
-    for (tr, cols) in my_out.iter().zip(&delegated) {
-        let data = comm.recv_f64(tr.to, TAG_RESULT);
-        for (k, level) in theta.as_mut_slice().chunks_exact_mut(n_local).enumerate() {
-            level[cols.clone()].copy_from_slice(&data[k * cols.len()..][..cols.len()]);
+        // --- Process what stays local: the rest of the cursor's row, ------
+        // --- then whole rows. ---------------------------------------------
+        let mut local_own = 0.0;
+        let (mut j, mut i) = (cursor / sub.ni, cursor % sub.ni);
+        while j < sub.nj {
+            local_own += kernel.run_row(theta, sub, j, i..sub.ni);
+            (j, i) = (j + 1, 0);
         }
-    }
-    let registry = agcm_telemetry::registry();
-    registry.counter("physics.balanced_passes").inc();
-    registry
-        .counter("physics.columns_delegated")
-        .add(cursor as u64);
-    BalancedRun {
-        performed: flops,
-        owned: local_own + delegated_cost,
+        let mut flops = local_own;
+
+        // --- Process foreign columns and return them in their buffer. -----
+        for tr in plan.iter().filter(|tr| tr.to == me) {
+            let meta = comm.recv_i64(tr.from, TAG_META);
+            let mut data = comm.recv_f64(tr.from, TAG_DATA);
+            let n_cols = meta[0] as usize;
+            assert_eq!(data.len(), n_cols * nk, "column data length mismatch");
+            flops += kernel.run_packed(
+                |c| (meta[1 + 2 * c] as usize, meta[2 + 2 * c] as usize),
+                &mut data,
+            );
+            comm.send(tr.from, TAG_RESULT, Payload::F64(data));
+        }
+        comm.record_flops(flops);
+
+        // --- Collect results for our delegated columns. -------------------
+        for ((to, cols), spare) in out.iter().zip(columns.iter_mut()) {
+            let data = comm.recv_f64(*to, TAG_RESULT);
+            for (k, level) in theta.as_mut_slice().chunks_exact_mut(n_local).enumerate() {
+                level[cols.clone()].copy_from_slice(&data[k * cols.len()..][..cols.len()]);
+            }
+            *spare = data;
+        }
+        let registry = agcm_telemetry::registry();
+        registry.counter("physics.balanced_passes").inc();
+        registry
+            .counter("physics.columns_delegated")
+            .add(cursor as u64);
+        BalancedRun {
+            performed: flops,
+            owned: local_own + delegated_cost,
+        }
     }
 }
 
