@@ -3,17 +3,18 @@
 //! ```text
 //! reproduce [all|figure1|tables1to3|tables4to7|tables8to11|singlenode|summary
 //!           |bench-filter|bench-kernels [--smoke]|trace|analyze|ensemble [--smoke]
-//!           |serve [--smoke]|profile [--smoke]|store [--smoke]|bench-check]
+//!           |serve [--smoke]|profile [--smoke]|store [--smoke]]
 //! ```
 //!
 //! `all` (the default) runs the paper's tables and figures plus the two
 //! kernel benchmarks.
 //!
-//! `bench-filter` is the filter fast-path regression benchmark: it times
-//! the batched real-input filtering kernel against the original per-line
+//! `bench-filter` is the filter fast-path benchmark: it times the
+//! batched real-input filtering kernel against the original per-line
 //! complex path and counts redistribute messages per filtered step, then
-//! writes the numbers to `BENCH_filter.json` for machine-readable
-//! before/after tracking.
+//! writes the numbers to `BENCH_filter.json`. Both `BENCH_*.json` files
+//! are reports of the paper's kernel pairs, not a gate: performance
+//! regressions are judged by `benchmark/`.
 //!
 //! `bench-kernels` is the §4 kernel benchmark: the 7-point stencil (both
 //! layouts), the real upwind advection operator and the full tendency
@@ -26,16 +27,6 @@
 //! trace-event format — open at <https://ui.perfetto.dev>) plus
 //! `metrics.jsonl` (one structured record per step and per run), then
 //! validates both artifacts and exits non-zero if they are malformed.
-//!
-//! `bench-check` re-times the filter, dynamics and physics kernels and
-//! judges each speedup against the *trend* of recent runs recorded in
-//! `bench_history.jsonl` (median − 3·MAD over the newest window); with
-//! fewer than 5 recorded runs it falls back to the committed
-//! `BENCH_filter.json` / `BENCH_kernels.json` value divided by the
-//! tolerance (override: `AGCM_BENCH_TOLERANCE`). Every verdict lands in
-//! `bench_check.json`, and a failure names the metric with its observed,
-//! committed, and floor values. `bench-filter`, `bench-kernels`, and
-//! `bench-check` itself all append their measurements to the history.
 //!
 //! `profile` runs a short instrumented model under the in-process
 //! sampling profiler and writes `profile_folded.txt`, `flamegraph.svg`,
@@ -74,16 +65,12 @@ use agcm_singlenode::blockarray::{
     paper_test_fields,
 };
 use agcm_telemetry::json::Value;
-use std::path::Path;
 
 /// Counting allocator for the `profile` allocation-freedom check; it
 /// forwards to the system allocator and costs one thread-local read per
 /// allocation when not armed.
 #[global_allocator]
 static ALLOCATOR: agcm_bench::alloccount::CountingAlloc = agcm_bench::alloccount::CountingAlloc;
-
-/// Where bench runs accumulate for the trend gate.
-const HISTORY_PATH: &str = "bench_history.jsonl";
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
@@ -102,7 +89,6 @@ fn main() {
         "serve" => serve(std::env::args().nth(2).as_deref() == Some("--smoke")),
         "profile" => profile(std::env::args().nth(2).as_deref() == Some("--smoke")),
         "store" => store(std::env::args().nth(2).as_deref() == Some("--smoke")),
-        "bench-check" => bench_check(),
         "all" => {
             figure1();
             tables_1_to_3();
@@ -115,7 +101,7 @@ fn main() {
         }
         other => {
             eprintln!("unknown experiment '{other}'");
-            eprintln!("usage: reproduce [all|figure1|tables1to3|tables4to7|tables8to11|singlenode|summary|bench-filter|bench-kernels [--smoke]|trace|analyze|ensemble [--smoke]|serve [--smoke]|profile [--smoke]|store [--smoke]|bench-check]");
+            eprintln!("usage: reproduce [all|figure1|tables1to3|tables4to7|tables8to11|singlenode|summary|bench-filter|bench-kernels [--smoke]|trace|analyze|ensemble [--smoke]|serve [--smoke]|profile [--smoke]|store [--smoke]]");
             std::process::exit(2);
         }
     }
@@ -474,19 +460,55 @@ fn singlenode() {
     );
 }
 
-/// Filter fast-path regression benchmark: the batched, allocation-free
-/// real-input kernel vs the original per-line complex path on the paper's
-/// 144-point longitude circles, plus redistribute messages per filtered
-/// step under the aggregated vs per-variable organizations. Results go to
-/// stdout and to `BENCH_filter.json` (committed, for before/after
-/// tracking).
+/// Filter fast-path benchmark: the batched, allocation-free real-input
+/// kernel vs the original per-line complex path on the paper's 144-point
+/// longitude circles, plus redistribute messages per filtered step under
+/// the aggregated vs per-variable organizations. Results go to stdout and
+/// to `BENCH_filter.json`.
 fn bench_filter() {
     println!("\n=== Filter fast path: batched real vs per-line complex (n=144) ===\n");
-    let k = measure_filter_kernel();
-    let (n, batch) = (k.n, k.batch);
+    let n = 144usize;
+    // One strongly-filtered polar latitude in the 9-layer configuration
+    // moves 4 variables × 9 levels = 36 lines.
+    let batch = 36usize;
+    let plan = FftPlan::new(n);
+    let mult: Vec<f64> = (0..n)
+        .map(|k| {
+            let s = k.min(n - k) as f64 / (n as f64 / 2.0);
+            1.0 / (1.0 + 8.0 * s * s)
+        })
+        .collect();
+    let base: Vec<f64> = (0..batch * n)
+        .map(|j| (j as f64 * 0.37).sin() + 0.3 * (j as f64 * 0.11).cos())
+        .collect();
+
+    // Seconds per batch, three ways: every line widened to a complex
+    // transform; scalar `filter_pair` on consecutive pairs; and
+    // `filter_lines_flat`, lane-batched.
+    let reps = 31;
+    let mut buf = base.clone();
+    let t_complex = time_median(reps, || {
+        for line in buf.chunks_mut(n) {
+            let out = apply_spectral_multiplier(&plan, line, &mult);
+            line.copy_from_slice(&out);
+        }
+    });
+    let mut buf = base.clone();
+    let mut ws = plan.workspace();
+    let t_scalar_pairs = time_median(reps, || {
+        for pair in buf.chunks_exact_mut(2 * n) {
+            let (a, b) = pair.split_at_mut(n);
+            filter_pair(&plan, a, b, &mult, &mut ws);
+        }
+    });
+    let mut buf = base;
+    let t_batched = time_median(reps, || {
+        filter_lines_flat(&plan, &mut buf, &mult, &mut ws);
+    });
     let ns_per_line = |t: f64| t * 1e9 / batch as f64;
     let lines_per_sec = |t: f64| batch as f64 / t;
-    let speedup = k.kernel_speedup();
+    let speedup = t_complex / t_batched;
+    let lane_speedup = t_scalar_pairs / t_batched;
 
     let mut t = Table::new(
         format!("Kernel, {batch} lines of n={n}"),
@@ -494,20 +516,20 @@ fn bench_filter() {
     );
     t.add_row(vec![
         "per-line complex (original)".into(),
-        format!("{:.0}", ns_per_line(k.t_complex)),
-        format!("{:.0}", lines_per_sec(k.t_complex)),
+        format!("{:.0}", ns_per_line(t_complex)),
+        format!("{:.0}", lines_per_sec(t_complex)),
         "1.00".into(),
     ]);
     t.add_row(vec![
         "scalar pairs (filter_pair, the oracle)".into(),
-        format!("{:.0}", ns_per_line(k.t_scalar_pairs)),
-        format!("{:.0}", lines_per_sec(k.t_scalar_pairs)),
-        fmt_ratio(k.t_complex / k.t_scalar_pairs),
+        format!("{:.0}", ns_per_line(t_scalar_pairs)),
+        format!("{:.0}", lines_per_sec(t_scalar_pairs)),
+        fmt_ratio(t_complex / t_scalar_pairs),
     ]);
     t.add_row(vec![
         "batched real (production, lane-batched)".into(),
-        format!("{:.0}", ns_per_line(k.t_batched)),
-        format!("{:.0}", lines_per_sec(k.t_batched)),
+        format!("{:.0}", ns_per_line(t_batched)),
+        format!("{:.0}", lines_per_sec(t_batched)),
         fmt_ratio(speedup),
     ]);
     println!("{t}");
@@ -520,14 +542,14 @@ fn bench_filter() {
     let flops_per_line = agcm_fft::ops::pair_filter_flops(n) / 2.0;
     let peak = agcm_bench::peak::add_mul_rate(7);
     let bound_ns = flops_per_line / peak * 1e9;
-    let fraction = bound_ns / ns_per_line(k.t_batched);
+    let fraction = bound_ns / ns_per_line(t_batched);
     println!(
         "Lane-batched executor: W={lanes} pair-packed transforms per batch, dispatch target {target}; \
          {:.0} ns/line, {:.2}x the scalar pair path.\n\
          Bound: {flops_per_line:.0} flops/line at the measured add+mul rate {:.1} GFlop/s = {bound_ns:.0} ns/line; \
          fraction achieved {:.2}\n",
-        ns_per_line(k.t_batched),
-        k.lane_speedup(),
+        ns_per_line(t_batched),
+        lane_speedup,
         peak / 1e9,
         fraction,
     );
@@ -553,13 +575,13 @@ fn bench_filter() {
 
     let json = format!(
         "{{\n  \"benchmark\": \"filter_fast_path\",\n  \"n_lon\": {n},\n  \"batch_lines\": {batch},\n  \"per_line_complex\": {{\n    \"ns_per_line\": {:.1},\n    \"lines_per_sec\": {:.1}\n  }},\n  \"batched_real\": {{\n    \"ns_per_line\": {:.1},\n    \"lines_per_sec\": {:.1}\n  }},\n  \"kernel_speedup\": {:.2},\n  \"lane_batched\": {{\n    \"ns_per_line\": {:.1},\n    \"speedup\": {:.2},\n    \"lanes\": {lanes},\n    \"dispatch_target\": \"{target}\",\n    \"flops_per_line\": {flops_per_line:.0},\n    \"add_mul_gflops\": {:.1},\n    \"bound_ns_per_line\": {bound_ns:.1},\n    \"bound_fraction\": {fraction:.2}\n  }},\n  \"messages_per_filtered_step\": {{\n    \"variant\": \"{variant:?}\",\n    \"mesh\": \"{}x{}\",\n    \"aggregated\": {},\n    \"per_variable\": {}\n  }}\n}}\n",
-        ns_per_line(k.t_complex),
-        lines_per_sec(k.t_complex),
-        ns_per_line(k.t_batched),
-        lines_per_sec(k.t_batched),
+        ns_per_line(t_complex),
+        lines_per_sec(t_complex),
+        ns_per_line(t_batched),
+        lines_per_sec(t_batched),
         speedup,
-        ns_per_line(k.t_batched),
-        k.lane_speedup(),
+        ns_per_line(t_batched),
+        lane_speedup,
         peak / 1e9,
         mesh.0,
         mesh.1,
@@ -569,40 +591,12 @@ fn bench_filter() {
     std::fs::write("BENCH_filter.json", &json)
         .unwrap_or_else(|e| eprintln!("could not write BENCH_filter.json: {e}"));
     println!("wrote BENCH_filter.json");
-    record_history("filter", k.history());
-}
-
-/// Append one suite's measurements to `bench_history.jsonl` for the
-/// `bench-check` trend gate. Best-effort: a read-only checkout must not
-/// fail the bench itself.
-fn record_history(suite: &str, metrics: Vec<(String, f64)>) {
-    use agcm_bench::history::{append, HistoryEntry};
-    let entry = HistoryEntry::now(suite, metrics);
-    match append(Path::new(HISTORY_PATH), &entry) {
-        Ok(()) => println!("appended {suite} run to {HISTORY_PATH}"),
-        Err(e) => eprintln!("could not append to {HISTORY_PATH}: {e}"),
-    }
-}
-
-/// The kernel speedups `bench-kernels` and `bench-check` both append to
-/// the history (and `bench-check` gates).
-fn kernel_history(b: &agcm_bench::kernels::KernelBench) -> Vec<(String, f64)> {
-    vec![
-        ("stencil.kernel_speedup".into(), b.stencil.kernel_speedup()),
-        (
-            "advection.kernel_speedup".into(),
-            b.advection.kernel_speedup(),
-        ),
-        ("tendency_step.speedup".into(), b.step.kernel_speedup()),
-        ("fd_sweeps.speedup".into(), b.fd.kernel_speedup()),
-        ("physics.speedup".into(), b.physics.kernel_speedup()),
-    ]
 }
 
 /// `bench-kernels`: the §4 kernel benchmark — stencil (both layouts),
 /// real upwind advection, the full tendency step, its fd phase alone and
 /// the column-physics pass, reference vs kernel paths. Prints the tables and writes
-/// `BENCH_kernels.json` (committed, gated by `bench-check`).
+/// `BENCH_kernels.json`.
 fn bench_kernels(smoke: bool) {
     use agcm_bench::kernels::{
         divide_seconds, physics_bytes_per_column, physics_divides_per_column, run_kernel_bench,
@@ -694,87 +688,6 @@ fn bench_kernels(smoke: bool) {
     std::fs::write("BENCH_kernels.json", &json)
         .unwrap_or_else(|e| eprintln!("could not write BENCH_kernels.json: {e}"));
     println!("wrote BENCH_kernels.json");
-    record_history("kernels", kernel_history(&b));
-}
-
-/// One timing of the filter kernel on a 36-line latitude group, three
-/// ways. Shared by `bench-filter` (which reports and records) and
-/// `bench-check` (which compares against the committed record).
-struct FilterKernelTimes {
-    n: usize,
-    batch: usize,
-    /// Seconds per batch: every line widened to a complex transform.
-    t_complex: f64,
-    /// Seconds per batch: scalar `filter_pair` on consecutive pairs.
-    t_scalar_pairs: f64,
-    /// Seconds per batch: `filter_lines_flat` (lane-batched).
-    t_batched: f64,
-}
-
-impl FilterKernelTimes {
-    /// Production path over the original per-line complex path.
-    fn kernel_speedup(&self) -> f64 {
-        self.t_complex / self.t_batched
-    }
-
-    /// Lane-batched executor over the scalar pair path it reproduces.
-    fn lane_speedup(&self) -> f64 {
-        self.t_scalar_pairs / self.t_batched
-    }
-
-    /// The metrics `bench-filter` and `bench-check` both append to the
-    /// history (and `bench-check` gates).
-    fn history(&self) -> Vec<(String, f64)> {
-        vec![
-            ("kernel_speedup".into(), self.kernel_speedup()),
-            ("lane_batched.speedup".into(), self.lane_speedup()),
-        ]
-    }
-}
-
-fn measure_filter_kernel() -> FilterKernelTimes {
-    let n = 144usize;
-    // One strongly-filtered polar latitude in the 9-layer configuration
-    // moves 4 variables × 9 levels = 36 lines.
-    let batch = 36usize;
-    let plan = FftPlan::new(n);
-    let mult: Vec<f64> = (0..n)
-        .map(|k| {
-            let s = k.min(n - k) as f64 / (n as f64 / 2.0);
-            1.0 / (1.0 + 8.0 * s * s)
-        })
-        .collect();
-    let base: Vec<f64> = (0..batch * n)
-        .map(|j| (j as f64 * 0.37).sin() + 0.3 * (j as f64 * 0.11).cos())
-        .collect();
-
-    let reps = 31;
-    let mut buf = base.clone();
-    let t_complex = time_median(reps, || {
-        for line in buf.chunks_mut(n) {
-            let out = apply_spectral_multiplier(&plan, line, &mult);
-            line.copy_from_slice(&out);
-        }
-    });
-    let mut buf = base.clone();
-    let mut ws = plan.workspace();
-    let t_scalar_pairs = time_median(reps, || {
-        for pair in buf.chunks_exact_mut(2 * n) {
-            let (a, b) = pair.split_at_mut(n);
-            filter_pair(&plan, a, b, &mult, &mut ws);
-        }
-    });
-    let mut buf = base.clone();
-    let t_batched = time_median(reps, || {
-        filter_lines_flat(&plan, &mut buf, &mult, &mut ws);
-    });
-    FilterKernelTimes {
-        n,
-        batch,
-        t_complex,
-        t_scalar_pairs,
-        t_batched,
-    }
 }
 
 /// The shared tail of every machine-checked report: print the checks,
@@ -1082,161 +995,6 @@ fn profile(smoke: bool) {
     }
     println!("wrote profile_folded.txt and flamegraph.svg");
     conclude("profile", "profile.json", &r.doc, &r.checks);
-}
-
-/// `bench-check`: re-time the filter, dynamics and physics kernels and
-/// judge each speedup with the trend gate — median − 3·MAD over the recent
-/// `bench_history.jsonl` runs, falling back to the committed
-/// `BENCH_filter.json` / `BENCH_kernels.json` value over the tolerance
-/// when the history is too thin. Writes every verdict to
-/// `bench_check.json`; a failure names the metric and its observed,
-/// committed, and floor values in the exit message.
-fn bench_check() {
-    use agcm_bench::history::{judge, load, series, TrendVerdict};
-
-    let tolerance = std::env::var("AGCM_BENCH_TOLERANCE")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .filter(|t| *t >= 1.0)
-        .unwrap_or(1.25);
-    let history = load(Path::new(HISTORY_PATH));
-    println!(
-        "\n=== Bench regression check: trend gate over {} recorded runs ===\n",
-        history.len()
-    );
-
-    let committed_filter = match std::fs::read_to_string("BENCH_filter.json") {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("could not read BENCH_filter.json (run `reproduce bench-filter` first): {e}");
-            std::process::exit(1);
-        }
-    };
-    let committed_filter = Value::parse(&committed_filter).ok();
-    let committed_filter_of = |path: &[&str]| -> f64 {
-        path.iter()
-            .fold(committed_filter.as_ref(), |v, key| v?.get(key))
-            .and_then(Value::as_f64)
-            .unwrap_or_else(|| {
-                eprintln!("BENCH_filter.json has no numeric '{}'", path.join("."));
-                std::process::exit(1);
-            })
-    };
-    let committed_kernels = match std::fs::read_to_string("BENCH_kernels.json") {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!(
-                "could not read BENCH_kernels.json (run `reproduce bench-kernels` first): {e}"
-            );
-            std::process::exit(1);
-        }
-    };
-    let Ok(doc) = Value::parse(&committed_kernels) else {
-        eprintln!("BENCH_kernels.json is not valid JSON");
-        std::process::exit(1);
-    };
-    let committed_of = |section: &str, key: &str| -> f64 {
-        doc.get(section)
-            .and_then(|s| s.get(key))
-            .and_then(Value::as_f64)
-            .unwrap_or_else(|| {
-                eprintln!("BENCH_kernels.json has no numeric '{section}.{key}'");
-                std::process::exit(1);
-            })
-    };
-
-    let k = measure_filter_kernel();
-    let b = agcm_bench::kernels::run_kernel_bench(true);
-
-    // (suite, metric name in the history, committed anchor, observed)
-    let measurements = [
-        (
-            "filter",
-            "kernel_speedup",
-            committed_filter_of(&["kernel_speedup"]),
-            k.kernel_speedup(),
-        ),
-        (
-            "filter",
-            "lane_batched.speedup",
-            committed_filter_of(&["lane_batched", "speedup"]),
-            k.lane_speedup(),
-        ),
-        (
-            "kernels",
-            "stencil.kernel_speedup",
-            committed_of("stencil", "kernel_speedup"),
-            b.stencil.kernel_speedup(),
-        ),
-        (
-            "kernels",
-            "advection.kernel_speedup",
-            committed_of("advection", "kernel_speedup"),
-            b.advection.kernel_speedup(),
-        ),
-        (
-            "kernels",
-            "tendency_step.speedup",
-            committed_of("tendency_step", "speedup"),
-            b.step.kernel_speedup(),
-        ),
-        (
-            "kernels",
-            "fd_sweeps.speedup",
-            committed_of("fd_sweeps", "speedup"),
-            b.fd.kernel_speedup(),
-        ),
-        (
-            "kernels",
-            "physics.speedup",
-            committed_of("physics", "speedup"),
-            b.physics.kernel_speedup(),
-        ),
-    ];
-    let verdicts: Vec<TrendVerdict> = measurements
-        .iter()
-        .map(|(suite, metric, committed, observed)| {
-            judge(
-                &format!("{suite}.{metric}"),
-                *observed,
-                *committed,
-                tolerance,
-                &series(&history, suite, metric),
-            )
-        })
-        .collect();
-
-    for v in &verdicts {
-        println!("{} {}", if v.ok { "ok  " } else { "FAIL" }, v.describe());
-    }
-
-    let delta = Value::obj(vec![
-        ("tolerance", Value::Num(tolerance)),
-        ("history_runs", Value::Num(history.len() as f64)),
-        (
-            "checks",
-            Value::Arr(verdicts.iter().map(TrendVerdict::to_json).collect()),
-        ),
-        ("ok", Value::Bool(verdicts.iter().all(|v| v.ok))),
-    ]);
-    if let Err(e) = std::fs::write("bench_check.json", format!("{delta}\n")) {
-        eprintln!("could not write bench_check.json: {e}");
-    } else {
-        println!("wrote bench_check.json");
-    }
-
-    // This run's measurements extend the trend for the next one.
-    record_history("filter", k.history());
-    record_history("kernels", kernel_history(&b));
-
-    let failed: Vec<&TrendVerdict> = verdicts.iter().filter(|v| !v.ok).collect();
-    if !failed.is_empty() {
-        for v in &failed {
-            eprintln!("FAIL: {} regressed — {}", v.metric, v.describe());
-        }
-        std::process::exit(1);
-    }
-    println!("\nOK: all kernel speedups within tolerance (see bench_check.json)");
 }
 
 /// §4 headline claims, checked against the measured tables.

@@ -2,9 +2,8 @@
 //! `agcm-kernels` flat-slice kernels vs the block-interleaved layout, on
 //! the paper's own configurations.
 //!
-//! Five experiments, shared by `reproduce bench-kernels` (which reports
-//! and records `BENCH_kernels.json`) and `reproduce bench-check` (which
-//! gates against the committed record):
+//! Five experiments, reported by `reproduce bench-kernels` and written
+//! to `BENCH_kernels.json`:
 //!
 //! - **stencil** — the §3.4 cache experiment: 7-point Laplace over 12
 //!   fields of 32³, separate `get`/`set` reference vs flat separate

@@ -11,8 +11,6 @@
 //! * [`profile`] — the `reproduce profile` report: in-process sampling
 //!   profiler over a real run, flamegraph, and the measured-vs-modeled
 //!   skew join, with machine-checked invariants;
-//! * [`history`] — `bench_history.jsonl` records and the median+MAD
-//!   trend gate behind `reproduce bench-check`;
 //! * [`peak`] — the add+mul peak probe behind `bench-filter`'s stated
 //!   bound;
 //! * [`alloccount`] — the counting global allocator the `reproduce`
@@ -20,14 +18,13 @@
 //! * the `reproduce` binary — prints each table with paper-reported and
 //!   model-measured columns side by side; its `singlenode`,
 //!   `bench-filter` and `bench-kernels` subcommands time the paper's
-//!   kernel pairs against their stated bounds (the regression gate's
-//!   absolute per-layer numbers live in `benchmark/`).
+//!   kernel pairs against their stated bounds. They report; performance
+//!   regressions are judged only by `benchmark/`.
 
 pub mod alloccount;
 pub mod analyze;
 pub mod ensemble;
 pub mod harness;
-pub mod history;
 pub mod kernels;
 pub mod paper;
 pub mod peak;

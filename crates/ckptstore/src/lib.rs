@@ -36,8 +36,9 @@
 pub mod backend;
 pub mod store;
 
-/// The repo's one checksum, re-exported for crates (the server journal)
-/// that frame lines the way the index does without a resilience edge.
-pub use agcm_resilience::fnv1a;
+/// The checksummed-line codec and the atomic publish the index is
+/// written with, re-exported for crates (the server journal) that write
+/// durable files the same way without a resilience edge.
+pub use agcm_resilience::{frame_line, unframe_line, write_atomic};
 pub use backend::JobStoreBackend;
 pub use store::{GcReport, Store, StoreStats};

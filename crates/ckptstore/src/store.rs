@@ -17,9 +17,9 @@
 //! coordinator, with the `COMMIT` file replaced by an index entry.
 //!
 //! The index holds manifests and commits only, one checksummed line
-//! each (`<fnv1a:016x> <payload>`, the server journal's line
-//! discipline), and is rewritten atomically (`write_atomic`: tmp, fsync,
-//! rename) on every mutation. Chunk **refcounts are derived**, not
+//! each (`<fnv1a:016x> <payload>`, framed by the resilience crate's
+//! `frame_line` like the server journal), and is rewritten atomically
+//! (`write_atomic`: tmp, fsync, rename) on every mutation. Chunk **refcounts are derived**, not
 //! stored: on open they are recomputed from the manifests, so the index
 //! can never disagree with itself about liveness. Reopening reconciles both
 //! directions — a chunk file no chunk list references is an orphan and
@@ -89,7 +89,7 @@
 //! sweeping.
 
 use agcm_resilience::checkpoint::{
-    fnv1a, CheckpointError, Fnv1a, RecordSink, RecordSource, RecordStream,
+    frame_line, unframe_line, CheckpointError, Fnv1a, RecordSink, RecordSource, RecordStream,
 };
 use agcm_resilience::coordinator::{write_atomic, StoreError};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -588,9 +588,6 @@ impl Store {
     fn persist(&self, inner: &Inner) -> Result<(), StoreError> {
         let mut out = String::new();
         let mut payload = String::new();
-        let mut line = |payload: &str| {
-            let _ = writeln!(out, "{:016x} {payload}", fnv1a(payload.as_bytes()));
-        };
         for ((lineage, step, rank), m) in &inner.manifests {
             payload.clear();
             let _ = write!(
@@ -602,13 +599,13 @@ impl Store {
                 let sep = if i == 0 { "" } else { "," };
                 let _ = write!(payload, "{sep}{:016x}:{}", c.hash, c.len);
             }
-            line(&payload);
+            frame_line(&mut out, &payload);
         }
         for (lineage, steps) in &inner.commits {
             for step in steps {
                 payload.clear();
                 let _ = write!(payload, "commit {lineage:016x} {step}");
-                line(&payload);
+                frame_line(&mut out, &payload);
             }
         }
         write_atomic(&self.root.join("index"), out.as_bytes())
@@ -912,23 +909,18 @@ impl ShardStream<'_> {
     }
 }
 
-/// Parse the index; checksum-mismatched or malformed lines are dropped
-/// (reconciliation then restores consistency).
+/// Parse the index. A checksum-mismatched or malformed line is skipped,
+/// not a stop: index lines are independent facts, and `reconcile`
+/// rebuilds refcounts and drops whatever a lost line leaves dangling.
 fn load_index(path: &Path) -> Inner {
     let mut inner = Inner::default();
     let Ok(text) = fs::read_to_string(path) else {
         return inner;
     };
     for line in text.lines() {
-        let Some((sum, payload)) = line.split_once(' ') else {
+        let Some(payload) = unframe_line(line) else {
             continue;
         };
-        let Ok(stored) = u64::from_str_radix(sum, 16) else {
-            continue;
-        };
-        if stored != fnv1a(payload.as_bytes()) {
-            continue;
-        }
         let fields: Vec<&str> = payload.split(' ').collect();
         match fields.as_slice() {
             ["manifest", lineage, step, rank, world, len, digest, chunks] => {

@@ -143,6 +143,25 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h.value()
 }
 
+/// Append `payload` to `out` as one checksummed line,
+/// `<fnv1a:016x> <payload>\n`: the framing of the server journal and the
+/// `agcm-ckptstore` index. `payload` must not contain a newline.
+pub fn frame_line(out: &mut String, payload: &str) {
+    use std::fmt::Write as _;
+    // 16 hex digits, a space, the payload, a newline.
+    out.reserve(payload.len() + 18);
+    let _ = writeln!(out, "{:016x} {payload}", fnv1a(payload.as_bytes()));
+}
+
+/// The payload of one [`frame_line`] line (newline already stripped), or
+/// `None` when the line is torn, malformed or fails its checksum. What a
+/// bad line means is the caller's policy.
+pub fn unframe_line(line: &str) -> Option<&str> {
+    let (sum, payload) = line.split_once(' ')?;
+    let stored = u64::from_str_radix(sum, 16).ok()?;
+    (stored == fnv1a(payload.as_bytes())).then_some(payload)
+}
+
 /// A running [`fnv1a`]: the hash of everything fed to it so far.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fnv1a(u64);

@@ -31,7 +31,7 @@ pub mod coordinator;
 pub mod metrics;
 pub mod recovery;
 
-pub use checkpoint::{fnv1a, CheckpointError, ModelCheckpoint};
+pub use checkpoint::{fnv1a, frame_line, unframe_line, CheckpointError, ModelCheckpoint};
 pub use coordinator::{write_atomic, write_coordinated, CheckpointStore, ShardBackend, StoreError};
 pub use metrics::ResilienceMetrics;
 pub use recovery::{

@@ -190,19 +190,13 @@ impl JobRequest {
     }
 
     /// Build the ensemble spec: tenant and durable-id tag attached by
-    /// the server, checkpoints rooted under the journal directory so a
-    /// restarted server resumes from the last committed step.
-    pub fn to_spec(
-        &self,
-        tenant: Option<&str>,
-        durable_id: u64,
-        checkpoint_dir: std::path::PathBuf,
-    ) -> JobSpec {
+    /// the server. Checkpoints go to the fleet store the server attaches
+    /// next, keyed by the config's lineage.
+    pub fn to_spec(&self, tenant: Option<&str>, durable_id: u64) -> JobSpec {
         let mut spec = JobSpec::new(self.name.clone(), self.config)
             .with_priority(self.priority)
             .with_tag(durable_id)
-            .with_retries(self.max_restarts)
-            .with_checkpoint_dir(checkpoint_dir);
+            .with_retries(self.max_restarts);
         if let Some(t) = tenant {
             spec = spec.with_tenant(t);
         }
@@ -409,18 +403,14 @@ mod tests {
     }
 
     #[test]
-    fn spec_carries_tenant_tag_and_checkpoint_dir() {
+    fn spec_carries_tenant_and_tag() {
         let req = JobRequest::from_value(&body(
             "{\"name\":\"j\",\"grid\":{\"lon\":48,\"lat\":24,\"lev\":3},\
              \"mesh\":{\"lat\":1,\"lon\":1},\"steps\":1}",
         ))
         .unwrap();
-        let spec = req.to_spec(Some("alice"), 42, "/tmp/ck/job_42".into());
+        let spec = req.to_spec(Some("alice"), 42);
         assert_eq!(spec.tenant.as_deref(), Some("alice"));
         assert_eq!(spec.tag, Some(42));
-        assert_eq!(
-            spec.checkpoint_dir.as_deref(),
-            Some(std::path::Path::new("/tmp/ck/job_42"))
-        );
     }
 }

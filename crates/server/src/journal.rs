@@ -3,27 +3,23 @@
 //! Every serving-layer job writes three kinds of line, in order:
 //! `submitted` (write-ahead, *before* the scheduler sees the job),
 //! `dispatched`, and `terminal`. Each line is
-//! `<16-hex FNV-1a of the JSON bytes> <JSON>\n` — the same checksum
-//! discipline as `agcm-resilience`'s checkpoint shards. Replay verifies
+//! `<16-hex FNV-1a of the JSON bytes> <JSON>\n`, framed by the same
+//! `frame_line` codec as the checkpoint store's index. Replay verifies
 //! every checksum and stops at the first bad or torn line, so a crash
 //! mid-append costs at most the line being written, never the log behind
 //! it. On open, the journal compacts: live (non-terminal) jobs are
-//! rewritten to a fresh log via the resilience layer's atomic-commit
-//! pattern (temp file + rename), and finished history is dropped. The
-//! compacted log always begins with a `watermark` line carrying the
-//! highest durable id ever seen, so dropping terminal history can never
-//! rewind the server's id counter onto already-used ids (which would
-//! let a new job resume from a dead job's stale checkpoint).
+//! published as a fresh log through `write_atomic` (temp file, fsync,
+//! rename), and finished history is dropped. The compacted log always
+//! begins with a `watermark` line carrying the highest durable id ever
+//! seen, so dropping terminal history can never rewind the server's id
+//! counter onto already-used ids.
 //!
-//! Checkpoint directories (`<dir>/ckpt/job_<id>`) are deleted when
-//! their job reaches a terminal state, and any directory left behind by
-//! a crash (its job finished but the deletion never ran) is swept at
-//! open — only live jobs keep their checkpoints. When a fleet
-//! checkpoint store is attached ([`Journal::attach_store`]), terminal
-//! cleanup additionally releases the job's lineage lease in the store:
-//! reclamation is then the store's refcounted GC, not directory
-//! removal, so chunks shared with a live same-lineage job are never
-//! touched and a finished job's prefix stays cached for resubmission.
+//! A job's checkpoints live in the fleet checkpoint store, never under
+//! the journal's directory. With the store attached
+//! ([`Journal::attach_store`]), a terminal record also releases the
+//! job's lineage lease: reclamation is the store's refcounted GC, so
+//! chunks shared with a live same-lineage job are never touched and a
+//! finished job's prefix stays cached for resubmission.
 //!
 //! Crash-consistency argument, per job state:
 //! - crash before `submitted` committed → the client never got an ack;
@@ -31,12 +27,11 @@
 //! - crash after `submitted`, before dispatch → replay finds no
 //!   `terminal`: the job is **requeued** on restart.
 //! - crash after `dispatched` → replay marks it dispatched: the job is
-//!   **resumed** on restart, and because its checkpoint directory is
-//!   derived from its durable id, `run_model_resilient` restarts from
-//!   the last committed checkpoint rather than step 0.
+//!   **resumed** on restart from its lineage's longest committed prefix
+//!   in the store rather than step 0.
 //! - crash after `terminal` → compaction drops it; it is done.
 
-use agcm_ckptstore::{fnv1a, Store};
+use agcm_ckptstore::{frame_line, unframe_line, write_atomic, Store};
 use agcm_ensemble::{JobId, JobObserver, JobRecord};
 use agcm_telemetry::json::Value;
 use std::fs::{File, OpenOptions};
@@ -97,7 +92,6 @@ pub struct JournalStats {
 /// [`Journal::detach`] makes every subsequent append a no-op, which is
 /// how a crash is simulated without tearing the file.
 pub struct Journal {
-    dir: PathBuf,
     path: PathBuf,
     inner: Mutex<Inner>,
     appended: AtomicU64,
@@ -105,39 +99,11 @@ pub struct Journal {
     dropped_terminal: usize,
     /// Fleet checkpoint store, when the server runs one. Terminal-job
     /// cleanup then goes through the store's refcounted lease/GC
-    /// discipline instead of only deleting the per-job directory.
+    /// discipline.
     store: Mutex<Option<Arc<Store>>>,
 }
 
 const LOG_NAME: &str = "jobs.log";
-
-/// Where a job's checkpoints live: derived from the *durable* id so a
-/// restarted server resumes the same shards.
-pub fn checkpoint_dir(journal_dir: &Path, durable_id: u64) -> PathBuf {
-    journal_dir.join("ckpt").join(format!("job_{durable_id}"))
-}
-
-/// Delete checkpoint directories under `dir/ckpt` whose job is not in
-/// `live` — terminal jobs whose cleanup a crash skipped, and rejected
-/// jobs that never ran.
-fn sweep_checkpoints(dir: &Path, live: &[LiveJob]) {
-    let Ok(entries) = std::fs::read_dir(dir.join("ckpt")) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(id) = name
-            .to_str()
-            .and_then(|n| n.strip_prefix("job_"))
-            .and_then(|n| n.parse::<u64>().ok())
-        else {
-            continue;
-        };
-        if !live.iter().any(|job| job.id == id) {
-            let _ = std::fs::remove_dir_all(entry.path());
-        }
-    }
-}
 
 impl Journal {
     /// Open (or create) the journal under `dir`: replay the existing
@@ -148,43 +114,35 @@ impl Journal {
         let path = dir.join(LOG_NAME);
         let (live, stats) = replay(&path)?;
 
-        // Compact via the atomic-commit pattern: write the surviving
-        // records to a temp file, fsync, rename over the log. A crash
-        // during compaction leaves either the old log or the new one —
-        // never a mix.
-        let tmp = dir.join(format!("{LOG_NAME}.tmp"));
-        {
-            let mut w = BufWriter::new(File::create(&tmp)?);
-            // The id high-water mark must survive even when every job it
-            // came from is terminal (and therefore dropped here) —
-            // otherwise a restart after an idle restart reseeds the id
-            // counter onto used ids and their stale checkpoints.
-            if stats.max_id > 0 {
-                write_line(&mut w, &event_value("watermark", stats.max_id))?;
-            }
-            for job in &live {
-                write_line(
-                    &mut w,
-                    &submitted_value(
-                        job.id,
-                        job.tenant.as_deref(),
-                        job.trace.as_deref(),
-                        &job.spec,
-                    ),
-                )?;
-                if job.dispatched {
-                    write_line(&mut w, &event_value("dispatched", job.id))?;
-                }
-            }
-            w.flush()?;
-            w.get_ref().sync_all()?;
+        // Compact: a crash while publishing leaves either the old log or
+        // the new one — never a mix — and a failed publish leaves no
+        // temporary file behind.
+        let mut out = String::new();
+        // The id high-water mark must survive even when every job it
+        // came from is terminal (and therefore dropped here) — otherwise
+        // a restart after an idle restart reseeds the id counter onto
+        // used ids.
+        if stats.max_id > 0 {
+            push_line(&mut out, &event_value("watermark", stats.max_id));
         }
-        std::fs::rename(&tmp, &path)?;
-        sweep_checkpoints(dir, &live);
+        for job in &live {
+            push_line(
+                &mut out,
+                &submitted_value(
+                    job.id,
+                    job.tenant.as_deref(),
+                    job.trace.as_deref(),
+                    &job.spec,
+                ),
+            );
+            if job.dispatched {
+                push_line(&mut out, &event_value("dispatched", job.id));
+            }
+        }
+        write_atomic(&path, out.as_bytes()).map_err(std::io::Error::other)?;
 
         let writer = OpenOptions::new().append(true).open(&path)?;
         let journal = Journal {
-            dir: dir.to_path_buf(),
             path,
             inner: Mutex::new(Inner {
                 writer: Some(BufWriter::new(writer)),
@@ -249,6 +207,8 @@ impl Journal {
     }
 
     fn append(&self, value: &Value) {
+        let mut line = String::new();
+        push_line(&mut line, value);
         let mut inner = self.inner.lock().unwrap();
         if inner.detached {
             return;
@@ -256,7 +216,8 @@ impl Journal {
         if let Some(w) = inner.writer.as_mut() {
             // An append failure must not take down the scheduler; the
             // journal simply stops being durable from here on.
-            if write_line(w, value).and_then(|_| w.flush()).is_err() {
+            let written = w.write_all(line.as_bytes()).and_then(|_| w.flush());
+            if written.is_err() {
                 inner.writer = None;
             } else {
                 self.appended.fetch_add(1, Ordering::Relaxed);
@@ -279,19 +240,14 @@ impl JobObserver for Journal {
                 ("job", Value::Num(durable as f64)),
                 ("status", Value::Str(record.status.label())),
             ]));
-            // A terminal job's checkpoints are dead weight; reclaim them
-            // now rather than letting the ckpt tree grow for the life of
-            // the server. Gated on detach like the append: a simulated
-            // crash must leave checkpoints for the restart to resume.
+            // Release the lineage lease (idempotent with the scheduler's
+            // own release) so the next GC sweep can reclaim the chunks
+            // once no live job shares the lineage. Gated on detach like
+            // the append: after a simulated crash the journal must not act
+            // on the store as if the job had finished. Deliberately no
+            // eager `gc()` here: the committed prefix is the cache a
+            // resubmitted or extended-horizon job resumes from.
             if !self.inner.lock().unwrap().detached {
-                let _ = std::fs::remove_dir_all(checkpoint_dir(&self.dir, durable));
-                // Store-backed jobs keep nothing under the directory
-                // above — their shards live in the fleet store. Release
-                // the lineage lease (idempotent with the scheduler's own
-                // release) so the next GC sweep can reclaim the chunks
-                // once no live job shares the lineage. Deliberately no
-                // eager `gc()` here: the committed prefix is the cache a
-                // resubmitted or extended-horizon job resumes from.
                 if let Some(lineage) = record.lineage {
                     if let Some(store) = self.store.lock().unwrap().as_ref() {
                         store.release(lineage, durable);
@@ -325,14 +281,11 @@ fn event_value(event: &str, id: u64) -> Value {
     ])
 }
 
-fn write_line(w: &mut impl Write, value: &Value) -> std::io::Result<()> {
-    let json = value.to_string();
-    writeln!(w, "{:016x} {json}", fnv1a(json.as_bytes()))
+fn push_line(out: &mut String, value: &Value) {
+    frame_line(out, &value.to_string());
 }
 
-/// Replay the log: verify checksums, fold events into per-job state,
-/// stop at the first bad line (everything after a torn write is
-/// untrusted).
+/// Replay the log: verify checksums, fold events into per-job state.
 fn replay(path: &Path) -> std::io::Result<(Vec<LiveJob>, ReplayStats)> {
     let mut stats = ReplayStats::default();
     // Insertion-ordered so recovered jobs resubmit in original order.
@@ -343,11 +296,10 @@ fn replay(path: &Path) -> std::io::Result<(Vec<LiveJob>, ReplayStats)> {
         Err(e) => return Err(e),
     };
     for line in text.lines() {
-        let parsed = line.split_once(' ').and_then(|(crc, json)| {
-            let expect = u64::from_str_radix(crc, 16).ok()?;
-            (fnv1a(json.as_bytes()) == expect).then(|| Value::parse(json).ok())?
-        });
-        let Some(value) = parsed else {
+        // Records are ordered events: after a torn or corrupt line, a
+        // later `dispatched` or `terminal` could belong to a history the
+        // log no longer shows, so replay stops at the first bad line.
+        let Some(value) = unframe_line(line).and_then(|json| Value::parse(json).ok()) else {
             stats.corrupt += 1;
             break;
         };
@@ -564,44 +516,6 @@ mod tests {
         let (_, live, stats) = Journal::open(&dir).unwrap();
         assert_eq!(stats.corrupt, 1, "torn watermark is counted");
         assert!(live.is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn terminal_jobs_lose_their_checkpoint_dirs() {
-        let dir = std::env::temp_dir().join(format!("agcm-journal-ckpt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mk = |id: u64| {
-            let d = checkpoint_dir(&dir, id);
-            std::fs::create_dir_all(&d).unwrap();
-            std::fs::write(d.join("shard_0"), b"x").unwrap();
-            d
-        };
-        {
-            let (journal, _, _) = Journal::open(&dir).unwrap();
-            journal.submitted(1, None, None, &spec());
-            journal.submitted(2, None, None, &spec());
-            let (ck1, ck2, stray) = (mk(1), mk(2), mk(99));
-            // Job 1 finishes normally: its checkpoints go immediately.
-            journal.on_terminal(&terminal_record(1));
-            assert!(!ck1.exists(), "terminal job keeps no checkpoints");
-            assert!(ck2.exists() && stray.exists());
-            // Crash: post-detach terminals must NOT delete checkpoints —
-            // the restart needs them to resume.
-            journal.detach();
-            journal.on_terminal(&terminal_record(2));
-            assert!(ck2.exists(), "detached journal must not delete checkpoints");
-        }
-        // Restart: job 2 is live (its terminal was dropped) and keeps its
-        // checkpoints; the orphaned job_99 dir is swept.
-        let (_, live, _) = Journal::open(&dir).unwrap();
-        assert_eq!(live.len(), 1);
-        assert_eq!(live[0].id, 2);
-        assert!(checkpoint_dir(&dir, 2).exists());
-        assert!(
-            !checkpoint_dir(&dir, 99).exists(),
-            "stray checkpoint dir survives the open sweep"
-        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -16,7 +16,7 @@
 
 use crate::api::{error_body, record_to_value, result_to_value, view_to_value, JobRequest};
 use crate::http::{read_request, write_response, HttpLimits, ReadError, Request, Response};
-use crate::journal::{checkpoint_dir, Journal};
+use crate::journal::Journal;
 use crate::log::{EventLog, LogLevel};
 use agcm_ckptstore::Store;
 use agcm_ensemble::{
@@ -324,8 +324,8 @@ impl AgcmServer {
         // Re-admit every live job under its original durable id, via the
         // recovery path (bypasses capacity and quota — these jobs were
         // already admitted once). Dispatched-at-crash jobs resume from
-        // their checkpoint directory, which is derived from the durable
-        // id and therefore survives the restart. Each job's journaled
+        // their lineage's longest committed prefix in the fleet store,
+        // leased below before the startup GC. Each job's journaled
         // trace context is re-attached, so its trace id — and, because
         // attempt span ids derive deterministically from it — its whole
         // span tree survive the crash too.
@@ -376,11 +376,7 @@ impl AgcmServer {
                 bounded_tenant(&known_tenants, job.tenant.as_deref()),
             );
             let spec = req
-                .to_spec(
-                    job.tenant.as_deref(),
-                    job.id,
-                    checkpoint_dir(&cfg.journal_dir, job.id),
-                )
+                .to_spec(job.tenant.as_deref(), job.id)
                 .with_shared_store(Arc::clone(&store))
                 .with_trace(trace)
                 .with_sink(collector.sink(job.id));
@@ -988,11 +984,7 @@ fn submit(state: &Arc<ServerState>, req: &Request) -> Response {
     let tenant_label = tenant_metric_label(state, tenant.as_deref()).to_string();
     state.collector.begin_job(durable, trace, &tenant_label);
     let spec = request
-        .to_spec(
-            tenant.as_deref(),
-            durable,
-            checkpoint_dir(&state.cfg.journal_dir, durable),
-        )
+        .to_spec(tenant.as_deref(), durable)
         .with_shared_store(Arc::clone(&state.store))
         .with_trace(trace)
         .with_sink(state.collector.sink(durable));
@@ -1004,8 +996,7 @@ fn submit(state: &Arc<ServerState>, req: &Request) -> Response {
     // answered before the write-ahead record: there is nothing durable
     // about a job that was never admitted, and journaling every bounce
     // would let rejected traffic grow the log without bound. The burned
-    // durable id is a harmless gap — it was never acked and never
-    // touched a checkpoint directory.
+    // durable id is a harmless gap — it was never acked and never ran.
     if let Err(e) = ensemble.admission_check(&spec) {
         state
             .metrics
