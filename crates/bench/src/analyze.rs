@@ -587,9 +587,9 @@ fn kernels_section(grid: GridSpec, machine: &MachineProfile) -> (Table, Value, V
             dyn_core.step(&cart, &mut s_ker);
         }
         s_ref.fields.iter().zip(s_ker.fields.iter()).all(|(a, b)| {
-            a.as_slice()
-                .iter()
-                .zip(b.as_slice())
+            a.interior_rows()
+                .flatten()
+                .zip(b.interior_rows().flatten())
                 .all(|(x, y)| x.to_bits() == y.to_bits())
         })
     })[0];

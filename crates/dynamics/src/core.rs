@@ -25,6 +25,14 @@
 //! allocations once warmed up); [`Dynamics::step_reference`] keeps the
 //! original allocating `from_fn` operators. Both paths are bit-identical
 //! — enforced by the equivalence tests below and in `tests/fd_sweeps.rs`.
+//!
+//! The state's fields carry their ghost frame, and the step never copies
+//! one: it swaps each swept field with its previous-state buffer in the
+//! scratch (O(1)), exchanges the ghosts of those buffers — which now hold
+//! the current state — and the sweeps write the new state out of place
+//! from them. `h*` is the new thickness field itself, its ghosts exchanged
+//! in place. Pressure is not advanced, so it is neither swapped nor
+//! exchanged.
 
 use crate::advection::upwind_tendency;
 use crate::state::ModelState;
@@ -42,6 +50,24 @@ use agcm_mps::topology::CartComm;
 use agcm_telemetry::Counter;
 use std::cell::RefCell;
 use std::sync::Arc;
+
+/// The variables the sweeps advance, in the order of
+/// [`DynScratch::prev`]. Pressure is carried unchanged.
+const SWEPT: [Variable; 5] = [
+    Variable::U,
+    Variable::V,
+    Variable::Theta,
+    Variable::Humidity,
+    Variable::Ozone,
+];
+
+/// Position of swept variable `v` in [`SWEPT`].
+fn slot(v: Variable) -> usize {
+    SWEPT
+        .iter()
+        .position(|&s| s == v)
+        .expect("the sweeps advance this variable")
+}
 
 /// Configuration of the dynamical core.
 #[derive(Debug, Clone, Copy)]
@@ -117,26 +143,30 @@ impl Dynamics {
     /// Size the scratch for `sub`, refreshing the Coriolis table whenever
     /// the buffers were (re)built. No-op after the first step.
     fn ensure_scratch(&self, scratch: &mut DynScratch, sub: Subdomain) {
-        if scratch.ensure(&self.grid, sub.j0, sub.ni, sub.nj, Variable::ALL.len()) {
+        if scratch.ensure(&self.grid, sub.j0, sub.ni, sub.nj, SWEPT.len()) {
             for (j, f) in scratch.f_cor.iter_mut().enumerate() {
                 *f = coriolis_param(self.grid.latitude(sub.j0 + j));
             }
         }
     }
 
-    /// Refresh the halo interiors from `state`; the ghosts keep what they
-    /// hold until the caller exchanges them.
-    fn stage_halos(scratch: &mut DynScratch, state: &ModelState) {
-        for (h, f) in scratch.halos.iter_mut().zip(&state.fields) {
-            h.copy_interior_from(f);
+    /// Swap each swept field of `state` with its previous-state buffer:
+    /// the buffers now hold the current state, ghosts still to exchange,
+    /// and the state holds storage the sweeps overwrite.
+    fn swap_in(scratch: &mut DynScratch, state: &mut ModelState) {
+        for (prev, &v) in scratch.prev.iter_mut().zip(&SWEPT) {
+            let field = state.field_mut(v);
+            assert_eq!(field.shape(), prev.shape(), "state shape mismatch");
+            std::mem::swap(field, prev);
         }
     }
 
     /// The finite-difference phase: the three forward-backward sweeps
-    /// over the staged halos. With a mesh each sweep is bracketed and
-    /// charged in the trace and `h*` is exchanged between continuity and
-    /// momentum; without one ([`Dynamics::compute_step_no_comm`]) nothing
-    /// is traced and the `h*` ghosts stay as they are.
+    /// from the previous-state buffers into `state`. With a mesh each
+    /// sweep is bracketed and charged in the trace and `h*` is exchanged
+    /// between continuity and momentum; without one
+    /// ([`Dynamics::compute_step_no_comm`]) nothing is traced and the `h*`
+    /// ghosts stay as they are.
     fn fd_sweeps(&self, cart: Option<&CartComm>, scratch: &mut DynScratch, state: &mut ModelState) {
         let sub = state.sub;
         let npts = (sub.ni * sub.nj * self.grid.n_lev) as f64;
@@ -149,46 +179,37 @@ impl Dynamics {
             None => sweep(),
         };
         let DynScratch {
-            halos,
-            hstar,
+            prev,
             tables,
             f_cor,
             rows,
             ..
         } = scratch;
-        let old = |v: Variable| HaloView::of(&halos[v.index()]);
+        let old = |v: Variable| HaloView::of(&prev[slot(v)]);
         let (u_h, v_h) = (old(Variable::U), old(Variable::V));
 
-        // 1. Continuity: h* = h − dt·∇·(h·u), into the field and h*'s
-        // interior at once.
+        // 1. Continuity: h* = h − dt·∇·(h·u), the new thickness field.
         traced("dyn.tendencies", flops::FLUX_DIV + 2.0, &mut || {
-            let theta = state.field_mut(Variable::Theta).as_mut_slice();
-            continuity_sweep(
-                &old(Variable::Theta),
-                &u_h,
-                &v_h,
-                tables,
-                dt,
-                theta,
-                hstar,
-                rows,
-            );
+            let theta = state.field_mut(Variable::Theta);
+            continuity_sweep(&old(Variable::Theta), &u_h, &v_h, tables, dt, theta, rows);
         });
 
         // Refresh the thickness halo with the updated field (backward
-        // part of forward-backward).
+        // part of forward-backward): the state's own ghost frame.
         if let Some(cart) = cart {
+            let hstar = state.field_mut(Variable::Theta);
             cart.comm().phase("halo", || hstar.exchange(cart));
         }
 
         // 2. Momentum: Coriolis + pressure gradient on h* + advection.
         let momentum_flops = 2.0 * (flops::GRAD + flops::UPWIND + flops::MOMENTUM);
         traced("dyn.tendencies", momentum_flops, &mut || {
-            // u and v mutably at once: split the field vec at V's index.
-            let (left, right) = state.fields.split_at_mut(Variable::V.index());
-            let u = left[Variable::U.index()].as_mut_slice();
-            let v = right[0].as_mut_slice();
-            let hs = HaloView::of(hstar);
+            // u, v mutably and h* at once: split the field vec at θ's index.
+            let (winds, rest) = state.fields.split_at_mut(Variable::Theta.index());
+            let [u, v] = winds else {
+                unreachable!("u and v precede θ")
+            };
+            let hs = HaloView::of(&rest[0]);
             let g = self.cfg.gravity;
             momentum_sweep(&hs, &u_h, &v_h, tables, f_cor, dt, g, u, v, rows);
         });
@@ -199,9 +220,9 @@ impl Dynamics {
             let mut tracers = [
                 (
                     old(Variable::Humidity),
-                    left[Variable::Humidity.index()].as_mut_slice(),
+                    &mut left[Variable::Humidity.index()],
                 ),
-                (old(Variable::Ozone), right[0].as_mut_slice()),
+                (old(Variable::Ozone), &mut right[0]),
             ];
             tracer_sweep(&u_h, &v_h, tables, dt, &mut tracers, rows);
         });
@@ -227,12 +248,10 @@ impl Dynamics {
         self.ensure_scratch(scratch, sub);
 
         // --- Ghost-point exchange (communication phase). -------------------
-        // All six fields in one exchange: each phase's sends are posted
-        // before its first receive, so they share one round trip.
-        comm.phase("halo", || {
-            Self::stage_halos(scratch, state);
-            exchange_all(&mut scratch.halos, cart);
-        });
+        // The five swept fields in one exchange: each phase's sends are
+        // posted before its first receive, so they share one round trip.
+        Self::swap_in(scratch, state);
+        comm.phase("halo", || exchange_all(&mut scratch.prev, cart));
 
         // --- Finite differences (forward-backward). ------------------------
         comm.phase("fd", || self.fd_sweeps(Some(cart), scratch, state));
@@ -243,18 +262,18 @@ impl Dynamics {
     }
 
     /// The per-step sweep sequence with **no communication and no trace
-    /// events**: halo interiors are refreshed from `state`, but ghosts
-    /// keep whatever the scratch currently holds (neighbour data after a
-    /// real [`Dynamics::step`], zeros on a fresh scratch) and h* is not
-    /// re-exchanged. Not a substitute for `step` — it exists so the
-    /// counting-allocator test and the kernel benchmarks can drive the
-    /// hot compute path in isolation.
+    /// events**: the state is swapped into the previous-state buffers as
+    /// in [`Dynamics::step`], but their ghosts keep whatever the swapped-in
+    /// storage held (neighbour data from an earlier real step, zeros on a
+    /// fresh state) and h* is not re-exchanged. Not a substitute for
+    /// `step` — it exists so the counting-allocator test and the kernel
+    /// benchmarks can drive the hot compute path in isolation.
     pub fn compute_step_no_comm(&self, state: &mut ModelState) {
         let sub = state.sub;
         let mut scratch = self.scratch.borrow_mut();
         let scratch = &mut *scratch;
         self.ensure_scratch(scratch, sub);
-        Self::stage_halos(scratch, state);
+        Self::swap_in(scratch, state);
         self.fd_sweeps(None, scratch, state);
     }
 
@@ -278,9 +297,7 @@ impl Dynamics {
             Variable::ALL
                 .iter()
                 .map(|&v| {
-                    let f = state.field(v);
-                    let mut h = HaloField::zeros(sub.ni, sub.nj, self.grid.n_lev, 1);
-                    h.fill_interior(|i, j, k| f.get(i, j, k));
+                    let mut h = state.field(v).clone();
                     h.exchange(cart);
                     h
                 })
@@ -298,15 +315,14 @@ impl Dynamics {
             // 1. Continuity, flux form: h* = h − dt·∇·(h·u).
             let div = flux_divergence(h_h, u_h, v_h, &self.grid, sub.j0);
             let mut h_new = state.field(Variable::Theta).clone();
-            for (hv, dv) in h_new.as_mut_slice().iter_mut().zip(div.as_slice()) {
+            for (hv, dv) in h_new.interior_rows_mut().flatten().zip(div.as_slice()) {
                 *hv -= dt * dv;
             }
             comm.record_flops((flops::FLUX_DIV + 2.0) * npts);
 
             // Refresh the thickness halo with the updated field (backward
             // part of forward-backward).
-            let mut hstar = HaloField::zeros(sub.ni, sub.nj, self.grid.n_lev, 1);
-            hstar.fill_interior(|i, j, k| h_new.get(i, j, k));
+            let mut hstar = h_new.clone();
             comm.phase("halo", || hstar.exchange(cart));
 
             // 2. Momentum: Coriolis + pressure gradient on h* + advection.
@@ -322,16 +338,17 @@ impl Dynamics {
                 for j in 0..sub.nj {
                     let f = coriolis_param(self.grid.latitude(sub.j0 + j));
                     for i in 0..sub.ni {
-                        let (uu, vv) = (u_new.get(i, j, k), v_new.get(i, j, k));
+                        let (ii, jj) = (i as isize, j as isize);
+                        let (uu, vv) = (u_new.get(ii, jj, k), v_new.get(ii, jj, k));
                         u_new.set(
-                            i,
-                            j,
+                            ii,
+                            jj,
                             k,
                             uu + dt * (f * vv - g * dhdx.get(i, j, k) + adv_u.get(i, j, k)),
                         );
                         v_new.set(
-                            i,
-                            j,
+                            ii,
+                            jj,
                             k,
                             vv + dt * (-f * uu - g * dhdy.get(i, j, k) + adv_v.get(i, j, k)),
                         );
@@ -344,7 +361,7 @@ impl Dynamics {
             for tracer in [Variable::Humidity, Variable::Ozone] {
                 let adv = upwind_tendency(&halos[tracer.index()], u_h, v_h, &self.grid, sub.j0);
                 let fld = state.field_mut(tracer);
-                for (qv, av) in fld.as_mut_slice().iter_mut().zip(adv.as_slice()) {
+                for (qv, av) in fld.interior_rows_mut().flatten().zip(adv.as_slice()) {
                     *qv += dt * av;
                 }
                 comm.record_flops((flops::UPWIND + 2.0) * npts);
@@ -368,8 +385,8 @@ pub fn global_mass(cart: &CartComm, state: &ModelState) -> f64 {
     for k in 0..state.grid.n_lev {
         for j in 0..sub.nj {
             let w = state.grid.latitude(sub.j0 + j).cos();
-            for i in 0..sub.ni {
-                local += h.get(i, j, k) * w;
+            for x in h.interior_row(j, k) {
+                local += x * w;
             }
         }
     }
@@ -503,7 +520,7 @@ mod tests {
             state
                 .fields
                 .iter()
-                .flat_map(|f| f.as_slice().iter().copied())
+                .flat_map(|f| f.interior_rows().flatten().copied())
                 .collect()
         })
     }

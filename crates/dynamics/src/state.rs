@@ -4,12 +4,21 @@
 //! layer thickness h (standing in for potential temperature as the mass
 //! variable of the shallow-water reduction), surface pressure p, and two
 //! advected tracers (specific humidity q and ozone o₃). Each is a local
-//! [`Field3D`] over the rank's subdomain, all vertical levels.
+//! [`HaloField`] over the rank's subdomain, all vertical levels, with a
+//! one-point ghost frame: the dynamics swaps a field with its
+//! previous-state buffer and exchanges the ghosts there, so no step
+//! copies a field to give it a frame. The value of the state is its
+//! interiors — equality, the diagnostics and the checkpoint ignore
+//! whatever the ghosts hold.
 
 use agcm_grid::arakawa::Variable;
 use agcm_grid::decomp::Subdomain;
-use agcm_grid::field::Field3D;
+use agcm_grid::halo::HaloField;
 use agcm_grid::latlon::GridSpec;
+
+/// Ghost width of every state field: the five-point stencils reach one
+/// point out.
+pub const GHOST_WIDTH: usize = 1;
 
 /// Mean layer thickness (m) around which the state is initialized.
 pub const MEAN_THICKNESS: f64 = 8_000.0;
@@ -18,7 +27,7 @@ pub const MEAN_THICKNESS: f64 = 8_000.0;
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelState {
     /// The fields, ordered as [`Variable::ALL`].
-    pub fields: Vec<Field3D>,
+    pub fields: Vec<HaloField>,
     /// The owning subdomain.
     pub sub: Subdomain,
     /// The global grid.
@@ -30,7 +39,7 @@ impl ModelState {
     pub fn zeros(grid: GridSpec, sub: Subdomain) -> ModelState {
         let fields = Variable::ALL
             .iter()
-            .map(|_| Field3D::zeros(sub.ni, sub.nj, grid.n_lev))
+            .map(|_| HaloField::zeros(sub.ni, sub.nj, grid.n_lev, GHOST_WIDTH))
             .collect();
         ModelState { fields, sub, grid }
     }
@@ -73,14 +82,25 @@ impl ModelState {
                 // Envelope of the short polar noise, the CFL offenders.
                 let polar = lat.sin().powi(4);
                 let humidity = (0.02 * (-(lat / 0.5).powi(2)).exp()).max(1e-6);
-                for (i, &[wave, noise, v, ozone]) in columns.iter().enumerate() {
+                s.field_mut(Variable::U).interior_row_mut(j, k).fill(jet);
+                let v_row = s.field_mut(Variable::V).interior_row_mut(j, k);
+                for (x, &[.., v, _]) in v_row.iter_mut().zip(&columns) {
+                    *x = v * cos_lat;
+                }
+                let theta_row = s.field_mut(Variable::Theta).interior_row_mut(j, k);
+                for (x, &[wave, noise, ..]) in theta_row.iter_mut().zip(&columns) {
                     let h = balanced + wave * cos_lat;
-                    s.field_mut(Variable::U).set(i, j, k, jet);
-                    s.field_mut(Variable::V).set(i, j, k, v * cos_lat);
-                    s.field_mut(Variable::Theta).set(i, j, k, h + noise * polar);
-                    s.field_mut(Variable::Pressure).set(i, j, k, pressure);
-                    s.field_mut(Variable::Humidity).set(i, j, k, humidity);
-                    s.field_mut(Variable::Ozone).set(i, j, k, ozone);
+                    *x = h + noise * polar;
+                }
+                s.field_mut(Variable::Pressure)
+                    .interior_row_mut(j, k)
+                    .fill(pressure);
+                s.field_mut(Variable::Humidity)
+                    .interior_row_mut(j, k)
+                    .fill(humidity);
+                let ozone_row = s.field_mut(Variable::Ozone).interior_row_mut(j, k);
+                for (x, &[.., ozone]) in ozone_row.iter_mut().zip(&columns) {
+                    *x = ozone;
                 }
             }
         }
@@ -88,32 +108,38 @@ impl ModelState {
     }
 
     /// Borrow a variable's field.
-    pub fn field(&self, v: Variable) -> &Field3D {
+    pub fn field(&self, v: Variable) -> &HaloField {
         &self.fields[v.index()]
     }
 
     /// Mutably borrow a variable's field.
-    pub fn field_mut(&mut self, v: Variable) -> &mut Field3D {
+    pub fn field_mut(&mut self, v: Variable) -> &mut HaloField {
         &mut self.fields[v.index()]
     }
 
     /// Maximum |u|, |v| over the local subdomain — the local CFL speed.
     pub fn max_wind(&self) -> f64 {
-        let scan = |f: &Field3D| f.as_slice().iter().fold(0.0f64, |m, &v| m.max(v.abs()));
-        scan(self.field(Variable::U)).max(scan(self.field(Variable::V)))
+        let scan = |v| {
+            self.field(v)
+                .interior_rows()
+                .flatten()
+                .fold(0.0f64, |m, &x| m.max(x.abs()))
+        };
+        scan(Variable::U).max(scan(Variable::V))
     }
 
     /// Local mass (sum of thickness over the subdomain) — conserved by the
     /// flux-form continuity equation up to boundary fluxes.
     pub fn local_mass(&self) -> f64 {
-        self.field(Variable::Theta).as_slice().iter().sum()
+        self.field(Variable::Theta).interior_rows().flatten().sum()
     }
 
     /// True if any field holds a non-finite value (instability detector).
     pub fn has_blown_up(&self) -> bool {
-        self.fields
-            .iter()
-            .any(|f| f.as_slice().iter().any(|v| !v.is_finite()))
+        self.fields.iter().any(|f| {
+            f.interior_rows()
+                .any(|row| row.iter().any(|v| !v.is_finite()))
+        })
     }
 }
 
@@ -174,7 +200,7 @@ mod tests {
                         let expect = pointwise(&grid, sub.i0 + i, sub.j0 + j, k);
                         for (v, e) in order.iter().zip(expect) {
                             assert_eq!(
-                                s.field(*v).get(i, j, k).to_bits(),
+                                s.field(*v).get(i as isize, j as isize, k).to_bits(),
                                 e.to_bits(),
                                 "rank {rank} {v:?} at ({i},{j},{k})"
                             );
@@ -198,8 +224,12 @@ mod tests {
                     for j in 0..sub.nj {
                         for i in 0..sub.ni {
                             assert_eq!(
-                                local.field(v).get(i, j, k),
-                                global.field(v).get(sub.i0 + i, sub.j0 + j, k),
+                                local.field(v).get(i as isize, j as isize, k),
+                                global.field(v).get(
+                                    (sub.i0 + i) as isize,
+                                    (sub.j0 + j) as isize,
+                                    k
+                                ),
                                 "rank {rank} {v:?}"
                             );
                         }
@@ -215,6 +245,8 @@ mod tests {
         let d = Decomp::new(grid, 1, 1);
         let mut s = ModelState::initial(grid, d.subdomain(0, 0));
         assert!(!s.has_blown_up());
+        s.field_mut(Variable::V).set(3, -1, 0, f64::NAN);
+        assert!(!s.has_blown_up(), "a ghost is not the state");
         s.field_mut(Variable::V).set(3, 2, 0, f64::NAN);
         assert!(s.has_blown_up());
     }
@@ -226,6 +258,7 @@ mod tests {
         let mut s = ModelState::zeros(grid, d.subdomain(0, 0));
         s.field_mut(Variable::U).set(0, 0, 0, 1.0);
         s.field_mut(Variable::Ozone).set(0, 0, 0, 2.0);
+        s.field_mut(Variable::V).set(-1, 0, 0, 3.0);
         assert_eq!(s.field(Variable::U).get(0, 0, 0), 1.0);
         assert_eq!(s.field(Variable::Ozone).get(0, 0, 0), 2.0);
         assert_eq!(s.field(Variable::V).get(0, 0, 0), 0.0);

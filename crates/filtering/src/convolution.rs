@@ -16,7 +16,7 @@
 use crate::filterfn::FilterKind;
 use crate::lines::FilterSetup;
 use agcm_fft::convolution::kernel_from_multiplier;
-use agcm_grid::field::Field3D;
+use agcm_grid::halo::HaloField;
 use agcm_mps::message::Payload;
 use agcm_mps::topology::CartComm;
 use std::collections::HashMap;
@@ -57,7 +57,7 @@ impl ConvolutionFilter {
     }
 
     /// Apply both filter classes.
-    pub fn apply(&self, setup: &FilterSetup, cart: &CartComm, fields: &mut [Field3D]) {
+    pub fn apply(&self, setup: &FilterSetup, cart: &CartComm, fields: &mut [HaloField]) {
         // The row split is collective over the whole mesh, so it must
         // happen before any rank decides it has no filtering to do.
         let row_comm = cart.row_comm();
@@ -75,7 +75,7 @@ impl ConvolutionFilter {
         setup: &FilterSetup,
         cart: &CartComm,
         row_comm: &agcm_mps::Comm,
-        fields: &mut [Field3D],
+        fields: &mut [HaloField],
         kind: FilterKind,
         var: usize,
     ) {
@@ -101,7 +101,7 @@ impl ConvolutionFilter {
         let mut bundle = Vec::with_capacity(filtered_lats.len() * nk * sub.ni);
         for &lat in &filtered_lats {
             for lev in 0..nk {
-                bundle.extend_from_slice(fields[var].row_slice(lat - sub.j0, lev));
+                bundle.extend_from_slice(fields[var].interior_row(lat - sub.j0, lev));
             }
         }
 
@@ -156,7 +156,9 @@ impl ConvolutionFilter {
                     *slot = acc;
                 }
                 flops += 2.0 * (sub.ni * n_lon) as f64;
-                fields[var].set_row(lat - sub.j0, lev, &out);
+                fields[var]
+                    .interior_row_mut(lat - sub.j0, lev)
+                    .copy_from_slice(&out);
             }
         }
         cart.comm().record_flops(flops);
@@ -168,6 +170,7 @@ mod tests {
     use super::*;
     use crate::reference::{filter_global, global_from_locals, local_from_global, synthetic_field};
     use agcm_grid::decomp::Decomp;
+    use agcm_grid::field::Field3D;
     use agcm_grid::latlon::GridSpec;
     use agcm_mps::runtime::{run, run_traced};
 
@@ -181,7 +184,7 @@ mod tests {
             let setup = FilterSetup::new(grid, decomp);
             let filter = ConvolutionFilter::new(&setup, mode);
             let sub = decomp.subdomain_of_rank(c.rank());
-            let mut fields: Vec<Field3D> =
+            let mut fields: Vec<HaloField> =
                 globals.iter().map(|g| local_from_global(g, &sub)).collect();
             filter.apply(&setup, &cart, &mut fields);
             fields
@@ -192,7 +195,7 @@ mod tests {
         filter_global(&setup, &mut expect);
 
         for v in 0..n_vars {
-            let per_rank: Vec<Field3D> = locals.iter().map(|l| l[v].clone()).collect();
+            let per_rank: Vec<HaloField> = locals.iter().map(|l| l[v].clone()).collect();
             let got = global_from_locals(&per_rank, &decomp);
             let err = got.max_abs_diff(&expect[v]);
             assert!(
@@ -231,7 +234,7 @@ mod tests {
             let setup = FilterSetup::new(grid, decomp);
             let filter = ConvolutionFilter::new(&setup, ConvMode::Ring);
             let sub = decomp.subdomain_of_rank(0);
-            let mut fields: Vec<Field3D> = (0..6)
+            let mut fields: Vec<HaloField> = (0..6)
                 .map(|v| local_from_global(&synthetic_field(&grid, v), &sub))
                 .collect();
             filter.apply(&setup, &cart, &mut fields);
@@ -252,7 +255,7 @@ mod tests {
                 let cart = CartComm::new(c, mesh.0, mesh.1, (false, true));
                 let setup = FilterSetup::new(grid, decomp);
                 let sub = decomp.subdomain_of_rank(c.rank());
-                let mut fields: Vec<Field3D> = (0..6)
+                let mut fields: Vec<HaloField> = (0..6)
                     .map(|v| local_from_global(&synthetic_field(&grid, v), &sub))
                     .collect();
                 if conv {
@@ -286,7 +289,7 @@ mod tests {
                 let setup = FilterSetup::new(grid, decomp);
                 let filter = ConvolutionFilter::new(&setup, mode);
                 let sub = decomp.subdomain_of_rank(c.rank());
-                let mut fields: Vec<Field3D> = (0..6)
+                let mut fields: Vec<HaloField> = (0..6)
                     .map(|v| local_from_global(&synthetic_field(&grid, v), &sub))
                     .collect();
                 filter.apply(&setup, &cart, &mut fields);

@@ -6,7 +6,7 @@
 use crate::convolution::{ConvMode, ConvolutionFilter};
 use crate::engine::{self, Assignment, FilterScratch};
 use crate::lines::FilterSetup;
-use agcm_grid::field::Field3D;
+use agcm_grid::halo::HaloField;
 use agcm_mps::topology::CartComm;
 use std::cell::RefCell;
 
@@ -107,7 +107,7 @@ impl PolarFilter {
     }
 
     /// Apply the full filtering step (both classes) to the local fields.
-    pub fn apply(&self, setup: &FilterSetup, cart: &CartComm, fields: &mut [Field3D]) {
+    pub fn apply(&self, setup: &FilterSetup, cart: &CartComm, fields: &mut [HaloField]) {
         let assignment = match self.variant {
             FilterVariant::ConvolutionRing | FilterVariant::ConvolutionTree => {
                 return self
@@ -135,6 +135,7 @@ mod tests {
     use super::*;
     use crate::reference::{filter_global, global_from_locals, local_from_global, synthetic_field};
     use agcm_grid::decomp::Decomp;
+    use agcm_grid::field::Field3D;
     use agcm_grid::latlon::GridSpec;
     use agcm_mps::runtime::run;
 
@@ -155,7 +156,7 @@ mod tests {
                 let setup = FilterSetup::new(grid, decomp);
                 let filter = PolarFilter::new(&setup, variant);
                 let sub = decomp.subdomain_of_rank(c.rank());
-                let mut fields: Vec<Field3D> =
+                let mut fields: Vec<HaloField> =
                     globals.iter().map(|g| local_from_global(g, &sub)).collect();
                 filter.apply(&setup, &cart, &mut fields);
                 fields

@@ -62,7 +62,7 @@ use agcm_fft::batch::{debug_assert_symmetric, filter_line};
 use agcm_fft::lanes::{LaneBatch, W};
 use agcm_fft::ops::{pair_filter_flops, real_filter_flops};
 use agcm_fft::FftWorkspace;
-use agcm_grid::field::Field3D;
+use agcm_grid::halo::HaloField;
 use agcm_mps::message::Payload;
 use agcm_mps::topology::CartComm;
 use std::collections::BTreeMap;
@@ -291,7 +291,7 @@ struct ChunkEnds<'a> {
     rank: usize,
     /// First latitude row of this rank's subdomain.
     j0: usize,
-    fields: &'a mut [Field3D],
+    fields: &'a mut [HaloField],
     /// Forward messages received, by source rank.
     visiting: &'a mut [Vec<f64>],
 }
@@ -301,7 +301,7 @@ impl ChunkEnds<'_> {
     /// row, or the peer's forward message.
     fn source(&self, line: &Owned, c: &Chunk) -> &[f64] {
         if c.peer == self.rank {
-            self.fields[line.var].row_slice(line.lat - self.j0, line.lev)
+            self.fields[line.var].interior_row(line.lat - self.j0, line.lev)
         } else {
             &self.visiting[c.peer][c.offset..c.offset + c.ni]
         }
@@ -311,7 +311,7 @@ impl ChunkEnds<'_> {
     /// unfiltered ones.
     fn sink(&mut self, line: &Owned, c: &Chunk) -> &mut [f64] {
         if c.peer == self.rank {
-            self.fields[line.var].row_slice_mut(line.lat - self.j0, line.lev)
+            self.fields[line.var].interior_row_mut(line.lat - self.j0, line.lev)
         } else {
             &mut self.visiting[c.peer][c.offset..c.offset + c.ni]
         }
@@ -324,7 +324,7 @@ impl ChunkEnds<'_> {
 pub fn apply(
     setup: &FilterSetup,
     cart: &CartComm,
-    fields: &mut [Field3D],
+    fields: &mut [HaloField],
     assignment: Assignment,
     organization: FilterOrganization,
     scratch: &mut FilterScratch,
@@ -350,7 +350,7 @@ pub fn apply(
 fn redistribute_filter(
     setup: &FilterSetup,
     cart: &CartComm,
-    fields: &mut [Field3D],
+    fields: &mut [HaloField],
     kind: FilterKind,
     assignment: Assignment,
     only_var: Option<usize>,
@@ -396,7 +396,7 @@ fn redistribute_filter(
     }
     for h in &plan.held {
         if h.owner != rank {
-            forward[h.owner].extend_from_slice(fields[h.var].row_slice(h.j, h.lev));
+            forward[h.owner].extend_from_slice(fields[h.var].interior_row(h.j, h.lev));
         }
     }
     for (dst, _) in peers(&plan.held_values) {
@@ -477,7 +477,7 @@ fn redistribute_filter(
     for h in &plan.held {
         // Lines this rank filtered itself were scattered in place.
         if h.owner != rank {
-            let row = fields[h.var].row_slice_mut(h.j, h.lev);
+            let row = fields[h.var].interior_row_mut(h.j, h.lev);
             let len = row.len();
             row.copy_from_slice(&forward[h.owner][h.offset..h.offset + len]);
         }

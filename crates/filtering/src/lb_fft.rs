@@ -11,12 +11,12 @@
 use crate::driver::FilterOrganization;
 use crate::engine::{self, Assignment, FilterScratch};
 use crate::lines::FilterSetup;
-use agcm_grid::field::Field3D;
+use agcm_grid::halo::HaloField;
 use agcm_mps::topology::CartComm;
 
 /// Apply both filter classes with globally load-balanced FFT filtering
 /// (aggregated organization, transient scratch).
-pub fn apply(setup: &FilterSetup, cart: &CartComm, fields: &mut [Field3D]) {
+pub fn apply(setup: &FilterSetup, cart: &CartComm, fields: &mut [HaloField]) {
     engine::apply(
         setup,
         cart,
@@ -32,6 +32,7 @@ mod tests {
     use super::*;
     use crate::reference::{filter_global, global_from_locals, local_from_global, synthetic_field};
     use agcm_grid::decomp::Decomp;
+    use agcm_grid::field::Field3D;
     use agcm_grid::latlon::GridSpec;
     use agcm_mps::runtime::{run, run_traced};
 
@@ -44,7 +45,7 @@ mod tests {
             let cart = CartComm::new(c, mesh.0, mesh.1, (false, true));
             let setup = FilterSetup::new(grid, decomp);
             let sub = decomp.subdomain_of_rank(c.rank());
-            let mut fields: Vec<Field3D> =
+            let mut fields: Vec<HaloField> =
                 globals.iter().map(|g| local_from_global(g, &sub)).collect();
             apply(&setup, &cart, &mut fields);
             fields
@@ -55,7 +56,7 @@ mod tests {
         filter_global(&setup, &mut expect);
 
         for v in 0..n_vars {
-            let per_rank: Vec<Field3D> = locals.iter().map(|l| l[v].clone()).collect();
+            let per_rank: Vec<HaloField> = locals.iter().map(|l| l[v].clone()).collect();
             let got = global_from_locals(&per_rank, &decomp);
             let err = got.max_abs_diff(&expect[v]);
             assert!(err < 1e-9, "variable {v} differs from reference by {err}");
@@ -96,7 +97,7 @@ mod tests {
                 let cart = CartComm::new(c, mesh.0, mesh.1, (false, true));
                 let setup = FilterSetup::new(grid, decomp);
                 let sub = decomp.subdomain_of_rank(c.rank());
-                let mut fields: Vec<Field3D> =
+                let mut fields: Vec<HaloField> =
                     globals.iter().map(|g| local_from_global(g, &sub)).collect();
                 if lb {
                     apply(&setup, &cart, &mut fields);
@@ -128,7 +129,7 @@ mod tests {
             let cart = CartComm::new(c, mesh.0, mesh.1, (false, true));
             let setup = FilterSetup::new(grid, decomp);
             let sub = decomp.subdomain_of_rank(c.rank());
-            let mut fields: Vec<Field3D> = (0..6)
+            let mut fields: Vec<HaloField> = (0..6)
                 .map(|v| local_from_global(&synthetic_field(&grid, v), &sub))
                 .collect();
             apply(&setup, &cart, &mut fields);

@@ -12,6 +12,7 @@ use agcm_fft::convolution::apply_spectral_multiplier;
 use agcm_fft::FftPlan;
 use agcm_grid::decomp::{Decomp, Subdomain};
 use agcm_grid::field::Field3D;
+use agcm_grid::halo::HaloField;
 use agcm_grid::latlon::GridSpec;
 
 /// Apply one filter class to the given variables of a set of global
@@ -44,17 +45,18 @@ pub fn filter_global(setup: &FilterSetup, fields: &mut [Field3D]) {
     filter_global_kind(&setup.grid, fields, FilterKind::Weak, &setup.weak_vars);
 }
 
-/// Extract the local subdomain of a global field.
-pub fn local_from_global(global: &Field3D, sub: &Subdomain) -> Field3D {
+/// Extract the local subdomain of a global field, as the model state
+/// holds it (one-point ghost frame, ghosts zero).
+pub fn local_from_global(global: &Field3D, sub: &Subdomain) -> HaloField {
     let (_, _, nk) = global.shape();
-    Field3D::from_fn(sub.ni, sub.nj, nk, |i, j, k| {
+    HaloField::from_fn(sub.ni, sub.nj, nk, 1, |i, j, k| {
         global.get(sub.i0 + i, sub.j0 + j, k)
     })
 }
 
-/// Reassemble a global field from per-rank locals (rank-major order
-/// matching [`Decomp::subdomain_of_rank`]).
-pub fn global_from_locals(locals: &[Field3D], decomp: &Decomp) -> Field3D {
+/// Reassemble a global field from per-rank local interiors (rank-major
+/// order matching [`Decomp::subdomain_of_rank`]).
+pub fn global_from_locals(locals: &[HaloField], decomp: &Decomp) -> Field3D {
     assert_eq!(locals.len(), decomp.size(), "one local field per rank");
     let g = decomp.grid;
     let mut out = Field3D::zeros(g.n_lon, g.n_lat, g.n_lev);
@@ -67,9 +69,8 @@ pub fn global_from_locals(locals: &[Field3D], decomp: &Decomp) -> Field3D {
         );
         for k in 0..g.n_lev {
             for j in 0..sub.nj {
-                for i in 0..sub.ni {
-                    out.set(sub.i0 + i, sub.j0 + j, k, local.get(i, j, k));
-                }
+                out.row_slice_mut(sub.j0 + j, k)[sub.i0..sub.i0 + sub.ni]
+                    .copy_from_slice(local.interior_row(j, k));
             }
         }
     }
@@ -155,7 +156,7 @@ mod tests {
         let g = grid();
         let d = Decomp::new(g, 3, 4);
         let global = synthetic_field(&g, 2);
-        let locals: Vec<Field3D> = (0..d.size())
+        let locals: Vec<HaloField> = (0..d.size())
             .map(|r| local_from_global(&global, &d.subdomain_of_rank(r)))
             .collect();
         let back = global_from_locals(&locals, &d);

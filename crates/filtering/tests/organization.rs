@@ -13,6 +13,7 @@ use agcm_filtering::reference::{global_from_locals, local_from_global, synthetic
 use agcm_filtering::{FilterOrganization, FilterSetup, FilterVariant, PolarFilter};
 use agcm_grid::decomp::Decomp;
 use agcm_grid::field::Field3D;
+use agcm_grid::halo::HaloField;
 use agcm_grid::latlon::GridSpec;
 use agcm_mps::runtime::{run, run_traced};
 use agcm_mps::topology::CartComm;
@@ -26,7 +27,7 @@ fn run_filtered(
     organization: FilterOrganization,
     mesh: (usize, usize),
     traced: bool,
-) -> (Vec<Vec<Field3D>>, WorldTrace) {
+) -> (Vec<Vec<HaloField>>, WorldTrace) {
     let grid = GridSpec::new(GRID.0, GRID.1, GRID.2);
     let decomp = Decomp::new(grid, mesh.0, mesh.1);
     let globals: Vec<Field3D> = (0..6).map(|v| synthetic_field(&grid, v)).collect();
@@ -35,7 +36,8 @@ fn run_filtered(
         let setup = FilterSetup::new(grid, decomp);
         let filter = PolarFilter::with_organization(&setup, variant, organization);
         let sub = decomp.subdomain_of_rank(c.rank());
-        let mut fields: Vec<Field3D> = globals.iter().map(|g| local_from_global(g, &sub)).collect();
+        let mut fields: Vec<HaloField> =
+            globals.iter().map(|g| local_from_global(g, &sub)).collect();
         filter.apply(&setup, &cart, &mut fields);
         fields
     };

@@ -130,20 +130,6 @@ impl Field3D {
         self.data[start..start + self.ni].copy_from_slice(row);
     }
 
-    /// One vertical column at `(i, j)` — the unit the physics load
-    /// balancer moves between processors.
-    pub fn column(&self, i: usize, j: usize) -> Vec<f64> {
-        (0..self.nk).map(|k| self.get(i, j, k)).collect()
-    }
-
-    /// Overwrite one vertical column at `(i, j)`.
-    pub fn set_column(&mut self, i: usize, j: usize, col: &[f64]) {
-        assert_eq!(col.len(), self.nk, "column length must equal n_lev");
-        for (k, &v) in col.iter().enumerate() {
-            self.set(i, j, k, v);
-        }
-    }
-
     /// Maximum absolute difference to another field of the same shape.
     pub fn max_abs_diff(&self, other: &Field3D) -> f64 {
         assert_eq!(self.shape(), other.shape());
@@ -268,15 +254,11 @@ mod tests {
     }
 
     #[test]
-    fn rows_and_columns() {
+    fn rows() {
         let mut f = Field3D::from_fn(4, 3, 2, |i, j, k| (i + 10 * j + 100 * k) as f64);
         assert_eq!(f.row(1, 0), vec![10.0, 11.0, 12.0, 13.0]);
-        assert_eq!(f.column(2, 1), vec![12.0, 112.0]);
         f.set_row(0, 1, &[9.0, 8.0, 7.0, 6.0]);
         assert_eq!(f.row(0, 1), vec![9.0, 8.0, 7.0, 6.0]);
-        f.set_column(3, 2, &[-1.0, -2.0]);
-        assert_eq!(f.get(3, 2, 0), -1.0);
-        assert_eq!(f.get(3, 2, 1), -2.0);
     }
 
     #[test]

@@ -24,7 +24,6 @@
 //! column, so the same length), which the field keeps between exchanges —
 //! a warmed exchange allocates nothing.
 
-use crate::field::Field3D;
 use agcm_mps::comm::Comm;
 use agcm_mps::message::Payload;
 use agcm_mps::topology::CartComm;
@@ -43,8 +42,13 @@ const SOUTH: usize = 3;
 /// A local field with ghost margins of width `h` in longitude and latitude.
 ///
 /// Interior indices run `0..ni` / `0..nj`; ghosts are addressed with
-/// negative or overflowing indices through the signed accessors. Two halo
-/// fields are equal when their shapes and padded values are.
+/// negative or overflowing indices through the signed accessors. The
+/// interior is the field's value and the ghosts a copy of its neighbours'
+/// edges, refreshed by an exchange: two halo fields are equal when their
+/// interior shapes and interior values are, whatever their ghosts hold.
+/// Everything but the stencil kernels reaches the interior through the
+/// row, column and level accessors, so only this type and
+/// `agcm-kernels`' flat view know where the ghosts sit in memory.
 #[derive(Debug, Clone)]
 pub struct HaloField {
     ni: usize,
@@ -60,28 +64,42 @@ pub struct HaloField {
 
 impl PartialEq for HaloField {
     fn eq(&self, other: &HaloField) -> bool {
-        (self.ni, self.nj, self.nk, self.h) == (other.ni, other.nj, other.nk, other.h)
-            && self.data == other.data
+        self.shape() == other.shape() && self.interior_rows().eq(other.interior_rows())
     }
 }
 
 impl HaloField {
     /// A zero-filled halo field for an `ni × nj × nk` interior with ghost
-    /// width `h`.
+    /// width `h`. An empty interior stores nothing, ghosts included.
     pub fn zeros(ni: usize, nj: usize, nk: usize, h: usize) -> HaloField {
         assert!(h >= 1, "halo width must be at least 1");
-        assert!(
-            ni >= h && nj >= h,
-            "interior must be at least as wide as the halo"
-        );
+        let padded = if ni == 0 || nj == 0 || nk == 0 {
+            0
+        } else {
+            (ni + 2 * h) * (nj + 2 * h) * nk
+        };
         HaloField {
             ni,
             nj,
             nk,
             h,
-            data: vec![0.0; (ni + 2 * h) * (nj + 2 * h) * nk],
+            data: vec![0.0; padded],
             spare: Default::default(),
         }
+    }
+
+    /// A field of ghost width `h` whose interior is `f(i, j, k)` (local
+    /// indices) and whose ghosts are zero.
+    pub fn from_fn(
+        ni: usize,
+        nj: usize,
+        nk: usize,
+        h: usize,
+        f: impl FnMut(usize, usize, usize) -> f64,
+    ) -> HaloField {
+        let mut out = HaloField::zeros(ni, nj, nk, h);
+        out.fill_interior(f);
+        out
     }
 
     /// Interior shape `(ni, nj, nk)`.
@@ -131,6 +149,12 @@ impl HaloField {
         &self.data
     }
 
+    /// The full padded storage, mutably — ghosts included, so a caller
+    /// that rewrites it rewrites them too.
+    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Padded row stride `ni + 2h`.
     #[inline]
     pub fn row_stride(&self) -> usize {
@@ -149,42 +173,86 @@ impl HaloField {
         self.h * self.row_stride() + self.h
     }
 
-    /// Copy a same-shaped [`Field3D`] into the interior without touching
-    /// the ghosts. Row-wise `memcpy`; performs no heap allocation, which
-    /// is what lets a reusable scratch workspace refresh its halos every
-    /// timestep for free.
-    pub fn copy_interior_from(&mut self, f: &Field3D) {
-        assert_eq!(f.shape(), (self.ni, self.nj, self.nk), "shape mismatch");
-        let row = self.row_stride();
-        let plane = self.plane_stride();
-        let src = f.as_slice();
-        for k in 0..self.nk {
-            for j in 0..self.nj {
-                let dst = k * plane + (j + self.h) * row + self.h;
-                let s = (k * self.nj + j) * self.ni;
-                self.data[dst..dst + self.ni].copy_from_slice(&src[s..s + self.ni]);
-            }
-        }
-    }
-
     /// Initialize the interior from `f(i, j, k)` (local indices).
     pub fn fill_interior(&mut self, mut f: impl FnMut(usize, usize, usize) -> f64) {
-        for k in 0..self.nk {
-            for j in 0..self.nj {
-                for i in 0..self.ni {
-                    self.set(i as isize, j as isize, k, f(i, j, k));
-                }
+        let nj = self.nj;
+        for (r, row) in self.interior_rows_mut().enumerate() {
+            for (i, x) in row.iter_mut().enumerate() {
+                *x = f(i, r % nj, r / nj);
             }
         }
     }
 
-    /// Mutably borrow interior row `(j, k)` — `ni` contiguous values, no
-    /// ghosts. Lets a fused kernel write its result straight into the halo
-    /// interior instead of staging it through a `Field3D`.
+    /// Number of interior points, `ni · nj · nk`.
+    pub fn interior_len(&self) -> usize {
+        self.ni * self.nj * self.nk
+    }
+
+    /// Interior row `(j, k)`: `ni` contiguous values, no ghosts.
+    #[inline]
+    pub fn interior_row(&self, j: usize, k: usize) -> &[f64] {
+        let start = self.offset(0, j as isize, k);
+        &self.data[start..start + self.ni]
+    }
+
+    /// Mutably borrow interior row `(j, k)`.
     #[inline]
     pub fn interior_row_mut(&mut self, j: usize, k: usize) -> &mut [f64] {
         let start = self.offset(0, j as isize, k);
         &mut self.data[start..start + self.ni]
+    }
+
+    /// Every interior row, level by level and south to north within a
+    /// level: the interior in the order of an unpadded `i`-fastest array.
+    pub fn interior_rows(&self) -> impl Iterator<Item = &[f64]> {
+        let (row, h, ni, nj) = (self.row_stride(), self.h, self.ni, self.nj);
+        self.data
+            .chunks_exact(self.plane_stride())
+            .flat_map(move |plane| {
+                plane[h * row..(h + nj) * row]
+                    .chunks_exact(row)
+                    .map(move |r| &r[h..h + ni])
+            })
+    }
+
+    /// [`HaloField::interior_rows`], mutably.
+    pub fn interior_rows_mut(&mut self) -> impl Iterator<Item = &mut [f64]> {
+        let (row, h, ni, nj) = (self.row_stride(), self.h, self.ni, self.nj);
+        let plane = self.plane_stride();
+        self.data.chunks_exact_mut(plane).flat_map(move |plane| {
+            plane[h * row..(h + nj) * row]
+                .chunks_exact_mut(row)
+                .map(move |r| &mut r[h..h + ni])
+        })
+    }
+
+    /// One vertical column at interior point `(i, j)`.
+    pub fn column(&self, i: usize, j: usize) -> Vec<f64> {
+        (0..self.nk)
+            .map(|k| self.get(i as isize, j as isize, k))
+            .collect()
+    }
+
+    /// Overwrite one vertical column at interior point `(i, j)`.
+    pub fn set_column(&mut self, i: usize, j: usize, col: &[f64]) {
+        assert_eq!(col.len(), self.nk, "column length must equal n_lev");
+        for (k, &v) in col.iter().enumerate() {
+            self.set(i as isize, j as isize, k, v);
+        }
+    }
+
+    /// Columns `i` of interior row `j` on every level, for a kernel that
+    /// walks many columns side by side: the storage from interior point
+    /// `(i.start, j, 0)` on, and the stride between levels — level `k` of
+    /// column `i.start + c` is `slice[k · stride + c]`.
+    pub fn columns_mut(&mut self, j: usize, i: std::ops::Range<usize>) -> (&mut [f64], usize) {
+        assert!(
+            i.start <= i.end && i.end <= self.ni && j < self.nj,
+            "row segment outside the field"
+        );
+        let start = self.offset(i.start as isize, j as isize, 0);
+        let stride = self.plane_stride();
+        (&mut self.data[start..], stride)
     }
 
     /// Pack a block of columns `[i_lo, i_lo+count_i) × [j_lo, j_hi) × levels`,
@@ -312,6 +380,12 @@ impl HaloField {
 /// zero-gradient extrapolation.
 pub fn exchange_all(fields: &mut [HaloField], cart: &CartComm) {
     let comm = cart.comm();
+    for f in fields.iter() {
+        assert!(
+            f.ni >= f.h && f.nj >= f.h,
+            "interior must be at least as wide as the halo"
+        );
+    }
 
     // --- Phase 1: east-west (longitude, periodic). -----------------------
     let east = cart.neighbor(1, 1).expect("longitude is periodic");
@@ -494,21 +568,54 @@ mod tests {
     }
 
     #[test]
-    fn copy_interior_from_matches_fill_interior() {
-        let src = Field3D::from_fn(6, 4, 3, |i, j, k| (i * 7 + j * 3 + k) as f64 * 0.5);
-        let mut a = HaloField::zeros(6, 4, 3, 2);
+    fn equality_and_row_accessors_see_the_interior_only() {
+        let a = HaloField::from_fn(4, 3, 2, 1, |i, j, k| (i + 10 * j + 100 * k) as f64);
         let mut b = a.clone();
-        // Pre-poison ghosts to prove the copy leaves them alone.
-        a.set(-1, -1, 0, 42.0);
-        b.set(-1, -1, 0, 42.0);
-        a.fill_interior(|i, j, k| src.get(i, j, k));
-        b.copy_interior_from(&src);
-        assert_eq!(a, b);
+        for (j, k) in [(-1isize, 0usize), (3, 1)] {
+            for i in -1..=4isize {
+                b.set(i, j, k, f64::NAN);
+            }
+        }
+        b.set(-1, 1, 0, f64::NAN);
+        assert_eq!(a, b, "ghosts are not part of the value");
+        let rows: Vec<f64> = b.interior_rows().flatten().copied().collect();
+        let expect: Vec<f64> = (0..2)
+            .flat_map(|k| {
+                (0..3).flat_map(move |j| (0..4).map(move |i| (i + 10 * j + 100 * k) as f64))
+            })
+            .collect();
+        assert_eq!(rows, expect, "interior rows in unpadded order");
+        assert_eq!(b.interior_len(), 24);
+        assert_eq!(b.interior_row(2, 1), &expect[20..24]);
+        assert_eq!(b.column(3, 2), vec![23.0, 123.0]);
+        b.interior_row_mut(0, 0)[1] = -1.0;
+        assert_ne!(a, b);
     }
 
     #[test]
-    #[should_panic(expected = "shape mismatch")]
-    fn copy_interior_shape_checked() {
-        HaloField::zeros(4, 4, 1, 1).copy_interior_from(&Field3D::zeros(4, 3, 1));
+    fn columns_walk_levels_by_the_plane_stride() {
+        let mut f = HaloField::from_fn(5, 3, 3, 1, |i, j, k| (i + 10 * j + 100 * k) as f64);
+        let (cols, stride) = f.columns_mut(2, 1..4);
+        assert_eq!(stride, 7 * 5);
+        for k in 0..3 {
+            for c in 0..3 {
+                assert_eq!(cols[k * stride + c], (1 + c + 20 + 100 * k) as f64);
+            }
+        }
+        cols[stride] = -5.0;
+        assert_eq!(f.get(1, 2, 1), -5.0);
+        f.set_column(4, 0, &[1.0, 2.0, 3.0]);
+        assert_eq!(f.column(4, 0), vec![1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn empty_interiors_store_nothing() {
+        // However large the other extents: a decoder sizes fields from
+        // untrusted counts.
+        let f = HaloField::zeros(0, 1 << 40, 1 << 20, 1);
+        assert_eq!((f.interior_len(), f.padded().len()), (0, 0));
+        assert_eq!(f.interior_rows().count(), 0);
+        assert_eq!(f, HaloField::zeros(0, 1 << 40, 1 << 20, 1));
+        assert_ne!(f, HaloField::zeros(0, 1, 1, 1));
     }
 }

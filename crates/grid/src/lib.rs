@@ -16,8 +16,9 @@
 //!   block-oriented `f(m,i,j,k)` array ([`field::BlockField`]);
 //! * [`decomp`] — the 2-D horizontal domain decomposition over an M×N
 //!   processor mesh;
-//! * [`halo`] — ghost-point exchange between neighbouring subdomains
-//!   (periodic in longitude, bounded at the poles);
+//! * [`halo`] — the ghost-framed field the model state is stored in
+//!   ([`halo::HaloField`]) and the ghost-point exchange between
+//!   neighbouring subdomains (periodic in longitude, bounded at the poles);
 //! * [`metrics`] — precomputed per-latitude metric tables (cos φ,
 //!   half-latitude cos, reciprocal spacings): the paper's §3.4
 //!   redundant-computation elimination, shared by the `agcm-kernels`

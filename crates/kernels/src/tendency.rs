@@ -96,12 +96,12 @@ pub(crate) fn flux_divergence_row(
 }
 
 /// One row of the forward-backward momentum update: Coriolis + pressure
-/// gradient on `h*` + advection. Per point, reading the old `(u, v)` pair
-/// before writing either:
+/// gradient on `h*` + advection, from the old winds `(u_old, v_old)` into
+/// `(u, v)`. Per point:
 ///
 /// ```text
-/// u += dt·( f·v − g·∂h*/∂x + adv_u)
-/// v += dt·(−f·u − g·∂h*/∂y + adv_v)
+/// u = u_old + dt·( f·v_old − g·∂h*/∂x + adv_u)
+/// v = v_old + dt·(−f·u_old − g·∂h*/∂y + adv_v)
 /// ```
 ///
 /// `f` is the row's Coriolis parameter.
@@ -110,6 +110,8 @@ pub(crate) fn flux_divergence_row(
 pub(crate) fn momentum_row(
     u: &mut [f64],
     v: &mut [f64],
+    u_old: &[f64],
+    v_old: &[f64],
     dhdx: &[f64],
     dhdy: &[f64],
     adv_u: &[f64],
@@ -119,25 +121,25 @@ pub(crate) fn momentum_row(
     g: f64,
 ) {
     let n = u.len();
-    let v = &mut v[..n];
+    let (v, u_old, v_old) = (&mut v[..n], &u_old[..n], &v_old[..n]);
     let (gx, gy, au, av) = (&dhdx[..n], &dhdy[..n], &adv_u[..n], &adv_v[..n]);
     for i in 0..n {
-        let (uu, vv) = (u[i], v[i]);
+        let (uu, vv) = (u_old[i], v_old[i]);
         u[i] = uu + dt * (f * vv - g * gx[i] + au[i]);
         v[i] = vv + dt * (-f * uu - g * gy[i] + av[i]);
     }
 }
 
-/// One row of the explicit update `q += dt · tendency`. Pass a negative
-/// `dt` for the continuity form `h −= dt·∇·(h·u)` — the sign flip is
-/// exact in IEEE arithmetic, so both uses stay bit-identical to the
-/// reference zip loops.
+/// One row of the explicit update `q = q_old + dt · tendency`. Pass a
+/// negative `dt` for the continuity form `h = h_old − dt·∇·(h·u)` — the
+/// sign flip is exact in IEEE arithmetic, so both uses stay bit-identical
+/// to the reference's in-place zip loops.
 #[inline(always)]
-pub(crate) fn advance_row(field: &mut [f64], tendency: &[f64], dt: f64) {
+pub(crate) fn advance_row(field: &mut [f64], old: &[f64], tendency: &[f64], dt: f64) {
     let n = field.len();
-    let tendency = &tendency[..n];
+    let (old, tendency) = (&old[..n], &tendency[..n]);
     for i in 0..n {
-        field[i] += dt * tendency[i];
+        field[i] = old[i] + dt * tendency[i];
     }
 }
 
@@ -215,10 +217,11 @@ mod tests {
 
     #[test]
     fn advance_row_signs() {
-        let mut f = vec![1.0, 2.0];
-        advance_row(&mut f, &[10.0, 20.0], 0.5);
+        let mut f = vec![f64::NAN; 2];
+        advance_row(&mut f, &[1.0, 2.0], &[10.0, 20.0], 0.5);
         assert_eq!(f, vec![6.0, 12.0]);
-        advance_row(&mut f, &[10.0, 20.0], -0.5);
+        let old = f.clone();
+        advance_row(&mut f, &old, &[10.0, 20.0], -0.5);
         assert_eq!(f, vec![1.0, 2.0]);
     }
 

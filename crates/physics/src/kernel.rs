@@ -3,7 +3,7 @@
 //! Column physics has no horizontal coupling, so a whole latitude row (or
 //! any packed list of columns) can advance together with the *column* as
 //! the inner loop index over level-major contiguous slices — the layout a
-//! [`Field3D`] row already has. Base smoothing, the O(K²) longwave
+//! [`HaloField`] row segment already has. Base smoothing, the O(K²) longwave
 //! exchange and the shortwave sweep become flat vectorizable loops; only
 //! the data-dependent convective adjustment stays scalar, on the unstable
 //! minority. Forcing comes from the [`Forcing`] tables, scratch is sized
@@ -31,7 +31,7 @@
 use crate::convection::adjust;
 use crate::forcing::Forcing;
 use agcm_grid::decomp::Subdomain;
-use agcm_grid::field::Field3D;
+use agcm_grid::halo::HaloField;
 use agcm_grid::latlon::GridSpec;
 use std::ops::Range;
 
@@ -89,21 +89,17 @@ impl ColumnKernel {
     /// performed.
     pub fn run_row(
         &mut self,
-        theta: &mut Field3D,
+        theta: &mut HaloField,
         sub: &Subdomain,
         j: usize,
         i: Range<usize>,
     ) -> f64 {
-        let (ni, nj, nk) = theta.shape();
+        let (_, _, nk) = theta.shape();
         assert_eq!(nk, self.column.len(), "field levels must match the grid");
-        assert!(j < nj && i.end <= ni, "row segment outside the field");
         let (gi0, gj) = (sub.i0 + i.start, sub.j0 + j);
-        self.run(
-            |c| (gi0 + c, gj),
-            &mut theta.as_mut_slice()[j * ni + i.start..],
-            ni * nj,
-            i.len(),
-        )
+        let n = i.len();
+        let (columns, stride) = theta.columns_mut(j, i);
+        self.run(|c| (gi0 + c, gj), columns, stride, n)
     }
 
     /// Run the physics on a packed level-major buffer: level `k` of column
@@ -270,7 +266,7 @@ mod tests {
             ni: 2 * BLOCK,
             nj: 2,
         };
-        let before = Field3D::from_fn(sub.ni, sub.nj, g.n_lev, |i, j, k| {
+        let before = HaloField::from_fn(sub.ni, sub.nj, g.n_lev, 1, |i, j, k| {
             ((i * 31 + j * 17 + k * 7) % 89) as f64 * 0.07 - 3.0
         });
         let mut after = before.clone();

@@ -16,7 +16,7 @@ use crate::convection::{adjust, adjustment_iterations, instability};
 use crate::kernel::ColumnKernel;
 use crate::radiation::{longwave, shortwave, solar_zenith_cos};
 use agcm_grid::decomp::Subdomain;
-use agcm_grid::field::Field3D;
+use agcm_grid::halo::HaloField;
 use agcm_grid::latlon::GridSpec;
 use agcm_mps::comm::Comm;
 use std::cell::RefCell;
@@ -93,7 +93,7 @@ impl PhysicsStep {
     /// the estimate used for the *next* pass's balancing, per §3.4:
     /// "a timing on the previous pass of physics component was performed
     /// at each processor and the result was used as an estimate".
-    pub fn run_local(&self, comm: &Comm, theta: &mut Field3D, t: f64) -> f64 {
+    pub fn run_local(&self, comm: &Comm, theta: &mut HaloField, t: f64) -> f64 {
         let (ni, nj, _) = theta.shape();
         assert_eq!(
             (ni, nj),
@@ -185,8 +185,9 @@ mod tests {
         let (loads, trace) = run_traced(4, |c| {
             let sub = d.subdomain_of_rank(c.rank());
             let step = PhysicsStep::new(g, sub);
-            let mut theta =
-                Field3D::from_fn(sub.ni, sub.nj, g.n_lev, |i, j, k| (i + j + k) as f64 * 0.01);
+            let mut theta = HaloField::from_fn(sub.ni, sub.nj, g.n_lev, 1, |i, j, k| {
+                (i + j + k) as f64 * 0.01
+            });
             step.run_local(c, &mut theta, 1800.0)
         });
         let stats = trace.stats();

@@ -9,7 +9,7 @@
 //! so `record_flops` appends to no event log.
 
 use agcm_grid::decomp::Decomp;
-use agcm_grid::field::Field3D;
+use agcm_grid::halo::HaloField;
 use agcm_grid::latlon::GridSpec;
 use agcm_mps::runtime::run;
 use agcm_physics::step::PhysicsStep;
@@ -62,7 +62,7 @@ fn warmed_up_physics_pass_allocates_nothing() {
     let sub = Decomp::new(grid, 1, 1).subdomain_of_rank(0);
     let count = run(1, |c| {
         let step = PhysicsStep::new(grid, sub);
-        let mut theta = Field3D::from_fn(sub.ni, sub.nj, grid.n_lev, |i, j, k| {
+        let mut theta = HaloField::from_fn(sub.ni, sub.nj, grid.n_lev, 1, |i, j, k| {
             (i as f64 * 0.3).sin() + (j as f64 * 0.2).cos() - 0.05 * k as f64
         });
         step.run_local(c, &mut theta, 0.0);

@@ -22,6 +22,10 @@
 //! checksum       u64      FNV-1a over every preceding byte
 //! ```
 //!
+//! A field's values are its interior, longitude fastest, then latitude,
+//! then level; the ghost frame the model state carries is not part of the
+//! record, and a decoded field's ghosts are zero.
+//!
 //! ## Records are streams
 //!
 //! A paper-grid shard is 5.6 MB, and FNV-1a is a serial chain (one
@@ -50,7 +54,7 @@
 //! the far end.
 
 use crate::coordinator::StoreError;
-use agcm_grid::field::Field3D;
+use agcm_grid::halo::HaloField;
 use agcm_grid::history::ByteOrder;
 use std::fmt;
 
@@ -130,8 +134,9 @@ pub struct ModelCheckpoint {
     pub scalars: Vec<f64>,
     /// Per-step series accumulated so far (e.g. physics load history).
     pub series: Vec<f64>,
-    /// Prognostic fields, in model variable order.
-    pub fields: Vec<Field3D>,
+    /// Prognostic fields, in model variable order, with the model state's
+    /// one-point ghost frame (not recorded: see the module docs).
+    pub fields: Vec<HaloField>,
 }
 
 /// FNV-1a over a byte slice: the one checksum behind checkpoint records,
@@ -340,19 +345,28 @@ impl Writer<'_> {
         };
         self.bytes(&b)
     }
-    /// A run of 64-bit values, a block at a time. In the machine's own
-    /// byte order the conversion loop is a block copy; in the other it
-    /// is a vectorised byte swap.
+    /// A run of 64-bit values, appended to the staging block and flushed
+    /// as it fills, so many short runs (a field's rows) still reach the
+    /// sink in whole blocks. In the machine's own byte order the
+    /// conversion loop is a block copy; in the other it is a vectorised
+    /// byte swap.
     fn words<T: Copy>(&mut self, vals: &[T], bits: impl Fn(T) -> u64) -> Result<(), StoreError> {
-        for run in vals.chunks(BLOCK / 8) {
-            self.flush()?;
-            self.staged = run.len() * 8;
-            let slots = self.block[..self.staged].chunks_exact_mut(8).zip(run);
+        let mut rest = vals;
+        while !rest.is_empty() {
+            if BLOCK - self.staged < 8 {
+                self.flush()?;
+            }
+            let room = (BLOCK - self.staged) / 8;
+            let (run, tail) = rest.split_at(room.min(rest.len()));
+            let end = self.staged + run.len() * 8;
+            let slots = self.block[self.staged..end].chunks_exact_mut(8).zip(run);
             if self.big {
                 slots.for_each(|(slot, &v)| slot.copy_from_slice(&bits(v).to_be_bytes()));
             } else {
                 slots.for_each(|(slot, &v)| slot.copy_from_slice(&bits(v).to_le_bytes()));
             }
+            self.staged = end;
+            rest = tail;
         }
         Ok(())
     }
@@ -466,8 +480,10 @@ impl Reader<'_> {
                 .and_then(|x| x.checked_mul(nk))
                 .ok_or(StoreError::Format(CheckpointError::Truncated))?;
             self.need(len as u64)?;
-            let mut field = Field3D::zeros(ni, nj, nk);
-            self.words(field.as_mut_slice(), f64::from_bits)?;
+            let mut field = HaloField::zeros(ni, nj, nk, 1);
+            for row in field.interior_rows_mut() {
+                self.words(row, f64::from_bits)?;
+            }
             fields.push(field);
         }
         if self.body_left() > 0 {
@@ -523,7 +539,9 @@ impl RecordSource for EncodedCheckpoint<'_> {
             w.u32(ni as u32)?;
             w.u32(nj as u32)?;
             w.u32(nk as u32)?;
-            w.f64s(f.as_slice())?;
+            for row in f.interior_rows() {
+                w.f64s(row)?;
+            }
         }
         w.flush()?;
         // The body has passed through the sink: its hash is the checksum.
@@ -542,7 +560,7 @@ impl ModelCheckpoint {
 
     /// Length in bytes of the encoded record.
     fn encoded_len(&self) -> usize {
-        let payload: usize = self.fields.iter().map(|f| f.len() * 8 + 12).sum();
+        let payload: usize = self.fields.iter().map(|f| f.interior_len() * 8 + 12).sum();
         44 + (self.seeds.len() + self.scalars.len() + self.series.len()) * 8 + payload
     }
 
@@ -632,8 +650,8 @@ mod tests {
             scalars: vec![1.0, -0.5],
             series: vec![0.1, 0.2, 0.3],
             fields: vec![
-                Field3D::from_fn(4, 3, 2, |i, j, k| (i * 100 + j * 10 + k) as f64),
-                Field3D::from_fn(2, 2, 1, |i, j, _| -((i + j) as f64)),
+                HaloField::from_fn(4, 3, 2, 1, |i, j, k| (i * 100 + j * 10 + k) as f64),
+                HaloField::from_fn(2, 2, 1, 1, |i, j, _| -((i + j) as f64)),
             ],
         }
     }

@@ -426,7 +426,7 @@ pub fn write_coordinated(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agcm_grid::field::Field3D;
+    use agcm_grid::halo::HaloField;
     use agcm_mps::runtime::run;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -448,7 +448,7 @@ mod tests {
             seeds: vec![rank as u64],
             scalars: vec![],
             series: vec![step as f64],
-            fields: vec![Field3D::from_fn(3, 2, 1, |i, j, _| {
+            fields: vec![HaloField::from_fn(3, 2, 1, 1, |i, j, _| {
                 (rank as usize + i * j) as f64
             })],
         }

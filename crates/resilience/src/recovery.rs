@@ -221,7 +221,7 @@ mod tests {
     use super::*;
     use crate::checkpoint::ModelCheckpoint;
     use crate::coordinator::write_coordinated;
-    use agcm_grid::field::Field3D;
+    use agcm_grid::halo::HaloField;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -257,7 +257,7 @@ mod tests {
                     seeds: vec![],
                     scalars: vec![value],
                     series: vec![],
-                    fields: vec![Field3D::zeros(1, 1, 1)],
+                    fields: vec![HaloField::zeros(1, 1, 1, 1)],
                 };
                 write_coordinated(c, store, &ckpt).unwrap();
             }

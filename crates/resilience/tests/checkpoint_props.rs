@@ -3,7 +3,7 @@
 //! length, and checksum-detected corruption. No external proptest
 //! crate — a seeded LCG drives the generation, so failures reproduce.
 
-use agcm_grid::field::Field3D;
+use agcm_grid::halo::HaloField;
 use agcm_grid::history::ByteOrder;
 use agcm_resilience::checkpoint::{CheckpointError, ModelCheckpoint};
 
@@ -50,11 +50,7 @@ fn random_checkpoint(rng: &mut Rng) -> ModelCheckpoint {
                     rng.below(4) as usize + 1,
                     rng.below(3) as usize + 1,
                 );
-                let mut f = Field3D::zeros(ni, nj, nk);
-                for v in f.as_mut_slice() {
-                    *v = rng.f64();
-                }
-                f
+                HaloField::from_fn(ni, nj, nk, 1, |_, _, _| rng.f64())
             })
             .collect(),
     }

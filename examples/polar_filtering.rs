@@ -22,6 +22,7 @@ use ucla_agcm_repro::filtering::lines::FilterSetup;
 use ucla_agcm_repro::filtering::reference::{local_from_global, synthetic_field};
 use ucla_agcm_repro::grid::decomp::Decomp;
 use ucla_agcm_repro::grid::field::Field3D;
+use ucla_agcm_repro::grid::halo::HaloField;
 use ucla_agcm_repro::grid::latlon::GridSpec;
 use ucla_agcm_repro::mps::runtime::run_traced;
 use ucla_agcm_repro::mps::topology::CartComm;
@@ -104,7 +105,7 @@ fn main() {
             let setup = FilterSetup::new(grid, decomp);
             let filter = PolarFilter::new(&setup, variant);
             let sub = decomp.subdomain_of_rank(comm.rank());
-            let mut fields: Vec<Field3D> =
+            let mut fields: Vec<HaloField> =
                 globals.iter().map(|g| local_from_global(g, &sub)).collect();
             filter.apply(&setup, &cart, &mut fields);
         });

@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use agcm_ckptstore::{JobStoreBackend, Store};
-use ucla_agcm_repro::grid::field::Field3D;
+use ucla_agcm_repro::grid::halo::HaloField;
 use ucla_agcm_repro::grid::history::ByteOrder;
 use ucla_agcm_repro::resilience::checkpoint::{RecordSink, RecordSource};
 use ucla_agcm_repro::resilience::{
@@ -60,7 +60,8 @@ fn bytes(salt: u64, len: usize) -> Vec<u8> {
 /// A small deterministic checkpoint: the one the fixtures hold.
 fn sample(step: u64, rank: u32, world: u32, salt: u64) -> ModelCheckpoint {
     let mut rng = Rng(salt);
-    let mut field = |ni, nj, nk| Field3D::from_fn(ni, nj, nk, |_, _, _| rng.next() as f64 / 1e3);
+    let mut field =
+        |ni, nj, nk| HaloField::from_fn(ni, nj, nk, 1, |_, _, _| rng.next() as f64 / 1e3);
     ModelCheckpoint {
         rank,
         world,
@@ -109,8 +110,8 @@ fn oracle_encode(c: &ModelCheckpoint, order: ByteOrder) -> Vec<u8> {
         u32_(&mut out, ni as u32);
         u32_(&mut out, nj as u32);
         u32_(&mut out, nk as u32);
-        f.as_slice()
-            .iter()
+        f.interior_rows()
+            .flatten()
             .for_each(|v| u64_(&mut out, v.to_bits()));
     }
     let sum = fnv1a(&out);
@@ -140,16 +141,27 @@ impl RecordSink for Collect {
 fn streamed_encode_matches_the_per_value_oracle() {
     let mut rng = Rng(0x5EED_0017);
     // Field sizes around the encoder's staging block (4096 values) and
-    // the store's default chunk (8192 values), and tiny ones.
-    let sizes = [0usize, 1, 7, 4095, 4096, 4097, 8191, 8193, 12_289];
+    // the store's default chunk (8192 values), and tiny ones — one row
+    // each, or many rows whose run crosses a block mid-row.
+    let shapes = [
+        (0usize, 1usize, 1usize),
+        (1, 1, 1),
+        (7, 1, 1),
+        (4095, 1, 1),
+        (4096, 1, 1),
+        (4097, 1, 1),
+        (8191, 1, 1),
+        (8193, 1, 1),
+        (12_289, 1, 1),
+        (37, 13, 9),
+        (5, 0, 3),
+    ];
     for case in 0..12 {
         let n_fields = 1 + rng.below(3) as usize;
         let fields = (0..n_fields)
             .map(|_| {
-                let len = sizes[rng.below(sizes.len() as u64) as usize];
-                let mut f = Field3D::zeros(len, 1, 1);
-                f.as_mut_slice().iter_mut().for_each(|v| *v = rng.value());
-                f
+                let (ni, nj, nk) = shapes[rng.below(shapes.len() as u64) as usize];
+                HaloField::from_fn(ni, nj, nk, 1, |_, _, _| rng.value())
             })
             .collect();
         let series_len = [0, 3, 5000][case % 3];
@@ -515,11 +527,7 @@ fn a_chunk_file_of_the_wrong_length_is_an_io_error() {
 fn truncation_and_trailing_bytes_around_block_boundaries() {
     // A record spanning several encoder blocks (4096 values each).
     let mut rng = Rng(0xB0DA);
-    let mut field = Field3D::zeros(10_000, 1, 1);
-    field
-        .as_mut_slice()
-        .iter_mut()
-        .for_each(|v| *v = rng.value());
+    let field = HaloField::from_fn(10_000, 1, 1, 1, |_, _, _| rng.value());
     let ckpt = ModelCheckpoint {
         fields: vec![field],
         ..sample(4, 0, 1, 5)

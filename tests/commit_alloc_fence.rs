@@ -16,7 +16,7 @@ use agcm_ckptstore::{JobStoreBackend, Store};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use ucla_agcm_repro::grid::field::Field3D;
+use ucla_agcm_repro::grid::halo::HaloField;
 use ucla_agcm_repro::resilience::{CheckpointStore, ModelCheckpoint};
 
 struct CountingAlloc;
@@ -88,7 +88,7 @@ fn paper_checkpoint(step: u64) -> ModelCheckpoint {
     let mut x = step.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     let fields = (0..6)
         .map(|_| {
-            Field3D::from_fn(144, 90, 9, |_, _, _| {
+            HaloField::from_fn(144, 90, 9, 1, |_, _, _| {
                 x = x
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
@@ -139,7 +139,8 @@ fn a_warmed_commit_and_load_never_hold_a_record() {
         "write_shard requested {bytes} bytes in total (fence {FENCE_TOTAL})"
     );
 
-    let field_bytes = 144 * 90 * 9 * 8;
+    // The state's fields carry a one-point ghost frame.
+    let field_bytes = 146 * 92 * 9 * 8;
     let (loaded, bytes, largest, fields) = cost_of(field_bytes, || job.load_shard(20, 0));
     assert_eq!(loaded.unwrap(), ckpt);
     assert_eq!(fields, 6, "the six fields are what a load may allocate");

@@ -61,7 +61,7 @@ fn seeded_state(grid: GridSpec, decomp: &Decomp, rank: usize) -> ModelState {
             Variable::Humidity => (0.0, 0.02),
             Variable::Ozone => (0.0, 1.0e-6),
         };
-        for x in state.field_mut(var).as_mut_slice() {
+        for x in state.field_mut(var).interior_rows_mut().flatten() {
             *x = base + scale * rng.signed();
         }
     }
@@ -91,7 +91,7 @@ fn run_bits(
         state
             .fields
             .iter()
-            .flat_map(|f| f.as_slice().iter().map(|x| x.to_bits()))
+            .flat_map(|f| f.interior_rows().flatten().map(|x| x.to_bits()))
             .collect()
     })
 }

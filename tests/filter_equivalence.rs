@@ -8,6 +8,7 @@ use ucla_agcm_repro::filtering::reference::{
 };
 use ucla_agcm_repro::grid::decomp::Decomp;
 use ucla_agcm_repro::grid::field::Field3D;
+use ucla_agcm_repro::grid::halo::HaloField;
 use ucla_agcm_repro::grid::latlon::GridSpec;
 use ucla_agcm_repro::mps::runtime::run;
 use ucla_agcm_repro::mps::topology::CartComm;
@@ -31,7 +32,8 @@ fn parallel(
         let setup = FilterSetup::new(grid, decomp);
         let filter = PolarFilter::new(&setup, variant);
         let sub = decomp.subdomain_of_rank(comm.rank());
-        let mut fields: Vec<Field3D> = globals.iter().map(|g| local_from_global(g, &sub)).collect();
+        let mut fields: Vec<HaloField> =
+            globals.iter().map(|g| local_from_global(g, &sub)).collect();
         filter.apply(&setup, &cart, &mut fields);
         fields
     });

@@ -20,7 +20,7 @@ use ucla_agcm_repro::agcm::{run_model, run_model_resilient, AgcmConfig, Resilien
 use ucla_agcm_repro::filtering::driver::FilterVariant;
 use ucla_agcm_repro::filtering::reference::global_from_locals;
 use ucla_agcm_repro::grid::decomp::Decomp;
-use ucla_agcm_repro::grid::field::Field3D;
+use ucla_agcm_repro::grid::halo::HaloField;
 use ucla_agcm_repro::grid::latlon::GridSpec;
 
 const STEPS: usize = 20;
@@ -43,7 +43,7 @@ fn state_digest(cfg: AgcmConfig, tag: &str) -> u64 {
     let store = opts.store.clone();
     let run = run_model_resilient(cfg.with_checkpointing(cfg.steps), opts).expect("clean run");
     assert_eq!(run.attempts, 1);
-    let per_rank: Vec<Vec<Field3D>> = (0..cfg.size())
+    let per_rank: Vec<Vec<HaloField>> = (0..cfg.size())
         .map(|rank| {
             store
                 .load_shard(cfg.steps as u64, rank as u32)
@@ -55,7 +55,7 @@ fn state_digest(cfg: AgcmConfig, tag: &str) -> u64 {
     let decomp = Decomp::new(cfg.grid, cfg.mesh_lat, cfg.mesh_lon);
     let mut h = 0xcbf2_9ce4_8422_2325;
     for var in 0..per_rank[0].len() {
-        let locals: Vec<Field3D> = per_rank.iter().map(|f| f[var].clone()).collect();
+        let locals: Vec<HaloField> = per_rank.iter().map(|f| f[var].clone()).collect();
         for v in global_from_locals(&locals, &decomp).as_slice() {
             h = fnv1a(h, &v.to_bits().to_le_bytes());
         }

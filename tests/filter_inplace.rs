@@ -23,6 +23,7 @@ use ucla_agcm_repro::filtering::reference::{
 };
 use ucla_agcm_repro::grid::decomp::Decomp;
 use ucla_agcm_repro::grid::field::Field3D;
+use ucla_agcm_repro::grid::halo::HaloField;
 use ucla_agcm_repro::grid::latlon::GridSpec;
 use ucla_agcm_repro::mps::runtime::{run, run_traced, run_with_faults};
 use ucla_agcm_repro::mps::topology::CartComm;
@@ -56,10 +57,10 @@ fn digest(fields: &[Field3D]) -> u64 {
     h
 }
 
-fn assemble(locals: &[Vec<Field3D>], decomp: &Decomp) -> Vec<Field3D> {
+fn assemble(locals: &[Vec<HaloField>], decomp: &Decomp) -> Vec<Field3D> {
     (0..locals[0].len())
         .map(|v| {
-            let of_var: Vec<Field3D> = locals.iter().map(|l| l[v].clone()).collect();
+            let of_var: Vec<HaloField> = locals.iter().map(|l| l[v].clone()).collect();
             global_from_locals(&of_var, decomp)
         })
         .collect()
@@ -72,14 +73,14 @@ fn rank_body(
     mesh: (usize, usize),
     variant: FilterVariant,
     organization: FilterOrganization,
-) -> Vec<Field3D> {
+) -> Vec<HaloField> {
     let grid = grid();
     let decomp = Decomp::new(grid, mesh.0, mesh.1);
     let cart = CartComm::new(comm, mesh.0, mesh.1, (false, true));
     let setup = FilterSetup::new(grid, decomp);
     let filter = PolarFilter::with_organization(&setup, variant, organization);
     let sub = decomp.subdomain_of_rank(comm.rank());
-    let mut fields: Vec<Field3D> = globals(&grid)
+    let mut fields: Vec<HaloField> = globals(&grid)
         .iter()
         .map(|g| local_from_global(g, &sub))
         .collect();
@@ -179,7 +180,7 @@ fn forward_buffers_circulate_without_growing() {
             let cart = CartComm::new(comm, mesh.0, mesh.1, (false, true));
             let setup = FilterSetup::new(grid, decomp);
             let sub = decomp.subdomain_of_rank(comm.rank());
-            let mut fields: Vec<Field3D> = globals(&grid)
+            let mut fields: Vec<HaloField> = globals(&grid)
                 .iter()
                 .map(|g| local_from_global(g, &sub))
                 .collect();
@@ -227,7 +228,7 @@ fn a_rank_that_lost_its_buffers_grows_them_again() {
         let cart = CartComm::new(comm, mesh.0, mesh.1, (false, true));
         let setup = FilterSetup::new(grid, decomp);
         let sub = decomp.subdomain_of_rank(comm.rank());
-        let mut fields: Vec<Field3D> = globals(&grid)
+        let mut fields: Vec<HaloField> = globals(&grid)
             .iter()
             .map(|g| local_from_global(g, &sub))
             .collect();

@@ -5,7 +5,7 @@
 //! packed foreign columns, and in the flops it reports.
 
 use ucla_agcm_repro::grid::decomp::{Decomp, Subdomain};
-use ucla_agcm_repro::grid::field::Field3D;
+use ucla_agcm_repro::grid::halo::HaloField;
 use ucla_agcm_repro::grid::latlon::GridSpec;
 use ucla_agcm_repro::mps::runtime::run;
 use ucla_agcm_repro::physics::balance::exec::run_balanced;
@@ -43,26 +43,24 @@ impl Lcg {
 /// A field of LCG temperatures in (−6, 6). One value in eight repeats the
 /// one before it and one in sixteen is a signed zero, so equal neighbouring
 /// layers and `−0.0` — where a careless rewrite loses the sign — occur.
-fn seeded_field(sub: &Subdomain, n_lev: usize, seed: u64) -> Field3D {
+fn seeded_field(sub: &Subdomain, n_lev: usize, seed: u64) -> HaloField {
     let mut rng = Lcg(seed);
-    let mut theta = Field3D::zeros(sub.ni, sub.nj, n_lev);
     let mut prev = 0.5;
-    for v in theta.as_mut_slice() {
+    HaloField::from_fn(sub.ni, sub.nj, n_lev, 1, |_, _, _| {
         let r = rng.next_u32();
-        *v = match r % 16 {
+        prev = match r % 16 {
             0 => 0.0,
             1 => -0.0,
             2 | 3 => prev,
             _ => (r >> 4) as f64 / (1u64 << 28) as f64 * 12.0 - 6.0,
         };
-        prev = *v;
-    }
-    theta
+        prev
+    })
 }
 
 /// One `run_local` pass over a copy of `theta`: the field after it and
 /// the flops it reports.
-fn local_pass(grid: GridSpec, sub: Subdomain, theta: &Field3D, t: f64) -> (Field3D, f64) {
+fn local_pass(grid: GridSpec, sub: Subdomain, theta: &HaloField, t: f64) -> (HaloField, f64) {
     run(1, |c| {
         let mut theta = theta.clone();
         let flops = PhysicsStep::new(grid, sub).run_local(c, &mut theta, t);
@@ -161,9 +159,9 @@ fn balanced_pass_equals_local_pass_on_2x3() {
         let mut performed = 0.0;
         for (rank, ((theta, pass), (expected, load))) in balanced.iter().zip(&local).enumerate() {
             let same = theta
-                .as_slice()
-                .iter()
-                .zip(expected.as_slice())
+                .interior_rows()
+                .flatten()
+                .zip(expected.interior_rows().flatten())
                 .all(|(a, b)| a.to_bits() == b.to_bits());
             assert!(same, "rank {rank} at t={t}: balanced theta differs");
             assert_eq!(pass.owned, *load, "rank {rank}: owned load");
