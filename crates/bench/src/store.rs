@@ -221,6 +221,7 @@ pub fn run_store(smoke: bool) -> StoreReport {
         "Durable layer: cost of the session's shard puts",
         &[
             "Puts",
+            "Chunk files",
             "Bytes written",
             "Put ms (total)",
             "Lock wait ms",
@@ -229,6 +230,7 @@ pub fn run_store(smoke: bool) -> StoreReport {
     );
     cost.add_row(vec![
         final_stats.puts.to_string(),
+        final_stats.chunk_files_written.to_string(),
         final_stats.bytes_written.to_string(),
         format!("{:.2}", final_stats.put_seconds * 1e3),
         format!("{:.2}", final_stats.lock_wait_seconds * 1e3),
@@ -282,6 +284,10 @@ pub fn run_store(smoke: bool) -> StoreReport {
                 ),
                 ("final_chunks", Value::Num(final_stats.chunks as f64)),
                 ("puts", Value::Num(final_stats.puts as f64)),
+                (
+                    "chunk_files_written",
+                    Value::Num(final_stats.chunk_files_written as f64),
+                ),
                 ("put_seconds", Value::Num(final_stats.put_seconds)),
                 (
                     "lock_wait_seconds",

@@ -27,28 +27,36 @@
 //! (with the commits that depended on it), because a checkpoint that
 //! cannot be reassembled must not be resumable.
 //!
-//! ## Putting a shard: reserve → write → fsync barrier → rename → publish
+//! ## Putting a shard: write (streamed) → reserve → barrier → publish
 //!
 //! A record streams into the store once ([`Store::put_shard_from`]):
 //! two FNV-1a chains advance over each block — the whole-record digest
-//! and the current chunk's address — and only one chunk is buffered.
+//! and the current chunk's address — and the block goes straight on to
+//! the current chunk's temporary file, so no chunk is ever buffered.
 //! The store's one mutex guards the maps and the index rewrite; chunk
 //! files are written, synced and read outside it:
 //!
-//! 1. **Reserve** (lock, per chunk). A chunk whose key is in `refs` has
-//!    a durable file: the put takes a reference *now*, so a concurrent
-//!    `gc` cannot bring it to zero. Any other chunk the put will write
-//!    itself: it registers the key as *pending*.
-//! 2. **Write** (no lock). Each pending chunk goes to
-//!    `<chunk name>.<put id>.tmp`. The name is per writer because two
-//!    puts may be writing the same chunk at once — neither waits for
-//!    the other; both files hold the same bytes. A file already sitting
-//!    under an unreferenced chunk's name is never trusted: nothing
-//!    vouches for its length or content, so the chunk is written anew.
-//! 3. **Barrier** (no lock). `sync_all` every temporary file, then
-//!    rename each to its chunk name. One burst of fsyncs per shard
-//!    instead of one per chunk between writes lets the filesystem
+//! 1. **Write** (no lock). The pieces of chunk `seq` of put `id` land
+//!    in `chunks/put-<id>-<seq>.tmp` as they arrive. The name is per
+//!    writer because two puts may be writing the same chunk at once —
+//!    neither waits for the other; both files hold the same bytes. The
+//!    name does not parse as a chunk's, so a crash leaves nothing the
+//!    next open does not sweep.
+//! 2. **Reserve** (lock, when a chunk is sealed and its key known). A
+//!    chunk whose key is in `refs` has a durable file: the put takes a
+//!    reference *now*, so a concurrent `gc` cannot bring it to zero, and
+//!    unlinks its temporary copy unsynced. Any other chunk it registers
+//!    as *pending* and keeps the temporary file's handle open. A file
+//!    already sitting under an unreferenced chunk's name is never
+//!    trusted: nothing vouches for its length or content, so the chunk
+//!    is written anew.
+//! 3. **Barrier** (no lock). `sync_all` every held handle, then rename
+//!    each temporary file to its chunk name. One burst of fsyncs per
+//!    shard instead of one per chunk between writes lets the filesystem
 //!    coalesce its journal commits, and the bursts of two jobs overlap.
+//!    A put holds one handle per new chunk until here: six for a
+//!    paper-grid shard, so a shard of about a GiB would meet a
+//!    1,024-descriptor limit.
 //! 4. **Publish** (lock). If the slot is still empty: count the
 //!    manifest's references, insert it, rewrite the index
 //!    (`write_atomic`). If the slot meanwhile holds the same record it
@@ -64,10 +72,19 @@
 //! appears last). A crash anywhere leaves at most temporary files and
 //! unreferenced chunks, which the next open sweeps.
 //!
+//! The price of streaming is paid by a put whose chunks already exist
+//! (a dedup put): its bytes are still written to temporary files, which
+//! it then unlinks, because a chunk's address is known only once the
+//! chunk is complete. Nothing recomputes a step whose checkpoint is
+//! stored, so serving never makes such a put; resubmissions dedup per
+//! shard or per prefix before any put.
+//!
 //! Reading mirrors it ([`Store::open_shard`]): the manifest is copied
-//! under the lock, chunk files are read outside it through one buffer,
-//! and the read that delivers the last byte fails unless the record
-//! hashed to the manifest's digest.
+//! under the lock, chunk files are read outside it in blocks of at most
+//! 64 KiB through one buffer, and the read that delivers the last byte
+//! fails unless the record hashed to the manifest's digest.
+//! The read path knows chunk lengths from the manifest only, so stores
+//! written with any chunk size read back alike.
 //!
 //! ## Leases and GC
 //!
@@ -101,9 +118,27 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Default chunk size: large enough that a smoke-grid shard is a few
-/// chunks, small enough that shards sharing a prefix share chunks.
-pub const DEFAULT_CHUNK_SIZE: usize = 64 * 1024;
+/// Default chunk size. A cold commit pays per chunk *file* (create,
+/// fsync, rename), not per byte: 5.5 MB written as
+///
+/// | chunk size | files | create + write + fsync + rename (p25–p75) |
+/// |-----------:|------:|------------------------------------------:|
+/// |     64 KiB |    86 |                                15–19 ms   |
+/// |    256 KiB |    22 |                               5.4–6.4 ms  |
+/// |      1 MiB |     6 |                               4.0–4.8 ms  |
+/// |   one file |     1 |                               3.2–3.7 ms  |
+///
+/// (2-core Xeon VM, ext4 on a virtio disk), so 1 MiB is within a
+/// millisecond of the one-file floor. Finer chunks share more between
+/// records that differ in a few values, but serving reuses per shard or
+/// per committed prefix, not per chunk. No buffer is chunk-sized — puts
+/// stream into the chunk's file and reads go through `IO_BLOCK` — so
+/// the size costs no memory.
+pub const DEFAULT_CHUNK_SIZE: usize = 1024 * 1024;
+
+/// Chunk files are read in blocks of at most this many bytes, whatever
+/// the chunk size: the largest buffer the read path holds.
+const IO_BLOCK: usize = 64 * 1024;
 
 fn io_err(ctx: &str, path: &Path, e: std::io::Error) -> StoreError {
     StoreError::Io(format!("{ctx} {}: {e}", path.display()))
@@ -155,6 +190,7 @@ struct Counters {
     bytes_reclaimed: u64,
     orphans_swept: u64,
     puts: u64,
+    chunk_files_written: u64,
     put_time: Duration,
     lock_wait: Duration,
     fsync_time: Duration,
@@ -216,6 +252,9 @@ pub struct StoreStats {
     pub orphans_swept: u64,
     /// `put_shard` calls this session, whatever their outcome.
     pub puts: u64,
+    /// Chunk files those calls synced and named: one per new chunk,
+    /// the files a cold commit pays for.
+    pub chunk_files_written: u64,
     /// Wall seconds spent inside those calls.
     pub put_seconds: f64,
     /// Of which: waiting for the store's mutex.
@@ -301,6 +340,13 @@ impl Store {
         self.root.join("chunks").join(key.file_name())
     }
 
+    /// Where put `put` streams chunk `seq` of its record.
+    fn tmp_path(&self, put: u64, seq: usize) -> PathBuf {
+        self.root
+            .join("chunks")
+            .join(format!("put-{put}-{seq}.tmp"))
+    }
+
     /// Store one rank's encoded shard under `(lineage, step, rank)`.
     /// Identical re-puts (same digest) are dedup hits and write
     /// nothing; a different record for an existing slot is refused —
@@ -320,8 +366,8 @@ impl Store {
 
     /// [`Store::put_shard`] for a record that is produced as it is
     /// stored (see the module docs for the protocol): one traversal
-    /// hashes the record, addresses its chunks and writes the new ones,
-    /// and nothing larger than a chunk is buffered.
+    /// hashes the record, addresses its chunks and writes them, and
+    /// nothing is buffered — each block goes on to a chunk file.
     pub fn put_shard_from(
         &self,
         lineage: u64,
@@ -336,7 +382,8 @@ impl Store {
             id: self.next_put.fetch_add(1, Ordering::Relaxed),
             digest: Fnv1a::new(),
             chunk: Fnv1a::new(),
-            buf: Vec::with_capacity(self.chunk_size),
+            file: None,
+            fill: 0,
             len: 0,
             keys: Vec::new(),
             held: Vec::new(),
@@ -440,7 +487,7 @@ impl Store {
         let mut shard = self.open_shard(lineage, step, rank)?;
         let mut record = Vec::with_capacity(shard.remaining() as usize);
         while shard.remaining() > 0 {
-            let n = shard.remaining().min(self.chunk_size as u64) as usize;
+            let n = shard.remaining().min(IO_BLOCK as u64) as usize;
             record.extend_from_slice(shard.read(n)?);
         }
         Ok(record)
@@ -448,10 +495,10 @@ impl Store {
 
     /// Open the shard for `(lineage, step, rank)` as a stream. Only the
     /// manifest is copied under the lock; chunk files are read outside
-    /// it, one at a time through one buffer, and the read that delivers
-    /// the last byte fails unless the whole record hashed to the
-    /// manifest's digest. The caller's lease on `lineage` is what keeps
-    /// the chunks in place meanwhile.
+    /// it, one at a time, a block at a time through one buffer, and the
+    /// read that delivers the last byte fails unless the whole record
+    /// hashed to the manifest's digest. The caller's lease on `lineage`
+    /// is what keeps the chunks in place meanwhile.
     pub fn open_shard(
         &self,
         lineage: u64,
@@ -480,7 +527,9 @@ impl Store {
             remaining: manifest.len,
             manifest,
             next_chunk: 0,
-            chunk: Vec::new(),
+            file: None,
+            unread: 0,
+            block: Vec::new(),
             pos: 0,
             stitched: Vec::new(),
             digest: Fnv1a::new(),
@@ -577,6 +626,7 @@ impl Store {
             bytes_reclaimed: inner.counters.bytes_reclaimed,
             orphans_swept: inner.counters.orphans_swept,
             puts: inner.counters.puts,
+            chunk_files_written: inner.counters.chunk_files_written,
             put_seconds: inner.counters.put_time.as_secs_f64(),
             lock_wait_seconds: inner.counters.lock_wait.as_secs_f64(),
             fsync_seconds: inner.counters.fsync_time.as_secs_f64(),
@@ -621,30 +671,53 @@ struct Put<'a> {
     digest: Fnv1a,
     /// Chain over the chunk being filled.
     chunk: Fnv1a,
-    /// The chunk being filled.
-    buf: Vec<u8>,
+    /// The chunk being filled: its temporary file, created with its
+    /// first byte, and how many bytes it holds.
+    file: Option<fs::File>,
+    fill: usize,
     len: u64,
-    /// The record's chunk list so far.
+    /// The record's chunk list so far; the next chunk's `seq` is its
+    /// length.
     keys: Vec<ChunkKey>,
     /// References taken on chunks that already existed, one per use.
     held: Vec<ChunkKey>,
     /// Chunks this put writes itself (registered in `Inner::pending`).
-    created: Vec<ChunkKey>,
+    created: Vec<NewChunk>,
     lock_wait: Duration,
     fsync_time: Duration,
+}
+
+/// A chunk a put writes itself.
+struct NewChunk {
+    key: ChunkKey,
+    /// Its place in the record, which names its temporary file.
+    seq: usize,
+    /// That file, held open from the seal for the barrier to sync.
+    file: fs::File,
 }
 
 impl RecordSink for Put<'_> {
     fn write(&mut self, block: &[u8]) -> Result<(), StoreError> {
         let mut rest = block;
         while !rest.is_empty() {
-            if self.buf.len() == self.store.chunk_size {
+            if self.fill == self.store.chunk_size {
                 self.seal()?;
             }
-            let room = self.store.chunk_size - self.buf.len();
+            let room = self.store.chunk_size - self.fill;
             let (piece, tail) = rest.split_at(room.min(rest.len()));
             self.digest.update_both(&mut self.chunk, piece);
-            self.buf.extend_from_slice(piece);
+            let seq = self.keys.len();
+            let file = match &mut self.file {
+                Some(file) => file,
+                None => {
+                    let tmp = self.store.tmp_path(self.id, seq);
+                    let created = fs::File::create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
+                    self.file.insert(created)
+                }
+            };
+            file.write_all(piece)
+                .map_err(|e| io_err("write", &self.store.tmp_path(self.id, seq), e))?;
+            self.fill += piece.len();
             self.len += piece.len() as u64;
             rest = tail;
         }
@@ -657,24 +730,22 @@ impl RecordSink for Put<'_> {
 }
 
 impl Put<'_> {
-    fn tmp_path(&self, key: &ChunkKey) -> PathBuf {
-        let name = format!("{}.{}.tmp", key.file_name(), self.id);
-        self.store.root.join("chunks").join(name)
-    }
-
-    /// The chunk in `buf` is complete: *reserve* it, and write it to a
-    /// temporary file if nothing vouches for a durable copy.
+    /// The chunk being filled is complete and its key known: *reserve*
+    /// it. A chunk with a durable copy is referenced and its temporary
+    /// file unlinked unsynced; any other keeps its file for the barrier.
     fn seal(&mut self) -> Result<(), StoreError> {
-        if self.buf.is_empty() {
+        let Some(file) = self.file.take() else {
             return Ok(());
-        }
+        };
         let key = ChunkKey {
             hash: self.chunk.value(),
-            len: self.buf.len() as u32,
+            len: self.fill as u32,
         };
+        let seq = self.keys.len();
         self.keys.push(key);
         self.chunk = Fnv1a::new();
-        if !self.created.contains(&key) {
+        self.fill = 0;
+        if !self.created.iter().any(|c| c.key == key) {
             let mut inner = self.store.lock_timed(&mut self.lock_wait);
             match inner.refs.get_mut(&key) {
                 Some(count) => {
@@ -685,36 +756,31 @@ impl Put<'_> {
                 None => {
                     *inner.pending.entry(key).or_insert(0) += 1;
                     drop(inner);
-                    // Registered before the write, so that a failed
-                    // write is taken back like a successful one.
-                    self.created.push(key);
-                    let tmp = self.tmp_path(&key);
-                    fs::File::create(&tmp)
-                        .and_then(|mut f| f.write_all(&self.buf))
-                        .map_err(|e| io_err("write", &tmp, e))?;
+                    self.created.push(NewChunk { key, seq, file });
+                    return Ok(());
                 }
             }
         }
-        self.buf.clear();
-        Ok(())
+        drop(file);
+        let tmp = self.store.tmp_path(self.id, seq);
+        fs::remove_file(&tmp).map_err(|e| io_err("remove", &tmp, e))
     }
 
     /// The durability barrier: every new chunk is on disk under its
-    /// temporary name; fsync each, then give each its real name.
+    /// temporary name; fsync each held file, then give each its real
+    /// name.
     fn barrier(&mut self) -> Result<(), StoreError> {
         let started = Instant::now();
-        for key in &self.created {
-            let tmp = self.tmp_path(key);
-            fs::OpenOptions::new()
-                .write(true)
-                .open(&tmp)
-                .and_then(|f| f.sync_all())
-                .map_err(|e| io_err("sync", &tmp, e))?;
+        for c in &self.created {
+            c.file
+                .sync_all()
+                .map_err(|e| io_err("sync", &self.store.tmp_path(self.id, c.seq), e))?;
         }
         self.fsync_time = started.elapsed();
-        for key in &self.created {
-            let tmp = self.tmp_path(key);
-            fs::rename(&tmp, self.store.chunk_path(key)).map_err(|e| io_err("rename", &tmp, e))?;
+        for c in &self.created {
+            let tmp = self.store.tmp_path(self.id, c.seq);
+            fs::rename(&tmp, self.store.chunk_path(&c.key))
+                .map_err(|e| io_err("rename", &tmp, e))?;
         }
         Ok(())
     }
@@ -729,20 +795,27 @@ impl Put<'_> {
         written: Result<(), StoreError>,
         started: Instant,
     ) -> Result<(), StoreError> {
-        if written.is_err() {
-            // Temporary names are this put's alone: no lock needed.
-            for key in &self.created {
-                let _ = fs::remove_file(self.tmp_path(key));
+        let files = match &written {
+            Ok(()) => self.created.len() as u64,
+            Err(_) => {
+                // Every temporary name this put may have left, the chunk
+                // being filled included. They are this put's alone: no
+                // lock needed.
+                for seq in 0..=self.keys.len() {
+                    let _ = fs::remove_file(self.store.tmp_path(self.id, seq));
+                }
+                0
             }
-        }
+        };
         let mut guard = self.store.lock_timed(&mut self.lock_wait);
         let inner = &mut *guard;
         let outcome = written.and_then(|()| self.publish(inner, slot, world));
         self.release(inner);
 
-        let new_bytes: u64 = self.created.iter().map(|k| k.len as u64).sum();
+        let new_bytes: u64 = self.created.iter().map(|c| c.key.len as u64).sum();
         let c = &mut inner.counters;
         c.bytes_ingested += self.len;
+        c.chunk_files_written += files;
         match outcome {
             Ok(true) => {
                 c.bytes_written += new_bytes;
@@ -812,7 +885,7 @@ impl Put<'_> {
         for key in &self.held {
             self.store.unref(inner, key);
         }
-        for key in &self.created {
+        for NewChunk { key, .. } in &self.created {
             let Some(count) = inner.pending.get_mut(key) else {
                 continue;
             };
@@ -827,16 +900,20 @@ impl Put<'_> {
     }
 }
 
-/// A stored shard being read back, chunk file by chunk file.
+/// A stored shard being read back, chunk file by chunk file, a block
+/// at a time.
 #[derive(Debug)]
 pub struct ShardStream<'a> {
     store: &'a Store,
     manifest: Manifest,
     next_chunk: usize,
-    /// The current chunk's bytes; `pos` of them are delivered.
-    chunk: Vec<u8>,
+    /// The chunk file being read, and how many of its bytes are not.
+    file: Option<fs::File>,
+    unread: u64,
+    /// The last block read from it; `pos` of its bytes are delivered.
+    block: Vec<u8>,
     pos: usize,
-    /// A read that spans chunk files, put together.
+    /// A read that spans blocks, put together.
     stitched: Vec<u8>,
     remaining: u64,
     digest: Fnv1a,
@@ -848,21 +925,21 @@ impl RecordStream for ShardStream<'_> {
     }
 
     fn read(&mut self, n: usize) -> Result<&[u8], StoreError> {
-        if self.pos == self.chunk.len() && n > 0 {
-            self.load_next()?;
+        if self.pos == self.block.len() && n > 0 {
+            self.refill()?;
         }
-        let block = if self.chunk.len() - self.pos >= n {
+        let block = if self.block.len() - self.pos >= n {
             self.pos += n;
-            &self.chunk[self.pos - n..self.pos]
+            &self.block[self.pos - n..self.pos]
         } else {
             self.stitched.clear();
             while self.stitched.len() < n {
-                if self.pos == self.chunk.len() {
-                    self.load_next()?;
+                if self.pos == self.block.len() {
+                    self.refill()?;
                 }
-                let k = (self.chunk.len() - self.pos).min(n - self.stitched.len());
+                let k = (self.block.len() - self.pos).min(n - self.stitched.len());
                 self.stitched
-                    .extend_from_slice(&self.chunk[self.pos..self.pos + k]);
+                    .extend_from_slice(&self.block[self.pos..self.pos + k]);
                 self.pos += k;
             }
             &self.stitched
@@ -885,7 +962,23 @@ impl RecordStream for ShardStream<'_> {
 }
 
 impl ShardStream<'_> {
-    fn load_next(&mut self) -> Result<(), StoreError> {
+    /// Read the next block, from the next chunk file once this one is
+    /// read to its end.
+    fn refill(&mut self) -> Result<(), StoreError> {
+        if self.unread == 0 {
+            self.open_next()?;
+        }
+        let key = self.manifest.chunks[self.next_chunk - 1];
+        let file = self.file.as_mut().expect("a chunk file is open");
+        self.block
+            .resize(self.unread.min(IO_BLOCK as u64) as usize, 0);
+        self.pos = 0;
+        self.unread -= self.block.len() as u64;
+        file.read_exact(&mut self.block)
+            .map_err(|e| io_err("read", &self.store.chunk_path(&key), e))
+    }
+
+    fn open_next(&mut self) -> Result<(), StoreError> {
         let key = self
             .manifest
             .chunks
@@ -893,7 +986,7 @@ impl ShardStream<'_> {
             .ok_or_else(|| StoreError::Io("read past the end of a stored shard".to_string()))?;
         self.next_chunk += 1;
         let path = self.store.chunk_path(key);
-        let mut file = fs::File::open(&path).map_err(|e| io_err("read", &path, e))?;
+        let file = fs::File::open(&path).map_err(|e| io_err("read", &path, e))?;
         let on_disk = file.metadata().map_err(|e| io_err("read", &path, e))?.len();
         if on_disk != key.len as u64 {
             return Err(StoreError::Io(format!(
@@ -902,10 +995,9 @@ impl ShardStream<'_> {
                 key.len
             )));
         }
-        self.chunk.resize(key.len as usize, 0);
-        self.pos = 0;
-        file.read_exact(&mut self.chunk)
-            .map_err(|e| io_err("read", &path, e))
+        self.file = Some(file);
+        self.unread = key.len as u64;
+        Ok(())
     }
 }
 

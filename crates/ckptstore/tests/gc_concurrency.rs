@@ -4,6 +4,8 @@
 //! leased and reclaimed lineages share chunks byte-for-byte.
 
 use agcm_ckptstore::Store;
+use agcm_resilience::checkpoint::{RecordSink, RecordSource};
+use agcm_resilience::coordinator::StoreError;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -143,17 +145,34 @@ fn orphan_sweep_on_reopen_after_simulated_crash() {
         store.commit(0xC, 5, 1).unwrap();
     }
     // Simulate a crash mid-put: a chunk file landed but its manifest
-    // never reached the index, plus a torn tmp file.
+    // never reached the index, a torn tmp file, and a chunk half
+    // streamed into its temporary file.
     fs::write(root.join("chunks/0123456789abcdef-512.chk"), [7u8; 512]).unwrap();
     fs::write(root.join("chunks/fedcba9876543210-512.tmp"), [7u8; 100]).unwrap();
+    fs::write(root.join("chunks/put-4-2.tmp"), [7u8; 300]).unwrap();
 
     let store = Store::open_with_chunk_size(&root, 512).unwrap();
-    assert_eq!(store.stats().orphans_swept, 2);
+    assert_eq!(store.stats().orphans_swept, 3);
     assert!(!root.join("chunks/0123456789abcdef-512.chk").exists());
+    assert!(!root.join("chunks/put-4-2.tmp").exists());
     // The committed shard survived intact.
     assert_eq!(store.get_shard(0xC, 5, 0).unwrap(), record(5, 3, 1200));
     assert_eq!(store.committed_steps(0xC), vec![5]);
     let _ = fs::remove_dir_all(&root);
+}
+
+/// A record handed to the store in blocks of `.1` bytes, as an encoder
+/// streams it.
+struct Blocks<'a>(&'a [u8], usize);
+
+impl RecordSource for Blocks<'_> {
+    fn write_to(&self, sink: &mut dyn RecordSink) -> Result<(), StoreError> {
+        for block in self.0.chunks(self.1) {
+            sink.write(block)?;
+            thread::yield_now();
+        }
+        Ok(())
+    }
 }
 
 /// Writers whose shards share chunks put them at the same moment (a
@@ -165,17 +184,30 @@ fn orphan_sweep_on_reopen_after_simulated_crash() {
 /// reassemble and the maps must agree with the directory exactly.
 #[test]
 fn writers_sharing_chunks_race_gc_then_survive_a_reopen() {
+    race_writers_and_gc("shared-writers", 512, usize::MAX);
+}
+
+/// The same race with every chunk fed in many small blocks, so `gc`
+/// runs while the puts' temporary files are half written.
+#[test]
+fn writers_streaming_chunks_in_small_blocks_race_gc() {
+    race_writers_and_gc("streaming-writers", 4096, 300);
+}
+
+/// The race above on a store of `chunk`-byte chunks, each record handed
+/// over in blocks of `block` bytes.
+fn race_writers_and_gc(tag: &str, chunk: usize, block: usize) {
     const WRITERS: u64 = 4;
     const STEPS: u64 = 16;
-    let root = scratch("shared-writers");
-    let store = Arc::new(Store::open_with_chunk_size(&root, 512).unwrap());
+    let root = scratch(tag);
+    let store = Arc::new(Store::open_with_chunk_size(&root, chunk).unwrap());
     let stop = Arc::new(AtomicBool::new(false));
     let in_step = Arc::new(Barrier::new(WRITERS as usize));
 
     // Three chunks every writer offers at this step, then a private tail.
-    let shard = |w: u64, step: u64| {
-        let mut rec = record(step, 0, 1536);
-        rec.extend_from_slice(&record(step, w + 1, 700));
+    let shard = move |w: u64, step: u64| {
+        let mut rec = record(step, 0, 3 * chunk);
+        rec.extend_from_slice(&record(step, w + 1, chunk + chunk / 3));
         rec
     };
 
@@ -198,16 +230,18 @@ fn writers_sharing_chunks_race_gc_then_survive_a_reopen() {
                 store.acquire(lineage, w);
                 for step in 1..=STEPS {
                     let keep = |store: &Store| {
+                        let rec = shard(w, step);
                         store
-                            .put_shard(lineage, step, 0, 1, &shard(w, step))
+                            .put_shard_from(lineage, step, 0, 1, &Blocks(&rec, block))
                             .unwrap();
                         store.commit(lineage, step, 1).unwrap();
                     };
                     // Unleased: the collector may reclaim it at once,
                     // while the other half is still writing its chunks.
                     let throw_away = |store: &Store| {
+                        let rec = record(step, 0, 3 * chunk);
                         store
-                            .put_shard(0x9000 + w, step, 0, 1, &record(step, 0, 1536))
+                            .put_shard_from(0x9000 + w, step, 0, 1, &Blocks(&rec, block))
                             .unwrap();
                     };
                     in_step.wait();
@@ -264,7 +298,7 @@ fn writers_sharing_chunks_race_gc_then_survive_a_reopen() {
     // Refcounts are recomputed from the manifests on open: they must
     // come out as the live ones, with nothing to sweep.
     drop(store);
-    let store = Store::open_with_chunk_size(&root, 512).unwrap();
+    let store = Store::open_with_chunk_size(&root, chunk).unwrap();
     let reopened = store.stats();
     assert_eq!(reopened.orphans_swept, 0);
     assert_eq!(

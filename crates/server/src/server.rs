@@ -728,6 +728,7 @@ fn store_to_json(s: &agcm_ckptstore::StoreStats) -> Value {
         ("bytes_reclaimed", n(s.bytes_reclaimed)),
         ("orphans_swept", n(s.orphans_swept)),
         ("puts", n(s.puts)),
+        ("chunk_files_written", n(s.chunk_files_written)),
         ("put_seconds", Value::Num(s.put_seconds)),
         ("lock_wait_seconds", Value::Num(s.lock_wait_seconds)),
         ("fsync_seconds", Value::Num(s.fsync_seconds)),
@@ -795,6 +796,10 @@ fn prom_metrics(state: &ServerState) -> Response {
             store.bytes_deduped as f64,
         ),
         ("store.puts".to_string(), store.puts as f64),
+        (
+            "store.chunk_files_written".to_string(),
+            store.chunk_files_written as f64,
+        ),
         ("store.put_seconds".to_string(), store.put_seconds),
         (
             "store.lock_wait_seconds".to_string(),

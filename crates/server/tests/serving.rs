@@ -93,6 +93,17 @@ fn submit_poll_and_fetch_result() {
         Some(1.0)
     );
     assert!(m.get("server").is_some());
+    // Each cold shard put names its chunk files, and the store counts them.
+    let store = m.get("store").unwrap();
+    let puts = store.get("puts").and_then(Value::as_f64).unwrap();
+    let files = store
+        .get("chunk_files_written")
+        .and_then(Value::as_f64)
+        .unwrap();
+    assert!(
+        puts > 0.0 && files >= puts,
+        "{files} chunk files for {puts} puts"
+    );
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
@@ -584,6 +595,7 @@ fn trace_links_submit_journal_attempts_and_phases() {
     assert_eq!(prom.status, 200);
     let stats = agcm_telemetry::prom::validate(&prom.body).expect("exposition parses");
     assert!(stats.counters >= 1 && stats.gauges >= 1 && stats.histograms >= 1);
+    assert!(prom.body.contains("store_chunk_files_written"));
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

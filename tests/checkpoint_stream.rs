@@ -4,11 +4,13 @@
 //! commit before the data path became a stream), and the failure and
 //! corruption cases at block and chunk boundaries.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use agcm_ckptstore::store::DEFAULT_CHUNK_SIZE;
 use agcm_ckptstore::{JobStoreBackend, Store};
 use ucla_agcm_repro::grid::halo::HaloField;
 use ucla_agcm_repro::grid::history::ByteOrder;
@@ -141,8 +143,8 @@ impl RecordSink for Collect {
 fn streamed_encode_matches_the_per_value_oracle() {
     let mut rng = Rng(0x5EED_0017);
     // Field sizes around the encoder's staging block (4096 values) and
-    // the store's default chunk (8192 values), and tiny ones — one row
-    // each, or many rows whose run crosses a block mid-row.
+    // the store's 64 KiB read block (8192 values), and tiny ones — one
+    // row each, or many rows whose run crosses a block mid-row.
     let shapes = [
         (0usize, 1usize, 1usize),
         (1, 1, 1),
@@ -182,7 +184,7 @@ fn streamed_encode_matches_the_per_value_oracle() {
             assert_eq!(sink.buf, expected, "case {case} {order:?} streamed");
             assert!(
                 sink.largest_block <= 64 * 1024,
-                "a {}-byte block exceeds a store chunk",
+                "a {}-byte block exceeds the store's read block",
                 sink.largest_block
             );
             // Bit patterns, not values: NaN payloads must survive.
@@ -382,8 +384,9 @@ fn seeded(tag: &str) -> (PathBuf, Store, Vec<u8>, Listing) {
 fn a_put_failing_mid_batch_leaves_the_store_as_it_was() {
     let (root, store, index, chunks) = seeded("fail-write");
     // The offered record shares its first chunk with the committed
-    // shard, then diverges; its source dies inside the fourth chunk, so
-    // two temporary files exist when the put learns it has failed.
+    // shard, then diverges; its source dies inside the fourth chunk, two
+    // 300-byte blocks into it, so two sealed temporary files and a
+    // half-written one exist when the put learns it has failed.
     let mut record = bytes(10, 512);
     record.extend_from_slice(&bytes(11, 2000));
     let err = store
@@ -394,7 +397,7 @@ fn a_put_failing_mid_batch_leaves_the_store_as_it_was() {
             1,
             &FailsAfter {
                 record: &record,
-                good: 1700,
+                good: 1950,
             },
         )
         .unwrap_err();
@@ -404,7 +407,12 @@ fn a_put_failing_mid_batch_leaves_the_store_as_it_was() {
         index,
         "index touched"
     );
-    assert_eq!(listing(&root.join("chunks")), chunks, "chunk files differ");
+    let left = listing(&root.join("chunks"));
+    assert!(
+        left.iter().all(|(name, _)| name.ends_with(".chk")),
+        "temporary files left behind"
+    );
+    assert_eq!(left, chunks, "chunk files differ");
     assert!(store.get_shard(0x2, 1, 0).is_err(), "no manifest");
     assert_eq!(store.get_shard(0x1, 1, 0).unwrap(), bytes(10, 1536));
     assert_eq!(store.stats().manifests, 1);
@@ -592,4 +600,82 @@ fn truncation_and_trailing_bytes_around_block_boundaries() {
     fs::write(&path, &longer).unwrap();
     assert_eq!(store.load_shard(4, 0), Err(StoreError::Format(expected)));
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// A paper-grid shard (six fields of 144×90×9, ≈ 5.6 MB) whose values
+/// depend on `step`.
+fn paper_checkpoint(step: u64) -> ModelCheckpoint {
+    let mut rng = Rng(step);
+    ModelCheckpoint {
+        rank: 0,
+        world: 1,
+        step,
+        seeds: Vec::new(),
+        scalars: vec![1.0, 0.5],
+        series: (0..step).map(|s| s as f64).collect(),
+        fields: (0..6)
+            .map(|_| HaloField::from_fn(144, 90, 9, 1, |_, _, _| rng.next() as f64))
+            .collect(),
+    }
+}
+
+fn chunk_files(root: &Path) -> BTreeSet<String> {
+    fs::read_dir(root.join("chunks"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect()
+}
+
+/// A store whose chunks were cut at 64 KiB, the size the default was
+/// before, keeps working at the default: chunk lengths come from the
+/// manifests, never from the store's chunk size.
+#[test]
+fn a_store_written_with_64_kib_chunks_works_at_the_default() {
+    const OLD_CHUNK: usize = 64 * 1024;
+    let root = scratch("mixed-chunks");
+    let job = |store: &Arc<Store>| {
+        CheckpointStore::new(root.join("unused")).with_backend(Arc::new(JobStoreBackend::new(
+            store.clone(),
+            0xAB,
+            20,
+        )))
+    };
+    let old = paper_checkpoint(10);
+    let old_record = old.encode(ByteOrder::Little);
+    {
+        let store = Arc::new(Store::open_with_chunk_size(&root, OLD_CHUNK).unwrap());
+        job(&store).write_shard(&old).unwrap();
+        job(&store).commit(10, 1).unwrap();
+    }
+    let old_files = chunk_files(&root);
+    assert_eq!(old_files.len(), old_record.len().div_ceil(OLD_CHUNK));
+
+    let store = Arc::new(Store::open(&root).unwrap());
+    assert_eq!(store.stats().orphans_swept, 0);
+    assert_eq!(store.get_shard(0xAB, 10, 0).unwrap(), old_record);
+    assert_eq!(job(&store).load_shard(10, 0).unwrap(), old);
+
+    // The same slot again, cut at the default: a whole-shard dedup hit.
+    job(&store).write_shard(&old).unwrap();
+    assert_eq!(store.stats().shard_dedup_hits, 1);
+    assert_eq!(chunk_files(&root), old_files, "the re-put left a file");
+
+    // A cold put at the default: one file per MiB.
+    let new = paper_checkpoint(20);
+    let new_len = new.encode(ByteOrder::Little).len();
+    let before = store.stats().chunk_files_written;
+    job(&store).write_shard(&new).unwrap();
+    job(&store).commit(20, 1).unwrap();
+    let added = chunk_files(&root).difference(&old_files).count();
+    assert_eq!(added, new_len.div_ceil(DEFAULT_CHUNK_SIZE));
+    assert_eq!(store.stats().chunk_files_written - before, added as u64);
+    assert_eq!(job(&store).load_shard(20, 0).unwrap(), new);
+    assert_eq!(job(&store).load_shard(10, 0).unwrap(), old);
+
+    // Nothing is leased: one pass reclaims the chunks of both sizes.
+    let report = store.gc().unwrap();
+    assert_eq!(report.chunks_reclaimed, (old_files.len() + added) as u64);
+    assert_eq!(report.bytes_reclaimed, (old_record.len() + new_len) as u64);
+    assert!(chunk_files(&root).is_empty());
+    let _ = fs::remove_dir_all(&root);
 }

@@ -125,6 +125,7 @@ fn a_warmed_commit_and_load_never_hold_a_record() {
     let (written, bytes, largest, _) = cost_of(0, || job.write_shard(&ckpt));
     written.unwrap();
     job.commit(20, 1).unwrap();
+    println!("write_shard: {bytes} bytes requested, largest {largest}");
     assert!(
         store.stats().bytes_written > 11_000_000,
         "both shards were new content: {:?}",
@@ -143,6 +144,7 @@ fn a_warmed_commit_and_load_never_hold_a_record() {
     let field_bytes = 146 * 92 * 9 * 8;
     let (loaded, bytes, largest, fields) = cost_of(field_bytes, || job.load_shard(20, 0));
     assert_eq!(loaded.unwrap(), ckpt);
+    println!("load_shard: {bytes} bytes requested beside the fields, largest {largest}");
     assert_eq!(fields, 6, "the six fields are what a load may allocate");
     assert!(
         largest <= FENCE_SINGLE,
