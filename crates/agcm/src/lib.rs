@@ -25,7 +25,7 @@ pub mod report;
 
 pub use config::{AgcmConfig, ConfigError};
 pub use model::{
-    run_model, run_model_resilient, try_run_model, try_run_model_observed, ModelRun, RankOutcome,
-    ResilienceOpts, ResilientRun,
+    run_model, run_model_resilient, try_run_model, ModelRun, RankOutcome, ResilienceOpts,
+    ResilientRun,
 };
 pub use report::Table;

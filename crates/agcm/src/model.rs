@@ -12,8 +12,7 @@ use agcm_dynamics::state::ModelState;
 use agcm_grid::arakawa::Variable;
 use agcm_grid::decomp::{Decomp, Subdomain};
 use agcm_mps::fault::FaultPlan;
-use agcm_mps::runtime::{run_traced, run_world, WorldOptions};
-use agcm_mps::span::SpanObserver;
+use agcm_mps::runtime::run_traced;
 use agcm_mps::topology::CartComm;
 use agcm_mps::trace::WorldTrace;
 use agcm_mps::{CancelToken, Comm};
@@ -27,7 +26,6 @@ use agcm_resilience::metrics::ResilienceMetrics;
 use agcm_resilience::recovery::{
     run_recovered, AttemptFailure, RecoveryError, RecoveryOptions, RunProgress,
 };
-use std::sync::Arc;
 
 /// Per-rank results of a model run.
 #[derive(Debug, Clone, PartialEq)]
@@ -168,41 +166,7 @@ pub fn try_run_model(cfg: AgcmConfig) -> Result<ModelRun, ConfigError> {
     })
 }
 
-/// Like [`try_run_model`], but with a live [`SpanObserver`] attached, so
-/// a sampling profiler (or any other live listener) sees every phase
-/// boundary while the world runs. The trace and outcomes are identical
-/// to a plain run; only the observation channel differs.
-pub fn try_run_model_observed(
-    cfg: AgcmConfig,
-    spans: Arc<dyn SpanObserver>,
-) -> Result<ModelRun, ConfigError> {
-    cfg.validate()?;
-    let decomp = Decomp::new(cfg.grid, cfg.mesh_lat, cfg.mesh_lon);
-    let out = run_world(
-        cfg.size(),
-        WorldOptions {
-            spans: Some(spans),
-            ..WorldOptions::default()
-        },
-        |comm| model_body(&cfg, decomp, comm),
-    );
-    let trace = out.trace;
-    // No fault plan and no cancel token: typed failures are impossible,
-    // so unwrapping per-rank results mirrors the plain path.
-    let ranks = out
-        .results
-        .into_iter()
-        .map(|r| r.expect("observed run has no fault plan"))
-        .collect();
-    agcm_telemetry::telemetry().observe_trace(&trace, None);
-    Ok(ModelRun {
-        ranks,
-        trace,
-        config: cfg,
-    })
-}
-
-/// The per-rank body shared by every plain-run entry point.
+/// The per-rank body of a plain run.
 fn model_body(cfg: &AgcmConfig, decomp: Decomp, comm: &Comm) -> RankOutcome {
     let ctx = StepContext::new(cfg, decomp, comm);
     let mut state = ModelState::initial(cfg.grid, ctx.sub);

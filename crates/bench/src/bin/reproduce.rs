@@ -26,18 +26,18 @@
 //! `trace` runs a short instrumented model and emits `trace.json` (Chrome
 //! trace-event format — open at <https://ui.perfetto.dev>) plus
 //! `metrics.jsonl` (one structured record per step and per run), then
-//! validates both artifacts and exits non-zero if they are malformed.
+//! validates both artifacts.
 //!
-//! `profile` runs a short instrumented model under the in-process
-//! sampling profiler and writes `profile_folded.txt`, `flamegraph.svg`,
-//! and `profile.json` with the measured-vs-modeled skew report.
-//! `--smoke` keeps the run CI-sized.
+//! `profile` runs a short instrumented model, folds its trace's wall
+//! stamps into per-phase stacks, and writes `profile_folded.txt`,
+//! `flamegraph.svg`, and `profile.json` with the measured-vs-modeled skew
+//! report. `--smoke` keeps the run CI-sized.
 //!
-//! `analyze`, `ensemble`, `serve`, `profile` and `store` each end in
-//! machine checks reported one way (`agcm_bench::analyze::Checks`):
-//! `"name":"ok"|"violated"` under `"checks"` in the JSON artifact, a
-//! grep-able `name:ok` line per check on stdout, and a non-zero exit when
-//! any check fails.
+//! `trace`, `analyze`, `ensemble`, `serve`, `profile` and `store` each end
+//! in machine checks reported one way (`agcm_bench::analyze::Checks`): a
+//! grep-able `name:ok` line per check on stdout and a non-zero exit when
+//! any check fails; all but `trace` also write `"name":"ok"|"violated"`
+//! under `"checks"` in their JSON artifact.
 //!
 //! Each table prints the paper-reported values next to the model-measured
 //! ones. Absolute agreement is not expected (the substrate is a simulator,
@@ -45,7 +45,7 @@
 //! — are the result. Run in release mode: the 240-rank experiments do the
 //! real filtering work.
 
-use agcm_bench::analyze::Checks;
+use agcm_bench::analyze::{Check, Checks};
 use agcm_bench::harness::{
     calibrate, day_times, filter_seconds_per_day, filter_trace, filter_trace_organized, model_run,
     physics_lb_simulation, time_median,
@@ -65,12 +65,6 @@ use agcm_singlenode::blockarray::{
     paper_test_fields,
 };
 use agcm_telemetry::json::Value;
-
-/// Counting allocator for the `profile` allocation-freedom check; it
-/// forwards to the system allocator and costs one thread-local read per
-/// allocation when not armed.
-#[global_allocator]
-static ALLOCATOR: agcm_bench::alloccount::CountingAlloc = agcm_bench::alloccount::CountingAlloc;
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
@@ -766,107 +760,82 @@ fn trace() {
     println!("{t}");
 
     // --- Validate the artifacts we just wrote. ---------------------------
-    let mut ok = true;
-
+    let mut checks = Checks::default();
     let text = std::fs::read_to_string("trace.json").unwrap_or_default();
-    match Value::parse(&text) {
+    let (json_ok, json_detail, tracks) = match Value::parse(&text) {
         Ok(doc) => {
-            let events = doc
+            let complete: Vec<&Value> = doc
                 .get("traceEvents")
                 .and_then(Value::as_arr)
-                .unwrap_or(&[]);
-            let mut complete = 0usize;
-            let mut virtual_tracks: Vec<usize> = Vec::new();
-            for ev in events {
-                if ev.get("ph").and_then(Value::as_str) != Some("X") {
-                    continue;
-                }
-                complete += 1;
-                for key in ["ts", "dur", "pid", "tid"] {
-                    if ev.get(key).and_then(Value::as_f64).is_none() {
-                        eprintln!("trace.json: complete event lacks numeric '{key}'");
-                        ok = false;
-                    }
-                }
-                if ev.get("pid").and_then(Value::as_f64) == Some(chrome::VIRTUAL_PID as f64) {
-                    let tid = ev.get("tid").and_then(Value::as_f64).unwrap_or(-1.0) as usize;
-                    if !virtual_tracks.contains(&tid) {
-                        virtual_tracks.push(tid);
-                    }
-                }
-            }
-            if complete == 0 {
-                eprintln!("trace.json: no complete ('X') events");
-                ok = false;
-            }
-            if virtual_tracks.len() != run.trace.size() {
-                eprintln!(
-                    "trace.json: {} virtual tracks for {} ranks",
-                    virtual_tracks.len(),
-                    run.trace.size()
-                );
-                ok = false;
-            }
-            println!(
-                "trace.json: {complete} spans on {} rank tracks (open at https://ui.perfetto.dev)",
-                virtual_tracks.len()
+                .unwrap_or(&[])
+                .iter()
+                .filter(|ev| ev.get("ph").and_then(Value::as_str) == Some("X"))
+                .collect();
+            let numeric = complete.iter().all(|ev| {
+                ["ts", "dur", "pid", "tid"]
+                    .iter()
+                    .all(|key| ev.get(key).and_then(Value::as_f64).is_some())
+            });
+            let mut tracks: Vec<usize> = complete
+                .iter()
+                .filter(|ev| {
+                    ev.get("pid").and_then(Value::as_f64) == Some(chrome::VIRTUAL_PID as f64)
+                })
+                .map(|ev| ev.get("tid").and_then(Value::as_f64).unwrap_or(-1.0) as usize)
+                .collect();
+            tracks.sort_unstable();
+            tracks.dedup();
+            let detail = format!(
+                "{} complete spans, every one with numeric ts/dur/pid/tid: {numeric} \
+                 (open at https://ui.perfetto.dev)",
+                complete.len()
             );
+            (!complete.is_empty() && numeric, detail, Some(tracks.len()))
         }
-        Err(e) => {
-            eprintln!("trace.json is not valid JSON: {e:?}");
-            ok = false;
-        }
-    }
+        Err(e) => (false, format!("not valid JSON: {e:?}"), None),
+    };
+    checks.push(Check {
+        name: "trace_json_valid",
+        ok: json_ok,
+        detail: json_detail,
+    });
+    checks.push(Check {
+        name: "virtual_track_per_rank",
+        ok: tracks == Some(run.trace.size()),
+        detail: format!("{tracks:?} virtual tracks for {} ranks", run.trace.size()),
+    });
 
     let text = std::fs::read_to_string("metrics.jsonl").unwrap_or_default();
-    let mut step_records = 0usize;
-    let mut run_imbalance = None;
-    for line in text.lines() {
-        match Value::parse(line) {
-            Ok(rec) => match rec.get("kind").and_then(Value::as_str) {
-                Some("step") => step_records += 1,
-                Some("run") => {
-                    run_imbalance = rec.get("flop_imbalance").and_then(Value::as_f64);
-                }
-                _ => {
-                    eprintln!("metrics.jsonl: record without a known 'kind'");
-                    ok = false;
-                }
-            },
-            Err(e) => {
-                eprintln!("metrics.jsonl: unparseable line: {e:?}");
-                ok = false;
-            }
-        }
-    }
-    if step_records != cfg.steps {
-        eprintln!(
-            "metrics.jsonl: {step_records} step records for {} steps",
+    let records: Vec<Option<Value>> = text.lines().map(|l| Value::parse(l).ok()).collect();
+    let kinds: Vec<Option<&str>> = records
+        .iter()
+        .map(|r| r.as_ref()?.get("kind")?.as_str())
+        .collect();
+    let step_records = kinds.iter().filter(|k| **k == Some("step")).count();
+    let well_formed = kinds.iter().all(|k| matches!(k, Some("step" | "run")));
+    checks.push(Check {
+        name: "step_record_per_step",
+        ok: well_formed && step_records == cfg.steps,
+        detail: format!(
+            "{step_records} step records for {} steps; every line parses with a known kind: {well_formed}",
             cfg.steps
-        );
-        ok = false;
-    }
-    match run_imbalance {
-        Some(imb) if (imb - run.trace.flop_imbalance()).abs() < 1e-9 => {
-            println!(
-                "metrics.jsonl: {step_records} step records; run flop imbalance {} matches the trace",
-                fmt_pct(imb)
-            );
-        }
-        Some(imb) => {
-            eprintln!(
-                "metrics.jsonl: run flop_imbalance {imb} disagrees with trace {}",
-                run.trace.flop_imbalance()
-            );
-            ok = false;
-        }
-        None => {
-            eprintln!("metrics.jsonl: no run record");
-            ok = false;
-        }
-    }
+        ),
+    });
+    let run_imbalance = records
+        .iter()
+        .flatten()
+        .find(|r| r.get("kind").and_then(Value::as_str) == Some("run"))
+        .and_then(|r| r.get("flop_imbalance")?.as_f64());
+    let traced = run.trace.flop_imbalance();
+    checks.push(Check {
+        name: "run_imbalance_matches_trace",
+        ok: run_imbalance.is_some_and(|imb| (imb - traced).abs() < 1e-9),
+        detail: format!("run record {run_imbalance:?}, trace {traced}"),
+    });
 
-    if !ok {
+    checks.print_lines();
+    if !checks.all_ok() {
+        eprintln!("one or more trace checks failed");
         std::process::exit(1);
     }
     println!("wrote trace.json and metrics.jsonl (validated)");
@@ -952,29 +921,31 @@ fn store(smoke: bool) {
     conclude("store", "store.json", &report.doc, &report.checks);
 }
 
-/// `profile [--smoke]`: sample a real run with the in-process wall-clock
-/// profiler; write `profile_folded.txt`, `flamegraph.svg`, and
+/// `profile [--smoke]`: fold a real run's wall stamps into per-phase
+/// stacks; write `profile_folded.txt`, `flamegraph.svg`, and
 /// `profile.json`; print the per-phase table and the measured-vs-modeled
 /// skew table. Any failed invariant exits non-zero.
 fn profile(smoke: bool) {
     use agcm_bench::profile::run_profile;
 
-    println!("\n=== In-process sampling profile: measured wall vs modeled virtual time ===\n");
+    println!("\n=== Wall-time profile from the trace: measured wall vs modeled virtual time ===\n");
     let r = run_profile(smoke);
 
+    let total = r.report.total_nanos;
     let mut t = Table::new(
         format!(
-            "Sampled phases, {} samples at {:.0} Hz over {:.3}s wall",
-            r.report.total_samples, r.report.hz, r.report.wall_seconds
+            "Per-phase wall time, {} ranks, {:.3} rank-ms in total",
+            r.ranks,
+            total as f64 / 1e6
         ),
-        &["Phase", "self", "total", "self %"],
+        &["Phase", "self ms", "total ms", "self %"],
     );
     for p in r.report.phase_table() {
         t.add_row(vec![
             p.name.clone(),
-            format!("{}", p.self_samples),
-            format!("{}", p.total_samples),
-            fmt_pct(p.self_samples as f64 / r.report.total_samples.max(1) as f64),
+            format!("{:.3}", p.self_nanos as f64 / 1e6),
+            format!("{:.3}", p.total_nanos as f64 / 1e6),
+            fmt_pct(p.self_nanos as f64 / total.max(1) as f64),
         ]);
     }
     println!("{t}");

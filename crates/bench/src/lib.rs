@@ -8,20 +8,17 @@
 //!   anchor per machine (the 1×1 Dynamics entry of Tables 4/6);
 //! * [`analyze`] — the `reproduce analyze` report, and the [`analyze::Checks`]
 //!   reporter every machine-checked report ends in;
-//! * [`profile`] — the `reproduce profile` report: in-process sampling
-//!   profiler over a real run, flamegraph, and the measured-vs-modeled
-//!   skew join, with machine-checked invariants;
+//! * [`profile`] — the `reproduce profile` report: a real run's trace
+//!   folded into per-phase wall time, flamegraph, and the
+//!   measured-vs-modeled skew join, with machine-checked invariants;
 //! * [`peak`] — the add+mul peak probe behind `bench-filter`'s stated
 //!   bound;
-//! * [`alloccount`] — the counting global allocator the `reproduce`
-//!   binary installs for allocation-freedom checks;
 //! * the `reproduce` binary — prints each table with paper-reported and
 //!   model-measured columns side by side; its `singlenode`,
 //!   `bench-filter` and `bench-kernels` subcommands time the paper's
 //!   kernel pairs against their stated bounds. They report; performance
 //!   regressions are judged only by `benchmark/`.
 
-pub mod alloccount;
 pub mod analyze;
 pub mod ensemble;
 pub mod harness;

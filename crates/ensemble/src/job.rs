@@ -125,10 +125,11 @@ pub struct JobSpec {
     /// id links the original request, every retry, and the rank-level
     /// phase spans — even across a server restart.
     pub trace: Option<TraceContext>,
-    /// Sampling frequency for an in-process wall-clock profile of the
-    /// job's run. `None` disables profiling (the default). Requires a
-    /// `sink` to receive the report (`TelemetrySink::record_profile`).
-    pub profile_hz: Option<f64>,
+    /// Fold the successful attempt's trace into a wall-time profile and
+    /// skew report (off by default). Requires a `sink` to receive them
+    /// (`TelemetrySink::record_profile`); a failed or cancelled job has
+    /// no successful trace and so no profile.
+    pub profile: bool,
 }
 
 // `Arc<dyn TelemetrySink>` has no `Debug`; render the spec without it.
@@ -146,7 +147,7 @@ impl fmt::Debug for JobSpec {
             .field("has_shared_store", &self.shared_store.is_some())
             .field("has_sink", &self.sink.is_some())
             .field("trace", &self.trace.as_ref().map(|t| t.trace_hex()))
-            .field("profile_hz", &self.profile_hz)
+            .field("profile", &self.profile)
             .finish()
     }
 }
@@ -168,7 +169,7 @@ impl JobSpec {
             shared_store: None,
             sink: None,
             trace: None,
-            profile_hz: None,
+            profile: false,
         }
     }
 
@@ -233,10 +234,10 @@ impl JobSpec {
         self
     }
 
-    /// Builder-style: sample a wall-clock profile of the run at `hz`,
-    /// delivered to the job's sink when the run finishes.
-    pub fn with_profile_hz(mut self, hz: f64) -> JobSpec {
-        self.profile_hz = Some(hz);
+    /// Builder-style: deliver a wall-time profile of the run to the job's
+    /// sink when it completes.
+    pub fn with_profile(mut self) -> JobSpec {
+        self.profile = true;
         self
     }
 }

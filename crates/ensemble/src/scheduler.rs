@@ -39,12 +39,10 @@ use crate::job::{CancelReason, JobId, JobRecord, JobSpec, JobStatus, Priority};
 use agcm_ckptstore::JobStoreBackend;
 use agcm_core::{run_model_resilient, ConfigError, ResilienceOpts};
 use agcm_costmodel::machine::MachineProfile;
-use agcm_mps::{CancelToken, FanoutObserver, SpanObserver};
+use agcm_mps::{CancelToken, SpanObserver};
 use agcm_resilience::recovery::RecoveryError;
 use agcm_resilience::{CheckpointStore, RunProgress};
-use agcm_telemetry::{
-    skew_report, ProfileConfig, Profiler, ResilienceCounters, RunMetrics, TelemetrySink,
-};
+use agcm_telemetry::{skew_report, ProfileReport, ResilienceCounters, RunMetrics, TelemetrySink};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -959,28 +957,14 @@ fn run_job(
     .with_cancel(token);
     opts.max_restarts = spec.max_restarts;
     opts.plan = spec.plan.clone();
-    let mut span_obs: Vec<Arc<dyn SpanObserver>> = Vec::new();
-    let mut profiler: Option<Profiler> = None;
     let mut progress_inner: Option<Arc<dyn RunProgress>> = None;
     if let Some(sink) = spec.sink.as_ref().filter(|s| s.enabled()) {
         let bridge = Arc::new(SinkBridge::new(Arc::clone(sink)));
         progress_inner = Some(Arc::clone(&bridge) as Arc<dyn RunProgress>);
-        span_obs.push(bridge as Arc<dyn SpanObserver>);
-        // Profiling needs a sink to deliver the report to, so it is
-        // gated on the same condition as the live bridge.
-        if let Some(hz) = spec.profile_hz {
-            let p = Profiler::start(ProfileConfig::at_hz(hz));
-            span_obs.push(p.observer());
-            profiler = Some(p);
-        }
+        opts = opts.with_spans(bridge as Arc<dyn SpanObserver>);
     }
     let recorder = Arc::new(ResumeRecorder::new(progress_inner));
     opts = opts.with_progress(Arc::clone(&recorder) as Arc<dyn RunProgress>);
-    opts = match span_obs.len() {
-        0 => opts,
-        1 => opts.with_spans(span_obs.pop().expect("one observer")),
-        _ => opts.with_spans(Arc::new(FanoutObserver::new(span_obs)) as Arc<dyn SpanObserver>),
-    };
 
     let result = catch_unwind(AssertUnwindSafe(|| run_model_resilient(spec.config, opts)));
     if ephemeral {
@@ -994,19 +978,6 @@ fn run_job(
         store.release(lineage, lease_key);
     }
     let run_seconds = dispatched.elapsed().as_secs_f64();
-
-    // Deliver the sampled profile (if any) to the job's sink, joined
-    // against the cost model when the run completed with a usable trace.
-    if let Some(p) = profiler.take() {
-        let report = p.stop();
-        if let Some(sink) = spec.sink.as_ref().filter(|s| s.enabled()) {
-            let skew = match &result {
-                Ok(Ok(run)) => skew_report(&report, &run.trace, &shared.cfg.machine).ok(),
-                _ => None,
-            };
-            sink.record_profile(&report, skew.as_ref());
-        }
-    }
 
     let (status, attempts, outcome, summary) = match result {
         Ok(Ok(run)) => {
@@ -1038,6 +1009,12 @@ fn run_job(
                                 let spans = span_counts.get(&(rank, *phase)).copied().unwrap_or(0);
                                 sink.record_rank_phase(rank as u32, phase, *secs, spans);
                             }
+                        }
+                        // A profile folds the successful attempt's own
+                        // wall stamps, so it needs no replay of its own.
+                        if spec.profile {
+                            let profile = ProfileReport::from_timeline(&timeline);
+                            sink.record_profile(&profile, &skew_report(&timeline));
                         }
                         for step in &metrics.steps {
                             sink.record_step(step);

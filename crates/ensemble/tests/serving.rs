@@ -267,7 +267,7 @@ fn profiled_job_delivers_profile_and_skew_to_its_sink() {
         .submit(
             job("profiled", 2, 2, 4)
                 .with_sink(collector.sink(1))
-                .with_profile_hz(4000.0),
+                .with_profile(),
         )
         .unwrap();
     let records = ensemble.join();
@@ -278,18 +278,18 @@ fn profiled_job_delivers_profile_and_skew_to_its_sink() {
         .expect("profiled job stored a profile");
     let data = view.get("data").unwrap();
     let profile = data.get("profile").unwrap();
-    // The fold is always conservative, even if the smoke job ran too
-    // fast for any sample to land.
-    let total = profile
-        .get("total_samples")
-        .and_then(|v| v.as_f64())
-        .unwrap();
+    // The fold of the trace's wall stamps is exact to the nanosecond.
+    let total = profile.get("total_nanos").and_then(|v| v.as_f64()).unwrap();
     let stacks = profile.get("stacks").unwrap().as_arr().unwrap();
     let folded: f64 = stacks
         .iter()
-        .map(|s| s.get("samples").and_then(|v| v.as_f64()).unwrap_or(0.0))
+        .map(|s| s.get("nanos").and_then(|v| v.as_f64()).unwrap())
         .sum();
-    assert_eq!(folded, total, "folded stacks must sum to total samples");
+    assert!(total > 0.0);
+    assert_eq!(
+        folded, total,
+        "folded stacks must sum to the ranks' extents"
+    );
     // The skew join ran against the completed run's trace.
     let skew = data.get("skew").expect("skew present");
     let rows = skew.get("rows").unwrap().as_arr().unwrap();

@@ -59,6 +59,6 @@ pub use message::{Packet, Payload};
 pub use runtime::{
     run, run_traced, run_with_faults, run_world, FailureKind, FaultyRun, WorldOptions,
 };
-pub use span::{FanoutObserver, SpanObserver};
+pub use span::SpanObserver;
 pub use topology::CartComm;
 pub use trace::{Event, PhaseFault, PhaseFaultKind, WorldTrace};

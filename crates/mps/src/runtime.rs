@@ -158,13 +158,9 @@ where
             let spans = spans.clone();
             let f = &f;
             // Named threads register each rank with the OS (visible in
-            // debuggers and sampling profilers); the observer hooks
-            // register it with any live SpanObserver.
+            // debuggers and sampling profilers).
             let builder = std::thread::Builder::new().name(format!("agcm-rank-{rank}"));
             let handle = builder.spawn_scoped(scope, move || {
-                if let Some(s) = &spans {
-                    s.rank_started(rank);
-                }
                 let shared = RankShared::new(
                     Arc::clone(&world),
                     rank,
@@ -172,7 +168,7 @@ where
                     trace,
                     fault.clone(),
                     cancel,
-                    spans.clone(),
+                    spans,
                 );
                 let comm = Comm::world(shared);
                 let result = catch_unwind(AssertUnwindSafe(|| f(&comm)));
@@ -190,9 +186,6 @@ where
                 // peer that observes the flag down will find every message
                 // this rank ever sent already in its channel.
                 world.alive[rank].store(false, Ordering::SeqCst);
-                if let Some(s) = &spans {
-                    s.rank_finished(rank);
-                }
                 result
             });
             handles.push(handle.expect("spawn rank thread"));

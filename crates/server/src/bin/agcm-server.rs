@@ -6,7 +6,7 @@
 //!             [--tenant NAME:IN_FLIGHT:RANKS:WEIGHT]...
 //!             [--default-quota IN_FLIGHT:RANKS:WEIGHT | --strict]
 //!             [--event-log PATH] [--event-log-rotate BYTES:KEEP]
-//!             [--slo QUEUE_SECS:TOTAL_SECS] [--profile-hz HZ]
+//!             [--slo QUEUE_SECS:TOTAL_SECS] [--profile]
 //! ```
 //!
 //! With `--tenant` and no `--default-quota`, unknown tenants still get
@@ -17,9 +17,9 @@
 //! `--event-log-rotate` caps the file at BYTES, keeping KEEP rotated
 //! generations; `--slo`
 //! sets uniform queue-wait / end-to-end latency objectives whose burn
-//! counters surface in both metrics endpoints. `--profile-hz` samples a
-//! wall-clock profile of every job, served at
-//! `GET /v1/jobs/{id}/profile` once the job finishes.
+//! counters surface in both metrics endpoints. `--profile` folds every
+//! completed job's trace into a wall-time profile, served at
+//! `GET /v1/jobs/{id}/profile`.
 
 use agcm_ensemble::{EnsembleConfig, TenantPolicy, TenantQuota};
 use agcm_server::{AgcmServer, RotationPolicy, ServerConfig, SloPolicy};
@@ -111,22 +111,14 @@ fn run() -> Result<(), String> {
                         .map_err(|e| format!("bad latency objective {total:?}: {e}"))?,
                 ));
             }
-            "--profile-hz" => {
-                let hz: f64 = take("--profile-hz")?
-                    .parse()
-                    .map_err(|e| format!("bad profile hz: {e}"))?;
-                if !hz.is_finite() || hz <= 0.0 {
-                    return Err(format!("profile hz must be positive, got {hz}"));
-                }
-                cfg.profile_hz = Some(hz);
-            }
+            "--profile" => cfg.profile = true,
             "--help" | "-h" => {
                 println!(
                     "usage: agcm-server [--addr A] [--journal DIR] [--rank-budget N] \
                      [--queue-capacity N] [--tenant NAME:INFLIGHT:RANKS:WEIGHT]... \
                      [--default-quota INFLIGHT:RANKS:WEIGHT | --strict] \
                      [--event-log PATH] [--event-log-rotate BYTES:KEEP] \
-                     [--slo QUEUE_SECS:TOTAL_SECS] [--profile-hz HZ]"
+                     [--slo QUEUE_SECS:TOTAL_SECS] [--profile]"
                 );
                 return Ok(());
             }

@@ -62,11 +62,10 @@ pub struct ServerConfig {
     pub event_log_rotation: Option<crate::log::RotationPolicy>,
     /// Service-level objectives; `None` disables SLO burn accounting.
     pub slo: Option<SloPolicy>,
-    /// Wall-clock profile sampling frequency applied to every admitted
-    /// job. `None` disables profiling (the default). When set, each
-    /// finished job's folded-stack profile and measured-vs-modeled skew
-    /// report are served at `GET /v1/jobs/{id}/profile`.
-    pub profile_hz: Option<f64>,
+    /// Profile every admitted job (off by default): each completed job's
+    /// folded wall-time stacks and measured-vs-modeled skew report are
+    /// served at `GET /v1/jobs/{id}/profile`.
+    pub profile: bool,
 }
 
 /// One tenant's service-level objectives, evaluated per completed job.
@@ -133,7 +132,7 @@ impl Default for ServerConfig {
             event_log: None,
             event_log_rotation: None,
             slo: None,
-            profile_hz: None,
+            profile: false,
         }
     }
 }
@@ -380,9 +379,10 @@ impl AgcmServer {
                 .with_shared_store(Arc::clone(&store))
                 .with_trace(trace)
                 .with_sink(collector.sink(job.id));
-            let spec = match cfg.profile_hz {
-                Some(hz) => spec.with_profile_hz(hz),
-                None => spec,
+            let spec = if cfg.profile {
+                spec.with_profile()
+            } else {
+                spec
             };
             match ensemble.resubmit(spec) {
                 Ok(eid) => {
@@ -903,10 +903,11 @@ fn job_trace(state: &ServerState, id_text: &str) -> Response {
     Response::json(200, view.to_string())
 }
 
-/// `GET /v1/jobs/{id}/profile`: the job's sampled wall-clock profile —
-/// folded stacks, per-phase self/total sample table, and the
-/// measured-vs-modeled skew report — recorded when the run finished.
-/// 404 until then (or when the server runs without `profile_hz`).
+/// `GET /v1/jobs/{id}/profile`: the job's wall-time profile — folded
+/// stacks, per-phase self/total table, and the measured-vs-modeled skew
+/// report — folded from its trace when the run completed. 404 until
+/// then, for a failed or cancelled job (no successful trace), and when
+/// the server runs without `profile`.
 fn job_profile(state: &ServerState, id_text: &str) -> Response {
     let (durable, _) = match lookup(state, id_text) {
         Ok(pair) => pair,
@@ -918,7 +919,10 @@ fn job_profile(state: &ServerState, id_text: &str) -> Response {
             404,
             error_body(
                 "no_profile",
-                &format!("job {durable} has no profile recorded (still running, or profiling is disabled)"),
+                &format!(
+                    "job {durable} has no profile recorded (still running, failed or \
+                     cancelled with no successful trace, or profiling is disabled)"
+                ),
             ),
         ),
     }
@@ -993,9 +997,10 @@ fn submit(state: &Arc<ServerState>, req: &Request) -> Response {
         .with_shared_store(Arc::clone(&state.store))
         .with_trace(trace)
         .with_sink(state.collector.sink(durable));
-    let spec = match state.cfg.profile_hz {
-        Some(hz) => spec.with_profile_hz(hz),
-        None => spec,
+    let spec = if state.cfg.profile {
+        spec.with_profile()
+    } else {
+        spec
     };
     // Deterministic rejections (quota, unknown tenant, queue full) are
     // answered before the write-ahead record: there is nothing durable

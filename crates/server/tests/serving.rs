@@ -113,7 +113,7 @@ fn submit_poll_and_fetch_result() {
 fn profiled_job_serves_profile_and_skew_over_http() {
     let dir = temp_dir("profile");
     let cfg = ServerConfig {
-        profile_hz: Some(4000.0),
+        profile: true,
         ..server_config(dir.clone(), EnsembleConfig::default())
     };
     let server = AgcmServer::start(cfg).unwrap();
@@ -128,16 +128,17 @@ fn profiled_job_serves_profile_and_skew_over_http() {
     assert_eq!(v.get("job").unwrap().as_f64(), Some(id as f64));
     assert!(v.get("trace").is_some(), "profile links its trace id");
     let profile = v.get("data").unwrap().get("profile").unwrap();
-    let total = profile.get("total_samples").unwrap().as_f64().unwrap();
+    let total = profile.get("total_nanos").unwrap().as_f64().unwrap();
     let folded_sum: f64 = profile
         .get("stacks")
         .unwrap()
         .as_arr()
         .unwrap()
         .iter()
-        .map(|s| s.get("samples").unwrap().as_f64().unwrap())
+        .map(|s| s.get("nanos").unwrap().as_f64().unwrap())
         .sum();
-    assert_eq!(folded_sum, total, "sample conservation over HTTP");
+    assert!(total > 0.0);
+    assert_eq!(folded_sum, total, "wall conservation over HTTP");
     let skew = v.get("data").unwrap().get("skew").unwrap();
     let rows = skew.get("rows").unwrap().as_arr().unwrap();
     assert!(!rows.is_empty(), "skew report has per-phase rows");

@@ -1,11 +1,11 @@
 //! Dependency-free SVG flamegraph writer.
 //!
-//! Takes the folded stacks a [`crate::profile::Profiler`] collects and
-//! renders the classic flame-graph layout: x-extent proportional to
-//! samples, one row per stack depth, children stacked above their parent.
+//! Takes the folded stacks of a [`crate::profile::ProfileReport`] and
+//! renders the classic flame-graph layout: x-extent proportional to wall
+//! time, one row per stack depth, children stacked above their parent.
 //! The output is a single static SVG — no JavaScript, no external fonts,
 //! no dependencies — with a `<title>` tooltip per frame so any browser
-//! shows exact counts on hover.
+//! shows exact times on hover.
 
 use crate::profile::FoldedStack;
 
@@ -84,11 +84,11 @@ pub fn render(stacks: &[FoldedStack], title: &str) -> String {
         children: Vec::new(),
     };
     for s in stacks {
-        root.value += s.samples;
+        root.value += s.nanos;
         let mut node = &mut root;
         for frame in &s.frames {
             node = node.child_mut(frame);
-            node.value += s.samples;
+            node.value += s.nanos;
         }
     }
     let total = root.value.max(1);
@@ -127,12 +127,12 @@ pub fn render(stacks: &[FoldedStack], title: &str) -> String {
         let pct = node.value as f64 / total as f64 * 100.0;
         svg.push_str(&format!(
             concat!(
-                "<g><title>{name}: {v} samples ({pct:.2}%)</title>",
+                "<g><title>{name}: {ms:.3} ms ({pct:.2}%)</title>",
                 "<rect x=\"{x:.2}\" y=\"{y:.2}\" width=\"{w:.2}\" height=\"{rh}\" ",
                 "fill=\"{fill}\" stroke=\"#f8f8f8\" stroke-width=\"0.5\"/>",
             ),
             name = esc(&node.name),
-            v = node.value,
+            ms = node.value as f64 / 1e6,
             pct = pct,
             x = x,
             y = y,
@@ -162,9 +162,9 @@ pub fn render(stacks: &[FoldedStack], title: &str) -> String {
         svg.push_str("</g>\n");
     }
     svg.push_str(&format!(
-        "<text x=\"4\" y=\"{:.2}\" fill=\"#555\">{} samples</text>\n",
+        "<text x=\"4\" y=\"{:.2}\" fill=\"#555\">{:.3} ms</text>\n",
         height - 8.0,
-        root.value
+        root.value as f64 / 1e6
     ));
     svg.push_str("</svg>\n");
     svg
@@ -178,15 +178,15 @@ mod tests {
         vec![
             FoldedStack {
                 frames: vec!["step".into(), "dynamics".into(), "filter".into()],
-                samples: 60,
+                nanos: 60,
             },
             FoldedStack {
                 frames: vec!["step".into(), "physics".into()],
-                samples: 30,
+                nanos: 30,
             },
             FoldedStack {
                 frames: vec!["(idle)".into()],
-                samples: 10,
+                nanos: 10,
             },
         ]
     }
@@ -205,9 +205,9 @@ mod tests {
     }
 
     #[test]
-    fn widths_are_proportional_to_samples() {
+    fn widths_are_proportional_to_wall_time() {
         let svg = render(&stacks(), "t");
-        // step = 90 of 100 samples → width 90% of 1200 = 1080.
+        // step = 90 of 100 ns → width 90% of 1200 = 1080.
         assert!(svg.contains("width=\"1080.00\""), "svg:\n{svg}");
     }
 
@@ -216,7 +216,7 @@ mod tests {
         let svg = render(
             &[FoldedStack {
                 frames: vec!["a<b&\"c\">".into()],
-                samples: 1,
+                nanos: 1,
             }],
             "<title&>",
         );
@@ -229,6 +229,6 @@ mod tests {
     fn empty_input_renders_an_empty_graph() {
         let svg = render(&[], "empty");
         assert!(svg.starts_with("<svg"));
-        assert!(svg.contains("0 samples"));
+        assert!(svg.contains("0.000 ms"));
     }
 }

@@ -35,12 +35,11 @@
 //!   sink events rather than post-hoc replay;
 //! * [`prom`] — Prometheus text exposition of a [`MetricsSnapshot`], plus
 //!   a strict validator for smoke checks;
-//! * [`profile`] — an in-process wall-clock sampling profiler: rank
-//!   threads publish their phase stack through lock-free slots, a sampler
-//!   folds stacks at a configurable Hz, and a [`SkewReport`] joins the
+//! * [`profile`] — exact per-phase wall time folded from the trace's own
+//!   phase stamps into stacks, and a [`SkewReport`] that joins the
 //!   measured fractions against the cost model's virtual fractions;
 //! * [`flamegraph`] — a dependency-free SVG flamegraph writer for the
-//!   profiler's folded stacks.
+//!   folded stacks.
 //!
 //! ## The global handle
 //!
@@ -70,10 +69,7 @@ pub use commmatrix::{CommCell, CommMatrix};
 pub use critical::{CriticalPath, CriticalSegment, SegmentKind};
 pub use live::{JobSink, LiveCollector};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
-pub use profile::{
-    skew_report, FoldedStack, PhaseStat, ProfileConfig, ProfileReport, Profiler, SkewReport,
-    SkewRow,
-};
+pub use profile::{skew_report, FoldedStack, PhaseStat, ProfileReport, SkewReport, SkewRow};
 pub use run::{ResilienceCounters, RunMetrics, RunSummary, StepMetrics};
 pub use sink::{FileSink, MemorySink, NullSink, TelemetrySink};
 pub use timeline::{Span, Timeline};

@@ -60,8 +60,8 @@ struct JobLive {
     steps_recorded: u64,
     /// Virtual seconds of the finished run.
     virt_seconds: Option<f64>,
-    /// Sampled wall-clock profile (with optional skew join), delivered
-    /// once when the job finishes with profiling enabled.
+    /// Wall-time profile with its skew join, delivered once when a
+    /// profiled job completes.
     profile: Option<Value>,
     finished: bool,
 }
@@ -145,9 +145,10 @@ impl LiveCollector {
         self.jobs.lock().len()
     }
 
-    /// The sampled profile of a job (with its skew join), once recorded.
+    /// The wall-time profile of a job (with its skew join), once recorded.
     /// Served at `GET /v1/jobs/{id}/profile`; `None` while the job is
-    /// still running or if profiling was not enabled for it.
+    /// still running, if profiling was not enabled for it, or if it
+    /// failed or was cancelled (no successful trace to fold).
     pub fn job_profile(&self, job: u64) -> Option<Value> {
         let jobs = self.jobs.lock();
         let j = jobs.get(&job)?;
@@ -454,17 +455,11 @@ impl TelemetrySink for JobSink {
     fn record_profile(
         &self,
         profile: &crate::profile::ProfileReport,
-        skew: Option<&crate::profile::SkewReport>,
+        skew: &crate::profile::SkewReport,
     ) {
         let value = Value::obj(vec![
             ("profile", profile.to_json()),
-            (
-                "skew",
-                match skew {
-                    Some(s) => s.to_json(),
-                    None => Value::Null,
-                },
-            ),
+            ("skew", skew.to_json()),
         ]);
         self.collector.with_job(self.job, |j| {
             j.profile = Some(value);
@@ -522,15 +517,13 @@ mod tests {
         let sink = c.sink(3);
         assert!(c.job_profile(3).is_none(), "no profile before recording");
         let report = crate::profile::ProfileReport {
-            hz: 997.0,
-            total_samples: 4,
+            total_nanos: 4,
             stacks: vec![crate::profile::FoldedStack {
                 frames: vec!["step".into()],
-                samples: 4,
+                nanos: 4,
             }],
-            ..Default::default()
         };
-        sink.record_profile(&report, None);
+        sink.record_profile(&report, &crate::profile::SkewReport::default());
         let view = c.job_profile(3).unwrap();
         assert_eq!(
             view.get("trace").unwrap().as_str(),
@@ -539,11 +532,11 @@ mod tests {
         let data = view.get("data").unwrap();
         assert_eq!(
             data.get("profile")
-                .and_then(|p| p.get("total_samples"))
+                .and_then(|p| p.get("total_nanos"))
                 .and_then(Value::as_f64),
             Some(4.0)
         );
-        assert!(matches!(data.get("skew"), Some(Value::Null)));
+        assert!(data.get("skew").and_then(|s| s.get("rows")).is_some());
     }
 
     #[test]

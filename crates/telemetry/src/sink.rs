@@ -50,13 +50,13 @@ pub trait TelemetrySink: Send + Sync {
     /// the number of spans folded in. Streamed once at end of run.
     fn record_rank_phase(&self, _rank: u32, _phase: &str, _virt_seconds: f64, _spans: u64) {}
 
-    /// A sampled wall-clock profile of the run ([`crate::profile`]),
-    /// optionally joined against the cost model as a skew report.
-    /// Delivered once, after the run finishes.
+    /// The successful attempt's wall-time profile ([`crate::profile`])
+    /// and its skew against the cost model. Delivered once, after the run
+    /// finishes.
     fn record_profile(
         &self,
         _profile: &crate::profile::ProfileReport,
-        _skew: Option<&crate::profile::SkewReport>,
+        _skew: &crate::profile::SkewReport,
     ) {
     }
 }

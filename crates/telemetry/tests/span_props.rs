@@ -1,12 +1,15 @@
 //! Property test: for *random balanced* phase-event streams, the extracted
 //! spans always nest correctly — matching names, contained event ranges,
 //! monotone virtual intervals, depths consistent with containment — and
-//! there are exactly as many spans as `PhaseBegin` events. Randomness comes
-//! from a hand-rolled LCG so the test is deterministic and dependency-free.
+//! there are exactly as many spans as `PhaseBegin` events; with random
+//! monotone wall stamps, the folded profile sums to the ranks' extents to
+//! the nanosecond. Randomness comes from a hand-rolled LCG so the test is
+//! deterministic and dependency-free.
 
 use agcm_costmodel::machine::MachineProfile;
 use agcm_mps::trace::{Event, WorldTrace};
 use agcm_telemetry::timeline::Timeline;
+use agcm_telemetry::ProfileReport;
 
 /// Minimal deterministic PRNG (Numerical Recipes LCG).
 struct Lcg(u64);
@@ -80,17 +83,48 @@ fn random_balanced_streams_yield_correctly_nested_spans() {
             .flatten()
             .filter(|e| matches!(e, Event::PhaseBegin(_)))
             .count();
-        let trace = WorldTrace::from_ranks(ranks);
+        let mut trace = WorldTrace::from_ranks(ranks);
         assert!(
             trace.validate_phases().is_ok(),
             "case {case}: generator bug"
         );
+        // Monotone wall stamps off the nanosecond grid, one per phase event;
+        // a third of them equal their predecessor, so children often tile
+        // their parent exactly and a fold of rounded durations (rather than
+        // of rounded stamps) would leave a parent negative self time.
+        let mut extents = 0u64;
+        trace.walls = trace
+            .ranks
+            .iter()
+            .map(|evs| {
+                let mut t = rng.below(100_000) as f64 * 1.37e-10;
+                let walls: Vec<f64> = evs
+                    .iter()
+                    .filter(|e| matches!(e, Event::PhaseBegin(_) | Event::PhaseEnd(_)))
+                    .map(|_| {
+                        t += (rng.below(3) * rng.below(100_000)) as f64 * 1.37e-10;
+                        t
+                    })
+                    .collect();
+                extents += walls.last().map_or(0, |w| (w * 1e9).round() as u64);
+                walls
+            })
+            .collect();
 
         let tl = Timeline::from_trace(&trace, &machine())
             .unwrap_or_else(|e| panic!("case {case}: {e:?}"));
 
         // One span per PhaseBegin.
         assert_eq!(tl.spans.len(), begins, "case {case}");
+
+        // Wall conservation: self times plus idle telescope to the extents.
+        let profile = ProfileReport::from_timeline(&tl);
+        let folded: u64 = profile.stacks.iter().map(|s| s.nanos).sum();
+        assert_eq!(
+            (folded, profile.total_nanos),
+            (extents, extents),
+            "case {case}"
+        );
 
         for (i, s) in tl.spans.iter().enumerate() {
             // Sanity per span.
