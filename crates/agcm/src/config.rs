@@ -174,9 +174,10 @@ impl AgcmConfig {
         self.mesh_lat * self.mesh_lon
     }
 
-    /// Canonical lineage hash: FNV-1a over every field that determines
-    /// the trajectory — grid, mesh, exact timestep bits, filter variant
-    /// and organization, and the physics-balancing knobs. The model is
+    /// Canonical lineage hash: [`agcm_resilience::fnv1a`] over the
+    /// little-endian words of every field that determines the
+    /// trajectory — grid, mesh, exact timestep bits, filter variant and
+    /// organization, and the physics-balancing knobs. The model is
     /// a deterministic function of these, so two configs with equal
     /// lineage walk bit-identical state through every step they share.
     ///
@@ -186,33 +187,29 @@ impl AgcmConfig {
     /// resubmission resume from a shorter run's committed prefix in the
     /// fleet checkpoint store.
     pub fn lineage(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        eat(self.grid.n_lon as u64);
-        eat(self.grid.n_lat as u64);
-        eat(self.grid.n_lev as u64);
-        eat(self.mesh_lat as u64);
-        eat(self.mesh_lon as u64);
-        eat(self.dt.to_bits());
-        eat(match self.filter {
-            FilterVariant::ConvolutionRing => 0,
-            FilterVariant::ConvolutionTree => 1,
-            FilterVariant::FftNoLb => 2,
-            FilterVariant::LbFft => 3,
-        });
-        eat(match self.filter_organization {
-            FilterOrganization::Aggregated => 0,
-            FilterOrganization::PerVariable => 1,
-        });
-        eat(self.balance_physics as u64);
-        eat(self.balance_target.to_bits());
-        eat(self.balance_rounds as u64);
-        h
+        let words = [
+            self.grid.n_lon as u64,
+            self.grid.n_lat as u64,
+            self.grid.n_lev as u64,
+            self.mesh_lat as u64,
+            self.mesh_lon as u64,
+            self.dt.to_bits(),
+            match self.filter {
+                FilterVariant::ConvolutionRing => 0,
+                FilterVariant::ConvolutionTree => 1,
+                FilterVariant::FftNoLb => 2,
+                FilterVariant::LbFft => 3,
+            },
+            match self.filter_organization {
+                FilterOrganization::Aggregated => 0,
+                FilterOrganization::PerVariable => 1,
+            },
+            self.balance_physics as u64,
+            self.balance_target.to_bits(),
+            self.balance_rounds as u64,
+        ];
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        agcm_resilience::fnv1a(&bytes)
     }
 
     /// Number of timesteps in one simulated day (for converting measured
@@ -323,6 +320,22 @@ mod tests {
             base.lineage(),
             jitter.lineage(),
             "dt compared by exact bits"
+        );
+    }
+
+    #[test]
+    fn lineage_known_answers() {
+        // Store keys and committed prefixes on disk are named by these
+        // values; a different hash would orphan every stored lineage.
+        assert_eq!(
+            AgcmConfig::paper(1, 1, FilterVariant::LbFft).lineage(),
+            0xfc65_d9bb_658c_192a
+        );
+        assert_eq!(
+            AgcmConfig::paper(1, 2, FilterVariant::LbFft)
+                .with_physics_balancing()
+                .lineage(),
+            0x3a0b_7ecf_fbf1_4840
         );
     }
 

@@ -21,7 +21,7 @@ use agcm_physics::balance::scheme3::PairwiseExchange;
 use agcm_physics::load::LoadTracker;
 use agcm_physics::step::PhysicsStep;
 use agcm_resilience::checkpoint::ModelCheckpoint;
-use agcm_resilience::coordinator::{write_coordinated, CheckpointStore};
+use agcm_resilience::coordinator::{write_coordinated, CheckpointStore, StoreError};
 use agcm_resilience::metrics::ResilienceMetrics;
 use agcm_resilience::recovery::{
     run_recovered, AttemptFailure, RecoveryError, RecoveryOptions, RunProgress,
@@ -299,7 +299,11 @@ pub struct ResilientRun {
 /// panics, the attempt is abandoned, and the run restarts from the last
 /// committed checkpoint. The model is a deterministic function of
 /// (state, step), so a recovered run continues bit-identically with an
-/// uninterrupted one.
+/// uninterrupted one. A committed checkpoint that does not fit the run
+/// (another world size, grid or field count) ends it with
+/// [`RecoveryError::ForeignCheckpoint`] before any state is built from
+/// it, and a shard the store cannot load or write with
+/// [`RecoveryError::Store`]; neither is retried.
 pub fn run_model_resilient(
     cfg: AgcmConfig,
     opts: ResilienceOpts,
@@ -329,9 +333,17 @@ pub fn run_model_resilient(
             let sub = decomp.subdomain_of_rank(comm.rank());
             let (start, mut state, mut tracker, mut physics_loads) = match resume {
                 Some(step) => {
-                    let ckpt = store
-                        .load_shard(step, rank)
-                        .expect("restart requires a loadable committed shard");
+                    let foreign = |reason| RecoveryError::ForeignCheckpoint { step, rank, reason };
+                    let ckpt = match store.load_shard(step, rank) {
+                        Err(StoreError::ShardMismatch { found, .. }) => {
+                            let (step, rank) = found;
+                            return Err(foreign(format!("it holds step {step} of rank {rank}")));
+                        }
+                        loaded => loaded.map_err(RecoveryError::Store)?,
+                    };
+                    if let Some(reason) = misfit(&ckpt, comm.size(), sub, cfg.grid.n_lev) {
+                        return Err(foreign(reason));
+                    }
                     let state = ModelState {
                         fields: ckpt.fields,
                         sub,
@@ -379,7 +391,7 @@ pub fn run_model_resilient(
                         series: std::mem::take(&mut physics_loads),
                         fields: std::mem::take(&mut state.fields),
                     };
-                    write_coordinated(comm, store, &ckpt).expect("checkpoint write must succeed");
+                    write_coordinated(comm, store, &ckpt).map_err(RecoveryError::Store)?;
                     physics_loads = ckpt.series;
                     state.fields = ckpt.fields;
                     // One notification per commit, not per shard.
@@ -391,11 +403,11 @@ pub fn run_model_resilient(
                 }
             }
 
-            RankOutcome {
+            Ok(RankOutcome {
                 physics_loads,
                 stable: !state.has_blown_up(),
                 max_wind: state.max_wind(),
-            }
+            })
         },
     )?;
     agcm_telemetry::telemetry().observe_trace(
@@ -415,6 +427,35 @@ pub fn run_model_resilient(
         trace: report.trace,
         config: cfg,
     })
+}
+
+/// What keeps `ckpt` from being the state of a rank of a `world`-rank
+/// run that owns `sub` on `n_lev` levels, if anything: a shard of
+/// another world size, field count or field shape, or without the
+/// balancer's two scalars, was written by another run.
+fn misfit(ckpt: &ModelCheckpoint, world: usize, sub: Subdomain, n_lev: usize) -> Option<String> {
+    let want = (sub.ni, sub.nj, n_lev);
+    if ckpt.world as usize != world {
+        Some(format!(
+            "written by {} ranks, resumed by {world}",
+            ckpt.world
+        ))
+    } else if ckpt.fields.len() != Variable::ALL.len() {
+        Some(format!(
+            "{} fields, the model has {}",
+            ckpt.fields.len(),
+            Variable::ALL.len()
+        ))
+    } else if let Some(f) = ckpt.fields.iter().find(|f| f.shape() != want) {
+        Some(format!(
+            "a field of shape {:?}, the rank's subdomain is {want:?}",
+            f.shape()
+        ))
+    } else if ckpt.scalars.len() != 2 {
+        Some(format!("{} scalars, the model keeps 2", ckpt.scalars.len()))
+    } else {
+        None
+    }
 }
 
 #[cfg(test)]

@@ -10,8 +10,9 @@
 //! deduplicated store:
 //!
 //! * [`store::Store`] — chunks each encoded `ModelCheckpoint` record,
-//!   as it streams in, into FNV-1a-addressed content chunks written
-//!   outside the store's lock behind one fsync barrier per shard,
+//!   as it streams in, into content chunks addressed by the hash the
+//!   record's version names (XXH64 for version 2, FNV-1a for version 1),
+//!   written outside the store's lock behind one fsync barrier per shard,
 //!   refcounts them across jobs, and persists a checksummed metadata
 //!   index through the resilience coordinator's `write_atomic` (tmp,
 //!   fsync, rename);

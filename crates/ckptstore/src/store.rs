@@ -9,7 +9,9 @@
 //! ```
 //!
 //! Every encoded `ModelCheckpoint` record is split into fixed-size
-//! chunks addressed by `(fnv1a(chunk), len)`. A *manifest* per
+//! chunks addressed by `(hash(chunk), len)`, where the hash is the one
+//! the record's version names ([`RecordDigest`]: XXH64 for version 2,
+//! FNV-1a for version 1 and for bytes that are no record). A *manifest* per
 //! `(lineage, step, rank)` records the chunk list plus the whole-record
 //! length and digest; a *commit* entry per `(lineage, step)` marks a
 //! step durable once every rank's manifest is in place — the same
@@ -30,9 +32,11 @@
 //! ## Putting a shard: write (streamed) → reserve → barrier → publish
 //!
 //! A record streams into the store once ([`Store::put_shard_from`]):
-//! two FNV-1a chains advance over each block — the whole-record digest
-//! and the current chunk's address — and the block goes straight on to
-//! the current chunk's temporary file, so no chunk is ever buffered.
+//! two digests advance over each block while it is in cache — the
+//! whole-record digest, and the current chunk's address, restarted at
+//! every chunk boundary ([`RecordDigest::restarted`]) — and the block
+//! goes straight on to the current chunk's temporary file, so no chunk
+//! is ever buffered.
 //! The store's one mutex guards the maps and the index rewrite; chunk
 //! files are written, synced and read outside it:
 //!
@@ -60,7 +64,10 @@
 //! 4. **Publish** (lock). If the slot is still empty: count the
 //!    manifest's references, insert it, rewrite the index
 //!    (`write_atomic`). If the slot meanwhile holds the same record it
-//!    is a dedup hit; another record, a conflict. Then the reservations
+//!    is a dedup hit; another record, a conflict — except a record of
+//!    the same length in another format version, whose digest differs
+//!    because its hash does (a version-1 store receiving the version-2
+//!    encoding of a state it holds): a dedup hit too. Then the reservations
 //!    are returned — on any failure that leaves maps, index and chunk
 //!    files as if the put had never run: its temporary files are
 //!    removed, and a chunk it named is unlinked only if no manifest and
@@ -106,7 +113,8 @@
 //! sweeping.
 
 use agcm_resilience::checkpoint::{
-    frame_line, unframe_line, CheckpointError, Fnv1a, RecordSink, RecordSource, RecordStream,
+    frame_line, record_version, unframe_line, CheckpointError, RecordDigest, RecordSink,
+    RecordSource, RecordStream, PREFIX_LEN,
 };
 use agcm_resilience::coordinator::{write_atomic, StoreError};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -348,7 +356,8 @@ impl Store {
     }
 
     /// Store one rank's encoded shard under `(lineage, step, rank)`.
-    /// Identical re-puts (same digest) are dedup hits and write
+    /// Identical re-puts (same digest, or the same length in another
+    /// record version) are dedup hits and write
     /// nothing; a different record for an existing slot is refused —
     /// lineage is supposed to determine the trajectory, so a digest
     /// conflict means the lineage hash is lying and resuming from
@@ -380,8 +389,8 @@ impl Store {
         let mut put = Put {
             store: self,
             id: self.next_put.fetch_add(1, Ordering::Relaxed),
-            digest: Fnv1a::new(),
-            chunk: Fnv1a::new(),
+            digest: RecordDigest::new(),
+            chunk: RecordDigest::new(),
             file: None,
             fill: 0,
             len: 0,
@@ -532,7 +541,7 @@ impl Store {
             block: Vec::new(),
             pos: 0,
             stitched: Vec::new(),
-            digest: Fnv1a::new(),
+            digest: RecordDigest::new(),
         })
     }
 
@@ -667,10 +676,10 @@ impl Store {
 struct Put<'a> {
     store: &'a Store,
     id: u64,
-    /// Chain over the whole record.
-    digest: Fnv1a,
-    /// Chain over the chunk being filled.
-    chunk: Fnv1a,
+    /// Digest of the whole record.
+    digest: RecordDigest,
+    /// Digest of the chunk being filled, with the record's hash.
+    chunk: RecordDigest,
     /// The chunk being filled: its temporary file, created with its
     /// first byte, and how many bytes it holds.
     file: Option<fs::File>,
@@ -705,7 +714,8 @@ impl RecordSink for Put<'_> {
             }
             let room = self.store.chunk_size - self.fill;
             let (piece, tail) = rest.split_at(room.min(rest.len()));
-            self.digest.update_both(&mut self.chunk, piece);
+            self.digest.update(piece);
+            self.chunk.update(piece);
             let seq = self.keys.len();
             let file = match &mut self.file {
                 Some(file) => file,
@@ -743,7 +753,7 @@ impl Put<'_> {
         };
         let seq = self.keys.len();
         self.keys.push(key);
-        self.chunk = Fnv1a::new();
+        self.chunk = self.digest.restarted();
         self.fill = 0;
         if !self.created.iter().any(|c| c.key == key) {
             let mut inner = self.store.lock_timed(&mut self.lock_wait);
@@ -846,7 +856,7 @@ impl Put<'_> {
     ) -> Result<bool, StoreError> {
         let digest = self.digest.value();
         if let Some(m) = inner.manifests.get(&slot) {
-            if m.digest == digest && m.len == self.len {
+            if m.len == self.len && (m.digest == digest || self.other_version_of(m)) {
                 return Ok(false);
             }
             let (lineage, step, rank) = slot;
@@ -875,6 +885,23 @@ impl Put<'_> {
             return Err(e);
         }
         Ok(true)
+    }
+
+    /// Whether the slot's record `m` and this one are records of
+    /// different format versions, whose digests differ by their hashes
+    /// whatever the records hold. Reads the stored record's prefix: only
+    /// a digest mismatch asks.
+    fn other_version_of(&self, m: &Manifest) -> bool {
+        let Some(offered) = self.digest.version() else {
+            return false;
+        };
+        let Some(first) = m.chunks.first() else {
+            return false;
+        };
+        let mut head = [0u8; PREFIX_LEN];
+        let read =
+            fs::File::open(self.store.chunk_path(first)).and_then(|mut f| f.read_exact(&mut head));
+        read.is_ok() && record_version(&head).is_some_and(|stored| stored != offered)
     }
 
     /// Under the lock: return the reservations. They have served — the
@@ -916,7 +943,7 @@ pub struct ShardStream<'a> {
     /// A read that spans blocks, put together.
     stitched: Vec<u8>,
     remaining: u64,
-    digest: Fnv1a,
+    digest: RecordDigest,
 }
 
 impl RecordStream for ShardStream<'_> {

@@ -881,7 +881,8 @@ impl SpanObserver for SinkBridge {
 /// concurrent same-lineage job may have extended in the meantime.
 /// Forwards every hook to an optional inner progress sink unchanged.
 struct ResumeRecorder {
-    seen_first: AtomicBool,
+    /// Attempts started.
+    attempts: AtomicU64,
     /// First attempt's resume step; `u64::MAX` = cold start (steps are
     /// far below that, so the sentinel is unambiguous).
     first_resume: AtomicU64,
@@ -891,10 +892,14 @@ struct ResumeRecorder {
 impl ResumeRecorder {
     fn new(inner: Option<Arc<dyn RunProgress>>) -> ResumeRecorder {
         ResumeRecorder {
-            seen_first: AtomicBool::new(false),
+            attempts: AtomicU64::new(0),
             first_resume: AtomicU64::new(u64::MAX),
             inner,
         }
+    }
+
+    fn attempts(&self) -> usize {
+        self.attempts.load(Ordering::SeqCst) as usize
     }
 
     fn first(&self) -> Option<u64> {
@@ -907,7 +912,7 @@ impl ResumeRecorder {
 
 impl RunProgress for ResumeRecorder {
     fn on_attempt(&self, attempt: usize, resumed_from: Option<u64>) {
-        if !self.seen_first.swap(true, Ordering::SeqCst) {
+        if self.attempts.fetch_add(1, Ordering::SeqCst) == 0 {
             self.first_resume
                 .store(resumed_from.unwrap_or(u64::MAX), Ordering::SeqCst);
         }
@@ -937,10 +942,14 @@ fn run_job(
     let dispatched = Instant::now();
     let (dir, ephemeral) = match &spec.checkpoint_dir {
         Some(d) => (d.clone(), false),
-        None => (
-            std::env::temp_dir().join(format!("agcm-ensemble-{}-{}", std::process::id(), p.id)),
-            true,
-        ),
+        None => {
+            // Job ids restart with every `Ensemble`, so they cannot name
+            // a directory that must be unique in the process.
+            static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
+            let n = NEXT_DIR.fetch_add(1, Ordering::Relaxed);
+            let name = format!("agcm-ensemble-{}-{n}", std::process::id());
+            (std::env::temp_dir().join(name), true)
+        }
     };
     // With a shared store the directory store is only a shell: every
     // shard routes through the content-addressed backend, clamped to
@@ -1033,13 +1042,12 @@ fn run_job(
             };
             (JobStatus::Cancelled(reason), attempts, None, None)
         }
-        Ok(Err(e)) => {
-            let attempts = match &e {
-                RecoveryError::RestartsExhausted { attempts, .. } => *attempts,
-                _ => 0,
-            };
-            (JobStatus::Failed(e.to_string()), attempts, None, None)
-        }
+        Ok(Err(e)) => (
+            JobStatus::Failed(e.to_string()),
+            recorder.attempts(),
+            None,
+            None,
+        ),
         Err(payload) => {
             let msg = payload
                 .downcast_ref::<&str>()

@@ -329,3 +329,41 @@ fn priorities_dispatch_high_before_low_when_contended() {
     );
     let _ = head;
 }
+
+#[test]
+fn two_ensembles_run_same_id_jobs_without_sharing_checkpoints() {
+    // Job ids restart with every ensemble, and neither job names a
+    // checkpoint directory: each must get a directory of its own, or one
+    // would resume from the other's checkpoints.
+    let spec = |name: &str, mesh_lat, mesh_lon| {
+        JobSpec::new(
+            name,
+            AgcmConfig::for_grid(small_grid(), mesh_lat, mesh_lon, FilterVariant::LbFft)
+                .with_steps(6)
+                .with_checkpointing(1),
+        )
+    };
+    let one = Ensemble::start(quick_config());
+    let two = Ensemble::start(quick_config());
+    let mut submitted = Vec::new();
+    for i in 0..3 {
+        let a = spec(&format!("one-{i}"), 1, 2);
+        let b = spec(&format!("two-{i}"), 2, 1);
+        assert_eq!(
+            one.submit(a.clone()).unwrap(),
+            two.submit(b.clone()).unwrap()
+        );
+        submitted.extend([a, b]);
+    }
+    let records: Vec<_> = one.join().into_iter().chain(two.join()).collect();
+    assert_eq!(records.len(), submitted.len());
+    for record in &records {
+        let spec = submitted.iter().find(|s| s.name == record.name).unwrap();
+        assert_eq!(record.status, JobStatus::Completed, "{}", record.name);
+        assert_eq!(record.attempts, 1, "{}", record.name);
+        assert_eq!(record.resumed_from, None, "{} resumed", record.name);
+        let mut clean = spec.config;
+        clean.checkpoint_every = 0;
+        assert_eq!(record.outcome.as_ref().unwrap(), &run_model(clean).ranks);
+    }
+}

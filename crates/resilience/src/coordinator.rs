@@ -14,7 +14,7 @@
 //! ignores; recovery always resumes from the *latest committed* step.
 
 use crate::checkpoint::{
-    CheckpointError, Fnv1a, ModelCheckpoint, RecordSink, RecordSource, RecordStream,
+    CheckpointError, ModelCheckpoint, RecordDigest, RecordSink, RecordSource, RecordStream,
 };
 use agcm_grid::history::ByteOrder;
 use agcm_mps::Comm;
@@ -120,7 +120,7 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
 struct FileSink<'a> {
     file: &'a mut fs::File,
     path: &'a Path,
-    digest: Fnv1a,
+    digest: RecordDigest,
 }
 
 impl RecordSink for FileSink<'_> {
@@ -142,7 +142,7 @@ struct FileStream {
     remaining: u64,
     /// The bytes delivered last.
     block: Vec<u8>,
-    digest: Fnv1a,
+    digest: RecordDigest,
 }
 
 impl RecordStream for FileStream {
@@ -235,7 +235,7 @@ impl ShardBackend for DirBackend {
             record.write_to(&mut FileSink {
                 file,
                 path,
-                digest: Fnv1a::new(),
+                digest: RecordDigest::new(),
             })
         })
     }
@@ -281,7 +281,7 @@ impl ShardBackend for DirBackend {
             path,
             remaining,
             block: Vec::new(),
-            digest: Fnv1a::new(),
+            digest: RecordDigest::new(),
         }))
     }
 
@@ -583,7 +583,7 @@ mod tests {
     struct MemStream {
         record: Vec<u8>,
         delivered: usize,
-        digest: Fnv1a,
+        digest: RecordDigest,
     }
 
     impl RecordStream for MemStream {
@@ -648,7 +648,7 @@ mod tests {
             Ok(Box::new(MemStream {
                 record: record.clone(),
                 delivered: 0,
-                digest: Fnv1a::new(),
+                digest: RecordDigest::new(),
             }))
         }
         fn shard_count(&self, step: u64) -> usize {

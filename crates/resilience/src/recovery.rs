@@ -110,8 +110,20 @@ pub enum RecoveryError {
         /// The failure record of each attempt.
         failures: Vec<AttemptFailure>,
     },
-    /// The checkpoint store itself failed.
+    /// The checkpoint store itself failed: a rank could not load the
+    /// shard it resumes from, or write one. Never retried.
     Store(StoreError),
+    /// A committed checkpoint does not fit the run resuming from it: it
+    /// was written by another world size, grid or model. Every retry
+    /// would resume from it again, so it is never retried.
+    ForeignCheckpoint {
+        /// The step resumed from.
+        step: u64,
+        /// The rank whose shard does not fit.
+        rank: u32,
+        /// What does not fit.
+        reason: String,
+    },
     /// The run's [`CancelToken`] was cancelled (deadline expiry, explicit
     /// cancellation). Never retried.
     Cancelled {
@@ -127,6 +139,10 @@ impl fmt::Display for RecoveryError {
                 write!(f, "recovery gave up after {attempts} failed attempts")
             }
             RecoveryError::Store(e) => write!(f, "recovery aborted by store error: {e}"),
+            RecoveryError::ForeignCheckpoint { step, rank, reason } => write!(
+                f,
+                "the checkpoint of step {step} does not fit rank {rank}: {reason}"
+            ),
             RecoveryError::Cancelled { attempts } => {
                 write!(f, "run cancelled after {attempts} attempts")
             }
@@ -149,7 +165,9 @@ impl std::error::Error for RecoveryError {
 /// a plan with a kill for attempt 0 and `None` afterwards (the "node was
 /// replaced" scenario). `body` receives the communicator and the resume
 /// step (`None` on a cold start); it is responsible for loading its shard
-/// from the store and for writing checkpoints as it goes.
+/// from the store and for writing checkpoints as it goes. A rank that
+/// returns an error ends the run with it at once: that is a verdict on
+/// the checkpoint or the store, not a fault a restart could cure.
 pub fn run_recovered<R, F, P>(
     n: usize,
     opts: RecoveryOptions,
@@ -158,7 +176,7 @@ pub fn run_recovered<R, F, P>(
     body: F,
 ) -> Result<RunReport<R>, RecoveryError>
 where
-    F: Fn(&Comm, Option<u64>) -> R + Sync,
+    F: Fn(&Comm, Option<u64>) -> Result<R, RecoveryError> + Sync,
     R: Send,
     P: FnMut(usize) -> Option<FaultPlan>,
 {
@@ -178,11 +196,21 @@ where
         for (merged, events) in merged_events.iter_mut().zip(&out.fault_events) {
             merged.extend(events.iter().copied());
         }
+        // Ranks the refusing rank leaves waiting fail as disconnected;
+        // the refusal is the verdict.
+        let refused = out
+            .results
+            .iter()
+            .find_map(|r| r.as_ref().ok()?.as_ref().err());
+        if let Some(e) = refused {
+            return Err(e.clone());
+        }
         if out.all_ok() {
             let metrics = ResilienceMetrics::tally(attempt + 1, &failures, &merged_events);
             let trace = std::mem::take(&mut out.trace);
+            let results = out.into_results().into_iter();
             return Ok(RunReport {
-                results: out.into_results(),
+                results: results.map(|r| r.expect("no rank refused")).collect(),
                 attempts: attempt + 1,
                 failures,
                 fault_events: merged_events,
@@ -236,7 +264,12 @@ mod tests {
 
     /// A toy iterative "model": per-rank counter advanced one per step,
     /// checkpointed every other step.
-    fn toy_model(c: &Comm, resume: Option<u64>, store: &CheckpointStore, steps: u64) -> f64 {
+    fn toy_model(
+        c: &Comm,
+        resume: Option<u64>,
+        store: &CheckpointStore,
+        steps: u64,
+    ) -> Result<f64, RecoveryError> {
         let world = c.size() as u32;
         let rank = c.rank() as u32;
         let (start, mut value) = match resume {
@@ -262,7 +295,7 @@ mod tests {
                 write_coordinated(c, store, &ckpt).unwrap();
             }
         }
-        value
+        Ok(value)
     }
 
     #[test]
@@ -375,6 +408,37 @@ mod tests {
             *recorder.attempts.lock().unwrap(),
             vec![(0, None), (1, Some(2))]
         );
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn a_refusing_rank_ends_the_run_untried() {
+        let store = CheckpointStore::new(scratch("refuse"));
+        let attempts = AtomicU64::new(0);
+        let foreign = RecoveryError::ForeignCheckpoint {
+            step: 2,
+            rank: 1,
+            reason: "a 4x3x1 field, the subdomain is 1x1x1".to_string(),
+        };
+        let err = run_recovered(
+            3,
+            RecoveryOptions::default(),
+            &store,
+            // A kill on the first attempt: the resumed second one refuses.
+            |attempt| (attempt == 0).then(|| FaultPlan::seeded(1).with_kill(0, 3)),
+            |c, r| {
+                if c.rank() == 0 {
+                    attempts.fetch_add(1, Ordering::SeqCst);
+                }
+                match r {
+                    Some(_) if c.rank() == 1 => Err(foreign.clone()),
+                    _ => toy_model(c, r, &store, 6),
+                }
+            },
+        )
+        .unwrap_err();
+        assert_eq!(err, foreign);
+        assert_eq!(attempts.load(Ordering::SeqCst), 2, "no third attempt");
         let _ = std::fs::remove_dir_all(store.root());
     }
 

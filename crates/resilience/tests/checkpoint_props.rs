@@ -1,11 +1,14 @@
 //! Property tests for the checkpoint wire format: randomized
 //! round-trips across both byte orders, truncation at every prefix
-//! length, and checksum-detected corruption. No external proptest
-//! crate — a seeded LCG drives the generation, so failures reproduce.
+//! length, checksum-detected corruption, and the record hashes fed in
+//! arbitrary pieces. No external proptest crate — a seeded LCG drives
+//! the generation, so failures reproduce.
 
 use agcm_grid::halo::HaloField;
 use agcm_grid::history::ByteOrder;
-use agcm_resilience::checkpoint::{CheckpointError, ModelCheckpoint};
+use agcm_resilience::checkpoint::{
+    fnv1a, record_digest, xxh64, CheckpointError, ModelCheckpoint, RecordDigest, Xxh64,
+};
 
 /// Deterministic 64-bit LCG (Knuth's constants).
 struct Rng(u64);
@@ -145,5 +148,67 @@ fn flipped_payload_bit_is_always_caught() {
             ),
             "byte {byte}: unexpected {err:?}"
         );
+    }
+}
+
+#[test]
+fn xxh64_matches_a_direct_transcription_of_its_specification() {
+    // Lengths that end in every tail the finish handles: whole stripes,
+    // 8-byte words, a 4-byte word and single bytes.
+    let pattern = |n: usize| (0..n).map(|i| (i * 7 + 3) as u8).collect::<Vec<u8>>();
+    assert_eq!(xxh64(&pattern(45)), 0x86fa_ee00_897c_4b41);
+    assert_eq!(xxh64(&pattern(100)), 0xa61f_8d4c_170f_e531);
+    assert_eq!(xxh64(&pattern(1000)), 0x5f23_5fa0_33f1_a3fb);
+}
+
+#[test]
+fn streamed_hashes_equal_one_shot_over_random_splits() {
+    let mut rng = Rng(0xA5A5_0005);
+    for case in 0..300 {
+        // Raw bytes of every small length, and records of both versions
+        // (a record's digest is its own version's hash).
+        let bytes: Vec<u8> = match case % 3 {
+            0 => {
+                let raw: Vec<u8> = (0..rng.below(300)).map(|_| rng.next() as u8).collect();
+                // Bytes that are no record, short ones included, hash as
+                // version 1 did.
+                assert_eq!(record_digest(&raw), fnv1a(&raw), "case {case}");
+                raw
+            }
+            _ => {
+                let ckpt = random_checkpoint(&mut rng);
+                let mut rec = ckpt.encode(ByteOrder::Little);
+                if case % 3 == 2 {
+                    // The same record as version 1 wrote it.
+                    let n = rec.len();
+                    rec[8..12].copy_from_slice(&1u32.to_le_bytes());
+                    let sum = fnv1a(&rec[..n - 8]);
+                    rec[n - 8..].copy_from_slice(&sum.to_le_bytes());
+                    assert_eq!(record_digest(&rec), fnv1a(&rec), "case {case}");
+                } else {
+                    assert_eq!(record_digest(&rec), xxh64(&rec), "case {case}");
+                }
+                rec
+            }
+        };
+        let mut xxh = Xxh64::new();
+        let mut digest = RecordDigest::new();
+        let mut rest = &bytes[..];
+        while !rest.is_empty() {
+            // Pieces from 0 bytes to past a stripe, and the occasional
+            // long run.
+            let n = match rng.below(8) {
+                0 => rng.below(4096),
+                _ => rng.below(40),
+            } as usize;
+            let (piece, tail) = rest.split_at(n.min(rest.len()));
+            xxh.update(piece);
+            digest.update(piece);
+            // Taking a value never disturbs the running state.
+            let _ = (xxh.value(), digest.value());
+            rest = tail;
+        }
+        assert_eq!(xxh.value(), xxh64(&bytes), "case {case}");
+        assert_eq!(digest.value(), record_digest(&bytes), "case {case}");
     }
 }

@@ -1,8 +1,14 @@
 //! The streamed checkpoint path against what it replaced: the record
-//! format re-derived value by value, the exact files the previous
-//! implementation left on disk (`tests/fixtures/pr15/`, written by the
-//! commit before the data path became a stream), and the failure and
-//! corruption cases at block and chunk boundaries.
+//! format re-derived value by value, the exact files earlier
+//! implementations left on disk, and the failure and corruption cases
+//! at block and chunk boundaries, for both record versions.
+//!
+//! Two fixture sets pin the format. `tests/fixtures/pr15/` was written by
+//! the commit before the data path became a stream: version-1 records
+//! (FNV-1a trailers, digests and chunk addresses), which must keep
+//! reading, verifying and taking new shards. `tests/fixtures/v2/` was
+//! written by the commit that introduced version 2 (XXH64), with the same
+//! histories: what every writer since must reproduce byte for byte.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -14,7 +20,9 @@ use agcm_ckptstore::store::DEFAULT_CHUNK_SIZE;
 use agcm_ckptstore::{JobStoreBackend, Store};
 use ucla_agcm_repro::grid::halo::HaloField;
 use ucla_agcm_repro::grid::history::ByteOrder;
-use ucla_agcm_repro::resilience::checkpoint::{RecordSink, RecordSource};
+use ucla_agcm_repro::resilience::checkpoint::{
+    record_digest, record_version, xxh64, RecordSink, RecordSource, VERSION,
+};
 use ucla_agcm_repro::resilience::{
     fnv1a, CheckpointError, CheckpointStore, ModelCheckpoint, StoreError,
 };
@@ -30,6 +38,10 @@ fn scratch(tag: &str) -> PathBuf {
 
 fn fixtures() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/pr15")
+}
+
+fn v2_fixtures() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v2")
 }
 
 struct Rng(u64);
@@ -75,9 +87,10 @@ fn sample(step: u64, rank: u32, world: u32, salt: u64) -> ModelCheckpoint {
     }
 }
 
-/// The record layout written out value by value from the format
-/// description: the oracle for the block encoder.
-fn oracle_encode(c: &ModelCheckpoint, order: ByteOrder) -> Vec<u8> {
+/// The record layout of `version` written out value by value from the
+/// format description: the oracle for the block encoder (version 2),
+/// and records as version 1 wrote them.
+fn oracle_encode(c: &ModelCheckpoint, order: ByteOrder, version: u32) -> Vec<u8> {
     let big = order == ByteOrder::Big;
     let mut out = Vec::new();
     let u32_ = |out: &mut Vec<u8>, v: u32| {
@@ -96,7 +109,7 @@ fn oracle_encode(c: &ModelCheckpoint, order: ByteOrder) -> Vec<u8> {
     };
     out.extend_from_slice(b"AGCK");
     u32_(&mut out, 0x0102_0304);
-    u32_(&mut out, 1);
+    u32_(&mut out, version);
     u32_(&mut out, c.rank);
     u32_(&mut out, c.world);
     u64_(&mut out, c.step);
@@ -116,7 +129,10 @@ fn oracle_encode(c: &ModelCheckpoint, order: ByteOrder) -> Vec<u8> {
             .flatten()
             .for_each(|v| u64_(&mut out, v.to_bits()));
     }
-    let sum = fnv1a(&out);
+    let sum = match version {
+        1 => fnv1a(&out),
+        _ => xxh64(&out),
+    };
     u64_(&mut out, sum);
     out
 }
@@ -135,7 +151,7 @@ impl RecordSink for Collect {
         Ok(())
     }
     fn digest(&self) -> u64 {
-        fnv1a(&self.buf)
+        record_digest(&self.buf)
     }
 }
 
@@ -177,7 +193,7 @@ fn streamed_encode_matches_the_per_value_oracle() {
             fields,
         };
         for order in [ByteOrder::Little, ByteOrder::Big] {
-            let expected = oracle_encode(&ckpt, order);
+            let expected = oracle_encode(&ckpt, order, VERSION);
             assert_eq!(ckpt.encode(order), expected, "case {case} {order:?}");
             let mut sink = Collect::default();
             ckpt.record(order).write_to(&mut sink).unwrap();
@@ -191,6 +207,11 @@ fn streamed_encode_matches_the_per_value_oracle() {
             let (back, detected) = ModelCheckpoint::decode(&expected).unwrap();
             assert_eq!(detected, order);
             assert_eq!(back.encode(order), expected, "case {case} roundtrip");
+            // The same state as version 1 wrote it reads back alike.
+            let v1 = oracle_encode(&ckpt, order, 1);
+            let (back, detected) = ModelCheckpoint::decode(&v1).unwrap();
+            assert_eq!(detected, order);
+            assert_eq!(back.encode(order), expected, "case {case} from version 1");
         }
     }
 }
@@ -263,32 +284,49 @@ fn copy_tree(from: &Path, to: &Path) {
 }
 
 // Computed by running `store_history` / the directory writes below at
-// the parent commit.
-const GOLDEN_INDEX: u64 = 0x754d_25b3_a596_4b8c;
-const GOLDEN_CHUNKS: u64 = 0x9d6c_89df_7f25_7ffb;
-const GOLDEN_DIR: u64 = 0x80d8_5291_7276_904c;
+// the commit that introduced record version 2, which also wrote
+// `tests/fixtures/v2/`.
+const GOLDEN_INDEX: u64 = 0xb61a_5fda_42a5_fa6d;
+const GOLDEN_CHUNKS: u64 = 0x6938_53b0_6940_f59b;
+const GOLDEN_DIR: u64 = 0x317e_8351_74dd_ee33;
+
+/// The index lines of a store, but the checkpoint's manifest.
+fn raw_index_lines(index: &Path) -> Vec<String> {
+    fs::read_to_string(index)
+        .unwrap()
+        .lines()
+        .filter(|l| !l.contains(" manifest 000000000000000c "))
+        .map(String::from)
+        .collect()
+}
 
 #[test]
-fn store_layout_is_byte_identical_to_the_parents() {
+fn store_layout_is_byte_identical_to_the_v2_fixtures() {
     let root = scratch("golden-store");
     let store = store_history(&root);
     let index = fs::read(root.join("index")).unwrap();
     let chunks = listing(&root.join("chunks"));
     assert_eq!(fnv1a(&index), GOLDEN_INDEX, "index bytes changed");
     assert_eq!(listing_hash(&chunks), GOLDEN_CHUNKS, "chunk files changed");
-    // And file for file against what the parent left on disk.
+    // And file for file against the fixture.
     assert_eq!(
         index,
-        fs::read(fixtures().join("store/index")).unwrap(),
-        "index differs from the parent-written one"
+        fs::read(v2_fixtures().join("store/index")).unwrap(),
+        "index differs from the fixture"
     );
-    assert_eq!(chunks, listing(&fixtures().join("store/chunks")));
+    assert_eq!(chunks, listing(&v2_fixtures().join("store/chunks")));
+    // Only the checkpoint's manifest differs from what version 1 wrote:
+    // raw shards are no records, and hash as they always did.
+    assert_eq!(
+        raw_index_lines(&root.join("index")),
+        raw_index_lines(&fixtures().join("store/index"))
+    );
     assert!(store.stats().puts >= 6);
     let _ = fs::remove_dir_all(&root);
 }
 
 #[test]
-fn directory_layout_is_byte_identical_to_the_parents() {
+fn directory_layout_is_byte_identical_to_the_v2_fixtures() {
     let root = scratch("golden-dir");
     let store = CheckpointStore::new(&root);
     for rank in 0..2 {
@@ -308,7 +346,7 @@ fn directory_layout_is_byte_identical_to_the_parents() {
         ]
     );
     assert_eq!(listing_hash(&files), GOLDEN_DIR);
-    assert_eq!(files, listing(&fixtures().join("ckpt_dir")));
+    assert_eq!(files, listing(&v2_fixtures().join("ckpt_dir")));
     let _ = fs::remove_dir_all(&root);
 }
 
@@ -344,7 +382,70 @@ fn parent_written_store_directory_and_shard_read_back() {
     let shard = fs::read(fixtures().join("shard_big_endian.agck")).unwrap();
     let (ckpt, order) = ModelCheckpoint::decode(&shard).unwrap();
     assert_eq!((ckpt, order), (sample(3, 1, 4, 99), ByteOrder::Big));
-    assert_eq!(sample(3, 1, 4, 99).encode(ByteOrder::Big), shard);
+    // Encoded again it is a version-2 record: the same bytes but the
+    // version field and the trailer.
+    let again = sample(3, 1, 4, 99).encode(ByteOrder::Big);
+    let n = shard.len();
+    assert_eq!(again.len(), n);
+    assert_eq!(
+        (&again[..8], &again[12..n - 8]),
+        (&shard[..8], &shard[12..n - 8])
+    );
+    let _ = fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_parent_written_store_resumes_and_takes_version_2_shards() {
+    let root = scratch("fixture-extend");
+    copy_tree(&fixtures().join("store"), &root);
+    let job = |store: &Arc<Store>| {
+        CheckpointStore::new(root.join("unused")).with_backend(Arc::new(JobStoreBackend::new(
+            store.clone(),
+            0xC,
+            30,
+        )))
+    };
+    let store = Arc::new(Store::open_with_chunk_size(&root, 512).unwrap());
+    // Resume from the version-1 step, then commit a version-2 one.
+    assert_eq!(job(&store).latest_committed(), Some(10));
+    assert_eq!(job(&store).load_shard(10, 0).unwrap(), sample(10, 0, 1, 7));
+    let later = sample(20, 0, 1, 8);
+    job(&store).write_shard(&later).unwrap();
+    job(&store).commit(20, 1).unwrap();
+    assert_eq!(
+        record_version(&store.get_shard(0xC, 20, 0).unwrap()),
+        Some(2)
+    );
+
+    // The occupied version-1 slot offered the version-2 encoding of the
+    // state it holds: same length, other hash, so other digest — a
+    // dedup hit, not a conflict, and the stored record stays.
+    let stored = store.get_shard(0xC, 10, 0).unwrap();
+    let hits = store.stats().shard_dedup_hits;
+    job(&store).write_shard(&sample(10, 0, 1, 7)).unwrap();
+    assert_eq!(store.stats().shard_dedup_hits, hits + 1);
+    assert_eq!(store.get_shard(0xC, 10, 0).unwrap(), stored);
+    // A record of another length is still a conflict there, and another
+    // version-2 record in the version-2 slot too.
+    let mut longer = sample(10, 0, 1, 7);
+    longer.series.push(2.5);
+    assert!(matches!(
+        job(&store).write_shard(&longer),
+        Err(StoreError::Io(_))
+    ));
+    assert!(matches!(
+        job(&store).write_shard(&sample(20, 0, 1, 9)),
+        Err(StoreError::Io(_))
+    ));
+
+    // Reopened, both versions read back and nothing is swept.
+    drop(store);
+    let store = Arc::new(Store::open_with_chunk_size(&root, 512).unwrap());
+    assert_eq!(store.stats().orphans_swept, 0);
+    assert_eq!(job(&store).committed_steps(), vec![10, 20]);
+    assert_eq!(job(&store).load_shard(10, 0).unwrap(), sample(10, 0, 1, 7));
+    assert_eq!(job(&store).load_shard(20, 0).unwrap(), later);
+    assert_eq!(store.get_shard(0xA, 1, 0).unwrap(), bytes(1, 1800));
     let _ = fs::remove_dir_all(&root);
 }
 
@@ -363,8 +464,25 @@ impl RecordSource for FailsAfter<'_> {
     }
 }
 
+/// The file name of a chunk of raw (non-record) bytes.
 fn chunk_name(chunk: &[u8]) -> String {
     format!("{:016x}-{}.chk", fnv1a(chunk), chunk.len())
+}
+
+/// The chunk files of `record` in a 512-byte-chunk store rooted at
+/// `root`, named by the hash the record's version names.
+fn record_chunk_files(root: &Path, record: &[u8]) -> Vec<PathBuf> {
+    let hash = match record_version(record) {
+        Some(2) => xxh64,
+        _ => fnv1a,
+    };
+    record
+        .chunks(512)
+        .map(|c| {
+            let name = format!("{:016x}-{}.chk", hash(c), c.len());
+            root.join("chunks").join(name)
+        })
+        .collect()
 }
 
 /// Seeds a store with one committed shard and returns it with the
@@ -463,100 +581,108 @@ fn a_leftover_of_the_wrong_length_under_a_chunk_name_is_rewritten() {
     let _ = fs::remove_dir_all(&root);
 }
 
-/// A store holding one encoded checkpoint of seven 512-byte chunks.
-fn chunked_checkpoint(tag: &str) -> (PathBuf, Arc<Store>, CheckpointStore, Vec<PathBuf>) {
+/// A 512-byte-chunk store holding `sample(10, 0, 1, 7)` as lineage 0xC
+/// step 10, committed, in seven chunks: as version 2 writes it today
+/// (`parent` false), or the version-1 record of the parent-written
+/// fixture store (`parent` true).
+fn chunked_checkpoint(
+    tag: &str,
+    parent: bool,
+) -> (PathBuf, Arc<Store>, CheckpointStore, Vec<PathBuf>) {
     let root = scratch(tag);
+    if parent {
+        copy_tree(&fixtures().join("store"), &root);
+    }
     let store = Arc::new(Store::open_with_chunk_size(&root, 512).unwrap());
     let job = CheckpointStore::new(root.join("unused"))
         .with_backend(Arc::new(JobStoreBackend::new(store.clone(), 0xC, 10)));
     let ckpt = sample(10, 0, 1, 7);
-    job.write_shard(&ckpt).unwrap();
-    job.commit(10, 1).unwrap();
-    let record = ckpt.encode(ByteOrder::Little);
+    if !parent {
+        job.write_shard(&ckpt).unwrap();
+        job.commit(10, 1).unwrap();
+    }
+    let record = store.get_shard(0xC, 10, 0).unwrap();
+    assert_eq!(record_version(&record), Some(if parent { 1 } else { 2 }));
     assert_eq!(record.len().div_ceil(512), 7);
-    let files = record
-        .chunks(512)
-        .map(|c| root.join("chunks").join(chunk_name(c)))
-        .collect();
+    let files = record_chunk_files(&root, &record);
+    assert!(files.iter().all(|f| f.exists()));
     (root, store, job, files)
 }
 
 #[test]
 fn a_flipped_byte_in_any_chunk_fails_the_digest() {
-    for (which, offset) in [
-        (0usize, 20usize),
-        (0, 511),
-        (3, 0),
-        (3, 300),
-        (6, 0),
-        (6, 100),
-    ] {
-        let (root, store, job, files) = chunked_checkpoint("flip");
-        let mut chunk = fs::read(&files[which]).unwrap();
-        chunk[offset] ^= 0x40;
-        fs::write(&files[which], chunk).unwrap();
-        for err in [
-            store.get_shard(0xC, 10, 0).unwrap_err(),
-            job.load_shard(10, 0).unwrap_err(),
+    for parent in [false, true] {
+        for (which, offset) in [
+            (0usize, 20usize),
+            (0, 511),
+            (3, 0),
+            (3, 300),
+            (6, 0),
+            (6, 100),
         ] {
-            assert!(
-                matches!(
-                    err,
-                    StoreError::Format(CheckpointError::ChecksumMismatch { .. })
-                ),
-                "chunk {which} byte {offset}: {err}"
-            );
+            let (root, store, job, files) = chunked_checkpoint("flip", parent);
+            let mut chunk = fs::read(&files[which]).unwrap();
+            chunk[offset] ^= 0x40;
+            fs::write(&files[which], chunk).unwrap();
+            for err in [
+                store.get_shard(0xC, 10, 0).unwrap_err(),
+                job.load_shard(10, 0).unwrap_err(),
+            ] {
+                assert!(
+                    matches!(
+                        err,
+                        StoreError::Format(CheckpointError::ChecksumMismatch { .. })
+                    ),
+                    "parent {parent} chunk {which} byte {offset}: {err}"
+                );
+            }
+            let _ = fs::remove_dir_all(&root);
         }
-        let _ = fs::remove_dir_all(&root);
     }
 }
 
 #[test]
 fn a_chunk_file_of_the_wrong_length_is_an_io_error() {
-    for (which, delta) in [(0usize, -1i64), (3, -1), (3, 1), (6, -1), (6, 8)] {
-        let (root, store, job, files) = chunked_checkpoint("resize");
-        let mut chunk = fs::read(&files[which]).unwrap();
-        chunk.resize((chunk.len() as i64 + delta) as usize, 0);
-        fs::write(&files[which], chunk).unwrap();
-        for err in [
-            store.get_shard(0xC, 10, 0).unwrap_err(),
-            job.load_shard(10, 0).unwrap_err(),
-        ] {
-            assert!(
-                matches!(err, StoreError::Io(_)),
-                "chunk {which} {delta:+}: {err}"
-            );
+    for parent in [false, true] {
+        for (which, delta) in [(0usize, -1i64), (3, -1), (3, 1), (6, -1), (6, 8)] {
+            let (root, store, job, files) = chunked_checkpoint("resize", parent);
+            let mut chunk = fs::read(&files[which]).unwrap();
+            chunk.resize((chunk.len() as i64 + delta) as usize, 0);
+            fs::write(&files[which], chunk).unwrap();
+            for err in [
+                store.get_shard(0xC, 10, 0).unwrap_err(),
+                job.load_shard(10, 0).unwrap_err(),
+            ] {
+                assert!(
+                    matches!(err, StoreError::Io(_)),
+                    "parent {parent} chunk {which} {delta:+}: {err}"
+                );
+            }
+            let _ = fs::remove_dir_all(&root);
         }
-        let _ = fs::remove_dir_all(&root);
     }
 }
 
-#[test]
-fn truncation_and_trailing_bytes_around_block_boundaries() {
-    // A record spanning several encoder blocks (4096 values each).
-    let mut rng = Rng(0xB0DA);
-    let field = HaloField::from_fn(10_000, 1, 1, 1, |_, _, _| rng.value());
-    let ckpt = ModelCheckpoint {
-        fields: vec![field],
-        ..sample(4, 0, 1, 5)
+/// Cut `record` at each of `marks` −1 / 0 / +1 and append bytes to it:
+/// decoding it and loading it from a checkpoint directory must fail
+/// alike, with the checksum first and the length once the trailer is
+/// recomputed over the extra bytes.
+fn truncations_and_trailing_bytes_fail(record: &[u8], marks: &[usize]) {
+    let (ckpt, order) = ModelCheckpoint::decode(record).unwrap();
+    let (step, rank) = (ckpt.step, ckpt.rank);
+    let u64_of = |b: &[u8]| {
+        let b = b.try_into().unwrap();
+        match order {
+            ByteOrder::Little => u64::from_le_bytes(b),
+            ByteOrder::Big => u64::from_be_bytes(b),
+        }
     };
-    let record = ckpt.encode(ByteOrder::Little);
     let dir = scratch("truncate-dir");
     let store = CheckpointStore::new(&dir);
-    store.write_shard(&ckpt).unwrap();
-    let path = dir.join("step_00000004/rank_0000.agck");
-    assert_eq!(fs::read(&path).unwrap(), record);
+    let path = dir.join(format!("step_{step:08}/rank_{rank:04}.agck"));
+    fs::create_dir_all(path.parent().unwrap()).unwrap();
 
-    // Cuts at the first value's block boundaries, the 64 KiB mark and
-    // the trailer, each −1 / 0 / +1.
-    let first_value = record.len() - 8 - 10_000 * 8;
-    let marks = [
-        first_value,
-        first_value + 4096 * 8,
-        64 * 1024,
-        record.len() - 8,
-    ];
-    for mark in marks {
+    for &mark in marks {
         for cut in [mark - 1, mark, mark + 1] {
             let decode = ModelCheckpoint::decode(&record[..cut]).unwrap_err();
             assert!(
@@ -564,42 +690,90 @@ fn truncation_and_trailing_bytes_around_block_boundaries() {
                 "cut {cut}: {decode}"
             );
             fs::write(&path, &record[..cut]).unwrap();
-            let load = store.load_shard(4, 0).unwrap_err();
+            let load = store.load_shard(step, rank).unwrap_err();
             assert_eq!(load, StoreError::Format(decode), "cut {cut}");
         }
     }
+    let n = record.len();
     assert_eq!(
-        ModelCheckpoint::decode(&record[..record.len() - 1]),
+        ModelCheckpoint::decode(&record[..n - 1]),
         Err(CheckpointError::ChecksumMismatch {
-            stored: u64::from_le_bytes(
-                record[record.len() - 9..record.len() - 1]
-                    .try_into()
-                    .unwrap()
-            ),
-            computed: fnv1a(&record[..record.len() - 9]),
+            stored: u64_of(&record[n - 9..n - 1]),
+            computed: record_digest(&record[..n - 9]),
         }),
         "stored and computed are those of the shortened record"
     );
 
     // Trailing bytes: a checksum failure as they stand, a length
     // mismatch once the trailer is recomputed over them.
-    let mut longer = record.clone();
+    let mut longer = record.to_vec();
     longer.extend_from_slice(&[0u8; 16]);
     assert!(matches!(
         ModelCheckpoint::decode(&longer),
         Err(CheckpointError::ChecksumMismatch { .. })
     ));
-    let n = longer.len();
-    let sum = fnv1a(&longer[..n - 8]);
-    longer[n - 8..].copy_from_slice(&sum.to_le_bytes());
+    let m = longer.len();
+    let sum = record_digest(&longer[..m - 8]);
+    longer[m - 8..].copy_from_slice(&match order {
+        ByteOrder::Little => sum.to_le_bytes(),
+        ByteOrder::Big => sum.to_be_bytes(),
+    });
     let expected = CheckpointError::LengthMismatch {
-        expected: record.len(),
-        found: n,
+        expected: n,
+        found: m,
     };
     assert_eq!(ModelCheckpoint::decode(&longer), Err(expected.clone()));
     fs::write(&path, &longer).unwrap();
-    assert_eq!(store.load_shard(4, 0), Err(StoreError::Format(expected)));
+    assert_eq!(
+        store.load_shard(step, rank),
+        Err(StoreError::Format(expected))
+    );
     let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn truncation_and_trailing_bytes_around_block_boundaries() {
+    // A record spanning several encoder blocks (4096 values each), as
+    // version 2 writes it and as version 1 did.
+    let mut rng = Rng(0xB0DA);
+    let field = HaloField::from_fn(10_000, 1, 1, 1, |_, _, _| rng.value());
+    let ckpt = ModelCheckpoint {
+        fields: vec![field],
+        ..sample(4, 0, 1, 5)
+    };
+    let record = ckpt.encode(ByteOrder::Little);
+    let dir = scratch("truncate-written");
+    CheckpointStore::new(&dir).write_shard(&ckpt).unwrap();
+    let written = fs::read(dir.join("step_00000004/rank_0000.agck")).unwrap();
+    assert_eq!(written, record);
+    let _ = fs::remove_dir_all(&dir);
+
+    // Cuts at the first value's block boundaries, the 64 KiB mark and
+    // the trailer.
+    let first_value = record.len() - 8 - 10_000 * 8;
+    let marks = [
+        first_value,
+        first_value + 4096 * 8,
+        64 * 1024,
+        record.len() - 8,
+    ];
+    truncations_and_trailing_bytes_fail(&record, &marks);
+    truncations_and_trailing_bytes_fail(&oracle_encode(&ckpt, ByteOrder::Little, 1), &marks);
+
+    // The version-1 files the parent wrote: each shard of the checkpoint
+    // directory, and the big-endian one. Cuts in the step, in the seed
+    // count, mid-record and at the trailer.
+    let shards = [
+        "ckpt_dir/step_00000005/rank_0000.agck",
+        "ckpt_dir/step_00000005/rank_0001.agck",
+        "shard_big_endian.agck",
+    ];
+    for shard in shards {
+        let record = fs::read(fixtures().join(shard)).unwrap();
+        assert_eq!(record_version(&record), Some(1), "{shard}");
+        let n = record.len();
+        truncations_and_trailing_bytes_fail(&record, &[24, 32, n / 2, n - 8]);
+    }
 }
 
 /// A paper-grid shard (six fields of 144×90×9, ≈ 5.6 MB) whose values

@@ -4,12 +4,14 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use ucla_agcm_repro::agcm::{run_model, run_model_resilient, AgcmConfig, ResilienceOpts};
 use ucla_agcm_repro::filtering::driver::FilterVariant;
 use ucla_agcm_repro::grid::latlon::GridSpec;
 use ucla_agcm_repro::mps::fault::FaultPlan;
 use ucla_agcm_repro::mps::runtime::FailureKind;
+use ucla_agcm_repro::resilience::{RecoveryError, RunProgress};
 
 fn scratch(tag: &str) -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -157,4 +159,49 @@ fn repeated_kills_exhaust_restarts() {
     let msg = err.to_string();
     assert!(msg.contains("gave up"), "unexpected error: {msg}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Counts the attempts a run makes.
+#[derive(Default)]
+struct Attempts(AtomicU64);
+
+impl RunProgress for Attempts {
+    fn on_attempt(&self, _attempt: usize, _resumed_from: Option<u64>) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+#[test]
+fn a_resume_from_a_foreign_checkpoint_is_a_typed_error() {
+    // The run's directory already holds a committed step 2 written by
+    // another grid on the same mesh (every shard loads, its fields have
+    // another shape) or by the same grid on another mesh (the shards
+    // name another world size).
+    let cfg = test_cfg();
+    let other_grid = AgcmConfig::for_grid(GridSpec::new(24, 12, 3), 2, 2, FilterVariant::LbFft);
+    let other_mesh = AgcmConfig::for_grid(GridSpec::new(48, 24, 3), 1, 2, FilterVariant::LbFft);
+    for (writer, why) in [
+        (
+            other_grid,
+            "a field of shape (12, 6, 3), the rank's subdomain is (24, 12, 3)",
+        ),
+        (other_mesh, "written by 2 ranks, resumed by 4"),
+    ] {
+        let dir = scratch("foreign");
+        let writer = writer.with_steps(2).with_checkpointing(2);
+        run_model_resilient(writer, ResilienceOpts::new(&dir)).unwrap();
+        let attempts = Arc::new(Attempts::default());
+        let opts = ResilienceOpts::new(&dir).with_progress(attempts.clone());
+        let err = run_model_resilient(cfg, opts).unwrap_err();
+        assert_eq!(
+            err,
+            RecoveryError::ForeignCheckpoint {
+                step: 2,
+                rank: 0,
+                reason: why.to_string()
+            }
+        );
+        assert_eq!(attempts.0.load(Ordering::SeqCst), 1, "never retried");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
