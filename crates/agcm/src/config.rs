@@ -71,8 +71,8 @@ pub struct AgcmConfig {
     /// Polar filter implementation.
     pub filter: FilterVariant,
     /// Variable organization of the FFT filter variants: aggregated
-    /// (production, one redistribute pass per filter class) or
-    /// per-variable (paper-faithful Tables 8–11 organization).
+    /// (production and Tables 8–11) or per-variable (the pre-§3.3
+    /// organization, kept for the message-count comparison).
     pub filter_organization: FilterOrganization,
     /// Whether the Physics component load-balances (scheme 3).
     pub balance_physics: bool,
@@ -125,8 +125,8 @@ impl AgcmConfig {
         self
     }
 
-    /// Builder-style: run the FFT filter one variable at a time, as the
-    /// original code was organized (for paper-faithful comparisons).
+    /// Builder-style: filter one variable at a time, the pre-§3.3
+    /// organization kept for the message-count comparison.
     pub fn with_per_variable_filtering(mut self) -> AgcmConfig {
         self.filter_organization = FilterOrganization::PerVariable;
         self

@@ -639,7 +639,7 @@ fn bench_kernels(smoke: bool) {
         physics_bytes_per_column(n_lev),
     );
     let divide_ns = divide_seconds(if smoke { 3 } else { 9 }) * 1e9;
-    let fd_target = agcm_kernels::dispatch::dispatch_target();
+    let fd_target = agcm_grid::dispatch::dispatch_target();
     let fd_bound_ns = FD_DIVIDES_PER_POINT as f64 * divide_ns;
     let fd_bound_fraction = fd_bound_ns / b.fd.ns_per_point(b.fd.kernel);
     println!(

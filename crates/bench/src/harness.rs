@@ -96,9 +96,9 @@ pub fn filter_trace(
 }
 
 /// [`filter_trace`] with an explicit variable organization — aggregated
-/// (production) or per-variable (the paper's original one-variable-at-a-
-/// time organization, for Tables 8–11 fidelity and the message-count
-/// regression benchmark).
+/// (production, and what Tables 8–11 run) or per-variable (the pre-§3.3
+/// one-variable-at-a-time organization, kept for the message-count
+/// comparison).
 pub fn filter_trace_organized(
     grid: GridSpec,
     mesh: (usize, usize),

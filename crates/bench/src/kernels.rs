@@ -301,8 +301,9 @@ pub fn physics_divides_per_column(n_lev: usize) -> usize {
 
 /// Seconds per f64 divide at this machine's divider throughput: an
 /// L1-resident stream of independent quotients, the same `slice / scalar`
-/// shape (and so the same vector width) as the kernel's pair loop.
-/// `divides × this` is the kernel's lower bound per column.
+/// shape as the kernel's pair loop, compiled portable: on the AVX-512F
+/// host of `BENCH_kernels.json` its AVX2 and AVX-512F compilations took
+/// the same 0.67 ns per divide. `divides × this` bounds a kernel.
 pub fn divide_seconds(reps: usize) -> f64 {
     const N: usize = 1024;
     const SWEEPS: usize = 64;

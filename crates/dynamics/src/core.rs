@@ -79,8 +79,8 @@ pub struct DynamicsConfig {
     /// Polar filter variant, or `None` to run unfiltered (unstable unless
     /// `dt` respects the polar CFL limit).
     pub filter: Option<FilterVariant>,
-    /// Variable organization of the FFT filter variants (aggregated by
-    /// default; per-variable for paper-faithful comparison runs).
+    /// Variable organization of the FFT filter variants (aggregated; the
+    /// pre-§3.3 per-variable one is kept for the message-count comparison).
     pub filter_organization: FilterOrganization,
 }
 

@@ -19,8 +19,8 @@ pub enum FilterOrganization {
     /// variables are filtered concurrently…").
     #[default]
     Aggregated,
-    /// One redistribute pass per variable, as the original code was
-    /// organized — kept for paper-faithful Tables 8–11 comparison runs.
+    /// One pass per variable: the pre-§3.3 organization, kept for the
+    /// message-count comparison (Tables 8–11 run aggregated).
     PerVariable,
 }
 

@@ -52,8 +52,8 @@
 //! *every* variable of a filter class, so a filtered step costs at most one
 //! forward and one backward message per communicating rank pair per class —
 //! the aggregation the paper's §3.3 reorganization allows. `Some(var)`
-//! reproduces the original one-variable-at-a-time organization for the
-//! paper-faithful runs.
+//! runs the pre-§3.3 one-variable-at-a-time organization, kept for the
+//! message-count comparison; Tables 8–11 run aggregated.
 
 use crate::driver::FilterOrganization;
 use crate::filterfn::FilterKind;
@@ -320,7 +320,7 @@ impl ChunkEnds<'_> {
 
 /// Apply both filter classes through the engine under `assignment`: one
 /// aggregated pass per class moving every variable (the production
-/// organization), or one pass per variable (paper-faithful).
+/// organization and Tables 8–11), or one pass per variable (pre-§3.3).
 pub fn apply(
     setup: &FilterSetup,
     cart: &CartComm,

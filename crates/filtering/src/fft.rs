@@ -10,9 +10,9 @@
 //! variant removes.
 //!
 //! By default all variables of a filter class move in one aggregated pass
-//! (the organization §3.3 allows); `FilterOrganization::PerVariable`
-//! restores the original one-variable-at-a-time processing for
-//! paper-faithful Tables 8–11 runs.
+//! (the organization §3.3 allows, and the one Tables 8–11 run);
+//! `FilterOrganization::PerVariable` is the pre-§3.3 one-variable-at-a-
+//! time processing, kept for the message-count comparison.
 
 use crate::driver::FilterOrganization;
 use crate::engine::{self, Assignment, FilterScratch};

@@ -2,7 +2,7 @@
 //! redistribute engine:
 //!
 //! * aggregated (all variables of a class in one pass — production) and
-//!   per-variable (paper-faithful) organizations produce the same fields;
+//!   per-variable (the pre-§3.3 organization) produce the same fields;
 //! * one aggregated filtered step sends at most one forward + one backward
 //!   message per communicating rank pair **per filter class** (asserted
 //!   from `WorldTrace` send counts against a no-filter baseline);

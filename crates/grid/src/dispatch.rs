@@ -1,4 +1,5 @@
-//! Runtime SIMD dispatch, written once.
+//! Runtime SIMD dispatch, written once: in the grid crate, which the
+//! dynamics kernels and the column physics both build on.
 
 /// The dispatch target every `dispatched!` kernel uses on this CPU.
 pub fn dispatch_target() -> &'static str {
@@ -19,28 +20,28 @@ pub fn dispatch_target() -> &'static str {
 /// `$avx2` / `$avx512` are `#[target_feature]` wrappers around it — so
 /// each gets its own vectorized compilation of the same code, and the
 /// only `unsafe` is entering them — and `$name` dispatches at runtime to
-/// the widest one the CPU supports.
+/// the widest one the CPU supports, returning the body's value if it
+/// declares one.
+#[macro_export]
 macro_rules! dispatched {
     (
         $(#[$doc:meta])*
         $vis:vis fn $name:ident / $body:ident / $avx2:ident / $avx512:ident
-        ($($arg:ident: $ty:ty),* $(,)?) $block:block
+        ($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? $block:block
     ) => {
         $(#[$doc])*
         #[allow(clippy::too_many_arguments)] // whatever the operator takes
-        $vis fn $name($($arg: $ty),*) {
+        $vis fn $name($($arg: $ty),*) $(-> $ret)? {
             #[cfg(target_arch = "x86_64")]
             {
                 if is_x86_feature_detected!("avx512f") {
                     // SAFETY: same safe body, compiled with AVX-512F
                     // enabled; gated on runtime detection above.
-                    unsafe { $avx512($($arg),*) };
-                    return;
+                    return unsafe { $avx512($($arg),*) };
                 }
                 if is_x86_feature_detected!("avx2") {
                     // SAFETY: as above, for AVX2.
-                    unsafe { $avx2($($arg),*) };
-                    return;
+                    return unsafe { $avx2($($arg),*) };
                 }
             }
             $body($($arg),*)
@@ -48,19 +49,19 @@ macro_rules! dispatched {
 
         #[inline(always)]
         #[allow(clippy::too_many_arguments)]
-        fn $body($($arg: $ty),*) $block
+        fn $body($($arg: $ty),*) $(-> $ret)? $block
 
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx2")]
         #[allow(clippy::too_many_arguments)]
-        unsafe fn $avx2($($arg: $ty),*) {
+        unsafe fn $avx2($($arg: $ty),*) $(-> $ret)? {
             $body($($arg),*)
         }
 
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx512f")]
         #[allow(clippy::too_many_arguments)]
-        unsafe fn $avx512($($arg: $ty),*) {
+        unsafe fn $avx512($($arg: $ty),*) $(-> $ret)? {
             $body($($arg),*)
         }
     };

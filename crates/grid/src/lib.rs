@@ -23,12 +23,16 @@
 //!   half-latitude cos, reciprocal spacings): the paper's §3.4
 //!   redundant-computation elimination, shared by the `agcm-kernels`
 //!   flat kernels;
+//! * [`dispatch`] — the one runtime SIMD dispatch (portable / AVX2 /
+//!   AVX-512F compilations of a safe body) of the dynamics kernels and
+//!   the column physics;
 //! * [`history`] — binary history records with explicit byte-order
 //!   conversion (the paper had to write a byte-order reversal routine to
 //!   read NetCDF history data on the Paragon).
 
 pub mod arakawa;
 pub mod decomp;
+pub mod dispatch;
 pub mod field;
 pub mod halo;
 pub mod history;

@@ -13,6 +13,7 @@
 
 use crate::tendency::check_shapes;
 use crate::view::{HaloView, Star};
+use agcm_grid::dispatched;
 use agcm_grid::halo::HaloField;
 use agcm_grid::latlon::EARTH_RADIUS_M;
 use agcm_grid::metrics::MetricTables;
@@ -255,6 +256,37 @@ mod tests {
             &mut out,
         );
         assert!(out.iter().all(|&x| x == 0.0));
+    }
+
+    #[test]
+    fn every_dispatch_target_agrees_bitwise() {
+        // The private wrappers, against the portable compilation, on
+        // ragged rows and the paper grid; winds of both signs.
+        type Upwind = unsafe fn(&HaloView, &HaloView, &HaloView, &MetricTables, &mut [f64]);
+        for (ni, nj, nk) in [(37, 5, 2), (50, 4, 3), (144, 90, 9)] {
+            let grid = GridSpec::new(ni, nj, nk);
+            let t = MetricTables::new(&grid, 0, nj);
+            let [q, u, v] = [1, 2, 3].map(|s| halo(ni, nj, nk, s));
+            let run = |f: Upwind| {
+                let mut out = vec![f64::NAN; ni * nj * nk];
+                let views = [&q, &u, &v].map(HaloView::of);
+                // SAFETY: a target-feature wrapper is passed only after
+                // detecting that feature; the others are safe functions.
+                unsafe { f(&views[0], &views[1], &views[2], &t, &mut out) };
+                out.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+            };
+            let portable = run(upwind_body);
+            assert_eq!(portable, run(upwind_into), "{ni}x{nj}x{nk}: dispatched");
+            #[cfg(target_arch = "x86_64")]
+            {
+                if is_x86_feature_detected!("avx2") {
+                    assert_eq!(portable, run(upwind_avx2), "{ni}x{nj}x{nk}: avx2");
+                }
+                if is_x86_feature_detected!("avx512f") {
+                    assert_eq!(portable, run(upwind_avx512), "{ni}x{nj}x{nk}: avx512f");
+                }
+            }
+        }
     }
 
     #[test]

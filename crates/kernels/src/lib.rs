@@ -21,9 +21,9 @@
 //! * [`sweeps`] — the production path: the timestep's finite-difference
 //!   phase as three row-fused sweeps (continuity, momentum, tracers) built
 //!   from those primitives, tendencies in L1-sized row buffers;
-//! * [`dispatch`] — the one runtime SIMD dispatch (portable / AVX2 /
-//!   AVX-512F compilations of a safe body) the sweeps, the flat upwind
-//!   kernel and the stencil go through;
+//! * [`agcm_grid::dispatch`] — the one runtime SIMD dispatch (portable /
+//!   AVX2 / AVX-512F compilations of a safe body) the sweeps, the flat
+//!   upwind kernel and the stencil go through, as the column physics does;
 //! * [`stencil`] — the 7-point Laplace stencil of the §3.4 cache
 //!   experiment, separate vs block layout, over flat slices;
 //! * [`pointwise`] — the pointwise vector-multiply primitive (Eq. 4);
@@ -55,9 +55,6 @@
 //! The equivalence tests in `tests/` (and the root `tests/fd_sweeps.rs`)
 //! enforce exact `f64` equality across mesh shapes, pole rows, row widths
 //! with vector tails, both layouts and every dispatch target the CPU has.
-
-#[macro_use]
-pub mod dispatch;
 
 pub mod advect;
 pub mod pointwise;

@@ -11,6 +11,8 @@
 //! lanes, identical per-point arithmetic order. Interior points only; the
 //! boundary ring of `out` is zeroed.
 
+use agcm_grid::dispatched;
+
 /// Sum of 7-point Laplacians over fields stored separately, accumulated
 /// field-by-field into `out` (the reference's order).
 ///
@@ -157,6 +159,47 @@ mod tests {
         laplace_separate_into(&refs, shape, &mut sep);
         laplace_block_into(&block, 4, shape, &mut blk);
         assert_eq!(sep, blk, "layouts must agree bit-for-bit");
+    }
+
+    #[test]
+    fn every_dispatch_target_agrees_bitwise() {
+        // Both layouts' private wrappers against their portable
+        // compilations, on ragged rows and the paper grid.
+        type Separate = unsafe fn(&[&[f64]], (usize, usize, usize), &mut [f64]);
+        type Block = unsafe fn(&[f64], usize, (usize, usize, usize), &mut [f64]);
+        for shape in [(37, 5, 3), (50, 4, 3), (144, 90, 9)] {
+            let n = shape.0 * shape.1 * shape.2;
+            let fields: Vec<Vec<f64>> = (0..3).map(|s| field(shape, s)).collect();
+            let refs: Vec<&[f64]> = fields.iter().map(|f| f.as_slice()).collect();
+            let block: Vec<f64> = (0..3 * n).map(|p| fields[p % 3][p / 3]).collect();
+            let separate = |f: Separate| {
+                let mut out = vec![0.0; n];
+                // SAFETY: a target-feature wrapper is passed only after
+                // detecting that feature; the others are safe functions.
+                unsafe { f(&refs, shape, &mut out) };
+                out.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+            };
+            let blocked = |f: Block| {
+                let mut out = vec![0.0; n];
+                // SAFETY: as above.
+                unsafe { f(&block, 3, shape, &mut out) };
+                out.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+            };
+            let (sep, blk) = (separate(separate_rows_body), blocked(block_rows_body));
+            assert_eq!(sep, separate(separate_rows), "{shape:?}: dispatched");
+            assert_eq!(blk, blocked(block_rows), "{shape:?}: dispatched");
+            #[cfg(target_arch = "x86_64")]
+            {
+                if is_x86_feature_detected!("avx2") {
+                    assert_eq!(sep, separate(separate_rows_avx2), "{shape:?}: avx2");
+                    assert_eq!(blk, blocked(block_rows_avx2), "{shape:?}: avx2");
+                }
+                if is_x86_feature_detected!("avx512f") {
+                    assert_eq!(sep, separate(separate_rows_avx512), "{shape:?}: avx512f");
+                    assert_eq!(blk, blocked(block_rows_avx512), "{shape:?}: avx512f");
+                }
+            }
+        }
     }
 
     #[test]

@@ -26,6 +26,7 @@
 use crate::advect::upwind_row;
 use crate::tendency::{advance_row, flux_divergence_row, grad_x_row, grad_y_row, momentum_row};
 use crate::view::HaloView;
+use agcm_grid::dispatched;
 use agcm_grid::halo::HaloField;
 use agcm_grid::metrics::MetricTables;
 
@@ -267,8 +268,16 @@ mod tests {
         // compared here: whatever the CPU supports must reproduce the
         // portable compilation to the last bit, vector tails included —
         // and no compilation may read what the new-state buffers held.
+        // Ragged widths, rows of 37 and 50, and the paper grid's 144×90×9.
         let bodies: (Continuity, Momentum, Tracer) = (continuity_body, momentum_body, tracer_body);
-        for shape in [(5, 3, 1), (19, 5, 3), (37, 4, 2), (50, 3, 1), (144, 2, 2)] {
+        for shape in [
+            (5, 3, 1),
+            (19, 5, 3),
+            (37, 4, 2),
+            (50, 3, 1),
+            (144, 2, 2),
+            (144, 90, 9),
+        ] {
             let portable = run_with(bodies, shape, Some(100));
             assert_eq!(
                 portable,

@@ -13,6 +13,7 @@
 
 /// Deterministic unit-interval noise from an integer lattice point and a
 /// time bucket (SplitMix64 avalanche).
+#[inline]
 pub fn lattice_noise(i: i64, j: i64, bucket: i64) -> f64 {
     let mut z = (i as u64)
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)

@@ -35,6 +35,7 @@ pub const ADJ_FLOPS_PER_PAIR: f64 = 250.0;
 
 /// Number of moist-adjustment iterations a column with instability `cape`
 /// performs (0 for stable columns, up to 8 for violent convection).
+#[inline]
 pub fn adjustment_iterations(cape: f64) -> usize {
     if cape <= TRIGGER_THRESHOLD {
         0

@@ -13,6 +13,18 @@
 //! tabulated, and the per-column lookup recombines them in the scalar
 //! code's evaluation order.
 //!
+//! Two terms are per column: the cloud noise `0.3·noise(⌊20λ⌋, ⌊20φ⌋,
+//! hour)` and the convective trigger `noise(⌊40λ⌋, ⌊40φ⌋, half hour)`, a
+//! 64-bit hash each. They change only with the simulated hour or half hour
+//! (every ≈ 17 or ≈ 8 steps at the paper grid's 215.5 s), so each is a
+//! table over the columns of the subdomain the kernel runs rows of, filled
+//! on the first read after its bucket or subdomain changed — never at
+//! construction — forward or back in time. An entry is the hash's complete
+//! sub-expression, so a lookup is bit-identical to hashing.
+//! [`Forcing::row`] hands the kernel a row's inputs as separate slices,
+//! so its fill is a flat loop with no hash; the balancer's foreign
+//! columns, scattered over the grid, still hash in [`Forcing::column`].
+//!
 //! [`clouds`]: crate::clouds
 //! [`convection`]: crate::convection
 //! [`radiation`]: crate::radiation
@@ -21,8 +33,10 @@ use crate::clouds::lattice_noise;
 use crate::convection::{adjustment_iterations, ADJ_FLOPS_PER_PAIR};
 use crate::radiation::{DAY_SECONDS, LW_FLOPS_PER_PAIR, SW_FLOPS_PER_LEVEL};
 use crate::step::PhysicsConfig;
+use agcm_grid::decomp::Subdomain;
 use agcm_grid::latlon::GridSpec;
 use std::f64::consts::PI;
+use std::ops::Range;
 
 /// The latitude-only factors of one grid row.
 #[derive(Debug, Clone, Copy)]
@@ -40,17 +54,69 @@ struct LatFactors {
     n40: i64,
 }
 
-/// The factors of one grid meridian; `wave` and `cos_hour` follow the time.
+impl LatFactors {
+    /// A column's cloud fraction and adjustment iterations.
+    #[inline(always)]
+    fn cloud_and_iters(&self, wave: f64, noise: f64, trigger: f64) -> (f64, usize) {
+        let storm_tracks = self.storm * wave;
+        let cloud = (self.cloud_base + storm_tracks + noise).clamp(0.0, 1.0);
+        let moisture = 0.8 * cloud;
+        let cape = self.cape_base * moisture * (0.4 + 1.2 * trigger);
+        (cloud, adjustment_iterations(cape))
+    }
+}
+
+/// The fixed factors of one grid meridian.
 #[derive(Debug, Clone, Copy)]
 struct LonFactors {
     lon: f64,
     /// `⌊20λ⌋`, `⌊40λ⌋`.
     n20: i64,
     n40: i64,
-    /// `0.5 + 0.5·sin(3λ − drift(t))` (storm-track phase).
-    wave: f64,
-    /// `cos(λ − 2π·t/day)` (cosine of the hour angle).
-    cos_hour: f64,
+}
+
+/// One noise term of every column of a subdomain (row-major, local
+/// indices) in one time bucket; `key` is that bucket and subdomain.
+#[derive(Debug, Clone, Default)]
+struct BucketTable {
+    key: Option<(i64, Subdomain)>,
+    values: Vec<f64>,
+}
+
+impl BucketTable {
+    /// The values of `sub` at `bucket`, refilled from `f(i, j)` (global
+    /// indices) if the table holds another key.
+    fn at(&mut self, bucket: i64, sub: &Subdomain, f: impl Fn(usize, usize) -> f64) -> &[f64] {
+        if self.key != Some((bucket, *sub)) {
+            self.values.clear();
+            let cols = sub.lats().flat_map(|j| sub.lons().map(move |i| (i, j)));
+            self.values.extend(cols.map(|(i, j)| f(i, j)));
+            self.key = Some((bucket, *sub));
+        }
+        &self.values
+    }
+}
+
+/// One row segment's forcing inputs as separate slices of the tables.
+pub(crate) struct RowForcing<'a> {
+    lat: LatFactors,
+    wave: &'a [f64],
+    cos_hour: &'a [f64],
+    noise: &'a [f64],
+    trigger: &'a [f64],
+}
+
+impl RowForcing<'_> {
+    /// Each column's cloud fraction, solar zenith cosine and adjustment
+    /// iterations, bit for bit as [`Forcing::column`] computes them.
+    #[inline(always)]
+    pub(crate) fn fill(&self, cloud: &mut [f64], cos_zenith: &mut [f64], iters: &mut [usize]) {
+        let la = &self.lat;
+        for c in 0..self.wave.len() {
+            (cloud[c], iters[c]) = la.cloud_and_iters(self.wave[c], self.noise[c], self.trigger[c]);
+            cos_zenith[c] = la.cos * self.cos_hour[c];
+        }
+    }
 }
 
 /// What drives one column's physics at the table's time.
@@ -81,9 +147,15 @@ pub struct ColumnCost {
 pub struct Forcing {
     lats: Vec<LatFactors>,
     lons: Vec<LonFactors>,
+    /// Per meridian: `0.5 + 0.5·sin(3λ − drift(t))`, `cos(λ − 2π·t/day)`.
+    wave: Vec<f64>,
+    cos_hour: Vec<f64>,
     /// Noise refresh buckets: simulated hour (cloud), half hour (trigger).
     hour_bucket: i64,
     half_hour_bucket: i64,
+    /// The cloud noise and the convective trigger (module docs).
+    cloud_noise: BucketTable,
+    trigger: BucketTable,
     /// Flops of a night column without convection, of the shortwave
     /// sweep, and of one adjustment iteration.
     night_flops: f64,
@@ -115,8 +187,6 @@ impl Forcing {
                     lon,
                     n20: (lon * 20.0).floor() as i64,
                     n40: (lon * 40.0).floor() as i64,
-                    wave: 0.0,
-                    cos_hour: 0.0,
                 }
             })
             .collect();
@@ -124,8 +194,12 @@ impl Forcing {
         let mut forcing = Forcing {
             lats,
             lons,
+            wave: vec![0.0; grid.n_lon],
+            cos_hour: vec![0.0; grid.n_lon],
             hour_bucket: 0,
             half_hour_bucket: 0,
+            cloud_noise: BucketTable::default(),
+            trigger: BucketTable::default(),
             night_flops: cfg.base_flops + LW_FLOPS_PER_PAIR * (k * k) as f64,
             sw_flops: SW_FLOPS_PER_LEVEL * k as f64,
             iter_flops: ADJ_FLOPS_PER_PAIR * k.saturating_sub(1) as f64,
@@ -138,9 +212,9 @@ impl Forcing {
     pub fn set_time(&mut self, t: f64) {
         let drift = 2.0 * PI * t / (10.0 * 86_400.0);
         let sun = 2.0 * PI * (t / DAY_SECONDS);
-        for l in &mut self.lons {
-            l.wave = 0.5 + 0.5 * (3.0 * l.lon - drift).sin();
-            l.cos_hour = (l.lon - sun).cos();
+        for ((l, wave), cos_hour) in self.lons.iter().zip(&mut self.wave).zip(&mut self.cos_hour) {
+            *wave = 0.5 + 0.5 * (3.0 * l.lon - drift).sin();
+            *cos_hour = (l.lon - sun).cos();
         }
         self.hour_bucket = (t / 3600.0).floor() as i64;
         self.half_hour_bucket = (t / 1800.0).floor() as i64;
@@ -150,38 +224,57 @@ impl Forcing {
     #[inline]
     pub(crate) fn column(&self, i: usize, j: usize) -> ColumnForcing {
         let (la, lo) = (&self.lats[j], &self.lons[i]);
-        let storm_tracks = la.storm * lo.wave;
         let noise = 0.3 * lattice_noise(lo.n20, la.n20, self.hour_bucket);
-        let cloud = (la.cloud_base + storm_tracks + noise).clamp(0.0, 1.0);
-        let moisture = 0.8 * cloud;
         let trigger = lattice_noise(lo.n40, la.n40, self.half_hour_bucket);
-        let cape = la.cape_base * moisture * (0.4 + 1.2 * trigger);
+        let (cloud, convection_iters) = la.cloud_and_iters(self.wave[i], noise, trigger);
         ColumnForcing {
             cloud,
-            cos_zenith: la.cos * lo.cos_hour,
-            convection_iters: adjustment_iterations(cape),
+            cos_zenith: la.cos * self.cos_hour[i],
+            convection_iters,
         }
     }
 
-    /// Flops the physics performs on a column with forcing `f`. Every
-    /// term is a whole number, so sums of charges are exact in any order.
-    #[inline]
-    pub(crate) fn flops(&self, f: &ColumnForcing) -> f64 {
-        let mut flops = self.night_flops;
-        if f.cos_zenith > 0.0 {
-            flops += self.sw_flops;
+    /// The forcing inputs of columns `i` of local row `j` of `sub`, the
+    /// bucket tables refilled first if their bucket or subdomain changed.
+    pub(crate) fn row(&mut self, sub: &Subdomain, j: usize, i: Range<usize>) -> RowForcing<'_> {
+        let (lats, lons) = (&self.lats, &self.lons);
+        let (hour, half_hour) = (self.hour_bucket, self.half_hour_bucket);
+        let noise = self.cloud_noise.at(hour, sub, |i, j| {
+            0.3 * lattice_noise(lons[i].n20, lats[j].n20, hour)
+        });
+        let trigger = self.trigger.at(half_hour, sub, |i, j| {
+            lattice_noise(lons[i].n40, lats[j].n40, half_hour)
+        });
+        let local = j * sub.ni + i.start..j * sub.ni + i.end;
+        let global = sub.i0 + i.start..sub.i0 + i.end;
+        RowForcing {
+            lat: lats[sub.j0 + j],
+            wave: &self.wave[global.clone()],
+            cos_hour: &self.cos_hour[global],
+            noise: &noise[local.clone()],
+            trigger: &trigger[local],
         }
-        flops + self.iter_flops * f.convection_iters as f64
+    }
+
+    /// Flops the physics performs on `columns` columns, `sunlit` of them
+    /// sunlit, running `iterations` adjustment iterations in all. Every
+    /// charge is a whole number, so this is exactly the sum of the
+    /// columns' own charges, in any order.
+    pub(crate) fn flops(&self, columns: usize, sunlit: usize, iterations: usize) -> f64 {
+        self.night_flops * columns as f64
+            + self.sw_flops * sunlit as f64
+            + self.iter_flops * iterations as f64
     }
 
     /// Predict the cost of the column at global `(i, j)` without doing the
     /// work — what the balancer selects delegated columns by.
     pub fn cost(&self, i: usize, j: usize) -> ColumnCost {
         let f = self.column(i, j);
+        let day = f.cos_zenith > 0.0;
         ColumnCost {
-            day: f.cos_zenith > 0.0,
+            day,
             convection_iters: f.convection_iters,
-            flops: self.flops(&f),
+            flops: self.flops(1, usize::from(day), f.convection_iters),
         }
     }
 }
