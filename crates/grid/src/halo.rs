@@ -24,6 +24,7 @@
 //! column, so the same length), which the field keeps between exchanges —
 //! a warmed exchange allocates nothing.
 
+use crate::recycle;
 use agcm_mps::comm::Comm;
 use agcm_mps::message::Payload;
 use agcm_mps::topology::CartComm;
@@ -49,7 +50,7 @@ const SOUTH: usize = 3;
 /// Everything but the stencil kernels reaches the interior through the
 /// row, column and level accessors, so only this type and
 /// `agcm-kernels`' flat view know where the ghosts sit in memory.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct HaloField {
     ni: usize,
     nj: usize,
@@ -60,6 +61,23 @@ pub struct HaloField {
     /// Message buffers at rest, by neighbour: `spare[d]` is what neighbour
     /// `d` sent last and what the next strip for `d` is packed into.
     spare: [Vec<f64>; 4],
+}
+
+pub use crate::recycle::{storage_stats, StorageStats};
+
+impl Clone for HaloField {
+    fn clone(&self) -> HaloField {
+        let mut out = HaloField::zeros(self.ni, self.nj, self.nk, self.h);
+        out.data.copy_from_slice(&self.data);
+        out.spare = self.spare.clone();
+        out
+    }
+}
+
+impl Drop for HaloField {
+    fn drop(&mut self) {
+        recycle::global().give_back(std::mem::take(&mut self.data));
+    }
 }
 
 impl PartialEq for HaloField {
@@ -83,7 +101,7 @@ impl HaloField {
             nj,
             nk,
             h,
-            data: vec![0.0; padded],
+            data: recycle::global().zeros(padded),
             spare: Default::default(),
         }
     }

@@ -17,8 +17,9 @@
 //! * [`decomp`] — the 2-D horizontal domain decomposition over an M×N
 //!   processor mesh;
 //! * [`halo`] — the ghost-framed field the model state is stored in
-//!   ([`halo::HaloField`]) and the ghost-point exchange between
-//!   neighbouring subdomains (periodic in longitude, bounded at the poles);
+//!   ([`halo::HaloField`], its storage recycled from one field to the
+//!   next) and the ghost-point exchange between neighbouring subdomains
+//!   (periodic in longitude, bounded at the poles);
 //! * [`metrics`] — precomputed per-latitude metric tables (cos φ,
 //!   half-latitude cos, reciprocal spacings): the paper's §3.4
 //!   redundant-computation elimination, shared by the `agcm-kernels`
@@ -38,6 +39,7 @@ pub mod halo;
 pub mod history;
 pub mod latlon;
 pub mod metrics;
+mod recycle;
 
 pub use decomp::{Decomp, Subdomain};
 pub use field::{BlockField, Field3D};

@@ -22,6 +22,7 @@ use agcm_ckptstore::Store;
 use agcm_ensemble::{
     Ensemble, EnsembleConfig, JobId, JobObserver, JobRecord, JobView, SubmitError,
 };
+use agcm_grid::halo::storage_stats;
 use agcm_telemetry::json::{ParseErrorKind, ParseLimits, Value};
 use agcm_telemetry::{prom, LiveCollector, MetricsRegistry, TraceContext};
 use std::collections::HashMap;
@@ -735,6 +736,18 @@ fn store_to_json(s: &agcm_ckptstore::StoreStats) -> Value {
     ])
 }
 
+/// The field-storage recycle list's counters: retained memory beside the RSS.
+fn field_counters() -> [(&'static str, f64); 5] {
+    let s = storage_stats();
+    [
+        ("hits", s.hits as f64),
+        ("misses", s.misses as f64),
+        ("evictions", s.evictions as f64),
+        ("retained_bytes", s.retained_bytes as f64),
+        ("high_water_bytes", s.high_water_bytes as f64),
+    ]
+}
+
 fn metrics(state: &ServerState) -> Response {
     let guard = state.ensemble.read().unwrap();
     let Some(ensemble) = guard.as_ref() else {
@@ -745,6 +758,10 @@ fn metrics(state: &ServerState) -> Response {
         ("server", state.metrics.snapshot().to_json()),
         ("live", state.collector.rollup()),
         ("store", store_to_json(&state.store.stats())),
+        (
+            "fields",
+            Value::obj(field_counters().map(|(k, v)| (k, Value::Num(v))).into()),
+        ),
     ];
     if let Some(policy) = &state.cfg.slo {
         fields.push((
@@ -768,7 +785,7 @@ fn prom_metrics(state: &ServerState) -> Response {
     };
     let fleet = ensemble.fleet();
     let store = state.store.stats();
-    let extras = vec![
+    let mut extras = vec![
         (
             "server.uptime_seconds".to_string(),
             state.started.elapsed().as_secs_f64(),
@@ -816,6 +833,7 @@ fn prom_metrics(state: &ServerState) -> Response {
             store.bytes_reclaimed as f64,
         ),
     ];
+    extras.extend(field_counters().map(|(k, v)| (format!("fields.{k}"), v)));
     Response::prometheus(prom::render(&state.metrics.snapshot(), &extras))
 }
 

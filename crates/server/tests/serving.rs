@@ -104,6 +104,14 @@ fn submit_poll_and_fetch_result() {
         puts > 0.0 && files >= puts,
         "{files} chunk files for {puts} puts"
     );
+    // The field-storage recycle list reports beside them (this job's
+    // fields are too small to pass through it), within its bound.
+    let fields = m.get("fields").unwrap();
+    let count = |k: &str| fields.get(k).and_then(Value::as_f64).unwrap();
+    for k in ["hits", "misses", "evictions"] {
+        assert!(count(k) >= 0.0, "{k}");
+    }
+    assert!(count("retained_bytes") <= count("high_water_bytes"));
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
@@ -597,6 +605,7 @@ fn trace_links_submit_journal_attempts_and_phases() {
     let stats = agcm_telemetry::prom::validate(&prom.body).expect("exposition parses");
     assert!(stats.counters >= 1 && stats.gauges >= 1 && stats.histograms >= 1);
     assert!(prom.body.contains("store_chunk_files_written"));
+    assert!(prom.body.contains("fields_retained_bytes"));
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
