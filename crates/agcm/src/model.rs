@@ -8,9 +8,10 @@
 
 use crate::config::{AgcmConfig, ConfigError};
 use agcm_dynamics::core::{Dynamics, DynamicsConfig};
-use agcm_dynamics::state::ModelState;
+use agcm_dynamics::state::{ModelState, OutcomeFold};
 use agcm_grid::arakawa::Variable;
 use agcm_grid::decomp::{Decomp, Subdomain};
+use agcm_grid::halo::HaloField;
 use agcm_mps::fault::FaultPlan;
 use agcm_mps::runtime::run_traced;
 use agcm_mps::topology::CartComm;
@@ -20,7 +21,7 @@ use agcm_physics::balance::exec::run_balanced;
 use agcm_physics::balance::scheme3::PairwiseExchange;
 use agcm_physics::load::LoadTracker;
 use agcm_physics::step::PhysicsStep;
-use agcm_resilience::checkpoint::ModelCheckpoint;
+use agcm_resilience::checkpoint::{ModelCheckpoint, RowSink};
 use agcm_resilience::coordinator::{write_coordinated, CheckpointStore, StoreError};
 use agcm_resilience::metrics::ResilienceMetrics;
 use agcm_resilience::recovery::{
@@ -304,6 +305,12 @@ pub struct ResilientRun {
 /// [`RecoveryError::ForeignCheckpoint`] before any state is built from
 /// it, and a shard the store cannot load or write with
 /// [`RecoveryError::Store`]; neither is retried.
+///
+/// A run resumed at its own horizon (a resubmission) builds neither
+/// state nor step machinery: `CheckpointStore::fold_shard` streams its
+/// shard once, with every check a decode makes, into the `OutcomeFold`
+/// that `ModelState::max_wind` and `has_blown_up` run, so its outcome is
+/// a decoded state's to the bit.
 pub fn run_model_resilient(
     cfg: AgcmConfig,
     opts: ResilienceOpts,
@@ -333,16 +340,36 @@ pub fn run_model_resilient(
             let sub = decomp.subdomain_of_rank(comm.rank());
             let (start, mut state, mut tracker, mut physics_loads) = match resume {
                 Some(step) => {
+                    let horizon = step >= cfg.steps as u64;
+                    let mut rows = OutcomeRows::default();
+                    let read = if horizon {
+                        store.fold_shard(step, rank, &mut rows)
+                    } else {
+                        store.load_shard(step, rank)
+                    };
                     let foreign = |reason| RecoveryError::ForeignCheckpoint { step, rank, reason };
-                    let ckpt = match store.load_shard(step, rank) {
+                    let ckpt = match read {
                         Err(StoreError::ShardMismatch { found, .. }) => {
                             let (step, rank) = found;
                             return Err(foreign(format!("it holds step {step} of rank {rank}")));
                         }
                         loaded => loaded.map_err(RecoveryError::Store)?,
                     };
-                    if let Some(reason) = misfit(&ckpt, comm.size(), sub, cfg.grid.n_lev) {
-                        return Err(foreign(reason));
+                    // A fold saw the shapes go by; a decode has the fields.
+                    rows.shapes.extend(ckpt.fields.iter().map(HaloField::shape));
+                    let want = (sub.ni, sub.nj, cfg.grid.n_lev);
+                    let n_scalars = ckpt.scalars.len();
+                    if let Some(why) =
+                        misfit(ckpt.world, &rows.shapes, n_scalars, comm.size(), want)
+                    {
+                        return Err(foreign(why));
+                    }
+                    if horizon {
+                        return Ok(RankOutcome {
+                            physics_loads: ckpt.series,
+                            stable: rows.fold.stable(),
+                            max_wind: rows.fold.max_wind(),
+                        });
                     }
                     let state = ModelState {
                         fields: ckpt.fields,
@@ -363,14 +390,8 @@ pub fn run_model_resilient(
                 ),
             };
 
-            // A run that resumes at its own horizon computes nothing, so
-            // it builds no step machinery either (filter plans, physics
-            // tables, the mesh communicator). Every rank resumes at the
-            // same step, so the choice is collective.
-            let steps = start..cfg.steps as u64;
-            let ctx = (!steps.is_empty()).then(|| StepContext::new(&cfg, decomp, comm));
-            for step in steps {
-                let ctx = ctx.as_ref().expect("built whenever a step remains");
+            let ctx = StepContext::new(&cfg, decomp, comm);
+            for step in start..cfg.steps as u64 {
                 comm.begin_step(step);
                 let (performed, owned) = ctx.step(comm, &mut state, &tracker, step);
                 tracker.record(owned);
@@ -429,32 +450,56 @@ pub fn run_model_resilient(
     })
 }
 
-/// What keeps `ckpt` from being the state of a rank of a `world`-rank
-/// run that owns `sub` on `n_lev` levels, if anything: a shard of
-/// another world size, field count or field shape, or without the
+/// What keeps a shard of a `world`-rank run, with fields of `shapes` and
+/// `scalars` scalars, from being the state of a rank of a `size`-rank
+/// run whose fields are `want` = (ni, nj, levels), if anything: a shard
+/// of another world size, field count or field shape, or without the
 /// balancer's two scalars, was written by another run.
-fn misfit(ckpt: &ModelCheckpoint, world: usize, sub: Subdomain, n_lev: usize) -> Option<String> {
-    let want = (sub.ni, sub.nj, n_lev);
-    if ckpt.world as usize != world {
-        Some(format!(
-            "written by {} ranks, resumed by {world}",
-            ckpt.world
-        ))
-    } else if ckpt.fields.len() != Variable::ALL.len() {
+fn misfit(
+    world: u32,
+    shapes: &[(usize, usize, usize)],
+    scalars: usize,
+    size: usize,
+    want: (usize, usize, usize),
+) -> Option<String> {
+    if world as usize != size {
+        Some(format!("written by {world} ranks, resumed by {size}"))
+    } else if shapes.len() != Variable::ALL.len() {
         Some(format!(
             "{} fields, the model has {}",
-            ckpt.fields.len(),
+            shapes.len(),
             Variable::ALL.len()
         ))
-    } else if let Some(f) = ckpt.fields.iter().find(|f| f.shape() != want) {
+    } else if let Some(shape) = shapes.iter().find(|&&s| s != want) {
         Some(format!(
-            "a field of shape {:?}, the rank's subdomain is {want:?}",
-            f.shape()
+            "a field of shape {shape:?}, the rank's subdomain is {want:?}"
         ))
-    } else if ckpt.scalars.len() != 2 {
-        Some(format!("{} scalars, the model keeps 2", ckpt.scalars.len()))
+    } else if scalars != 2 {
+        Some(format!("{scalars} scalars, the model keeps 2"))
     } else {
         None
+    }
+}
+
+/// A horizon resume's rows: one reusable row, folded into the outcome
+/// while it is in cache, and the shape of each field.
+#[derive(Default)]
+struct OutcomeRows {
+    row: Vec<f64>,
+    shapes: Vec<(usize, usize, usize)>,
+    fold: OutcomeFold,
+}
+
+impl RowSink for OutcomeRows {
+    fn field(&mut self, ni: usize, nj: usize, nk: usize) {
+        self.shapes.push((ni, nj, nk));
+        self.row.resize(ni, 0.0);
+    }
+    fn row(&mut self, _j: usize, _k: usize) -> &mut [f64] {
+        &mut self.row
+    }
+    fn filled(&mut self) {
+        self.fold.row(self.shapes.len() - 1, &self.row);
     }
 }
 

@@ -973,12 +973,15 @@ impl RecordStream for ShardStream<'_> {
         };
         self.digest.update(block);
         self.remaining -= n as u64;
-        let computed = self.digest.value();
-        if self.remaining == 0 && computed != self.manifest.digest {
-            return Err(StoreError::Format(CheckpointError::ChecksumMismatch {
-                stored: self.manifest.digest,
-                computed,
-            }));
+        // Only the read of the last byte needs the (finished) hash.
+        if self.remaining == 0 {
+            let computed = self.digest.value();
+            if computed != self.manifest.digest {
+                return Err(StoreError::Format(CheckpointError::ChecksumMismatch {
+                    stored: self.manifest.digest,
+                    computed,
+                }));
+            }
         }
         Ok(block)
     }

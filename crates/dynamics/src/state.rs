@@ -13,6 +13,7 @@
 
 use agcm_grid::arakawa::Variable;
 use agcm_grid::decomp::Subdomain;
+use agcm_grid::dispatched;
 use agcm_grid::halo::HaloField;
 use agcm_grid::latlon::GridSpec;
 
@@ -119,13 +120,12 @@ impl ModelState {
 
     /// Maximum |u|, |v| over the local subdomain — the local CFL speed.
     pub fn max_wind(&self) -> f64 {
-        let scan = |v| {
-            self.field(v)
-                .interior_rows()
-                .flatten()
-                .fold(0.0f64, |m, &x| m.max(x.abs()))
-        };
-        scan(Variable::U).max(scan(Variable::V))
+        let mut fold = OutcomeFold::default();
+        for v in [Variable::U, Variable::V] {
+            let rows = self.field(v).interior_rows();
+            rows.for_each(|row| fold.row(v.index(), row));
+        }
+        fold.max_wind()
     }
 
     /// Local mass (sum of thickness over the subdomain) — conserved by the
@@ -136,10 +136,74 @@ impl ModelState {
 
     /// True if any field holds a non-finite value (instability detector).
     pub fn has_blown_up(&self) -> bool {
-        self.fields.iter().any(|f| {
-            f.interior_rows()
-                .any(|row| row.iter().any(|v| !v.is_finite()))
-        })
+        let mut fold = OutcomeFold::default();
+        for (index, field) in self.fields.iter().enumerate() {
+            field.interior_rows().for_each(|row| fold.row(index, row));
+        }
+        !fold.stable()
+    }
+}
+
+/// Lanes of the outcome folds: eight independent chains, not one.
+const LANES: usize = 8;
+
+/// `acc[l] = step(acc[l], x)` for the `l`-th of every eight values `x`.
+#[inline(always)]
+fn fold_lanes(acc: &mut [f64; LANES], row: &[f64], step: impl Fn(f64, f64) -> f64) {
+    let mut lanes = *acc;
+    let mut chunks = row.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        for (a, &x) in lanes.iter_mut().zip(chunk) {
+            *a = step(*a, x);
+        }
+    }
+    for (a, &x) in lanes.iter_mut().zip(chunks.remainder()) {
+        *a = step(*a, x);
+    }
+    *acc = lanes;
+}
+
+dispatched! {
+    /// Fold `row` into the finiteness lanes — `x · 0` is ±0 for a finite
+    /// `x` and NaN otherwise, and +0 + ±0 is +0 — and, for a wind, the
+    /// max-|x| lanes: `max` ignores NaN and every |x| is +0 or more.
+    /// Both are exact in any order: the serial definitions' bits.
+    fn fold_row / fold_row_body / fold_row_avx2 / fold_row_avx512 (
+        fold: &mut OutcomeFold,
+        wind: bool,
+        row: &[f64],
+    ) {
+        fold_lanes(&mut fold.finite, row, |a, x| a + x * 0.0);
+        if wind {
+            fold_lanes(&mut fold.wind, row, |a, x| a.max(x.abs()));
+        }
+    }
+}
+
+/// A run's outcome — every value finite, the largest |u|, |v| — folded
+/// row by row, from a state or from a checkpoint as it streams past: the
+/// same rows in any order give the same bits.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct OutcomeFold {
+    finite: [f64; LANES],
+    wind: [f64; LANES],
+}
+
+impl OutcomeFold {
+    /// Fold an interior row of the field at `index` in [`Variable::ALL`].
+    pub fn row(&mut self, index: usize, row: &[f64]) {
+        let wind = index == Variable::U.index() || index == Variable::V.index();
+        fold_row(self, wind, row);
+    }
+
+    /// True if every value folded was finite.
+    pub fn stable(&self) -> bool {
+        self.finite.iter().all(|&a| a == 0.0)
+    }
+
+    /// The largest |u|, |v| folded (0 if none).
+    pub fn max_wind(&self) -> f64 {
+        self.wind.iter().fold(0.0, |m, &a| m.max(a))
     }
 }
 
@@ -249,6 +313,112 @@ mod tests {
         assert!(!s.has_blown_up(), "a ghost is not the state");
         s.field_mut(Variable::V).set(3, 2, 0, f64::NAN);
         assert!(s.has_blown_up());
+    }
+
+    /// A row of `len` values from a SplitMix64 stream; with `specials`
+    /// some are NaN, ±∞ or ±0.
+    fn random_row(seed: &mut u64, len: usize, specials: bool) -> Vec<f64> {
+        (0..len)
+            .map(|_| {
+                *seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = *seed;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^= z >> 31;
+                let x = (z >> 11) as f64 / (1u64 << 53) as f64 * 2e3 - 1e3;
+                match z % 16 {
+                    0 if specials => f64::NAN,
+                    1 if specials => f64::INFINITY,
+                    2 if specials => f64::NEG_INFINITY,
+                    3 => 0.0,
+                    4 => -0.0,
+                    _ => x,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lane_folds_are_the_serial_definitions_on_every_target() {
+        type Fold = unsafe fn(&mut OutcomeFold, bool, &[f64]);
+        let mut targets: Vec<(&str, Fold)> =
+            vec![("portable", fold_row_body), ("dispatched", fold_row)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx2") {
+                targets.push(("avx2", fold_row_avx2));
+            }
+            if is_x86_feature_detected!("avx512f") {
+                targets.push(("avx512f", fold_row_avx512));
+            }
+        }
+        let mut seed = 7;
+        for case in 0..600 {
+            // Rows of every length 0–17, so every ragged tail is seen.
+            let len = case % 18;
+            let rows: Vec<_> = (0..3)
+                .map(|_| random_row(&mut seed, len, case % 3 == 0))
+                .collect();
+            let finite = rows.iter().flatten().all(|x| x.is_finite());
+            let max_abs = rows.iter().flatten().fold(0.0f64, |m, &x| m.max(x.abs()));
+            for &(name, fold_row) in &targets {
+                let mut fold = OutcomeFold::default();
+                for row in &rows {
+                    // SAFETY: a target-feature wrapper is listed only after
+                    // detecting that feature; the others are safe functions.
+                    unsafe { fold_row(&mut fold, true, row) };
+                }
+                assert_eq!(fold.stable(), finite, "case {case} {name}: {rows:?}");
+                assert_eq!(
+                    fold.max_wind().to_bits(),
+                    max_abs.to_bits(),
+                    "case {case} {name}: {rows:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn diagnostics_are_the_serial_scans() {
+        let grid = GridSpec::new(19, 6, 2);
+        let d = Decomp::new(grid, 1, 1);
+        let mut s = ModelState::initial(grid, d.subdomain(0, 0));
+        // All winds negative, and |v| the largest: a fold of |u| alone
+        // or of signed values would miss it.
+        for (v, scale) in [(Variable::U, -1.0), (Variable::V, -300.0)] {
+            for x in s.field_mut(v).interior_rows_mut().flatten() {
+                *x = scale * x.abs() - 1e-3;
+            }
+        }
+        let serial = |s: &ModelState| {
+            let winds = [Variable::U, Variable::V].map(|v| s.field(v));
+            let max = winds
+                .iter()
+                .flat_map(|f| f.interior_rows().flatten())
+                .fold(0.0f64, |m, &x| m.max(x.abs()));
+            let finite = s
+                .fields
+                .iter()
+                .all(|f| f.interior_rows().flatten().all(|x| x.is_finite()));
+            (max.to_bits(), finite)
+        };
+        let check = |s: &ModelState| {
+            let (max, finite) = serial(s);
+            let mut fold = OutcomeFold::default();
+            for (index, field) in s.fields.iter().enumerate() {
+                field.interior_rows().for_each(|row| fold.row(index, row));
+            }
+            assert_eq!(s.max_wind().to_bits(), max);
+            assert_eq!(fold.max_wind().to_bits(), max);
+            assert_eq!(!s.has_blown_up(), finite);
+            assert_eq!(fold.stable(), finite);
+        };
+        check(&s);
+        assert!(s.max_wind() > 100.0);
+        let wind = s.max_wind();
+        s.field_mut(Variable::Ozone).set(5, 3, 1, f64::NEG_INFINITY);
+        check(&s);
+        assert!(s.has_blown_up() && s.max_wind() == wind);
     }
 
     #[test]

@@ -53,7 +53,11 @@
 //!   `Vec`, a file, the content-addressed store's chunk writer);
 //! * reading — [`ModelCheckpoint::read_from`] pulls blocks from a
 //!   [`RecordStream`] (a slice, a file, the store's chunk files) and
-//!   converts them straight into the fields it returns.
+//!   converts each field row straight into the buffer a [`RowSink`]
+//!   names. A decode's sink (`Vec<HaloField>`) names the row's place in
+//!   the field it builds; a sink that only summarises the record names
+//!   one reusable row and folds it while it is in cache, so the record
+//!   is verified exactly as a decode verifies it and no field is built.
 //!
 //! Both ends *hash what passes through them*, and that is what makes
 //! one traversal enough. The trailer checksum is the record's hash over
@@ -152,6 +156,31 @@ pub struct ModelCheckpoint {
     /// Prognostic fields, in model variable order, with the model state's
     /// one-point ghost frame (not recorded: see the module docs).
     pub fields: Vec<HaloField>,
+}
+
+/// Where [`ModelCheckpoint::read_from`] puts a record's field values:
+/// each field announces its shape, then its interior rows follow in
+/// record order. The rows may yet fail the checksum; only the read's
+/// `Ok` vouches for them.
+pub trait RowSink {
+    /// A field of this shape starts.
+    fn field(&mut self, ni: usize, nj: usize, nk: usize);
+    /// Where row `(j, k)` of the current field goes: `ni` values.
+    fn row(&mut self, j: usize, k: usize) -> &mut [f64];
+    /// The row last handed out holds its values.
+    fn filled(&mut self) {}
+}
+
+/// Decoding: each row lands in the interior of the field built for it,
+/// so values are copied once, from the stream.
+impl RowSink for Vec<HaloField> {
+    fn field(&mut self, ni: usize, nj: usize, nk: usize) {
+        self.push(HaloField::zeros(ni, nj, nk, 1));
+    }
+    fn row(&mut self, j: usize, k: usize) -> &mut [f64] {
+        let field = self.last_mut().expect("rows follow their field");
+        field.interior_row_mut(j, k)
+    }
 }
 
 /// FNV-1a over a byte slice: the checksum of [`frame_line`] (the server
@@ -720,8 +749,9 @@ impl Reader<'_> {
         }
         Ok(())
     }
-    /// Everything between the endian marker and the trailer.
-    fn body(&mut self, total: u64) -> Result<ModelCheckpoint, StoreError> {
+    /// Everything between the endian marker and the trailer, field rows
+    /// into `rows`.
+    fn body(&mut self, total: u64, rows: &mut dyn RowSink) -> Result<ModelCheckpoint, StoreError> {
         let version = self.u32()?;
         if !(1..=VERSION).contains(&version) {
             return Err(StoreError::Format(CheckpointError::BadVersion(version)));
@@ -733,7 +763,6 @@ impl Reader<'_> {
         let scalars = self.counted(0.0, f64::from_bits)?;
         let series = self.counted(0.0, f64::from_bits)?;
         let n_fields = self.u32()? as usize;
-        let mut fields = Vec::with_capacity(n_fields.min(1 << 10));
         for _ in 0..n_fields {
             let ni = self.u32()? as usize;
             let nj = self.u32()? as usize;
@@ -743,11 +772,13 @@ impl Reader<'_> {
                 .and_then(|x| x.checked_mul(nk))
                 .ok_or(StoreError::Format(CheckpointError::Truncated))?;
             self.need(len as u64)?;
-            let mut field = HaloField::zeros(ni, nj, nk, 1);
-            for row in field.interior_rows_mut() {
-                self.words(row, f64::from_bits)?;
+            rows.field(ni, nj, nk);
+            for k in 0..if len == 0 { 0 } else { nk } {
+                for j in 0..nj {
+                    self.words(rows.row(j, k), f64::from_bits)?;
+                    rows.filled();
+                }
             }
-            fields.push(field);
         }
         if self.body_left() > 0 {
             return Err(StoreError::Format(CheckpointError::LengthMismatch {
@@ -762,7 +793,7 @@ impl Reader<'_> {
             seeds,
             scalars,
             series,
-            fields,
+            fields: Vec::new(),
         })
     }
 }
@@ -844,20 +875,24 @@ impl ModelCheckpoint {
             rest: record,
             digest: RecordDigest::new(),
         };
-        ModelCheckpoint::read_from(&mut stream).map_err(|e| match e {
-            StoreError::Format(e) => e,
-            other => unreachable!("an in-memory stream does not fail: {other}"),
-        })
+        let mut fields = Vec::new();
+        match ModelCheckpoint::read_from(&mut stream, &mut fields) {
+            Ok((ckpt, order)) => Ok((ModelCheckpoint { fields, ..ckpt }, order)),
+            Err(StoreError::Format(e)) => Err(e),
+            Err(other) => unreachable!("an in-memory stream does not fail: {other}"),
+        }
     }
 
-    /// Decode a record as it is read: length, checksum and structure are
-    /// verified in one traversal and values land directly in the fields
-    /// returned. A record whose checksum disagrees is reported as
-    /// [`CheckpointError::ChecksumMismatch`] whatever else is wrong with
-    /// it past the endian marker — the structure of a corrupt record
-    /// means nothing — and never yields a checkpoint.
+    /// Read a record as it is streamed: length, checksum and structure
+    /// are verified in one traversal and each field row is converted
+    /// straight into the buffer `rows` names for it; the checkpoint
+    /// returned holds everything else. A record whose checksum disagrees
+    /// is reported as [`CheckpointError::ChecksumMismatch`] whatever else
+    /// is wrong with it past the endian marker — the structure of a
+    /// corrupt record means nothing — and never yields a checkpoint.
     pub fn read_from(
         stream: &mut dyn RecordStream,
+        rows: &mut dyn RowSink,
     ) -> Result<(ModelCheckpoint, ByteOrder), StoreError> {
         let total = stream.remaining();
         if total < 12 {
@@ -880,7 +915,7 @@ impl ModelCheckpoint {
             stream,
             big: order == ByteOrder::Big,
         };
-        let parsed = match r.body(total) {
+        let parsed = match r.body(total, rows) {
             Err(io @ StoreError::Io(_)) => return Err(io),
             parsed => parsed,
         };

@@ -14,7 +14,7 @@
 //! ignores; recovery always resumes from the *latest committed* step.
 
 use crate::checkpoint::{
-    CheckpointError, ModelCheckpoint, RecordDigest, RecordSink, RecordSource, RecordStream,
+    CheckpointError, ModelCheckpoint, RecordDigest, RecordSink, RecordSource, RecordStream, RowSink,
 };
 use agcm_grid::history::ByteOrder;
 use agcm_mps::Comm;
@@ -382,8 +382,22 @@ impl CheckpointStore {
     /// Load one rank's shard of a committed step, verifying its checksum
     /// and that it is the shard asked for.
     pub fn load_shard(&self, step: u64, rank: u32) -> Result<ModelCheckpoint, StoreError> {
+        let mut fields = Vec::new();
+        let ckpt = self.fold_shard(step, rank, &mut fields)?;
+        Ok(ModelCheckpoint { fields, ..ckpt })
+    }
+
+    /// [`load_shard`](CheckpointStore::load_shard), every check included,
+    /// with the field rows delivered to `rows` instead (see
+    /// [`ModelCheckpoint::read_from`]).
+    pub fn fold_shard(
+        &self,
+        step: u64,
+        rank: u32,
+        rows: &mut dyn RowSink,
+    ) -> Result<ModelCheckpoint, StoreError> {
         let mut record = self.backend.open_shard(step, rank)?;
-        let (ckpt, _) = ModelCheckpoint::read_from(record.as_mut())?;
+        let (ckpt, _) = ModelCheckpoint::read_from(record.as_mut(), rows)?;
         if ckpt.step != step || ckpt.rank != rank {
             return Err(StoreError::ShardMismatch {
                 expected: (step, rank),
