@@ -78,23 +78,6 @@ impl MachineProfile {
     pub fn send_time(&self, bytes: usize) -> f64 {
         self.send_overhead_s + bytes as f64 / self.bytes_per_sec
     }
-
-    /// End-to-end transfer time of a `bytes`-byte message (sender occupancy
-    /// plus wire latency).
-    pub fn message_time(&self, bytes: usize) -> f64 {
-        self.send_time(bytes) + self.latency_s
-    }
-
-    /// Return a copy with the flop rate scaled so that `sim_flops` of work
-    /// takes `target_seconds` — used to calibrate the single-node entry of
-    /// a table against the paper's measured value.
-    pub fn calibrated_to(&self, sim_flops: f64, target_seconds: f64) -> MachineProfile {
-        assert!(sim_flops > 0.0 && target_seconds > 0.0);
-        MachineProfile {
-            flops_per_sec: sim_flops / target_seconds,
-            ..*self
-        }
-    }
 }
 
 #[cfg(test)]
@@ -118,23 +101,5 @@ mod tests {
         let m = MachineProfile::paragon();
         assert!((m.compute_time(8.0e6) - 1.0).abs() < 1e-12);
         assert!((m.compute_time(4.0e6) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn message_time_components() {
-        let m = MachineProfile::t3d();
-        let t = m.message_time(60_000_000);
-        // 1 s of bandwidth + overheads.
-        assert!((t - (1.0 + m.send_overhead_s + m.latency_s)).abs() < 1e-9);
-        // Small messages are latency-dominated.
-        assert!(m.message_time(8) < 2.0 * (m.latency_s + m.send_overhead_s));
-    }
-
-    #[test]
-    fn calibration_hits_target() {
-        let m = MachineProfile::paragon().calibrated_to(1.0e9, 125.0);
-        assert!((m.compute_time(1.0e9) - 125.0).abs() < 1e-9);
-        // Communication parameters unchanged.
-        assert_eq!(m.latency_s, MachineProfile::paragon().latency_s);
     }
 }

@@ -11,7 +11,7 @@
 //! panics.
 
 use crate::machine::MachineProfile;
-use agcm_mps::trace::{Event, WorldTrace};
+use agcm_mps::trace::{imbalance, Event, WorldTrace};
 use std::collections::HashMap;
 
 /// Result of replaying one [`WorldTrace`].
@@ -38,36 +38,15 @@ impl ReplayResult {
             .fold(0.0, f64::max)
     }
 
-    /// Minimum over ranks of the time spent in `phase` (for imbalance
-    /// reporting, cf. the "Min Load" column of Tables 1–3).
-    pub fn phase_time_min(&self, phase: &str) -> f64 {
-        self.phase_times
-            .iter()
-            .map(|m| m.get(phase).copied().unwrap_or(0.0))
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    /// Average over ranks of the time spent in `phase`.
-    pub fn phase_time_avg(&self, phase: &str) -> f64 {
-        if self.phase_times.is_empty() {
-            return 0.0;
-        }
-        let sum: f64 = self
-            .phase_times
-            .iter()
-            .map(|m| m.get(phase).copied().unwrap_or(0.0))
-            .sum();
-        sum / self.phase_times.len() as f64
-    }
-
     /// The paper's load-imbalance metric for a phase:
     /// `(MaxLoad − AverageLoad) / AverageLoad`.
     pub fn phase_imbalance(&self, phase: &str) -> f64 {
-        let avg = self.phase_time_avg(phase);
-        if avg == 0.0 {
-            return 0.0;
-        }
-        (self.phase_time(phase) - avg) / avg
+        let times: Vec<f64> = self
+            .phase_times
+            .iter()
+            .map(|m| m.get(phase).copied().unwrap_or(0.0))
+            .collect();
+        imbalance(&times)
     }
 
     /// All phase names seen on any rank.
@@ -397,9 +376,7 @@ mod tests {
         };
         let r = replay(&trace, &machine());
         assert_eq!(r.phase_time("dynamics"), 2.0);
-        assert_eq!(r.phase_time_min("dynamics"), 1.0);
         assert_eq!(r.phase_time("physics"), 3.0);
-        assert_eq!(r.phase_time_avg("physics"), 2.0);
         // imbalance = (3 - 2) / 2
         assert!((r.phase_imbalance("physics") - 0.5).abs() < 1e-12);
         let mut phases = r.phases();

@@ -16,7 +16,6 @@
 //! produce identical tendencies, which the tests check; the speed gap is
 //! measured in `agcm-bench`.
 
-use crate::tendencies::flops;
 use agcm_grid::field::Field3D;
 use agcm_grid::halo::HaloField;
 use agcm_grid::latlon::{GridSpec, EARTH_RADIUS_M};
@@ -173,11 +172,6 @@ pub fn advect_restructured(
     out
 }
 
-/// Flop count of one upwind advection pass over `n` points (for tracing).
-pub fn upwind_flops(n: usize) -> f64 {
-    flops::UPWIND * n as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,10 +279,5 @@ mod tests {
         .unwrap();
         assert!(out.get(9, 4, 0) > 0.0, "westward wind spreads westward");
         assert_eq!(out.get(11, 4, 0), 0.0);
-    }
-
-    #[test]
-    fn flop_estimate_scales() {
-        assert_eq!(upwind_flops(100), 100.0 * crate::tendencies::flops::UPWIND);
     }
 }

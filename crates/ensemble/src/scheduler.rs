@@ -14,9 +14,11 @@
 //!
 //! Deadlines are *soft* and measured from submission: a job still queued
 //! when its deadline passes is dequeued and recorded as
-//! `Cancelled(Deadline)`; a running job has its token cancelled and
-//! unwinds within one poll interval. Cancellation is a verdict, not a
-//! fault — the resilience layer never retries it.
+//! `Cancelled(Deadline)`; a running job has its token cancelled at its
+//! deadline and unwinds at its next cancellation point. The dispatcher
+//! sleeps until the earliest deadline or until submit, cancel, a job's
+//! end or shutdown wakes it. Cancellation is a verdict, not a fault —
+//! the resilience layer never retries it.
 //!
 //! **Multi-tenant serving.** An ensemble can optionally enforce a
 //! [`TenantPolicy`]: per-tenant caps on in-flight jobs (admission-time
@@ -48,7 +50,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Tenant name used for jobs whose [`JobSpec::tenant`] is `None`.
 pub const ANONYMOUS_TENANT: &str = "anonymous";
@@ -97,12 +99,6 @@ impl TenantPolicy {
         self
     }
 
-    /// Accept unknown tenants under `quota`, builder-style.
-    pub fn with_default(mut self, quota: TenantQuota) -> TenantPolicy {
-        self.default_quota = Some(quota);
-        self
-    }
-
     /// Resolve the quota a tenant is subject to; `None` means the tenant
     /// is not admissible at all (strict policy, unknown name).
     pub fn quota_for(&self, tenant: &str) -> Option<&TenantQuota> {
@@ -144,8 +140,6 @@ pub struct EnsembleConfig {
     /// Machine profile used to derive each completed job's virtual-time
     /// [`agcm_telemetry::RunSummary`].
     pub machine: MachineProfile,
-    /// Dispatcher poll interval: bounds how late a deadline can fire.
-    pub poll: Duration,
     /// Optional multi-tenant quotas and fair-share weights. `None`
     /// disables all tenant accounting (single-tenant behavior).
     pub tenancy: Option<TenantPolicy>,
@@ -157,7 +151,6 @@ impl Default for EnsembleConfig {
             rank_budget: 8,
             queue_capacity: 64,
             machine: MachineProfile::t3d(),
-            poll: Duration::from_millis(2),
             tenancy: None,
         }
     }
@@ -703,9 +696,24 @@ fn dispatcher_loop(shared: &Arc<Shared>) {
         if st.shutdown && st.pending.is_empty() && st.running.is_empty() {
             break;
         }
-        // Poll: bounds deadline-firing latency; work/done also wake us.
-        let (guard, _) = shared.work.wait_timeout(st, shared.cfg.poll).unwrap();
-        st = guard;
+        // Sleep until the earliest deadline still to fire; submit,
+        // cancel, a job's end and shutdown notify `work` sooner.
+        let queued = st
+            .pending
+            .iter()
+            .filter_map(|p| p.spec.deadline.map(|d| p.submitted + d));
+        let running = st
+            .running
+            .iter()
+            .filter(|r| !r.deadline_hit.load(Ordering::SeqCst))
+            .filter_map(|r| r.deadline);
+        st = match queued.chain(running).min() {
+            Some(at) => {
+                let timeout = at.saturating_duration_since(Instant::now());
+                shared.work.wait_timeout(st, timeout).unwrap().0
+            }
+            None => shared.work.wait(st).unwrap(),
+        };
     }
     drop(st);
     // `running` is empty, so every runner is past its finalize section.

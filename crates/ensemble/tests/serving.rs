@@ -4,14 +4,15 @@
 
 use agcm_core::{run_model, AgcmConfig};
 use agcm_ensemble::{
-    CancelReason, Ensemble, EnsembleConfig, JobSpec, JobStatus, Priority, SubmitError,
+    CancelReason, Ensemble, EnsembleConfig, JobId, JobSpec, JobStatus, JobView, Priority,
+    SubmitError,
 };
 use agcm_filtering::driver::FilterVariant;
 use agcm_grid::latlon::GridSpec;
 use agcm_mps::fault::FaultPlan;
 use agcm_telemetry::{LiveCollector, MemorySink, TraceContext};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 fn small_grid() -> GridSpec {
     GridSpec::new(24, 12, 2)
@@ -142,6 +143,59 @@ fn queued_job_past_deadline_never_dispatches() {
     assert!(starved.outcome.is_none());
     let blocker = records.iter().find(|r| r.id == blocker).unwrap();
     assert_eq!(blocker.status, JobStatus::Completed);
+}
+
+#[test]
+fn deadlines_fire_on_time_with_nothing_else_to_wake_the_dispatcher() {
+    // After the two submissions nothing notifies the dispatcher: no
+    // submit, no cancel, no job ends before its deadline. It must wake on
+    // its own at the queued job's deadline and again at the running
+    // job's. Each job must turn terminal within 200 ms of its deadline.
+    const SLACK: Duration = Duration::from_millis(200);
+    let queued_deadline = Duration::from_millis(100);
+    let running_deadline = Duration::from_millis(600);
+    let (tx, rx) = mpsc::channel();
+    let scenario = std::thread::spawn(move || {
+        let ensemble = Ensemble::start(EnsembleConfig {
+            rank_budget: 2,
+            queue_capacity: 8,
+            ..EnsembleConfig::default()
+        });
+        let start = Instant::now();
+        // Fills the budget and would run far past its deadline.
+        let running = ensemble
+            .submit(job("running", 1, 2, 200_000).with_deadline(running_deadline))
+            .unwrap();
+        let queued = ensemble
+            .submit(job("queued", 1, 2, 2).with_deadline(queued_deadline))
+            .unwrap();
+        let terminal_after = |id: JobId| loop {
+            if let Some(JobView::Done(record)) = ensemble.status(id) {
+                return (start.elapsed(), *record);
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        let queued = terminal_after(queued);
+        let running = terminal_after(running);
+        let _ = tx.send((queued, running));
+        ensemble.join();
+    });
+    let ((queued_at, queued), (running_at, running)) = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("watchdog: a deadline never fired");
+    scenario.join().expect("scenario thread");
+    assert_eq!(queued.status, JobStatus::Cancelled(CancelReason::Deadline));
+    assert_eq!(queued.attempts, 0, "never dispatched");
+    assert!(
+        queued_at < queued_deadline + SLACK,
+        "queued job cancelled {queued_at:?} after submission, deadline {queued_deadline:?}"
+    );
+    assert_eq!(running.status, JobStatus::Cancelled(CancelReason::Deadline));
+    assert!(running.attempts >= 1, "dispatched before its deadline");
+    assert!(
+        running_at < running_deadline + SLACK,
+        "running job ended {running_at:?} after submission, deadline {running_deadline:?}"
+    );
 }
 
 #[test]

@@ -35,15 +35,17 @@ fn tenant_config(policy: TenantPolicy) -> EnsembleConfig {
 
 #[test]
 fn in_flight_quota_rejects_with_typed_error_and_other_tenants_unaffected() {
-    let policy = TenantPolicy::default()
-        .with_tenant(
-            "capped",
-            TenantQuota {
-                max_in_flight: 2,
-                ..TenantQuota::default()
-            },
-        )
-        .with_default(TenantQuota::default());
+    let policy = TenantPolicy {
+        default_quota: Some(TenantQuota::default()),
+        tenants: Vec::new(),
+    }
+    .with_tenant(
+        "capped",
+        TenantQuota {
+            max_in_flight: 2,
+            ..TenantQuota::default()
+        },
+    );
     let ensemble = Ensemble::start(tenant_config(policy));
 
     // Two in-flight jobs fill the quota; the third bounces typed.
@@ -106,10 +108,13 @@ fn running_rank_cap_shapes_dispatch_without_rejecting() {
     // Tenant capped at 1 concurrent rank on a 4-rank budget: all three
     // 1-rank jobs are admitted, but they must run one after another —
     // the fleet's busy-rank peak stays at 1.
-    let policy = TenantPolicy::default().with_default(TenantQuota {
-        max_running_ranks: 1,
-        ..TenantQuota::default()
-    });
+    let policy = TenantPolicy {
+        default_quota: Some(TenantQuota {
+            max_running_ranks: 1,
+            ..TenantQuota::default()
+        }),
+        tenants: Vec::new(),
+    };
     let ensemble = Ensemble::start(tenant_config(policy));
     for i in 0..3 {
         ensemble

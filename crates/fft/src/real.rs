@@ -13,8 +13,8 @@
 //!   imaginary lane) plus an O(n) untangle pass — roughly half the work of
 //!   transforming the zero-padded complex signal. Odd sizes fall back to
 //!   the full complex transform, still through reusable workspace buffers.
-//! * [`rfft`] / [`irfft`] — convenience wrappers that allocate their
-//!   outputs (and a transient workspace) and delegate to the fast path.
+//! * [`rfft`] — a convenience wrapper that allocates its output (and a
+//!   transient workspace) and delegates to the fast path.
 
 use crate::complex::Complex64;
 use crate::plan::FftPlan;
@@ -26,15 +26,6 @@ pub fn rfft(plan: &FftPlan, x: &[f64]) -> Vec<Complex64> {
     let mut out = vec![Complex64::ZERO; plan.len() / 2 + 1];
     let mut ws = FftWorkspace::new();
     rfft_into(plan, x, &mut out, &mut ws);
-    out
-}
-
-/// Inverse of [`rfft`]: rebuild the full conjugate-symmetric spectrum and
-/// transform back, returning the real signal.
-pub fn irfft(plan: &FftPlan, half: &[Complex64]) -> Vec<f64> {
-    let mut out = vec![0.0; plan.len()];
-    let mut ws = FftWorkspace::new();
-    irfft_into(plan, half, &mut out, &mut ws);
     out
 }
 
@@ -139,6 +130,12 @@ pub fn max_wavenumber(n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn irfft(plan: &FftPlan, half: &[Complex64]) -> Vec<f64> {
+        let mut out = vec![0.0; plan.len()];
+        irfft_into(plan, half, &mut out, &mut FftWorkspace::new());
+        out
+    }
 
     fn signal(n: usize) -> Vec<f64> {
         (0..n)

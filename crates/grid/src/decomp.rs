@@ -114,17 +114,6 @@ impl Decomp {
             })
             .expect("every latitude has an owner")
     }
-
-    /// Mesh column owning global longitude `i`.
-    pub fn col_of_lon(&self, i: usize) -> usize {
-        assert!(i < self.grid.n_lon, "longitude {i} out of range");
-        (0..self.mesh_lon)
-            .find(|&c| {
-                let (i0, ni) = block_partition(self.grid.n_lon, self.mesh_lon, c);
-                i >= i0 && i < i0 + ni
-            })
-            .expect("every longitude has an owner")
-    }
 }
 
 #[cfg(test)]
@@ -190,11 +179,6 @@ mod tests {
             let r = d.row_of_lat(j);
             let s = d.subdomain(r, 0);
             assert!(s.lats().contains(&j));
-        }
-        for i in [0, 20, 21, 143] {
-            let c = d.col_of_lon(i);
-            let s = d.subdomain(0, c);
-            assert!(s.lons().contains(&i));
         }
     }
 

@@ -27,9 +27,9 @@
 //! * [`dispatch`] — the one runtime SIMD dispatch (portable / AVX2 /
 //!   AVX-512F compilations of a safe body) of the dynamics kernels and
 //!   the column physics;
-//! * [`history`] — binary history records with explicit byte-order
-//!   conversion (the paper had to write a byte-order reversal routine to
-//!   read NetCDF history data on the Paragon).
+//! * [`history`] — the byte order a record is written in (the paper had
+//!   to write a byte-order reversal routine to read NetCDF history data on
+//!   the Paragon; here the model checkpoint record carries it).
 
 pub mod arakawa;
 pub mod decomp;

@@ -16,8 +16,6 @@ const TAG_REDUCE: u64 = COLL_BIT | 3;
 const TAG_GATHER: u64 = COLL_BIT | 4;
 const TAG_ALLGATHER: u64 = COLL_BIT | 5;
 const TAG_ALLTOALL: u64 = COLL_BIT | 6;
-const TAG_SCAN: u64 = COLL_BIT | 7;
-const TAG_SCATTER: u64 = COLL_BIT | 8;
 
 /// Elementwise reduction operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,16 +121,6 @@ impl Comm {
             m >>= 1;
         }
         data
-    }
-
-    /// Broadcast a float buffer from `root`; non-roots pass `&[]`.
-    pub fn bcast_f64(&self, root: usize, data: &[f64]) -> Vec<f64> {
-        let payload = if self.rank() == root {
-            Payload::F64(data.to_vec())
-        } else {
-            Payload::Empty
-        };
-        self.bcast(root, payload).into_f64()
     }
 
     /// Broadcast an integer buffer from `root`; non-roots pass `&[]`.
@@ -251,34 +239,6 @@ impl Comm {
         }
     }
 
-    /// Scatter per-rank float buffers from `root`. The root passes one
-    /// buffer per rank; everyone gets their own back.
-    pub fn scatter_f64(&self, root: usize, data: Option<Vec<Vec<f64>>>) -> Vec<f64> {
-        self.record_collective("scatter");
-        let size = self.size();
-        let rank = self.rank();
-        assert!(
-            root < size,
-            "scatter root {root} out of range for size {size}"
-        );
-        if rank == root {
-            let mut bufs = data.expect("root must supply scatter buffers");
-            assert_eq!(bufs.len(), size, "scatter needs one buffer per rank");
-            let mut own = Vec::new();
-            for r in (0..size).rev() {
-                let buf = bufs.pop().expect("length checked");
-                if r == root {
-                    own = buf;
-                } else {
-                    self.send_internal(r, TAG_SCATTER, Payload::F64(buf));
-                }
-            }
-            own
-        } else {
-            self.recv_internal(root, TAG_SCATTER).payload.into_f64()
-        }
-    }
-
     /// Ring allgather of integer buffers; result is the concatenation in
     /// rank order. Buffers may have different lengths.
     pub fn allgather_i64(&self, data: &[i64]) -> Vec<i64> {
@@ -344,24 +304,6 @@ impl Comm {
             .map(|b| b.expect("all-to-all fills every slot"))
             .collect()
     }
-
-    /// Inclusive prefix scan of float buffers (linear chain).
-    pub fn scan_f64(&self, op: Op, data: &[f64]) -> Vec<f64> {
-        self.record_collective("scan");
-        let rank = self.rank();
-        let size = self.size();
-        let mut acc = data.to_vec();
-        if rank > 0 {
-            let prev = self.recv_internal(rank - 1, TAG_SCAN).payload.into_f64();
-            let mut combined = prev;
-            combine_f64(&mut combined, &acc, op);
-            acc = combined;
-        }
-        if rank + 1 < size {
-            self.send_internal(rank + 1, TAG_SCAN, Payload::F64(acc.clone()));
-        }
-        acc
-    }
 }
 
 #[cfg(test)]
@@ -394,11 +336,11 @@ mod tests {
             for root in 0..p {
                 let out = run(p, move |c| {
                     let data = if c.rank() == root {
-                        vec![42.0, -1.0]
+                        Payload::F64(vec![42.0, -1.0])
                     } else {
-                        vec![]
+                        Payload::Empty
                     };
-                    c.bcast_f64(root, &data)
+                    c.bcast(root, data).into_f64()
                 });
                 for r in out {
                     assert_eq!(r, vec![42.0, -1.0]);
@@ -463,19 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn scatter_roundtrip() {
-        let out = run(3, |c| {
-            let data = if c.rank() == 1 {
-                Some(vec![vec![0.0], vec![1.0, 1.5], vec![2.0]])
-            } else {
-                None
-            };
-            c.scatter_f64(1, data)
-        });
-        assert_eq!(out, vec![vec![0.0], vec![1.0, 1.5], vec![2.0]]);
-    }
-
-    #[test]
     fn allgather_flat_concat() {
         let out = run(4, |c| {
             c.allgather_i64(&[c.rank() as i64, 100 + c.rank() as i64])
@@ -516,21 +445,12 @@ mod tests {
     }
 
     #[test]
-    fn scan_inclusive_sum() {
-        let out = run(5, |c| c.scan_f64(Op::Sum, &[1.0]));
-        for (r, v) in out.into_iter().enumerate() {
-            assert_eq!(v, vec![(r + 1) as f64]);
-        }
-    }
-
-    #[test]
     fn single_rank_collectives() {
         run(1, |c| {
             c.barrier();
-            assert_eq!(c.bcast_f64(0, &[5.0]), vec![5.0]);
+            assert_eq!(c.bcast(0, Payload::F64(vec![5.0])).into_f64(), vec![5.0]);
             assert_eq!(c.allreduce_f64(Op::Sum, &[2.0]), vec![2.0]);
             assert_eq!(c.allgather_i64(&[9]), vec![9]);
-            assert_eq!(c.scan_f64(Op::Sum, &[3.0]), vec![3.0]);
         });
     }
 }

@@ -170,16 +170,6 @@ impl Comm {
         self.shared.world_rank
     }
 
-    /// World rank of communicator member `local`.
-    pub fn world_rank_of(&self, local: usize) -> usize {
-        assert!(
-            local < self.size(),
-            "rank {local} out of range for size {}",
-            self.size()
-        );
-        self.members[local]
-    }
-
     /// Record `flops` floating-point operations of local work in the trace.
     pub fn record_flops(&self, flops: f64) {
         self.shared.trace.record_flops(flops);
@@ -534,21 +524,6 @@ impl Comm {
         self.recv(src, tag).payload.into_i64()
     }
 
-    /// Combined send+receive (the classic shift pattern). Because sends are
-    /// eager this is just `send` followed by `recv`, but the pairing makes
-    /// call sites self-documenting.
-    pub fn sendrecv(
-        &self,
-        dst: usize,
-        send_tag: u64,
-        payload: Payload,
-        src: usize,
-        recv_tag: u64,
-    ) -> Packet {
-        self.send(dst, send_tag, payload);
-        self.recv(src, recv_tag)
-    }
-
     /// Collectively split this communicator. Ranks supplying the same
     /// `color` land in the same sub-communicator, ordered by `key` (ties
     /// broken by parent rank). Every member of `self` must call `split`.
@@ -638,16 +613,6 @@ mod tests {
     }
 
     #[test]
-    fn sendrecv_exchange() {
-        let out = run(2, |c| {
-            let other = 1 - c.rank();
-            let p = c.sendrecv(other, 3, Payload::I64(vec![c.rank() as i64]), other, 3);
-            p.payload.into_i64()[0]
-        });
-        assert_eq!(out, vec![1, 0]);
-    }
-
-    #[test]
     fn split_rows() {
         // 2x3 mesh: color by row, key by column.
         let out = run(6, |c| {
@@ -680,20 +645,6 @@ mod tests {
             }
         });
         assert_eq!(out[1], 222_111);
-    }
-
-    #[test]
-    fn world_rank_of_members() {
-        run(4, |c| {
-            let odd = c.split((c.rank() % 2) as i64, c.rank() as i64);
-            if c.rank() % 2 == 1 {
-                assert_eq!(odd.world_rank_of(0), 1);
-                assert_eq!(odd.world_rank_of(1), 3);
-            } else {
-                assert_eq!(odd.world_rank_of(0), 0);
-                assert_eq!(odd.world_rank_of(1), 2);
-            }
-        });
     }
 
     #[test]

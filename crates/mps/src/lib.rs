@@ -8,10 +8,10 @@
 //! * ranks are OS threads launched by [`runtime::run`];
 //! * a [`Comm`] offers point-to-point [`Comm::send`]/[`Comm::recv`] with
 //!   tag matching, plus the collectives the AGCM code needs (barrier,
-//!   broadcast, reduce, allreduce, gather, allgather, all-to-all(v), scan);
+//!   broadcast, reduce, allreduce, gather, allgather, all-to-all(v));
 //! * [`topology::CartComm`] builds the 2-D (latitude × longitude) processor
-//!   mesh used by the AGCM grid decomposition, with row/column
-//!   sub-communicators and periodic shifts;
+//!   mesh used by the AGCM grid decomposition, with row sub-communicators
+//!   and periodic neighbours;
 //! * a deterministic fault-injection plane ([`fault::FaultPlan`] +
 //!   [`runtime::run_with_faults`]) can drop, duplicate, delay or reorder
 //!   messages and kill ranks at chosen steps, for exercising the

@@ -1,9 +1,8 @@
 //! Message payloads and packets.
 //!
-//! The AGCM exchanges three kinds of data: floating-point field sections
-//! (halo rows, filter rows, physics columns), integer bookkeeping
-//! (row counts, movement plans) and occasional raw bytes (history records).
-//! [`Payload`] captures these without forcing a serialization round-trip —
+//! The AGCM exchanges two kinds of data: floating-point field sections
+//! (halo rows, filter rows, physics columns) and integer bookkeeping
+//! (row counts, movement plans). [`Payload`] captures these without forcing a serialization round-trip —
 //! an `F64` payload is moved, never copied element-by-element.
 
 /// The body of a message.
@@ -13,8 +12,6 @@ pub enum Payload {
     F64(Vec<f64>),
     /// A buffer of 64-bit signed integers (plans, counts, indices).
     I64(Vec<i64>),
-    /// Raw bytes (history records, opaque blobs).
-    Bytes(Vec<u8>),
     /// An empty message (pure synchronization).
     Empty,
 }
@@ -28,7 +25,6 @@ impl Payload {
         match self {
             Payload::F64(v) => v.len() * 8,
             Payload::I64(v) => v.len() * 8,
-            Payload::Bytes(v) => v.len(),
             Payload::Empty => 0,
         }
     }
@@ -38,7 +34,6 @@ impl Payload {
         match self {
             Payload::F64(_) => "F64",
             Payload::I64(_) => "I64",
-            Payload::Bytes(_) => "Bytes",
             Payload::Empty => "Empty",
         }
     }
@@ -59,26 +54,10 @@ impl Payload {
         }
     }
 
-    /// Unwrap as raw bytes; panics with a clear message otherwise.
-    pub fn into_bytes(self) -> Vec<u8> {
-        match self {
-            Payload::Bytes(v) => v,
-            other => panic!("expected Bytes payload, found {}", other.kind()),
-        }
-    }
-
     /// Borrow as a float slice if this is an `F64` payload.
     pub fn as_f64(&self) -> Option<&[f64]> {
         match self {
             Payload::F64(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Borrow as an integer slice if this is an `I64` payload.
-    pub fn as_i64(&self) -> Option<&[i64]> {
-        match self {
-            Payload::I64(v) => Some(v),
             _ => None,
         }
     }
@@ -120,7 +99,6 @@ mod tests {
     fn byte_lengths() {
         assert_eq!(Payload::F64(vec![0.0; 10]).byte_len(), 80);
         assert_eq!(Payload::I64(vec![0; 3]).byte_len(), 24);
-        assert_eq!(Payload::Bytes(vec![1, 2, 3]).byte_len(), 3);
         assert_eq!(Payload::Empty.byte_len(), 0);
     }
 
@@ -128,17 +106,13 @@ mod tests {
     fn unwrap_roundtrips() {
         assert_eq!(Payload::F64(vec![1.5, 2.5]).into_f64(), vec![1.5, 2.5]);
         assert_eq!(Payload::I64(vec![-4, 9]).into_i64(), vec![-4, 9]);
-        assert_eq!(Payload::Bytes(vec![7]).into_bytes(), vec![7]);
     }
 
     #[test]
     fn borrow_accessors() {
         let p = Payload::F64(vec![3.0]);
         assert_eq!(p.as_f64(), Some(&[3.0][..]));
-        assert_eq!(p.as_i64(), None);
-        let q = Payload::I64(vec![8]);
-        assert_eq!(q.as_i64(), Some(&[8][..]));
-        assert_eq!(q.as_f64(), None);
+        assert_eq!(Payload::I64(vec![8]).as_f64(), None);
     }
 
     #[test]
@@ -150,6 +124,7 @@ mod tests {
     #[test]
     fn kinds() {
         assert_eq!(Payload::Empty.kind(), "Empty");
-        assert_eq!(Payload::Bytes(vec![]).kind(), "Bytes");
+        assert_eq!(Payload::F64(vec![]).kind(), "F64");
+        assert_eq!(Payload::I64(vec![]).kind(), "I64");
     }
 }

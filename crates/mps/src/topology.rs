@@ -4,9 +4,9 @@
 //! a 2-D processor mesh: "an M×N processor mesh, with M processors in the
 //! latitudinal direction and N processors in the longitudinal direction"
 //! (paper §3.3). [`CartComm`] wraps a [`Comm`] with that shape: coordinate
-//! arithmetic, periodic/non-periodic shifts for halo exchange, and row and
-//! column sub-communicators (processor rows are what the filtering transpose
-//! and row redistribution operate on).
+//! arithmetic, periodic/non-periodic neighbours for halo exchange, and row
+//! sub-communicators (processor rows are what the filtering transpose and
+//! row redistribution operate on).
 //!
 //! Convention: dimension 0 is latitude (rows of the mesh), dimension 1 is
 //! longitude (columns). Longitude is periodic on the sphere; latitude is not
@@ -95,31 +95,17 @@ impl CartComm {
         })
     }
 
-    /// Source and destination for a shift by `disp` along `dim`, MPI
-    /// `Cart_shift` style: `(recv_from, send_to)`.
-    pub fn shift(&self, dim: usize, disp: isize) -> (Option<usize>, Option<usize>) {
-        (self.neighbor(dim, -disp), self.neighbor(dim, disp))
-    }
-
     /// Sub-communicator of this rank's mesh row (all longitudes at one
     /// latitude band). Collective over the whole mesh.
     pub fn row_comm(&self) -> Comm {
         let (row, col) = self.coords();
         self.comm.split(row as i64, col as i64)
     }
-
-    /// Sub-communicator of this rank's mesh column (all latitude bands at
-    /// one longitude range). Collective over the whole mesh.
-    pub fn col_comm(&self) -> Comm {
-        let (row, col) = self.coords();
-        self.comm.split(col as i64, row as i64)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::Payload;
     use crate::runtime::run;
 
     fn mesh_2x3(c: &Comm) -> CartComm {
@@ -167,38 +153,12 @@ mod tests {
     }
 
     #[test]
-    fn shift_pairs_are_consistent() {
-        // Every rank sends its id east; after the shift everyone must hold
-        // their western neighbour's id.
-        let out = run(6, |c| {
-            let m = mesh_2x3(c);
-            let (from, to) = m.shift(1, 1);
-            let (from, to) = (from.unwrap(), to.unwrap());
-            m.comm()
-                .send(to, 9, Payload::I64(vec![m.comm().rank() as i64]));
-            m.comm().recv_i64(from, 9)[0]
-        });
-        // rank layout: row-major 2x3; west of rank r (row-major) wraps in cols of 3
-        let expect: Vec<i64> = (0..6)
-            .map(|r| {
-                let (row, col) = (r / 3, r % 3);
-                (row * 3 + (col + 2) % 3) as i64
-            })
-            .collect();
-        assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn row_and_col_comms() {
+    fn row_comm_spans_the_mesh_row() {
         run(6, |c| {
             let m = mesh_2x3(c);
-            let (row, col) = m.coords();
             let rc = m.row_comm();
             assert_eq!(rc.size(), 3);
-            assert_eq!(rc.rank(), col);
-            let cc = m.col_comm();
-            assert_eq!(cc.size(), 2);
-            assert_eq!(cc.rank(), row);
+            assert_eq!(rc.rank(), m.coords().1);
         });
     }
 

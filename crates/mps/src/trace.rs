@@ -30,6 +30,23 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// The paper's load-imbalance metric (Tables 1–3), as a fraction:
+/// `(MaxLoad − AverageLoad) / AverageLoad`, 0 for an empty slice or a zero
+/// average. The maximum is folded from `−∞`, so it is the slice's own
+/// maximum even if every value is negative; for non-negative inputs
+/// (loads, flops, times) a fold from 0 gives the same value.
+pub fn imbalance(loads: &[f64]) -> f64 {
+    if loads.is_empty() {
+        return 0.0;
+    }
+    let avg = loads.iter().sum::<f64>() / loads.len() as f64;
+    if avg == 0.0 {
+        return 0.0;
+    }
+    let max = loads.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    (max - avg) / avg
+}
+
 /// One traced event on a rank.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
@@ -336,17 +353,8 @@ impl WorldTrace {
     /// Flop imbalance across ranks, using the paper's definition:
     /// `(max − average) / average`.
     pub fn flop_imbalance(&self) -> f64 {
-        let stats = self.stats();
-        if stats.is_empty() {
-            return 0.0;
-        }
-        let total: f64 = stats.iter().map(|s| s.flops).sum();
-        let avg = total / stats.len() as f64;
-        if avg == 0.0 {
-            return 0.0;
-        }
-        let max = stats.iter().map(|s| s.flops).fold(0.0, f64::max);
-        (max - avg) / avg
+        let flops: Vec<f64> = self.stats().iter().map(|s| s.flops).collect();
+        imbalance(&flops)
     }
 
     /// Match every `Recv` event with its `Send` by `(src, dst, seq)`.
@@ -354,8 +362,7 @@ impl WorldTrace {
     /// Pairs are returned grouped by receiving rank, in receive order —
     /// the order a per-rank wait-state scan wants them in. Sends that were
     /// never received (and receives with no recorded send, which a replay
-    /// would reject anyway) are simply absent; [`Self::unmatched_messages`]
-    /// counts them.
+    /// would reject anyway) are simply absent.
     pub fn message_pairs(&self) -> Vec<MessagePair> {
         let sends = self.send_index();
         let mut pairs = Vec::new();
@@ -376,26 +383,6 @@ impl WorldTrace {
             }
         }
         pairs
-    }
-
-    /// `(sends with no matching recv, recvs with no matching send)` — both
-    /// zero on a complete trace of a clean run.
-    pub fn unmatched_messages(&self) -> (usize, usize) {
-        let sends = self.send_index();
-        let mut matched = 0usize;
-        let mut orphan_recvs = 0usize;
-        for (dst, evs) in self.ranks.iter().enumerate() {
-            for ev in evs {
-                if let Event::Recv { from, seq, .. } = *ev {
-                    if sends.contains_key(&(from, dst, seq)) {
-                        matched += 1;
-                    } else {
-                        orphan_recvs += 1;
-                    }
-                }
-            }
-        }
-        (sends.len() - matched, orphan_recvs)
     }
 
     /// Index of every `Send` event by `(src, dst, seq)`.
@@ -625,11 +612,10 @@ mod tests {
         assert_eq!((pairs[1].src, pairs[1].seq, pairs[1].bytes), (0, 1, 16));
         assert_eq!(pairs[1].send_event, 1);
         assert_eq!((pairs[2].src, pairs[2].seq, pairs[2].send_event), (0, 0, 0));
-        assert_eq!(wt.unmatched_messages(), (0, 0));
     }
 
     #[test]
-    fn unmatched_messages_counted() {
+    fn unmatched_messages_form_no_pair() {
         let wt = WorldTrace::from_ranks(vec![
             vec![Event::Send {
                 to: 1,
@@ -643,7 +629,6 @@ mod tests {
             }],
         ]);
         assert!(wt.message_pairs().is_empty());
-        assert_eq!(wt.unmatched_messages(), (1, 1));
     }
 
     #[test]

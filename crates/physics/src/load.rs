@@ -15,17 +15,7 @@ use agcm_mps::comm::Comm;
 
 /// The paper's percentage-of-load-imbalance metric (as a fraction; multiply
 /// by 100 for the tables' percentages).
-pub fn imbalance(loads: &[f64]) -> f64 {
-    if loads.is_empty() {
-        return 0.0;
-    }
-    let avg: f64 = loads.iter().sum::<f64>() / loads.len() as f64;
-    if avg == 0.0 {
-        return 0.0;
-    }
-    let max = loads.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    (max - avg) / avg
-}
+pub use agcm_mps::trace::imbalance;
 
 /// Summary statistics of a load vector, as printed in Tables 1–3.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,14 +33,11 @@ pub struct LoadSummary {
 /// Summarize a load vector.
 pub fn summarize(loads: &[f64]) -> LoadSummary {
     assert!(!loads.is_empty(), "cannot summarize an empty load vector");
-    let max = loads.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let min = loads.iter().copied().fold(f64::INFINITY, f64::min);
-    let avg = loads.iter().sum::<f64>() / loads.len() as f64;
     LoadSummary {
-        max,
-        min,
-        avg,
-        imbalance: if avg == 0.0 { 0.0 } else { (max - avg) / avg },
+        max: loads.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+        min: loads.iter().copied().fold(f64::INFINITY, f64::min),
+        avg: loads.iter().sum::<f64>() / loads.len() as f64,
+        imbalance: imbalance(loads),
     }
 }
 

@@ -32,11 +32,6 @@ pub fn solar_zenith_cos(lat: f64, lon: f64, t_seconds: f64) -> f64 {
     lat.cos() * hour_angle.cos()
 }
 
-/// Whether the column at (lat, lon) is sunlit at time `t`.
-pub fn is_day(lat: f64, lon: f64, t_seconds: f64) -> bool {
-    solar_zenith_cos(lat, lon, t_seconds) > 0.0
-}
-
 /// Shortwave heating of one column: a two-stream sweep, O(K). Only called
 /// for sunlit columns. Returns the heating profile and the flop count.
 pub fn shortwave(column: &mut [f64], cos_zenith: f64, cloud: f64) -> f64 {
@@ -82,14 +77,12 @@ mod tests {
     fn noon_at_greenwich_at_t0() {
         // t=0: hour angle 0 at lon 0 → Sun overhead on the equator.
         assert!((solar_zenith_cos(0.0, 0.0, 0.0) - 1.0).abs() < 1e-12);
-        assert!(is_day(0.0, 0.0, 0.0));
     }
 
     #[test]
     fn midnight_on_far_side() {
         let lon = std::f64::consts::PI; // 180°E at t=0
         assert!(solar_zenith_cos(0.0, lon, 0.0) < 0.0);
-        assert!(!is_day(0.0, lon, 0.0));
     }
 
     #[test]
@@ -107,7 +100,7 @@ mod tests {
         let day_count = (0..n)
             .filter(|&i| {
                 let lon = 2.0 * std::f64::consts::PI * i as f64 / n as f64;
-                is_day(0.3, lon, 12_345.0)
+                solar_zenith_cos(0.3, lon, 12_345.0) > 0.0
             })
             .count();
         let frac = day_count as f64 / n as f64;

@@ -1,10 +1,11 @@
 //! The model checkpoint record format.
 //!
-//! Extends the single-field history snapshot of `agcm_grid::history` to a
-//! versioned, checksummed, multi-field model checkpoint: dynamics state
+//! A versioned, checksummed, multi-field model checkpoint: dynamics state
 //! (every prognostic field), physics state (load series and the balancer's
-//! memory), RNG seeds, and the timestep counter. Like the history format it
-//! records its own byte order and the reader swaps as needed.
+//! memory), RNG seeds, and the timestep counter. It records its own byte
+//! order and the reader swaps as needed: this is the reproduction's one
+//! implementation of the paper's byte-order reversal routine for history
+//! data (§4).
 //!
 //! Layout (header fields in the *writer's* byte order):
 //!

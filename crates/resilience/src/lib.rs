@@ -6,8 +6,8 @@
 //!
 //! * [`checkpoint`] — a versioned, checksummed multi-field model
 //!   checkpoint record (dynamics state, physics state, RNG seeds, timestep
-//!   counter), extending the single-field history snapshot of
-//!   `agcm_grid::history` and sharing its explicit byte-order discipline,
+//!   counter) that records its writer's byte order and is read on a
+//!   machine of either order (the paper's byte-order reversal routine),
 //!   written and read as a stream (one traversal, no record-sized
 //!   buffer) through the sink/source pair every shard store speaks;
 //! * [`coordinator`] — a per-rank shard store with an atomic rename commit

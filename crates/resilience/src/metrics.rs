@@ -60,11 +60,6 @@ impl ResilienceMetrics {
         }
         m
     }
-
-    /// Total injected message faults.
-    pub fn messages_faulted(&self) -> usize {
-        self.messages_dropped + self.messages_duplicated + self.messages_delayed
-    }
 }
 
 #[cfg(test)]
@@ -111,6 +106,5 @@ mod tests {
         assert_eq!(m.messages_dropped, 1);
         assert_eq!(m.messages_delayed, 1);
         assert_eq!(m.messages_duplicated, 0);
-        assert_eq!(m.messages_faulted(), 2);
     }
 }

@@ -708,32 +708,32 @@ fn healthz(state: &ServerState) -> Response {
     Response::json(200, body.to_string())
 }
 
-/// The fleet checkpoint store's counters as a JSON object — the
-/// serving-layer view of dedup effectiveness and prefix-reuse hit rate.
-fn store_to_json(s: &agcm_ckptstore::StoreStats) -> Value {
-    let n = |v: u64| Value::Num(v as f64);
-    Value::obj(vec![
-        ("chunks", n(s.chunks)),
-        ("live_bytes", n(s.live_bytes)),
-        ("manifests", n(s.manifests)),
-        ("lineages", n(s.lineages)),
-        ("leased_lineages", n(s.leased_lineages)),
-        ("bytes_ingested", n(s.bytes_ingested)),
-        ("bytes_written", n(s.bytes_written)),
-        ("bytes_deduped", n(s.bytes_deduped)),
-        ("shard_dedup_hits", n(s.shard_dedup_hits)),
-        ("prefix_hits", n(s.prefix_hits)),
-        ("prefix_misses", n(s.prefix_misses)),
-        ("gc_runs", n(s.gc_runs)),
-        ("chunks_reclaimed", n(s.chunks_reclaimed)),
-        ("bytes_reclaimed", n(s.bytes_reclaimed)),
-        ("orphans_swept", n(s.orphans_swept)),
-        ("puts", n(s.puts)),
-        ("chunk_files_written", n(s.chunk_files_written)),
-        ("put_seconds", Value::Num(s.put_seconds)),
-        ("lock_wait_seconds", Value::Num(s.lock_wait_seconds)),
-        ("fsync_seconds", Value::Num(s.fsync_seconds)),
-    ])
+/// The fleet checkpoint store's counters — the serving-layer view of
+/// dedup effectiveness and prefix-reuse hit rate. `/v1/metrics` serves
+/// them as its `store` object, `/metrics` as `store_<name>` gauges.
+fn store_counters(s: &agcm_ckptstore::StoreStats) -> [(&'static str, f64); 20] {
+    [
+        ("chunks", s.chunks as f64),
+        ("live_bytes", s.live_bytes as f64),
+        ("manifests", s.manifests as f64),
+        ("lineages", s.lineages as f64),
+        ("leased_lineages", s.leased_lineages as f64),
+        ("bytes_ingested", s.bytes_ingested as f64),
+        ("bytes_written", s.bytes_written as f64),
+        ("bytes_deduped", s.bytes_deduped as f64),
+        ("shard_dedup_hits", s.shard_dedup_hits as f64),
+        ("prefix_hits", s.prefix_hits as f64),
+        ("prefix_misses", s.prefix_misses as f64),
+        ("gc_runs", s.gc_runs as f64),
+        ("chunks_reclaimed", s.chunks_reclaimed as f64),
+        ("bytes_reclaimed", s.bytes_reclaimed as f64),
+        ("orphans_swept", s.orphans_swept as f64),
+        ("puts", s.puts as f64),
+        ("chunk_files_written", s.chunk_files_written as f64),
+        ("put_seconds", s.put_seconds),
+        ("lock_wait_seconds", s.lock_wait_seconds),
+        ("fsync_seconds", s.fsync_seconds),
+    ]
 }
 
 /// The field-storage recycle list's counters: retained memory beside the RSS.
@@ -757,7 +757,14 @@ fn metrics(state: &ServerState) -> Response {
         ("fleet", ensemble.fleet().to_json()),
         ("server", state.metrics.snapshot().to_json()),
         ("live", state.collector.rollup()),
-        ("store", store_to_json(&state.store.stats())),
+        (
+            "store",
+            Value::obj(
+                store_counters(&state.store.stats())
+                    .map(|(k, v)| (k, Value::Num(v)))
+                    .into(),
+            ),
+        ),
         (
             "fields",
             Value::obj(field_counters().map(|(k, v)| (k, Value::Num(v))).into()),
@@ -784,7 +791,6 @@ fn prom_metrics(state: &ServerState) -> Response {
         return Response::json(503, error_body("shutting_down", "ensemble stopped"));
     };
     let fleet = ensemble.fleet();
-    let store = state.store.stats();
     let mut extras = vec![
         (
             "server.uptime_seconds".to_string(),
@@ -801,38 +807,8 @@ fn prom_metrics(state: &ServerState) -> Response {
             "live.tracked_jobs".to_string(),
             state.collector.tracked_jobs() as f64,
         ),
-        ("store.chunks".to_string(), store.chunks as f64),
-        ("store.live_bytes".to_string(), store.live_bytes as f64),
-        ("store.lineages".to_string(), store.lineages as f64),
-        (
-            "store.bytes_written".to_string(),
-            store.bytes_written as f64,
-        ),
-        (
-            "store.bytes_deduped".to_string(),
-            store.bytes_deduped as f64,
-        ),
-        ("store.puts".to_string(), store.puts as f64),
-        (
-            "store.chunk_files_written".to_string(),
-            store.chunk_files_written as f64,
-        ),
-        ("store.put_seconds".to_string(), store.put_seconds),
-        (
-            "store.lock_wait_seconds".to_string(),
-            store.lock_wait_seconds,
-        ),
-        ("store.fsync_seconds".to_string(), store.fsync_seconds),
-        ("store.prefix_hits".to_string(), store.prefix_hits as f64),
-        (
-            "store.prefix_misses".to_string(),
-            store.prefix_misses as f64,
-        ),
-        (
-            "store.bytes_reclaimed".to_string(),
-            store.bytes_reclaimed as f64,
-        ),
     ];
+    extras.extend(store_counters(&state.store.stats()).map(|(k, v)| (format!("store.{k}"), v)));
     extras.extend(field_counters().map(|(k, v)| (format!("fields.{k}"), v)));
     Response::prometheus(prom::render(&state.metrics.snapshot(), &extras))
 }

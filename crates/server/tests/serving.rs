@@ -118,6 +118,65 @@ fn submit_poll_and_fetch_result() {
 }
 
 #[test]
+fn every_store_counter_is_also_a_prometheus_gauge() {
+    let dir = temp_dir("store-gauges");
+    let server = AgcmServer::start(server_config(dir.clone(), EnsembleConfig::default())).unwrap();
+    let addr = server.local_addr();
+    let id = submitted_id(&post_job(addr, None, &job_body("gauges", 1, 2)).unwrap());
+    wait_for_state(addr, id, "completed");
+
+    let m = get(addr, "/v1/metrics").unwrap().json();
+    let keys: Vec<&str> = m
+        .get("store")
+        .and_then(Value::as_obj)
+        .unwrap()
+        .iter()
+        .map(|(k, _)| k.as_str())
+        .collect();
+    // Clients read this object by key (the benchmark reads the prefix
+    // counters): its keys and their order are part of the API.
+    assert_eq!(
+        keys,
+        [
+            "chunks",
+            "live_bytes",
+            "manifests",
+            "lineages",
+            "leased_lineages",
+            "bytes_ingested",
+            "bytes_written",
+            "bytes_deduped",
+            "shard_dedup_hits",
+            "prefix_hits",
+            "prefix_misses",
+            "gc_runs",
+            "chunks_reclaimed",
+            "bytes_reclaimed",
+            "orphans_swept",
+            "puts",
+            "chunk_files_written",
+            "put_seconds",
+            "lock_wait_seconds",
+            "fsync_seconds",
+        ]
+    );
+
+    let prom = get(addr, "/metrics").unwrap();
+    assert_eq!(prom.status, 200);
+    agcm_telemetry::prom::validate(&prom.body).expect("exposition parses");
+    for key in keys {
+        let gauge = format!("# TYPE store_{key} gauge");
+        assert!(
+            prom.body.lines().any(|l| l == gauge),
+            "/metrics lacks store_{key}"
+        );
+    }
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn profiled_job_serves_profile_and_skew_over_http() {
     let dir = temp_dir("profile");
     let cfg = ServerConfig {

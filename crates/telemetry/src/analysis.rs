@@ -26,7 +26,7 @@ use crate::critical::CriticalPath;
 use crate::timeline::Timeline;
 use agcm_costmodel::machine::MachineProfile;
 use agcm_costmodel::replay::{schedule, EventSchedule};
-use agcm_mps::trace::{Event, MessagePair, PhaseFault, WorldTrace};
+use agcm_mps::trace::{imbalance, Event, MessagePair, PhaseFault, WorldTrace};
 
 /// One matched message with its virtual-time geometry.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -184,19 +184,6 @@ impl WaitReport {
     pub fn caused_by(&self, ranks: &[usize]) -> f64 {
         ranks.iter().map(|&r| self.ranks[r].caused).sum()
     }
-}
-
-/// `(max − avg) / avg` over a slice; 0 when empty or the average is 0.
-fn imbalance(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let avg = values.iter().sum::<f64>() / values.len() as f64;
-    if avg == 0.0 {
-        return 0.0;
-    }
-    let max = values.iter().copied().fold(0.0, f64::max);
-    (max - avg) / avg
 }
 
 /// The innermost open phase at every event of every rank (`None` outside

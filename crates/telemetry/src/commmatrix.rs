@@ -8,6 +8,7 @@
 //! the closed-form formulas in `agcm_costmodel::analysis` (and the two can
 //! be checked against each other).
 
+use crate::analysis::innermost_phases;
 use crate::json::Value;
 use agcm_costmodel::machine::MachineProfile;
 use agcm_mps::trace::{Event, WorldTrace};
@@ -88,26 +89,19 @@ impl CommMatrix {
     pub fn by_innermost_phase(trace: &WorldTrace) -> Vec<(&'static str, CommMatrix)> {
         let ranks = trace.size();
         let mut slices: Vec<(&'static str, CommMatrix)> = Vec::new();
-        for (src, evs) in trace.ranks.iter().enumerate() {
-            let mut open: Vec<&'static str> = Vec::new();
-            for ev in evs {
-                match *ev {
-                    Event::PhaseBegin(name) => open.push(name),
-                    Event::PhaseEnd(_) => {
-                        open.pop();
-                    }
-                    Event::Send { to, bytes, .. } => {
-                        let name = open.last().copied().unwrap_or("");
-                        let m = match slices.iter_mut().find(|(n, _)| *n == name) {
-                            Some((_, m)) => m,
-                            None => {
-                                slices.push((name, CommMatrix::new(ranks)));
-                                &mut slices.last_mut().unwrap().1
-                            }
-                        };
-                        m.cells[src * ranks + to].add(bytes);
-                    }
-                    _ => {}
+        let innermost = innermost_phases(trace);
+        for (src, (evs, phases)) in trace.ranks.iter().zip(&innermost).enumerate() {
+            for (ev, phase) in evs.iter().zip(phases) {
+                if let Event::Send { to, bytes, .. } = *ev {
+                    let name = phase.unwrap_or("");
+                    let m = match slices.iter_mut().find(|(n, _)| *n == name) {
+                        Some((_, m)) => m,
+                        None => {
+                            slices.push((name, CommMatrix::new(ranks)));
+                            &mut slices.last_mut().unwrap().1
+                        }
+                    };
+                    m.cells[src * ranks + to].add(bytes);
                 }
             }
         }

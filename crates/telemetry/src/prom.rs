@@ -33,22 +33,6 @@ pub fn sanitize(name: &str) -> String {
     out
 }
 
-/// Escape a label *value* for the text exposition: backslash, double
-/// quote, and newline must be escaped inside the `label="value"` quotes
-/// (and nothing else — the format defines exactly these three).
-pub fn escape_label_value(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for ch in value.chars() {
-        match ch {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            _ => out.push(ch),
-        }
-    }
-    out
-}
-
 /// Escape `# HELP` text: backslash and newline only (no quotes here).
 fn escape_help(text: &str) -> String {
     let mut out = String::with_capacity(text.len());

@@ -14,7 +14,7 @@
 use crate::json::Value;
 use crate::timeline::{Span, Timeline};
 use agcm_costmodel::machine::MachineProfile;
-use agcm_mps::trace::{Event, PhaseFault, WorldTrace};
+use agcm_mps::trace::{imbalance, Event, PhaseFault, WorldTrace};
 
 /// The phase name the model wraps around each timestep.
 pub const STEP_PHASE: &str = "step";
@@ -118,19 +118,6 @@ impl Default for RunSummary {
             resilience: None,
         }
     }
-}
-
-/// `(max − avg) / avg` over a slice; 0 when empty or the average is 0.
-fn imbalance(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let avg = values.iter().sum::<f64>() / values.len() as f64;
-    if avg == 0.0 {
-        return 0.0;
-    }
-    let max = values.iter().copied().fold(0.0, f64::max);
-    (max - avg) / avg
 }
 
 /// Per-rank flops attributed (inclusively) to each open phase over an event

@@ -12,10 +12,6 @@
 //! trace id, the parent span id and the seed with FNV-1a, so attempt `k`
 //! of a job gets the same span id before and after a server restart —
 //! the journal and the live view agree without coordination.
-//!
-//! Hex encoding goes through fixed stack buffers ([`hex32`], [`hex16`]),
-//! so producers on the disabled-telemetry path can format ids without a
-//! single heap allocation.
 
 /// FNV-1a offset basis (64-bit).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -132,27 +128,6 @@ fn mix(trace_id: u128, parent: u64, seed: u64) -> u64 {
     h ^ (h >> 31)
 }
 
-const HEX: &[u8; 16] = b"0123456789abcdef";
-
-/// Write `v` as 32 lowercase hex digits into `buf` and return it as
-/// `&str`. Allocation-free.
-pub fn hex32(v: u128, buf: &mut [u8; 32]) -> &str {
-    for (i, b) in buf.iter_mut().enumerate() {
-        *b = HEX[((v >> ((31 - i) * 4)) & 0xf) as usize];
-    }
-    // Safety not needed: all bytes are ASCII hex digits.
-    std::str::from_utf8(buf).expect("hex digits are UTF-8")
-}
-
-/// Write `v` as 16 lowercase hex digits into `buf` and return it as
-/// `&str`. Allocation-free.
-pub fn hex16(v: u64, buf: &mut [u8; 16]) -> &str {
-    for (i, b) in buf.iter_mut().enumerate() {
-        *b = HEX[((v >> ((15 - i) * 4)) & 0xf) as usize];
-    }
-    std::str::from_utf8(buf).expect("hex digits are UTF-8")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,14 +186,5 @@ mod tests {
         assert_eq!(a.parent_span, root.span_id);
         assert_ne!(a.span_id, root.span_id);
         assert_ne!(root.child(4).span_id, a.span_id);
-    }
-
-    #[test]
-    fn hex_buffers_match_format() {
-        let ctx = TraceContext::new_root();
-        let mut b32 = [0u8; 32];
-        let mut b16 = [0u8; 16];
-        assert_eq!(hex32(ctx.trace_id, &mut b32), ctx.trace_hex());
-        assert_eq!(hex16(ctx.span_id, &mut b16), ctx.span_hex());
     }
 }

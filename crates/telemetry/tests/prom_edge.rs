@@ -1,31 +1,10 @@
-//! Edge-case coverage for the Prometheus text exposition: label-value
-//! escaping, empty histograms, and `# HELP`/`# TYPE` presence for every
-//! exported family — all pushed through the strict [`prom::validate`]
-//! parser, so the renderer and the validator are held to the same spec.
+//! Edge-case coverage for the Prometheus text exposition: empty
+//! histograms and `# HELP`/`# TYPE` presence for every exported family —
+//! all pushed through the strict [`prom::validate`] parser, so the
+//! renderer and the validator are held to the same spec.
 
 use agcm_telemetry::metrics::MetricsRegistry;
-use agcm_telemetry::prom::{escape_label_value, render, sanitize, validate};
-
-#[test]
-fn label_value_escaping_covers_quotes_backslashes_and_newlines() {
-    assert_eq!(escape_label_value("plain"), "plain");
-    assert_eq!(escape_label_value(r#"say "hi""#), r#"say \"hi\""#);
-    assert_eq!(escape_label_value(r"C:\temp"), r"C:\\temp");
-    assert_eq!(escape_label_value("two\nlines"), "two\\nlines");
-    // Compound: every special char in one value, escaped independently.
-    assert_eq!(escape_label_value("a\\b\"c\nd"), "a\\\\b\\\"c\\nd");
-    // The escaped form never contains a raw newline or unescaped quote,
-    // so embedding it inside label="..." keeps the line well-formed.
-    let hostile = escape_label_value("evil\"} 99\ninjected_metric 1");
-    let line = format!("m{{tenant=\"{hostile}\"}} 1\n");
-    assert_eq!(
-        line.lines().count(),
-        1,
-        "escaping must keep one line: {line:?}"
-    );
-    validate(&format!("# HELP m doc\n# TYPE m counter\n{line}"))
-        .expect("escaped label value must parse");
-}
+use agcm_telemetry::prom::{render, sanitize, validate};
 
 #[test]
 fn empty_histogram_exposes_inf_bucket_zero_sum_and_count() {

@@ -10,7 +10,6 @@ use ucla_agcm_repro::fft::convolution::{circular_convolve_direct, circular_convo
 use ucla_agcm_repro::fft::plan::FftPlan;
 use ucla_agcm_repro::grid::decomp::block_partition;
 use ucla_agcm_repro::grid::field::{BlockField, Field3D};
-use ucla_agcm_repro::grid::history::{byte_reverse_elements, decode, encode, ByteOrder};
 use ucla_agcm_repro::physics::balance::scheme1::CyclicShuffle;
 use ucla_agcm_repro::physics::balance::scheme2::SortedGreedy;
 use ucla_agcm_repro::physics::balance::scheme3::PairwiseExchange;
@@ -207,43 +206,6 @@ fn pairwise_exchange_converges() {
             prev = now;
         }
         assert!(prev < 0.15, "case {case}: converged imbalance {prev}");
-    }
-}
-
-#[test]
-fn history_roundtrip() {
-    // History records round-trip in both byte orders.
-    for case in 0..CASES {
-        let mut rng = Rng::new(6000 + case);
-        let n = rng.range_usize(1, 64);
-        let vals = rng.vec_f64(n, -1.0e6, 1.0e6);
-        let mut f = Field3D::zeros(n, 1, 1);
-        f.as_mut_slice().copy_from_slice(&vals);
-        let order = if rng.next_u64().is_multiple_of(2) {
-            ByteOrder::Big
-        } else {
-            ByteOrder::Little
-        };
-        let rec = encode(&f, order);
-        let (back, detected) = decode(&rec).unwrap();
-        assert_eq!(detected, order, "case {case}");
-        assert_eq!(back.max_abs_diff(&f), 0.0, "case {case}");
-    }
-}
-
-#[test]
-fn byte_reversal_involution() {
-    // Byte reversal is an involution for any element width.
-    for case in 0..CASES {
-        let mut rng = Rng::new(7000 + case);
-        let len = rng.range_usize(0, 256);
-        let width = rng.range_usize(1, 16);
-        let mut d: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
-        d.truncate(len / width * width);
-        let orig = d.clone();
-        byte_reverse_elements(&mut d, width);
-        byte_reverse_elements(&mut d, width);
-        assert_eq!(d, orig, "case {case}: width {width}");
     }
 }
 

@@ -18,7 +18,16 @@ fn paper_mesh_240_ranks_full_collective_suite() {
         comm.barrier();
         let sum = comm.allreduce_i64(Op::Sum, &[comm.rank() as i64])[0];
         let all = comm.allgather_i64(&[comm.rank() as i64]);
-        let bc = comm.bcast_f64(239, if comm.rank() == 239 { &[3.25] } else { &[] });
+        let bc = comm
+            .bcast(
+                239,
+                if comm.rank() == 239 {
+                    Payload::F64(vec![3.25])
+                } else {
+                    Payload::Empty
+                },
+            )
+            .into_f64();
         (sum, all.len(), bc[0])
     });
     let expect_sum: i64 = (0..240).sum();
@@ -85,7 +94,11 @@ fn trace_replay_reflects_load_imbalance() {
     });
     let r = replay(&trace, &MachineProfile::t3d());
     let max = r.phase_time("physics");
-    let min = r.phase_time_min("physics");
+    let min = r
+        .phase_times
+        .iter()
+        .map(|m| m["physics"])
+        .fold(f64::INFINITY, f64::min);
     assert!((max / min - 10.0).abs() < 0.5, "{max} vs {min}");
     // Imbalance (max-avg)/avg = (10 - 3.25)/3.25 ≈ 2.08.
     assert!((r.phase_imbalance("physics") - 2.077).abs() < 0.05);
