@@ -125,13 +125,6 @@ impl AgcmConfig {
         self
     }
 
-    /// Builder-style: filter one variable at a time, the pre-§3.3
-    /// organization kept for the message-count comparison.
-    pub fn with_per_variable_filtering(mut self) -> AgcmConfig {
-        self.filter_organization = FilterOrganization::PerVariable;
-        self
-    }
-
     /// Builder-style: set the number of steps.
     pub fn with_steps(mut self, steps: usize) -> AgcmConfig {
         self.steps = steps;
@@ -307,7 +300,11 @@ mod tests {
                 .lineage()
         );
         assert_ne!(base.lineage(), base.with_physics_balancing().lineage());
-        assert_ne!(base.lineage(), base.with_per_variable_filtering().lineage());
+        let per_variable = AgcmConfig {
+            filter_organization: FilterOrganization::PerVariable,
+            ..base
+        };
+        assert_ne!(base.lineage(), per_variable.lineage());
         assert_ne!(
             base.lineage(),
             AgcmConfig::paper(2, 4, FilterVariant::LbFft)

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! reproduce [all|figure1|tables1to3|tables4to7|tables8to11|singlenode|summary
-//!           |bench-filter|bench-kernels [--smoke]|trace|analyze|ensemble [--smoke]
-//!           |serve [--smoke]|profile [--smoke]|store [--smoke]]
+//!           |bench-filter|bench-kernels [--smoke]|trace|analyze|profile [--smoke]]
 //! ```
 //!
 //! `all` (the default) runs the paper's tables and figures plus the two
@@ -33,11 +32,11 @@
 //! `flamegraph.svg`, and `profile.json` with the measured-vs-modeled skew
 //! report. `--smoke` keeps the run CI-sized.
 //!
-//! `trace`, `analyze`, `ensemble`, `serve`, `profile` and `store` each end
-//! in machine checks reported one way (`agcm_bench::analyze::Checks`): a
-//! grep-able `name:ok` line per check on stdout and a non-zero exit when
-//! any check fails; all but `trace` also write `"name":"ok"|"violated"`
-//! under `"checks"` in their JSON artifact.
+//! `trace`, `analyze` and `profile` each end in machine checks reported
+//! one way (`agcm_bench::analyze::Checks`): a grep-able `name:ok` line
+//! per check on stdout and a non-zero exit when any check fails; all but
+//! `trace` also write `"name":"ok"|"violated"` under `"checks"` in their
+//! JSON artifact.
 //!
 //! Each table prints the paper-reported values next to the model-measured
 //! ones. Absolute agreement is not expected (the substrate is a simulator,
@@ -79,10 +78,7 @@ fn main() {
         "bench-kernels" => bench_kernels(std::env::args().nth(2).as_deref() == Some("--smoke")),
         "trace" => trace(),
         "analyze" => analyze(),
-        "ensemble" => ensemble(std::env::args().nth(2).as_deref() == Some("--smoke")),
-        "serve" => serve(std::env::args().nth(2).as_deref() == Some("--smoke")),
         "profile" => profile(std::env::args().nth(2).as_deref() == Some("--smoke")),
-        "store" => store(std::env::args().nth(2).as_deref() == Some("--smoke")),
         "all" => {
             figure1();
             tables_1_to_3();
@@ -95,7 +91,7 @@ fn main() {
         }
         other => {
             eprintln!("unknown experiment '{other}'");
-            eprintln!("usage: reproduce [all|figure1|tables1to3|tables4to7|tables8to11|singlenode|summary|bench-filter|bench-kernels [--smoke]|trace|analyze|ensemble [--smoke]|serve [--smoke]|profile [--smoke]|store [--smoke]]");
+            eprintln!("usage: reproduce [all|figure1|tables1to3|tables4to7|tables8to11|singlenode|summary|bench-filter|bench-kernels [--smoke]|trace|analyze|profile [--smoke]]");
             std::process::exit(2);
         }
     }
@@ -873,52 +869,6 @@ fn analyze() {
         report.smoke.flows.len()
     );
     conclude("analysis", "analysis.json", &report.doc, &report.checks);
-}
-
-/// `ensemble`: the paper's scaling sweep served as a batch workload on a
-/// bounded rank budget — admission control, deadlines, cancellation,
-/// fault retries, fleet telemetry — written to `ensemble.json` with a
-/// machine-checkable `checks` section. Exits non-zero on any failed
-/// check. `--smoke` shortens the standard jobs for CI.
-fn ensemble(smoke: bool) {
-    use agcm_bench::ensemble::run_ensemble;
-
-    println!("\n=== Ensemble serving: scaling sweep as a batch workload ===\n");
-    let report = run_ensemble(smoke);
-    println!("{}", report.table);
-    conclude("ensemble", "ensemble.json", &report.doc, &report.checks);
-}
-
-/// `serve`: the network-facing serving layer exercised end to end over a
-/// real TCP socket — concurrent tenants under weighted quotas, a typed
-/// 429 for the quota-exceeding tenant, 403 for an unknown one, a
-/// `DELETE`-cancelled running job, and a kill-and-restart journal
-/// recovery — written to `serve.json` with a machine-checkable `checks`
-/// section. Exits non-zero on any failed check.
-fn serve(smoke: bool) {
-    use agcm_bench::serve::run_serve;
-
-    println!("\n=== Serving layer: multi-tenant HTTP front end + journal recovery ===\n");
-    let report = run_serve(smoke);
-    println!("{}", report.table);
-    conclude("serving", "serve.json", &report.doc, &report.checks);
-}
-
-/// `store [--smoke]`: the fleet-wide content-addressed checkpoint store
-/// driven through the scheduler — identical resubmission resumes at the
-/// full horizon, an extended run pays only for the extension, a
-/// byte-identical twin lineage dedups to zero new chunks, and GC
-/// reclaims terminals without touching a leased lineage — written to
-/// `store.json` with a machine-checkable `checks` section. Exits
-/// non-zero on any failed check.
-fn store(smoke: bool) {
-    use agcm_bench::store::run_store;
-
-    println!("\n=== Checkpoint store: fleet-wide prefix reuse, dedup, and GC ===\n");
-    let report = run_store(smoke);
-    println!("{}", report.table);
-    println!("{}", report.cost);
-    conclude("store", "store.json", &report.doc, &report.checks);
 }
 
 /// `profile [--smoke]`: fold a real run's wall stamps into per-phase

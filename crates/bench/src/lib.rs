@@ -18,13 +18,14 @@
 //!   `bench-filter` and `bench-kernels` subcommands time the paper's
 //!   kernel pairs against their stated bounds. They report; performance
 //!   regressions are judged only by `benchmark/`.
+//!
+//! The serving stack built on the model (scheduler, HTTP server, shared
+//! checkpoint store) is not driven from here: its end-to-end checks are
+//! the integration tests of `agcm-ensemble` and `agcm-server`.
 
 pub mod analyze;
-pub mod ensemble;
 pub mod harness;
 pub mod kernels;
 pub mod paper;
 pub mod peak;
 pub mod profile;
-pub mod serve;
-pub mod store;

@@ -223,9 +223,9 @@ struct Inner {
     counters: Counters,
 }
 
-/// Session counters and live totals, for `/v1/metrics` and the smoke
-/// scenario's machine checks. Counters are per-process (the index
-/// persists state, not statistics).
+/// Session counters and live totals, for `/v1/metrics` and the tests'
+/// checks. Counters are per-process (the index persists state, not
+/// statistics).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StoreStats {
     /// Unique chunks currently stored.

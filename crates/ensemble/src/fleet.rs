@@ -178,7 +178,7 @@ pub struct FleetSnapshot {
 }
 
 impl FleetSnapshot {
-    /// Serialize for `ensemble.json`.
+    /// Serialize for the `fleet` object of `GET /v1/metrics`.
     pub fn to_json(&self) -> Value {
         let hist = |h: &HistogramSnapshot| {
             Value::obj(vec![

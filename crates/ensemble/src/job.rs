@@ -203,12 +203,6 @@ impl JobSpec {
         self
     }
 
-    /// Builder-style: inject this fault plan on the first attempt.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> JobSpec {
-        self.plan = Some(plan);
-        self
-    }
-
     /// Builder-style: keep checkpoints under `dir` instead of a temp dir.
     pub fn with_checkpoint_dir(mut self, dir: impl Into<PathBuf>) -> JobSpec {
         self.checkpoint_dir = Some(dir.into());

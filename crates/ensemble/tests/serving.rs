@@ -7,7 +7,7 @@ use agcm_ensemble::{
     CancelReason, Ensemble, EnsembleConfig, JobId, JobSpec, JobStatus, JobView, Priority,
     SubmitError,
 };
-use agcm_filtering::driver::FilterVariant;
+use agcm_filtering::driver::{FilterOrganization, FilterVariant};
 use agcm_grid::latlon::GridSpec;
 use agcm_mps::fault::FaultPlan;
 use agcm_telemetry::{LiveCollector, MemorySink, TraceContext};
@@ -36,14 +36,30 @@ fn quick_config() -> EnsembleConfig {
 
 #[test]
 fn jobs_complete_bit_identical_to_solo_runs() {
-    let ensemble = Ensemble::start(quick_config());
-    let specs = [
-        job("a-1x1", 1, 1, 2),
-        job("b-2x1", 2, 1, 2),
-        job("c-1x2", 1, 2, 3),
-        job("d-2x2", 2, 2, 2),
-        job("e-1x1", 1, 1, 3),
+    // A 6-rank budget: the 2x3 and 3x2 meshes admit, and the 16 jobs
+    // below need 58 ranks, so most of them queue.
+    let ensemble = Ensemble::start(EnsembleConfig {
+        rank_budget: 6,
+        ..quick_config()
+    });
+    let meshes = [
+        (1, 1),
+        (2, 1),
+        (1, 2),
+        (2, 2),
+        (1, 4),
+        (4, 1),
+        (2, 3),
+        (3, 2),
     ];
+    let mut specs = Vec::new();
+    for (i, &(lat, lon)) in meshes.iter().enumerate() {
+        let spec = job(&format!("{lat}x{lon}"), lat, lon, 2 + i % 2);
+        let mut per_variable = spec.clone();
+        per_variable.name += "-pervar";
+        per_variable.config.filter_organization = FilterOrganization::PerVariable;
+        specs.extend([spec, per_variable]);
+    }
     for spec in &specs {
         ensemble.submit(spec.clone()).unwrap();
     }
@@ -227,14 +243,16 @@ fn explicit_cancel_of_queued_and_running_jobs() {
 #[test]
 fn fault_injected_job_retries_to_success_via_checkpoints() {
     let ensemble = Ensemble::start(quick_config());
-    let spec = JobSpec::new(
-        "faulty",
-        AgcmConfig::for_grid(small_grid(), 2, 2, FilterVariant::LbFft)
-            .with_steps(4)
-            .with_checkpointing(1),
-    )
-    .with_fault_plan(FaultPlan::seeded(7).with_kill(1, 2))
-    .with_retries(2);
+    let spec = JobSpec {
+        plan: Some(FaultPlan::seeded(7).with_kill(1, 2)),
+        ..JobSpec::new(
+            "faulty",
+            AgcmConfig::for_grid(small_grid(), 2, 2, FilterVariant::LbFft)
+                .with_steps(4)
+                .with_checkpointing(1),
+        )
+        .with_retries(2)
+    };
     let id = ensemble.submit(spec.clone()).unwrap();
     let records = ensemble.join();
     let rec = records.iter().find(|r| r.id == id).unwrap();

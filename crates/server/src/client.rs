@@ -1,5 +1,5 @@
 //! A tiny blocking HTTP/1.1 client for the integration tests and the
-//! `reproduce serve` smoke scenario. One request per connection
+//! benchmark's serving workloads. One request per connection
 //! (`Connection: close`), which keeps it trivially correct and also
 //! exercises the server's connection churn path.
 
@@ -76,9 +76,4 @@ pub fn post_job(
 ) -> std::io::Result<ClientResponse> {
     let headers: Vec<(&str, &str)> = tenant.map(|t| ("X-Agcm-Tenant", t)).into_iter().collect();
     request(addr, "POST", "/v1/jobs", &headers, Some(body))
-}
-
-/// `DELETE /v1/jobs/{id}` convenience.
-pub fn delete_job(addr: SocketAddr, id: u64) -> std::io::Result<ClientResponse> {
-    request(addr, "DELETE", &format!("/v1/jobs/{id}"), &[], None)
 }

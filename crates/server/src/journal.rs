@@ -197,9 +197,9 @@ impl Journal {
     }
 
     /// Stop journaling. Subsequent appends (including observer events
-    /// from a draining ensemble) are dropped — this is how the smoke
-    /// scenario simulates a crash: the ensemble's teardown must not
-    /// journal terminals for jobs the "crashed" server never finished.
+    /// from a draining ensemble) are dropped — this is how
+    /// `AgcmServer::abort` simulates a crash: the ensemble's teardown must
+    /// not journal terminals for jobs the "crashed" server never finished.
     pub fn detach(&self) {
         let mut inner = self.inner.lock().unwrap();
         inner.detached = true;

@@ -520,7 +520,7 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>, conns: &ConnLis
         let _ = stream.set_write_timeout(Some(state.cfg.io_timeout));
         let mut conns_guard = conns.lock().unwrap();
         // Reap finished connections so one-request-per-connection
-        // clients (curl, the polling smoke client) cannot pile up dead
+        // clients (curl, the polling test client) cannot pile up dead
         // thread handles for the lifetime of the server.
         conns_guard.retain(|(h, _)| !h.is_finished());
         if conns_guard.len() >= state.cfg.max_connections {

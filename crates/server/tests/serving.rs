@@ -3,7 +3,7 @@
 //! journal recovery.
 
 use agcm_ensemble::{EnsembleConfig, TenantPolicy, TenantQuota};
-use agcm_server::client::{delete_job, get, post_job, request};
+use agcm_server::client::{get, post_job, request, ClientResponse};
 use agcm_server::{AgcmServer, ServerConfig};
 use agcm_telemetry::json::Value;
 use std::net::SocketAddr;
@@ -31,7 +31,11 @@ fn job_body(name: &str, mesh_lon: usize, steps: usize) -> String {
     )
 }
 
-fn submitted_id(resp: &agcm_server::client::ClientResponse) -> u64 {
+fn delete_job(addr: SocketAddr, id: u64) -> ClientResponse {
+    request(addr, "DELETE", &format!("/v1/jobs/{id}"), &[], None).unwrap()
+}
+
+fn submitted_id(resp: &ClientResponse) -> u64 {
     assert_eq!(resp.status, 202, "body: {}", resp.body);
     resp.json().get("id").unwrap().as_f64().unwrap() as u64
 }
@@ -57,7 +61,13 @@ fn wait_for_state(addr: SocketAddr, id: u64, state: &str) -> Value {
 #[test]
 fn submit_poll_and_fetch_result() {
     let dir = temp_dir("basic");
-    let server = AgcmServer::start(server_config(dir.clone(), EnsembleConfig::default())).unwrap();
+    let events = dir.with_extension("events.jsonl");
+    let _ = std::fs::remove_file(&events);
+    let server = AgcmServer::start(ServerConfig {
+        event_log: Some(events.clone()),
+        ..server_config(dir.clone(), EnsembleConfig::default())
+    })
+    .unwrap();
     let addr = server.local_addr();
 
     let health = get(addr, "/healthz").unwrap();
@@ -114,6 +124,16 @@ fn submit_poll_and_fetch_result() {
     assert!(count("retained_bytes") <= count("high_water_bytes"));
 
     server.shutdown();
+    // The event log is JSONL of leveled events: recovery, dispatch and
+    // terminal lines at the default level.
+    let log = std::fs::read_to_string(&events).unwrap();
+    assert!(log.lines().count() >= 1, "event log is empty");
+    for line in log.lines() {
+        let event = Value::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        assert!(event.get("level").is_some(), "no level: {line}");
+        assert!(event.get("kind").is_some(), "no kind: {line}");
+    }
+    let _ = std::fs::remove_file(&events);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -252,7 +272,7 @@ fn unknown_routes_and_methods() {
     );
     assert_eq!(get(addr, "/v1/jobs/999").unwrap().status, 404);
     assert_eq!(get(addr, "/v1/jobs/not-a-number").unwrap().status, 400);
-    assert_eq!(delete_job(addr, 999).unwrap().status, 404);
+    assert_eq!(delete_job(addr, 999).status, 404);
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
@@ -301,15 +321,25 @@ fn malformed_bodies_are_typed_400s() {
 #[test]
 fn tenant_quota_and_strict_policy() {
     let dir = temp_dir("tenants");
-    let tenancy = TenantPolicy::default().with_tenant(
-        "mallory",
-        TenantQuota {
-            max_in_flight: 1,
-            ..TenantQuota::default()
-        },
-    );
-    // Strict: only mallory is known.
+    let tenancy = TenantPolicy::default()
+        .with_tenant(
+            "mallory",
+            TenantQuota {
+                max_in_flight: 1,
+                ..TenantQuota::default()
+            },
+        )
+        .with_tenant(
+            "alice",
+            TenantQuota {
+                weight: 2.0,
+                ..TenantQuota::default()
+            },
+        )
+        .with_tenant("bob", TenantQuota::default());
+    // Strict: only the three named tenants are known.
     let ensemble = EnsembleConfig {
+        rank_budget: 4,
         tenancy: Some(tenancy),
         ..EnsembleConfig::default()
     };
@@ -338,10 +368,63 @@ fn tenant_quota_and_strict_policy() {
         403
     );
 
+    // A weight-2 tenant and a default-quota tenant race three jobs each
+    // on the 4-rank budget; every admitted job completes.
+    let race = |tenant: &'static str, ranks: usize| {
+        std::thread::spawn(move || {
+            (0..3)
+                .map(|i| {
+                    let body = job_body(&format!("{tenant}-{i}"), ranks, 4);
+                    submitted_id(&post_job(addr, Some(tenant), &body).unwrap())
+                })
+                .collect::<Vec<_>>()
+        })
+    };
+    let (alice, bob) = (race("alice", 1), race("bob", 2));
+    let raced: Vec<u64> = [alice, bob]
+        .into_iter()
+        .flat_map(|t| t.join().unwrap())
+        .collect();
+    for &raced_id in &raced {
+        wait_for_state(addr, raced_id, "completed");
+    }
+
     wait_for_state(addr, id, "completed");
     // Quota freed: mallory can submit again.
     let id2 = submitted_id(&post_job(addr, Some("mallory"), &job_body("m3", 1, 1)).unwrap());
     wait_for_state(addr, id2, "completed");
+
+    // The fleet never ran more ranks than the budget, and every POST
+    // above (admitted or not) was counted and timed.
+    let m = get(addr, "/v1/metrics").unwrap().json();
+    let busy_peak = m
+        .get("fleet")
+        .and_then(|f| f.get("ranks_busy_peak"))
+        .and_then(Value::as_f64)
+        .unwrap();
+    assert!(
+        busy_peak > 0.0 && busy_peak <= 4.0,
+        "peak {busy_peak} ranks"
+    );
+    let server_metrics = m.get("server").unwrap();
+    let counter = |name: &str| {
+        server_metrics
+            .get("counters")
+            .and_then(|c| c.get(name))
+            .and_then(Value::as_f64)
+            .unwrap_or(0.0)
+    };
+    let posts_made = 5 + raced.len();
+    let posts = counter("http.requests.post_jobs");
+    assert!(posts >= posts_made as f64, "{posts} of {posts_made} POSTs");
+    let timed = server_metrics
+        .get("histograms")
+        .and_then(|h| h.get("http.latency_seconds.post_jobs"))
+        .and_then(|h| h.get("count"))
+        .and_then(Value::as_f64)
+        .unwrap();
+    assert!(timed >= posts, "{timed} latency samples for {posts} POSTs");
+    assert!(counter("tenant.mallory.rejected") >= 1.0);
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
@@ -356,7 +439,7 @@ fn delete_cancels_a_running_job() {
     // Long job: 20k steps will not finish before the DELETE lands.
     let id = submitted_id(&post_job(addr, None, &job_body("victim", 1, 20000)).unwrap());
     wait_for_state(addr, id, "running");
-    let resp = delete_job(addr, id).unwrap();
+    let resp = delete_job(addr, id);
     assert_eq!(resp.status, 200, "body: {}", resp.body);
     let done = wait_for_state(addr, id, "cancelled(explicit)");
     assert_eq!(
@@ -371,7 +454,7 @@ fn delete_cancels_a_running_job() {
     assert!(matches!(result.json().get("summary"), Some(Value::Null)));
 
     // Cancelling again → 409 with the terminal record.
-    assert_eq!(delete_job(addr, id).unwrap().status, 409);
+    assert_eq!(delete_job(addr, id).status, 409);
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
@@ -388,14 +471,27 @@ fn abort_and_restart_recovers_queued_and_running_jobs() {
     let server = AgcmServer::start(server_config(dir.clone(), ensemble.clone())).unwrap();
     let addr = server.local_addr();
 
-    let mut ids = Vec::new();
-    for i in 0..4 {
-        // Long enough that none completes before the abort.
+    // The first job runs long enough not to finish before the abort and
+    // commits a checkpoint every 10 steps; the three behind it queue.
+    let long = "{\"name\":\"r0\",\"grid\":{\"lon\":24,\"lat\":12,\"lev\":2},\
+                \"mesh\":{\"lat\":1,\"lon\":1},\"steps\":1500,\"checkpoint_every\":10}";
+    let mut ids = vec![submitted_id(&post_job(addr, Some("alice"), long).unwrap())];
+    for i in 1..4 {
         ids.push(submitted_id(
-            &post_job(addr, Some("alice"), &job_body(&format!("r{i}"), 1, 5000)).unwrap(),
+            &post_job(addr, Some("alice"), &job_body(&format!("r{i}"), 1, 4)).unwrap(),
         ));
     }
     wait_for_state(addr, ids[0], "running");
+    // A second shard put means the step-10 checkpoint is committed.
+    let puts = || {
+        let m = get(addr, "/v1/metrics").unwrap().json();
+        m.get("store").unwrap().get("puts").and_then(Value::as_f64)
+    };
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while puts() < Some(2.0) {
+        assert!(Instant::now() < deadline, "no checkpoint committed");
+        std::thread::sleep(Duration::from_millis(2));
+    }
     server.abort(); // crash: journal detached, nothing marked terminal
 
     // Restart on the same journal directory.
@@ -412,6 +508,7 @@ fn abort_and_restart_recovers_queued_and_running_jobs() {
         "the running job resumes: {recovery:?}"
     );
     assert_eq!(recovery.corrupt_lines, 0);
+    assert_eq!(recovery.unrecoverable, 0, "{recovery:?}");
 
     // Recovered jobs keep their durable ids and are pollable.
     for &id in &ids {
@@ -434,6 +531,18 @@ fn abort_and_restart_recovers_queued_and_running_jobs() {
                 .and_then(Value::as_f64)
                 .unwrap(),
         4.0
+    );
+
+    // Every recovered job runs to completion, and the one that was
+    // running resumes from its committed checkpoint, not from step 0.
+    for &id in &ids {
+        wait_for_state(addr, id, "completed");
+    }
+    let resumed = get(addr, &format!("/v1/jobs/{}", ids[0])).unwrap().json();
+    let from = resumed.get("resumed_from").and_then(Value::as_f64);
+    assert!(
+        from.is_some_and(|step| step >= 10.0),
+        "running job resumed from {from:?}"
     );
 
     server.shutdown();
@@ -608,11 +717,13 @@ fn trace_links_submit_journal_attempts_and_phases() {
     );
     let attempts = v.get("attempts").and_then(Value::as_arr).unwrap();
     assert!(!attempts.is_empty(), "at least one attempt span");
-    assert_eq!(
-        attempts[0].get("parent").and_then(Value::as_str),
-        Some(root.span_hex().as_str()),
-        "attempt spans are children of the request's root span"
-    );
+    for attempt in attempts {
+        assert_eq!(
+            attempt.get("parent").and_then(Value::as_str),
+            Some(root.span_hex().as_str()),
+            "attempt spans are children of the request's root span"
+        );
+    }
     assert_eq!(
         v.get("phase_domain").and_then(Value::as_str),
         Some("virtual")
@@ -631,6 +742,7 @@ fn trace_links_submit_journal_attempts_and_phases() {
         .and_then(Value::as_obj)
         .expect("summary has phase_seconds")
         .to_vec();
+    assert_eq!(phases.len(), summary_phases.len(), "same phase set");
     for (name, secs) in &summary_phases {
         let live = phases
             .iter()

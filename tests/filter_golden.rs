@@ -17,7 +17,7 @@
 
 use std::path::PathBuf;
 use ucla_agcm_repro::agcm::{run_model, run_model_resilient, AgcmConfig, ResilienceOpts};
-use ucla_agcm_repro::filtering::driver::FilterVariant;
+use ucla_agcm_repro::filtering::driver::{FilterOrganization, FilterVariant};
 use ucla_agcm_repro::filtering::reference::global_from_locals;
 use ucla_agcm_repro::grid::decomp::Decomp;
 use ucla_agcm_repro::grid::halo::HaloField;
@@ -108,9 +108,10 @@ fn paper_grid_state_digests_repeat() {
 
 #[test]
 fn row_local_per_variable_state_digest_repeats() {
-    let cfg = AgcmConfig::for_grid(GridSpec::new(48, 24, 3), 2, 2, FilterVariant::FftNoLb)
-        .with_per_variable_filtering()
-        .with_steps(6);
+    let cfg = AgcmConfig {
+        filter_organization: FilterOrganization::PerVariable,
+        ..AgcmConfig::for_grid(GridSpec::new(48, 24, 3), 2, 2, FilterVariant::FftNoLb).with_steps(6)
+    };
     let got = state_digest(cfg, "nolb-pervar");
     assert_eq!(got, 0x5a53_1c6e_dd12_c277, "state digest {got:#018x}");
 }
