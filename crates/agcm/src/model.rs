@@ -158,8 +158,6 @@ pub fn try_run_model(cfg: AgcmConfig) -> Result<ModelRun, ConfigError> {
     cfg.validate()?;
     let decomp = Decomp::new(cfg.grid, cfg.mesh_lat, cfg.mesh_lon);
     let (ranks, trace) = run_traced(cfg.size(), |comm| model_body(&cfg, decomp, comm));
-    // With no sink installed this is a single atomic load.
-    agcm_telemetry::telemetry().observe_trace(&trace, None);
     Ok(ModelRun {
         ranks,
         trace,
@@ -431,14 +429,6 @@ pub fn run_model_resilient(
             })
         },
     )?;
-    agcm_telemetry::telemetry().observe_trace(
-        &report.trace,
-        Some(agcm_telemetry::ResilienceCounters {
-            attempts: report.attempts as u64,
-            failures: report.failures.len() as u64,
-            fault_events: report.fault_events.iter().map(|e| e.len() as u64).sum(),
-        }),
-    );
     Ok(ResilientRun {
         ranks: report.results,
         attempts: report.attempts,

@@ -1,38 +1,27 @@
-//! End-to-end telemetry wiring: install a memory sink, run the model, and
-//! check that per-step and per-run records arrive with the right shape —
-//! including the acceptance criterion that the run summary's flop
-//! imbalance agrees with `WorldTrace::flop_imbalance` to 1e-9. Global
-//! telemetry installs once per process, so this file is a single test.
+//! Telemetry of a real model run: derive [`RunMetrics`] straight from a
+//! 2×2 run's trace and check the records' shape — including the
+//! acceptance criterion that the run summary's flop imbalance agrees with
+//! `WorldTrace::flop_imbalance` to 1e-9.
 
 use agcm_core::config::AgcmConfig;
-use agcm_core::model::{run_model, run_model_resilient, ResilienceOpts};
+use agcm_core::model::run_model;
 use agcm_costmodel::machine::MachineProfile;
 use agcm_filtering::driver::FilterVariant;
 use agcm_grid::latlon::GridSpec;
-use agcm_telemetry::{install, MemorySink};
-use std::sync::Arc;
+use agcm_telemetry::RunMetrics;
 
 #[test]
-fn model_runs_feed_the_installed_sink() {
-    let sink = Arc::new(MemorySink::new());
-    assert!(install(sink.clone(), MachineProfile::t3d()));
-    // Second install loses (first wins).
-    assert!(!install(
-        Arc::new(MemorySink::new()),
-        MachineProfile::paragon()
-    ));
-
+fn run_metrics_of_a_model_trace_have_its_shape() {
     let cfg =
         AgcmConfig::for_grid(GridSpec::new(48, 24, 3), 2, 2, FilterVariant::LbFft).with_steps(3);
     let run = run_model(cfg);
     assert!(run.stable());
+    let metrics = RunMetrics::from_trace(&run.trace, &MachineProfile::t3d()).unwrap();
 
-    // Three step records and one run record.
-    let steps = sink.steps();
-    let runs = sink.runs();
+    // Three step records and one summary.
+    let steps = &metrics.steps;
+    let summary = &metrics.summary;
     assert_eq!(steps.len(), 3);
-    assert_eq!(runs.len(), 1);
-    let summary = &runs[0];
     assert_eq!(summary.ranks, 4);
     assert_eq!(summary.steps, 3);
     assert!(summary.resilience.is_none());
@@ -46,7 +35,7 @@ fn model_runs_feed_the_installed_sink() {
     );
 
     // Steps carry the component phases with positive virtual time.
-    for step in &steps {
+    for step in steps {
         assert!(step.virt_seconds > 0.0);
         for phase in ["dynamics", "physics", "filter"] {
             let (_, secs) = step
@@ -77,23 +66,7 @@ fn model_runs_feed_the_installed_sink() {
         "model run uses collectives (load estimates, reductions)"
     );
 
-    // A resilient run attaches resilience counters to its summary.
-    let dir = std::env::temp_dir().join(format!("agcm-telemetry-e2e-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let res = run_model_resilient(
-        AgcmConfig::for_grid(GridSpec::new(48, 24, 3), 2, 2, FilterVariant::LbFft)
-            .with_steps(2)
-            .with_checkpointing(1),
-        ResilienceOpts::new(&dir),
-    )
-    .unwrap();
-    assert_eq!(res.attempts, 1);
-    let runs = sink.runs();
-    assert_eq!(runs.len(), 2);
-    let resilient_summary = &runs[1];
-    let counters = resilient_summary.resilience.expect("resilience counters");
-    assert_eq!(counters.attempts, 1);
-    assert_eq!(counters.failures, 0);
-    assert!((resilient_summary.flop_imbalance - res.trace.flop_imbalance()).abs() < 1e-9);
-    let _ = std::fs::remove_dir_all(&dir);
+    // The same replay yields the waits: one entry per rank.
+    assert_eq!(summary.wait_seconds.len(), 4);
+    assert!(summary.idle_imbalance.is_finite());
 }

@@ -109,7 +109,7 @@ pub struct AnalyzeReport {
 /// The reduced grid every analysis experiment runs on: large enough to
 /// exercise both filter classes and all phases, small enough that the whole
 /// report (a dozen model runs) completes in seconds.
-pub fn analysis_grid() -> GridSpec {
+fn analysis_grid() -> GridSpec {
     GridSpec::new(48, 24, 3)
 }
 

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! reproduce [all|figure1|tables1to3|tables4to7|tables8to11|singlenode|summary
-//!           |bench-filter|bench-kernels [--smoke]|trace|analyze|profile [--smoke]]
+//!           |bench-filter|bench-kernels [--smoke]|trace|analyze]
 //! ```
 //!
 //! `all` (the default) runs the paper's tables and figures plus the two
@@ -22,21 +22,18 @@
 //! oracle, with its divide bound beside it. Written to
 //! `BENCH_kernels.json`.
 //!
-//! `trace` runs a short instrumented model and emits `trace.json` (Chrome
-//! trace-event format — open at <https://ui.perfetto.dev>) plus
-//! `metrics.jsonl` (one structured record per step and per run), then
-//! validates both artifacts.
+//! `trace` makes one instrumented run (paper 9-layer grid, 2x2 mesh) and
+//! replays its trace once. From that replay it writes `trace.json`
+//! (Chrome trace-event format — open at <https://ui.perfetto.dev>),
+//! `metrics.jsonl` (one structured record per step and per run), and the
+//! wall-time profile: `profile_folded.txt`, `flamegraph.svg`, and
+//! `profile.json` with the measured-vs-modeled skew report.
 //!
-//! `profile` runs a short instrumented model, folds its trace's wall
-//! stamps into per-phase stacks, and writes `profile_folded.txt`,
-//! `flamegraph.svg`, and `profile.json` with the measured-vs-modeled skew
-//! report. `--smoke` keeps the run CI-sized.
-//!
-//! `trace`, `analyze` and `profile` each end in machine checks reported
-//! one way (`agcm_bench::analyze::Checks`): a grep-able `name:ok` line
-//! per check on stdout and a non-zero exit when any check fails; all but
-//! `trace` also write `"name":"ok"|"violated"` under `"checks"` in their
-//! JSON artifact.
+//! `trace` and `analyze` each end in machine checks reported one way
+//! (`agcm_bench::analyze::Checks`): a grep-able `name:ok` line per check
+//! on stdout, `"name":"ok"|"violated"` under `"checks"` in their JSON
+//! artifact (`profile.json`, `analysis.json`), and a non-zero exit when
+//! any check fails.
 //!
 //! Each table prints the paper-reported values next to the model-measured
 //! ones. Absolute agreement is not expected (the substrate is a simulator,
@@ -78,7 +75,6 @@ fn main() {
         "bench-kernels" => bench_kernels(std::env::args().nth(2).as_deref() == Some("--smoke")),
         "trace" => trace(),
         "analyze" => analyze(),
-        "profile" => profile(std::env::args().nth(2).as_deref() == Some("--smoke")),
         "all" => {
             figure1();
             tables_1_to_3();
@@ -91,7 +87,7 @@ fn main() {
         }
         other => {
             eprintln!("unknown experiment '{other}'");
-            eprintln!("usage: reproduce [all|figure1|tables1to3|tables4to7|tables8to11|singlenode|summary|bench-filter|bench-kernels [--smoke]|trace|analyze|profile [--smoke]]");
+            eprintln!("usage: reproduce [all|figure1|tables1to3|tables4to7|tables8to11|singlenode|summary|bench-filter|bench-kernels [--smoke]|trace|analyze]");
             std::process::exit(2);
         }
     }
@@ -695,47 +691,54 @@ fn conclude(what: &str, artifact: &str, doc: &Value, checks: &Checks) {
     }
 }
 
-/// `trace`: run a short instrumented model with a file sink installed,
-/// export the per-rank timeline as Chrome trace-event JSON, print the
-/// per-phase load table, and validate both artifacts before exiting.
+/// `trace`: one instrumented run (paper 9-layer grid, 2x2 mesh, LB-FFT,
+/// balanced physics, 4 steps) replayed once into its timeline and run
+/// metrics. Writes `trace.json`, `metrics.jsonl`, `profile_folded.txt`,
+/// `flamegraph.svg` and `profile.json` from them, prints the per-phase
+/// load, wall-time and skew tables, then checks the artifacts; any failed
+/// check exits non-zero.
 fn trace() {
     use agcm_core::model::run_model;
     use agcm_core::AgcmConfig;
-    use agcm_telemetry::{chrome, FileSink, RunMetrics, Timeline};
+    use agcm_telemetry::{chrome, skew_report, ProfileReport, RunMetrics};
 
-    println!("\n=== Instrumented run: trace.json + metrics.jsonl ===\n");
+    println!("\n=== Instrumented run: trace, metrics and wall-time profile ===\n");
     let machine = MachineProfile::t3d();
-    let sink = match FileSink::create("metrics.jsonl") {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("could not create metrics.jsonl: {e}");
-            std::process::exit(1);
-        }
-    };
-    assert!(
-        agcm_telemetry::install(std::sync::Arc::new(sink), machine),
-        "telemetry was already installed in this process"
-    );
-
-    // A reduced grid keeps the artifact small while exercising every phase:
-    // dynamics, both filter redistributions, and balanced physics.
-    let cfg = AgcmConfig::for_grid(GridSpec::new(48, 24, 3), 2, 2, FilterVariant::LbFft)
-        .with_steps(3)
+    let cfg = AgcmConfig::for_grid(GridSpec::paper_9_layer(), 2, 2, FilterVariant::LbFft)
+        .with_steps(4)
         .with_physics_balancing();
     let run = run_model(cfg);
-
-    let timeline = match Timeline::from_trace(&run.trace, &machine) {
-        Ok(t) => t,
+    let (metrics, timeline) = match RunMetrics::from_trace_with_timeline(&run.trace, &machine) {
+        Ok(derived) => derived,
         Err(faults) => {
             eprintln!("trace has unbalanced phase events: {faults:?}");
             std::process::exit(1);
         }
     };
-    if let Err(e) = chrome::write_chrome_trace("trace.json", &timeline) {
-        eprintln!("could not write trace.json: {e}");
-        std::process::exit(1);
-    }
-    let metrics = RunMetrics::from_timeline(&run.trace, &timeline);
+    let profile = ProfileReport::from_timeline(&timeline);
+    let skew = skew_report(&timeline);
+
+    let write = |path: &str, contents: String| {
+        if let Err(e) = std::fs::write(path, contents) {
+            eprintln!("could not write {path}: {e}");
+            std::process::exit(1);
+        }
+    };
+    write("trace.json", chrome::to_chrome_json(&timeline).to_string());
+    let records = metrics
+        .steps
+        .iter()
+        .map(|step| step.to_json())
+        .chain(std::iter::once(metrics.summary.to_json()));
+    write(
+        "metrics.jsonl",
+        records.map(|record| format!("{record}\n")).collect(),
+    );
+    write("profile_folded.txt", profile.folded());
+    write(
+        "flamegraph.svg",
+        profile.flamegraph_svg("AGCM profiled run"),
+    );
 
     let mut t = Table::new(
         format!(
@@ -754,8 +757,27 @@ fn trace() {
         t.add_row(vec![name.to_string(), format!("{secs:.6}"), fmt_pct(imb)]);
     }
     println!("{t}");
+    let total = profile.total_nanos;
+    let mut t = Table::new(
+        format!(
+            "Per-phase wall time, {} ranks, {:.3} rank-ms in total",
+            metrics.summary.ranks,
+            total as f64 / 1e6
+        ),
+        &["Phase", "self ms", "total ms", "self %"],
+    );
+    for p in profile.phase_table() {
+        t.add_row(vec![
+            p.name.clone(),
+            format!("{:.3}", p.self_nanos as f64 / 1e6),
+            format!("{:.3}", p.total_nanos as f64 / 1e6),
+            fmt_pct(p.self_nanos as f64 / total.max(1) as f64),
+        ]);
+    }
+    println!("{t}");
+    println!("{}", skew.table_text());
 
-    // --- Validate the artifacts we just wrote. ---------------------------
+    // --- Check the artifacts just written. -------------------------------
     let mut checks = Checks::default();
     let text = std::fs::read_to_string("trace.json").unwrap_or_default();
     let (json_ok, json_detail, tracks) = match Value::parse(&text) {
@@ -829,12 +851,34 @@ fn trace() {
         detail: format!("run record {run_imbalance:?}, trace {traced}"),
     });
 
-    checks.print_lines();
-    if !checks.all_ok() {
-        eprintln!("one or more trace checks failed");
-        std::process::exit(1);
-    }
-    println!("wrote trace.json and metrics.jsonl (validated)");
+    checks.push(Check {
+        name: "wall_conservation",
+        ok: profile.conservation_ok() && profile.total_nanos > 0,
+        detail: format!(
+            "{} folded stacks sum to the {} ns the ranks' last stamps span",
+            profile.stacks.len(),
+            profile.total_nanos
+        ),
+    });
+    let measured_sum: f64 = skew.rows.iter().map(|r| r.measured_self_frac).sum();
+    let modeled_sum: f64 = skew.rows.iter().map(|r| r.modeled_self_frac).sum();
+    checks.push(Check {
+        name: "skew_report",
+        ok: (measured_sum - 1.0).abs() < 1e-6 && (modeled_sum - 1.0).abs() < 1e-6,
+        detail: format!(
+            "{} traced phases; fraction sums measured {measured_sum:.6}, modeled {modeled_sum:.6}",
+            skew.traced_phases
+        ),
+    });
+
+    println!("wrote trace.json, metrics.jsonl, profile_folded.txt and flamegraph.svg");
+    let doc = Value::obj(vec![
+        ("benchmark", Value::Str("trace".into())),
+        ("profile", profile.to_json()),
+        ("skew", skew.to_json()),
+        ("checks", checks.to_json()),
+    ]);
+    conclude("trace", "profile.json", &doc, &checks);
 }
 
 /// `analyze`: the trace-analysis report — per-phase scaling, wait states,
@@ -860,7 +904,8 @@ fn analyze() {
     for t in &report.tables {
         println!("{t}");
     }
-    if let Err(e) = chrome::write_chrome_trace_analyzed("trace_analyzed.json", &report.smoke) {
+    let analyzed = chrome::to_chrome_json_analyzed(&report.smoke).to_string();
+    if let Err(e) = std::fs::write("trace_analyzed.json", analyzed) {
         eprintln!("could not write trace_analyzed.json: {e}");
         std::process::exit(1);
     }
@@ -869,53 +914,6 @@ fn analyze() {
         report.smoke.flows.len()
     );
     conclude("analysis", "analysis.json", &report.doc, &report.checks);
-}
-
-/// `profile [--smoke]`: fold a real run's wall stamps into per-phase
-/// stacks; write `profile_folded.txt`, `flamegraph.svg`, and
-/// `profile.json`; print the per-phase table and the measured-vs-modeled
-/// skew table. Any failed invariant exits non-zero.
-fn profile(smoke: bool) {
-    use agcm_bench::profile::run_profile;
-
-    println!("\n=== Wall-time profile from the trace: measured wall vs modeled virtual time ===\n");
-    let r = run_profile(smoke);
-
-    let total = r.report.total_nanos;
-    let mut t = Table::new(
-        format!(
-            "Per-phase wall time, {} ranks, {:.3} rank-ms in total",
-            r.ranks,
-            total as f64 / 1e6
-        ),
-        &["Phase", "self ms", "total ms", "self %"],
-    );
-    for p in r.report.phase_table() {
-        t.add_row(vec![
-            p.name.clone(),
-            format!("{:.3}", p.self_nanos as f64 / 1e6),
-            format!("{:.3}", p.total_nanos as f64 / 1e6),
-            fmt_pct(p.self_nanos as f64 / total.max(1) as f64),
-        ]);
-    }
-    println!("{t}");
-    println!("{}", r.skew.table_text());
-
-    if let Err(e) = std::fs::write("profile_folded.txt", r.report.folded()) {
-        eprintln!("could not write profile_folded.txt: {e}");
-        std::process::exit(1);
-    }
-    let title = if smoke {
-        "AGCM profiled run (smoke)"
-    } else {
-        "AGCM profiled run"
-    };
-    if let Err(e) = std::fs::write("flamegraph.svg", r.report.flamegraph_svg(title)) {
-        eprintln!("could not write flamegraph.svg: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote profile_folded.txt and flamegraph.svg");
-    conclude("profile", "profile.json", &r.doc, &r.checks);
 }
 
 /// §4 headline claims, checked against the measured tables.

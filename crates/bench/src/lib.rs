@@ -8,9 +8,6 @@
 //!   anchor per machine (the 1×1 Dynamics entry of Tables 4/6);
 //! * [`analyze`] — the `reproduce analyze` report, and the [`analyze::Checks`]
 //!   reporter every machine-checked report ends in;
-//! * [`profile`] — the `reproduce profile` report: a real run's trace
-//!   folded into per-phase wall time, flamegraph, and the
-//!   measured-vs-modeled skew join, with machine-checked invariants;
 //! * [`peak`] — the add+mul peak probe behind `bench-filter`'s stated
 //!   bound;
 //! * the `reproduce` binary — prints each table with paper-reported and
@@ -28,4 +25,3 @@ pub mod harness;
 pub mod kernels;
 pub mod paper;
 pub mod peak;
-pub mod profile;

@@ -1,131 +1,116 @@
-//! Fleet-level telemetry: one registry for the whole ensemble.
+//! Fleet-level telemetry: the serving view of one ensemble.
 //!
 //! Each job routes its own step/run records to its own
-//! [`agcm_telemetry::TelemetrySink`]; the fleet registry aggregates the
+//! [`agcm_telemetry::TelemetrySink`]; [`FleetMetrics`] aggregates the
 //! serving-level view — jobs by terminal state, queue depth, rank-budget
 //! occupancy, and job latency through the existing log-bucketed
-//! [`agcm_telemetry::Histogram`]s (p50/p95 via
-//! [`HistogramSnapshot::quantile`]). The registry here is **owned**, not
-//! the process-global `agcm_telemetry::registry()`: an ensemble is an
-//! object, and two ensembles in one process must not share counters.
+//! [`Histogram`]s (p50/p95 via [`HistogramSnapshot::quantile`]). The
+//! metrics are fields of the ensemble, not entries of the process-global
+//! `agcm_telemetry::registry()`: two ensembles in one process must not
+//! share counters.
 
 use agcm_telemetry::json::Value;
-use agcm_telemetry::{HistogramSnapshot, MetricsRegistry};
+use agcm_telemetry::{Counter, Gauge, Histogram, HistogramSnapshot};
 use std::time::Instant;
 
-/// Fleet-level metrics over an owned [`MetricsRegistry`]. All update
-/// methods are called with the scheduler lock held, so the peak gauges'
+/// Fleet-level counters, gauges and histograms. All update methods are
+/// called with the scheduler lock held, so the peak gauges'
 /// read-modify-write is race-free.
 pub struct FleetMetrics {
-    registry: MetricsRegistry,
+    jobs_submitted: Counter,
+    jobs_completed: Counter,
+    jobs_cancelled: Counter,
+    jobs_failed: Counter,
+    jobs_rejected: Counter,
+    job_retries: Counter,
+    queue_depth: Gauge,
+    queue_depth_peak: Gauge,
+    ranks_busy: Gauge,
+    ranks_busy_peak: Gauge,
+    queue_wait_seconds: Histogram,
+    job_seconds: Histogram,
     started: Instant,
+}
+
+fn bump_peak(gauge: &Gauge, peak: &Gauge, value: f64) {
+    gauge.set(value);
+    if value > peak.get() {
+        peak.set(value);
+    }
 }
 
 impl FleetMetrics {
     pub(crate) fn new() -> FleetMetrics {
         FleetMetrics {
-            registry: MetricsRegistry::new(),
+            jobs_submitted: Counter::new(),
+            jobs_completed: Counter::new(),
+            jobs_cancelled: Counter::new(),
+            jobs_failed: Counter::new(),
+            jobs_rejected: Counter::new(),
+            job_retries: Counter::new(),
+            queue_depth: Gauge::new(),
+            queue_depth_peak: Gauge::new(),
+            ranks_busy: Gauge::new(),
+            ranks_busy_peak: Gauge::new(),
+            queue_wait_seconds: Histogram::new(),
+            job_seconds: Histogram::new(),
             started: Instant::now(),
         }
     }
 
-    fn bump_peak(&self, gauge: &str, peak: &str, value: f64) {
-        self.registry.gauge(gauge).set(value);
-        let p = self.registry.gauge(peak);
-        if value > p.get() {
-            p.set(value);
-        }
-    }
-
     pub(crate) fn on_submit(&self, queue_depth: usize) {
-        self.registry.counter("fleet.jobs_submitted").inc();
-        self.bump_peak(
-            "fleet.queue_depth",
-            "fleet.queue_depth_peak",
+        self.jobs_submitted.inc();
+        bump_peak(
+            &self.queue_depth,
+            &self.queue_depth_peak,
             queue_depth as f64,
         );
     }
 
     pub(crate) fn on_reject(&self) {
-        self.registry.counter("fleet.jobs_rejected").inc();
+        self.jobs_rejected.inc();
     }
 
     pub(crate) fn on_dispatch(&self, queue_wait_seconds: f64, ranks_busy: usize, depth: usize) {
-        self.registry
-            .histogram("fleet.queue_wait_seconds")
-            .observe(queue_wait_seconds);
-        self.bump_peak(
-            "fleet.ranks_busy",
-            "fleet.ranks_busy_peak",
-            ranks_busy as f64,
-        );
-        self.registry.gauge("fleet.queue_depth").set(depth as f64);
+        self.queue_wait_seconds.observe(queue_wait_seconds);
+        bump_peak(&self.ranks_busy, &self.ranks_busy_peak, ranks_busy as f64);
+        self.queue_depth.set(depth as f64);
     }
 
     pub(crate) fn on_release(&self, ranks_busy: usize) {
-        self.registry
-            .gauge("fleet.ranks_busy")
-            .set(ranks_busy as f64);
+        self.ranks_busy.set(ranks_busy as f64);
     }
 
     pub(crate) fn on_complete(&self, latency_seconds: f64, retries: usize) {
-        self.registry.counter("fleet.jobs_completed").inc();
-        self.registry
-            .counter("fleet.job_retries")
-            .add(retries as u64);
-        self.registry
-            .histogram("fleet.job_seconds")
-            .observe(latency_seconds);
+        self.jobs_completed.inc();
+        self.job_retries.add(retries as u64);
+        self.job_seconds.observe(latency_seconds);
     }
 
     pub(crate) fn on_cancel(&self) {
-        self.registry.counter("fleet.jobs_cancelled").inc();
+        self.jobs_cancelled.inc();
     }
 
     pub(crate) fn on_fail(&self) {
-        self.registry.counter("fleet.jobs_failed").inc();
+        self.jobs_failed.inc();
     }
 
     /// Point-in-time derived view.
     pub fn snapshot(&self) -> FleetSnapshot {
-        let snap = self.registry.snapshot();
-        let counter = |name: &str| {
-            snap.counters
-                .iter()
-                .find(|(n, _)| n == name)
-                .map_or(0, |(_, v)| *v)
-        };
-        let gauge = |name: &str| {
-            snap.gauges
-                .iter()
-                .find(|(n, _)| n == name)
-                .map_or(0.0, |(_, v)| *v)
-        };
-        let histogram = |name: &str| {
-            snap.histograms
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, h)| h.clone())
-                .unwrap_or(HistogramSnapshot {
-                    count: 0,
-                    sum: 0.0,
-                    buckets: Vec::new(),
-                })
-        };
-        let job_seconds = histogram("fleet.job_seconds");
+        let job_seconds = self.job_seconds.snapshot();
         let elapsed = self.started.elapsed().as_secs_f64();
-        let completed = counter("fleet.jobs_completed");
+        let completed = self.jobs_completed.get();
         FleetSnapshot {
-            jobs_submitted: counter("fleet.jobs_submitted"),
+            jobs_submitted: self.jobs_submitted.get(),
             jobs_completed: completed,
-            jobs_cancelled: counter("fleet.jobs_cancelled"),
-            jobs_failed: counter("fleet.jobs_failed"),
-            jobs_rejected: counter("fleet.jobs_rejected"),
-            job_retries: counter("fleet.job_retries"),
-            queue_depth: gauge("fleet.queue_depth"),
-            queue_depth_peak: gauge("fleet.queue_depth_peak"),
-            ranks_busy: gauge("fleet.ranks_busy"),
-            ranks_busy_peak: gauge("fleet.ranks_busy_peak"),
+            jobs_cancelled: self.jobs_cancelled.get(),
+            jobs_failed: self.jobs_failed.get(),
+            jobs_rejected: self.jobs_rejected.get(),
+            job_retries: self.job_retries.get(),
+            queue_depth: self.queue_depth.get(),
+            queue_depth_peak: self.queue_depth_peak.get(),
+            ranks_busy: self.ranks_busy.get(),
+            ranks_busy_peak: self.ranks_busy_peak.get(),
             elapsed_seconds: elapsed,
             throughput_jobs_per_second: if elapsed > 0.0 {
                 completed as f64 / elapsed
@@ -134,7 +119,7 @@ impl FleetMetrics {
             },
             latency_p50: job_seconds.quantile(0.50),
             latency_p95: job_seconds.quantile(0.95),
-            queue_wait: histogram("fleet.queue_wait_seconds"),
+            queue_wait: self.queue_wait_seconds.snapshot(),
             job_seconds,
         }
     }
@@ -233,10 +218,21 @@ mod tests {
         fleet.on_complete(0.01, 1);
         fleet.on_complete(0.02, 0);
         fleet.on_release(0);
+        fleet.on_reject();
+        fleet.on_reject();
+        fleet.on_reject();
+        fleet.on_cancel();
+        fleet.on_cancel();
+        fleet.on_fail();
         let s = fleet.snapshot();
         assert_eq!(s.jobs_submitted, 2);
         assert_eq!(s.jobs_completed, 2);
+        assert_eq!(s.jobs_rejected, 3);
+        assert_eq!(s.jobs_cancelled, 2);
+        assert_eq!(s.jobs_failed, 1);
         assert_eq!(s.job_retries, 1);
+        assert_eq!(s.queue_depth, 0.0);
+        assert_eq!(s.queue_wait.count, 2);
         assert_eq!(s.queue_depth_peak, 2.0);
         assert_eq!(s.ranks_busy_peak, 6.0);
         assert_eq!(s.ranks_busy, 0.0);
@@ -244,5 +240,34 @@ mod tests {
         assert!(s.latency_p95 >= s.latency_p50);
         assert!(s.latency_p50 > 0.0);
         assert_eq!(s.job_seconds.count, 2);
+        // The `fleet` keys of `/v1/metrics`, in the order readers expect.
+        let json = s.to_json();
+        let keys: Vec<&str> = json
+            .as_obj()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "jobs_submitted",
+                "jobs_completed",
+                "jobs_cancelled",
+                "jobs_failed",
+                "jobs_rejected",
+                "job_retries",
+                "queue_depth",
+                "queue_depth_peak",
+                "ranks_busy",
+                "ranks_busy_peak",
+                "elapsed_seconds",
+                "throughput_jobs_per_second",
+                "latency_p50_seconds",
+                "latency_p95_seconds",
+                "queue_wait_seconds",
+                "job_seconds",
+            ]
+        );
     }
 }

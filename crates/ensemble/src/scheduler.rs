@@ -422,22 +422,7 @@ impl Ensemble {
     pub fn admission_check(&self, spec: &JobSpec) -> Result<(), SubmitError> {
         let check = self.admissible(spec);
         let st = self.shared.state.lock().unwrap();
-        let verdict = check.and_then(|_| {
-            if st.shutdown {
-                Err(SubmitError::ShuttingDown)
-            } else if st.pending.len() >= self.shared.cfg.queue_capacity {
-                Err(SubmitError::QueueFull {
-                    capacity: self.shared.cfg.queue_capacity,
-                })
-            } else {
-                self.tenant_admission(&st, spec)
-            }
-        });
-        if let Err(e) = verdict {
-            self.shared.fleet.on_reject();
-            return Err(e);
-        }
-        Ok(())
+        self.admission_verdict(check, &st, spec)
     }
 
     /// Admit `spec` without blocking; bounces with
@@ -445,6 +430,20 @@ impl Ensemble {
     pub fn try_submit(&self, spec: JobSpec) -> Result<JobId, SubmitError> {
         let check = self.admissible(&spec);
         let mut st = self.shared.state.lock().unwrap();
+        self.admission_verdict(check, &st, &spec)?;
+        Ok(self.enqueue(&mut st, spec))
+    }
+
+    /// The non-blocking admission verdict, called with the lock held:
+    /// `check` (validity, rank budget), then shutdown, queue capacity and
+    /// tenant quota. A rejection counts against the fleet's rejected
+    /// counter.
+    fn admission_verdict(
+        &self,
+        check: Result<usize, SubmitError>,
+        st: &SchedState,
+        spec: &JobSpec,
+    ) -> Result<(), SubmitError> {
         let verdict = check.and_then(|_| {
             if st.shutdown {
                 Err(SubmitError::ShuttingDown)
@@ -453,14 +452,13 @@ impl Ensemble {
                     capacity: self.shared.cfg.queue_capacity,
                 })
             } else {
-                self.tenant_admission(&st, &spec)
+                self.tenant_admission(st, spec)
             }
         });
-        if let Err(e) = verdict {
+        if verdict.is_err() {
             self.shared.fleet.on_reject();
-            return Err(e);
         }
-        Ok(self.enqueue(&mut st, spec))
+        verdict
     }
 
     /// Admit `spec`, blocking while the queue is full (backpressure).
@@ -975,7 +973,7 @@ fn run_job(
     opts.max_restarts = spec.max_restarts;
     opts.plan = spec.plan.clone();
     let mut progress_inner: Option<Arc<dyn RunProgress>> = None;
-    if let Some(sink) = spec.sink.as_ref().filter(|s| s.enabled()) {
+    if let Some(sink) = spec.sink.as_ref() {
         let bridge = Arc::new(SinkBridge::new(Arc::clone(sink)));
         progress_inner = Some(Arc::clone(&bridge) as Arc<dyn RunProgress>);
         opts = opts.with_spans(bridge as Arc<dyn SpanObserver>);
@@ -999,9 +997,8 @@ fn run_job(
     let (status, attempts, outcome, summary) = match result {
         Ok(Ok(run)) => {
             // Per-job telemetry: derive virtual-time metrics from the
-            // successful attempt's trace and feed this job's own sink —
-            // deliberately bypassing the process-global telemetry
-            // pipeline, which is shared by every job.
+            // successful attempt's trace (one replay) and feed this job's
+            // own sink.
             let summary = RunMetrics::from_trace_with_timeline(&run.trace, &shared.cfg.machine)
                 .ok()
                 .map(|(metrics, timeline)| {
@@ -1011,7 +1008,7 @@ fn run_job(
                         failures: run.failures.len() as u64,
                         fault_events: run.fault_events.iter().map(|e| e.len() as u64).sum(),
                     });
-                    if let Some(sink) = spec.sink.as_ref().filter(|s| s.enabled()) {
+                    if let Some(sink) = spec.sink.as_ref() {
                         // Authoritative per-(rank, phase) virtual totals,
                         // streamed pre-summed so a live collector taking
                         // max-over-ranks reproduces `summary.phase_seconds`

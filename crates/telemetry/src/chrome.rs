@@ -26,8 +26,6 @@
 use crate::analysis::TraceAnalysis;
 use crate::json::Value;
 use crate::timeline::Timeline;
-use std::io;
-use std::path::Path;
 
 /// Process id of the virtual (cost-model) timeline.
 pub const VIRTUAL_PID: usize = 1;
@@ -247,20 +245,6 @@ pub fn to_chrome_json_analyzed(analysis: &TraceAnalysis) -> Value {
     }
 
     wrap(events)
-}
-
-/// Write the trace document to `path` (e.g. `trace.json`).
-pub fn write_chrome_trace(path: impl AsRef<Path>, timeline: &Timeline) -> io::Result<()> {
-    std::fs::write(path, to_chrome_json(timeline).to_string())
-}
-
-/// Write the analyzed trace document (flow arrows, counters, critical
-/// path) to `path`.
-pub fn write_chrome_trace_analyzed(
-    path: impl AsRef<Path>,
-    analysis: &TraceAnalysis,
-) -> io::Result<()> {
-    std::fs::write(path, to_chrome_json_analyzed(analysis).to_string())
 }
 
 #[cfg(test)]

@@ -22,10 +22,8 @@
 //!   graph (program order + message edges);
 //! * [`run`] — structured per-step and per-run metrics
 //!   ([`run::StepMetrics`] / [`run::RunSummary`]) serialized as JSON lines;
-//! * [`sink`] — the [`TelemetrySink`] trait with null, in-memory and file
-//!   implementations. The default is the null sink, and every instrumented
-//!   call site gates on [`TelemetrySink::enabled`], so a model run with
-//!   telemetry off pays a single atomic load and **zero allocations**;
+//! * [`sink`] — the [`TelemetrySink`] trait a served job's records and
+//!   live events go to, and the in-memory [`MemorySink`] for tests;
 //! * [`tracectx`] — dependency-free span contexts ([`TraceContext`]): one
 //!   128-bit trace id per request, deterministic child span ids per
 //!   attempt, hex round-trip for journaling;
@@ -41,13 +39,15 @@
 //! * [`flamegraph`] — a dependency-free SVG flamegraph writer for the
 //!   folded stacks.
 //!
-//! ## The global handle
+//! ## One path from a trace to telemetry
 //!
-//! The model crates are instrumented against a process-global [`Telemetry`]
-//! handle: [`telemetry()`] returns it (null-sinked by default), and
-//! [`install`] points it at a real sink plus the [`MachineProfile`] used to
-//! derive virtual time. [`Telemetry::observe_trace`] is the single entry
-//! point the model calls at end of run.
+//! Nothing here is installed process-wide: a finished run's trace becomes
+//! telemetry by one call, [`RunMetrics::from_trace`] (or
+//! [`RunMetrics::from_trace_with_timeline`] when the caller also wants
+//! the spans), which replays the trace once. Its callers decide where the
+//! records go — `reproduce trace` writes them to files, the ensemble
+//! scheduler feeds each job's own [`TelemetrySink`]. Only the
+//! [`registry()`] of counters, gauges and histograms is global.
 
 pub mod analysis;
 pub mod chrome;
@@ -71,110 +71,20 @@ pub use live::{JobSink, LiveCollector};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use profile::{skew_report, FoldedStack, PhaseStat, ProfileReport, SkewReport, SkewRow};
 pub use run::{ResilienceCounters, RunMetrics, RunSummary, StepMetrics};
-pub use sink::{FileSink, MemorySink, NullSink, TelemetrySink};
+pub use sink::{MemorySink, TelemetrySink};
 pub use timeline::{Span, Timeline};
 pub use tracectx::TraceContext;
 
-use agcm_costmodel::machine::MachineProfile;
-use agcm_mps::trace::WorldTrace;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
-
-/// The process-global telemetry state.
-pub struct Telemetry {
-    sink: OnceLock<(Arc<dyn TelemetrySink>, MachineProfile)>,
-    installed: AtomicBool,
-}
-
-static GLOBAL: Telemetry = Telemetry {
-    sink: OnceLock::new(),
-    installed: AtomicBool::new(false),
-};
-
 static REGISTRY: MetricsRegistry = MetricsRegistry::new();
-
-/// The global telemetry handle. Null-sinked until [`install`] is called.
-pub fn telemetry() -> &'static Telemetry {
-    &GLOBAL
-}
 
 /// The global metrics registry, always available.
 pub fn registry() -> &'static MetricsRegistry {
     &REGISTRY
 }
 
-/// Install a sink and the machine profile used to derive virtual time.
-/// Returns `false` if telemetry was already installed (first install wins —
-/// the handle is read lock-free from rank threads).
-pub fn install(sink: Arc<dyn TelemetrySink>, machine: MachineProfile) -> bool {
-    let ok = GLOBAL.sink.set((sink, machine)).is_ok();
-    if ok {
-        // Publish only after the sink is readable.
-        GLOBAL.installed.store(true, Ordering::Release);
-    }
-    ok
-}
-
-impl Telemetry {
-    /// Whether an enabled sink is installed. One relaxed atomic load on the
-    /// fast path — no allocation, no lock.
-    pub fn enabled(&self) -> bool {
-        self.installed.load(Ordering::Acquire) && self.sink.get().is_some_and(|(s, _)| s.enabled())
-    }
-
-    /// The installed machine profile, if any.
-    pub fn machine(&self) -> Option<MachineProfile> {
-        self.sink.get().map(|(_, m)| *m)
-    }
-
-    /// Derive [`RunMetrics`] from a finished run's trace and feed them to
-    /// the sink (each step, then the run summary). With no sink installed
-    /// (or a disabled one) this returns `None` immediately without
-    /// computing or allocating anything.
-    ///
-    /// `resilience`, when present, is attached to the run summary.
-    pub fn observe_trace(
-        &self,
-        trace: &WorldTrace,
-        resilience: Option<ResilienceCounters>,
-    ) -> Option<RunMetrics> {
-        if !self.enabled() {
-            return None;
-        }
-        let (sink, machine) = self.sink.get()?;
-        let mut metrics = match RunMetrics::from_trace(trace, machine) {
-            Ok(m) => m,
-            // A malformed trace is the model's bug; telemetry reports
-            // nothing rather than panicking the run.
-            Err(_) => return None,
-        };
-        metrics.summary.resilience = resilience;
-        for step in &metrics.steps {
-            sink.record_step(step);
-        }
-        sink.record_run(&metrics.summary);
-        Some(metrics)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agcm_mps::trace::Event;
-
-    #[test]
-    fn uninstalled_global_is_disabled_and_observes_nothing() {
-        // Note: install() in another test in this *same binary* could race
-        // this, so unit tests here never install; integration tests own
-        // their own process each.
-        let trace = WorldTrace::from_ranks(vec![vec![
-            Event::PhaseBegin("step"),
-            Event::Flops(1.0),
-            Event::PhaseEnd("step"),
-        ]]);
-        assert!(!telemetry().enabled());
-        assert!(telemetry().observe_trace(&trace, None).is_none());
-    }
 
     #[test]
     fn registry_is_shared() {

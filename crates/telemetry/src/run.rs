@@ -11,9 +11,11 @@
 //! Steps are delimited by the `"step"` phase the model wraps around each
 //! timestep; traces without `"step"` phases simply yield no step records.
 
+use crate::analysis::{message_flows, WaitReport};
 use crate::json::Value;
 use crate::timeline::{Span, Timeline};
 use agcm_costmodel::machine::MachineProfile;
+use agcm_costmodel::replay::schedule;
 use agcm_mps::trace::{imbalance, Event, PhaseFault, WorldTrace};
 
 /// The phase name the model wraps around each timestep.
@@ -78,14 +80,10 @@ pub struct RunSummary {
     pub phase_flop_imbalance: Vec<(&'static str, f64)>,
     /// Total collective-primitive calls across ranks, sorted by name.
     pub collectives: Vec<(String, u64)>,
-    /// Per-rank late-sender wait seconds (see
-    /// [`WaitReport`](crate::analysis::WaitReport)). Empty when the
-    /// metrics were derived without a machine profile
-    /// ([`RunMetrics::from_timeline`]).
+    /// Per-rank late-sender wait seconds (see [`WaitReport`]).
     pub wait_seconds: Vec<f64>,
     /// `(max − avg) / avg` of per-rank idle time (wait + end-of-run tail)
-    /// — the idle-side analogue of `flop_imbalance`. 0 when derived
-    /// without a machine profile.
+    /// — the idle-side analogue of `flop_imbalance`.
     pub idle_imbalance: f64,
     /// Resilience counters, when the run went through the recovery driver.
     pub resilience: Option<ResilienceCounters>,
@@ -193,24 +191,25 @@ impl RunMetrics {
     /// Like [`from_trace`](RunMetrics::from_trace), but also hands back the
     /// [`Timeline`] the metrics were derived from, so callers that need
     /// span-level data (e.g. streaming per-rank phase totals into a live
-    /// sink) replay the trace exactly once.
+    /// sink, or folding a wall-time profile) get it from the same replay.
+    ///
+    /// The trace is validated and replayed once: the timeline, the
+    /// message flows and the wait report all come from one schedule.
     pub fn from_trace_with_timeline(
         trace: &WorldTrace,
         machine: &MachineProfile,
     ) -> Result<(RunMetrics, Timeline), Vec<PhaseFault>> {
-        let timeline = Timeline::from_trace(trace, machine)?;
-        let mut metrics = RunMetrics::from_timeline(trace, &timeline);
-        // Machine-dependent wait analysis (the timeline already validated
-        // the phase stream).
-        let waits =
-            crate::analysis::WaitReport::from_trace(trace, machine).expect("trace validated above");
-        metrics.summary.wait_seconds = waits.ranks.iter().map(|r| r.wait).collect();
-        metrics.summary.idle_imbalance = waits.idle_imbalance();
-        Ok((metrics, timeline))
+        trace.validate_phases()?;
+        let sched = schedule(trace, machine);
+        let timeline = Timeline::from_schedule(trace, &sched);
+        let flows = message_flows(trace, &sched, machine);
+        let waits = WaitReport::from_flows(trace, &sched, &flows, machine);
+        Ok((RunMetrics::derive(trace, &timeline, &waits), timeline))
     }
 
-    /// Derive all metrics from a trace and its already-built timeline.
-    pub fn from_timeline(trace: &WorldTrace, timeline: &Timeline) -> RunMetrics {
+    /// Fold a validated trace, its timeline and its wait report into the
+    /// step records and the run summary.
+    fn derive(trace: &WorldTrace, timeline: &Timeline, waits: &WaitReport) -> RunMetrics {
         let n = trace.size();
         // Per-rank "step" spans, in order.
         let step_spans: Vec<Vec<&Span>> = (0..n)
@@ -321,8 +320,8 @@ impl RunMetrics {
             phase_seconds: per_phase(&rank_phase_secs, |v| v.iter().copied().fold(0.0, f64::max)),
             phase_flop_imbalance: per_phase(&rank_phase_flops, imbalance),
             collectives,
-            wait_seconds: Vec::new(),
-            idle_imbalance: 0.0,
+            wait_seconds: waits.ranks.iter().map(|r| r.wait).collect(),
+            idle_imbalance: waits.idle_imbalance(),
             resilience: None,
         };
 

@@ -1,17 +1,13 @@
-//! Telemetry sinks: where step and run records go.
+//! Telemetry sinks: where a served job's step and run records go.
 //!
-//! The contract that keeps the model's hot path honest: call sites gate all
-//! record *construction* on [`TelemetrySink::enabled`], so with the default
-//! [`NullSink`] an instrumented code path costs one relaxed atomic-free
-//! boolean check and performs **zero heap allocations** (enforced by the
-//! `null_sink_alloc_free` integration test). [`MemorySink`] captures
-//! records for tests; [`FileSink`] streams them as JSON lines.
+//! A sink is handed records; it never derives them. The ensemble
+//! scheduler builds one [`RunMetrics`](crate::run::RunMetrics) per
+//! completed job and feeds that job's own sink, alongside the live
+//! events it streams while the job runs. [`MemorySink`] captures records
+//! for tests.
 
 use crate::run::{RunSummary, StepMetrics};
 use parking_lot::Mutex;
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
-use std::path::Path;
 
 /// A destination for telemetry records.
 ///
@@ -19,15 +15,8 @@ use std::path::Path;
 /// streamed while a job runs: attempt starts, checkpoint commits, wall-
 /// clock phase durations as ranks finish phases, and the authoritative
 /// per-rank virtual phase totals at end of run. All live methods default
-/// to no-ops taking only scalar arguments, so the disabled path stays
-/// allocation-free and existing sinks need no changes.
+/// to no-ops, so a sink implements only what it keeps.
 pub trait TelemetrySink: Send + Sync {
-    /// Whether this sink wants records. Callers must check this before
-    /// building a record, so disabled telemetry costs nothing.
-    fn enabled(&self) -> bool {
-        true
-    }
-
     /// Record one step.
     fn record_step(&self, step: &StepMetrics);
 
@@ -59,20 +48,6 @@ pub trait TelemetrySink: Send + Sync {
         _skew: &crate::profile::SkewReport,
     ) {
     }
-}
-
-/// Discards everything; reports itself disabled.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TelemetrySink for NullSink {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record_step(&self, _step: &StepMetrics) {}
-
-    fn record_run(&self, _run: &RunSummary) {}
 }
 
 /// Buffers records in memory, for tests and in-process inspection.
@@ -109,43 +84,9 @@ impl TelemetrySink for MemorySink {
     }
 }
 
-/// Streams records to a file as JSON lines (`metrics.jsonl`).
-#[derive(Debug)]
-pub struct FileSink {
-    writer: Mutex<BufWriter<File>>,
-}
-
-impl FileSink {
-    /// Create (truncating) the JSONL file at `path`.
-    pub fn create(path: impl AsRef<Path>) -> io::Result<FileSink> {
-        Ok(FileSink {
-            writer: Mutex::new(BufWriter::new(File::create(path)?)),
-        })
-    }
-
-    fn write_line(&self, line: String) {
-        let mut w = self.writer.lock();
-        // Telemetry must never take the model down; drop the record on I/O
-        // failure.
-        let _ = writeln!(w, "{line}");
-        let _ = w.flush();
-    }
-}
-
-impl TelemetrySink for FileSink {
-    fn record_step(&self, step: &StepMetrics) {
-        self.write_line(step.to_json().to_string());
-    }
-
-    fn record_run(&self, run: &RunSummary) {
-        self.write_line(run.to_json().to_string());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::Value;
 
     fn sample_step() -> StepMetrics {
         StepMetrics {
@@ -162,45 +103,11 @@ mod tests {
     }
 
     #[test]
-    fn null_sink_is_disabled() {
-        assert!(!NullSink.enabled());
-    }
-
-    #[test]
     fn memory_sink_captures() {
         let sink = MemorySink::new();
         sink.record_step(&sample_step());
         sink.record_run(&RunSummary::default());
         assert_eq!(sink.steps().len(), 1);
         assert_eq!(sink.runs().len(), 1);
-        assert!(sink.enabled());
-    }
-
-    #[test]
-    fn file_sink_writes_parseable_jsonl() {
-        let path = std::env::temp_dir().join("agcm_telemetry_sink_test.jsonl");
-        let sink = FileSink::create(&path).unwrap();
-        sink.record_step(&sample_step());
-        sink.record_run(&RunSummary::default());
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(
-            Value::parse(lines[0])
-                .unwrap()
-                .get("kind")
-                .unwrap()
-                .as_str(),
-            Some("step")
-        );
-        assert_eq!(
-            Value::parse(lines[1])
-                .unwrap()
-                .get("kind")
-                .unwrap()
-                .as_str(),
-            Some("run")
-        );
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -12,13 +12,15 @@
 //! * the critical path tiles `[0, makespan]` and its length equals the
 //!   makespan to 1e-9, and is never shorter than any rank's busy time;
 //! * communication-matrix row/column sums reproduce `RankStats`;
-//! * phase-sliced wait tables sum back to the per-rank totals.
+//! * phase-sliced wait tables sum back to the per-rank totals;
+//! * the waits a run summary carries are `analyze`'s, bit for bit.
 
 use agcm_costmodel::machine::MachineProfile;
 use agcm_costmodel::replay::schedule;
 use agcm_mps::trace::{Event, WorldTrace};
 use agcm_telemetry::analysis::analyze;
 use agcm_telemetry::commmatrix::CommMatrix;
+use agcm_telemetry::RunMetrics;
 
 /// Minimal deterministic PRNG (Numerical Recipes LCG).
 struct Lcg(u64);
@@ -242,5 +244,27 @@ fn phase_wait_tables_sum_to_rank_totals() {
         let suffered: f64 = a.waits.ranks.iter().map(|w| w.wait).sum();
         let caused: f64 = a.waits.ranks.iter().map(|w| w.caused).sum();
         assert!((suffered - caused).abs() < 1e-9, "case {case}");
+    }
+}
+
+#[test]
+fn run_summary_waits_equal_analyze_bit_for_bit() {
+    let mut rng = Lcg(0x0ddba11);
+    for case in 0..50 {
+        let n = 1 + rng.below(5) as usize;
+        let ops = 30 + rng.below(150) as usize;
+        let trace = random_world(&mut rng, n, ops);
+        let a = analyze(&trace, &machine()).expect("balanced by construction");
+        let summary = RunMetrics::from_trace(&trace, &machine())
+            .expect("balanced by construction")
+            .summary;
+        let waits: Vec<u64> = a.waits.ranks.iter().map(|w| w.wait.to_bits()).collect();
+        let carried: Vec<u64> = summary.wait_seconds.iter().map(|w| w.to_bits()).collect();
+        assert_eq!(carried, waits, "case {case}");
+        assert_eq!(
+            summary.idle_imbalance.to_bits(),
+            a.waits.idle_imbalance().to_bits(),
+            "case {case}"
+        );
     }
 }
