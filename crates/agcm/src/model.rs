@@ -145,8 +145,9 @@ impl<'a> StepContext<'a> {
     }
 }
 
-/// Run the model per `cfg`, spawning one thread per mesh node. Panics on
-/// a degenerate configuration; use [`try_run_model`] for a typed error.
+/// Run the model per `cfg`, one rank per mesh node: rank 0 on the calling
+/// thread, every other rank on a thread of its own. Panics on a degenerate
+/// configuration; use [`try_run_model`] for a typed error.
 pub fn run_model(cfg: AgcmConfig) -> ModelRun {
     try_run_model(cfg).unwrap_or_else(|e| panic!("invalid AGCM config: {e}"))
 }

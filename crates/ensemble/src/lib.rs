@@ -42,6 +42,7 @@
 
 pub mod fleet;
 pub mod job;
+mod pool;
 pub mod scheduler;
 
 pub use fleet::{FleetMetrics, FleetSnapshot};

@@ -5,12 +5,16 @@
 //! how the paper's runs shared a fixed processor allocation. A dispatcher
 //! thread picks the highest-priority queued job that *fits* the free
 //! budget — work-conserving backfill, so a wide job waiting at the head
-//! does not idle ranks a narrow job could use. Each dispatched job runs in
-//! its own runner thread through `agcm_core::run_model_resilient`, which
-//! gives every job, for free: checkpoint/restart retries on injected
-//! faults, and a cooperative [`CancelToken`] threaded down into
-//! `mps::Comm` so deadline expiry or [`Ensemble::cancel`] unwinds the
-//! job's whole world at the next cancellation point.
+//! does not idle ranks a narrow job could use. Each dispatched job runs on
+//! a runner thread from a pool every ensemble in the process shares (a
+//! runner parks between jobs and outlives its ensemble), with its rank 0 on
+//! that runner and only ranks 1..n on threads of their own, so a one-rank
+//! job starts no thread once the pool is warm. It runs through
+//! `agcm_core::run_model_resilient`, which gives every job, for free:
+//! checkpoint/restart retries on injected faults, and a cooperative
+//! [`CancelToken`] threaded down into `mps::Comm` so deadline expiry or
+//! [`Ensemble::cancel`] unwinds the job's whole world at the next
+//! cancellation point.
 //!
 //! Deadlines are *soft* and measured from submission: a job still queued
 //! when its deadline passes is dequeued and recorded as
@@ -38,6 +42,7 @@
 
 use crate::fleet::{FleetMetrics, FleetSnapshot};
 use crate::job::{CancelReason, JobId, JobRecord, JobSpec, JobStatus, Priority};
+use crate::pool::{self, Runner};
 use agcm_ckptstore::JobStoreBackend;
 use agcm_core::{run_model_resilient, ConfigError, ResilienceOpts};
 use agcm_costmodel::machine::MachineProfile;
@@ -45,6 +50,7 @@ use agcm_mps::{CancelToken, SpanObserver};
 use agcm_resilience::recovery::RecoveryError;
 use agcm_resilience::{CheckpointStore, RunProgress};
 use agcm_telemetry::{skew_report, ProfileReport, ResilienceCounters, RunMetrics, TelemetrySink};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -290,7 +296,7 @@ struct SchedState {
     next_seq: u64,
     pending: Vec<PendingJob>,
     running: Vec<RunningJob>,
-    records: Vec<JobRecord>,
+    records: BTreeMap<JobId, JobRecord>,
     free_ranks: usize,
     shutdown: bool,
 }
@@ -316,7 +322,7 @@ impl Shared {
         if let Some(obs) = &self.observer {
             obs.on_terminal(&record);
         }
-        st.records.push(record);
+        st.records.insert(record.id, record);
     }
 }
 
@@ -372,7 +378,7 @@ impl Ensemble {
                 next_seq: 0,
                 pending: Vec::new(),
                 running: Vec::new(),
-                records: Vec::new(),
+                records: BTreeMap::new(),
                 free_ranks: cfg.rank_budget,
                 shutdown: false,
             }),
@@ -551,8 +557,7 @@ impl Ensemble {
             });
         }
         st.records
-            .iter()
-            .find(|r| r.id == id)
+            .get(&id)
             .map(|r| JobView::Done(Box::new(r.clone())))
     }
 
@@ -614,16 +619,16 @@ impl Ensemble {
             self.shared.work.notify_all();
             let _ = h.join();
         }
-        let mut records = std::mem::take(&mut self.shared.state.lock().unwrap().records);
-        records.sort_by_key(|r| r.id);
-        records
+        let records = std::mem::take(&mut self.shared.state.lock().unwrap().records);
+        records.into_values().collect()
     }
 }
 
 impl Drop for Ensemble {
     /// Dropping without [`Ensemble::join`] aborts: queued jobs are
     /// recorded `Cancelled(Explicit)`, running jobs have their tokens
-    /// cancelled, and the drop blocks until the world threads unwind.
+    /// cancelled, and the drop blocks until every running job has unwound
+    /// and committed its record.
     fn drop(&mut self) {
         let Some(h) = self.dispatcher.take() else {
             return;
@@ -648,7 +653,6 @@ impl Drop for Ensemble {
 
 /// The dispatcher: deadline watchdog + work-conserving backfill.
 fn dispatcher_loop(shared: &Arc<Shared>) {
-    let mut runners: Vec<JoinHandle<()>> = Vec::new();
     let mut st = shared.state.lock().unwrap();
     loop {
         let now = Instant::now();
@@ -688,7 +692,7 @@ fn dispatcher_loop(shared: &Arc<Shared>) {
         // also folds in per-tenant rank caps and weighted fair share.
         while let Some(i) = pick_next(shared, &st) {
             let p = st.pending.remove(i);
-            dispatch(shared, &mut st, p, &mut runners);
+            dispatch(shared, &mut st, p);
         }
 
         if st.shutdown && st.pending.is_empty() && st.running.is_empty() {
@@ -712,11 +716,6 @@ fn dispatcher_loop(shared: &Arc<Shared>) {
             }
             None => shared.work.wait(st).unwrap(),
         };
-    }
-    drop(st);
-    // `running` is empty, so every runner is past its finalize section.
-    for h in runners {
-        let _ = h.join();
     }
 }
 
@@ -769,21 +768,16 @@ fn pick_next(shared: &Shared, st: &SchedState) -> Option<usize> {
     best.map(|(i, _, _, _)| i)
 }
 
-/// Move one job from pending to running and spawn its runner thread.
-fn dispatch(
-    shared: &Arc<Shared>,
-    st: &mut SchedState,
-    p: PendingJob,
-    runners: &mut Vec<JoinHandle<()>>,
-) {
+/// Move one job from pending to running and hand it to a runner.
+fn dispatch(shared: &Arc<Shared>, st: &mut SchedState, p: PendingJob) {
     let ranks = p.spec.config.size();
     debug_assert!(ranks <= st.free_ranks);
     st.free_ranks -= ranks;
     let token = CancelToken::new();
     let deadline_hit = Arc::new(AtomicBool::new(false));
     // Fleet checkpoint store: consult the prefix index under the
-    // scheduler lock and take the lineage lease *now*, before the runner
-    // thread exists — a concurrent GC between dispatch and the first
+    // scheduler lock and take the lineage lease *now*, before a runner
+    // has the job — a concurrent GC between dispatch and the first
     // shard read must not reclaim the prefix the job is about to resume
     // from. `(lineage, planned_resume)` travels to the runner so the
     // terminal record can carry reuse provenance.
@@ -812,11 +806,17 @@ fn dispatch(
         obs.on_dispatch(p.id, p.spec.tag);
     }
     let shared = Arc::clone(shared);
-    let handle = std::thread::Builder::new()
-        .name(format!("ensemble-job-{}", p.id))
-        .spawn(move || run_job(&shared, p, store_ctx, queue_seconds, token, deadline_hit))
-        .expect("spawn job runner");
-    runners.push(handle);
+    pool::execute(Box::new(move |runner| {
+        run_job(
+            &shared,
+            p,
+            store_ctx,
+            queue_seconds,
+            token,
+            deadline_hit,
+            runner,
+        )
+    }));
 }
 
 /// Bridges the resilience layer's progress hooks and the mps substrate's
@@ -934,7 +934,7 @@ impl RunProgress for ResumeRecorder {
     }
 }
 
-/// Runner thread body: run the model resiliently, summarize, finalize.
+/// A job on its runner: run the model resiliently, summarize, finalize.
 fn run_job(
     shared: &Arc<Shared>,
     p: PendingJob,
@@ -942,6 +942,7 @@ fn run_job(
     queue_seconds: f64,
     token: CancelToken,
     deadline_hit: Arc<AtomicBool>,
+    runner: Runner,
 ) {
     let lease_key = p.lease_key();
     let spec = p.spec;
@@ -1063,6 +1064,9 @@ fn run_job(
         }
     };
 
+    // The runner goes back to the pool before the job's ranks go back to
+    // the budget, so a job dispatched into those ranks finds it idle.
+    runner.park();
     let mut st = shared.state.lock().unwrap();
     let pos = st
         .running

@@ -220,7 +220,9 @@ fn status_reports_queue_position_running_and_done() {
         rank_budget: 1,
         ..EnsembleConfig::default()
     });
-    let running = ensemble.try_submit(job("r", 1, 1, 60)).unwrap();
+    // Long enough to be seen running and to hold the one rank while the
+    // queue is inspected; it is cancelled below.
+    let running = ensemble.try_submit(job("r", 1, 1, 1_000_000)).unwrap();
     // Give the dispatcher time to start the first job.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     while !matches!(ensemble.status(running), Some(JobView::Running { .. })) {
@@ -241,6 +243,18 @@ fn status_reports_queue_position_running_and_done() {
         other => panic!("q2 should be queued at position 2, got {other:?}"),
     }
     assert!(ensemble.status(9999).is_none(), "unknown id is None");
+    assert!(ensemble.cancel(running));
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    loop {
+        match ensemble.status(running) {
+            Some(JobView::Done(record)) => {
+                assert_eq!(record.status.label(), "cancelled(explicit)");
+                break;
+            }
+            _ => assert!(std::time::Instant::now() < deadline, "job should end"),
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let records = ensemble.join();
     assert_eq!(records.len(), 3);
 }

@@ -5,7 +5,8 @@
 //! the Cray T3D). This crate provides the equivalent programming model as a
 //! self-contained Rust library:
 //!
-//! * ranks are OS threads launched by [`runtime::run`];
+//! * ranks run on OS threads launched by [`runtime::run`] (rank 0 on the
+//!   caller's);
 //! * a [`Comm`] offers point-to-point [`Comm::send`]/[`Comm::recv`] with
 //!   tag matching, plus the collectives the AGCM code needs (barrier,
 //!   broadcast, reduce, allreduce, gather, allgather, all-to-all(v));

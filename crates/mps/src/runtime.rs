@@ -1,10 +1,14 @@
 //! Launching a world of ranks.
 //!
-//! [`run`] spawns one OS thread per rank, hands each a world [`Comm`], and
-//! returns the per-rank results in rank order. [`run_traced`] additionally
-//! enables event tracing and returns the [`WorldTrace`] for cost-model
-//! replay. The paper's largest configuration is an 8×30 = 240-node mesh;
-//! 240 threads are comfortably within what this runtime handles.
+//! [`run`] runs rank 0 on the calling thread and spawns one OS thread for
+//! each of ranks 1..n, hands each rank a world [`Comm`], and returns the
+//! per-rank results in rank order once every rank has finished. A one-rank
+//! world therefore starts no thread, and what rank 0's body keeps in
+//! thread-local storage stays on the caller's thread from one world to the
+//! next. [`run_traced`] additionally enables event tracing and returns the
+//! [`WorldTrace`] for cost-model replay. The paper's largest configuration
+//! is an 8×30 = 240-node mesh; 240 threads are comfortably within what this
+//! runtime handles.
 //!
 //! [`run_with_faults`] is the fault-aware variant: a [`FaultPlan`] is
 //! threaded into every communicator, rank deaths (planned kills, or
@@ -147,51 +151,66 @@ where
         .map(|_| plan.as_ref().map(|p| FaultState::new(Arc::clone(p))))
         .collect();
 
+    // One rank's life: its communicator, its body, the flush of whatever
+    // the injector held back, then the liveness flag.
+    let run_rank = |rank: usize, rx| {
+        let fault = faults[rank].clone();
+        let shared = RankShared::new(
+            Arc::clone(&world),
+            rank,
+            rx,
+            Arc::clone(&traces[rank]),
+            fault.clone(),
+            cancel.clone(),
+            spans.clone(),
+        );
+        let comm = Comm::world(shared);
+        let result = catch_unwind(AssertUnwindSafe(|| f(&comm)));
+        // A rank that finishes normally first flushes any packets the
+        // injector held back (a delayed message is late, not lost); a rank
+        // that dies takes its held packets with it.
+        if result.is_ok() {
+            if let Some(fs) = &fault {
+                for (dst, pkt) in fs.drain_held() {
+                    let _ = world.senders[dst].send(pkt);
+                }
+            }
+        }
+        // The liveness flag drops only after the flush above, so a peer
+        // that observes the flag down will find every message this rank
+        // ever sent already in its channel.
+        world.alive[rank].store(false, Ordering::SeqCst);
+        result
+    };
+
     let mut results: Vec<Option<Result<R, FailureKind>>> = (0..n).map(|_| None).collect();
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n);
-        for (rank, rx) in receivers.into_iter().enumerate() {
-            let world = Arc::clone(&world);
-            let trace = Arc::clone(&traces[rank]);
-            let fault = faults[rank].clone();
-            let cancel = cancel.clone();
-            let spans = spans.clone();
-            let f = &f;
-            // Named threads register each rank with the OS (visible in
-            // debuggers and sampling profilers).
-            let builder = std::thread::Builder::new().name(format!("agcm-rank-{rank}"));
-            let handle = builder.spawn_scoped(scope, move || {
-                let shared = RankShared::new(
-                    Arc::clone(&world),
-                    rank,
-                    rx,
-                    trace,
-                    fault.clone(),
-                    cancel,
-                    spans,
-                );
-                let comm = Comm::world(shared);
-                let result = catch_unwind(AssertUnwindSafe(|| f(&comm)));
-                // A rank that finishes normally first flushes any packets
-                // the injector held back (a delayed message is late, not
-                // lost); a rank that dies takes its held packets with it.
-                if result.is_ok() {
-                    if let Some(fs) = &fault {
-                        for (dst, pkt) in fs.drain_held() {
-                            let _ = world.senders[dst].send(pkt);
-                        }
-                    }
-                }
-                // The liveness flag drops only after the flush above, so a
-                // peer that observes the flag down will find every message
-                // this rank ever sent already in its channel.
-                world.alive[rank].store(false, Ordering::SeqCst);
-                result
-            });
-            handles.push(handle.expect("spawn rank thread"));
-        }
-        for (slot, handle) in results.iter_mut().zip(handles) {
-            let joined = handle.join().expect("rank thread itself never panics");
+        let mut receivers = receivers.into_iter();
+        let rx0 = receivers.next().expect("a world has rank 0");
+        let run_rank = &run_rank;
+        let handles: Vec<_> = receivers
+            .enumerate()
+            .map(|(i, rx)| {
+                let rank = i + 1;
+                // Named threads register each rank with the OS (visible in
+                // debuggers and sampling profilers).
+                std::thread::Builder::new()
+                    .name(format!("agcm-rank-{rank}"))
+                    .spawn_scoped(scope, move || run_rank(rank, rx))
+                    .expect("spawn rank thread")
+            })
+            .collect();
+        // Rank 0 runs on the caller, and only once its peers exist: it
+        // may block on them.
+        let first = run_rank(0, rx0);
+        let joined = std::iter::once(first).chain(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("rank thread itself never panics")),
+        );
+        // A genuine panic resumes inside the scope, which joins every rank
+        // still running before it propagates.
+        for (slot, joined) in results.iter_mut().zip(joined) {
             *slot = Some(match joined {
                 Ok(value) => Ok(value),
                 Err(payload) => {
@@ -413,6 +432,62 @@ mod tests {
                 panic!("rank 3 exploded");
             }
         });
+    }
+
+    #[test]
+    fn one_rank_world_runs_on_the_caller() {
+        let caller = std::thread::current().id();
+        let out = run(1, |_| std::thread::current().id());
+        assert_eq!(out, vec![caller]);
+    }
+
+    #[test]
+    fn rank_zero_runs_on_the_caller_and_peers_on_threads_of_their_own() {
+        let caller = std::thread::current().id();
+        let out = run(3, |_| std::thread::current().id());
+        assert_eq!(out[0], caller);
+        assert!(out[1] != caller && out[2] != caller && out[1] != out[2]);
+    }
+
+    #[test]
+    fn rank_zero_panic_propagates_after_its_peers_are_joined() {
+        use std::sync::atomic::AtomicUsize;
+        // Ranks 1 and 2 wait on rank 0, so they can only end after it has
+        // died; the guard counts them out as they unwind.
+        struct Finished<'a>(&'a AtomicUsize);
+        impl Drop for Finished<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let finished = AtomicUsize::new(0);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            run(3, |c| {
+                if c.rank() == 0 {
+                    panic!("rank 0 exploded");
+                }
+                let _guard = Finished(&finished);
+                c.recv(0, 1);
+            })
+        }));
+        let payload = outcome.expect_err("rank 0's panic must propagate");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"rank 0 exploded"));
+        assert_eq!(finished.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn planned_kill_of_rank_zero_is_typed() {
+        let plan = FaultPlan::seeded(1).with_kill(0, 3);
+        let out = run_with_faults(3, Some(plan), |c| {
+            for step in 0..6u64 {
+                c.begin_step(step);
+            }
+            c.rank()
+        });
+        assert_eq!(out.results[0], Err(FailureKind::Killed { step: 3 }));
+        assert_eq!(out.results[1], Ok(1));
+        assert_eq!(out.results[2], Ok(2));
+        assert_eq!(out.fault_events[0], vec![FaultEvent::Kill { step: 3 }]);
     }
 
     #[test]
