@@ -202,8 +202,8 @@ pub struct ResilienceOpts {
     /// Live progress observer: attempt starts from the recovery loop,
     /// checkpoint commits from rank 0.
     pub progress: Option<std::sync::Arc<dyn RunProgress>>,
-    /// Live span observer, notified at every phase boundary on every
-    /// rank while the model runs.
+    /// Live span observer, told of every phase any rank closes while the
+    /// model runs.
     pub spans: Option<std::sync::Arc<dyn agcm_mps::span::SpanObserver>>,
 }
 

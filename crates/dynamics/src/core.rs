@@ -47,9 +47,7 @@ use agcm_grid::latlon::GridSpec;
 use agcm_kernels::sweeps::{continuity_sweep, momentum_sweep, tracer_sweep};
 use agcm_kernels::{DynScratch, HaloView};
 use agcm_mps::topology::CartComm;
-use agcm_telemetry::Counter;
 use std::cell::RefCell;
-use std::sync::Arc;
 
 /// The variables the sweeps advance, in the order of
 /// [`DynScratch::prev`]. Pressure is carried unchanged.
@@ -112,9 +110,6 @@ pub struct Dynamics {
     /// Reusable kernel workspace (per rank; `Dynamics` is built inside
     /// each rank's thread, so interior mutability needs no `Sync`).
     scratch: RefCell<DynScratch>,
-    /// Grid points advanced per step (5 prognostic updates per point),
-    /// cached so the hot path never touches the registry lock.
-    points_updated: Arc<Counter>,
 }
 
 impl Dynamics {
@@ -131,7 +126,6 @@ impl Dynamics {
             setup,
             filter,
             scratch: RefCell::new(DynScratch::new()),
-            points_updated: agcm_telemetry::registry().counter("dyn.points_updated"),
         }
     }
 
@@ -255,10 +249,6 @@ impl Dynamics {
 
         // --- Finite differences (forward-backward). ------------------------
         comm.phase("fd", || self.fd_sweeps(Some(cart), scratch, state));
-
-        // h, u, v, and the two tracers each advanced once per point.
-        self.points_updated
-            .add((5 * sub.ni * sub.nj * self.grid.n_lev) as u64);
     }
 
     /// The per-step sweep sequence with **no communication and no trace
@@ -548,22 +538,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn points_updated_counter_advances() {
-        let counter = agcm_telemetry::registry().counter("dyn.points_updated");
-        let before = counter.get();
-        let grid = GridSpec::new(16, 8, 2);
-        let dt = max_stable_dt(&grid, signal_speed(), 0.3, None);
-        run_fields(grid, (1, 1), dt, None, 2, false);
-        // ≥, not ==: the registry is process-global and other tests step
-        // concurrently.
-        let expected = (2 * 5 * 16 * 8 * 2) as u64;
-        assert!(
-            counter.get() - before >= expected,
-            "counter did not advance"
-        );
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Fleet-level telemetry: the serving view of one ensemble.
 //!
-//! Each job routes its own step/run records to its own
+//! Each job hands its own live events and finished run to its own
 //! [`agcm_telemetry::TelemetrySink`]; [`FleetMetrics`] aggregates the
 //! serving-level view — jobs by terminal state, queue depth, rank-budget
 //! occupancy, and job latency through the existing log-bucketed
 //! [`Histogram`]s (p50/p95 via [`HistogramSnapshot::quantile`]). The
-//! metrics are fields of the ensemble, not entries of the process-global
-//! `agcm_telemetry::registry()`: two ensembles in one process must not
-//! share counters.
+//! metrics are fields of the ensemble, so two ensembles in one process
+//! never share counters.
 
 use agcm_telemetry::json::Value;
 use agcm_telemetry::{Counter, Gauge, Histogram, HistogramSnapshot};

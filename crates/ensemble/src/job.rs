@@ -117,7 +117,8 @@ pub struct JobSpec {
     /// for. The job holds a lease on its lineage while it runs, so the
     /// store's GC cannot reclaim state under it.
     pub shared_store: Option<Arc<agcm_ckptstore::Store>>,
-    /// Per-job telemetry sink; fed this job's step and run records.
+    /// Per-job telemetry sink: the job's span observer, told of its
+    /// attempts and checkpoints, and handed its finished run once.
     pub sink: Option<Arc<dyn TelemetrySink>>,
     /// Distributed-tracing context minted by the submitter (e.g. the
     /// serving layer at `POST /v1/jobs`). Attempt spans are derived from
@@ -126,8 +127,8 @@ pub struct JobSpec {
     /// phase spans — even across a server restart.
     pub trace: Option<TraceContext>,
     /// Fold the successful attempt's trace into a wall-time profile and
-    /// skew report (off by default). Requires a `sink` to receive them
-    /// (`TelemetrySink::record_profile`); a failed or cancelled job has
+    /// skew report (off by default). Requires a `sink` to fold them
+    /// (`TelemetrySink::record_finished`); a failed or cancelled job has
     /// no successful trace and so no profile.
     pub profile: bool,
 }

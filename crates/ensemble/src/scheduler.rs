@@ -49,7 +49,7 @@ use agcm_costmodel::machine::MachineProfile;
 use agcm_mps::{CancelToken, SpanObserver};
 use agcm_resilience::recovery::RecoveryError;
 use agcm_resilience::{CheckpointStore, RunProgress};
-use agcm_telemetry::{skew_report, ProfileReport, ResilienceCounters, RunMetrics, TelemetrySink};
+use agcm_telemetry::{ResilienceCounters, RunSummary, TelemetrySink};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -819,88 +819,27 @@ fn dispatch(shared: &Arc<Shared>, st: &mut SchedState, p: PendingJob) {
     }));
 }
 
-/// Bridges the resilience layer's progress hooks and the mps substrate's
-/// phase spans to a job's per-job [`TelemetrySink`], so a live telemetry
-/// plane sees attempts, checkpoint commits and per-rank phase timings
-/// *while the job runs*, not just from the post-hoc trace.
-///
-/// Phase pairing is done here: `phase_begin`/`phase_end` arrive on the
-/// rank's own thread, and nesting is strict (the mps `Comm` guarantees
-/// balanced begin/end per rank), so a per-rank stack of open phases with
-/// wall-clock start instants suffices. Unbalanced ends (possible only if
-/// a rank's world unwinds mid-phase) are dropped, never mispaired.
-struct SinkBridge {
-    sink: Arc<dyn TelemetrySink>,
-    /// Per-rank stacks of `(phase, begin_instant)`.
-    open: Mutex<Vec<Vec<(&'static str, Instant)>>>,
-}
-
-impl SinkBridge {
-    fn new(sink: Arc<dyn TelemetrySink>) -> SinkBridge {
-        SinkBridge {
-            sink,
-            open: Mutex::new(Vec::new()),
-        }
-    }
-}
-
-impl RunProgress for SinkBridge {
-    fn on_attempt(&self, attempt: usize, resumed_from: Option<u64>) {
-        // A retry re-enters every rank's world from scratch: any phases
-        // left open by the faulted attempt will never see their end.
-        self.open.lock().unwrap().clear();
-        self.sink.record_attempt(attempt as u64, resumed_from);
-    }
-
-    fn on_checkpoint(&self, step: u64) {
-        self.sink.record_checkpoint(step);
-    }
-}
-
-impl SpanObserver for SinkBridge {
-    fn phase_begin(&self, rank: usize, name: &'static str) {
-        let mut open = self.open.lock().unwrap();
-        if open.len() <= rank {
-            open.resize_with(rank + 1, Vec::new);
-        }
-        open[rank].push((name, Instant::now()));
-    }
-
-    fn phase_end(&self, rank: usize, name: &'static str) {
-        let begun = {
-            let mut open = self.open.lock().unwrap();
-            match open.get_mut(rank) {
-                Some(stack) if stack.last().is_some_and(|(n, _)| *n == name) => stack.pop(),
-                _ => None,
-            }
-        };
-        if let Some((_, begin)) = begun {
-            self.sink
-                .record_live_phase(rank as u32, name, begin.elapsed().as_secs_f64());
-        }
-    }
-}
-
 /// Observes the first attempt's resume step so the terminal
 /// [`JobRecord`] can report where the shared store actually picked the
 /// run up — as opposed to the prefix *planned* at dispatch, which a
 /// concurrent same-lineage job may have extended in the meantime.
-/// Forwards every hook to an optional inner progress sink unchanged.
+/// Forwards every attempt and checkpoint to the job's telemetry sink, if
+/// it has one, so a live telemetry plane sees them while the job runs.
 struct ResumeRecorder {
     /// Attempts started.
     attempts: AtomicU64,
     /// First attempt's resume step; `u64::MAX` = cold start (steps are
     /// far below that, so the sentinel is unambiguous).
     first_resume: AtomicU64,
-    inner: Option<Arc<dyn RunProgress>>,
+    sink: Option<Arc<dyn TelemetrySink>>,
 }
 
 impl ResumeRecorder {
-    fn new(inner: Option<Arc<dyn RunProgress>>) -> ResumeRecorder {
+    fn new(sink: Option<Arc<dyn TelemetrySink>>) -> ResumeRecorder {
         ResumeRecorder {
             attempts: AtomicU64::new(0),
             first_resume: AtomicU64::new(u64::MAX),
-            inner,
+            sink,
         }
     }
 
@@ -922,14 +861,14 @@ impl RunProgress for ResumeRecorder {
             self.first_resume
                 .store(resumed_from.unwrap_or(u64::MAX), Ordering::SeqCst);
         }
-        if let Some(inner) = &self.inner {
-            inner.on_attempt(attempt, resumed_from);
+        if let Some(sink) = &self.sink {
+            sink.record_attempt(attempt as u64, resumed_from);
         }
     }
 
     fn on_checkpoint(&self, step: u64) {
-        if let Some(inner) = &self.inner {
-            inner.on_checkpoint(step);
+        if let Some(sink) = &self.sink {
+            sink.record_checkpoint(step);
         }
     }
 }
@@ -973,13 +912,12 @@ fn run_job(
     .with_cancel(token);
     opts.max_restarts = spec.max_restarts;
     opts.plan = spec.plan.clone();
-    let mut progress_inner: Option<Arc<dyn RunProgress>> = None;
-    if let Some(sink) = spec.sink.as_ref() {
-        let bridge = Arc::new(SinkBridge::new(Arc::clone(sink)));
-        progress_inner = Some(Arc::clone(&bridge) as Arc<dyn RunProgress>);
-        opts = opts.with_spans(bridge as Arc<dyn SpanObserver>);
+    // The sink is the world's span observer: each rank times the phases
+    // it closes and reports them to the sink directly.
+    if let Some(sink) = &spec.sink {
+        opts = opts.with_spans(Arc::clone(sink) as Arc<dyn SpanObserver>);
     }
-    let recorder = Arc::new(ResumeRecorder::new(progress_inner));
+    let recorder = Arc::new(ResumeRecorder::new(spec.sink.clone()));
     opts = opts.with_progress(Arc::clone(&recorder) as Arc<dyn RunProgress>);
 
     let result = catch_unwind(AssertUnwindSafe(|| run_model_resilient(spec.config, opts)));
@@ -997,44 +935,19 @@ fn run_job(
 
     let (status, attempts, outcome, summary) = match result {
         Ok(Ok(run)) => {
-            // Per-job telemetry: derive virtual-time metrics from the
-            // successful attempt's trace (one replay) and feed this job's
-            // own sink.
-            let summary = RunMetrics::from_trace_with_timeline(&run.trace, &shared.cfg.machine)
+            // Per-job telemetry: derive the run summary and its timeline
+            // from the successful attempt's trace (one replay, no per-step
+            // records) and hand both to this job's own sink.
+            let summary = RunSummary::from_trace_with_timeline(&run.trace, &shared.cfg.machine)
                 .ok()
-                .map(|(metrics, timeline)| {
-                    let mut summary = metrics.summary.clone();
+                .map(|(mut summary, timeline)| {
                     summary.resilience = Some(ResilienceCounters {
                         attempts: run.attempts as u64,
                         failures: run.failures.len() as u64,
                         fault_events: run.fault_events.iter().map(|e| e.len() as u64).sum(),
                     });
-                    if let Some(sink) = spec.sink.as_ref() {
-                        // Authoritative per-(rank, phase) virtual totals,
-                        // streamed pre-summed so a live collector taking
-                        // max-over-ranks reproduces `summary.phase_seconds`
-                        // bit-for-bit (same values, same reduction).
-                        let mut span_counts: std::collections::HashMap<(usize, &str), u64> =
-                            std::collections::HashMap::new();
-                        for s in &timeline.spans {
-                            *span_counts.entry((s.rank, s.name)).or_insert(0) += 1;
-                        }
-                        for (rank, phases) in timeline.phase_seconds_per_rank().iter().enumerate() {
-                            for (phase, secs) in phases {
-                                let spans = span_counts.get(&(rank, *phase)).copied().unwrap_or(0);
-                                sink.record_rank_phase(rank as u32, phase, *secs, spans);
-                            }
-                        }
-                        // A profile folds the successful attempt's own
-                        // wall stamps, so it needs no replay of its own.
-                        if spec.profile {
-                            let profile = ProfileReport::from_timeline(&timeline);
-                            sink.record_profile(&profile, &skew_report(&timeline));
-                        }
-                        for step in &metrics.steps {
-                            sink.record_step(step);
-                        }
-                        sink.record_run(&summary);
+                    if let Some(sink) = &spec.sink {
+                        sink.record_finished(&summary, &timeline, spec.profile);
                     }
                     summary
                 });

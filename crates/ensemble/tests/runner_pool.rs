@@ -10,7 +10,8 @@ use agcm_core::{run_model, AgcmConfig};
 use agcm_ensemble::{Ensemble, EnsembleConfig, JobId, JobObserver, JobRecord, JobSpec, JobStatus};
 use agcm_filtering::driver::FilterVariant;
 use agcm_grid::latlon::GridSpec;
-use agcm_telemetry::{RunSummary, StepMetrics, TelemetrySink};
+use agcm_mps::SpanObserver;
+use agcm_telemetry::{RunSummary, TelemetrySink, Timeline};
 use std::collections::HashSet;
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::ThreadId;
@@ -64,19 +65,21 @@ impl Sequential {
 
 /// Records the thread each rank's live phases were timed on.
 #[derive(Default)]
-struct Threads(Mutex<HashSet<(u32, ThreadId)>>);
+struct Threads(Mutex<HashSet<(usize, ThreadId)>>);
 
-impl TelemetrySink for Threads {
-    fn record_step(&self, _: &StepMetrics) {}
-    fn record_run(&self, _: &RunSummary) {}
-    fn record_live_phase(&self, rank: u32, _: &str, _: f64) {
+impl SpanObserver for Threads {
+    fn phase_ended(&self, rank: usize, _: &'static str, _: f64) {
         let me = std::thread::current().id();
         self.0.lock().unwrap().insert((rank, me));
     }
 }
 
+impl TelemetrySink for Threads {
+    fn record_finished(&self, _: &RunSummary, _: &Timeline, _: bool) {}
+}
+
 impl Threads {
-    fn of_rank(&self, rank: u32) -> HashSet<ThreadId> {
+    fn of_rank(&self, rank: usize) -> HashSet<ThreadId> {
         let seen = self.0.lock().unwrap();
         seen.iter()
             .filter(|(r, _)| *r == rank)

@@ -10,7 +10,7 @@ use agcm_ensemble::{
 use agcm_filtering::driver::{FilterOrganization, FilterVariant};
 use agcm_grid::latlon::GridSpec;
 use agcm_mps::fault::FaultPlan;
-use agcm_telemetry::{LiveCollector, MemorySink, TraceContext};
+use agcm_telemetry::{LiveCollector, MemorySink, RunSummary, TraceContext};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -309,6 +309,40 @@ fn admission_control_rejects_what_cannot_run() {
     );
 }
 
+/// Block until `id` is terminal, then return its record.
+fn wait_done(ensemble: &Ensemble, id: JobId) -> agcm_ensemble::JobRecord {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        match ensemble.status(id) {
+            Some(JobView::Done(record)) => return *record,
+            _ => {
+                assert!(Instant::now() < deadline, "job {id} should finish");
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        }
+    }
+}
+
+/// The one finished record `sink` got, checked against the job's own
+/// terminal record: the same summary, phase totals equal bit for bit.
+fn finished_record(sink: &MemorySink, record: &agcm_ensemble::JobRecord) -> RunSummary {
+    let runs = sink.runs();
+    assert_eq!(runs.len(), 1, "{}: one finished record", record.name);
+    let summary = record
+        .summary
+        .as_ref()
+        .expect("completed job has a summary");
+    assert_eq!(&runs[0], summary, "{}", record.name);
+    let bits = |s: &RunSummary| -> Vec<(&str, u64)> {
+        s.phase_seconds
+            .iter()
+            .map(|&(p, secs)| (p, secs.to_bits()))
+            .collect()
+    };
+    assert_eq!(bits(&runs[0]), bits(summary), "{}", record.name);
+    runs[0].clone()
+}
+
 #[test]
 fn per_job_sinks_receive_only_their_jobs_records() {
     let sink_a = Arc::new(MemorySink::new());
@@ -322,12 +356,49 @@ fn per_job_sinks_receive_only_their_jobs_records() {
         .unwrap();
     let records = ensemble.join();
     assert!(records.iter().all(|r| r.status == JobStatus::Completed));
-    assert_eq!(sink_a.steps().len(), 2);
-    assert_eq!(sink_b.steps().len(), 3);
-    assert_eq!(sink_a.runs().len(), 1);
-    assert_eq!(sink_b.runs().len(), 1);
-    assert_eq!(sink_a.runs()[0].ranks, 2);
-    assert_eq!(sink_b.runs()[0].ranks, 4);
+    let a = finished_record(&sink_a, &records[0]);
+    let b = finished_record(&sink_b, &records[1]);
+    assert_eq!((a.steps, a.ranks), (2, 2));
+    assert_eq!((b.steps, b.ranks), (3, 4));
+}
+
+#[test]
+fn a_resumed_job_reports_the_steps_it_computed_and_a_cancelled_one_nothing() {
+    let dir = std::env::temp_dir().join(format!("agcm-serving-sink-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = Arc::new(agcm_ckptstore::Store::open(dir.join("store")).unwrap());
+    let ensemble = Ensemble::start(quick_config());
+    let checkpointed = |name: &str, steps: usize, sink: &Arc<MemorySink>| {
+        let mut spec = job(name, 1, 2, steps).with_sink(sink.clone());
+        spec.config = spec.config.with_checkpointing(2);
+        spec.with_shared_store(Arc::clone(&store))
+    };
+    let (cold, extended) = (Arc::new(MemorySink::new()), Arc::new(MemorySink::new()));
+    let id = ensemble.submit(checkpointed("cold", 6, &cold)).unwrap();
+    let cold_record = wait_done(&ensemble, id);
+    assert_eq!(finished_record(&cold, &cold_record).steps, 6);
+    // Same lineage, longer horizon: resumes at the 6-step commit and
+    // computes only the 4 steps past it.
+    let id = ensemble
+        .submit(checkpointed("extended", 10, &extended))
+        .unwrap();
+    let extended_record = wait_done(&ensemble, id);
+    assert_eq!(extended_record.resumed_from, Some(6));
+    assert_eq!(finished_record(&extended, &extended_record).steps, 4);
+
+    let cancelled = Arc::new(MemorySink::new());
+    let id = ensemble
+        .submit(job("cancelled", 1, 2, 1_000_000).with_sink(cancelled.clone()))
+        .unwrap();
+    while !matches!(ensemble.status(id), Some(JobView::Running { .. })) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(ensemble.cancel(id));
+    let record = wait_done(&ensemble, id);
+    assert_eq!(record.status, JobStatus::Cancelled(CancelReason::Explicit));
+    assert!(cancelled.runs().is_empty(), "a cancelled job has no record");
+    drop(ensemble);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

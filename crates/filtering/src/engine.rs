@@ -455,9 +455,6 @@ fn redistribute_filter(
         }
     }
     comm.record_flops(plan.flops);
-    agcm_telemetry::registry()
-        .counter("filter.lines_filtered")
-        .add(plan.owned.len() as u64);
     comm.phase_end("filter_local");
 
     // --- Phase 3: inverse movement (same sparsity, reversed): every ------

@@ -13,7 +13,7 @@ use crate::cancel::{CancelToken, CancelUnwind};
 use crate::error::Error;
 use crate::fault::{CommAbort, FaultAction, FaultKill, FaultState};
 use crate::message::{Packet, Payload, WirePacket};
-use crate::span::SpanObserver;
+use crate::span::{OpenPhases, SpanObserver};
 use crate::trace::{Event, RankTrace};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::Mutex;
@@ -85,9 +85,9 @@ pub(crate) struct RankShared {
     /// Cooperative cancellation token, present only when the launcher
     /// supplied one ([`crate::runtime::run_world`]).
     pub(crate) cancel: Option<CancelToken>,
-    /// Live span observer, present only when the launcher supplied one;
-    /// sees phase boundaries as they happen.
-    pub(crate) spans: Option<Arc<dyn SpanObserver>>,
+    /// This rank's open phases, kept only when the launcher supplied a
+    /// span observer; closed phases are reported to it as they end.
+    spans: Option<OpenPhases>,
 }
 
 impl RankShared {
@@ -110,7 +110,7 @@ impl RankShared {
             trace,
             fault,
             cancel,
-            spans,
+            spans: spans.map(OpenPhases::new),
         })
     }
 }
@@ -183,16 +183,16 @@ impl Comm {
     /// Mark the beginning of a named phase in the trace.
     pub fn phase_begin(&self, name: &'static str) {
         self.shared.trace.record(Event::PhaseBegin(name));
-        if let Some(obs) = &self.shared.spans {
-            obs.phase_begin(self.shared.world_rank, name);
+        if let Some(open) = &self.shared.spans {
+            open.begin(name);
         }
     }
 
     /// Mark the end of a named phase in the trace.
     pub fn phase_end(&self, name: &'static str) {
         self.shared.trace.record(Event::PhaseEnd(name));
-        if let Some(obs) = &self.shared.spans {
-            obs.phase_end(self.shared.world_rank, name);
+        if let Some(open) = &self.shared.spans {
+            open.end(self.shared.world_rank, name);
         }
     }
 

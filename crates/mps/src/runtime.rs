@@ -310,7 +310,7 @@ pub struct WorldOptions {
     pub plan: Option<FaultPlan>,
     /// Cooperative cancellation token shared by every rank of the world.
     pub cancel: Option<CancelToken>,
-    /// Live span observer notified at every phase boundary on every rank.
+    /// Live span observer told of every phase any rank closes.
     pub spans: Option<Arc<dyn SpanObserver>>,
 }
 

@@ -198,11 +198,6 @@ impl PassState {
             }
             *spare = data;
         }
-        let registry = agcm_telemetry::registry();
-        registry.counter("physics.balanced_passes").inc();
-        registry
-            .counter("physics.columns_delegated")
-            .add(cursor as u64);
         BalancedRun {
             performed: flops,
             owned: local_own + delegated_cost,

@@ -732,7 +732,7 @@ fn trace_links_submit_journal_attempts_and_phases() {
     assert!(!phases.is_empty(), "phase breakdown present: {}", view.body);
 
     // live_view_consistent: the finished job's live phase totals are the
-    // post-hoc summary's phase_seconds, value for value.
+    // post-hoc summary's phase_seconds, bit for bit.
     let result = get(addr, &format!("/v1/jobs/{id}/result")).unwrap();
     let summary_phases = result.json();
     let summary_phases = summary_phases
@@ -750,8 +750,9 @@ fn trace_links_submit_journal_attempts_and_phases() {
             .and_then(|(_, v)| v.as_f64())
             .unwrap_or_else(|| panic!("phase {name} missing from live view"));
         let want = secs.as_f64().unwrap();
-        assert!(
-            (live - want).abs() <= 1e-9,
+        assert_eq!(
+            live.to_bits(),
+            want.to_bits(),
             "phase {name}: live {live} != summary {want}"
         );
     }

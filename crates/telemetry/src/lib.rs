@@ -5,7 +5,7 @@
 //! load-imbalance metric `(MaxLoad − AvgLoad) / AvgLoad`. This crate turns
 //! the traces the substrate already records into first-class observability:
 //!
-//! * [`metrics`] — process-wide counters, gauges and log-bucketed
+//! * [`metrics`] — registries of counters, gauges and log-bucketed
 //!   histograms, lock-free and allocation-free to update;
 //! * [`timeline`] — per-rank span timelines from `PhaseBegin`/`PhaseEnd`
 //!   events, with cost-model *virtual* timestamps and (when recorded)
@@ -22,8 +22,8 @@
 //!   graph (program order + message edges);
 //! * [`run`] — structured per-step and per-run metrics
 //!   ([`run::StepMetrics`] / [`run::RunSummary`]) serialized as JSON lines;
-//! * [`sink`] — the [`TelemetrySink`] trait a served job's records and
-//!   live events go to, and the in-memory [`MemorySink`] for tests;
+//! * [`sink`] — the [`TelemetrySink`] trait a served job's live events
+//!   and finished run go to, and the in-memory [`MemorySink`] for tests;
 //! * [`tracectx`] — dependency-free span contexts ([`TraceContext`]): one
 //!   128-bit trace id per request, deterministic child span ids per
 //!   attempt, hex round-trip for journaling;
@@ -42,12 +42,14 @@
 //! ## One path from a trace to telemetry
 //!
 //! Nothing here is installed process-wide: a finished run's trace becomes
-//! telemetry by one call, [`RunMetrics::from_trace`] (or
-//! [`RunMetrics::from_trace_with_timeline`] when the caller also wants
-//! the spans), which replays the trace once. Its callers decide where the
-//! records go — `reproduce trace` writes them to files, the ensemble
-//! scheduler feeds each job's own [`TelemetrySink`]. Only the
-//! [`registry()`] of counters, gauges and histograms is global.
+//! telemetry by one call that replays the trace once.
+//! [`RunMetrics::from_trace`] (or [`RunMetrics::from_trace_with_timeline`]
+//! when the caller also wants the spans) gives the run summary and one
+//! record per step; `reproduce trace` writes them to files. A served job
+//! needs no step records: the ensemble scheduler derives only the
+//! summary and its timeline ([`RunSummary::from_trace_with_timeline`])
+//! and hands both to the job's own [`TelemetrySink`] in one
+//! [`record_finished`](TelemetrySink::record_finished) call.
 
 pub mod analysis;
 pub mod chrome;
@@ -74,21 +76,3 @@ pub use run::{ResilienceCounters, RunMetrics, RunSummary, StepMetrics};
 pub use sink::{MemorySink, TelemetrySink};
 pub use timeline::{Span, Timeline};
 pub use tracectx::TraceContext;
-
-static REGISTRY: MetricsRegistry = MetricsRegistry::new();
-
-/// The global metrics registry, always available.
-pub fn registry() -> &'static MetricsRegistry {
-    &REGISTRY
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn registry_is_shared() {
-        registry().counter("lib.test").add(3);
-        assert_eq!(registry().counter("lib.test").get(), 3);
-    }
-}

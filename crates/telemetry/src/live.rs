@@ -2,32 +2,34 @@
 //!
 //! [`LiveCollector`] is the serving layer's in-memory observability state:
 //! one collector per server, fed *incrementally* by [`TelemetrySink`]
-//! events as jobs execute — never by post-hoc trace replay. Each job gets
-//! a [`JobSink`] handle (job id + shared collector) wired into its
-//! `JobSpec`, so attempt starts, checkpoint commits, live wall-clock phase
-//! durations and the end-of-run authoritative virtual phase totals all
-//! fold into the collector as they happen.
+//! events as jobs execute. Each job gets a [`JobSink`] handle (job id +
+//! shared collector) wired into its `JobSpec`, so attempt starts,
+//! checkpoint commits and the phases ranks close fold into the collector
+//! as they happen, and the finished run arrives in one
+//! [`record_finished`](TelemetrySink::record_finished) call.
 //!
 //! Two time domains are kept deliberately separate:
 //!
 //! * **wall/live** — per-phase wall-clock seconds accumulated from
-//!   [`TelemetrySink::record_live_phase`] while the job runs. Approximate
+//!   [`SpanObserver::phase_ended`] while the job runs. Approximate
 //!   (threads share cores), but available *now* for a running job.
-//! * **virtual/final** — per-(rank, phase) virtual seconds from
-//!   [`TelemetrySink::record_rank_phase`], streamed once from the
-//!   successful attempt's timeline. The per-phase view is the max over
-//!   ranks — by construction identical (not just close) to the post-hoc
-//!   `RunSummary::phase_seconds` for the same run.
+//! * **virtual/final** — the finished run's `RunSummary::phase_seconds`,
+//!   stored as handed over, beside per-(rank, phase) virtual seconds and
+//!   span counts the sink folds from the run's timeline.
 //!
 //! The collector also maintains windowed rollups: a ring of fixed-width
 //! wall-clock windows, each accumulating per-phase seconds and per-tenant
 //! completion counts, so `/v1/metrics` can show what the fleet did in the
-//! last minute without replaying anything.
+//! last minute without replaying anything. Phases are keyed by their
+//! `&'static str` names, so a phase end allocates nothing.
 
 use crate::json::Value;
-use crate::run::{RunSummary, StepMetrics};
+use crate::profile::{skew_report, ProfileReport};
+use crate::run::RunSummary;
 use crate::sink::TelemetrySink;
+use crate::timeline::Timeline;
 use crate::tracectx::TraceContext;
+use agcm_mps::span::SpanObserver;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -52,25 +54,27 @@ struct JobLive {
     attempts: Vec<AttemptView>,
     last_checkpoint_step: Option<u64>,
     /// Wall-clock seconds per phase, accumulated live.
-    wall_phase: BTreeMap<String, f64>,
-    /// Authoritative virtual seconds and span counts per (rank, phase).
-    rank_phase: BTreeMap<(u32, String), (f64, u64)>,
-    /// Steps recorded so far (from `record_step`, so it fills at end of
-    /// attempt; live progress comes from checkpoints).
+    wall_phase: BTreeMap<&'static str, f64>,
+    /// The finished run's max-over-ranks virtual seconds per phase.
+    phases: Vec<(&'static str, f64)>,
+    /// The finished run's virtual seconds and span counts per
+    /// (rank, phase).
+    rank_phase: BTreeMap<(usize, &'static str), (f64, u64)>,
+    /// Steps the finished run computed (live progress comes from
+    /// checkpoints).
     steps_recorded: u64,
-    /// Virtual seconds of the finished run.
+    /// Virtual seconds of the finished run; `Some` once it finished.
     virt_seconds: Option<f64>,
     /// Wall-time profile with its skew join, delivered once when a
     /// profiled job completes.
     profile: Option<Value>,
-    finished: bool,
 }
 
 /// One wall-clock rollup window.
 #[derive(Debug, Clone, Default)]
 struct Window {
     index: u64,
-    phase_wall: BTreeMap<String, f64>,
+    phase_wall: BTreeMap<&'static str, f64>,
     tenant_finished: BTreeMap<String, u64>,
     tenant_attempts: BTreeMap<String, u64>,
 }
@@ -163,23 +167,6 @@ impl LiveCollector {
         Some(Value::obj(pairs))
     }
 
-    /// Per-phase totals of a *finished* job in the virtual domain:
-    /// max-over-ranks of the streamed per-rank sums — the same reduction
-    /// `RunSummary::phase_seconds` applies, so the two agree exactly.
-    pub fn final_phase_totals(&self, job: u64) -> Option<Vec<(String, f64)>> {
-        let jobs = self.jobs.lock();
-        let j = jobs.get(&job)?;
-        if j.rank_phase.is_empty() {
-            return None;
-        }
-        let mut acc: BTreeMap<&str, f64> = BTreeMap::new();
-        for ((_rank, phase), (secs, _spans)) in &j.rank_phase {
-            let slot = acc.entry(phase.as_str()).or_insert(0.0);
-            *slot = slot.max(*secs);
-        }
-        Some(acc.into_iter().map(|(p, s)| (p.to_string(), s)).collect())
-    }
-
     /// The live view served at `GET /v1/jobs/{id}/trace`: trace identity,
     /// attempts so far, last committed checkpoint, and the phase
     /// breakdown — virtual totals once finished, live wall accumulations
@@ -206,25 +193,14 @@ impl LiveCollector {
                 })
                 .collect(),
         );
-        let (phases, domain): (Vec<(String, f64)>, &str) = if !j.rank_phase.is_empty() {
-            let mut acc: BTreeMap<String, f64> = BTreeMap::new();
-            for ((_rank, phase), (secs, _)) in &j.rank_phase {
-                let slot = acc.entry(phase.clone()).or_insert(0.0);
-                *slot = slot.max(*secs);
-            }
-            (acc.into_iter().collect(), "virtual")
+        let (phases, domain): (Vec<(&str, f64)>, &str) = if !j.phases.is_empty() {
+            (j.phases.clone(), "virtual")
         } else {
-            (
-                j.wall_phase.iter().map(|(p, s)| (p.clone(), *s)).collect(),
-                "wall",
-            )
+            (j.wall_phase.iter().map(|(p, s)| (*p, *s)).collect(), "wall")
         };
-        let mut ranks: BTreeMap<u32, Vec<(String, f64, u64)>> = BTreeMap::new();
-        for ((rank, phase), (secs, spans)) in &j.rank_phase {
-            ranks
-                .entry(*rank)
-                .or_default()
-                .push((phase.clone(), *secs, *spans));
+        let mut ranks: BTreeMap<usize, Vec<(&str, f64, u64)>> = BTreeMap::new();
+        for (&(rank, phase), &(secs, spans)) in &j.rank_phase {
+            ranks.entry(rank).or_default().push((phase, secs, spans));
         }
         let mut pairs = vec![
             ("job", Value::Num(job as f64)),
@@ -256,14 +232,14 @@ impl LiveCollector {
                 },
             ),
             ("steps_recorded", Value::Num(j.steps_recorded as f64)),
-            ("finished", Value::Bool(j.finished)),
+            ("finished", Value::Bool(j.virt_seconds.is_some())),
             ("phase_domain", Value::Str(domain.to_string())),
             (
                 "phases",
                 Value::Obj(
                     phases
                         .into_iter()
-                        .map(|(p, s)| (p, Value::Num(s)))
+                        .map(|(p, s)| (p.to_string(), Value::Num(s)))
                         .collect(),
                 ),
             ),
@@ -282,7 +258,7 @@ impl LiveCollector {
                                             .into_iter()
                                             .map(|(p, s, n)| {
                                                 (
-                                                    p,
+                                                    p.to_string(),
                                                     Value::obj(vec![
                                                         ("virt_seconds", Value::Num(s)),
                                                         ("spans", Value::Num(n as f64)),
@@ -323,7 +299,7 @@ impl LiveCollector {
                                     Value::Obj(
                                         w.phase_wall
                                             .iter()
-                                            .map(|(p, s)| (p.clone(), Value::Num(*s)))
+                                            .map(|(p, s)| (p.to_string(), Value::Num(*s)))
                                             .collect(),
                                     ),
                                 ),
@@ -385,35 +361,29 @@ pub struct JobSink {
     job: u64,
 }
 
-impl TelemetrySink for JobSink {
-    fn record_step(&self, step: &StepMetrics) {
+impl SpanObserver for JobSink {
+    fn phase_ended(&self, _rank: usize, phase: &'static str, wall_seconds: f64) {
         self.collector.with_job(self.job, |j| {
-            j.steps_recorded = j.steps_recorded.max(step.step as u64 + 1);
-        });
-    }
-
-    fn record_run(&self, run: &RunSummary) {
-        let tenant = self.collector.with_job(self.job, |j| {
-            j.finished = true;
-            j.virt_seconds = Some(run.virt_seconds);
-            j.tenant.clone()
+            *j.wall_phase.entry(phase).or_insert(0.0) += wall_seconds;
         });
         self.collector.window_mut(|w| {
-            *w.tenant_finished.entry(tenant).or_insert(0) += 1;
+            *w.phase_wall.entry(phase).or_insert(0.0) += wall_seconds;
         });
     }
+}
 
+impl TelemetrySink for JobSink {
     fn record_attempt(&self, attempt: u64, resumed_from: Option<u64>) {
         let tenant = self.collector.with_job(self.job, |j| {
             // Attempt span ids derive from the root context; a job with no
             // registered trace (direct ensemble use) gets no span linkage
-            // but still counts attempts.
+            // but still counts attempts, each under a span id of its own.
             let span = j
                 .trace
                 .map(|root| root.child(attempt))
                 .unwrap_or(TraceContext {
                     trace_id: 0,
-                    span_id: attempt.max(1),
+                    span_id: attempt + 1,
                     parent_span: 0,
                 });
             if !j.attempts.iter().any(|a| a.attempt == attempt) {
@@ -436,33 +406,32 @@ impl TelemetrySink for JobSink {
         });
     }
 
-    fn record_live_phase(&self, _rank: u32, phase: &str, wall_seconds: f64) {
-        self.collector.with_job(self.job, |j| {
-            *j.wall_phase.entry(phase.to_string()).or_insert(0.0) += wall_seconds;
+    fn record_finished(&self, summary: &RunSummary, timeline: &Timeline, profile: bool) {
+        // Summed in span order, as `Timeline::phase_seconds_per_rank`
+        // sums, so each rank's totals reduce to `summary.phase_seconds`
+        // bit for bit.
+        let mut rank_phase: BTreeMap<(usize, &'static str), (f64, u64)> = BTreeMap::new();
+        for s in &timeline.spans {
+            let (secs, spans) = rank_phase.entry((s.rank, s.name)).or_insert((0.0, 0));
+            *secs += s.virt_duration();
+            *spans += 1;
+        }
+        let profile = profile.then(|| {
+            Value::obj(vec![
+                ("profile", ProfileReport::from_timeline(timeline).to_json()),
+                ("skew", skew_report(timeline).to_json()),
+            ])
+        });
+        let tenant = self.collector.with_job(self.job, |j| {
+            j.phases = summary.phase_seconds.clone();
+            j.rank_phase = rank_phase;
+            j.steps_recorded = summary.steps as u64;
+            j.virt_seconds = Some(summary.virt_seconds);
+            j.profile = profile;
+            j.tenant.clone()
         });
         self.collector.window_mut(|w| {
-            *w.phase_wall.entry(phase.to_string()).or_insert(0.0) += wall_seconds;
-        });
-    }
-
-    fn record_rank_phase(&self, rank: u32, phase: &str, virt_seconds: f64, spans: u64) {
-        self.collector.with_job(self.job, |j| {
-            j.rank_phase
-                .insert((rank, phase.to_string()), (virt_seconds, spans));
-        });
-    }
-
-    fn record_profile(
-        &self,
-        profile: &crate::profile::ProfileReport,
-        skew: &crate::profile::SkewReport,
-    ) {
-        let value = Value::obj(vec![
-            ("profile", profile.to_json()),
-            ("skew", skew.to_json()),
-        ]);
-        self.collector.with_job(self.job, |j| {
-            j.profile = Some(value);
+            *w.tenant_finished.entry(tenant).or_insert(0) += 1;
         });
     }
 }
@@ -470,6 +439,9 @@ impl TelemetrySink for JobSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timeline::Span;
+    use agcm_costmodel::machine::MachineProfile;
+    use agcm_mps::trace::{Event, WorldTrace};
 
     fn collector() -> Arc<LiveCollector> {
         Arc::new(LiveCollector::new())
@@ -510,31 +482,71 @@ mod tests {
     }
 
     #[test]
+    fn attempts_without_a_registered_trace_get_distinct_span_ids() {
+        let c = collector();
+        let sink = c.sink(5);
+        sink.record_attempt(0, None);
+        sink.record_attempt(1, Some(2));
+        let view = c.job_view(5).unwrap();
+        let spans: Vec<&str> = view
+            .get("attempts")
+            .unwrap()
+            .as_arr()
+            .unwrap()
+            .iter()
+            .map(|a| a.get("span").unwrap().as_str().unwrap())
+            .collect();
+        assert_eq!(spans.len(), 2);
+        assert_ne!(spans[0], spans[1]);
+    }
+
+    fn span(rank: usize, name: &'static str, virt: (f64, f64), wall: (f64, f64)) -> Span {
+        Span {
+            rank,
+            name,
+            depth: 0,
+            virt_start: virt.0,
+            virt_end: virt.1,
+            wall_start: Some(wall.0),
+            wall_end: Some(wall.1),
+            begin_event: 0,
+            end_event: 1,
+        }
+    }
+
+    /// Two ranks, one `fd` span each: 1.5 and 2.0 virtual seconds.
+    fn two_rank_timeline() -> Timeline {
+        Timeline {
+            spans: vec![
+                span(0, "fd", (0.0, 1.5), (0.0, 2.0e-6)),
+                span(1, "fd", (0.0, 2.0), (0.0, 3.0e-6)),
+            ],
+            finish_times: vec![1.5, 2.0],
+        }
+    }
+
+    #[test]
     fn recorded_profile_is_served_with_trace_linkage() {
         let c = collector();
         let root = TraceContext::new_root();
         c.begin_job(3, root, "bob");
         let sink = c.sink(3);
         assert!(c.job_profile(3).is_none(), "no profile before recording");
-        let report = crate::profile::ProfileReport {
-            total_nanos: 4,
-            stacks: vec![crate::profile::FoldedStack {
-                frames: vec!["step".into()],
-                nanos: 4,
-            }],
-        };
-        sink.record_profile(&report, &crate::profile::SkewReport::default());
+        let timeline = two_rank_timeline();
+        sink.record_finished(&RunSummary::default(), &timeline, true);
         let view = c.job_profile(3).unwrap();
         assert_eq!(
             view.get("trace").unwrap().as_str(),
             Some(&root.trace_hex()[..])
         );
         let data = view.get("data").unwrap();
+        let total = ProfileReport::from_timeline(&timeline).total_nanos;
+        assert!(total > 0);
         assert_eq!(
             data.get("profile")
                 .and_then(|p| p.get("total_nanos"))
                 .and_then(Value::as_f64),
-            Some(4.0)
+            Some(total as f64)
         );
         assert!(data.get("skew").and_then(|s| s.get("rows")).is_some());
     }
@@ -555,60 +567,91 @@ mod tests {
         let c = collector();
         c.begin_job(2, TraceContext::new_root(), "t");
         let sink = c.sink(2);
-        sink.record_live_phase(0, "fd", 0.25);
-        sink.record_live_phase(1, "fd", 0.50);
+        sink.phase_ended(0, "fd", 0.25);
+        sink.phase_ended(1, "fd", 0.50);
         let view = c.job_view(2).unwrap();
         assert_eq!(view.get("phase_domain").unwrap().as_str(), Some("wall"));
         assert_eq!(
             view.get("phases").unwrap().get("fd").unwrap().as_f64(),
             Some(0.75)
         );
-        // Authoritative totals arrive: the view flips to virtual and takes
-        // max over ranks.
-        sink.record_rank_phase(0, "fd", 1.5, 3);
-        sink.record_rank_phase(1, "fd", 2.0, 3);
+        // The finished run arrives: the view flips to virtual and serves
+        // the summary's phase totals, with per-rank totals beside them.
+        let summary = RunSummary {
+            phase_seconds: vec![("fd", 2.0)],
+            ..RunSummary::default()
+        };
+        sink.record_finished(&summary, &two_rank_timeline(), false);
         let view = c.job_view(2).unwrap();
         assert_eq!(view.get("phase_domain").unwrap().as_str(), Some("virtual"));
         assert_eq!(
             view.get("phases").unwrap().get("fd").unwrap().as_f64(),
             Some(2.0)
         );
-        assert_eq!(
-            c.final_phase_totals(2).unwrap(),
-            vec![("fd".to_string(), 2.0)]
-        );
+        let ranks = view.get("ranks").unwrap().as_arr().unwrap();
+        let fd = ranks[1].get("phases").unwrap().get("fd").unwrap();
+        assert_eq!(fd.get("virt_seconds").unwrap().as_f64(), Some(2.0));
+        assert_eq!(fd.get("spans").unwrap().as_f64(), Some(1.0));
     }
 
     #[test]
     fn final_totals_match_run_summary_reduction_exactly() {
-        // Feed the exact per-rank sums a RunSummary would be built from;
-        // the collector's max-over-ranks must reproduce phase_seconds
-        // bit-for-bit.
-        let per_rank: Vec<Vec<(&str, f64)>> = vec![
-            vec![("fd", 0.1 + 0.2), ("filter", 1.0 / 3.0)],
-            vec![("fd", 0.3), ("filter", 0.2 + 0.1 + 0.033)],
-        ];
+        // Sums whose rounding depends on their order: the per-rank totals
+        // must be the timeline's own, and the view must serve the
+        // summary's phase seconds bit for bit.
+        let rank = |flops: &[f64]| {
+            let mut evs = vec![Event::PhaseBegin("step")];
+            for &f in flops {
+                evs.push(Event::PhaseBegin("fd"));
+                evs.push(Event::Flops(f));
+                evs.push(Event::PhaseEnd("fd"));
+                evs.push(Event::PhaseBegin("filter"));
+                evs.push(Event::Flops(f / 3.0));
+                evs.push(Event::PhaseEnd("filter"));
+            }
+            evs.push(Event::PhaseEnd("step"));
+            evs
+        };
+        let trace = WorldTrace::from_ranks(vec![rank(&[0.1, 0.2, 0.3]), rank(&[0.3, 0.2, 0.1])]);
+        let machine = MachineProfile {
+            name: "test",
+            flops_per_sec: 1.0,
+            latency_s: 1.0e-3,
+            bytes_per_sec: 1.0e6,
+            send_overhead_s: 0.0,
+            recv_overhead_s: 0.0,
+        };
+        let (summary, timeline) = RunSummary::from_trace_with_timeline(&trace, &machine).unwrap();
         let c = collector();
         c.begin_job(3, TraceContext::new_root(), "t");
-        let sink = c.sink(3);
-        for (rank, phases) in per_rank.iter().enumerate() {
-            for (phase, secs) in phases {
-                sink.record_rank_phase(rank as u32, phase, *secs, 1);
+        c.sink(3).record_finished(&summary, &timeline, false);
+        let view = c.job_view(3).unwrap();
+        let phases = view.get("phases").unwrap();
+        assert_eq!(phases.as_obj().unwrap().len(), summary.phase_seconds.len());
+        for &(phase, secs) in &summary.phase_seconds {
+            let served = phases.get(phase).unwrap().as_f64().unwrap();
+            assert_eq!(served.to_bits(), secs.to_bits(), "{phase}");
+        }
+        let per_rank = timeline.phase_seconds_per_rank();
+        for (r, rank) in view
+            .get("ranks")
+            .unwrap()
+            .as_arr()
+            .unwrap()
+            .iter()
+            .enumerate()
+        {
+            for (phase, secs) in &per_rank[r] {
+                let served = rank.get("phases").unwrap().get(phase).unwrap();
+                let served = served.get("virt_seconds").unwrap().as_f64().unwrap();
+                assert_eq!(served.to_bits(), secs.to_bits(), "rank {r} {phase}");
             }
         }
-        let totals = c.final_phase_totals(3).unwrap();
-        for (phase, secs) in totals {
-            let expect = per_rank
-                .iter()
-                .map(|r| {
-                    r.iter()
-                        .find(|(p, _)| *p == phase)
-                        .map(|(_, s)| *s)
-                        .unwrap_or(0.0)
-                })
-                .fold(0.0, f64::max);
-            assert_eq!(secs, expect, "{phase}");
-        }
+        assert_eq!(view.get("steps_recorded").unwrap().as_f64(), Some(1.0));
+        assert_eq!(
+            view.get("virt_seconds").unwrap().as_f64(),
+            Some(summary.virt_seconds)
+        );
     }
 
     #[test]
@@ -616,11 +659,11 @@ mod tests {
         let c = Arc::new(LiveCollector::with_windows(0.001, 2));
         c.begin_job(4, TraceContext::new_root(), "alice");
         let sink = c.sink(4);
-        sink.record_live_phase(0, "physics", 1.0);
+        sink.phase_ended(0, "physics", 1.0);
         std::thread::sleep(std::time::Duration::from_millis(5));
-        sink.record_live_phase(0, "physics", 2.0);
+        sink.phase_ended(0, "physics", 2.0);
         std::thread::sleep(std::time::Duration::from_millis(5));
-        sink.record_live_phase(0, "physics", 4.0);
+        sink.phase_ended(0, "physics", 4.0);
         let rollup = c.rollup();
         let windows = rollup.get("windows").unwrap().as_arr().unwrap();
         assert!(windows.len() <= 2, "ring keeps at most 2 windows");

@@ -190,26 +190,23 @@ impl RunMetrics {
 
     /// Like [`from_trace`](RunMetrics::from_trace), but also hands back the
     /// [`Timeline`] the metrics were derived from, so callers that need
-    /// span-level data (e.g. streaming per-rank phase totals into a live
-    /// sink, or folding a wall-time profile) get it from the same replay.
-    ///
-    /// The trace is validated and replayed once: the timeline, the
-    /// message flows and the wait report all come from one schedule.
+    /// span-level data (a Chrome trace, a wall-time profile) get it from
+    /// the same replay: [`RunSummary::from_trace_with_timeline`] followed
+    /// by the per-step fold.
     pub fn from_trace_with_timeline(
         trace: &WorldTrace,
         machine: &MachineProfile,
     ) -> Result<(RunMetrics, Timeline), Vec<PhaseFault>> {
-        trace.validate_phases()?;
-        let sched = schedule(trace, machine);
-        let timeline = Timeline::from_schedule(trace, &sched);
-        let flows = message_flows(trace, &sched, machine);
-        let waits = WaitReport::from_flows(trace, &sched, &flows, machine);
-        Ok((RunMetrics::derive(trace, &timeline, &waits), timeline))
+        let (summary, timeline) = RunSummary::from_trace_with_timeline(trace, machine)?;
+        let steps = StepMetrics::fold(trace, &timeline);
+        Ok((RunMetrics { steps, summary }, timeline))
     }
+}
 
-    /// Fold a validated trace, its timeline and its wait report into the
-    /// step records and the run summary.
-    fn derive(trace: &WorldTrace, timeline: &Timeline, waits: &WaitReport) -> RunMetrics {
+impl StepMetrics {
+    /// One record per `"step"` phase of a validated trace, in step order,
+    /// measured on its timeline.
+    pub fn fold(trace: &WorldTrace, timeline: &Timeline) -> Vec<StepMetrics> {
         let n = trace.size();
         // Per-rank "step" spans, in order.
         let step_spans: Vec<Vec<&Span>> = (0..n)
@@ -281,8 +278,34 @@ impl RunMetrics {
                 flops,
             });
         }
+        steps
+    }
+}
 
-        // Whole-run aggregates.
+impl RunSummary {
+    /// Validate `trace`, replay it once against `machine`, and derive the
+    /// run summary and the [`Timeline`] of its spans — everything a
+    /// served job reports, without the per-step records.
+    pub fn from_trace_with_timeline(
+        trace: &WorldTrace,
+        machine: &MachineProfile,
+    ) -> Result<(RunSummary, Timeline), Vec<PhaseFault>> {
+        trace.validate_phases()?;
+        let sched = schedule(trace, machine);
+        let timeline = Timeline::from_schedule(trace, &sched);
+        let flows = message_flows(trace, &sched, machine);
+        let waits = WaitReport::from_flows(trace, &sched, &flows, machine);
+        Ok((RunSummary::derive(trace, &timeline, &waits), timeline))
+    }
+
+    /// Fold a validated trace, its timeline and its wait report into the
+    /// whole-run aggregates.
+    fn derive(trace: &WorldTrace, timeline: &Timeline, waits: &WaitReport) -> RunSummary {
+        let n = trace.size();
+        let mut steps_per_rank = vec![0usize; n];
+        for s in timeline.spans.iter().filter(|s| s.name == STEP_PHASE) {
+            steps_per_rank[s.rank] += 1;
+        }
         let stats = trace.stats();
         let rank_phase_secs: Vec<Vec<(&'static str, f64)>> = timeline
             .phase_seconds_per_rank()
@@ -309,9 +332,9 @@ impl RunMetrics {
         }
         collectives.sort_by(|a, b| a.0.cmp(&b.0));
 
-        let summary = RunSummary {
+        RunSummary {
             ranks: n,
-            steps: n_steps,
+            steps: steps_per_rank.into_iter().max().unwrap_or(0),
             virt_seconds: timeline.total_time(),
             total_messages: stats.iter().map(|s| s.sends as u64).sum(),
             total_bytes: stats.iter().map(|s| s.bytes_sent as u64).sum(),
@@ -323,9 +346,7 @@ impl RunMetrics {
             wait_seconds: waits.ranks.iter().map(|r| r.wait).collect(),
             idle_imbalance: waits.idle_imbalance(),
             resilience: None,
-        };
-
-        RunMetrics { steps, summary }
+        }
     }
 }
 

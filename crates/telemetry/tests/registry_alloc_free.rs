@@ -1,9 +1,9 @@
 //! Instrumented hot paths allocate nothing once registered: counter,
-//! gauge and histogram updates through the global registry, and
+//! gauge and histogram updates through a registry's handles, and
 //! trace-context child derivation. A counting global allocator gates the
 //! whole binary, so this file holds exactly one test.
 
-use agcm_telemetry::{registry, TraceContext};
+use agcm_telemetry::{MetricsRegistry, TraceContext};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -39,9 +39,10 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 fn registry_updates_and_span_children_allocate_nothing() {
     // Registration (allocating) happens once, before the counted region —
     // exactly how call sites are written.
-    let counter = registry().counter("model.steps");
-    let gauge = registry().gauge("model.imbalance");
-    let histogram = registry().histogram("model.step_seconds");
+    let registry = MetricsRegistry::new();
+    let counter = registry.counter("model.steps");
+    let gauge = registry.gauge("model.imbalance");
+    let histogram = registry.histogram("model.step_seconds");
     // Root minting allocates (RandomState); it happens once per request,
     // outside the hot loop — exactly how `submit` is written.
     let root = TraceContext::new_root();
