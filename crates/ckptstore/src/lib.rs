@@ -22,8 +22,9 @@
 //!   step 0 ([`store::Store::longest_prefix`]);
 //! * **leases + GC** — live jobs hold leases on their lineage;
 //!   [`store::Store::gc`] reclaims only unleased lineages, decrementing
-//!   chunk refcounts and deleting chunks that reach zero, so terminal
-//!   cleanup can never drop a chunk another job still references;
+//!   chunk refcounts and moving chunks that reach zero into a trash the
+//!   store's own thread unlinks, so terminal cleanup can never drop a
+//!   chunk another job still references and never waits on an unlink;
 //! * [`backend::JobStoreBackend`] — the
 //!   [`agcm_resilience::ShardBackend`] adapter that routes one job's
 //!   shards into the shared store, clamping visible commits to the

@@ -6,6 +6,7 @@
 //! root/
 //!   chunks/<hash:016x>-<len>.chk   content-addressed chunk files
 //!   index                          checksummed metadata index
+//!   trash/<name>.<tag>-<seq>       reclaimed files waiting to be unlinked
 //! ```
 //!
 //! Every encoded `ModelCheckpoint` record is split into fixed-size
@@ -21,7 +22,8 @@
 //! The index holds manifests and commits only, one checksummed line
 //! each (`<fnv1a:016x> <payload>`, framed by the resilience crate's
 //! `frame_line` like the server journal), and is rewritten atomically
-//! (`write_atomic`: tmp, fsync, rename) on every mutation. Chunk **refcounts are derived**, not
+//! (`write_atomic`: tmp, fsync, rename) on every mutation, and on open
+//! only when loading and reconciling changed what it says. Chunk **refcounts are derived**, not
 //! stored: on open they are recomputed from the manifests, so the index
 //! can never disagree with itself about liveness. Reopening reconciles both
 //! directions — a chunk file no chunk list references is an orphan and
@@ -70,14 +72,14 @@
 //!    encoding of a state it holds): a dedup hit too. Then the reservations
 //!    are returned — on any failure that leaves maps, index and chunk
 //!    files as if the put had never run: its temporary files are
-//!    removed, and a chunk it named is unlinked only if no manifest and
+//!    removed, and a chunk it named is reclaimed only if no manifest and
 //!    no other put in flight relies on it.
 //!
 //! The invariants: a chunk name never exists without durable content
 //! (every file is fsynced before its rename); the index never names a chunk that is not durable (publish
 //! after the barrier); readers see a whole shard or none (the manifest
-//! appears last). A crash anywhere leaves at most temporary files and
-//! unreferenced chunks, which the next open sweeps.
+//! appears last). A crash anywhere leaves at most temporary files,
+//! unreferenced chunks and trash, which the next open sweeps.
 //!
 //! The price of streaming is paid by a put whose chunks already exist
 //! (a dedup put): its bytes are still written to temporary files, which
@@ -97,20 +99,38 @@
 //!
 //! Jobs hold *leases* (`acquire`/`release`) on their lineage while they
 //! run. [`Store::gc`] reclaims manifests and commits of unleased
-//! lineages, decrementing refcounts and unlinking chunks that reach
-//! zero. A leased lineage is never touched, so interleaving GC with
-//! live writers is safe by construction; released lineages stay cached
-//! until a GC pass actually runs, which is what makes resubmit-after-
-//! completion reuse work. While a put is in flight `gc` may drop any
-//! *manifest* of an unleased lineage, but of the put's chunks it may
-//! unlink none: those the put found are held by its reference, and a
-//! pending chunk is left on disk even when the last manifest naming it
-//! goes (the put that is writing it publishes it or removes it). The
-//! decision to unlink and the unlink itself happen under the lock, so
-//! no put can reserve a chunk between the two. Leases are deliberately
-//! *not* persisted: they describe live jobs of a live process, and a
-//! restarted server re-acquires them for journal-recovered jobs before
-//! sweeping.
+//! lineages and decrements refcounts. A leased lineage is never touched,
+//! so interleaving GC with live writers is safe by construction; released
+//! lineages stay cached until a GC pass actually runs, which is what
+//! makes resubmit-after-completion reuse work. While a put is in flight
+//! `gc` may drop any *manifest* of an unleased lineage, but of the put's
+//! chunks it may reclaim none: those the put found are held by its
+//! reference, and a pending chunk is left on disk even when the last
+//! manifest naming it goes (the put that is writing it publishes it or
+//! removes it). Leases are deliberately *not* persisted: they describe
+//! live jobs of a live process, and a restarted server re-acquires them
+//! for journal-recovered jobs before sweeping.
+//!
+//! A chunk that reaches zero references goes in three steps:
+//!
+//! 1. **Reclaim** (lock). `gc` drops it from `refs` and persists the
+//!    index, which no longer names it.
+//! 2. **Trash** (lock). Its file is renamed into `trash/` under a name
+//!    that ends in a per-store tag and a sequence number, so it never
+//!    parses as a chunk's and no other reclaim reuses it. The decision
+//!    and the rename are one step to every put, and the chunk's name is
+//!    free when `gc` returns: a put of the same chunk writes a fresh file.
+//! 3. **Reap** (no lock). A thread the store owns, started the first
+//!    time it is needed, unlinks the file. `Drop` waits for it to empty
+//!    the trash. On a 2-vCPU VM's ext4 virtio disk, unlinking a synced
+//!    1 MiB chunk waits 0.4–0.7 ms; the rename costs 0.03 ms.
+//!
+//! A crash between 1 and 2 leaves an unreferenced chunk, which the next
+//! open sweeps as an orphan; between 2 and 3 it leaves a file in
+//! `trash/`, which the next open reaps. Neither is named by the index.
+//! Open moves its orphans and strays into the trash too rather than
+//! unlinking them inline, and the reaper ignores unlink errors: two
+//! stores over one root may both reap what a crash left.
 
 use agcm_resilience::checkpoint::{
     frame_line, record_version, unframe_line, CheckpointError, RecordDigest, RecordSink,
@@ -120,11 +140,13 @@ use agcm_resilience::coordinator::{write_atomic, StoreError};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
 use std::fs;
-use std::io::{Read as _, Write as _};
+use std::io::{ErrorKind, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::sync::mpsc::{self, Sender};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::thread::{self, JoinHandle};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Default chunk size. A cold commit pays per chunk *file* (create,
 /// fsync, rename), not per byte: 5.5 MB written as
@@ -221,6 +243,100 @@ struct Inner {
     /// lineage → job ids holding a lease.
     leases: BTreeMap<u64, BTreeSet<u64>>,
     counters: Counters,
+    trash: Trash,
+}
+
+/// Where reclaimed files wait to be unlinked. A file is renamed into
+/// `root/trash/` under the store's lock, so its name is free the moment
+/// the rename returns, and a thread the store owns unlinks it: an
+/// unlink of a synced chunk waits on the disk for far longer than a
+/// rename does.
+#[derive(Debug, Default)]
+struct Trash {
+    dir: PathBuf,
+    /// Sets this store's trash names apart from those of any other store
+    /// over the same root, in this process or an earlier one.
+    tag: String,
+    seq: u64,
+    /// The unlinking thread, started by the first file it is sent.
+    reaper: Option<(Sender<PathBuf>, JoinHandle<()>)>,
+}
+
+impl Trash {
+    fn new(root: &Path) -> Trash {
+        static OPENED: AtomicU64 = AtomicU64::new(0);
+        let since_epoch = SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .unwrap_or_default();
+        Trash {
+            dir: root.join("trash"),
+            tag: format!(
+                "{}-{:x}-{}",
+                std::process::id(),
+                since_epoch.as_nanos(),
+                OPENED.fetch_add(1, Ordering::Relaxed)
+            ),
+            ..Trash::default()
+        }
+    }
+
+    /// Move the file at `path` into the trash and queue it for
+    /// unlinking; unlink it here if it cannot be moved. Either way its
+    /// name is free on return. What `remove_file` would not remove (no
+    /// file, a directory) is left alone. The trash name ends in the tag
+    /// and a sequence number, so it never parses as a chunk's and no
+    /// other reclaim reuses it.
+    fn discard(&mut self, path: &Path) {
+        if !fs::symlink_metadata(path).is_ok_and(|m| !m.is_dir()) {
+            return;
+        }
+        self.seq += 1;
+        let name = path.file_name().unwrap_or_default().to_string_lossy();
+        let to = self.dir.join(format!("{name}.{}-{}", self.tag, self.seq));
+        let moved = fs::rename(path, &to).or_else(|_| {
+            fs::create_dir_all(&self.dir)?;
+            fs::rename(path, &to)
+        });
+        match moved {
+            Ok(()) => self.reap(to),
+            Err(_) => {
+                let _ = fs::remove_file(path);
+            }
+        }
+    }
+
+    /// Queue a file in the trash for unlinking. Unlink errors are
+    /// ignored: two stores over one root may both reap a crash's trash.
+    fn reap(&mut self, path: PathBuf) {
+        if self.reaper.is_none() {
+            let (tx, rx) = mpsc::channel::<PathBuf>();
+            let unlink_all = move || {
+                for path in rx {
+                    let _ = fs::remove_file(path);
+                }
+            };
+            let spawned = thread::Builder::new()
+                .name("ckptstore-reaper".into())
+                .spawn(unlink_all);
+            self.reaper = spawned.ok().map(|handle| (tx, handle));
+        }
+        // With no thread to take it, the file is unlinked here.
+        let unsent = match &self.reaper {
+            Some((tx, _)) => tx.send(path).err().map(|e| e.0),
+            None => Some(path),
+        };
+        if let Some(path) = unsent {
+            let _ = fs::remove_file(path);
+        }
+    }
+
+    /// Unlink everything queued, then stop the thread.
+    fn drain(&mut self) {
+        if let Some((tx, handle)) = self.reaper.take() {
+            drop(tx);
+            let _ = handle.join();
+        }
+    }
 }
 
 /// Session counters and live totals, for `/v1/metrics` and the tests'
@@ -278,7 +394,7 @@ pub struct StoreStats {
 pub struct GcReport {
     /// Lineages whose state was reclaimed (unleased at the time).
     pub lineages: Vec<u64>,
-    /// Chunks whose refcount reached zero and were unlinked.
+    /// Chunks whose refcount reached zero and were moved to the trash.
     pub chunks_reclaimed: u64,
     /// Bytes those chunks held.
     pub bytes_reclaimed: u64,
@@ -297,8 +413,9 @@ pub struct Store {
 
 impl Store {
     /// Open (or create) a store rooted at `root`: load the index,
-    /// recompute refcounts, sweep orphaned chunk files, and drop
-    /// manifests whose chunks are missing.
+    /// recompute refcounts, sweep orphaned chunk files and a crash's
+    /// trash, and drop manifests whose chunks are missing. The index is
+    /// rewritten only if that changed what it says.
     pub fn open(root: impl Into<PathBuf>) -> Result<Store, StoreError> {
         Store::open_with_chunk_size(root, DEFAULT_CHUNK_SIZE)
     }
@@ -312,16 +429,33 @@ impl Store {
         let root = root.into();
         let chunks_dir = root.join("chunks");
         fs::create_dir_all(&chunks_dir).map_err(|e| io_err("create", &chunks_dir, e))?;
-        let mut inner = load_index(&root.join("index"));
-        let swept = reconcile(&root, &mut inner);
-        inner.counters.orphans_swept = swept;
+        // An index that exists but cannot be read counts as one bad line.
+        let (loaded, unreadable) = match fs::read_to_string(root.join("index")) {
+            Ok(text) => (text, 0),
+            Err(e) => (String::new(), usize::from(e.kind() != ErrorKind::NotFound)),
+        };
+        let mut inner = load_index(&loaded);
+        inner.trash = Trash::new(&root);
+        // A crash's trash first: what this store discards below joins it.
+        if let Ok(entries) = fs::read_dir(&inner.trash.dir) {
+            for e in entries.flatten() {
+                inner.trash.reap(e.path());
+            }
+        }
+        inner.counters.orphans_swept = reconcile(&root, &mut inner);
+        // Each line a distinct fact that survived reconciling: a skipped,
+        // duplicated or dropped line leaves fewer facts than lines.
+        let facts =
+            inner.manifests.len() + inner.commits.values().map(BTreeSet::len).sum::<usize>();
         let store = Store {
             root,
             chunk_size: chunk_size.max(512),
             inner: Mutex::new(inner),
             next_put: AtomicU64::new(0),
         };
-        store.persist(&store.lock())?;
+        if facts != loaded.lines().count() + unreadable {
+            store.persist(&store.lock())?;
+        }
         Ok(store)
     }
 
@@ -407,11 +541,10 @@ impl Store {
         put.finish((lineage, step, rank), world, written, started)
     }
 
-    /// Drop one reference to `key`; a chunk nothing references any more
-    /// is unlinked unless an in-flight put is writing it. Returns
-    /// whether the file was removed. Must run under the lock: the
-    /// decision and the unlink are one step to every other put.
-    fn unref(&self, inner: &mut Inner, key: &ChunkKey) -> bool {
+    /// Drop one reference to `key`. Returns whether its file is now
+    /// the caller's to [`discard`](Store::discard): nothing references
+    /// it and no in-flight put is writing it.
+    fn unref(inner: &mut Inner, key: &ChunkKey) -> bool {
         let Some(count) = inner.refs.get_mut(key) else {
             return false;
         };
@@ -420,11 +553,14 @@ impl Store {
             return false;
         }
         inner.refs.remove(key);
-        if inner.pending.contains_key(key) {
-            return false;
-        }
-        let _ = fs::remove_file(self.chunk_path(key));
-        true
+        !inner.pending.contains_key(key)
+    }
+
+    /// Reclaim `key`'s file: into the trash, its name free on return.
+    /// Must run under the lock, so that no put can reserve the chunk
+    /// between the decision and the rename.
+    fn discard(&self, inner: &mut Inner, key: &ChunkKey) {
+        inner.trash.discard(&self.chunk_path(key));
     }
 
     /// Publish `(lineage, step)` as committed: every rank `0..world`
@@ -564,9 +700,10 @@ impl Store {
     }
 
     /// Reclaim every unleased lineage: drop its manifests and commits,
-    /// decrement chunk refcounts, unlink chunks that reach zero. Leased
+    /// decrement chunk refcounts, persist the index, then move the chunks
+    /// that reached zero into the trash, whose thread unlinks them. Leased
     /// lineages — including chunks they share with reclaimed ones — are
-    /// untouched.
+    /// untouched. No reclaimed chunk's name is left when this returns.
     pub fn gc(&self) -> Result<GcReport, StoreError> {
         let mut inner = self.lock();
         inner.counters.gc_runs += 1;
@@ -586,6 +723,7 @@ impl Store {
             lineages: lineages.clone(),
             ..GcReport::default()
         };
+        let mut reclaimed = Vec::new();
         for lineage in &lineages {
             inner.commits.remove(lineage);
             let keys: Vec<(u64, u64, u32)> = inner
@@ -596,16 +734,22 @@ impl Store {
             for key in keys {
                 let m = inner.manifests.remove(&key).expect("key just enumerated");
                 for ck in &m.chunks {
-                    if self.unref(&mut inner, ck) {
+                    if Store::unref(&mut inner, ck) {
                         report.chunks_reclaimed += 1;
                         report.bytes_reclaimed += ck.len as u64;
+                        reclaimed.push(*ck);
                     }
                 }
             }
         }
         inner.counters.chunks_reclaimed += report.chunks_reclaimed;
         inner.counters.bytes_reclaimed += report.bytes_reclaimed;
+        // Files go only once no index names them. If the index cannot be
+        // written they stay, and the one on disk still holds.
         self.persist(&inner)?;
+        for ck in &reclaimed {
+            self.discard(&mut inner, ck);
+        }
         Ok(report)
     }
 
@@ -668,6 +812,14 @@ impl Store {
             }
         }
         write_atomic(&self.root.join("index"), out.as_bytes())
+    }
+}
+
+impl Drop for Store {
+    /// Unlinks whatever is still in the trash before the store goes.
+    fn drop(&mut self) {
+        let inner = self.inner.get_mut().unwrap_or_else(PoisonError::into_inner);
+        inner.trash.drain();
     }
 }
 
@@ -880,7 +1032,9 @@ impl Put<'_> {
             // Roll back so memory and disk agree about what exists.
             let m = inner.manifests.remove(&slot).expect("inserted above");
             for key in &m.chunks {
-                self.store.unref(inner, key);
+                if Store::unref(inner, key) {
+                    self.store.discard(inner, key);
+                }
             }
             return Err(e);
         }
@@ -907,10 +1061,12 @@ impl Put<'_> {
     /// Under the lock: return the reservations. They have served — the
     /// manifest holds its own references now, or nothing of this put is
     /// to remain, in which case a chunk it named that no manifest and
-    /// no other put in flight relies on is unlinked.
+    /// no other put in flight relies on is reclaimed.
     fn release(&self, inner: &mut Inner) {
         for key in &self.held {
-            self.store.unref(inner, key);
+            if Store::unref(inner, key) {
+                self.store.discard(inner, key);
+            }
         }
         for NewChunk { key, .. } in &self.created {
             let Some(count) = inner.pending.get_mut(key) else {
@@ -920,7 +1076,7 @@ impl Put<'_> {
             if *count == 0 {
                 inner.pending.remove(key);
                 if !inner.refs.contains_key(key) {
-                    let _ = fs::remove_file(self.store.chunk_path(key));
+                    self.store.discard(inner, key);
                 }
             }
         }
@@ -1034,11 +1190,8 @@ impl ShardStream<'_> {
 /// Parse the index. A checksum-mismatched or malformed line is skipped,
 /// not a stop: index lines are independent facts, and `reconcile`
 /// rebuilds refcounts and drops whatever a lost line leaves dangling.
-fn load_index(path: &Path) -> Inner {
+fn load_index(text: &str) -> Inner {
     let mut inner = Inner::default();
-    let Ok(text) = fs::read_to_string(path) else {
-        return inner;
-    };
     for line in text.lines() {
         let Some(payload) = unframe_line(line) else {
             continue;
@@ -1092,7 +1245,7 @@ fn load_index(path: &Path) -> Inner {
 
 /// Recompute refcounts from manifests, drop manifests whose chunk files
 /// are missing (and the commits that relied on them), and sweep chunk
-/// files nothing references. Returns the orphan count.
+/// files nothing references into the trash. Returns the orphan count.
 fn reconcile(root: &Path, inner: &mut Inner) -> u64 {
     let chunks_dir = root.join("chunks");
     let mut on_disk: BTreeSet<ChunkKey> = BTreeSet::new();
@@ -1146,17 +1299,19 @@ fn reconcile(root: &Path, inner: &mut Inner) -> u64 {
         }
     }
 
-    let mut swept = strays.len() as u64;
-    for path in strays {
-        let _ = fs::remove_file(path);
+    // Into the trash, not unlinked here: a put of this process may take
+    // a swept name (`put-0-0.tmp`, a chunk's) before the reaper gets to it.
+    let orphans = on_disk
+        .into_iter()
+        .filter(|key| !inner.refs.contains_key(key));
+    let swept: Vec<PathBuf> = strays
+        .into_iter()
+        .chain(orphans.map(|key| chunks_dir.join(key.file_name())))
+        .collect();
+    for path in &swept {
+        inner.trash.discard(path);
     }
-    for key in on_disk {
-        if !inner.refs.contains_key(&key) {
-            let _ = fs::remove_file(chunks_dir.join(key.file_name()));
-            swept += 1;
-        }
-    }
-    swept
+    swept.len() as u64
 }
 
 #[cfg(test)]
@@ -1335,6 +1490,54 @@ mod tests {
         let store = Store::open_with_chunk_size(&root, 512).unwrap();
         assert!(store.committed_steps(0xD).is_empty(), "step un-committed");
         assert!(store.get_shard(0xD, 2, 0).is_err());
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn open_rewrites_the_index_only_when_it_changes() {
+        use std::os::unix::fs::MetadataExt;
+        let root = scratch("rewrite");
+        {
+            let store = Store::open_with_chunk_size(&root, 512).unwrap();
+            store
+                .put_shard(0xA, 1, 0, 1, &record(1, 0, 0, 900))
+                .unwrap();
+            store.commit(0xA, 1, 1).unwrap();
+            store
+                .put_shard(0xB, 1, 0, 1, &record(1, 0, 1, 900))
+                .unwrap();
+        }
+        let index = root.join("index");
+        let inode = || fs::metadata(&index).unwrap().ino();
+        let written = inode();
+        drop(Store::open_with_chunk_size(&root, 512).unwrap());
+        assert_eq!(inode(), written, "a clean index is left as it is");
+
+        // A lost chunk drops B's manifest: the index is rewritten without it.
+        let lines = fs::read_to_string(&index).unwrap();
+        let b_line = lines
+            .lines()
+            .find(|l| l.contains(" 000000000000000b "))
+            .unwrap();
+        let first = b_line
+            .rsplit(' ')
+            .next()
+            .unwrap()
+            .split(',')
+            .next()
+            .unwrap();
+        let (hash, len) = first.split_once(':').unwrap();
+        fs::remove_file(root.join("chunks").join(format!("{hash}-{len}.chk"))).unwrap();
+        drop(Store::open_with_chunk_size(&root, 512).unwrap());
+        assert_ne!(inode(), written);
+        let after = fs::read_to_string(&index).unwrap();
+        assert_eq!(after.lines().count(), lines.lines().count() - 1);
+        assert!(!after.contains(" 000000000000000b "));
+
+        // An index that is not text says nothing: it is rewritten empty.
+        fs::write(&index, [0xff, 0xfe, b'\n']).unwrap();
+        drop(Store::open_with_chunk_size(&root, 512).unwrap());
+        assert_eq!(fs::read(&index).unwrap(), b"");
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -161,6 +161,103 @@ fn orphan_sweep_on_reopen_after_simulated_crash() {
     let _ = fs::remove_dir_all(&root);
 }
 
+/// Names of the files in `dir` (none when it does not exist).
+fn names(dir: &std::path::Path) -> Vec<String> {
+    let Ok(entries) = fs::read_dir(dir) else {
+        return Vec::new();
+    };
+    let mut names: Vec<String> = entries
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn gc_frees_every_reclaimed_name_before_it_returns_and_drop_empties_the_trash() {
+    let root = scratch("trash-drain");
+    let store = Store::open_with_chunk_size(&root, 512).unwrap();
+    for lineage in 1..=6u64 {
+        store
+            .put_shard(lineage, 1, 0, 1, &record(1, lineage, 2000))
+            .unwrap();
+        store.commit(lineage, 1, 1).unwrap();
+    }
+    store.acquire(6, 60);
+    let before = names(&root.join("chunks"));
+    let report = store.gc().unwrap();
+    assert_eq!(report.lineages, (1..=5).collect::<Vec<_>>());
+    assert!(report.chunks_reclaimed > 0);
+    // The reaper may not have unlinked a single file yet, but no
+    // reclaimed chunk keeps its name.
+    let after = names(&root.join("chunks"));
+    assert_eq!(after.len() as u64, store.stats().chunks);
+    assert_eq!((before.len() - after.len()) as u64, report.chunks_reclaimed);
+    assert!(after.iter().all(|n| before.contains(n)));
+    assert_eq!(store.get_shard(6, 1, 0).unwrap(), record(1, 6, 2000));
+    drop(store);
+    assert_eq!(names(&root.join("trash")), Vec::<String>::new());
+    assert_eq!(names(&root.join("chunks")), after);
+    let _ = fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_chunk_put_again_before_the_reaper_unlinks_it_reads_back() {
+    let root = scratch("trash-reput");
+    let store = Store::open_with_chunk_size(&root, 512).unwrap();
+    let rec = record(1, 0, 1800);
+    for round in 0..40u64 {
+        // The same content under a new lineage each round, put right
+        // after the last round's copy was reclaimed: its chunk names are
+        // written anew while the reaper may still hold the old files.
+        store.put_shard(round, 1, 0, 1, &rec).unwrap();
+        store.commit(round, 1, 1).unwrap();
+        assert_eq!(store.stats().chunk_files_written, 2 * (round + 1));
+        assert_eq!(store.get_shard(round, 1, 0).unwrap(), rec, "round {round}");
+        if round < 39 {
+            assert!(store.gc().unwrap().chunks_reclaimed > 0, "round {round}");
+        }
+    }
+    drop(store);
+    let store = Store::open_with_chunk_size(&root, 512).unwrap();
+    assert_eq!(store.stats().orphans_swept, 0);
+    assert_eq!(store.get_shard(39, 1, 0).unwrap(), rec);
+    let _ = fs::remove_dir_all(&root);
+}
+
+#[test]
+fn reopening_reaps_a_crash_trash_and_keeps_the_index() {
+    let root = scratch("trash-reopen");
+    {
+        let store = Store::open_with_chunk_size(&root, 512).unwrap();
+        store.put_shard(0xC, 5, 0, 1, &record(5, 3, 1200)).unwrap();
+        store.commit(0xC, 5, 1).unwrap();
+    }
+    let index = fs::read(root.join("index")).unwrap();
+    // A crash between a reclaim's rename and its unlink: files in the
+    // trash under the names reclaims give them.
+    fs::create_dir_all(root.join("trash")).unwrap();
+    fs::write(
+        root.join("trash/0123456789abcdef-512.chk.7-1f-0-3"),
+        [7u8; 512],
+    )
+    .unwrap();
+    fs::write(root.join("trash/put-4-2.tmp.7-1f-0-4"), [7u8; 300]).unwrap();
+
+    let store = Store::open_with_chunk_size(&root, 512).unwrap();
+    assert_eq!(store.stats().orphans_swept, 0, "trash is not an orphan");
+    assert_eq!(store.get_shard(0xC, 5, 0).unwrap(), record(5, 3, 1200));
+    assert_eq!(store.committed_steps(0xC), vec![5]);
+    drop(store);
+    assert_eq!(names(&root.join("trash")), Vec::<String>::new());
+    assert_eq!(
+        fs::read(root.join("index")).unwrap(),
+        index,
+        "index rewritten"
+    );
+    let _ = fs::remove_dir_all(&root);
+}
+
 /// A record handed to the store in blocks of `.1` bytes, as an encoder
 /// streams it.
 struct Blocks<'a>(&'a [u8], usize);
@@ -311,5 +408,7 @@ fn race_writers_and_gc(tag: &str, chunk: usize, block: usize) {
     store.gc().unwrap();
     assert_eq!(store.stats().chunks, 0);
     assert_eq!(fs::read_dir(root.join("chunks")).unwrap().count(), 0);
+    drop(store);
+    assert_eq!(names(&root.join("trash")), Vec::<String>::new());
     let _ = fs::remove_dir_all(&root);
 }

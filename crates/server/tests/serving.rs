@@ -319,6 +319,44 @@ fn malformed_bodies_are_typed_400s() {
 }
 
 #[test]
+fn hostile_bodies_under_the_size_limit_answer_promptly() {
+    let dir = temp_dir("hostile");
+    let server = AgcmServer::start(server_config(dir.clone(), EnsembleConfig::default())).unwrap();
+    let addr = server.local_addr();
+    let limit = ServerConfig::default().limits.max_body;
+    assert!(limit >= 256 * 1024);
+    // 250 KiB in one string, then in some 25,000 short ones: each parses
+    // whole, then is refused for the field it lacks.
+    let mut long = String::new();
+    while long.len() < 250 * 1024 {
+        long.push_str("plain text, é and \\\\ escapes ");
+    }
+    let one = format!("{{\"name\":\"{long}\"}}");
+    let many = format!(
+        "{{\"name\":\"x\",\"tags\":[{}\"end\"]}}",
+        "\"tag\",".repeat(250 * 1024 / 6)
+    );
+    for (what, body) in [("one string", one), ("many strings", many)] {
+        assert!(body.len() > 250 * 1024 && body.len() < limit, "{what}");
+        let started = Instant::now();
+        let resp = post_job(addr, None, &body).unwrap();
+        let took = started.elapsed();
+        println!(
+            "{what}: {} KiB body answered in {took:?}",
+            body.len() / 1024
+        );
+        assert_eq!(resp.status, 400, "{what}: {}", resp.body);
+        assert_eq!(
+            resp.json().get("error").unwrap().as_str(),
+            Some("bad_request")
+        );
+        assert!(took < Duration::from_secs(2), "{what} took {took:?}");
+    }
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn tenant_quota_and_strict_policy() {
     let dir = temp_dir("tenants");
     let tenancy = TenantPolicy::default()

@@ -205,23 +205,31 @@ impl RunMetrics {
 
 impl StepMetrics {
     /// One record per `"step"` phase of a validated trace, in step order,
-    /// measured on its timeline.
+    /// measured on its timeline. Each rank's spans are walked once: the
+    /// spans inside a step are the ones that follow it in begin order
+    /// and begin before it ends.
     pub fn fold(trace: &WorldTrace, timeline: &Timeline) -> Vec<StepMetrics> {
         let n = trace.size();
-        // Per-rank "step" spans, in order.
-        let step_spans: Vec<Vec<&Span>> = (0..n)
-            .map(|r| {
-                timeline
-                    .rank_spans(r)
-                    .filter(|s| s.name == STEP_PHASE)
+        let mut rank_spans: Vec<Vec<&Span>> = vec![Vec::new(); n];
+        for s in &timeline.spans {
+            rank_spans[s.rank].push(s);
+        }
+        // Per-rank positions of the "step" spans, in order.
+        let step_at: Vec<Vec<usize>> = rank_spans
+            .iter()
+            .map(|spans| {
+                (0..spans.len())
+                    .filter(|&i| spans[i].name == STEP_PHASE)
                     .collect()
             })
             .collect();
-        let n_steps = step_spans.iter().map(|v| v.len()).max().unwrap_or(0);
+        let n_steps = step_at.iter().map(Vec::len).max().unwrap_or(0);
 
         let mut steps = Vec::with_capacity(n_steps);
         for k in 0..n_steps {
-            let spans: Vec<Option<&&Span>> = step_spans.iter().map(|v| v.get(k)).collect();
+            let spans: Vec<Option<&Span>> = (0..n)
+                .map(|r| step_at[r].get(k).map(|&i| rank_spans[r][i]))
+                .collect();
             let virt_start = spans
                 .iter()
                 .flatten()
@@ -252,7 +260,10 @@ impl StepMetrics {
                     }
                 }
                 rank_phase_flops[r] = phase_flops(slice, Some(STEP_PHASE));
-                for s in timeline.rank_spans(r).filter(|s| span.contains(s)) {
+                let inside = rank_spans[r][step_at[r][k] + 1..]
+                    .iter()
+                    .take_while(|s| s.begin_event < span.end_event);
+                for s in inside {
                     match rank_phase_secs[r].iter_mut().find(|(nm, _)| *nm == s.name) {
                         Some((_, acc)) => *acc += s.virt_duration(),
                         None => rank_phase_secs[r].push((s.name, s.virt_duration())),
@@ -473,6 +484,127 @@ mod tests {
             evs
         };
         WorldTrace::from_ranks(vec![rank(1.0), rank(3.0)])
+    }
+
+    /// The per-step fold before the cursor walk: every step filters every
+    /// span of its rank. Kept as the oracle for [`StepMetrics::fold`].
+    fn fold_reference(trace: &WorldTrace, timeline: &Timeline) -> Vec<StepMetrics> {
+        let n = trace.size();
+        let rank_spans = |r: usize| timeline.spans.iter().filter(move |s| s.rank == r);
+        let step_spans: Vec<Vec<&Span>> = (0..n)
+            .map(|r| rank_spans(r).filter(|s| s.name == STEP_PHASE).collect())
+            .collect();
+        let n_steps = step_spans.iter().map(|v| v.len()).max().unwrap_or(0);
+        let mut steps = Vec::with_capacity(n_steps);
+        for k in 0..n_steps {
+            let spans: Vec<Option<&&Span>> = step_spans.iter().map(|v| v.get(k)).collect();
+            let virt_start = spans
+                .iter()
+                .flatten()
+                .map(|s| s.virt_start)
+                .fold(f64::INFINITY, f64::min);
+            let virt_seconds = spans
+                .iter()
+                .flatten()
+                .map(|s| s.virt_duration())
+                .fold(0.0, f64::max);
+            let mut messages = vec![0u64; n];
+            let mut bytes = vec![0u64; n];
+            let mut flops = vec![0f64; n];
+            let mut rank_phase_flops: Vec<Vec<(&'static str, f64)>> = vec![Vec::new(); n];
+            let mut rank_phase_secs: Vec<Vec<(&'static str, f64)>> = vec![Vec::new(); n];
+            for (r, span) in spans.iter().enumerate() {
+                let Some(span) = span else { continue };
+                let slice = &trace.ranks[r][span.begin_event..=span.end_event];
+                for ev in slice {
+                    match *ev {
+                        Event::Send { bytes: b, .. } => {
+                            messages[r] += 1;
+                            bytes[r] += b as u64;
+                        }
+                        Event::Flops(f) => flops[r] += f,
+                        _ => {}
+                    }
+                }
+                rank_phase_flops[r] = phase_flops(slice, Some(STEP_PHASE));
+                for s in rank_spans(r).filter(|s| span.contains(s)) {
+                    match rank_phase_secs[r].iter_mut().find(|(nm, _)| *nm == s.name) {
+                        Some((_, acc)) => *acc += s.virt_duration(),
+                        None => rank_phase_secs[r].push((s.name, s.virt_duration())),
+                    }
+                }
+            }
+            steps.push(StepMetrics {
+                step: k,
+                virt_start: if virt_start.is_finite() {
+                    virt_start
+                } else {
+                    0.0
+                },
+                virt_seconds,
+                phase_seconds: per_phase(&rank_phase_secs, |v| {
+                    v.iter().copied().fold(0.0, f64::max)
+                }),
+                flop_imbalance: imbalance(&flops),
+                phase_flop_imbalance: per_phase(&rank_phase_flops, imbalance),
+                messages,
+                bytes,
+                flops,
+            });
+        }
+        steps
+    }
+
+    /// `steps` steps on two ranks that trade halos in "dynamics", call a
+    /// nested "filter" twice per step and run uneven "physics".
+    fn exchanging_trace(steps: u64) -> WorldTrace {
+        let rank = |me: usize| {
+            let other = 1 - me;
+            let mut evs = Vec::new();
+            let mut seq = 0;
+            for k in 0..steps {
+                let work = 1.0e5 * (1.0 + ((k * 7 + me as u64 * 3) % 11) as f64 / 10.0);
+                evs.push(Event::PhaseBegin("step"));
+                evs.push(Event::PhaseBegin("dynamics"));
+                evs.push(Event::Flops(work));
+                for _ in 0..2 {
+                    evs.push(Event::PhaseBegin("filter"));
+                    evs.push(Event::Flops(work / 3.0));
+                    let bytes = 1024 * (1 + (k as usize % 5));
+                    evs.push(Event::Send {
+                        to: other,
+                        bytes,
+                        seq,
+                    });
+                    evs.push(Event::Recv {
+                        from: other,
+                        bytes,
+                        seq,
+                    });
+                    seq += 1;
+                    evs.push(Event::PhaseEnd("filter"));
+                }
+                evs.push(Event::PhaseEnd("dynamics"));
+                evs.push(Event::PhaseBegin("physics"));
+                evs.push(Event::Flops(work * (1.0 + me as f64)));
+                evs.push(Event::PhaseEnd("physics"));
+                evs.push(Event::PhaseEnd("step"));
+            }
+            evs
+        };
+        WorldTrace::from_ranks(vec![rank(0), rank(1)])
+    }
+
+    #[test]
+    fn step_fold_matches_the_per_step_filter_bit_for_bit() {
+        let trace = exchanging_trace(80);
+        let (_, timeline) = RunSummary::from_trace_with_timeline(&trace, &machine()).unwrap();
+        let got = StepMetrics::fold(&trace, &timeline);
+        let want = fold_reference(&trace, &timeline);
+        assert_eq!(got.len(), 80);
+        assert!(got[0].phase_seconds.iter().any(|(n, _)| *n == "filter"));
+        // Debug prints every f64 exactly, and tells -0.0 from 0.0.
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
     }
 
     #[test]

@@ -125,11 +125,6 @@ impl Timeline {
         self.finish_times.iter().copied().fold(0.0, f64::max)
     }
 
-    /// Spans on one rank, in begin order.
-    pub fn rank_spans(&self, rank: usize) -> impl Iterator<Item = &Span> {
-        self.spans.iter().filter(move |s| s.rank == rank)
-    }
-
     /// Per-rank accumulated virtual seconds inside each named phase
     /// (inclusive of nested phases) — matches the costmodel's
     /// `ReplayResult::phase_times` accounting.
