@@ -270,10 +270,14 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Serialize `resp` onto the stream.
+/// Serialize `resp` onto the stream in one `write_all`: the status line
+/// and headers are formatted into a buffer ahead of the body, so a
+/// response costs one `send` on a socket instead of one per format piece.
+/// Every response takes this path, the error and overload closes too.
 pub fn write_response(w: &mut impl Write, resp: &Response) -> io::Result<()> {
+    let mut out = Vec::with_capacity(128 + resp.body.len());
     write!(
-        w,
+        out,
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
         resp.status,
         reason(resp.status),
@@ -281,7 +285,8 @@ pub fn write_response(w: &mut impl Write, resp: &Response) -> io::Result<()> {
         resp.body.len(),
         if resp.close { "close" } else { "keep-alive" },
     )?;
-    w.write_all(&resp.body)?;
+    out.extend_from_slice(&resp.body);
+    w.write_all(&out)?;
     w.flush()
 }
 
@@ -361,5 +366,54 @@ mod tests {
         assert!(text.contains("Content-Length: 17\r\n"));
         assert!(text.contains("Connection: keep-alive\r\n"));
         assert!(text.ends_with("{\"error\":\"quota\"}"));
+    }
+
+    /// A sink that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_response_is_one_write() {
+        let mut overloaded = Response::json(503, "{\"error\":\"overloaded\"}");
+        overloaded.close = true;
+        for (resp, head) in [
+            (
+                Response::json(200, "{\"ok\":true}"),
+                "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+                 Content-Length: 11\r\nConnection: keep-alive\r\n\r\n",
+            ),
+            (
+                Response::json(409, "{}"),
+                "HTTP/1.1 409 Conflict\r\nContent-Type: application/json\r\n\
+                 Content-Length: 2\r\nConnection: keep-alive\r\n\r\n",
+            ),
+            (
+                overloaded,
+                "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+                 Content-Length: 22\r\nConnection: close\r\n\r\n",
+            ),
+        ] {
+            let mut sink = CountingWriter::default();
+            write_response(&mut sink, &resp).unwrap();
+            assert_eq!(sink.writes, 1, "status {}", resp.status);
+            let mut expected = head.as_bytes().to_vec();
+            expected.extend_from_slice(&resp.body);
+            assert_eq!(sink.bytes, expected, "status {}", resp.status);
+        }
     }
 }

@@ -9,10 +9,11 @@
 //! mid-append costs at most the line being written, never the log behind
 //! it. On open, the journal compacts: live (non-terminal) jobs are
 //! published as a fresh log through `write_atomic` (temp file, fsync,
-//! rename), and finished history is dropped. The compacted log always
-//! begins with a `watermark` line carrying the highest durable id ever
-//! seen, so dropping terminal history can never rewind the server's id
-//! counter onto already-used ids.
+//! rename), and finished history is dropped; a log that compaction would
+//! not change (a clean restart, an empty log) is not rewritten. The
+//! compacted log always begins with a `watermark` line carrying the
+//! highest durable id ever seen, so dropping terminal history can never
+//! rewind the server's id counter onto already-used ids.
 //!
 //! Replay parses every line once and finds its job through an id →
 //! position map, so a restart costs time linear in the log: about 2.5,
@@ -120,11 +121,12 @@ impl Journal {
     pub fn open(dir: &Path) -> std::io::Result<(Journal, Vec<LiveJob>, ReplayStats)> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(LOG_NAME);
-        let (live, stats) = replay(&path)?;
+        let (live, stats, text) = replay(&path)?;
 
         // Compact: a crash while publishing leaves either the old log or
         // the new one — never a mix — and a failed publish leaves no
-        // temporary file behind.
+        // temporary file behind. A log that is already its own compaction
+        // (a clean restart, an empty log) is left as it is.
         let mut out = String::new();
         // The id high-water mark must survive even when every job it
         // came from is terminal (and therefore dropped here) — otherwise
@@ -147,9 +149,11 @@ impl Journal {
                 push_line(&mut out, &event_value("dispatched", job.id));
             }
         }
-        write_atomic(&path, out.as_bytes()).map_err(std::io::Error::other)?;
+        if out != text {
+            write_atomic(&path, out.as_bytes()).map_err(std::io::Error::other)?;
+        }
 
-        let writer = OpenOptions::new().append(true).open(&path)?;
+        let writer = OpenOptions::new().create(true).append(true).open(&path)?;
         let journal = Journal {
             path,
             inner: Mutex::new(Inner {
@@ -294,7 +298,9 @@ fn push_line(out: &mut String, value: &Value) {
 }
 
 /// Replay the log: verify checksums, fold events into per-job state.
-fn replay(path: &Path) -> std::io::Result<(Vec<LiveJob>, ReplayStats)> {
+/// Also returns the text read, so open can tell whether compaction
+/// changes it.
+fn replay(path: &Path) -> std::io::Result<(Vec<LiveJob>, ReplayStats, String)> {
     let mut stats = ReplayStats::default();
     // Insertion-ordered so recovered jobs resubmit in original order, with
     // each id's position beside it. The first `submitted` of an id owns it.
@@ -364,7 +370,7 @@ fn replay(path: &Path) -> std::io::Result<(Vec<LiveJob>, ReplayStats)> {
             live.push(job);
         }
     }
-    Ok((live, stats))
+    Ok((live, stats, text))
 }
 
 #[cfg(test)]
@@ -471,6 +477,44 @@ mod tests {
         let (_, live, stats) = Journal::open(&dir).unwrap();
         assert!(live.is_empty());
         assert_eq!(stats.max_id, 7, "id high-water mark lost at compaction");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn open_rewrites_the_log_only_when_compaction_changes_it() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = std::env::temp_dir().join(format!("agcm-journal-cl-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join(LOG_NAME);
+        let inode = || std::fs::metadata(&path).unwrap().ino();
+        // An empty log stays empty, in place.
+        drop(Journal::open(&dir).unwrap());
+        let empty = inode();
+        drop(Journal::open(&dir).unwrap());
+        assert_eq!(inode(), empty, "an empty log is not rewritten");
+        assert_eq!(std::fs::read(&path).unwrap(), b"");
+        {
+            let (journal, _, _) = Journal::open(&dir).unwrap();
+            journal.submitted(1, None, None, &spec());
+            journal.submitted(2, None, None, &spec());
+            journal.on_dispatch(102, Some(2));
+            journal.on_terminal(&terminal_record(1));
+        }
+        // The terminal job makes this open compact: a new file.
+        let before = std::fs::read(&path).unwrap();
+        let (_, live, _) = Journal::open(&dir).unwrap();
+        assert_eq!(live.len(), 1);
+        let compacted = std::fs::read(&path).unwrap();
+        assert_ne!(compacted, before, "terminal history is dropped");
+        assert_ne!(inode(), empty, "compaction publishes a new file");
+        // A clean reopen of the compacted log keeps its inode and bytes.
+        let written = inode();
+        for _ in 0..2 {
+            let (_, live, stats) = Journal::open(&dir).unwrap();
+            assert_eq!((live.len(), stats.max_id), (1, 2));
+            assert_eq!(inode(), written, "a compacted log is left as it is");
+            assert_eq!(std::fs::read(&path).unwrap(), compacted);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

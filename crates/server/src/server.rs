@@ -13,6 +13,20 @@
 //! Error mapping: `QueueFull`/`QuotaExceeded` → 429, `UnknownTenant` →
 //! 403, `TooLarge`/`InvalidConfig` → 400, `ShuttingDown` → 503,
 //! malformed JSON → 400, oversized body → 413.
+//!
+//! Threading: there is no accept thread. Each connection thread
+//! (`agcm-server-conn`) blocks in `accept` on the shared listener and
+//! serves the connection it accepted on its own stack, then goes back to
+//! `accept`: a served request costs no thread creation and no hand-off.
+//! The thread that takes the last idle slot starts one more, so the pool
+//! peaks at the most connections served at once + 1, never more than
+//! `max_connections` + 1, and its threads live until the server stops.
+//! A connection accepted past `max_connections` is answered with a typed
+//! 503 and closed. Every response, that one included, leaves in one
+//! write ([`write_response`]). Shutdown sets the stop flag and takes the
+//! thread list under the lock that guards spawning, wakes each blocked
+//! `accept` with a throwaway connection, force-closes the sockets being
+//! served, and joins every thread.
 
 use crate::api::{error_body, record_to_value, result_to_value, view_to_value, JobRequest};
 use crate::http::{read_request, write_response, HttpLimits, ReadError, Request, Response};
@@ -24,13 +38,15 @@ use agcm_ensemble::{
 };
 use agcm_grid::halo::storage_stats;
 use agcm_telemetry::json::{ParseErrorKind, ParseLimits, Value};
+use agcm_telemetry::metrics::{Counter, Histogram};
 use agcm_telemetry::{prom, LiveCollector, MetricsRegistry, TraceContext};
 use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -171,6 +187,9 @@ struct ServerState {
     next_durable: AtomicU64,
     recovery: RecoveryReport,
     metrics: Arc<MetricsRegistry>,
+    /// Each route's request counter and latency histogram, looked up in
+    /// the registry on the route's first request and kept from then on.
+    routes: [OnceLock<(Arc<Counter>, Arc<Histogram>)>; ROUTE_LABELS.len()],
     /// Live telemetry: per-job trace contexts, attempt spans, phase
     /// rollups — everything behind `GET /v1/jobs/{id}/trace`.
     collector: Arc<LiveCollector>,
@@ -269,17 +288,35 @@ impl JobObserver for ServingObserver {
     }
 }
 
-/// Connection registry: each handler's join handle plus a clone of its
-/// socket, so shutdown can force-close readers blocked on idle peers.
-type ConnList = Arc<Mutex<Vec<(JoinHandle<()>, Option<TcpStream>)>>>;
+/// The connection threads and the listener they share.
+struct Acceptors {
+    listener: TcpListener,
+    slots: Mutex<Slots>,
+}
 
-/// A running server: owns the listener thread, the ensemble, and the
+/// What the connection threads share, under the one lock that guards
+/// spawning.
+struct Slots {
+    /// Set by shutdown: no thread starts, and none accepts again.
+    stopping: bool,
+    /// Threads in (or on their way into) `accept`.
+    idle: usize,
+    /// Connections being served.
+    busy: usize,
+    /// Every connection thread ever started; the index is its slot.
+    threads: Vec<JoinHandle<()>>,
+    /// Per slot, a clone of the socket that thread serves, so shutdown
+    /// can force-close a reader blocked on a silent peer.
+    sockets: Vec<Option<TcpStream>>,
+}
+
+/// A running server: owns the connection threads, the ensemble, and the
 /// journal.
 pub struct AgcmServer {
     state: Arc<ServerState>,
     local_addr: std::net::SocketAddr,
-    accept: Option<JoinHandle<()>>,
-    conns: ConnList,
+    /// `None` once serving has stopped.
+    acceptors: Option<Arc<Acceptors>>,
 }
 
 impl AgcmServer {
@@ -425,26 +462,28 @@ impl AgcmServer {
             jobs: Mutex::new(jobs),
             recovery: report,
             metrics,
+            routes: Default::default(),
             collector,
             log,
             known_tenants,
             started: Instant::now(),
             shutting_down: AtomicBool::new(false),
         });
-        let conns: ConnList = Arc::new(Mutex::new(Vec::new()));
-        let accept = {
-            let state = Arc::clone(&state);
-            let conns = Arc::clone(&conns);
-            std::thread::Builder::new()
-                .name("agcm-server-accept".into())
-                .spawn(move || accept_loop(&listener, &state, &conns))
-                .expect("spawn accept loop")
-        };
+        let acceptors = Arc::new(Acceptors {
+            listener,
+            slots: Mutex::new(Slots {
+                stopping: false,
+                idle: 0,
+                busy: 0,
+                threads: Vec::new(),
+                sockets: Vec::new(),
+            }),
+        });
+        spawn_acceptor(&acceptors, &state, &mut acceptors.slots.lock().unwrap());
         Ok(AgcmServer {
             state,
             local_addr,
-            accept: Some(accept),
-            conns,
+            acceptors: Some(acceptors),
         })
     }
 
@@ -478,87 +517,122 @@ impl AgcmServer {
     }
 
     fn stop_serving(&mut self) {
+        let Some(acceptors) = self.acceptors.take() else {
+            return;
+        };
         self.state.shutting_down.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
+        let (threads, idle, sockets) = {
+            let mut slots = acceptors.slots.lock().unwrap();
+            slots.stopping = true;
+            let sockets: Vec<TcpStream> =
+                slots.sockets.iter_mut().filter_map(Option::take).collect();
+            (std::mem::take(&mut slots.threads), slots.idle, sockets)
+        };
+        // Each idle thread takes one connection off the listener, sees the
+        // stop flag and exits; a busy one exits when its connection ends.
+        for _ in 0..idle {
+            let _ = TcpStream::connect(self.local_addr);
         }
-        let conns = std::mem::take(&mut *self.conns.lock().unwrap());
-        // Force-close every socket first — a peer that connected and
-        // went silent would otherwise pin its handler (and this join)
+        // Force-close every socket being served — a peer that connected
+        // and went silent would otherwise pin its thread (and this join)
         // until the io timeout.
-        for (_, stream) in &conns {
-            if let Some(s) = stream {
-                let _ = s.shutdown(Shutdown::Both);
-            }
+        for socket in &sockets {
+            let _ = socket.shutdown(Shutdown::Both);
         }
-        for (h, _) in conns {
+        for h in threads {
             let _ = h.join();
         }
+        // The joined threads held the other references: this drop closes
+        // the listener, so later connections are refused, not queued.
+        drop(acceptors);
     }
 }
 
 impl Drop for AgcmServer {
     fn drop(&mut self) {
-        if self.accept.is_some() {
+        if self.acceptors.is_some() {
             self.stop_serving();
             self.state.ensemble.write().unwrap().take();
         }
     }
 }
 
-fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>, conns: &ConnList) {
-    for stream in listener.incoming() {
-        if state.shutting_down.load(Ordering::SeqCst) {
-            break;
+/// Start one more connection thread, counted idle from the start. Called
+/// under the slots lock, so none starts once shutdown has set `stopping`.
+fn spawn_acceptor(acceptors: &Arc<Acceptors>, state: &Arc<ServerState>, slots: &mut Slots) {
+    let slot = slots.threads.len();
+    let acceptors = Arc::clone(acceptors);
+    let state = Arc::clone(state);
+    let handle = std::thread::Builder::new()
+        .name("agcm-server-conn".into())
+        .spawn(move || accept_loop(&acceptors, &state, slot))
+        .expect("spawn connection thread");
+    slots.threads.push(handle);
+    slots.sockets.push(None);
+    slots.idle += 1;
+}
+
+/// One connection thread: accept, serve what was accepted, repeat until
+/// shutdown.
+fn accept_loop(acceptors: &Arc<Acceptors>, state: &Arc<ServerState>, slot: usize) {
+    loop {
+        let accepted = acceptors.listener.accept();
+        let mut slots = acceptors.slots.lock().unwrap();
+        slots.idle -= 1;
+        if slots.stopping {
+            return;
         }
-        let Ok(stream) = stream else { continue };
+        let Ok((stream, _)) = accepted else {
+            slots.idle += 1;
+            continue;
+        };
         // A silent or dribbling peer is closed after the io timeout
-        // instead of pinning its handler thread forever.
+        // instead of pinning this thread forever.
         let _ = stream.set_read_timeout(Some(state.cfg.io_timeout));
         let _ = stream.set_write_timeout(Some(state.cfg.io_timeout));
-        let mut conns_guard = conns.lock().unwrap();
-        // Reap finished connections so one-request-per-connection
-        // clients (curl, the polling test client) cannot pile up dead
-        // thread handles for the lifetime of the server.
-        conns_guard.retain(|(h, _)| !h.is_finished());
-        if conns_guard.len() >= state.cfg.max_connections {
-            drop(conns_guard);
-            let mut writer = stream;
+        // The socket's one clone lives in the registry, so that shutdown
+        // can unblock this thread's read. Past the cap there is none.
+        let registered = (slots.busy < state.cfg.max_connections)
+            .then(|| stream.try_clone().ok())
+            .flatten();
+        let serving = registered.is_some();
+        if serving {
+            slots.sockets[slot] = registered;
+            slots.busy += 1;
+            if slots.idle == 0 && slots.threads.len() <= state.cfg.max_connections {
+                spawn_acceptor(acceptors, state, &mut slots);
+            }
+        }
+        drop(slots);
+        if serving {
+            // A handler's panic ends its connection, not the thread: the
+            // slot must be released either way.
+            let _ = catch_unwind(AssertUnwindSafe(|| serve_connection(&stream, state)));
+        } else {
             let mut resp = Response::json(
                 503,
                 error_body("overloaded", "connection limit reached, retry later"),
             );
             resp.close = true;
-            let _ = write_response(&mut writer, &resp);
-            continue;
+            let _ = write_response(&mut &stream, &resp);
         }
-        let peer = stream.try_clone().ok();
-        let state = Arc::clone(state);
-        let handle = std::thread::Builder::new()
-            .name("agcm-server-conn".into())
-            .spawn(move || connection_loop(stream, &state))
-            .expect("spawn connection thread");
-        conns_guard.push((handle, peer));
+        let mut slots = acceptors.slots.lock().unwrap();
+        if serving {
+            slots.sockets[slot] = None;
+            slots.busy -= 1;
+        }
+        if slots.stopping {
+            return;
+        }
+        // Back among the idle before the connection closes (with the
+        // registry's clone gone, dropping `stream` closes it), so a client
+        // that reads to EOF and reconnects finds this thread idle.
+        slots.idle += 1;
     }
 }
 
-fn connection_loop(stream: TcpStream, state: &Arc<ServerState>) {
-    serve_connection(&stream, state);
-    // The accept loop's registry holds a clone of this socket (so that
-    // shutdown can force-close a blocked reader). Dropping our copy
-    // therefore does NOT send FIN while that clone lives — shut the
-    // socket down explicitly, or one-shot clients reading to EOF would
-    // block until the registry reaps the entry.
-    let _ = stream.shutdown(Shutdown::Both);
-}
-
 fn serve_connection(stream: &TcpStream, state: &Arc<ServerState>) {
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
+    let mut reader = BufReader::new(stream);
     let mut writer = stream;
     loop {
         let request = match read_request(&mut reader, &state.cfg.limits) {
@@ -609,7 +683,7 @@ fn serve_connection(stream: &TcpStream, state: &Arc<ServerState>) {
 /// dispatcher can return is listed here; anything a client invents maps
 /// to `other`, so the latency-histogram key space is bounded exactly
 /// like tenant labels are.
-const ROUTE_LABELS: &[&str] = &[
+const ROUTE_LABELS: [&str; 11] = [
     "healthz",
     "prom_metrics",
     "get_metrics",
@@ -624,32 +698,34 @@ const ROUTE_LABELS: &[&str] = &[
 ];
 
 fn observe_request(state: &ServerState, route: &'static str, status: u16, seconds: f64) {
+    let index = ROUTE_LABELS.iter().position(|&label| label == route);
     debug_assert!(
-        ROUTE_LABELS.contains(&route),
+        index.is_some(),
         "route label '{route}' is not in the closed ROUTE_LABELS set"
     );
-    let route = if ROUTE_LABELS.contains(&route) {
-        route
-    } else {
-        "other"
-    };
-    state
-        .metrics
-        .counter(&format!("http.requests.{route}"))
-        .inc();
-    state
-        .metrics
-        .histogram(&format!("http.latency_seconds.{route}"))
-        .observe(seconds);
-    state.log.event(
-        LogLevel::Debug,
-        "access",
-        vec![
-            ("route", Value::Str(route.into())),
-            ("status", Value::Num(status as f64)),
-            ("seconds", Value::Num(seconds)),
-        ],
-    );
+    let index = index.unwrap_or(ROUTE_LABELS.len() - 1);
+    let route = ROUTE_LABELS[index];
+    let (requests, latency) = state.routes[index].get_or_init(|| {
+        (
+            state.metrics.counter(&format!("http.requests.{route}")),
+            state
+                .metrics
+                .histogram(&format!("http.latency_seconds.{route}")),
+        )
+    });
+    requests.inc();
+    latency.observe(seconds);
+    if state.log.enabled(LogLevel::Debug) {
+        state.log.event(
+            LogLevel::Debug,
+            "access",
+            vec![
+                ("route", Value::Str(route.into())),
+                ("status", Value::Num(status as f64)),
+                ("seconds", Value::Num(seconds)),
+            ],
+        );
+    }
 }
 
 /// Route and handle one request. Returns the route label (for metrics)
