@@ -559,22 +559,16 @@ fn bench_filter() {
         per.total_messages()
     );
 
-    let json = format!(
-        "{{\n  \"benchmark\": \"filter_fast_path\",\n  \"n_lon\": {n},\n  \"batch_lines\": {batch},\n  \"per_line_complex\": {{\n    \"ns_per_line\": {:.1},\n    \"lines_per_sec\": {:.1}\n  }},\n  \"batched_real\": {{\n    \"ns_per_line\": {:.1},\n    \"lines_per_sec\": {:.1}\n  }},\n  \"kernel_speedup\": {:.2},\n  \"lane_batched\": {{\n    \"ns_per_line\": {:.1},\n    \"speedup\": {:.2},\n    \"lanes\": {lanes},\n    \"dispatch_target\": \"{target}\",\n    \"flops_per_line\": {flops_per_line:.0},\n    \"add_mul_gflops\": {:.1},\n    \"bound_ns_per_line\": {bound_ns:.1},\n    \"bound_fraction\": {fraction:.2}\n  }},\n  \"messages_per_filtered_step\": {{\n    \"variant\": \"{variant:?}\",\n    \"mesh\": \"{}x{}\",\n    \"aggregated\": {},\n    \"per_variable\": {}\n  }}\n}}\n",
-        ns_per_line(t_complex),
-        lines_per_sec(t_complex),
-        ns_per_line(t_batched),
-        lines_per_sec(t_batched),
-        speedup,
-        ns_per_line(t_batched),
-        lane_speedup,
-        peak / 1e9,
-        mesh.0,
-        mesh.1,
-        agg.total_messages(),
-        per.total_messages(),
-    );
-    std::fs::write("BENCH_filter.json", &json)
+    let json = agcm_bench::kernels::filter_json(&agcm_bench::kernels::FilterReport {
+        n_lon: n,
+        batch_lines: batch,
+        ns_per_line: [t_complex, t_scalar_pairs, t_batched].map(ns_per_line),
+        add_mul_gflops: peak / 1e9,
+        variant,
+        mesh,
+        messages: (agg.total_messages(), per.total_messages()),
+    });
+    std::fs::write("BENCH_filter.json", format!("{json}\n"))
         .unwrap_or_else(|e| eprintln!("could not write BENCH_filter.json: {e}"));
     println!("wrote BENCH_filter.json");
 }
@@ -585,8 +579,8 @@ fn bench_filter() {
 /// `BENCH_kernels.json`.
 fn bench_kernels(smoke: bool) {
     use agcm_bench::kernels::{
-        divide_seconds, physics_bytes_per_column, physics_divides_per_column, run_kernel_bench,
-        FD_DIVIDES_PER_POINT,
+        divide_seconds, kernels_json, physics_bytes_per_column, physics_divides_per_column,
+        run_kernel_bench, DivideBound, FD_DIVIDES_PER_POINT,
     };
 
     println!("\n=== Single-node kernels: reference vs flat vs block (paper §4) ===\n");
@@ -632,46 +626,21 @@ fn bench_kernels(smoke: bool) {
     );
     let divide_ns = divide_seconds(if smoke { 3 } else { 9 }) * 1e9;
     let fd_target = agcm_grid::dispatch::dispatch_target();
-    let fd_bound_ns = FD_DIVIDES_PER_POINT as f64 * divide_ns;
-    let fd_bound_fraction = fd_bound_ns / b.fd.ns_per_point(b.fd.kernel);
+    let fd = DivideBound::new(FD_DIVIDES_PER_POINT, divide_ns, &b.fd);
     println!(
-        "fd sweeps ({fd_target}): bound by {FD_DIVIDES_PER_POINT} f64 divides per point (bit-identity forbids\nreciprocals) = {fd_bound_ns:.1} ns at this machine's divider throughput; the three sweeps reach\n{:.0}% of that bound.\n",
-        100.0 * fd_bound_fraction
+        "fd sweeps ({fd_target}): bound by {FD_DIVIDES_PER_POINT} f64 divides per point (bit-identity forbids\nreciprocals) = {:.1} ns at this machine's divider throughput; the three sweeps reach\n{:.0}% of that bound.\n",
+        fd.bound_ns,
+        100.0 * fd.fraction
     );
-    let bound_ns = divides as f64 * divide_ns;
-    let bound_fraction = bound_ns / b.physics.ns_per_point(b.physics.kernel);
+    let physics = DivideBound::new(divides, divide_ns, &b.physics);
     println!(
-        "column physics: bound by the longwave's {divides} f64 divides per column (bit-identity\nforbids reciprocals) = {bound_ns:.1} ns at this machine's divider throughput; the kernel\nreaches {:.0}% of that bound; {bytes} B of field per column.\n",
-        100.0 * bound_fraction
+        "column physics: bound by the longwave's {divides} f64 divides per column (bit-identity\nforbids reciprocals) = {:.1} ns at this machine's divider throughput; the kernel\nreaches {:.0}% of that bound; {bytes} B of field per column.\n",
+        physics.bound_ns,
+        100.0 * physics.fraction
     );
 
-    let path = |p: &agcm_bench::kernels::PathTimes| {
-        format!(
-            "{{\n      \"reference\": {:.1},\n      \"kernel\": {:.1},\n      \"block\": {}\n    }}",
-            p.ns_per_point(p.reference),
-            p.ns_per_point(p.kernel),
-            p.block
-                .map_or("null".to_string(), |blk| format!("{:.1}", p.ns_per_point(blk))),
-        )
-    };
-    let json = format!(
-        "{{\n  \"benchmark\": \"dyn_kernels\",\n  \"stencil\": {{\n    \"config\": \"12 fields 32x32x32\",\n    \"ns_per_point\": {},\n    \"kernel_speedup\": {:.2},\n    \"block_speedup\": {:.2}\n  }},\n  \"advection\": {{\n    \"config\": \"144x90x9, block m=4\",\n    \"ns_per_point\": {},\n    \"kernel_speedup\": {:.2},\n    \"block_speedup\": {:.2}\n  }},\n  \"tendency_step\": {{\n    \"config\": \"paper 9-layer, 1 rank, no filter\",\n    \"ns_per_point\": {},\n    \"speedup\": {:.2}\n  }},\n  \"fd_sweeps\": {{\n    \"config\": \"paper 9-layer, 1 rank, fd phase net of its halo exchange\",\n    \"ns_per_point\": {{\n      \"reference\": {:.1},\n      \"kernel\": {:.1}\n    }},\n    \"speedup\": {:.2},\n    \"divides_per_point\": {FD_DIVIDES_PER_POINT},\n    \"dispatch_target\": \"{fd_target}\",\n    \"divide_bound_ns_per_point\": {fd_bound_ns:.1},\n    \"bound_fraction\": {fd_bound_fraction:.2}\n  }},\n  \"physics\": {{\n    \"config\": \"paper 9-layer, 1 rank, batch kernel vs run_column oracle\",\n    \"ns_per_column\": {{\n      \"reference\": {:.1},\n      \"kernel\": {:.1}\n    }},\n    \"speedup\": {:.2},\n    \"divides_per_column\": {divides},\n    \"bytes_per_column\": {bytes},\n    \"divide_bound_ns_per_column\": {bound_ns:.1},\n    \"bound_fraction\": {bound_fraction:.2}\n  }}\n}}\n",
-        path(&b.stencil),
-        b.stencil.kernel_speedup(),
-        b.stencil.block_speedup().unwrap_or(1.0),
-        path(&b.advection),
-        b.advection.kernel_speedup(),
-        b.advection.block_speedup().unwrap_or(1.0),
-        path(&b.step),
-        b.step.kernel_speedup(),
-        b.fd.ns_per_point(b.fd.reference),
-        b.fd.ns_per_point(b.fd.kernel),
-        b.fd.kernel_speedup(),
-        b.physics.ns_per_point(b.physics.reference),
-        b.physics.ns_per_point(b.physics.kernel),
-        b.physics.kernel_speedup(),
-    );
-    std::fs::write("BENCH_kernels.json", &json)
+    let json = kernels_json(&b, &fd, &physics);
+    std::fs::write("BENCH_kernels.json", format!("{json}\n"))
         .unwrap_or_else(|e| eprintln!("could not write BENCH_kernels.json: {e}"));
     println!("wrote BENCH_kernels.json");
 }

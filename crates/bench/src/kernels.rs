@@ -30,6 +30,7 @@ use agcm_dynamics::advection::upwind_tendency;
 use agcm_dynamics::core::{Dynamics, DynamicsConfig};
 use agcm_dynamics::state::ModelState;
 use agcm_dynamics::timestep::{max_stable_dt, signal_speed};
+use agcm_filtering::FilterVariant;
 use agcm_grid::arakawa::Variable;
 use agcm_grid::decomp::Decomp;
 use agcm_grid::field::BlockField;
@@ -44,6 +45,7 @@ use agcm_mps::topology::CartComm;
 use agcm_mps::trace::{Event, WorldTrace};
 use agcm_physics::step::{run_column, PhysicsConfig, PhysicsStep};
 use agcm_singlenode::blockarray::{laplace_separate, paper_test_fields};
+use agcm_telemetry::json::Value;
 use std::hint::black_box;
 
 /// Wall-clock seconds for the three paths of one experiment.
@@ -380,6 +382,145 @@ pub fn run_kernel_bench(smoke: bool) -> KernelBench {
         step: bench_step(steps, if smoke { 3 } else { 7 }),
         fd: bench_fd_sweeps(if smoke { 6 } else { 40 }),
         physics: bench_physics(steps, reps),
+    }
+}
+
+/// A JSON object from `key => value` pairs, in order.
+macro_rules! obj {
+    ($($key:literal => $value:expr),* $(,)?) => { Value::obj(vec![$(($key, $value)),*]) };
+}
+
+/// `x` rounded to `places` decimals: the precision a report keeps.
+fn rounded(x: f64, places: i32) -> Value {
+    let scale = 10f64.powi(places);
+    Value::Num((x * scale).round() / scale)
+}
+
+fn text(s: &str) -> Value {
+    Value::Str(s.into())
+}
+
+fn count(n: usize) -> Value {
+    Value::Num(n as f64)
+}
+
+/// What `reproduce bench-filter` measured; [`filter_json`] derives the
+/// rest of `BENCH_filter.json` from it.
+#[derive(Debug, Clone)]
+pub struct FilterReport {
+    pub n_lon: usize,
+    pub batch_lines: usize,
+    /// ns per line: per-line complex, scalar pairs, lane-batched.
+    pub ns_per_line: [f64; 3],
+    /// The add+mul rate the bound is stated at.
+    pub add_mul_gflops: f64,
+    pub variant: FilterVariant,
+    pub mesh: (usize, usize),
+    /// Redistribute messages per filtered step: aggregated, per variable.
+    pub messages: (usize, usize),
+}
+
+/// `BENCH_filter.json`.
+pub fn filter_json(r: &FilterReport) -> Value {
+    let [complex, pairs, batched] = r.ns_per_line;
+    let flops = agcm_fft::ops::pair_filter_flops(r.n_lon) / 2.0;
+    let bound_ns = flops / r.add_mul_gflops;
+    let path =
+        |ns: f64| obj! { "ns_per_line" => rounded(ns, 1), "lines_per_sec" => rounded(1e9 / ns, 1) };
+    obj! {
+        "benchmark" => text("filter_fast_path"),
+        "n_lon" => count(r.n_lon),
+        "batch_lines" => count(r.batch_lines),
+        "per_line_complex" => path(complex),
+        "batched_real" => path(batched),
+        "kernel_speedup" => rounded(complex / batched, 2),
+        "lane_batched" => obj! {
+            "ns_per_line" => rounded(batched, 1),
+            "speedup" => rounded(pairs / batched, 2),
+            "lanes" => count(agcm_fft::lanes::W),
+            "dispatch_target" => text(agcm_fft::lanes::dispatch_target()),
+            "flops_per_line" => rounded(flops, 0),
+            "add_mul_gflops" => rounded(r.add_mul_gflops, 1),
+            "bound_ns_per_line" => rounded(bound_ns, 1),
+            "bound_fraction" => rounded(bound_ns / batched, 2),
+        },
+        "messages_per_filtered_step" => obj! {
+            "variant" => text(&format!("{:?}", r.variant)),
+            "mesh" => text(&format!("{}x{}", r.mesh.0, r.mesh.1)),
+            "aggregated" => count(r.messages.0),
+            "per_variable" => count(r.messages.1),
+        },
+    }
+}
+
+/// A kernel's divide bound: f64 divides per point (or column), what they
+/// cost at this machine's divider throughput, and the fraction of that
+/// bound the kernel path reaches.
+#[derive(Debug, Clone, Copy)]
+pub struct DivideBound {
+    pub divides: usize,
+    pub bound_ns: f64,
+    pub fraction: f64,
+}
+
+impl DivideBound {
+    /// `divides` at `divide_ns` each, against `p`'s kernel path.
+    pub fn new(divides: usize, divide_ns: f64, p: &PathTimes) -> DivideBound {
+        let bound_ns = divides as f64 * divide_ns;
+        let fraction = bound_ns / p.ns_per_point(p.kernel);
+        DivideBound {
+            divides,
+            bound_ns,
+            fraction,
+        }
+    }
+}
+
+/// `BENCH_kernels.json`.
+pub fn kernels_json(b: &KernelBench, fd: &DivideBound, physics: &DivideBound) -> Value {
+    let ns = |p: &PathTimes, t: f64| rounded(p.ns_per_point(t), 1);
+    let two =
+        |p: &PathTimes| obj! { "reference" => ns(p, p.reference), "kernel" => ns(p, p.kernel) };
+    let three = |p: &PathTimes| {
+        let block = p.block.map_or(Value::Null, |blk| ns(p, blk));
+        obj! { "reference" => ns(p, p.reference), "kernel" => ns(p, p.kernel), "block" => block }
+    };
+    let layouts = |config: &str, p: &PathTimes| {
+        obj! {
+            "config" => text(config),
+            "ns_per_point" => three(p),
+            "kernel_speedup" => rounded(p.kernel_speedup(), 2),
+            "block_speedup" => rounded(p.block_speedup().unwrap_or(1.0), 2),
+        }
+    };
+    let n_lev = GridSpec::paper_9_layer().n_lev;
+    obj! {
+        "benchmark" => text("dyn_kernels"),
+        "stencil" => layouts("12 fields 32x32x32", &b.stencil),
+        "advection" => layouts("144x90x9, block m=4", &b.advection),
+        "tendency_step" => obj! {
+            "config" => text("paper 9-layer, 1 rank, no filter"),
+            "ns_per_point" => three(&b.step),
+            "speedup" => rounded(b.step.kernel_speedup(), 2),
+        },
+        "fd_sweeps" => obj! {
+            "config" => text("paper 9-layer, 1 rank, fd phase net of its halo exchange"),
+            "ns_per_point" => two(&b.fd),
+            "speedup" => rounded(b.fd.kernel_speedup(), 2),
+            "divides_per_point" => count(fd.divides),
+            "dispatch_target" => text(agcm_grid::dispatch::dispatch_target()),
+            "divide_bound_ns_per_point" => rounded(fd.bound_ns, 1),
+            "bound_fraction" => rounded(fd.fraction, 2),
+        },
+        "physics" => obj! {
+            "config" => text("paper 9-layer, 1 rank, batch kernel vs run_column oracle"),
+            "ns_per_column" => two(&b.physics),
+            "speedup" => rounded(b.physics.kernel_speedup(), 2),
+            "divides_per_column" => count(physics.divides),
+            "bytes_per_column" => count(physics_bytes_per_column(n_lev)),
+            "divide_bound_ns_per_column" => rounded(physics.bound_ns, 1),
+            "bound_fraction" => rounded(physics.fraction, 2),
+        },
     }
 }
 

@@ -14,8 +14,8 @@
 //!   record's version names (XXH64 for version 2, FNV-1a for version 1),
 //!   written outside the store's lock behind one fsync barrier per shard,
 //!   refcounts them across jobs, and persists a checksummed metadata
-//!   index through the resilience coordinator's `write_atomic` (tmp,
-//!   fsync, rename);
+//!   index; the barrier and the index both publish through the resilience
+//!   crate's `durable` module (tmp, fsync, rename, fsync the directory);
 //! * the **prefix index** — per config-lineage commit sets, so a job
 //!   whose `AgcmConfig` lineage matches an earlier run resumes from the
 //!   longest committed step at or below its own horizon instead of
@@ -38,9 +38,10 @@
 pub mod backend;
 pub mod store;
 
-/// The checksummed-line codec and the atomic publish the index is
-/// written with, re-exported for crates (the server journal) that write
-/// durable files the same way without a resilience edge.
-pub use agcm_resilience::{frame_line, unframe_line, write_atomic};
+/// The checksummed-line codec and the durable-write module the index and
+/// chunks are written with, re-exported for crates (the server journal
+/// and event log) that write durable files the same way without a
+/// resilience edge.
+pub use agcm_resilience::{durable, frame_line, unframe_line};
 pub use backend::JobStoreBackend;
 pub use store::{GcReport, Store, StoreStats};

@@ -22,8 +22,9 @@
 //! The index holds manifests and commits only, one checksummed line
 //! each (`<fnv1a:016x> <payload>`, framed by the resilience crate's
 //! `frame_line` like the server journal), and is rewritten atomically
-//! (`write_atomic`: tmp, fsync, rename) on every mutation, and on open
-//! only when loading and reconciling changed what it says. Chunk **refcounts are derived**, not
+//! (`durable::write_atomic`: tmp, fsync, rename, fsync the root) on
+//! every mutation, and on open only when loading and reconciling
+//! changed what it says. Chunk **refcounts are derived**, not
 //! stored: on open they are recomputed from the manifests, so the index
 //! can never disagree with itself about liveness. Reopening reconciles both
 //! directions — a chunk file no chunk list references is an orphan and
@@ -43,26 +44,26 @@
 //! files are written, synced and read outside it:
 //!
 //! 1. **Write** (no lock). The pieces of chunk `seq` of put `id` land
-//!    in `chunks/put-<id>-<seq>.tmp` as they arrive. The name is per
-//!    writer because two puts may be writing the same chunk at once —
-//!    neither waits for the other; both files hold the same bytes. The
-//!    name does not parse as a chunk's, so a crash leaves nothing the
-//!    next open does not sweep.
+//!    in `chunks/put-<id>-<seq>.tmp`, a `durable::Staged` file, as they
+//!    arrive. The name is per writer because two puts may be writing the
+//!    same chunk at once — neither waits for the other; both files hold
+//!    the same bytes. The name does not parse as a chunk's, so a crash
+//!    leaves nothing the next open does not sweep.
 //! 2. **Reserve** (lock, when a chunk is sealed and its key known). A
 //!    chunk whose key is in `refs` has a durable file: the put takes a
 //!    reference *now*, so a concurrent `gc` cannot bring it to zero, and
-//!    unlinks its temporary copy unsynced. Any other chunk it registers
-//!    as *pending* and keeps the temporary file's handle open. A file
-//!    already sitting under an unreferenced chunk's name is never
+//!    drops its temporary copy, which unlinks it unsynced. Any other
+//!    chunk it registers as *pending* and keeps the staged file open. A
+//!    file already sitting under an unreferenced chunk's name is never
 //!    trusted: nothing vouches for its length or content, so the chunk
 //!    is written anew.
-//! 3. **Barrier** (no lock). `sync_all` every held handle, then rename
-//!    each temporary file to its chunk name. One burst of fsyncs per
-//!    shard instead of one per chunk between writes lets the filesystem
-//!    coalesce its journal commits, and the bursts of two jobs overlap.
-//!    A put holds one handle per new chunk until here: six for a
-//!    paper-grid shard, so a shard of about a GiB would meet a
-//!    1,024-descriptor limit.
+//! 3. **Barrier** (no lock). `durable::publish_all` the staged files:
+//!    fsync each, rename each to its chunk name, fsync `chunks/` once.
+//!    One burst of fsyncs per shard instead of one per chunk between
+//!    writes lets the filesystem coalesce its journal commits, and the
+//!    bursts of two jobs overlap. A put holds one handle per new chunk
+//!    until here: six for a paper-grid shard, so a shard of about a GiB
+//!    would meet a 1,024-descriptor limit.
 //! 4. **Publish** (lock). If the slot is still empty: count the
 //!    manifest's references, insert it, rewrite the index
 //!    (`write_atomic`). If the slot meanwhile holds the same record it
@@ -71,15 +72,20 @@
 //!    because its hash does (a version-1 store receiving the version-2
 //!    encoding of a state it holds): a dedup hit too. Then the reservations
 //!    are returned — on any failure that leaves maps, index and chunk
-//!    files as if the put had never run: its temporary files are
-//!    removed, and a chunk it named is reclaimed only if no manifest and
-//!    no other put in flight relies on it.
+//!    files as if the put had never run: its staged files are removed
+//!    as they drop, and a chunk it named is reclaimed only if no
+//!    manifest and no other put in flight relies on it.
 //!
 //! The invariants: a chunk name never exists without durable content
-//! (every file is fsynced before its rename); the index never names a chunk that is not durable (publish
-//! after the barrier); readers see a whole shard or none (the manifest
-//! appears last). A crash anywhere leaves at most temporary files,
-//! unreferenced chunks and trash, which the next open sweeps.
+//! (every file is fsynced before its rename); the index never names a
+//! chunk that is not durable (publish after the barrier); every rename
+//! that publishes something survives an OS crash (the barrier and the
+//! index rewrite fsync the directory after renaming); readers see a
+//! whole shard or none (the manifest appears last). A crash anywhere
+//! leaves at most temporary files, unreferenced chunks and trash, which
+//! the next open sweeps. The one rename that is no publish, into the
+//! trash, is not synced: a crash that undoes it leaves an orphan chunk,
+//! which the next open sweeps too.
 //!
 //! The price of streaming is paid by a put whose chunks already exist
 //! (a dedup put): its bytes are still written to temporary files, which
@@ -136,11 +142,12 @@ use agcm_resilience::checkpoint::{
     frame_line, record_version, unframe_line, CheckpointError, RecordDigest, RecordSink,
     RecordSource, RecordStream, PREFIX_LEN,
 };
-use agcm_resilience::coordinator::{write_atomic, StoreError};
+use agcm_resilience::coordinator::StoreError;
+use agcm_resilience::durable::{publish_all, write_atomic, Staged};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
 use std::fs;
-use std::io::{ErrorKind, Read as _, Write as _};
+use std::io::{ErrorKind, Read as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Sender};
@@ -293,9 +300,12 @@ impl Trash {
         self.seq += 1;
         let name = path.file_name().unwrap_or_default().to_string_lossy();
         let to = self.dir.join(format!("{name}.{}-{}", self.tag, self.seq));
-        let moved = fs::rename(path, &to).or_else(|_| {
+        // Not a publish: the file is moved aside, never to be read again,
+        // so this rename needs neither an fsync nor the directory's.
+        let rename = || fs::rename(path, &to);
+        let moved = rename().or_else(|_| {
             fs::create_dir_all(&self.dir)?;
-            fs::rename(path, &to)
+            rename()
         });
         match moved {
             Ok(()) => self.reap(to),
@@ -383,9 +393,9 @@ pub struct StoreStats {
     pub put_seconds: f64,
     /// Of which: waiting for the store's mutex.
     pub lock_wait_seconds: f64,
-    /// Of which: in `sync_all` on new chunk files (the per-shard
-    /// durability barrier; the index rewrite's own fsync is not split
-    /// out).
+    /// Of which: in the per-shard durability barrier (fsync and rename
+    /// the new chunk files, fsync `chunks/`; the index rewrite's own
+    /// fsyncs are not split out).
     pub fsync_seconds: f64,
 }
 
@@ -482,13 +492,6 @@ impl Store {
         self.root.join("chunks").join(key.file_name())
     }
 
-    /// Where put `put` streams chunk `seq` of its record.
-    fn tmp_path(&self, put: u64, seq: usize) -> PathBuf {
-        self.root
-            .join("chunks")
-            .join(format!("put-{put}-{seq}.tmp"))
-    }
-
     /// Store one rank's encoded shard under `(lineage, step, rank)`.
     /// Identical re-puts (same digest, or the same length in another
     /// record version) are dedup hits and write
@@ -531,6 +534,7 @@ impl Store {
             keys: Vec::new(),
             held: Vec::new(),
             created: Vec::new(),
+            staged: Vec::new(),
             lock_wait: Duration::ZERO,
             fsync_time: Duration::ZERO,
         };
@@ -834,7 +838,7 @@ struct Put<'a> {
     chunk: RecordDigest,
     /// The chunk being filled: its temporary file, created with its
     /// first byte, and how many bytes it holds.
-    file: Option<fs::File>,
+    file: Option<Staged>,
     fill: usize,
     len: u64,
     /// The record's chunk list so far; the next chunk's `seq` is its
@@ -843,18 +847,12 @@ struct Put<'a> {
     /// References taken on chunks that already existed, one per use.
     held: Vec<ChunkKey>,
     /// Chunks this put writes itself (registered in `Inner::pending`).
-    created: Vec<NewChunk>,
+    created: Vec<ChunkKey>,
+    /// Their temporary files, held open from the seal for the barrier
+    /// to publish under their chunk names.
+    staged: Vec<(Staged, PathBuf)>,
     lock_wait: Duration,
     fsync_time: Duration,
-}
-
-/// A chunk a put writes itself.
-struct NewChunk {
-    key: ChunkKey,
-    /// Its place in the record, which names its temporary file.
-    seq: usize,
-    /// That file, held open from the seal for the barrier to sync.
-    file: fs::File,
 }
 
 impl RecordSink for Put<'_> {
@@ -868,17 +866,15 @@ impl RecordSink for Put<'_> {
             let (piece, tail) = rest.split_at(room.min(rest.len()));
             self.digest.update(piece);
             self.chunk.update(piece);
-            let seq = self.keys.len();
             let file = match &mut self.file {
                 Some(file) => file,
                 None => {
-                    let tmp = self.store.tmp_path(self.id, seq);
-                    let created = fs::File::create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
-                    self.file.insert(created)
+                    let name = format!("put-{}-{}.tmp", self.id, self.keys.len());
+                    self.file
+                        .insert(Staged::create(self.store.root.join("chunks").join(name))?)
                 }
             };
-            file.write_all(piece)
-                .map_err(|e| io_err("write", &self.store.tmp_path(self.id, seq), e))?;
+            file.write_all(piece)?;
             self.fill += piece.len();
             self.len += piece.len() as u64;
             rest = tail;
@@ -894,7 +890,8 @@ impl RecordSink for Put<'_> {
 impl Put<'_> {
     /// The chunk being filled is complete and its key known: *reserve*
     /// it. A chunk with a durable copy is referenced and its temporary
-    /// file unlinked unsynced; any other keeps its file for the barrier.
+    /// file dropped, which unlinks it unsynced; any other keeps its file
+    /// for the barrier.
     fn seal(&mut self) -> Result<(), StoreError> {
         let Some(file) = self.file.take() else {
             return Ok(());
@@ -903,48 +900,37 @@ impl Put<'_> {
             hash: self.chunk.value(),
             len: self.fill as u32,
         };
-        let seq = self.keys.len();
         self.keys.push(key);
         self.chunk = self.digest.restarted();
         self.fill = 0;
-        if !self.created.iter().any(|c| c.key == key) {
-            let mut inner = self.store.lock_timed(&mut self.lock_wait);
-            match inner.refs.get_mut(&key) {
-                Some(count) => {
-                    *count += 1;
-                    drop(inner);
-                    self.held.push(key);
-                }
-                None => {
-                    *inner.pending.entry(key).or_insert(0) += 1;
-                    drop(inner);
-                    self.created.push(NewChunk { key, seq, file });
-                    return Ok(());
-                }
+        if self.created.contains(&key) {
+            return Ok(());
+        }
+        let mut inner = self.store.lock_timed(&mut self.lock_wait);
+        match inner.refs.get_mut(&key) {
+            Some(count) => {
+                *count += 1;
+                drop(inner);
+                self.held.push(key);
+            }
+            None => {
+                *inner.pending.entry(key).or_insert(0) += 1;
+                drop(inner);
+                self.created.push(key);
+                self.staged.push((file, self.store.chunk_path(&key)));
             }
         }
-        drop(file);
-        let tmp = self.store.tmp_path(self.id, seq);
-        fs::remove_file(&tmp).map_err(|e| io_err("remove", &tmp, e))
+        Ok(())
     }
 
     /// The durability barrier: every new chunk is on disk under its
-    /// temporary name; fsync each held file, then give each its real
-    /// name.
+    /// temporary name; publish them all under their chunk names (fsync
+    /// each, rename each, fsync `chunks/` once).
     fn barrier(&mut self) -> Result<(), StoreError> {
         let started = Instant::now();
-        for c in &self.created {
-            c.file
-                .sync_all()
-                .map_err(|e| io_err("sync", &self.store.tmp_path(self.id, c.seq), e))?;
-        }
+        let published = publish_all(std::mem::take(&mut self.staged));
         self.fsync_time = started.elapsed();
-        for c in &self.created {
-            let tmp = self.store.tmp_path(self.id, c.seq);
-            fs::rename(&tmp, self.store.chunk_path(&c.key))
-                .map_err(|e| io_err("rename", &tmp, e))?;
-        }
-        Ok(())
+        published
     }
 
     /// *Publish* the shard or take back everything this put reserved,
@@ -959,22 +945,19 @@ impl Put<'_> {
     ) -> Result<(), StoreError> {
         let files = match &written {
             Ok(()) => self.created.len() as u64,
-            Err(_) => {
-                // Every temporary name this put may have left, the chunk
-                // being filled included. They are this put's alone: no
-                // lock needed.
-                for seq in 0..=self.keys.len() {
-                    let _ = fs::remove_file(self.store.tmp_path(self.id, seq));
-                }
-                0
-            }
+            Err(_) => 0,
         };
+        // A failed put's temporary files, the chunk being filled included,
+        // are unlinked as they drop: here, before the lock, since an
+        // unlink may wait on the disk. They are this put's alone.
+        self.file = None;
+        self.staged.clear();
         let mut guard = self.store.lock_timed(&mut self.lock_wait);
         let inner = &mut *guard;
         let outcome = written.and_then(|()| self.publish(inner, slot, world));
         self.release(inner);
 
-        let new_bytes: u64 = self.created.iter().map(|c| c.key.len as u64).sum();
+        let new_bytes: u64 = self.created.iter().map(|key| key.len as u64).sum();
         let c = &mut inner.counters;
         c.bytes_ingested += self.len;
         c.chunk_files_written += files;
@@ -1068,7 +1051,7 @@ impl Put<'_> {
                 self.store.discard(inner, key);
             }
         }
-        for NewChunk { key, .. } in &self.created {
+        for key in &self.created {
             let Some(count) = inner.pending.get_mut(key) else {
                 continue;
             };

@@ -886,28 +886,32 @@ fn run_job(
     let lease_key = p.lease_key();
     let spec = p.spec;
     let dispatched = Instant::now();
-    let (dir, ephemeral) = match &spec.checkpoint_dir {
-        Some(d) => (d.clone(), false),
-        None => {
-            // Job ids restart with every `Ensemble`, so they cannot name
-            // a directory that must be unique in the process.
-            static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
-            let n = NEXT_DIR.fetch_add(1, Ordering::Relaxed);
-            let name = format!("agcm-ensemble-{}-{n}", std::process::id());
-            (std::env::temp_dir().join(name), true)
-        }
-    };
-    // With a shared store the directory store is only a shell: every
-    // shard routes through the content-addressed backend, clamped to
-    // this job's horizon so a longer-lived lineage never hands back a
-    // checkpoint past `config.steps`.
+    // With a shared store every shard routes through the content-
+    // addressed backend, clamped to this job's horizon so a longer-lived
+    // lineage never hands back a checkpoint past `config.steps`; nothing
+    // is written under a directory, so the store's root is shown as the
+    // checkpoint store's. Without one, a job given no directory gets a
+    // throwaway one.
+    let mut ephemeral = None;
     let mut opts = match (&spec.shared_store, store_ctx) {
         (Some(store), Some((lineage, _))) => {
             let backend =
                 JobStoreBackend::new(Arc::clone(store), lineage, spec.config.steps as u64);
-            ResilienceOpts::from_store(CheckpointStore::new(&dir).with_backend(Arc::new(backend)))
+            ResilienceOpts::from_store(
+                CheckpointStore::new(store.root()).with_backend(Arc::new(backend)),
+            )
         }
-        _ => ResilienceOpts::new(&dir),
+        _ => match &spec.checkpoint_dir {
+            Some(dir) => ResilienceOpts::new(dir),
+            None => {
+                // Job ids restart with every `Ensemble`, so they cannot
+                // name a directory that must be unique in the process.
+                static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
+                let n = NEXT_DIR.fetch_add(1, Ordering::Relaxed);
+                let name = format!("agcm-ensemble-{}-{n}", std::process::id());
+                ResilienceOpts::new(ephemeral.insert(std::env::temp_dir().join(name)).as_path())
+            }
+        },
     }
     .with_cancel(token);
     opts.max_restarts = spec.max_restarts;
@@ -921,8 +925,8 @@ fn run_job(
     opts = opts.with_progress(Arc::clone(&recorder) as Arc<dyn RunProgress>);
 
     let result = catch_unwind(AssertUnwindSafe(|| run_model_resilient(spec.config, opts)));
-    if ephemeral {
-        let _ = std::fs::remove_dir_all(&dir);
+    if let Some(dir) = ephemeral {
+        let _ = std::fs::remove_dir_all(dir);
     }
     // Give back the lineage lease taken at dispatch — on every terminal
     // path, including cancellation and panic. Release does not reclaim:

@@ -265,7 +265,11 @@ mod tests {
                         &mut fields,
                     );
                 } else {
-                    crate::lb_fft::apply(&setup, &cart, &mut fields);
+                    crate::PolarFilter::new(&setup, crate::FilterVariant::LbFft).apply(
+                        &setup,
+                        &cart,
+                        &mut fields,
+                    );
                 }
             });
             trace.total_flops()

@@ -13,34 +13,26 @@
 //! (the organization §3.3 allows, and the one Tables 8–11 run);
 //! `FilterOrganization::PerVariable` is the pre-§3.3 one-variable-at-a-
 //! time processing, kept for the message-count comparison.
-
-use crate::driver::FilterOrganization;
-use crate::engine::{self, Assignment, FilterScratch};
-use crate::lines::FilterSetup;
-use agcm_grid::halo::HaloField;
-use agcm_mps::topology::CartComm;
-
-/// Apply both filter classes with row-local FFT filtering
-/// (aggregated organization, transient scratch).
-pub fn apply(setup: &FilterSetup, cart: &CartComm, fields: &mut [HaloField]) {
-    engine::apply(
-        setup,
-        cart,
-        fields,
-        Assignment::RowLocal,
-        FilterOrganization::Aggregated,
-        &mut FilterScratch::new(),
-    );
-}
+//!
+//! It runs as [`PolarFilter`](crate::PolarFilter) with
+//! `FilterVariant::FftNoLb`: the shared redistribute engine with the
+//! row-local line assignment.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::driver::{FilterVariant, PolarFilter};
+    use crate::lines::FilterSetup;
     use crate::reference::{filter_global, global_from_locals, local_from_global, synthetic_field};
     use agcm_grid::decomp::Decomp;
     use agcm_grid::field::Field3D;
+    use agcm_grid::halo::HaloField;
     use agcm_grid::latlon::GridSpec;
     use agcm_mps::runtime::{run, run_traced};
+    use agcm_mps::topology::CartComm;
+
+    fn apply(setup: &FilterSetup, cart: &CartComm, fields: &mut [HaloField]) {
+        PolarFilter::new(setup, FilterVariant::FftNoLb).apply(setup, cart, fields);
+    }
 
     fn check_matches_reference(grid: GridSpec, mesh: (usize, usize)) {
         let decomp = Decomp::new(grid, mesh.0, mesh.1);

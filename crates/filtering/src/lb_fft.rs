@@ -7,34 +7,26 @@
 //! data movement restores the original layout. "All weakly filtered
 //! variables are filtered concurrently, as are all strongly filtered
 //! variables" — each class moves in a single collective exchange.
-
-use crate::driver::FilterOrganization;
-use crate::engine::{self, Assignment, FilterScratch};
-use crate::lines::FilterSetup;
-use agcm_grid::halo::HaloField;
-use agcm_mps::topology::CartComm;
-
-/// Apply both filter classes with globally load-balanced FFT filtering
-/// (aggregated organization, transient scratch).
-pub fn apply(setup: &FilterSetup, cart: &CartComm, fields: &mut [HaloField]) {
-    engine::apply(
-        setup,
-        cart,
-        fields,
-        Assignment::Balanced,
-        FilterOrganization::Aggregated,
-        &mut FilterScratch::new(),
-    );
-}
+//!
+//! It runs as [`PolarFilter`](crate::PolarFilter) with
+//! `FilterVariant::LbFft`: the shared redistribute engine with the
+//! balanced line assignment.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::driver::{FilterVariant, PolarFilter};
+    use crate::lines::FilterSetup;
     use crate::reference::{filter_global, global_from_locals, local_from_global, synthetic_field};
     use agcm_grid::decomp::Decomp;
     use agcm_grid::field::Field3D;
+    use agcm_grid::halo::HaloField;
     use agcm_grid::latlon::GridSpec;
     use agcm_mps::runtime::{run, run_traced};
+    use agcm_mps::topology::CartComm;
+
+    fn apply(setup: &FilterSetup, cart: &CartComm, fields: &mut [HaloField]) {
+        PolarFilter::new(setup, FilterVariant::LbFft).apply(setup, cart, fields);
+    }
 
     fn check_matches_reference(grid: GridSpec, mesh: (usize, usize)) {
         let decomp = Decomp::new(grid, mesh.0, mesh.1);
@@ -102,7 +94,11 @@ mod tests {
                 if lb {
                     apply(&setup, &cart, &mut fields);
                 } else {
-                    crate::fft::apply(&setup, &cart, &mut fields);
+                    PolarFilter::new(&setup, FilterVariant::FftNoLb).apply(
+                        &setup,
+                        &cart,
+                        &mut fields,
+                    );
                 }
                 fields
             })

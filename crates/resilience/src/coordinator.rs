@@ -3,8 +3,10 @@
 //! Each rank writes its own shard; a checkpoint only counts once a `COMMIT`
 //! manifest exists in its step directory. The protocol:
 //!
-//! 1. every rank publishes `rank_NNNN.agck` through [`write_atomic`]
-//!    (tmp, fsync, rename: a shard is either absent or complete);
+//! 1. every rank publishes `rank_NNNN.agck` through [`crate::durable`]
+//!    (tmp, fsync, rename, fsync the step directory: a shard is either
+//!    absent or complete, and a published one survives an OS crash); the
+//!    rank that creates the step directory fsyncs the root as well;
 //! 2. barrier — all shards are now durable;
 //! 3. rank 0 verifies the shard count and publishes `COMMIT` the same way
 //!    (the atomic commit point);
@@ -16,11 +18,12 @@
 use crate::checkpoint::{
     CheckpointError, ModelCheckpoint, RecordDigest, RecordSink, RecordSource, RecordStream, RowSink,
 };
+use crate::durable::{publish, sync_dir, write_atomic, Staged};
 use agcm_grid::history::ByteOrder;
 use agcm_mps::Comm;
 use std::fmt;
 use std::fs;
-use std::io::{BufReader, Read as _, Write as _};
+use std::io::{BufReader, Read as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -80,55 +83,20 @@ impl std::error::Error for StoreError {
     }
 }
 
-fn io_err(ctx: &str, path: &Path, e: std::io::Error) -> StoreError {
+pub(crate) fn io_err(ctx: &str, path: &Path, e: std::io::Error) -> StoreError {
     StoreError::Io(format!("{ctx} {}: {e}", path.display()))
-}
-
-/// Publish what `fill` writes at `path` atomically: create `<path>.tmp`,
-/// let `fill` write it, fsync it, rename over `path`. A reader sees the
-/// old content, or nothing, or all of the new. The temporary file is
-/// removed (best effort) on failure.
-fn publish_atomic(
-    path: &Path,
-    fill: impl FnOnce(&mut fs::File, &Path) -> Result<(), StoreError>,
-) -> Result<(), StoreError> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    let written = (|| {
-        let mut f = fs::File::create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
-        fill(&mut f, &tmp)?;
-        f.sync_all().map_err(|e| io_err("sync", &tmp, e))?;
-        fs::rename(&tmp, path).map_err(|e| io_err("rename", &tmp, e))
-    })();
-    if written.is_err() {
-        let _ = fs::remove_file(&tmp);
-    }
-    written
-}
-
-/// Publish `bytes` at `path` atomically: write `<path>.tmp`, fsync it,
-/// rename over `path`. A reader sees the old content, or nothing, or all of
-/// `bytes`. The temporary file is removed (best effort) on failure.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
-    publish_atomic(path, |f, tmp| {
-        f.write_all(bytes).map_err(|e| io_err("write", tmp, e))
-    })
 }
 
 /// A file being written as a [`RecordSink`].
 struct FileSink<'a> {
-    file: &'a mut fs::File,
-    path: &'a Path,
+    file: &'a mut Staged,
     digest: RecordDigest,
 }
 
 impl RecordSink for FileSink<'_> {
     fn write(&mut self, block: &[u8]) -> Result<(), StoreError> {
         self.digest.update(block);
-        self.file
-            .write_all(block)
-            .map_err(|e| io_err("write", self.path, e))
+        self.file.write_all(block)
     }
     fn digest(&self) -> u64 {
         self.digest.value()
@@ -230,11 +198,15 @@ impl ShardBackend for DirBackend {
         record: &dyn RecordSource,
     ) -> Result<(), StoreError> {
         let dir = self.step_dir(step);
-        fs::create_dir_all(&dir).map_err(|e| io_err("create", &dir, e))?;
-        publish_atomic(&self.shard_path(step, rank), |file, path| {
+        if !dir.is_dir() {
+            // The step directory's own entry in the root must survive a
+            // crash too, or its published shards go with it.
+            fs::create_dir_all(&dir).map_err(|e| io_err("create", &dir, e))?;
+            sync_dir(&self.root).map_err(|e| io_err("sync directory", &self.root, e))?;
+        }
+        publish(&self.shard_path(step, rank), |file| {
             record.write_to(&mut FileSink {
                 file,
-                path,
                 digest: RecordDigest::new(),
             })
         })
@@ -573,25 +545,6 @@ mod tests {
         assert!(!dir.exists());
         let _ = fs::remove_dir_all(&root);
         let _ = fs::remove_dir_all(written.root());
-    }
-
-    /// A write that fails after the temporary file exists (its name is a
-    /// symlink to the always-full device) leaves neither it nor the target.
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn failed_atomic_write_leaves_no_tmp_and_no_target() {
-        let dir = scratch("atomic-fail");
-        fs::create_dir_all(&dir).unwrap();
-        let target = dir.join("index");
-        std::os::unix::fs::symlink("/dev/full", dir.join("index.tmp")).unwrap();
-        let err = write_atomic(&target, &[7u8; 4096]).unwrap_err();
-        assert!(matches!(err, StoreError::Io(_)), "{err}");
-        assert_eq!(fs::read_dir(&dir).unwrap().count(), 0, "dir left empty");
-        // The success path publishes the bytes and leaves no tmp either.
-        write_atomic(&target, b"payload").unwrap();
-        assert_eq!(fs::read(&target).unwrap(), b"payload");
-        assert_eq!(fs::read_dir(&dir).unwrap().count(), 1);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     struct MemStream {

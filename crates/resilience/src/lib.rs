@@ -13,6 +13,10 @@
 //! * [`coordinator`] — a per-rank shard store with an atomic rename commit
 //!   protocol: a checkpoint exists only once every shard is in place and
 //!   the `COMMIT` manifest has been published;
+//! * [`durable`] — the one durable-write path of the workspace: publish
+//!   (tmp, fsync, rename, fsync the directory) for one file or a batch,
+//!   and the append-only line log the server's journal and event log
+//!   share;
 //! * [`recovery`] — the restart loop: run under a fault plan, detect rank
 //!   deaths (surfaced by `agcm-mps` as typed failures, not panics), resume
 //!   from the latest committed checkpoint, and verify nothing by luck —
@@ -28,11 +32,13 @@
 
 pub mod checkpoint;
 pub mod coordinator;
+pub mod durable;
 pub mod metrics;
 pub mod recovery;
 
 pub use checkpoint::{fnv1a, frame_line, unframe_line, CheckpointError, ModelCheckpoint};
-pub use coordinator::{write_atomic, write_coordinated, CheckpointStore, ShardBackend, StoreError};
+pub use coordinator::{write_coordinated, CheckpointStore, ShardBackend, StoreError};
+pub use durable::write_atomic;
 pub use metrics::ResilienceMetrics;
 pub use recovery::{
     run_recovered, AttemptFailure, RecoveryError, RecoveryOptions, RunProgress, RunReport,

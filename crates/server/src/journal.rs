@@ -7,11 +7,13 @@
 //! `frame_line` codec as the checkpoint store's index. Replay verifies
 //! every checksum and stops at the first bad or torn line, so a crash
 //! mid-append costs at most the line being written, never the log behind
-//! it. On open, the journal compacts: live (non-terminal) jobs are
-//! published as a fresh log through `write_atomic` (temp file, fsync,
-//! rename), and finished history is dropped; a log that compaction would
-//! not change (a clean restart, an empty log) is not rewritten. The
-//! compacted log always begins with a `watermark` line carrying the
+//! it. Appends go through `durable::LineLog` (re-exported by the store
+//! crate): one write per line, not fsynced. On open, the journal
+//! compacts: live (non-terminal) jobs are published as a fresh log
+//! through `durable::write_atomic` (temp file, fsync, rename, fsync the
+//! directory), and finished history is dropped; a log that compaction
+//! would not change (a clean restart, an empty log) is not rewritten.
+//! The compacted log always begins with a `watermark` line carrying the
 //! highest durable id ever seen, so dropping terminal history can never
 //! rewind the server's id counter onto already-used ids.
 //!
@@ -29,9 +31,14 @@
 //! chunks shared with a live same-lineage job are never touched and a
 //! finished job's prefix stays cached for resubmission.
 //!
-//! Crash-consistency argument, per job state:
-//! - crash before `submitted` committed → the client never got an ack;
-//!   the job never existed.
+//! Crash-consistency argument, per job state. A *process* crash loses
+//! nothing appended: every line reached the kernel in one write before
+//! the server acted on it. An *OS* crash or power loss may also lose the
+//! unsynced tail of appends since the last compaction, acked
+//! `submitted` lines included (syncing them before the ack is separate
+//! work); the compacted log itself is durable.
+//! - crash before `submitted` reached the log → the client never got an
+//!   ack; the job never existed.
 //! - crash after `submitted`, before dispatch → replay finds no
 //!   `terminal`: the job is **requeued** on restart.
 //! - crash after `dispatched` → replay marks it dispatched: the job is
@@ -39,12 +46,11 @@
 //!   in the store rather than step 0.
 //! - crash after `terminal` → compaction drops it; it is done.
 
-use agcm_ckptstore::{frame_line, unframe_line, write_atomic, Store};
+use agcm_ckptstore::durable::{write_atomic, LineLog};
+use agcm_ckptstore::{frame_line, unframe_line, Store};
 use agcm_ensemble::{JobId, JobObserver, JobRecord};
 use agcm_telemetry::json::Value;
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -82,7 +88,7 @@ pub struct ReplayStats {
 }
 
 struct Inner {
-    writer: Option<BufWriter<File>>,
+    log: LineLog,
     detached: bool,
 }
 
@@ -95,6 +101,9 @@ pub struct JournalStats {
     pub compacted_live: usize,
     /// Terminal jobs dropped by the open-time compaction.
     pub dropped_terminal: usize,
+    /// An append failed, so the log is closed: later records are lost
+    /// while the server keeps acking.
+    pub degraded: bool,
 }
 
 /// The journal handle. Appends are serialized by an internal lock;
@@ -153,13 +162,12 @@ impl Journal {
             write_atomic(&path, out.as_bytes()).map_err(std::io::Error::other)?;
         }
 
-        let writer = OpenOptions::new().create(true).append(true).open(&path)?;
         let journal = Journal {
-            path,
             inner: Mutex::new(Inner {
-                writer: Some(BufWriter::new(writer)),
+                log: LineLog::open(&path)?,
                 detached: false,
             }),
+            path,
             appended: AtomicU64::new(0),
             compacted_live: live.len(),
             dropped_terminal: stats.already_terminal,
@@ -179,6 +187,7 @@ impl Journal {
             appended_lines: self.appended.load(Ordering::Relaxed),
             compacted_live: self.compacted_live,
             dropped_terminal: self.dropped_terminal,
+            degraded: self.inner.lock().unwrap().log.is_closed(),
         }
     }
 
@@ -213,27 +222,17 @@ impl Journal {
     /// `AgcmServer::abort` simulates a crash: the ensemble's teardown must
     /// not journal terminals for jobs the "crashed" server never finished.
     pub fn detach(&self) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.detached = true;
-        inner.writer = None;
+        self.inner.lock().unwrap().detached = true;
     }
 
+    /// An append failure must not take down the scheduler: the log
+    /// closes, and [`JournalStats::degraded`] says so from then on.
     fn append(&self, value: &Value) {
         let mut line = String::new();
         push_line(&mut line, value);
         let mut inner = self.inner.lock().unwrap();
-        if inner.detached {
-            return;
-        }
-        if let Some(w) = inner.writer.as_mut() {
-            // An append failure must not take down the scheduler; the
-            // journal simply stops being durable from here on.
-            let written = w.write_all(line.as_bytes()).and_then(|_| w.flush());
-            if written.is_err() {
-                inner.writer = None;
-            } else {
-                self.appended.fetch_add(1, Ordering::Relaxed);
-            }
+        if !inner.detached && inner.log.append(&line).is_ok() {
+            self.appended.fetch_add(1, Ordering::Relaxed);
         }
     }
 }

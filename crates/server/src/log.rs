@@ -16,16 +16,18 @@
 //! (`debug`, `info`, `warn`, `error`; default `info`), so an operator
 //! can silence access lines without a rebuild.
 
-//! With a [`RotationPolicy`] the log rotates by size: when the active
-//! file reaches the byte cap it is renamed to `<path>.1` (older
-//! generations shifting to `.2`, `.3`, ...) and a fresh file is opened,
-//! keeping at most `keep` rotated generations on disk — so a chatty
-//! server cannot fill the volume with access lines.
+//! The file is a `durable::LineLog`, the journal's append path: one
+//! unbuffered write per line, so a tailing reader (CI, an operator) sees
+//! every event as it happens. With a [`RotationPolicy`] the log rotates
+//! by size (`LineLog::rotate`): when the active file reaches the byte
+//! cap it is renamed to `<path>.1` (older generations shifting to `.2`,
+//! `.3`, ...) and a fresh file is opened, keeping at most `keep` rotated
+//! generations on disk — so a chatty server cannot fill the volume with
+//! access lines.
 
+use agcm_ckptstore::durable::LineLog;
 use agcm_telemetry::json::Value;
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -95,20 +97,14 @@ impl LogLevel {
     }
 }
 
-struct Inner {
-    writer: Option<BufWriter<File>>,
-    /// Bytes in the active file (counted, not stat'ed, after open).
-    written: u64,
-    /// Set only when rotation is configured.
-    path: Option<PathBuf>,
-    rotation: Option<RotationPolicy>,
-}
-
-/// The structured log sink. Appends are serialized; a write failure
-/// disables the sink rather than taking down the serving path.
+/// The structured log sink. Appends are serialized; a failed write or
+/// rotation closes the log, which disables the sink rather than taking
+/// down the serving path.
 pub struct EventLog {
     min_level: LogLevel,
-    inner: Mutex<Inner>,
+    rotation: Option<RotationPolicy>,
+    /// `None` when logging is disabled.
+    log: Mutex<Option<LineLog>>,
 }
 
 impl EventLog {
@@ -116,12 +112,8 @@ impl EventLog {
     pub fn disabled() -> EventLog {
         EventLog {
             min_level: LogLevel::Error,
-            inner: Mutex::new(Inner {
-                writer: None,
-                written: 0,
-                path: None,
-                rotation: None,
-            }),
+            rotation: None,
+            log: Mutex::new(None),
         }
     }
 
@@ -145,25 +137,18 @@ impl EventLog {
         min_level: LogLevel,
         rotation: Option<RotationPolicy>,
     ) -> std::io::Result<EventLog> {
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            std::fs::create_dir_all(parent)?;
-        }
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        let written = file.metadata().map(|m| m.len()).unwrap_or(0);
+        let log = Mutex::new(Some(LineLog::open(path)?));
         Ok(EventLog {
             min_level,
-            inner: Mutex::new(Inner {
-                writer: Some(BufWriter::new(file)),
-                written,
-                path: rotation.is_some().then(|| path.to_path_buf()),
-                rotation,
-            }),
+            rotation,
+            log,
         })
     }
 
     /// Whether an event at `level` would be written.
     pub fn enabled(&self, level: LogLevel) -> bool {
-        level >= self.min_level && self.inner.lock().unwrap().writer.is_some()
+        let log = self.log.lock().unwrap();
+        level >= self.min_level && log.as_ref().is_some_and(|log| !log.is_closed())
     }
 
     /// Append one event. `fields` land after the standard `ts_ms`,
@@ -172,8 +157,8 @@ impl EventLog {
         if level < self.min_level {
             return;
         }
-        let mut inner = self.inner.lock().unwrap();
-        let Some(w) = inner.writer.as_mut() else {
+        let mut log = self.log.lock().unwrap();
+        let Some(log) = log.as_mut().filter(|log| !log.is_closed()) else {
             return;
         };
         let ts_ms = SystemTime::now()
@@ -186,52 +171,14 @@ impl EventLog {
             ("kind", Value::Str(kind.into())),
         ];
         obj.extend(fields);
-        let line = Value::obj(obj).to_string();
-        // Flush per line: the log's consumers (CI, a tailing operator)
-        // read it while the server is still running.
-        if writeln!(w, "{line}").and_then(|_| w.flush()).is_err() {
-            inner.writer = None;
+        let mut line = Value::obj(obj).to_string();
+        line.push('\n');
+        if log.append(&line).is_err() {
             return;
         }
-        inner.written += line.len() as u64 + 1;
-        if let Some(policy) = inner.rotation {
-            if inner.written >= policy.max_bytes {
-                rotate(&mut inner, policy);
-            }
+        if let Some(policy) = self.rotation.filter(|p| log.written() >= p.max_bytes) {
+            let _ = log.rotate(policy.keep);
         }
-    }
-}
-
-/// Shift generations and start a fresh active file. On any filesystem
-/// error the sink is disabled (consistent with write failures) rather
-/// than risking unbounded growth with a dead cap.
-fn rotate(inner: &mut Inner, policy: RotationPolicy) {
-    // Flush and close the active file before renaming it.
-    inner.writer = None;
-    let Some(path) = inner.path.clone() else {
-        return;
-    };
-    let generation = |n: usize| PathBuf::from(format!("{}.{n}", path.display()));
-    if policy.keep == 0 {
-        let _ = std::fs::remove_file(&path);
-    } else {
-        let _ = std::fs::remove_file(generation(policy.keep));
-        for n in (1..policy.keep).rev() {
-            let from = generation(n);
-            if from.exists() {
-                let _ = std::fs::rename(&from, generation(n + 1));
-            }
-        }
-        if std::fs::rename(&path, generation(1)).is_err() {
-            return;
-        }
-    }
-    match OpenOptions::new().create(true).append(true).open(&path) {
-        Ok(file) => {
-            inner.writer = Some(BufWriter::new(file));
-            inner.written = 0;
-        }
-        Err(_) => inner.writer = None,
     }
 }
 

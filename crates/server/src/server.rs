@@ -767,6 +767,7 @@ fn healthz(state: &ServerState) -> Response {
                 ("appended_lines", Value::Num(j.appended_lines as f64)),
                 ("compacted_live", Value::Num(j.compacted_live as f64)),
                 ("dropped_terminal", Value::Num(j.dropped_terminal as f64)),
+                ("degraded", Value::Bool(j.degraded)),
             ]),
         ),
         (
@@ -860,7 +861,7 @@ fn metrics(state: &ServerState) -> Response {
 
 /// `GET /metrics`: the whole registry in Prometheus text exposition
 /// format, plus gauges a scraper wants that live outside the registry
-/// (uptime, fleet occupancy, tracked jobs).
+/// (uptime, fleet occupancy, tracked jobs, a degraded journal).
 fn prom_metrics(state: &ServerState) -> Response {
     let guard = state.ensemble.read().unwrap();
     let Some(ensemble) = guard.as_ref() else {
@@ -882,6 +883,10 @@ fn prom_metrics(state: &ServerState) -> Response {
         (
             "live.tracked_jobs".to_string(),
             state.collector.tracked_jobs() as f64,
+        ),
+        (
+            "journal.degraded".to_string(),
+            f64::from(u8::from(state.journal.stats().degraded)),
         ),
     ];
     extras.extend(store_counters(&state.store.stats()).map(|(k, v)| (format!("store.{k}"), v)));

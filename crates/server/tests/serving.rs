@@ -73,6 +73,15 @@ fn submit_poll_and_fetch_result() {
     let health = get(addr, "/healthz").unwrap();
     assert_eq!(health.status, 200);
     assert!(matches!(health.json().get("ok"), Some(Value::Bool(true))));
+    // A healthy journal is not degraded, on either surface.
+    let journal = health.json().get("journal").cloned().unwrap();
+    assert_eq!(journal.get("degraded"), Some(&Value::Bool(false)));
+    let prom = get(addr, "/metrics").unwrap();
+    assert!(
+        prom.body.lines().any(|l| l == "journal_degraded 0"),
+        "{}",
+        prom.body
+    );
 
     let id = submitted_id(&post_job(addr, None, &job_body("basic", 2, 4)).unwrap());
     let done = wait_for_state(addr, id, "completed");
