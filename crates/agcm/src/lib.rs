@@ -10,8 +10,10 @@
 //! * [`config`] — run configuration: grid, mesh, timestep, filter variant,
 //!   physics balancing;
 //! * [`model`] — the driver: spawn the mesh, step the model, collect the
-//!   execution trace and per-rank results; [`model::run_model_resilient`]
-//!   adds checkpoint/restart recovery on top (see `agcm-resilience`);
+//!   execution trace and per-rank results. Every run goes through
+//!   `agcm-resilience`'s recovery loop with one per-rank body;
+//!   [`model::run_model_resilient`] gives it a checkpoint store, restarts
+//!   and a fault plan, [`model::run_model`] none of them;
 //! * [`report`] — fixed-width table formatting for the `reproduce`
 //!   harness, including paper-vs-measured columns.
 //!
@@ -26,6 +28,5 @@ pub mod report;
 pub use config::{AgcmConfig, ConfigError};
 pub use model::{
     run_model, run_model_resilient, try_run_model, ModelRun, RankOutcome, ResilienceOpts,
-    ResilientRun,
 };
 pub use report::Table;

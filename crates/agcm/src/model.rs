@@ -12,21 +12,17 @@ use agcm_dynamics::state::{ModelState, OutcomeFold};
 use agcm_grid::arakawa::Variable;
 use agcm_grid::decomp::{Decomp, Subdomain};
 use agcm_grid::halo::HaloField;
-use agcm_mps::fault::FaultPlan;
-use agcm_mps::runtime::run_traced;
 use agcm_mps::topology::CartComm;
 use agcm_mps::trace::WorldTrace;
-use agcm_mps::{CancelToken, Comm};
+use agcm_mps::Comm;
 use agcm_physics::balance::exec::run_balanced;
 use agcm_physics::balance::scheme3::PairwiseExchange;
 use agcm_physics::load::LoadTracker;
 use agcm_physics::step::PhysicsStep;
 use agcm_resilience::checkpoint::{ModelCheckpoint, RowSink};
-use agcm_resilience::coordinator::{write_coordinated, CheckpointStore, StoreError};
-use agcm_resilience::metrics::ResilienceMetrics;
-use agcm_resilience::recovery::{
-    run_recovered, AttemptFailure, RecoveryError, RecoveryOptions, RunProgress,
-};
+use agcm_resilience::coordinator::{write_coordinated, StoreError};
+pub use agcm_resilience::recovery::ResilienceOpts;
+use agcm_resilience::recovery::{run_recovered, RecoveryError, RunReport};
 
 /// Per-rank results of a model run.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,8 +59,7 @@ impl ModelRun {
     }
 }
 
-/// One rank's per-step machinery, shared by the plain and resilient
-/// drivers so the two cannot drift apart.
+/// One rank's per-step machinery.
 struct StepContext<'a> {
     cfg: &'a AgcmConfig,
     cart: CartComm,
@@ -154,139 +149,18 @@ pub fn run_model(cfg: AgcmConfig) -> ModelRun {
 
 /// Run the model per `cfg`, rejecting degenerate configurations (zero
 /// ranks, zero steps, mesh larger than the grid) as a typed
-/// [`ConfigError`] before any thread is spawned.
+/// [`ConfigError`] before any thread is spawned. The run goes through the
+/// same loop and per-rank body as [`run_model_resilient`], with no store,
+/// no restarts and no fault plan.
 pub fn try_run_model(cfg: AgcmConfig) -> Result<ModelRun, ConfigError> {
     cfg.validate()?;
-    let decomp = Decomp::new(cfg.grid, cfg.mesh_lat, cfg.mesh_lon);
-    let (ranks, trace) = run_traced(cfg.size(), |comm| model_body(&cfg, decomp, comm));
+    let report = run_model_resilient(cfg, ResilienceOpts::default())
+        .expect("a run with no store, plan, token or restart has nothing to fail on");
     Ok(ModelRun {
-        ranks,
-        trace,
+        ranks: report.ranks,
+        trace: report.trace,
         config: cfg,
     })
-}
-
-/// The per-rank body of a plain run.
-fn model_body(cfg: &AgcmConfig, decomp: Decomp, comm: &Comm) -> RankOutcome {
-    let ctx = StepContext::new(cfg, decomp, comm);
-    let mut state = ModelState::initial(cfg.grid, ctx.sub);
-    let mut tracker = LoadTracker::new();
-    let mut physics_loads = Vec::with_capacity(cfg.steps);
-
-    for step in 0..cfg.steps {
-        let (performed, owned) = ctx.step(comm, &mut state, &tracker, step as u64);
-        tracker.record(owned);
-        physics_loads.push(performed);
-    }
-
-    RankOutcome {
-        physics_loads,
-        stable: !state.has_blown_up(),
-        max_wind: state.max_wind(),
-    }
-}
-
-/// Knobs for a resilient model run.
-#[derive(Clone)]
-pub struct ResilienceOpts {
-    /// Where checkpoints live.
-    pub store: CheckpointStore,
-    /// Restarts allowed after the first attempt.
-    pub max_restarts: usize,
-    /// Fault plan for the *first* attempt (a restart models the failed
-    /// node being replaced, so later attempts run fault-free).
-    pub plan: Option<FaultPlan>,
-    /// Cooperative cancellation token (deadline expiry, explicit
-    /// cancellation); a cancelled run is never retried.
-    pub cancel: Option<CancelToken>,
-    /// Live progress observer: attempt starts from the recovery loop,
-    /// checkpoint commits from rank 0.
-    pub progress: Option<std::sync::Arc<dyn RunProgress>>,
-    /// Live span observer, told of every phase any rank closes while the
-    /// model runs.
-    pub spans: Option<std::sync::Arc<dyn agcm_mps::span::SpanObserver>>,
-}
-
-impl std::fmt::Debug for ResilienceOpts {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ResilienceOpts")
-            .field("store", &self.store)
-            .field("max_restarts", &self.max_restarts)
-            .field("plan", &self.plan)
-            .field("cancel", &self.cancel)
-            .field("progress", &self.progress.as_ref().map(|_| "RunProgress"))
-            .field("spans", &self.spans.as_ref().map(|_| "SpanObserver"))
-            .finish()
-    }
-}
-
-impl ResilienceOpts {
-    /// Checkpoints under `dir`, three restarts, no injected faults.
-    pub fn new(dir: impl Into<std::path::PathBuf>) -> ResilienceOpts {
-        ResilienceOpts::from_store(CheckpointStore::new(dir))
-    }
-
-    /// Checkpoints in an explicit store — e.g. one wired to a shared
-    /// `ShardBackend` so the run resumes from (and contributes to) the
-    /// fleet-wide content-addressed store instead of a private
-    /// directory.
-    pub fn from_store(store: CheckpointStore) -> ResilienceOpts {
-        ResilienceOpts {
-            store,
-            max_restarts: 3,
-            plan: None,
-            cancel: None,
-            progress: None,
-            spans: None,
-        }
-    }
-
-    /// Builder-style: inject this fault plan on the first attempt.
-    pub fn with_plan(mut self, plan: FaultPlan) -> ResilienceOpts {
-        self.plan = Some(plan);
-        self
-    }
-
-    /// Builder-style: thread this cancellation token through the run.
-    pub fn with_cancel(mut self, token: CancelToken) -> ResilienceOpts {
-        self.cancel = Some(token);
-        self
-    }
-
-    /// Builder-style: observe attempts and checkpoint commits live.
-    pub fn with_progress(mut self, progress: std::sync::Arc<dyn RunProgress>) -> ResilienceOpts {
-        self.progress = Some(progress);
-        self
-    }
-
-    /// Builder-style: observe phase boundaries live.
-    pub fn with_spans(
-        mut self,
-        spans: std::sync::Arc<dyn agcm_mps::span::SpanObserver>,
-    ) -> ResilienceOpts {
-        self.spans = Some(spans);
-        self
-    }
-}
-
-/// A completed resilient run.
-#[derive(Debug)]
-pub struct ResilientRun {
-    /// Outcomes in rank order (from the successful attempt).
-    pub ranks: Vec<RankOutcome>,
-    /// Attempts made (1 = no failure).
-    pub attempts: usize,
-    /// Failed attempts, in order.
-    pub failures: Vec<AttemptFailure>,
-    /// Injected-fault log per rank, merged across attempts (the run's
-    /// deterministic fault trace).
-    pub fault_events: Vec<Vec<agcm_mps::fault::FaultEvent>>,
-    /// Aggregated fault/recovery counters.
-    pub metrics: ResilienceMetrics,
-    /// Execution trace of the successful attempt.
-    pub trace: WorldTrace,
-    /// The configuration that produced this run.
-    pub config: AgcmConfig,
 }
 
 /// Run the model with checkpoint/restart recovery.
@@ -297,12 +171,12 @@ pub struct ResilientRun {
 /// `agcm_resilience::coordinator`). If a rank dies (e.g. killed by
 /// `opts.plan`), surviving ranks observe typed disconnects instead of
 /// panics, the attempt is abandoned, and the run restarts from the last
-/// committed checkpoint. The model is a deterministic function of
-/// (state, step), so a recovered run continues bit-identically with an
-/// uninterrupted one. A committed checkpoint that does not fit the run
-/// (another world size, grid or field count) ends it with
-/// [`RecoveryError::ForeignCheckpoint`] before any state is built from
-/// it, and a shard the store cannot load or write with
+/// committed checkpoint at or below `cfg.steps`. The model is a
+/// deterministic function of (state, step), so a recovered run continues
+/// bit-identically with an uninterrupted one. A committed checkpoint that
+/// does not fit the run (another world size, grid or field count) ends it
+/// with [`RecoveryError::ForeignCheckpoint`] before any state is built
+/// from it, and a shard the store cannot load or write with
 /// [`RecoveryError::Store`]; neither is retried.
 ///
 /// A run resumed at its own horizon (a resubmission) builds neither
@@ -313,131 +187,122 @@ pub struct ResilientRun {
 pub fn run_model_resilient(
     cfg: AgcmConfig,
     opts: ResilienceOpts,
-) -> Result<ResilientRun, RecoveryError> {
+) -> Result<RunReport<RankOutcome>, RecoveryError> {
     cfg.validate()
         .unwrap_or_else(|e| panic!("invalid AGCM config: {e}"));
     let decomp = Decomp::new(cfg.grid, cfg.mesh_lat, cfg.mesh_lon);
-    let store = &opts.store;
-    let report = run_recovered(
-        cfg.size(),
-        RecoveryOptions {
-            max_restarts: opts.max_restarts,
-            cancel: opts.cancel.clone(),
-            progress: opts.progress.clone(),
-            spans: opts.spans.clone(),
-        },
-        store,
-        |attempt| {
-            if attempt == 0 {
-                opts.plan.clone()
+    run_recovered(cfg.size(), cfg.steps as u64, &opts, |comm, resume| {
+        rank_body(&cfg, decomp, &opts, comm, resume)
+    })
+}
+
+/// One rank of a run: start cold or from the shard of step `resume`, step
+/// to the horizon, and checkpoint every `cfg.checkpoint_every` steps into
+/// `opts.store`, if there is one.
+fn rank_body(
+    cfg: &AgcmConfig,
+    decomp: Decomp,
+    opts: &ResilienceOpts,
+    comm: &Comm,
+    resume: Option<u64>,
+) -> Result<RankOutcome, RecoveryError> {
+    let rank = comm.rank() as u32;
+    let sub = decomp.subdomain_of_rank(comm.rank());
+    let (start, mut state, mut tracker, mut physics_loads) = match (resume, &opts.store) {
+        (Some(step), Some(store)) => {
+            // The loop never resumes past the horizon.
+            let horizon = step == cfg.steps as u64;
+            let mut rows = OutcomeRows::default();
+            let read = if horizon {
+                store.fold_shard(step, rank, &mut rows)
             } else {
-                None
-            }
-        },
-        |comm, resume| {
-            let rank = comm.rank() as u32;
-            let sub = decomp.subdomain_of_rank(comm.rank());
-            let (start, mut state, mut tracker, mut physics_loads) = match resume {
-                Some(step) => {
-                    let horizon = step >= cfg.steps as u64;
-                    let mut rows = OutcomeRows::default();
-                    let read = if horizon {
-                        store.fold_shard(step, rank, &mut rows)
-                    } else {
-                        store.load_shard(step, rank)
-                    };
-                    let foreign = |reason| RecoveryError::ForeignCheckpoint { step, rank, reason };
-                    let ckpt = match read {
-                        Err(StoreError::ShardMismatch { found, .. }) => {
-                            let (step, rank) = found;
-                            return Err(foreign(format!("it holds step {step} of rank {rank}")));
-                        }
-                        loaded => loaded.map_err(RecoveryError::Store)?,
-                    };
-                    // A fold saw the shapes go by; a decode has the fields.
-                    rows.shapes.extend(ckpt.fields.iter().map(HaloField::shape));
-                    let want = (sub.ni, sub.nj, cfg.grid.n_lev);
-                    let n_scalars = ckpt.scalars.len();
-                    if let Some(why) =
-                        misfit(ckpt.world, &rows.shapes, n_scalars, comm.size(), want)
-                    {
-                        return Err(foreign(why));
-                    }
-                    if horizon {
-                        return Ok(RankOutcome {
-                            physics_loads: ckpt.series,
-                            stable: rows.fold.stable(),
-                            max_wind: rows.fold.max_wind(),
-                        });
-                    }
-                    let state = ModelState {
-                        fields: ckpt.fields,
-                        sub,
-                        grid: cfg.grid,
-                    };
-                    let mut tracker = LoadTracker::new();
-                    if ckpt.scalars[0] != 0.0 {
-                        tracker.record(ckpt.scalars[1]);
-                    }
-                    (step, state, tracker, ckpt.series)
-                }
-                None => (
-                    0,
-                    ModelState::initial(cfg.grid, sub),
-                    LoadTracker::new(),
-                    Vec::with_capacity(cfg.steps),
-                ),
+                store.load_shard(step, rank)
             };
-
-            let ctx = StepContext::new(&cfg, decomp, comm);
-            for step in start..cfg.steps as u64 {
-                comm.begin_step(step);
-                let (performed, owned) = ctx.step(comm, &mut state, &tracker, step);
-                tracker.record(owned);
-                physics_loads.push(performed);
-
-                if cfg.checkpoint_every > 0 && (step + 1) % cfg.checkpoint_every as u64 == 0 {
-                    // The record borrows the state for the write: it is
-                    // encoded as the store consumes it, never copied.
-                    let ckpt = ModelCheckpoint {
-                        rank,
-                        world: comm.size() as u32,
-                        step: step + 1,
-                        seeds: Vec::new(),
-                        scalars: match tracker.estimate() {
-                            Some(v) => vec![1.0, v],
-                            None => vec![0.0, 0.0],
-                        },
-                        series: std::mem::take(&mut physics_loads),
-                        fields: std::mem::take(&mut state.fields),
-                    };
-                    write_coordinated(comm, store, &ckpt).map_err(RecoveryError::Store)?;
-                    physics_loads = ckpt.series;
-                    state.fields = ckpt.fields;
-                    // One notification per commit, not per shard.
-                    if rank == 0 {
-                        if let Some(progress) = &opts.progress {
-                            progress.on_checkpoint(step + 1);
-                        }
-                    }
+            let foreign = |reason| RecoveryError::ForeignCheckpoint { step, rank, reason };
+            let ckpt = match read {
+                Err(StoreError::ShardMismatch { found, .. }) => {
+                    let (step, rank) = found;
+                    return Err(foreign(format!("it holds step {step} of rank {rank}")));
                 }
+                loaded => loaded.map_err(RecoveryError::Store)?,
+            };
+            // A fold saw the shapes go by; a decode has the fields.
+            rows.shapes.extend(ckpt.fields.iter().map(HaloField::shape));
+            let want = (sub.ni, sub.nj, cfg.grid.n_lev);
+            let n_scalars = ckpt.scalars.len();
+            if let Some(why) = misfit(ckpt.world, &rows.shapes, n_scalars, comm.size(), want) {
+                return Err(foreign(why));
             }
+            if horizon {
+                return Ok(RankOutcome {
+                    physics_loads: ckpt.series,
+                    stable: rows.fold.stable(),
+                    max_wind: rows.fold.max_wind(),
+                });
+            }
+            let state = ModelState {
+                fields: ckpt.fields,
+                sub,
+                grid: cfg.grid,
+            };
+            let mut tracker = LoadTracker::new();
+            if ckpt.scalars[0] != 0.0 {
+                tracker.record(ckpt.scalars[1]);
+            }
+            (step, state, tracker, ckpt.series)
+        }
+        _ => (
+            0,
+            ModelState::initial(cfg.grid, sub),
+            LoadTracker::new(),
+            Vec::with_capacity(cfg.steps),
+        ),
+    };
 
-            Ok(RankOutcome {
-                physics_loads,
-                stable: !state.has_blown_up(),
-                max_wind: state.max_wind(),
-            })
-        },
-    )?;
-    Ok(ResilientRun {
-        ranks: report.results,
-        attempts: report.attempts,
-        failures: report.failures,
-        fault_events: report.fault_events,
-        metrics: report.metrics,
-        trace: report.trace,
-        config: cfg,
+    let every = cfg.checkpoint_every as u64;
+    let ctx = StepContext::new(cfg, decomp, comm);
+    for step in start..cfg.steps as u64 {
+        comm.begin_step(step);
+        let (performed, owned) = ctx.step(comm, &mut state, &tracker, step);
+        tracker.record(owned);
+        physics_loads.push(performed);
+
+        let Some(store) = opts
+            .store
+            .as_ref()
+            .filter(|_| every > 0 && (step + 1) % every == 0)
+        else {
+            continue;
+        };
+        // The record borrows the state for the write: it is encoded as
+        // the store consumes it, never copied.
+        let ckpt = ModelCheckpoint {
+            rank,
+            world: comm.size() as u32,
+            step: step + 1,
+            seeds: Vec::new(),
+            scalars: match tracker.estimate() {
+                Some(v) => vec![1.0, v],
+                None => vec![0.0, 0.0],
+            },
+            series: std::mem::take(&mut physics_loads),
+            fields: std::mem::take(&mut state.fields),
+        };
+        write_coordinated(comm, store, &ckpt).map_err(RecoveryError::Store)?;
+        physics_loads = ckpt.series;
+        state.fields = ckpt.fields;
+        // One notification per commit, not per shard.
+        if rank == 0 {
+            if let Some(progress) = &opts.progress {
+                progress.on_checkpoint(step + 1);
+            }
+        }
+    }
+
+    Ok(RankOutcome {
+        physics_loads,
+        stable: !state.has_blown_up(),
+        max_wind: state.max_wind(),
     })
 }
 

@@ -27,9 +27,9 @@
 //!   chunk another job still references and never waits on an unlink;
 //! * [`backend::JobStoreBackend`] — the
 //!   [`agcm_resilience::ShardBackend`] adapter that routes one job's
-//!   shards into the shared store, clamping visible commits to the
-//!   job's own horizon (the clamp *is* the longest-matching-prefix
-//!   rule).
+//!   shards into the shared store; the recovery loop's resume step (the
+//!   latest commit at or below the run's horizon) *is* the
+//!   longest-matching-prefix rule.
 //!
 //! The crate is std-only and speaks encoded checkpoint records, never
 //! model types: its only upstream dependency is the resilience crate's

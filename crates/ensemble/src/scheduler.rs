@@ -887,16 +887,15 @@ fn run_job(
     let spec = p.spec;
     let dispatched = Instant::now();
     // With a shared store every shard routes through the content-
-    // addressed backend, clamped to this job's horizon so a longer-lived
-    // lineage never hands back a checkpoint past `config.steps`; nothing
+    // addressed backend (the recovery loop resumes at or below
+    // `config.steps`, whatever a longer-lived lineage committed); nothing
     // is written under a directory, so the store's root is shown as the
     // checkpoint store's. Without one, a job given no directory gets a
     // throwaway one.
     let mut ephemeral = None;
     let mut opts = match (&spec.shared_store, store_ctx) {
         (Some(store), Some((lineage, _))) => {
-            let backend =
-                JobStoreBackend::new(Arc::clone(store), lineage, spec.config.steps as u64);
+            let backend = JobStoreBackend::new(Arc::clone(store), lineage);
             ResilienceOpts::from_store(
                 CheckpointStore::new(store.root()).with_backend(Arc::new(backend)),
             )

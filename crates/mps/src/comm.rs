@@ -562,7 +562,20 @@ impl Comm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::run;
+    use crate::fault::FaultPlan;
+    use crate::runtime::{run, run_world, WorldOptions};
+
+    #[test]
+    fn a_world_without_a_plan_builds_no_injector() {
+        let plain = run_world(2, WorldOptions::default(), |c| c.shared.fault.is_some());
+        assert_eq!(plain.results, vec![Ok(false), Ok(false)]);
+        let planned = WorldOptions {
+            plan: Some(FaultPlan::seeded(1)),
+            ..WorldOptions::default()
+        };
+        let faulty = run_world(2, planned, |c| c.shared.fault.is_some());
+        assert_eq!(faulty.results, vec![Ok(true), Ok(true)]);
+    }
 
     #[test]
     fn ring_shift() {

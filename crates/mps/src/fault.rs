@@ -3,7 +3,7 @@
 //! A [`FaultPlan`] describes, ahead of time, how a run should be perturbed:
 //! per-message drop / duplicate / delay probabilities, explicit targeted
 //! message faults, and at most one planned rank kill. The plan is threaded
-//! through the runtime ([`crate::runtime::run_with_faults`]) into every
+//! through the runtime ([`crate::runtime::run_world`]) into every
 //! [`crate::Comm`], so existing point-to-point calls and collectives
 //! exercise the faults without any changes at the call site.
 //!
@@ -179,12 +179,12 @@ pub enum FaultEvent {
 }
 
 /// Unwind payload raised when a communication call fails in a fault-aware
-/// run; [`crate::runtime::run_with_faults`] catches it and converts the rank
+/// run; [`crate::runtime::run_world`] catches it and converts the rank
 /// into a typed failure instead of propagating a panic.
 pub(crate) struct CommAbort(pub(crate) crate::error::Error);
 
 /// Unwind payload raised by a planned kill ([`KillSpec`]); caught by
-/// [`crate::runtime::run_with_faults`].
+/// [`crate::runtime::run_world`].
 pub(crate) struct FaultKill {
     pub(crate) step: u64,
 }

@@ -14,7 +14,7 @@
 //!   mesh used by the AGCM grid decomposition, with row sub-communicators
 //!   and periodic neighbours;
 //! * a deterministic fault-injection plane ([`fault::FaultPlan`] +
-//!   [`runtime::run_with_faults`]) can drop, duplicate, delay or reorder
+//!   [`runtime::run_world`]) can drop, duplicate, delay or reorder
 //!   messages and kill ranks at chosen steps, for exercising the
 //!   checkpoint/restart machinery in `agcm-resilience`;
 //! * every rank records a [`trace::RankTrace`] of sends, receives and
@@ -57,9 +57,7 @@ pub use comm::{Comm, ANY_SRC, ANY_TAG};
 pub use error::{Error, Result};
 pub use fault::{FaultAction, FaultEvent, FaultPlan, KillSpec, TargetedFault};
 pub use message::{Packet, Payload};
-pub use runtime::{
-    run, run_traced, run_with_faults, run_world, FailureKind, FaultyRun, WorldOptions,
-};
+pub use runtime::{run, run_traced, run_world, FailureKind, FaultyRun, WorldOptions};
 pub use span::SpanObserver;
 pub use topology::CartComm;
 pub use trace::{Event, PhaseFault, PhaseFaultKind, WorldTrace};

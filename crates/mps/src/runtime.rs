@@ -10,11 +10,12 @@
 //! is an 8×30 = 240-node mesh; 240 threads are comfortably within what this
 //! runtime handles.
 //!
-//! [`run_with_faults`] is the fault-aware variant: a [`FaultPlan`] is
-//! threaded into every communicator, rank deaths (planned kills, or
-//! communication aborts caused by a dead peer) are caught and returned as
-//! typed per-rank failures instead of propagating panics, and each rank's
-//! injected-fault log is returned for determinism checks.
+//! [`run_world`] is the fault-aware variant: rank deaths (planned kills,
+//! communication aborts caused by a dead peer, cancellation) are caught and
+//! returned as typed per-rank failures instead of propagating panics. A
+//! [`FaultPlan`], if given, is threaded into every communicator and each
+//! rank's injected-fault log is returned for determinism checks; without
+//! one no injector is built and every send goes straight to the wire.
 
 use crate::cancel::{CancelToken, CancelUnwind};
 use crate::comm::{Comm, RankShared, World};
@@ -108,24 +109,19 @@ impl<R> FaultyRun<R> {
     }
 }
 
-fn launch<F, R>(
-    n: usize,
-    tracing: bool,
-    plan: Option<Arc<FaultPlan>>,
-    cancel: Option<CancelToken>,
-    spans: Option<Arc<dyn SpanObserver>>,
-    f: F,
-) -> FaultyRun<R>
+/// Launch a world. `faulty` turns controlled unwinds into typed failures;
+/// only [`run_world`] sets it, and only it passes non-default `opts`.
+fn launch<F, R>(n: usize, tracing: bool, faulty: bool, opts: WorldOptions, f: F) -> FaultyRun<R>
 where
     F: Fn(&Comm) -> R + Sync,
     R: Send,
 {
     assert!(n > 0, "world size must be at least 1");
-    let faulty = plan.is_some();
-    debug_assert!(
-        cancel.is_none() || faulty,
-        "cancellable worlds run in faulty mode so the unwind is caught"
-    );
+    let WorldOptions {
+        plan,
+        cancel,
+        spans,
+    } = opts;
     if faulty {
         silence_controlled_unwinds();
     }
@@ -147,6 +143,7 @@ where
     let traces: Vec<Arc<RankTrace>> = (0..n)
         .map(|_| RankTrace::with_epoch(tracing, epoch))
         .collect();
+    let plan = plan.map(Arc::new);
     let faults: Vec<Option<Arc<FaultState>>> = (0..n)
         .map(|_| plan.as_ref().map(|p| FaultState::new(Arc::clone(p))))
         .collect();
@@ -259,7 +256,7 @@ where
     F: Fn(&Comm) -> R + Sync,
     R: Send,
 {
-    launch(n, false, None, None, None, f)
+    launch(n, false, false, WorldOptions::default(), f)
         .results
         .into_iter()
         .map(|r| r.expect("non-faulty run has no typed failures"))
@@ -273,7 +270,7 @@ where
     F: Fn(&Comm) -> R + Sync,
     R: Send,
 {
-    let out = launch(n, true, None, None, None, f);
+    let out = launch(n, true, false, WorldOptions::default(), f);
     (
         out.results
             .into_iter()
@@ -283,29 +280,10 @@ where
     )
 }
 
-/// Run `f` on `n` ranks under a fault plan. Planned kills and
-/// communication aborts become typed per-rank failures; genuine panics
-/// still propagate. `plan = None` degrades to a plain traced run that
-/// still reports per-rank results as `Ok`.
-pub fn run_with_faults<F, R>(n: usize, plan: Option<FaultPlan>, f: F) -> FaultyRun<R>
-where
-    F: Fn(&Comm) -> R + Sync,
-    R: Send,
-{
-    run_world(
-        n,
-        WorldOptions {
-            plan,
-            ..WorldOptions::default()
-        },
-        f,
-    )
-}
-
 /// Options for [`run_world`].
 #[derive(Clone, Default)]
 pub struct WorldOptions {
-    /// Fault plan; `None` degrades to an empty plan (typed failures, no
+    /// Fault plan; `None` builds no injector (typed failures still, no
     /// injected faults).
     pub plan: Option<FaultPlan>,
     /// Cooperative cancellation token shared by every rank of the world.
@@ -325,20 +303,19 @@ impl std::fmt::Debug for WorldOptions {
 }
 
 /// The most general launcher: tracing on, typed per-rank failures, with an
-/// optional fault plan and an optional [`CancelToken`]. Cancelling the
-/// token unwinds every rank at its next cancellation point (step boundary
-/// or blocked receive) as [`FailureKind::Cancelled`]; ranks that instead
-/// observe a cancelled peer's death surface as `Disconnected`. Either way
-/// the whole world drains and `run_world` returns.
+/// optional fault plan and an optional [`CancelToken`]. Planned kills and
+/// communication aborts become typed per-rank failures; genuine panics
+/// still propagate. Cancelling the token unwinds every rank at its next
+/// cancellation point (step boundary or blocked receive) as
+/// [`FailureKind::Cancelled`]; ranks that instead observe a cancelled
+/// peer's death surface as `Disconnected`. Either way the whole world
+/// drains and `run_world` returns.
 pub fn run_world<F, R>(n: usize, opts: WorldOptions, f: F) -> FaultyRun<R>
 where
     F: Fn(&Comm) -> R + Sync,
     R: Send,
 {
-    // Even with no plan, run in faulty mode (typed failures, empty plan)
-    // so recovery drivers and schedulers get a uniform interface.
-    let plan = opts.plan.unwrap_or_default();
-    launch(n, true, Some(Arc::new(plan)), opts.cancel, opts.spans, f)
+    launch(n, true, true, opts, f)
 }
 
 #[cfg(test)]
@@ -349,6 +326,13 @@ mod tests {
     use crate::message::Payload;
     use crate::trace::Event;
     use std::time::Duration;
+
+    fn planned(plan: FaultPlan) -> WorldOptions {
+        WorldOptions {
+            plan: Some(plan),
+            ..WorldOptions::default()
+        }
+    }
 
     #[test]
     fn results_in_rank_order() {
@@ -478,7 +462,7 @@ mod tests {
     #[test]
     fn planned_kill_of_rank_zero_is_typed() {
         let plan = FaultPlan::seeded(1).with_kill(0, 3);
-        let out = run_with_faults(3, Some(plan), |c| {
+        let out = run_world(3, planned(plan), |c| {
             for step in 0..6u64 {
                 c.begin_step(step);
             }
@@ -493,7 +477,7 @@ mod tests {
     #[test]
     fn kill_surfaces_as_typed_failure() {
         let plan = FaultPlan::seeded(1).with_kill(2, 5);
-        let out = run_with_faults(4, Some(plan), |c| {
+        let out = run_world(4, planned(plan), |c| {
             for step in 0..10u64 {
                 c.begin_step(step);
             }
@@ -511,7 +495,7 @@ mod tests {
         // Rank 1 dies before sending; rank 0's blocking recv must abort
         // with a typed Disconnected failure rather than hang or panic.
         let plan = FaultPlan::seeded(0).with_kill(1, 0);
-        let out = run_with_faults(2, Some(plan), |c| {
+        let out = run_world(2, planned(plan), |c| {
             if c.rank() == 1 {
                 c.begin_step(0);
             }
@@ -533,7 +517,7 @@ mod tests {
         // The victim sends first, then dies: the receiver must get the
         // message even though the sender is gone by the time it looks.
         let plan = FaultPlan::seeded(0).with_kill(1, 0);
-        let out = run_with_faults(2, Some(plan), |c| {
+        let out = run_world(2, planned(plan), |c| {
             if c.rank() == 1 {
                 c.send(0, 7, Payload::I64(vec![41]));
                 c.begin_step(0);
@@ -550,7 +534,7 @@ mod tests {
         // A rank dies before a barrier; every survivor's barrier must
         // surface a typed failure (possibly cascading), never a hang.
         let plan = FaultPlan::seeded(0).with_kill(3, 0);
-        let out = run_with_faults(4, Some(plan), |c| {
+        let out = run_world(4, planned(plan), |c| {
             if c.rank() == 3 {
                 c.begin_step(0);
             }
@@ -583,8 +567,8 @@ mod tests {
                 }
             }
         };
-        let a = run_with_faults(4, Some(plan.clone()), workload);
-        let b = run_with_faults(4, Some(plan), workload);
+        let a = run_world(4, planned(plan.clone()), workload);
+        let b = run_world(4, planned(plan), workload);
         assert!(a.all_ok() && b.all_ok());
         assert_eq!(a.fault_events, b.fault_events);
         assert!(
@@ -600,7 +584,7 @@ mod tests {
         let plan = FaultPlan::seeded(5)
             .with_targeted(0, 1, 0, FaultAction::Delay)
             .with_targeted(0, 1, 1, FaultAction::Duplicate);
-        let out = run_with_faults(2, Some(plan), |c| {
+        let out = run_world(2, planned(plan), |c| {
             if c.rank() == 0 {
                 c.send(1, 10, Payload::I64(vec![1])); // delayed
                 c.send(1, 20, Payload::I64(vec![2])); // duplicated
@@ -625,7 +609,7 @@ mod tests {
         // The peer stays alive (blocked on its own receive) past the
         // deadline, so the timed receive expires rather than observing a
         // dead peer.
-        let out = run_with_faults(2, None, |c| {
+        let out = run_world(2, WorldOptions::default(), |c| {
             if c.rank() == 0 {
                 let r = c.recv_timeout(1, 9, Duration::from_millis(20));
                 c.send(1, 1, Payload::Empty);
@@ -641,7 +625,7 @@ mod tests {
     #[test]
     fn recv_timeout_on_dead_peer_reports_disconnect() {
         let plan = FaultPlan::seeded(0).with_kill(1, 0);
-        let out = run_with_faults(2, Some(plan), |c| {
+        let out = run_world(2, planned(plan), |c| {
             if c.rank() == 1 {
                 c.begin_step(0);
             }
@@ -728,7 +712,7 @@ mod tests {
 
     #[test]
     fn try_recv_paths() {
-        let out = run_with_faults(2, None, |c| {
+        let out = run_world(2, WorldOptions::default(), |c| {
             if c.rank() == 0 {
                 // Nothing sent yet: empty, not an error.
                 assert!(matches!(c.try_recv(1, 5), Ok(None)));

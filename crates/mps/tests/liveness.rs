@@ -13,7 +13,7 @@
 //! * a cancelled world still unwinds within a poll interval plus the
 //!   polling budget.
 
-use agcm_mps::runtime::{run, run_with_faults, run_world, WorldOptions};
+use agcm_mps::runtime::{run, run_world, WorldOptions};
 use agcm_mps::{CancelToken, Error, FailureKind, Op, Payload};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -79,7 +79,7 @@ fn oversubscribed_all_to_all_completes() {
 #[test]
 fn recv_timeout_expires_within_a_poll_interval_of_its_deadline() {
     let timeout = Duration::from_millis(20);
-    let out = run_with_faults(2, None, |c| {
+    let out = run_world(2, WorldOptions::default(), |c| {
         if c.rank() == 0 {
             // Best of five: one late wake-up on a busy machine is the
             // scheduler's, five in a row would be ours.

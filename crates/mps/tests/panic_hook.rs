@@ -12,7 +12,7 @@
 //! recording hook must be installed first, and no other test in this
 //! process may race the installation order.
 
-use agcm_mps::runtime::{run_with_faults, run_world, silence_controlled_unwinds, WorldOptions};
+use agcm_mps::runtime::{run_world, silence_controlled_unwinds, WorldOptions};
 use agcm_mps::{CancelToken, FailureKind, FaultPlan};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
@@ -36,7 +36,11 @@ fn genuine_panics_reach_previous_hook_controlled_unwinds_do_not() {
     // 2. A planned kill and the abort it cascades to are controlled
     //    unwinds: the previous hook must stay silent.
     let plan = FaultPlan::seeded(0).with_kill(1, 0);
-    let out = run_with_faults(2, Some(plan), |c| {
+    let planned = WorldOptions {
+        plan: Some(plan),
+        ..WorldOptions::default()
+    };
+    let out = run_world(2, planned, |c| {
         if c.rank() == 1 {
             c.begin_step(0);
         }
@@ -73,7 +77,7 @@ fn genuine_panics_reach_previous_hook_controlled_unwinds_do_not() {
     // 4. A genuine panic in a rank body (a model bug) must BOTH reach the
     //    previous hook at throw time and propagate out of the launcher.
     let propagated = catch_unwind(AssertUnwindSafe(|| {
-        run_with_faults(2, None, |c| {
+        run_world(2, WorldOptions::default(), |c| {
             if c.rank() == 0 {
                 panic!("genuine model bug");
             }

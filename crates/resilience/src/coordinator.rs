@@ -165,12 +165,6 @@ pub trait ShardBackend: Send + Sync {
     fn open_shard(&self, step: u64, rank: u32) -> Result<Box<dyn RecordStream + '_>, StoreError>;
     /// Shards present for `step`.
     fn shard_count(&self, step: u64) -> usize;
-    /// Drop every committed step older than the newest `keep`, returning
-    /// the steps removed. The default keeps everything: a shared store's
-    /// refcounted GC owns lifetime there.
-    fn prune(&self, _keep: usize) -> Vec<u64> {
-        Vec::new()
-    }
 }
 
 /// The directory layout as a backend:
@@ -270,16 +264,6 @@ impl ShardBackend for DirBackend {
             })
             .count()
     }
-
-    /// Uncommitted (partial) directories are left for inspection.
-    fn prune(&self, keep: usize) -> Vec<u64> {
-        let mut steps = self.committed_steps();
-        steps.truncate(steps.len().saturating_sub(keep));
-        for &step in &steps {
-            let _ = fs::remove_dir_all(self.step_dir(step));
-        }
-        steps
-    }
 }
 
 /// A checkpoint store: the commit protocol, record encoding and shard
@@ -346,9 +330,13 @@ impl CheckpointStore {
         self.backend.committed_steps()
     }
 
-    /// The most recent committed step, if any checkpoint has committed.
-    pub fn latest_committed(&self) -> Option<u64> {
-        self.committed_steps().into_iter().max()
+    /// The most recent step committed at or below `horizon`: the step a
+    /// run that ends at `horizon` resumes from.
+    pub fn latest_committed(&self, horizon: u64) -> Option<u64> {
+        self.committed_steps()
+            .into_iter()
+            .rev()
+            .find(|&step| step <= horizon)
     }
 
     /// Load one rank's shard of a committed step, verifying its checksum
@@ -377,13 +365,6 @@ impl CheckpointStore {
             });
         }
         Ok(ckpt)
-    }
-
-    /// Drop every *committed* checkpoint older than `keep` steps back from
-    /// the newest, returning the steps removed (see
-    /// [`ShardBackend::prune`]).
-    pub fn prune(&self, keep: usize) -> Vec<u64> {
-        self.backend.prune(keep)
     }
 }
 
@@ -445,9 +426,9 @@ mod tests {
         let store = CheckpointStore::new(scratch("uncommitted"));
         store.write_shard(&shard(5, 0, 2)).unwrap();
         store.write_shard(&shard(5, 1, 2)).unwrap();
-        assert_eq!(store.latest_committed(), None);
+        assert_eq!(store.latest_committed(u64::MAX), None);
         store.commit(5, 2).unwrap();
-        assert_eq!(store.latest_committed(), Some(5));
+        assert_eq!(store.latest_committed(u64::MAX), Some(5));
         let _ = fs::remove_dir_all(store.root());
     }
 
@@ -486,19 +467,9 @@ mod tests {
         // A newer but uncommitted step must be ignored.
         store.write_shard(&shard(11, 0, 1)).unwrap();
         assert_eq!(store.committed_steps(), vec![2, 4, 7]);
-        assert_eq!(store.latest_committed(), Some(7));
-        let _ = fs::remove_dir_all(store.root());
-    }
-
-    #[test]
-    fn prune_keeps_newest_committed() {
-        let store = CheckpointStore::new(scratch("prune"));
-        for step in [1u64, 2, 3, 4] {
-            store.write_shard(&shard(step, 0, 1)).unwrap();
-            store.commit(step, 1).unwrap();
-        }
-        assert_eq!(store.prune(2), vec![1, 2]);
-        assert_eq!(store.committed_steps(), vec![3, 4]);
+        assert_eq!(store.latest_committed(u64::MAX), Some(7));
+        assert_eq!(store.latest_committed(6), Some(4));
+        assert_eq!(store.latest_committed(1), None);
         let _ = fs::remove_dir_all(store.root());
     }
 
@@ -541,8 +512,6 @@ mod tests {
         let store = CheckpointStore::new(&root);
         assert_eq!(store.committed_steps(), vec![5]);
         assert_eq!(store.load_shard(5, 1).unwrap(), shard(5, 1, 2));
-        assert_eq!(store.prune(0), vec![5]);
-        assert!(!dir.exists());
         let _ = fs::remove_dir_all(&root);
         let _ = fs::remove_dir_all(written.root());
     }
@@ -634,11 +603,14 @@ mod tests {
             CheckpointStore::new(scratch("backend")).with_backend(Arc::new(MemBackend::default()));
         store.write_shard(&shard(4, 0, 1)).unwrap();
         assert_eq!(store.shard_count(4), 1);
-        assert_eq!(store.latest_committed(), None, "uncommitted is invisible");
+        assert_eq!(
+            store.latest_committed(u64::MAX),
+            None,
+            "uncommitted is invisible"
+        );
         store.commit(4, 1).unwrap();
-        assert_eq!(store.latest_committed(), Some(4));
+        assert_eq!(store.latest_committed(u64::MAX), Some(4));
         assert_eq!(store.load_shard(4, 0).unwrap(), shard(4, 0, 1));
-        assert!(store.prune(0).is_empty(), "prune defers to backend GC");
         assert!(
             !store.root().exists(),
             "backend-wired store writes nothing under its root"
@@ -668,7 +640,7 @@ mod tests {
             let ckpt = shard(6, c.rank() as u32, 4);
             write_coordinated(c, s, &ckpt).unwrap();
         });
-        assert_eq!(s.latest_committed(), Some(6));
+        assert_eq!(s.latest_committed(u64::MAX), Some(6));
         assert_eq!(s.shard_count(6), 4);
         for rank in 0..4 {
             assert_eq!(s.load_shard(6, rank).unwrap().rank, rank);

@@ -128,10 +128,19 @@ pub struct LineLog {
 }
 
 impl LineLog {
-    /// Open (or create) the log at `path`, and its directory.
+    /// Open (or create) the log at `path`, and its directory. Creating
+    /// the file fsyncs the directory, so the new entry survives an OS
+    /// crash; reopening an existing log syncs nothing.
     pub fn open(path: &Path) -> io::Result<LineLog> {
         fs::create_dir_all(dir_of(path))?;
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
+        let file = match OpenOptions::new().append(true).open(path) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                let file = OpenOptions::new().create(true).append(true).open(path)?;
+                sync_dir(dir_of(path))?;
+                file
+            }
+            opened => opened?,
+        };
         let written = file.metadata()?.len();
         Ok(LineLog {
             path: path.to_path_buf(),
@@ -168,8 +177,9 @@ impl LineLog {
 
     /// Start a fresh file, keeping the current one as `<path>.1` and
     /// shifting older generations up, so at most `keep` survive (with 0,
-    /// none); then fsync the directory. A filesystem error closes the
-    /// log rather than leave it to grow past its cap.
+    /// none); creating the fresh file fsyncs the directory, renames and
+    /// all. A filesystem error closes the log rather than leave it to grow
+    /// past its cap.
     pub fn rotate(&mut self, keep: usize) -> io::Result<()> {
         self.file = None;
         let generation = |n: usize| PathBuf::from(format!("{}.{n}", self.path.display()));
@@ -183,7 +193,6 @@ impl LineLog {
             }
             fs::rename(&self.path, generation(1))?;
         }
-        sync_dir(dir_of(&self.path))?;
         *self = LineLog::open(&self.path)?;
         Ok(())
     }

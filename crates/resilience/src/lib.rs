@@ -17,9 +17,10 @@
 //!   (tmp, fsync, rename, fsync the directory) for one file or a batch,
 //!   and the append-only line log the server's journal and event log
 //!   share;
-//! * [`recovery`] — the restart loop: run under a fault plan, detect rank
-//!   deaths (surfaced by `agcm-mps` as typed failures, not panics), resume
-//!   from the latest committed checkpoint, and verify nothing by luck —
+//! * [`recovery`] — the restart loop every model run goes through: run
+//!   under a fault plan, detect rank deaths (surfaced by `agcm-mps` as
+//!   typed failures, not panics), resume from the latest checkpoint
+//!   committed at or below the run's horizon, and verify nothing by luck —
 //!   the model being a deterministic function of (state, step) makes
 //!   recovered runs bit-identical to uninterrupted ones;
 //! * [`metrics`] — counters aggregating what the fault plane and recovery
@@ -41,5 +42,5 @@ pub use coordinator::{write_coordinated, CheckpointStore, ShardBackend, StoreErr
 pub use durable::write_atomic;
 pub use metrics::ResilienceMetrics;
 pub use recovery::{
-    run_recovered, AttemptFailure, RecoveryError, RecoveryOptions, RunProgress, RunReport,
+    run_recovered, AttemptFailure, RecoveryError, ResilienceOpts, RunProgress, RunReport,
 };

@@ -1,12 +1,14 @@
 //! Restart-from-last-checkpoint recovery driver.
 //!
-//! [`run_recovered`] wraps [`agcm_mps::run_with_faults`] in an attempt
-//! loop: each attempt looks up the latest committed checkpoint and passes
-//! the resume step into the model body; if any rank fails (planned kill,
-//! or a communication abort cascading from a dead peer) the attempt is
-//! recorded and the run restarts from the last committed step. Because the
-//! model is a deterministic function of (state, step), a restarted run
-//! continues bit-identically with an uninterrupted one.
+//! [`run_recovered`] wraps [`agcm_mps::run_world`] in an attempt loop:
+//! each attempt looks up the latest checkpoint committed at or below the
+//! run's horizon and passes that resume step into the model body; if any
+//! rank fails (planned kill, or a communication abort cascading from a
+//! dead peer) the attempt is recorded and the run restarts from the last
+//! committed step. Because the model is a deterministic function of
+//! (state, step), a restarted run continues bit-identically with an
+//! uninterrupted one. A plain run is the same loop with
+//! [`ResilienceOpts::default`]: no store, no restarts, no plan.
 
 use crate::coordinator::{CheckpointStore, StoreError};
 use crate::metrics::ResilienceMetrics;
@@ -16,6 +18,7 @@ use agcm_mps::span::SpanObserver;
 use agcm_mps::trace::WorldTrace;
 use agcm_mps::{CancelToken, Comm};
 use std::fmt;
+use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Observes the progress of a recovered run, live: attempt starts (with
@@ -33,41 +36,82 @@ pub trait RunProgress: Send + Sync {
     fn on_checkpoint(&self, _step: u64) {}
 }
 
-/// Knobs for the recovery loop.
-#[derive(Clone)]
-pub struct RecoveryOptions {
-    /// Maximum number of restarts after the first attempt.
+/// Knobs for a recovered run: where checkpoints live, how often to
+/// restart, and what the run's worlds are handed.
+#[derive(Clone, Default)]
+pub struct ResilienceOpts {
+    /// Where checkpoints live; `None` = a plain run that neither resumes
+    /// nor checkpoints.
+    pub store: Option<CheckpointStore>,
+    /// Restarts allowed after the first attempt.
     pub max_restarts: usize,
+    /// Fault plan for the *first* attempt (a restart models the failed
+    /// node being replaced, so later attempts run fault-free).
+    pub plan: Option<FaultPlan>,
     /// Cooperative cancellation token threaded into every attempt's world.
     /// Cancellation is not a fault: a cancelled attempt is never retried
     /// and surfaces as [`RecoveryError::Cancelled`].
     pub cancel: Option<CancelToken>,
-    /// Live progress observer (attempt starts); also handed to the model
-    /// body via the options it was built from for checkpoint commits.
+    /// Live progress observer: attempt starts from the recovery loop,
+    /// checkpoint commits from the model body.
     pub progress: Option<Arc<dyn RunProgress>>,
     /// Live span observer threaded into every attempt's world.
     pub spans: Option<Arc<dyn SpanObserver>>,
 }
 
-impl Default for RecoveryOptions {
-    fn default() -> RecoveryOptions {
-        RecoveryOptions {
-            max_restarts: 3,
-            cancel: None,
-            progress: None,
-            spans: None,
-        }
-    }
-}
-
-impl fmt::Debug for RecoveryOptions {
+impl fmt::Debug for ResilienceOpts {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RecoveryOptions")
+        f.debug_struct("ResilienceOpts")
+            .field("store", &self.store)
             .field("max_restarts", &self.max_restarts)
+            .field("plan", &self.plan)
             .field("cancel", &self.cancel)
             .field("progress", &self.progress.as_ref().map(|_| "RunProgress"))
             .field("spans", &self.spans.as_ref().map(|_| "SpanObserver"))
             .finish()
+    }
+}
+
+impl ResilienceOpts {
+    /// Checkpoints under `dir`, three restarts, no injected faults.
+    pub fn new(dir: impl Into<PathBuf>) -> ResilienceOpts {
+        ResilienceOpts::from_store(CheckpointStore::new(dir))
+    }
+
+    /// Checkpoints in an explicit store — e.g. one wired to a shared
+    /// `ShardBackend` so the run resumes from (and contributes to) the
+    /// fleet-wide content-addressed store instead of a private
+    /// directory.
+    pub fn from_store(store: CheckpointStore) -> ResilienceOpts {
+        ResilienceOpts {
+            store: Some(store),
+            max_restarts: 3,
+            ..ResilienceOpts::default()
+        }
+    }
+
+    /// Builder-style: inject this fault plan on the first attempt.
+    pub fn with_plan(mut self, plan: FaultPlan) -> ResilienceOpts {
+        self.plan = Some(plan);
+        self
+    }
+
+    /// Builder-style: thread this cancellation token through the run.
+    pub fn with_cancel(mut self, token: CancelToken) -> ResilienceOpts {
+        self.cancel = Some(token);
+        self
+    }
+
+    /// Builder-style: observe attempts and checkpoint commits live.
+    pub fn with_progress(mut self, progress: Arc<dyn RunProgress>) -> ResilienceOpts {
+        self.progress = Some(progress);
+        self
+    }
+
+    /// Builder-style: observe phase boundaries live.
+    pub fn with_spans(mut self, spans: Arc<dyn SpanObserver>) -> ResilienceOpts {
+        self.spans = Some(spans);
+        self
     }
 }
 
@@ -86,7 +130,7 @@ pub struct AttemptFailure {
 #[derive(Debug)]
 pub struct RunReport<R> {
     /// Per-rank results of the successful attempt, in rank order.
-    pub results: Vec<R>,
+    pub ranks: Vec<R>,
     /// Total attempts made (1 = no restart was needed).
     pub attempts: usize,
     /// The failed attempts, in order.
@@ -159,36 +203,39 @@ impl std::error::Error for RecoveryError {
     }
 }
 
-/// Run `body` on `n` ranks with restart-based recovery.
+/// Run `body` on `n` ranks with restart-based recovery, to step
+/// `horizon`.
 ///
-/// `plan_for(attempt)` supplies the fault plan for each attempt — typically
-/// a plan with a kill for attempt 0 and `None` afterwards (the "node was
-/// replaced" scenario). `body` receives the communicator and the resume
-/// step (`None` on a cold start); it is responsible for loading its shard
-/// from the store and for writing checkpoints as it goes. A rank that
-/// returns an error ends the run with it at once: that is a verdict on
-/// the checkpoint or the store, not a fault a restart could cure.
-pub fn run_recovered<R, F, P>(
+/// Each attempt resumes from the latest step committed in `opts.store` at
+/// or below `horizon` — never past it, whatever else the store holds —
+/// and the first attempt alone runs under `opts.plan`. `body` receives the
+/// communicator and that resume step (`None` on a cold start); it is
+/// responsible for loading its shard from the store and for writing
+/// checkpoints as it goes. A rank that returns an error ends the run with
+/// it at once: that is a verdict on the checkpoint or the store, not a
+/// fault a restart could cure.
+pub fn run_recovered<R, F>(
     n: usize,
-    opts: RecoveryOptions,
-    store: &CheckpointStore,
-    mut plan_for: P,
+    horizon: u64,
+    opts: &ResilienceOpts,
     body: F,
 ) -> Result<RunReport<R>, RecoveryError>
 where
     F: Fn(&Comm, Option<u64>) -> Result<R, RecoveryError> + Sync,
     R: Send,
-    P: FnMut(usize) -> Option<FaultPlan>,
 {
     let mut failures: Vec<AttemptFailure> = Vec::new();
     let mut merged_events: Vec<Vec<FaultEvent>> = (0..n).map(|_| Vec::new()).collect();
     for attempt in 0..=opts.max_restarts {
-        let resume = store.latest_committed();
+        let resume = opts
+            .store
+            .as_ref()
+            .and_then(|store| store.latest_committed(horizon));
         if let Some(progress) = &opts.progress {
             progress.on_attempt(attempt, resume);
         }
         let world_opts = WorldOptions {
-            plan: plan_for(attempt),
+            plan: opts.plan.clone().filter(|_| attempt == 0),
             cancel: opts.cancel.clone(),
             spans: opts.spans.clone(),
         };
@@ -208,9 +255,9 @@ where
         if out.all_ok() {
             let metrics = ResilienceMetrics::tally(attempt + 1, &failures, &merged_events);
             let trace = std::mem::take(&mut out.trace);
-            let results = out.into_results().into_iter();
+            let ranks = out.into_results().into_iter();
             return Ok(RunReport {
-                results: results.map(|r| r.expect("no rank refused")).collect(),
+                ranks: ranks.map(|r| r.expect("no rank refused")).collect(),
                 attempts: attempt + 1,
                 failures,
                 fault_events: merged_events,
@@ -250,16 +297,20 @@ mod tests {
     use crate::checkpoint::ModelCheckpoint;
     use crate::coordinator::write_coordinated;
     use agcm_grid::halo::HaloField;
-    use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    fn scratch(tag: &str) -> PathBuf {
+    /// Options checkpointing into a fresh scratch directory.
+    fn scratch(tag: &str) -> ResilienceOpts {
         static COUNTER: AtomicU64 = AtomicU64::new(0);
         let n = COUNTER.fetch_add(1, Ordering::Relaxed);
         let dir =
             std::env::temp_dir().join(format!("agcm-recovery-{tag}-{}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        dir
+        ResilienceOpts::new(dir)
+    }
+
+    fn store(opts: &ResilienceOpts) -> &CheckpointStore {
+        opts.store.as_ref().expect("scratch options have a store")
     }
 
     /// A toy iterative "model": per-rank counter advanced one per step,
@@ -267,9 +318,10 @@ mod tests {
     fn toy_model(
         c: &Comm,
         resume: Option<u64>,
-        store: &CheckpointStore,
+        opts: &ResilienceOpts,
         steps: u64,
     ) -> Result<f64, RecoveryError> {
+        let store = store(opts);
         let world = c.size() as u32;
         let rank = c.rank() as u32;
         let (start, mut value) = match resume {
@@ -300,44 +352,23 @@ mod tests {
 
     #[test]
     fn no_faults_single_attempt() {
-        let store = CheckpointStore::new(scratch("clean"));
-        let report = run_recovered(
-            2,
-            RecoveryOptions::default(),
-            &store,
-            |_| None,
-            |c, resume| toy_model(c, resume, &store, 6),
-        )
-        .unwrap();
+        let opts = scratch("clean");
+        let report = run_recovered(2, 6, &opts, |c, r| toy_model(c, r, &opts, 6)).unwrap();
         assert_eq!(report.attempts, 1);
         assert!(report.failures.is_empty());
         assert_eq!(report.metrics.restarts, 0);
-        let _ = std::fs::remove_dir_all(store.root());
+        let _ = std::fs::remove_dir_all(store(&opts).root());
     }
 
     #[test]
     fn killed_rank_recovers_bit_identically() {
         // Baseline: uninterrupted run.
-        let baseline_store = CheckpointStore::new(scratch("baseline"));
-        let baseline = run_recovered(
-            3,
-            RecoveryOptions::default(),
-            &baseline_store,
-            |_| None,
-            |c, r| toy_model(c, r, &baseline_store, 9),
-        )
-        .unwrap();
+        let clean = scratch("baseline");
+        let baseline = run_recovered(3, 9, &clean, |c, r| toy_model(c, r, &clean, 9)).unwrap();
 
         // Faulted: rank 1 dies at step 5 on the first attempt.
-        let store = CheckpointStore::new(scratch("killed"));
-        let report = run_recovered(
-            3,
-            RecoveryOptions::default(),
-            &store,
-            |attempt| (attempt == 0).then(|| FaultPlan::seeded(1).with_kill(1, 5)),
-            |c, r| toy_model(c, r, &store, 9),
-        )
-        .unwrap();
+        let opts = scratch("killed").with_plan(FaultPlan::seeded(1).with_kill(1, 5));
+        let report = run_recovered(3, 9, &opts, |c, r| toy_model(c, r, &opts, 9)).unwrap();
 
         assert_eq!(report.attempts, 2);
         assert_eq!(report.failures.len(), 1);
@@ -350,32 +381,22 @@ mod tests {
         assert_eq!(report.metrics.ranks_killed, 1);
         // Bit-identical continuation: the recovered run's results equal the
         // uninterrupted run's, exactly.
-        assert_eq!(report.results, baseline.results);
-        let _ = std::fs::remove_dir_all(store.root());
-        let _ = std::fs::remove_dir_all(baseline_store.root());
+        assert_eq!(report.ranks, baseline.ranks);
+        let _ = std::fs::remove_dir_all(store(&opts).root());
+        let _ = std::fs::remove_dir_all(store(&clean).root());
     }
 
     #[test]
     fn cancelled_run_is_not_retried() {
-        let store = CheckpointStore::new(scratch("cancel"));
         let token = CancelToken::new();
         token.cancel();
-        let err = run_recovered(
-            2,
-            RecoveryOptions {
-                max_restarts: 5,
-                cancel: Some(token),
-                ..RecoveryOptions::default()
-            },
-            &store,
-            |_| None,
-            |c, r| toy_model(c, r, &store, 4),
-        )
-        .unwrap_err();
+        let mut opts = scratch("cancel").with_cancel(token);
+        opts.max_restarts = 5;
+        let err = run_recovered(2, 4, &opts, |c, r| toy_model(c, r, &opts, 4)).unwrap_err();
         // Cancellation must surface typed and untried — one attempt, not
         // six restarts of a run nobody wants anymore.
         assert_eq!(err, RecoveryError::Cancelled { attempts: 1 });
-        let _ = std::fs::remove_dir_all(store.root());
+        let _ = std::fs::remove_dir_all(store(&opts).root());
     }
 
     #[test]
@@ -389,81 +410,68 @@ mod tests {
                 self.attempts.lock().unwrap().push((attempt, resumed_from));
             }
         }
-        let store = CheckpointStore::new(scratch("progress"));
-        let recorder = std::sync::Arc::new(Recorder::default());
-        let report = run_recovered(
-            2,
-            RecoveryOptions {
-                progress: Some(recorder.clone()),
-                ..RecoveryOptions::default()
-            },
-            &store,
-            |attempt| (attempt == 0).then(|| FaultPlan::seeded(1).with_kill(0, 3)),
-            |c, r| toy_model(c, r, &store, 6),
-        )
-        .unwrap();
+        let recorder = Arc::new(Recorder::default());
+        let opts = scratch("progress")
+            .with_plan(FaultPlan::seeded(1).with_kill(0, 3))
+            .with_progress(recorder.clone());
+        let report = run_recovered(2, 6, &opts, |c, r| toy_model(c, r, &opts, 6)).unwrap();
         assert_eq!(report.attempts, 2);
         // Cold start, then a resume from the step-2 checkpoint.
         assert_eq!(
             *recorder.attempts.lock().unwrap(),
             vec![(0, None), (1, Some(2))]
         );
-        let _ = std::fs::remove_dir_all(store.root());
+        let _ = std::fs::remove_dir_all(store(&opts).root());
     }
 
     #[test]
     fn a_refusing_rank_ends_the_run_untried() {
-        let store = CheckpointStore::new(scratch("refuse"));
         let attempts = AtomicU64::new(0);
         let foreign = RecoveryError::ForeignCheckpoint {
             step: 2,
             rank: 1,
             reason: "a 4x3x1 field, the subdomain is 1x1x1".to_string(),
         };
-        let err = run_recovered(
-            3,
-            RecoveryOptions::default(),
-            &store,
-            // A kill on the first attempt: the resumed second one refuses.
-            |attempt| (attempt == 0).then(|| FaultPlan::seeded(1).with_kill(0, 3)),
-            |c, r| {
-                if c.rank() == 0 {
-                    attempts.fetch_add(1, Ordering::SeqCst);
-                }
-                match r {
-                    Some(_) if c.rank() == 1 => Err(foreign.clone()),
-                    _ => toy_model(c, r, &store, 6),
-                }
-            },
-        )
+        // A kill on the first attempt: the resumed second one refuses.
+        let opts = scratch("refuse").with_plan(FaultPlan::seeded(1).with_kill(0, 3));
+        let err = run_recovered(3, 6, &opts, |c, r| {
+            if c.rank() == 0 {
+                attempts.fetch_add(1, Ordering::SeqCst);
+            }
+            match r {
+                Some(_) if c.rank() == 1 => Err(foreign.clone()),
+                _ => toy_model(c, r, &opts, 6),
+            }
+        })
         .unwrap_err();
         assert_eq!(err, foreign);
         assert_eq!(attempts.load(Ordering::SeqCst), 2, "no third attempt");
-        let _ = std::fs::remove_dir_all(store.root());
+        let _ = std::fs::remove_dir_all(store(&opts).root());
     }
 
     #[test]
     fn unrecoverable_kill_exhausts_restarts() {
-        let store = CheckpointStore::new(scratch("exhaust"));
-        // The same rank dies at the same step on *every* attempt.
-        let err = run_recovered(
-            2,
-            RecoveryOptions {
-                max_restarts: 2,
-                ..RecoveryOptions::default()
-            },
-            &store,
-            |_| Some(FaultPlan::seeded(0).with_kill(0, 1)),
-            |c, r| toy_model(c, r, &store, 4),
-        )
-        .unwrap_err();
+        let mut opts = scratch("exhaust").with_plan(FaultPlan::seeded(0).with_kill(0, 1));
+        opts.max_restarts = 0;
+        let err = run_recovered(2, 4, &opts, |c, r| toy_model(c, r, &opts, 4)).unwrap_err();
         match err {
             RecoveryError::RestartsExhausted { attempts, failures } => {
-                assert_eq!(attempts, 3);
-                assert_eq!(failures.len(), 3);
+                assert_eq!(attempts, 1);
+                assert_eq!(failures.len(), 1);
             }
             other => panic!("unexpected error {other:?}"),
         }
-        let _ = std::fs::remove_dir_all(store.root());
+        let _ = std::fs::remove_dir_all(store(&opts).root());
+    }
+
+    #[test]
+    fn only_the_first_attempt_runs_under_the_plan() {
+        // The kill fires on every attempt that carries the plan; with
+        // restarts left, the run ends after exactly one failure.
+        let opts = scratch("first-only").with_plan(FaultPlan::seeded(0).with_kill(0, 1));
+        let report = run_recovered(2, 4, &opts, |c, r| toy_model(c, r, &opts, 4)).unwrap();
+        assert_eq!(report.attempts, 2);
+        assert_eq!(report.failures.len(), 1);
+        let _ = std::fs::remove_dir_all(store(&opts).root());
     }
 }

@@ -233,7 +233,7 @@ fn store_history(root: &Path) -> Arc<Store> {
     repeating.extend_from_slice(&bytes(4, 100));
     store.put_shard(0xD, 2, 0, 1, &repeating).unwrap();
     let job = CheckpointStore::new(root.join("unused"))
-        .with_backend(Arc::new(JobStoreBackend::new(store.clone(), 0xC, 10)));
+        .with_backend(Arc::new(JobStoreBackend::new(store.clone(), 0xC)));
     job.write_shard(&sample(10, 0, 1, 7)).unwrap();
     job.commit(10, 1).unwrap();
     store.acquire(0xA, 1);
@@ -361,8 +361,8 @@ fn parent_written_store_directory_and_shard_read_back() {
     assert_eq!(store.get_shard(0xA, 1, 1).unwrap(), bytes(2, 1300));
     assert_eq!(store.committed_steps(0xA), vec![1]);
     let job = CheckpointStore::new(root.join("unused"))
-        .with_backend(Arc::new(JobStoreBackend::new(store.clone(), 0xC, 10)));
-    assert_eq!(job.latest_committed(), Some(10));
+        .with_backend(Arc::new(JobStoreBackend::new(store.clone(), 0xC)));
+    assert_eq!(job.latest_committed(10), Some(10));
     assert_eq!(job.load_shard(10, 0).unwrap(), sample(10, 0, 1, 7));
     assert_eq!(
         fs::read(root.join("index")).unwrap(),
@@ -399,15 +399,12 @@ fn a_parent_written_store_resumes_and_takes_version_2_shards() {
     let root = scratch("fixture-extend");
     copy_tree(&fixtures().join("store"), &root);
     let job = |store: &Arc<Store>| {
-        CheckpointStore::new(root.join("unused")).with_backend(Arc::new(JobStoreBackend::new(
-            store.clone(),
-            0xC,
-            30,
-        )))
+        CheckpointStore::new(root.join("unused"))
+            .with_backend(Arc::new(JobStoreBackend::new(store.clone(), 0xC)))
     };
     let store = Arc::new(Store::open_with_chunk_size(&root, 512).unwrap());
     // Resume from the version-1 step, then commit a version-2 one.
-    assert_eq!(job(&store).latest_committed(), Some(10));
+    assert_eq!(job(&store).latest_committed(30), Some(10));
     assert_eq!(job(&store).load_shard(10, 0).unwrap(), sample(10, 0, 1, 7));
     let later = sample(20, 0, 1, 8);
     job(&store).write_shard(&later).unwrap();
@@ -595,7 +592,7 @@ fn chunked_checkpoint(
     }
     let store = Arc::new(Store::open_with_chunk_size(&root, 512).unwrap());
     let job = CheckpointStore::new(root.join("unused"))
-        .with_backend(Arc::new(JobStoreBackend::new(store.clone(), 0xC, 10)));
+        .with_backend(Arc::new(JobStoreBackend::new(store.clone(), 0xC)));
     let ckpt = sample(10, 0, 1, 7);
     if !parent {
         job.write_shard(&ckpt).unwrap();
@@ -808,11 +805,8 @@ fn a_store_written_with_64_kib_chunks_works_at_the_default() {
     const OLD_CHUNK: usize = 64 * 1024;
     let root = scratch("mixed-chunks");
     let job = |store: &Arc<Store>| {
-        CheckpointStore::new(root.join("unused")).with_backend(Arc::new(JobStoreBackend::new(
-            store.clone(),
-            0xAB,
-            20,
-        )))
+        CheckpointStore::new(root.join("unused"))
+            .with_backend(Arc::new(JobStoreBackend::new(store.clone(), 0xAB)))
     };
     let old = paper_checkpoint(10);
     let old_record = old.encode(ByteOrder::Little);

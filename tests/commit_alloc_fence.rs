@@ -115,7 +115,7 @@ fn a_warmed_commit_and_load_never_hold_a_record() {
     let _ = std::fs::remove_dir_all(&root);
     let store = Arc::new(Store::open(&root).unwrap());
     let job = CheckpointStore::new(root.join("unused"))
-        .with_backend(Arc::new(JobStoreBackend::new(store.clone(), 0xFE, 100)));
+        .with_backend(Arc::new(JobStoreBackend::new(store.clone(), 0xFE)));
     let warm_up = paper_checkpoint(10);
     job.write_shard(&warm_up).unwrap();
     job.commit(10, 1).unwrap();

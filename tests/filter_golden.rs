@@ -40,7 +40,7 @@ fn state_digest(cfg: AgcmConfig, tag: &str) -> u64 {
         std::env::temp_dir().join(format!("agcm-filter-golden-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let opts = ResilienceOpts::new(&dir);
-    let store = opts.store.clone();
+    let store = opts.store.clone().expect("a directory store");
     let run = run_model_resilient(cfg.with_checkpointing(cfg.steps), opts).expect("clean run");
     assert_eq!(run.attempts, 1);
     let per_rank: Vec<Vec<HaloField>> = (0..cfg.size())

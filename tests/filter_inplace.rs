@@ -25,7 +25,7 @@ use ucla_agcm_repro::grid::decomp::Decomp;
 use ucla_agcm_repro::grid::field::Field3D;
 use ucla_agcm_repro::grid::halo::HaloField;
 use ucla_agcm_repro::grid::latlon::GridSpec;
-use ucla_agcm_repro::mps::runtime::{run, run_traced, run_with_faults};
+use ucla_agcm_repro::mps::runtime::{run, run_traced, run_world, WorldOptions};
 use ucla_agcm_repro::mps::topology::CartComm;
 use ucla_agcm_repro::mps::{Comm, Event, FaultAction, FaultPlan};
 
@@ -275,7 +275,11 @@ fn first_forward_message(mesh: (usize, usize)) -> (usize, u64) {
 fn outcome(mesh: (usize, usize), plan: FaultPlan) -> Result<u64, String> {
     let decomp = Decomp::new(grid(), mesh.0, mesh.1);
     let ended = catch_unwind(AssertUnwindSafe(|| {
-        run_with_faults(decomp.size(), Some(plan), |comm| {
+        let planned = WorldOptions {
+            plan: Some(plan),
+            ..WorldOptions::default()
+        };
+        run_world(decomp.size(), planned, |comm| {
             rank_body(comm, mesh, LbFft, Aggregated)
         })
     }));

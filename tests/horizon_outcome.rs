@@ -4,19 +4,30 @@
 //! a decoded state gives, bit for bit — `max_wind`, `stable` and the
 //! load series — and both must be the serial definitions (every value
 //! finite; the largest |u|, |v|), computed here without the lane folds.
+//!
+//! A run never resumes past its own horizon: whatever else the store
+//! holds, every backend resumes at the latest commit at or below it.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use ucla_agcm_repro::agcm::{run_model_resilient, AgcmConfig, RankOutcome, ResilienceOpts};
+use agcm_ckptstore::{JobStoreBackend, Store};
+use ucla_agcm_repro::agcm::{
+    run_model, run_model_resilient, AgcmConfig, RankOutcome, ResilienceOpts,
+};
 use ucla_agcm_repro::dynamics::ModelState;
+use ucla_agcm_repro::ensemble::{Ensemble, EnsembleConfig, JobSpec, JobStatus, JobView};
 use ucla_agcm_repro::filtering::driver::FilterVariant;
 use ucla_agcm_repro::grid::arakawa::Variable;
 use ucla_agcm_repro::grid::history::ByteOrder;
 use ucla_agcm_repro::grid::latlon::GridSpec;
 use ucla_agcm_repro::grid::Decomp;
-use ucla_agcm_repro::resilience::{fnv1a, write_atomic, CheckpointStore, ModelCheckpoint};
+use ucla_agcm_repro::resilience::{
+    fnv1a, run_recovered, write_atomic, CheckpointStore, ModelCheckpoint, ShardBackend,
+};
 
 /// The step every shard here is committed at: the runs' horizon.
 const H: u64 = 4;
@@ -204,4 +215,86 @@ fn big_endian_and_version_1_records_fold_to_their_decoded_outcome() {
         let ranks = assert_fold_is_decode(tag, cfg, &unchanged, encode);
         assert!(ranks.iter().all(|r| r.stable && r.max_wind > 10.0), "{tag}");
     }
+}
+
+/// A two-rank run of `steps` steps that commits every six.
+fn six_step_commits(steps: usize) -> AgcmConfig {
+    AgcmConfig::for_grid(GridSpec::new(24, 12, 2), 1, 2, FilterVariant::LbFft)
+        .with_steps(steps)
+        .with_checkpointing(6)
+}
+
+#[test]
+fn a_shorter_run_on_a_directory_store_ignores_a_commit_past_its_horizon() {
+    let dir = scratch("past-dir");
+    run_model_resilient(six_step_commits(6), ResilienceOpts::new(&dir)).unwrap();
+    assert_eq!(CheckpointStore::new(&dir).committed_steps(), vec![6]);
+    let short = run_model_resilient(six_step_commits(4), ResilienceOpts::new(&dir)).unwrap();
+    assert_eq!(short.attempts, 1);
+    assert_eq!(short.ranks, run_model(six_step_commits(4)).ranks);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_shorter_ensemble_job_on_a_checkpoint_dir_ignores_a_commit_past_its_horizon() {
+    let dir = scratch("past-ensemble");
+    let ensemble = Ensemble::start(EnsembleConfig {
+        rank_budget: 2,
+        ..EnsembleConfig::default()
+    });
+    let submit = |name: &str, cfg: AgcmConfig| {
+        let id = ensemble
+            .try_submit(JobSpec::new(name, cfg).with_checkpoint_dir(&dir))
+            .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(60);
+        loop {
+            if let Some(JobView::Done(record)) = ensemble.status(id) {
+                assert_eq!(record.status, JobStatus::Completed, "{name}");
+                return record.outcome;
+            }
+            assert!(Instant::now() < deadline, "{name} should finish");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    };
+    submit("long", six_step_commits(6));
+    let short = submit("short", six_step_commits(4));
+    ensemble.join();
+    assert_eq!(short, Some(run_model(six_step_commits(4)).ranks));
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_shared_store_resumes_at_the_latest_commit_at_or_below_the_horizon() {
+    let root = scratch("past-shared");
+    let store = Arc::new(Store::open(&root).unwrap());
+    let writer = JobStoreBackend::new(store.clone(), 0x11);
+    for step in [10u64, 20, 40] {
+        writer
+            .put_shard(step, 0, 1, &&[step as u8; 64][..])
+            .unwrap();
+        writer.commit(step, 1).unwrap();
+    }
+    // The backend shows every commit of its lineage; the loop picks.
+    assert_eq!(writer.committed_steps(), vec![10, 20, 40]);
+    for (lineage, horizon, want) in [
+        // The resume point is the horizon itself when a commit lands
+        // exactly there, and the commit below it otherwise.
+        (0x11, 20, Some(20)),
+        (0x11, 25, Some(20)),
+        (0x11, 100, Some(40)),
+        // Another lineage sees nothing and starts cold.
+        (0x12, 100, None),
+    ] {
+        let backend = JobStoreBackend::new(store.clone(), lineage);
+        let opts = ResilienceOpts::from_store(
+            CheckpointStore::new(root.join("unused")).with_backend(Arc::new(backend)),
+        );
+        let report = run_recovered(1, horizon, &opts, |_, resume| Ok(resume)).unwrap();
+        assert_eq!(
+            report.ranks,
+            vec![want],
+            "lineage {lineage:#x}, horizon {horizon}"
+        );
+    }
+    let _ = fs::remove_dir_all(&root);
 }
