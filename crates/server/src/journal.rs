@@ -17,12 +17,22 @@
 //! highest durable id ever seen, so dropping terminal history can never
 //! rewind the server's id counter onto already-used ids.
 //!
-//! Replay parses every line once and finds its job through an id →
-//! position map, so a restart costs time linear in the log: about 2.5,
-//! 24 and 110 ms for logs of 400, 4,000 and 16,000 finished jobs (two
-//! lines each, about 270 bytes per job) in a release build on a 2-vCPU
-//! VM, nearly all of it the JSON parse. Compaction then leaves only the live
-//! jobs for the next restart.
+//! Replay costs a checksum and one scan per line, plus a full parse
+//! only for the jobs still live. Each line's JSON is validated by
+//! [`walk_fields`], which builds no tree and reads only `event` and
+//! `job`; a `submitted` line is kept as a slice of the log and its job
+//! found through an id → position map. Only after the fold are the
+//! `tenant`, `trace` and `spec` of each live job parsed. A `job` that is
+//! not an exact integer in `0..=2^53` makes its line corrupt: a larger id
+//! would wrap the server's id counter, which starts past the highest id
+//! replayed. A restart over finished history therefore allocates a fixed
+//! number of times however long the log is, and costs time linear in
+//! it: an open takes about 1.1, 5.5 and 25 ms on logs of 400, 4,000 and
+//! 16,000 finished jobs (two lines each, about 280 bytes per job) in a
+//! release build on a 2-vCPU VM, where a `Value` tree per line took 2.5,
+//! 20 and 80 ms. The checksums and the walk take about equal shares; at
+//! 400 jobs the compaction's publish (two fsyncs) is a third of it.
+//! Compaction then leaves only the live jobs for the next restart.
 //!
 //! A job's checkpoints live in the fleet checkpoint store, never under
 //! the journal's directory. With the store attached
@@ -49,7 +59,8 @@
 use agcm_ckptstore::durable::{write_atomic, LineLog};
 use agcm_ckptstore::{frame_line, unframe_line, Store};
 use agcm_ensemble::{JobId, JobObserver, JobRecord};
-use agcm_telemetry::json::Value;
+use agcm_telemetry::json::{walk_fields, Field, ParseLimits, Value};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -57,7 +68,7 @@ use std::sync::{Arc, Mutex};
 
 /// A journaled job that has not reached a terminal state — the unit of
 /// recovery.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LiveJob {
     /// Durable (server-assigned) job id.
     pub id: u64,
@@ -75,7 +86,7 @@ pub struct LiveJob {
 }
 
 /// What replay found in the log.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReplayStats {
     /// Checksum-valid lines replayed.
     pub lines: usize,
@@ -296,80 +307,139 @@ fn push_line(out: &mut String, value: &Value) {
     frame_line(out, &value.to_string());
 }
 
-/// Replay the log: verify checksums, fold events into per-job state.
-/// Also returns the text read, so open can tell whether compaction
-/// changes it.
+/// Replay the log. Also returns the text read, so open can tell whether
+/// compaction changes it.
 fn replay(path: &Path) -> std::io::Result<(Vec<LiveJob>, ReplayStats, String)> {
-    let mut stats = ReplayStats::default();
-    // Insertion-ordered so recovered jobs resubmit in original order, with
-    // each id's position beside it. The first `submitted` of an id owns it.
-    let mut jobs: Vec<(LiveJob, bool)> = Vec::new(); // (job, terminal)
-    let mut by_id: HashMap<u64, usize> = HashMap::new();
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
         Err(e) => return Err(e),
     };
+    let (live, stats) = fold(&text);
+    Ok((live, stats, text))
+}
+
+/// The highest id a journal line may carry: every id up to it is exact
+/// as a JSON number, and the counter seeded past it cannot wrap.
+const MAX_ID: f64 = (1u64 << 53) as f64;
+
+/// A `submitted` line as the fold keeps it: its JSON, and whether a later
+/// line dispatched or finished its job.
+struct Submitted<'a> {
+    json: &'a str,
+    id: u64,
+    dispatched: bool,
+    terminal: bool,
+}
+
+/// Fold the log's events into per-job state. Every line's frame is
+/// verified and its JSON validated, but only `event` and `job` are read;
+/// a job's `tenant`, `trace` and `spec` are parsed only if it is still
+/// live after the fold.
+fn fold(text: &str) -> (Vec<LiveJob>, ReplayStats) {
+    let mut stats = ReplayStats::default();
+    // Sized by the line count, so replay allocates the same few times
+    // however long the log is.
+    let lines = text.lines().count();
+    // In log order, so recovered jobs resubmit in original order, with
+    // each id's position beside it. The first `submitted` of an id owns it.
+    let mut jobs: Vec<Submitted> = Vec::with_capacity(lines);
+    let mut by_id: HashMap<u64, usize> = HashMap::with_capacity(lines);
     for line in text.lines() {
         // Records are ordered events: after a torn or corrupt line, a
         // later `dispatched` or `terminal` could belong to a history the
         // log no longer shows, so replay stops at the first bad line.
-        let Some(value) = unframe_line(line).and_then(|json| Value::parse(json).ok()) else {
+        let Some((json, (event, id))) =
+            unframe_line(line).and_then(|json| Some((json, event_of(json)?)))
+        else {
             stats.corrupt += 1;
             break;
         };
         stats.lines += 1;
-        let event = value.get("event").and_then(Value::as_str).unwrap_or("");
-        let id = value.get("job").and_then(Value::as_f64).unwrap_or(0.0) as u64;
         stats.max_id = stats.max_id.max(id);
-        match event {
+        match &*event {
             "submitted" => {
-                let tenant = value
-                    .get("tenant")
-                    .and_then(Value::as_str)
-                    .map(str::to_string);
-                let trace = value
-                    .get("trace")
-                    .and_then(Value::as_str)
-                    .map(str::to_string);
-                let spec = value.get("spec").cloned().unwrap_or(Value::Null);
                 by_id.entry(id).or_insert(jobs.len());
-                jobs.push((
-                    LiveJob {
-                        id,
-                        tenant,
-                        spec,
-                        trace,
-                        dispatched: false,
-                    },
-                    false,
-                ));
+                jobs.push(Submitted {
+                    json,
+                    id,
+                    dispatched: false,
+                    terminal: false,
+                });
             }
             "dispatched" => {
                 if let Some(&at) = by_id.get(&id) {
-                    jobs[at].0.dispatched = true;
+                    jobs[at].dispatched = true;
                 }
             }
             "terminal" => {
                 if let Some(&at) = by_id.get(&id) {
-                    jobs[at].1 = true;
+                    jobs[at].terminal = true;
                 }
             }
             // A compaction watermark carries the pre-compaction max id
             // in its `job` field — already folded into `stats.max_id`.
-            "watermark" => {}
             _ => {}
         }
     }
     let mut live = Vec::new();
-    for (job, terminal) in jobs {
-        if terminal {
+    for job in jobs {
+        if job.terminal {
             stats.already_terminal += 1;
         } else {
-            live.push(job);
+            live.push(live_job(&job));
         }
     }
-    Ok((live, stats, text))
+    (live, stats)
+}
+
+/// A line's `event` (empty when absent or not a string) and `job` (0 when
+/// absent), each its first occurrence; `None` when the line is not valid
+/// JSON or its `job` is not an exact integer in `0..=2^53`.
+fn event_of(json: &str) -> Option<(Cow<'_, str>, u64)> {
+    let (mut event, mut job) = (None, None);
+    walk_fields(json, ParseLimits::default(), |field| match &*field.key {
+        "event" if event.is_none() => event = Some(field),
+        "job" if job.is_none() => job = Some(field),
+        _ => {}
+    })
+    .ok()?;
+    let id = match job {
+        None => 0,
+        Some(field) => {
+            let n = field.as_f64()?;
+            if n.fract() != 0.0 || !(0.0..=MAX_ID).contains(&n) {
+                return None;
+            }
+            n as u64
+        }
+    };
+    let event = event.and_then(|field| field.as_str()).unwrap_or_default();
+    Some((event, id))
+}
+
+/// The live job a `submitted` line describes: its first `tenant`, `trace`
+/// and `spec`.
+fn live_job(job: &Submitted) -> LiveJob {
+    let (mut tenant, mut trace, mut spec) = (None, None, None);
+    walk_fields(job.json, ParseLimits::default(), |field| {
+        let slot = match &*field.key {
+            "tenant" => &mut tenant,
+            "trace" => &mut trace,
+            "spec" => &mut spec,
+            _ => return,
+        };
+        slot.get_or_insert(field);
+    })
+    .expect("the fold validated this line");
+    let text = |field: Option<Field>| field.and_then(|f| f.as_str()).map(Cow::into_owned);
+    LiveJob {
+        id: job.id,
+        tenant: text(tenant),
+        spec: spec.map_or(Value::Null, |f| f.value()),
+        trace: text(trace),
+        dispatched: job.dispatched,
+    }
 }
 
 #[cfg(test)]
@@ -571,6 +641,296 @@ mod tests {
         assert_eq!(stats.corrupt, 1, "torn watermark is counted");
         assert!(live.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_job_id_that_is_not_an_exact_integer_up_to_2_pow_53_stops_replay() {
+        // `1e20` used to fold to `u64::MAX`, and the server seeds its id
+        // counter with `max_id + 1`: in release it wrapped to 0 and acked
+        // ids already in the log, in debug the start panicked.
+        let dir = std::env::temp_dir().join(format!("agcm-journal-id-{}", std::process::id()));
+        for (job, corrupt, max_id) in [
+            ("1e20", 1, 0),
+            ("9007199254740994", 1, 0),
+            ("-1", 1, 0),
+            ("1.5", 1, 0),
+            ("\"7\"", 1, 0),
+            ("null", 1, 0),
+            ("9007199254740992", 0, 1 << 53),
+            ("7e0", 0, 7),
+        ] {
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            let mut log = String::new();
+            frame_line(
+                &mut log,
+                &format!("{{\"event\":\"watermark\",\"job\":{job}}}"),
+            );
+            push_line(&mut log, &submitted_value(3, None, None, &spec()));
+            std::fs::write(dir.join(LOG_NAME), &log).unwrap();
+            let (_, live, stats) = Journal::open(&dir).unwrap();
+            assert_eq!(
+                (stats.corrupt, stats.max_id),
+                (corrupt, max_id),
+                "job {job}"
+            );
+            assert_eq!(
+                live.len(),
+                1 - corrupt,
+                "job {job}: replay stops at the line"
+            );
+        }
+        // An absent `job` still reads as 0.
+        assert_eq!(
+            event_of("{\"event\":\"watermark\"}"),
+            Some(("watermark".into(), 0))
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Replay as it was before the field walk: every line parsed into a
+    /// `Value` tree and folded, every `submitted` line's spec cloned. The
+    /// oracle for [`fold`], with one rule added since: a `job` that is
+    /// present but not an exact integer in `0..=2^53` makes its line
+    /// corrupt.
+    fn value_fold(text: &str) -> (Vec<LiveJob>, ReplayStats) {
+        let bad_id = |value: &Value| {
+            value.get("job").is_some_and(|job| {
+                job.as_f64()
+                    .is_none_or(|n| n.fract() != 0.0 || !(0.0..=MAX_ID).contains(&n))
+            })
+        };
+        let mut stats = ReplayStats::default();
+        let mut jobs: Vec<(LiveJob, bool)> = Vec::new(); // (job, terminal)
+        let mut by_id: HashMap<u64, usize> = HashMap::new();
+        for line in text.lines() {
+            let Some(value) = unframe_line(line)
+                .and_then(|json| Value::parse(json).ok())
+                .filter(|value| !bad_id(value))
+            else {
+                stats.corrupt += 1;
+                break;
+            };
+            stats.lines += 1;
+            let event = value.get("event").and_then(Value::as_str).unwrap_or("");
+            let id = value.get("job").and_then(Value::as_f64).unwrap_or(0.0) as u64;
+            stats.max_id = stats.max_id.max(id);
+            match event {
+                "submitted" => {
+                    let text_of =
+                        |k: &str| value.get(k).and_then(Value::as_str).map(str::to_string);
+                    by_id.entry(id).or_insert(jobs.len());
+                    jobs.push((
+                        LiveJob {
+                            id,
+                            tenant: text_of("tenant"),
+                            spec: value.get("spec").cloned().unwrap_or(Value::Null),
+                            trace: text_of("trace"),
+                            dispatched: false,
+                        },
+                        false,
+                    ));
+                }
+                "dispatched" => {
+                    if let Some(&at) = by_id.get(&id) {
+                        jobs[at].0.dispatched = true;
+                    }
+                }
+                "terminal" => {
+                    if let Some(&at) = by_id.get(&id) {
+                        jobs[at].1 = true;
+                    }
+                }
+                _ => {}
+            }
+        }
+        let mut live = Vec::new();
+        for (job, terminal) in jobs {
+            if terminal {
+                stats.already_terminal += 1;
+            } else {
+                live.push(job);
+            }
+        }
+        (live, stats)
+    }
+
+    /// One journal line's JSON, drawn from what the writer emits and what
+    /// it never does: reordered, duplicate and escaped keys, escaped
+    /// values, whitespace, wrong types, bad ids, missing fields, documents
+    /// that are not objects or not valid.
+    fn mutant_line(next: &mut impl FnMut(usize) -> usize) -> String {
+        fn pick<'a>(next: &mut impl FnMut(usize) -> usize, from: &[&'a str]) -> &'a str {
+            from[next(from.len())]
+        }
+        if next(12) == 0 {
+            return pick(
+                next,
+                &[
+                    "[1,2]",
+                    "\"submitted\"",
+                    "42",
+                    "null",
+                    "{}",
+                    "[]",
+                    " {} ",
+                    "{\"job\":3}x",
+                ],
+            )
+            .to_string();
+        }
+        let event = pick(
+            next,
+            &[
+                "\"submitted\"",
+                "\"submitted\"",
+                "\"submitted\"",
+                "\"dispatched\"",
+                "\"dispatched\"",
+                "\"terminal\"",
+                "\"terminal\"",
+                "\"watermark\"",
+                "\"submitt\\u0065d\"",
+                "\"other\"",
+                "5",
+                "null",
+            ],
+        );
+        let ids = ["0", "1", "2", "3", "4", "5", "6", "7", "3.0", "2e0", "-0"];
+        let bad_ids = ["1e20", "-1", "1.5", "\"3\"", "true", "9007199254740994"];
+        let job = if next(60) == 0 {
+            pick(next, &bad_ids).to_string()
+        } else if next(40) == 0 {
+            "9007199254740992".to_string()
+        } else {
+            pick(next, &ids).to_string()
+        };
+        let text = [
+            "\"alice\"",
+            "\"b\\u00f6b\"",
+            "\"é\"",
+            "7",
+            "null",
+            "[]",
+            "{\"x\":1}",
+            "\"00000000000000000000000000000abc-0000000000000123-0000000000000000\"",
+        ];
+        let spec = [
+            "{\"name\":\"j\",\"grid\":[24,12,2],\"steps\":4}",
+            "{\"name\":\"k\",\"nested\":{\"a\":[true,false,null,-1.5e3]}}",
+            "\"spec\"",
+            "[]",
+        ];
+        let deep = format!("{}1{}", "[".repeat(520), "]".repeat(520));
+        let bad_specs = ["1e999", "\"raw\ttab\"", "\"bad \\x escape\"", &deep];
+        let mut members: Vec<(String, String)> = Vec::new();
+        let key =
+            |plain: &'static str, escaped: &'static str, next: &mut dyn FnMut(usize) -> usize| {
+                if next(10) == 0 { escaped } else { plain }.to_string()
+            };
+        if next(20) != 0 {
+            members.push((key("\"event\"", "\"\\u0065vent\"", next), event.to_string()));
+        }
+        if next(20) != 0 {
+            members.push((key("\"job\"", "\"j\\u006fb\"", next), job));
+        }
+        for (name, values) in [("\"tenant\"", &text), ("\"trace\"", &text)] {
+            if next(4) != 0 {
+                members.push((name.to_string(), pick(next, values).to_string()));
+            }
+        }
+        if next(6) != 0 {
+            let value = match next(60) {
+                0 => pick(next, &bad_specs).to_string(),
+                _ => pick(next, &spec).to_string(),
+            };
+            members.push(("\"spec\"".to_string(), value));
+        }
+        if next(8) == 0 {
+            members.push(("\"status\"".to_string(), "\"completed\"".to_string()));
+        }
+        // A duplicate of a present key, before or after the original.
+        if !members.is_empty() && next(8) == 0 {
+            let (k, _) = members[next(members.len())].clone();
+            let v = match &*k {
+                "\"event\"" => pick(next, &["\"terminal\"", "\"submitted\"", "1"]).to_string(),
+                "\"job\"" => pick(next, &ids).to_string(),
+                _ => pick(next, &text).to_string(),
+            };
+            let at = next(members.len() + 1);
+            members.insert(at, (k, v));
+        }
+        if next(3) == 0 {
+            for i in (1..members.len()).rev() {
+                members.swap(i, next(i + 1));
+            }
+        }
+        let ws = |next: &mut dyn FnMut(usize) -> usize| if next(6) == 0 { " " } else { "" };
+        let mut json = String::from("{");
+        for (i, (k, v)) in members.iter().enumerate() {
+            if i > 0 {
+                json.push(',');
+            }
+            json.push_str(ws(next));
+            json.push_str(k);
+            json.push_str(ws(next));
+            json.push(':');
+            json.push_str(ws(next));
+            json.push_str(v);
+        }
+        json.push('}');
+        json
+    }
+
+    #[test]
+    fn replay_matches_the_value_fold_on_a_mutation_corpus() {
+        let mut x = 0x243f_6a88_85a3_08d3u64;
+        let mut next = |n: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % n as u64) as usize
+        };
+        let (mut lines, mut corrupt, mut live, mut terminal) = (0, 0, 0, 0);
+        for case in 0..3_000 {
+            let mut log = String::new();
+            for _ in 0..next(24) {
+                let mut json = mutant_line(&mut next);
+                match next(40) {
+                    // Broken JSON under a recomputed checksum: a character
+                    // dropped, or one of the grammar's own bytes put in.
+                    0 | 1 => {
+                        const BYTES: &[u8] = b"{}[],:\"\\ 0e-.tx";
+                        let at = json.char_indices().nth(next(json.chars().count()));
+                        let at = at.unwrap().0;
+                        if next(2) == 0 {
+                            json.remove(at);
+                        } else {
+                            json.insert(at, BYTES[next(BYTES.len())] as char);
+                        }
+                        frame_line(&mut log, &json);
+                    }
+                    // Torn: a framed line cut short, the checksum kept.
+                    2 => {
+                        let mut framed = String::new();
+                        frame_line(&mut framed, &json);
+                        let cut = framed.char_indices().nth(next(framed.chars().count() - 1));
+                        log.push_str(&framed[..cut.unwrap().0]);
+                        log.push('\n');
+                    }
+                    _ => frame_line(&mut log, &json),
+                }
+            }
+            let want = value_fold(&log);
+            let got = fold(&log);
+            assert_eq!(got, want, "case {case}:\n{log}");
+            lines += got.1.lines;
+            corrupt += got.1.corrupt;
+            live += got.0.len();
+            terminal += got.1.already_terminal;
+        }
+        println!("mutation corpus: {lines} lines replayed, {corrupt} corrupt, {live} live jobs, {terminal} terminal");
+        assert!(lines > 10_000 && corrupt > 1_000 && live > 2_000 && terminal > 200);
     }
 
     /// A live job as the tests compare it: id, tenant, trace, dispatched
