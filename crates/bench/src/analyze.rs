@@ -29,7 +29,7 @@ use agcm_grid::latlon::GridSpec;
 use agcm_mps::runtime::run;
 use agcm_mps::topology::CartComm;
 use agcm_mps::trace::PhaseFault;
-use agcm_telemetry::analysis::{analyze, TraceAnalysis, WaitReport};
+use agcm_telemetry::analysis::{analyze, TraceAnalysis};
 use agcm_telemetry::commmatrix::CommMatrix;
 use agcm_telemetry::json::Value;
 
@@ -282,7 +282,7 @@ fn wait_section(
     let mut polar_caused = Vec::new();
     for variant in [FilterVariant::FftNoLb, FilterVariant::LbFft] {
         let run = model_run(grid, (rows, cols), variant, steps);
-        let w = WaitReport::from_trace(&run.trace, machine)?;
+        let w = analyze(&run.trace, machine)?.waits;
         let caused = w.caused_by(&polar);
         polar_caused.push(caused);
 

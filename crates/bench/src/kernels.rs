@@ -42,7 +42,7 @@ use agcm_kernels::stencil::{laplace_block_into, laplace_separate_into};
 use agcm_kernels::HaloView;
 use agcm_mps::runtime::{run, run_traced};
 use agcm_mps::topology::CartComm;
-use agcm_mps::trace::{Event, WorldTrace};
+use agcm_mps::trace::{PhaseSpan, WorldTrace};
 use agcm_physics::step::{run_column, PhysicsConfig, PhysicsStep};
 use agcm_singlenode::blockarray::{laplace_separate, paper_test_fields};
 use agcm_telemetry::json::Value;
@@ -242,23 +242,20 @@ pub fn bench_step(steps: usize, reps: usize) -> PathTimes {
 pub const FD_DIVIDES_PER_POINT: usize = 3 + 2 + 4 * 2;
 
 /// Wall seconds rank 0 spent in each "fd" phase of a traced run, net of
-/// the "halo" phases nested inside it.
-fn fd_phase_seconds(trace: &WorldTrace) -> Vec<f64> {
-    let phase_events = trace.ranks[0].iter().filter(|e| e.is_phase());
-    let (mut out, mut fd_begin, mut halo_begin, mut halo) = (Vec::new(), None, 0.0, 0.0);
-    for (ev, &wall) in phase_events.zip(&trace.walls[0]) {
-        match *ev {
-            Event::PhaseBegin("fd") => (fd_begin, halo) = (Some(wall), 0.0),
-            Event::PhaseBegin("halo") => halo_begin = wall,
-            Event::PhaseEnd("halo") if fd_begin.is_some() => halo += wall - halo_begin,
-            Event::PhaseEnd("fd") => {
-                let begin: f64 = fd_begin.take().expect("fd phases are balanced");
-                out.push(wall - begin - halo);
-            }
-            _ => {}
-        }
-    }
-    out
+/// the "halo" phases nested inside it, in closing order.
+pub fn fd_phase_seconds(trace: &WorldTrace) -> Vec<f64> {
+    let spans = trace.spans().expect("phase events pair");
+    let rank0 = || spans.iter().filter(|s| s.rank == 0);
+    let wall = |s: &PhaseSpan| trace.walls[0][s.end_wall] - trace.walls[0][s.begin_wall];
+    let inside =
+        |fd: &PhaseSpan, h: &PhaseSpan| (fd.begin_event..fd.end_event).contains(&h.begin_event);
+    rank0()
+        .filter(|fd| fd.name == "fd")
+        .map(|fd| {
+            let halos = rank0().filter(|h| h.name == "halo" && inside(fd, h));
+            wall(fd) - halos.fold(0.0, |acc, h| acc + wall(h))
+        })
+        .collect()
 }
 
 /// The finite-difference phase on the paper's 9-layer grid, single rank,

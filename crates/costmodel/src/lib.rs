@@ -7,7 +7,7 @@
 //!
 //! * [`machine`] — calibrated [`machine::MachineProfile`]s: sustained flop
 //!   rate, message latency, bandwidth, and per-message CPU overheads;
-//! * [`replay`] — a discrete-event replay of a [`agcm_mps::WorldTrace`]:
+//! * [`replay`](mod@replay) — a discrete-event replay of a [`agcm_mps::WorldTrace`]:
 //!   each rank's virtual clock advances through its recorded flops and
 //!   messages, receives synchronize with the matching sends, and the result
 //!   is per-rank finish times plus per-phase breakdowns — so load imbalance

@@ -44,7 +44,7 @@ impl MachineProfile {
     /// (≈2.5× the Paragon on the AGCM, matching Tables 4 vs 6); low-latency
     /// interconnect (~20 µs through the portable message layer) at
     /// ~60 MB/s realized.
-    pub fn t3d() -> MachineProfile {
+    pub const fn t3d() -> MachineProfile {
         MachineProfile {
             name: "Cray T3D",
             flops_per_sec: 20.0e6,

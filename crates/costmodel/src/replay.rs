@@ -8,10 +8,11 @@
 //! receive whose matching send has not been simulated yet, and resumes on a
 //! later sweep. Message-passing causality guarantees progress; a sweep that
 //! advances nothing while work remains indicates a corrupt trace and
-//! panics.
+//! panics. Phase times fold the trace's [`WorldTrace::spans`] onto the
+//! schedule.
 
 use crate::machine::MachineProfile;
-use agcm_mps::trace::{imbalance, Event, WorldTrace};
+use agcm_mps::trace::{imbalance, Event, PhaseSpan, WorldTrace};
 use std::collections::HashMap;
 
 /// Result of replaying one [`WorldTrace`].
@@ -29,37 +30,21 @@ impl ReplayResult {
         self.finish_times.iter().copied().fold(0.0, f64::max)
     }
 
+    /// Each rank's time in `phase` (0 where it never ran).
+    fn per_rank<'a>(&'a self, phase: &'a str) -> impl Iterator<Item = f64> + 'a {
+        (self.phase_times.iter()).map(move |m| m.get(phase).copied().unwrap_or(0.0))
+    }
+
     /// Maximum over ranks of the time spent in `phase` — the parallel
     /// execution time attributable to that phase.
     pub fn phase_time(&self, phase: &str) -> f64 {
-        self.phase_times
-            .iter()
-            .map(|m| m.get(phase).copied().unwrap_or(0.0))
-            .fold(0.0, f64::max)
+        self.per_rank(phase).fold(0.0, f64::max)
     }
 
     /// The paper's load-imbalance metric for a phase:
     /// `(MaxLoad − AverageLoad) / AverageLoad`.
     pub fn phase_imbalance(&self, phase: &str) -> f64 {
-        let times: Vec<f64> = self
-            .phase_times
-            .iter()
-            .map(|m| m.get(phase).copied().unwrap_or(0.0))
-            .collect();
-        imbalance(&times)
-    }
-
-    /// All phase names seen on any rank.
-    pub fn phases(&self) -> Vec<&'static str> {
-        let mut names: Vec<&'static str> = Vec::new();
-        for m in &self.phase_times {
-            for k in m.keys() {
-                if !names.contains(k) {
-                    names.push(k);
-                }
-            }
-        }
-        names
+        imbalance(&self.per_rank(phase).collect::<Vec<f64>>())
     }
 }
 
@@ -195,39 +180,37 @@ pub fn schedule(trace: &WorldTrace, machine: &MachineProfile) -> EventSchedule {
 }
 
 /// Replay `trace` against `machine`, producing simulated times.
+///
+/// Panics, naming every fault, if the trace's phase events do not pair
+/// (see [`WorldTrace::spans`]).
 pub fn replay(trace: &WorldTrace, machine: &MachineProfile) -> ReplayResult {
     let sched = schedule(trace, machine);
-    let phase_times = trace
-        .ranks
-        .iter()
-        .enumerate()
-        .map(|(r, evs)| {
-            let mut open: Vec<(&'static str, f64)> = Vec::new();
-            let mut acc: HashMap<&'static str, f64> = HashMap::new();
-            for (i, ev) in evs.iter().enumerate() {
-                match *ev {
-                    Event::PhaseBegin(name) => open.push((name, sched.times[r][i].end)),
-                    Event::PhaseEnd(name) => {
-                        let (open_name, start) = open.pop().unwrap_or_else(|| {
-                            panic!("PhaseEnd({name}) without begin on rank {r}")
-                        });
-                        assert_eq!(open_name, name, "mismatched phase nesting on rank {r}");
-                        // Inner phases are *not* subtracted — phases
-                        // accumulate inclusively, as timers in the original
-                        // code would.
-                        *acc.entry(name).or_insert(0.0) += sched.times[r][i].end - start;
-                    }
-                    _ => {}
-                }
-            }
-            acc
-        })
-        .collect();
-
+    let spans = trace.spans().expect("replay of unpaired phase events");
+    let t = &sched.times;
+    let secs = |s: &PhaseSpan| t[s.rank][s.end_event].end - t[s.rank][s.begin_event].end;
+    let phase_times = phase_seconds(
+        trace.size(),
+        spans.iter().map(|s| (s.rank, s.name, secs(s))),
+    );
     ReplayResult {
         finish_times: sched.finish_times,
         phase_times,
     }
+}
+
+/// Per-rank seconds inside each named phase, from `(rank, name, seconds)`
+/// per closed phase, each name's seconds added in the order given. Inner
+/// phases are *not* subtracted — phases accumulate inclusively, as timers
+/// in the original code would.
+pub fn phase_seconds(
+    ranks: usize,
+    spans: impl IntoIterator<Item = (usize, &'static str, f64)>,
+) -> Vec<HashMap<&'static str, f64>> {
+    let mut acc = vec![HashMap::new(); ranks];
+    for (rank, name, secs) in spans {
+        *acc[rank].entry(name).or_insert(0.0) += secs;
+    }
+    acc
 }
 
 #[cfg(test)]
@@ -379,7 +362,7 @@ mod tests {
         assert_eq!(r.phase_time("physics"), 3.0);
         // imbalance = (3 - 2) / 2
         assert!((r.phase_imbalance("physics") - 0.5).abs() < 1e-12);
-        let mut phases = r.phases();
+        let mut phases: Vec<&str> = r.phase_times[1].keys().copied().collect();
         phases.sort_unstable();
         assert_eq!(phases, vec!["dynamics", "physics"]);
     }

@@ -9,7 +9,7 @@
 
 use agcm_core::{AgcmConfig, RankOutcome};
 use agcm_mps::FaultPlan;
-use agcm_telemetry::{RunSummary, TelemetrySink, TraceContext};
+use agcm_telemetry::{RunSummary, TelemetrySink};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -120,12 +120,6 @@ pub struct JobSpec {
     /// Per-job telemetry sink: the job's span observer, told of its
     /// attempts and checkpoints, and handed its finished run once.
     pub sink: Option<Arc<dyn TelemetrySink>>,
-    /// Distributed-tracing context minted by the submitter (e.g. the
-    /// serving layer at `POST /v1/jobs`). Attempt spans are derived from
-    /// it deterministically (`trace.child(attempt)`), so the same trace
-    /// id links the original request, every retry, and the rank-level
-    /// phase spans — even across a server restart.
-    pub trace: Option<TraceContext>,
     /// Fold the successful attempt's trace into a wall-time profile and
     /// skew report (off by default). Requires a `sink` to fold them
     /// (`TelemetrySink::record_finished`); a failed or cancelled job has
@@ -147,7 +141,6 @@ impl fmt::Debug for JobSpec {
             .field("has_plan", &self.plan.is_some())
             .field("has_shared_store", &self.shared_store.is_some())
             .field("has_sink", &self.sink.is_some())
-            .field("trace", &self.trace.as_ref().map(|t| t.trace_hex()))
             .field("profile", &self.profile)
             .finish()
     }
@@ -169,7 +162,6 @@ impl JobSpec {
             checkpoint_dir: None,
             shared_store: None,
             sink: None,
-            trace: None,
             profile: false,
         }
     }
@@ -220,12 +212,6 @@ impl JobSpec {
     /// Builder-style: route this job's telemetry to `sink`.
     pub fn with_sink(mut self, sink: Arc<dyn TelemetrySink>) -> JobSpec {
         self.sink = Some(sink);
-        self
-    }
-
-    /// Builder-style: attach a distributed-tracing context.
-    pub fn with_trace(mut self, trace: TraceContext) -> JobSpec {
-        self.trace = Some(trace);
         self
     }
 

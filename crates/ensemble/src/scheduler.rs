@@ -133,6 +133,10 @@ pub trait JobObserver: Send + Sync {
     }
 }
 
+/// The machine profile each completed job's virtual-time
+/// [`agcm_telemetry::RunSummary`] is derived against.
+const SUMMARY_MACHINE: MachineProfile = MachineProfile::t3d();
+
 /// Ensemble-wide knobs.
 #[derive(Debug, Clone)]
 pub struct EnsembleConfig {
@@ -143,9 +147,6 @@ pub struct EnsembleConfig {
     /// Maximum queued (admitted, not yet dispatched) jobs; submissions
     /// beyond this bounce with [`SubmitError::QueueFull`].
     pub queue_capacity: usize,
-    /// Machine profile used to derive each completed job's virtual-time
-    /// [`agcm_telemetry::RunSummary`].
-    pub machine: MachineProfile,
     /// Optional multi-tenant quotas and fair-share weights. `None`
     /// disables all tenant accounting (single-tenant behavior).
     pub tenancy: Option<TenantPolicy>,
@@ -156,7 +157,6 @@ impl Default for EnsembleConfig {
         EnsembleConfig {
             rank_budget: 8,
             queue_capacity: 64,
-            machine: MachineProfile::t3d(),
             tenancy: None,
         }
     }
@@ -941,7 +941,7 @@ fn run_job(
             // Per-job telemetry: derive the run summary and its timeline
             // from the successful attempt's trace (one replay, no per-step
             // records) and hand both to this job's own sink.
-            let summary = RunSummary::from_trace_with_timeline(&run.trace, &shared.cfg.machine)
+            let summary = RunSummary::from_trace_with_timeline(&run.trace, &SUMMARY_MACHINE)
                 .ok()
                 .map(|(mut summary, timeline)| {
                     summary.resilience = Some(ResilienceCounters {

@@ -29,7 +29,6 @@ fn tenant_config(policy: TenantPolicy) -> EnsembleConfig {
         rank_budget: 4,
         queue_capacity: 32,
         tenancy: Some(policy),
-        ..EnsembleConfig::default()
     }
 }
 
@@ -267,7 +266,6 @@ fn resubmit_bypasses_capacity_and_quota() {
         rank_budget: 1,
         queue_capacity: 1,
         tenancy: Some(TenantPolicy::default()),
-        ..EnsembleConfig::default()
     };
     let ensemble = Ensemble::start(cfg);
     let err = ensemble

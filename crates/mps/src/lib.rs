@@ -60,4 +60,4 @@ pub use message::{Packet, Payload};
 pub use runtime::{run, run_traced, run_world, FailureKind, FaultyRun, WorldOptions};
 pub use span::SpanObserver;
 pub use topology::CartComm;
-pub use trace::{Event, PhaseFault, PhaseFaultKind, WorldTrace};
+pub use trace::{Event, PhaseFault, PhaseFaultKind, PhaseSpan, WorldTrace};

@@ -8,7 +8,8 @@
 //! event list. The `agcm-costmodel` crate replays these traces against a
 //! calibrated machine profile to produce simulated seconds, and the
 //! `agcm-telemetry` crate turns them into span timelines and structured
-//! run metrics.
+//! run metrics; both read each phase as one [`PhaseSpan`], paired once by
+//! [`WorldTrace::spans`].
 //!
 //! Flop counts are *recorded by the algorithms themselves* (the kernels know
 //! their operation counts); the tracer just accumulates them, so the replay
@@ -233,7 +234,27 @@ pub struct MessagePair {
     pub recv_event: usize,
 }
 
-/// A malformed phase stream found by [`WorldTrace::validate_phases`].
+/// One closed phase on one rank: a `PhaseBegin` and the `PhaseEnd` that
+/// closes it, as paired by [`WorldTrace::spans`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PhaseSpan {
+    /// World rank the phase ran on.
+    pub rank: usize,
+    /// Phase name.
+    pub name: &'static str,
+    /// Nesting depth (0 = outermost).
+    pub depth: usize,
+    /// Index of the `PhaseBegin` event in `ranks[rank]`.
+    pub begin_event: usize,
+    /// Index of the closing `PhaseEnd` event in `ranks[rank]`.
+    pub end_event: usize,
+    /// Ordinal of the begin's wall stamp in `walls[rank]`.
+    pub begin_wall: usize,
+    /// Ordinal of the end's wall stamp in `walls[rank]`.
+    pub end_wall: usize,
+}
+
+/// A malformed phase stream found by [`WorldTrace::spans`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseFault {
     /// The rank whose stream is malformed.
@@ -398,44 +419,49 @@ impl WorldTrace {
         sends
     }
 
-    /// Check every rank's phase events for balance: each `PhaseEnd` must
-    /// close the innermost open `PhaseBegin` of the same name, and every
-    /// `PhaseBegin` must eventually be closed. Returns every fault found
-    /// (scanning continues past the first so a corrupt trace reports all
-    /// its problems at once).
-    pub fn validate_phases(&self) -> Result<(), Vec<PhaseFault>> {
-        let mut faults = Vec::new();
+    /// The library's one pairing of phase events: each `PhaseEnd` must
+    /// close the innermost open `PhaseBegin`, of the same name, and every
+    /// `PhaseBegin` must be closed. Returns every closed phase, rank by
+    /// rank and on each rank in closing order (a phase after every phase
+    /// nested in it), or else every fault: a mismatched end still closes
+    /// the innermost phase, and the scan goes on.
+    pub fn spans(&self) -> Result<Vec<PhaseSpan>, Vec<PhaseFault>> {
+        use PhaseFaultKind::*;
+        let (mut spans, mut faults) = (Vec::new(), Vec::new());
         for (rank, evs) in self.ranks.iter().enumerate() {
-            let mut open: Vec<&'static str> = Vec::new();
-            for ev in evs {
-                match ev {
-                    Event::PhaseBegin(name) => open.push(name),
-                    Event::PhaseEnd(name) => match open.pop() {
-                        Some(top) if top == *name => {}
-                        Some(top) => faults.push(PhaseFault {
+            let fault = |name, kind| PhaseFault { rank, name, kind };
+            // Open phases: (name, begin event, its wall stamp's ordinal).
+            let mut open: Vec<(&'static str, usize, usize)> = Vec::new();
+            let phase_events = evs.iter().enumerate().filter(|(_, ev)| ev.is_phase());
+            for (wall, (i, ev)) in phase_events.enumerate() {
+                match (ev, open.last()) {
+                    (&Event::PhaseBegin(name), _) => open.push((name, i, wall)),
+                    (&Event::PhaseEnd(name), None) => faults.push(fault(name, UnmatchedEnd)),
+                    (&Event::PhaseEnd(name), Some(&(top, begin_event, begin_wall))) => {
+                        open.pop();
+                        if top != name {
+                            faults.push(fault(name, MismatchedEnd { open: top }));
+                            continue;
+                        }
+                        spans.push(PhaseSpan {
                             rank,
                             name,
-                            kind: PhaseFaultKind::MismatchedEnd { open: top },
-                        }),
-                        None => faults.push(PhaseFault {
-                            rank,
-                            name,
-                            kind: PhaseFaultKind::UnmatchedEnd,
-                        }),
-                    },
+                            depth: open.len(),
+                            begin_event,
+                            end_event: i,
+                            begin_wall,
+                            end_wall: wall,
+                        });
+                    }
                     _ => {}
                 }
             }
-            for name in open {
-                faults.push(PhaseFault {
-                    rank,
-                    name,
-                    kind: PhaseFaultKind::UnclosedBegin,
-                });
+            for (name, ..) in open {
+                faults.push(fault(name, UnclosedBegin));
             }
         }
         if faults.is_empty() {
-            Ok(())
+            Ok(spans)
         } else {
             Err(faults)
         }
@@ -640,13 +666,25 @@ mod tests {
             Event::PhaseEnd("inner"),
             Event::PhaseEnd("outer"),
         ]]);
-        assert!(wt.validate_phases().is_ok());
+        let spans = wt.spans().unwrap();
+        let at = |s: &PhaseSpan| {
+            [
+                s.depth,
+                s.begin_event,
+                s.end_event,
+                s.begin_wall,
+                s.end_wall,
+            ]
+        };
+        // Closing order; the wall ordinals skip the `Flops` event.
+        assert_eq!((spans[0].name, at(&spans[0])), ("inner", [1, 1, 3, 1, 2]));
+        assert_eq!((spans[1].name, at(&spans[1])), ("outer", [0, 0, 4, 0, 3]));
     }
 
     #[test]
     fn validate_reports_unmatched_end() {
         let wt = WorldTrace::from_ranks(vec![vec![], vec![Event::PhaseEnd("ghost")]]);
-        let faults = wt.validate_phases().unwrap_err();
+        let faults = wt.spans().unwrap_err();
         assert_eq!(
             faults,
             vec![PhaseFault {
@@ -665,8 +703,8 @@ mod tests {
             Event::PhaseBegin("b"),
             Event::PhaseEnd("a"), // closes "a" while "b" is innermost
         ]]);
-        let faults = wt.validate_phases().unwrap_err();
-        // One mismatched end, and "b" stays open ("a" was popped for it).
+        let faults = wt.spans().unwrap_err();
+        // One mismatched end (it closes "b"), and "a" stays open.
         assert_eq!(faults.len(), 2);
         assert_eq!(faults[0].kind, PhaseFaultKind::MismatchedEnd { open: "b" });
         assert_eq!(faults[1].kind, PhaseFaultKind::UnclosedBegin);
@@ -679,7 +717,7 @@ mod tests {
             Event::PhaseBegin("left-open"),
             Event::Flops(1.0),
         ]]);
-        let faults = wt.validate_phases().unwrap_err();
+        let faults = wt.spans().unwrap_err();
         assert_eq!(faults.len(), 1);
         assert_eq!(faults[0].kind, PhaseFaultKind::UnclosedBegin);
         assert_eq!(faults[0].name, "left-open");

@@ -12,7 +12,8 @@
 //!
 //! Error mapping: `QueueFull`/`QuotaExceeded` → 429, `UnknownTenant` →
 //! 403, `TooLarge`/`InvalidConfig` → 400, `ShuttingDown` → 503,
-//! malformed JSON → 400, oversized body → 413.
+//! malformed JSON → 400, oversized body → 413, no job id left (past
+//! 2^53, the last exact in JSON) → 503 `ids_exhausted`.
 //!
 //! Threading: there is no accept thread. Each connection thread
 //! (`agcm-server-conn`) blocks in `accept` on the shared listener and
@@ -30,7 +31,7 @@
 
 use crate::api::{error_body, record_to_value, result_to_value, view_to_value, JobRequest};
 use crate::http::{read_request, write_response, HttpLimits, ReadError, Request, Response};
-use crate::journal::Journal;
+use crate::journal::{Journal, MAX_ID};
 use crate::log::{EventLog, LogLevel};
 use agcm_ckptstore::Store;
 use agcm_ensemble::{
@@ -415,7 +416,6 @@ impl AgcmServer {
             let spec = req
                 .to_spec(job.tenant.as_deref(), job.id)
                 .with_shared_store(Arc::clone(&store))
-                .with_trace(trace)
                 .with_sink(collector.sink(job.id));
             let spec = if cfg.profile {
                 spec.with_profile()
@@ -1061,6 +1061,9 @@ fn submit(state: &Arc<ServerState>, req: &Request) -> Response {
         return Response::json(503, error_body("shutting_down", "ensemble stopped"));
     };
     let durable = state.next_durable.fetch_add(1, Ordering::Relaxed);
+    if durable > MAX_ID {
+        return Response::json(503, error_body("ids_exhausted", "every job id is used"));
+    }
     // Mint the trace context here, at the edge: this id links the HTTP
     // request, the journal record, every scheduler decision, every
     // retry attempt and the rank-level phase spans underneath it.
@@ -1070,7 +1073,6 @@ fn submit(state: &Arc<ServerState>, req: &Request) -> Response {
     let spec = request
         .to_spec(tenant.as_deref(), durable)
         .with_shared_store(Arc::clone(&state.store))
-        .with_trace(trace)
         .with_sink(state.collector.sink(durable));
     let spec = if state.cfg.profile {
         spec.with_profile()

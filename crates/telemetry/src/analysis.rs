@@ -17,6 +17,9 @@
 //!   independently from machine parameters, so the identity is a real
 //!   cross-check, enforced by property tests.
 //!
+//! A wait, a critical-path segment or a send belongs to the innermost of
+//! the trace's [`WorldTrace::spans`] open at it ([`innermost_phases`]).
+//!
 //! [`analyze`] bundles the flows, the [`WaitReport`], the communication
 //! matrix and the critical path into one [`TraceAnalysis`] for report
 //! generators and the extended Perfetto export.
@@ -26,7 +29,7 @@ use crate::critical::CriticalPath;
 use crate::timeline::Timeline;
 use agcm_costmodel::machine::MachineProfile;
 use agcm_costmodel::replay::{schedule, EventSchedule};
-use agcm_mps::trace::{imbalance, Event, MessagePair, PhaseFault, WorldTrace};
+use agcm_mps::trace::{imbalance, Event, MessagePair, PhaseFault, PhaseSpan, WorldTrace};
 
 /// One matched message with its virtual-time geometry.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -84,28 +87,17 @@ pub struct WaitReport {
 }
 
 impl WaitReport {
-    /// Compute the report for a trace. Validates phase balance first (the
-    /// per-phase attribution needs a well-formed phase stream).
-    pub fn from_trace(
-        trace: &WorldTrace,
-        machine: &MachineProfile,
-    ) -> Result<WaitReport, Vec<PhaseFault>> {
-        trace.validate_phases()?;
-        let sched = schedule(trace, machine);
-        let flows = message_flows(trace, &sched, machine);
-        Ok(WaitReport::from_flows(trace, &sched, &flows, machine))
-    }
-
-    /// Compute the report from already-derived parts (trace must be
-    /// phase-balanced, `flows` must come from `sched`).
+    /// Compute the report from already-derived parts (`spans` are the
+    /// trace's [`WorldTrace::spans`], `flows` must come from `sched`).
     pub fn from_flows(
         trace: &WorldTrace,
+        spans: &[PhaseSpan],
         sched: &EventSchedule,
         flows: &[MessageFlow],
         machine: &MachineProfile,
     ) -> WaitReport {
         let n = trace.size();
-        let phases = innermost_phases(trace);
+        let phases = innermost_phases(trace, spans);
         let mut ranks = vec![RankWait::default(); n];
 
         for (r, evs) in trace.ranks.iter().enumerate() {
@@ -186,33 +178,39 @@ impl WaitReport {
     }
 }
 
-/// The innermost open phase at every event of every rank (`None` outside
-/// any phase). Shared by the wait report, the comm-matrix slicing and the
-/// critical path, so all three attribute to phases identically.
-pub fn innermost_phases(trace: &WorldTrace) -> Vec<Vec<Option<&'static str>>> {
-    trace
-        .ranks
-        .iter()
-        .map(|evs| {
-            let mut open: Vec<&'static str> = Vec::new();
-            evs.iter()
-                .map(|ev| {
-                    match *ev {
-                        Event::PhaseBegin(name) => {
-                            open.push(name);
-                        }
-                        Event::PhaseEnd(_) => {
-                            open.pop();
-                        }
-                        _ => {}
-                    }
-                    // A begin/end marker is attributed to the phase it
-                    // opens/closes (begin already pushed, end not yet
-                    // popped at the marker itself — both zero-duration).
-                    open.last().copied()
-                })
-                .collect()
-        })
+/// For every event of every rank, the index in `spans` (the trace's
+/// [`WorldTrace::spans`]) of the innermost span open at it. A begin marker
+/// is inside the phase it opens, an end marker outside the one it closes,
+/// so a span's end marker is in its parent.
+pub(crate) fn innermost_spans(trace: &WorldTrace, spans: &[PhaseSpan]) -> Vec<Vec<Option<usize>>> {
+    let rows = trace.ranks.iter().map(|evs| vec![None; evs.len()]);
+    let mut innermost: Vec<Vec<Option<usize>>> = rows.collect();
+    // In closing order, the first span to claim an event is its innermost.
+    for (k, s) in spans.iter().enumerate() {
+        for slot in &mut innermost[s.rank][s.begin_event..s.end_event] {
+            slot.get_or_insert(k);
+        }
+    }
+    innermost
+}
+
+/// The spans open at event `i` of a rank whose [`innermost_spans`] row is
+/// `innermost`, innermost first.
+pub(crate) fn open_at<'a>(
+    innermost: &'a [Option<usize>],
+    spans: &'a [PhaseSpan],
+    i: usize,
+) -> impl Iterator<Item = &'a PhaseSpan> {
+    std::iter::successors(innermost[i], |&k| innermost[spans[k].end_event]).map(|k| &spans[k])
+}
+
+/// The innermost phase open at every event of every rank (`None` outside
+/// any), from the trace's `spans`: the wait report, the comm-matrix slices
+/// and the critical path all attribute to phases through it.
+pub fn innermost_phases(trace: &WorldTrace, spans: &[PhaseSpan]) -> Vec<Vec<Option<&'static str>>> {
+    innermost_spans(trace, spans)
+        .into_iter()
+        .map(|rank| rank.into_iter().map(|k| k.map(|k| spans[k].name)).collect())
         .collect()
 }
 
@@ -272,12 +270,12 @@ pub fn analyze(
     trace: &WorldTrace,
     machine: &MachineProfile,
 ) -> Result<TraceAnalysis, Vec<PhaseFault>> {
-    trace.validate_phases()?;
+    let spans = trace.spans()?;
     let sched = schedule(trace, machine);
-    let timeline = Timeline::from_schedule(trace, &sched);
+    let timeline = Timeline::from_schedule(trace, &spans, &sched);
     let flows = message_flows(trace, &sched, machine);
-    let waits = WaitReport::from_flows(trace, &sched, &flows, machine);
-    let critical = CriticalPath::extract(trace, &sched, &flows);
+    let waits = WaitReport::from_flows(trace, &spans, &sched, &flows, machine);
+    let critical = CriticalPath::extract(trace, &spans, &sched, &flows);
     let comm = CommMatrix::from_trace(trace);
     Ok(TraceAnalysis {
         timeline,
@@ -334,7 +332,7 @@ mod tests {
     #[test]
     fn late_sender_wait_is_detected_and_attributed() {
         let trace = late_sender_trace();
-        let report = WaitReport::from_trace(&trace, &machine()).unwrap();
+        let report = analyze(&trace, &machine()).unwrap().waits;
         // Send occupies [1, 1.001], arrival 2.002... no: send_time = 1000/1e6
         // = 1 ms, so send spans [1.0, 1.001], arrival 1.001 + 0.001 = 1.002.
         // Receiver posts at 0 with 2 ms overhead → would finish at 0.002,
@@ -377,7 +375,7 @@ mod tests {
                 },
             ],
         ]);
-        let report = WaitReport::from_trace(&trace, &machine()).unwrap();
+        let report = analyze(&trace, &machine()).unwrap().waits;
         assert_eq!(report.ranks[1].wait, 0.0);
         // Arrival at 0.002; receive posted at 5.0 → buffered 4.998 s.
         assert!((report.ranks[1].buffered - 4.998).abs() < 1e-12);
@@ -388,7 +386,7 @@ mod tests {
     fn idle_imbalance_reflects_the_tail() {
         let trace =
             WorldTrace::from_ranks(vec![vec![Event::Flops(4.0e6)], vec![Event::Flops(1.0e6)]]);
-        let report = WaitReport::from_trace(&trace, &machine()).unwrap();
+        let report = analyze(&trace, &machine()).unwrap().waits;
         // Rank 0 idles 0 s, rank 1 idles 3 s (tail): avg 1.5, max 3.
         let idle = report.idle();
         assert!((idle[0] - 0.0).abs() < 1e-12);
@@ -415,7 +413,6 @@ mod tests {
     fn analyze_rejects_malformed_phases() {
         let trace = WorldTrace::from_ranks(vec![vec![Event::PhaseEnd("ghost")]]);
         assert!(analyze(&trace, &machine()).is_err());
-        assert!(WaitReport::from_trace(&trace, &machine()).is_err());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! the closed-form formulas in `agcm_costmodel::analysis` (and the two can
 //! be checked against each other).
 
-use crate::analysis::innermost_phases;
+use crate::analysis::{innermost_phases, innermost_spans, open_at};
 use crate::json::Value;
 use agcm_costmodel::machine::MachineProfile;
 use agcm_mps::trace::{Event, WorldTrace};
@@ -54,29 +54,28 @@ impl CommMatrix {
 
     /// The matrix of every send in the trace.
     pub fn from_trace(trace: &WorldTrace) -> CommMatrix {
-        CommMatrix::filtered(trace, None)
+        CommMatrix::sends(trace, |_, _| true)
     }
 
     /// The matrix of sends issued while a phase named `phase` was open
-    /// (at any nesting depth) on the sending rank.
+    /// (at any nesting depth) on the sending rank. Panics, naming every
+    /// fault, if the trace's phase events do not pair.
     pub fn for_phase(trace: &WorldTrace, phase: &str) -> CommMatrix {
-        CommMatrix::filtered(trace, Some(phase))
+        let spans = trace.spans().expect("phase events pair");
+        let innermost = innermost_spans(trace, &spans);
+        let open = |src: usize, i: usize| open_at(&innermost[src], &spans, i);
+        CommMatrix::sends(trace, |src, i| open(src, i).any(|s| s.name == phase))
     }
 
-    fn filtered(trace: &WorldTrace, phase: Option<&str>) -> CommMatrix {
+    /// The matrix of the sends at the event indices `pick(src, i)` accepts.
+    fn sends(trace: &WorldTrace, pick: impl Fn(usize, usize) -> bool) -> CommMatrix {
         let mut m = CommMatrix::new(trace.size());
         for (src, evs) in trace.ranks.iter().enumerate() {
-            let mut open: Vec<&'static str> = Vec::new();
-            for ev in evs {
-                match *ev {
-                    Event::PhaseBegin(name) => open.push(name),
-                    Event::PhaseEnd(_) => {
-                        open.pop();
-                    }
-                    Event::Send { to, bytes, .. } if phase.is_none_or(|p| open.contains(&p)) => {
+            for (i, ev) in evs.iter().enumerate() {
+                if let Event::Send { to, bytes, .. } = *ev {
+                    if pick(src, i) {
                         m.cells[src * m.ranks + to].add(bytes);
                     }
-                    _ => {}
                 }
             }
         }
@@ -85,23 +84,20 @@ impl CommMatrix {
 
     /// One matrix per *innermost* open phase, sorted by phase name; sends
     /// issued outside any phase land under `""`. The per-phase matrices
-    /// partition [`CommMatrix::from_trace`].
+    /// partition [`CommMatrix::from_trace`]. Panics, naming every fault,
+    /// if the trace's phase events do not pair.
     pub fn by_innermost_phase(trace: &WorldTrace) -> Vec<(&'static str, CommMatrix)> {
-        let ranks = trace.size();
+        let innermost = innermost_phases(trace, &trace.spans().expect("phase events pair"));
         let mut slices: Vec<(&'static str, CommMatrix)> = Vec::new();
-        let innermost = innermost_phases(trace);
-        for (src, (evs, phases)) in trace.ranks.iter().zip(&innermost).enumerate() {
-            for (ev, phase) in evs.iter().zip(phases) {
+        for (src, evs) in trace.ranks.iter().enumerate() {
+            for (i, ev) in evs.iter().enumerate() {
                 if let Event::Send { to, bytes, .. } = *ev {
-                    let name = phase.unwrap_or("");
-                    let m = match slices.iter_mut().find(|(n, _)| *n == name) {
-                        Some((_, m)) => m,
-                        None => {
-                            slices.push((name, CommMatrix::new(ranks)));
-                            &mut slices.last_mut().unwrap().1
-                        }
-                    };
-                    m.cells[src * ranks + to].add(bytes);
+                    let name = innermost[src][i].unwrap_or("");
+                    if !slices.iter().any(|(n, _)| *n == name) {
+                        slices.push((name, CommMatrix::new(trace.size())));
+                    }
+                    let (_, m) = slices.iter_mut().find(|(n, _)| *n == name).unwrap();
+                    m.cells[src * m.ranks + to].add(bytes);
                 }
             }
         }

@@ -19,7 +19,7 @@
 use crate::analysis::{innermost_phases, MessageFlow};
 use crate::json::Value;
 use agcm_costmodel::replay::EventSchedule;
-use agcm_mps::trace::{Event, WorldTrace};
+use agcm_mps::trace::{Event, PhaseSpan, WorldTrace};
 use std::collections::HashMap;
 
 /// What a critical-path segment was doing.
@@ -82,11 +82,13 @@ pub struct CriticalPath {
 impl CriticalPath {
     /// Walk the path backwards from the slowest rank's last event.
     ///
-    /// `flows` must come from `sched` (see
+    /// `spans` are the trace's [`WorldTrace::spans`]; `flows` must come
+    /// from `sched` (see
     /// [`message_flows`](crate::analysis::message_flows)); the flow map is
     /// how an arrival-bound receive finds its matching send.
     pub fn extract(
         trace: &WorldTrace,
+        spans: &[PhaseSpan],
         sched: &EventSchedule,
         flows: &[MessageFlow],
     ) -> CriticalPath {
@@ -103,7 +105,7 @@ impl CriticalPath {
         else {
             return path;
         };
-        let phases = innermost_phases(trace);
+        let phases = innermost_phases(trace, spans);
         // (dst rank, recv event index) → flow.
         let by_recv: HashMap<(usize, usize), &MessageFlow> = flows
             .iter()
@@ -252,7 +254,7 @@ mod tests {
         let m = machine();
         let sched = schedule(trace, &m);
         let flows = message_flows(trace, &sched, &m);
-        CriticalPath::extract(trace, &sched, &flows)
+        CriticalPath::extract(trace, &trace.spans().unwrap(), &sched, &flows)
     }
 
     #[test]

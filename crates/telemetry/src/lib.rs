@@ -7,9 +7,9 @@
 //!
 //! * [`metrics`] — registries of counters, gauges and log-bucketed
 //!   histograms, lock-free and allocation-free to update;
-//! * [`timeline`] — per-rank span timelines from `PhaseBegin`/`PhaseEnd`
-//!   events, with cost-model *virtual* timestamps and (when recorded)
-//!   wall-clock timestamps;
+//! * [`timeline`] — per-rank span timelines: the closed phases
+//!   `WorldTrace::spans` pairs, with cost-model *virtual* timestamps and
+//!   (when recorded) wall-clock timestamps;
 //! * [`chrome`] — export of those timelines as Chrome trace-event JSON,
 //!   loadable in Perfetto (one track per rank), with flow arrows for every
 //!   matched message, counter tracks, and a critical-path track when
@@ -42,7 +42,9 @@
 //! ## One path from a trace to telemetry
 //!
 //! Nothing here is installed process-wide: a finished run's trace becomes
-//! telemetry by one call that replays the trace once.
+//! telemetry by one call that pairs its phase events once
+//! (`agcm_mps::WorldTrace::spans`; this crate pairs none itself) and
+//! replays the trace once.
 //! [`RunMetrics::from_trace`] (or [`RunMetrics::from_trace_with_timeline`]
 //! when the caller also wants the spans) gives the run summary and one
 //! record per step; `reproduce trace` writes them to files. A served job

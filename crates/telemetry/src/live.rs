@@ -407,9 +407,9 @@ impl TelemetrySink for JobSink {
     }
 
     fn record_finished(&self, summary: &RunSummary, timeline: &Timeline, profile: bool) {
-        // Summed in span order, as `Timeline::phase_seconds_per_rank`
-        // sums, so each rank's totals reduce to `summary.phase_seconds`
-        // bit for bit.
+        // Summed in span order, as the summary's per-rank fold
+        // (`agcm_costmodel::replay::phase_seconds`) sums, so each rank's
+        // totals reduce to `summary.phase_seconds` bit for bit.
         let mut rank_phase: BTreeMap<(usize, &'static str), (f64, u64)> = BTreeMap::new();
         for s in &timeline.spans {
             let (secs, spans) = rank_phase.entry((s.rank, s.name)).or_insert((0.0, 0));
@@ -632,7 +632,8 @@ mod tests {
             let served = phases.get(phase).unwrap().as_f64().unwrap();
             assert_eq!(served.to_bits(), secs.to_bits(), "{phase}");
         }
-        let per_rank = timeline.phase_seconds_per_rank();
+        let secs = |s: &crate::timeline::Span| (s.rank, s.name, s.virt_duration());
+        let per_rank = agcm_costmodel::replay::phase_seconds(2, timeline.spans.iter().map(secs));
         for (r, rank) in view
             .get("ranks")
             .unwrap()

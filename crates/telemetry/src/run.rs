@@ -11,12 +11,13 @@
 //! Steps are delimited by the `"step"` phase the model wraps around each
 //! timestep; traces without `"step"` phases simply yield no step records.
 
-use crate::analysis::{message_flows, WaitReport};
+use crate::analysis::{innermost_spans, message_flows, open_at, WaitReport};
 use crate::json::Value;
 use crate::timeline::{Span, Timeline};
 use agcm_costmodel::machine::MachineProfile;
-use agcm_costmodel::replay::schedule;
-use agcm_mps::trace::{imbalance, Event, PhaseFault, WorldTrace};
+use agcm_costmodel::replay::{phase_seconds, schedule};
+use agcm_mps::trace::{imbalance, Event, PhaseFault, PhaseSpan, WorldTrace};
+use std::ops::Range;
 
 /// The phase name the model wraps around each timestep.
 pub const STEP_PHASE: &str = "step";
@@ -118,29 +119,27 @@ impl Default for RunSummary {
     }
 }
 
-/// Per-rank flops attributed (inclusively) to each open phase over an event
-/// slice. `skip` is excluded (used to drop the enclosing `"step"` itself).
-fn phase_flops(events: &[Event], skip: Option<&str>) -> Vec<(&'static str, f64)> {
+/// Flops of a rank's events `range`, attributed (inclusively) to each
+/// phase open at them that began inside `range`, except phases named
+/// `skip` (the enclosing `"step"`). `innermost` is the rank's row of
+/// [`innermost_spans`].
+fn phase_flops(
+    events: &[Event],
+    innermost: &[Option<usize>],
+    spans: &[PhaseSpan],
+    range: Range<usize>,
+    skip: Option<&str>,
+) -> Vec<(&'static str, f64)> {
     let mut acc: Vec<(&'static str, f64)> = Vec::new();
-    let mut open: Vec<&'static str> = Vec::new();
-    for ev in events {
-        match *ev {
-            Event::PhaseBegin(name) => open.push(name),
-            Event::PhaseEnd(_) => {
-                open.pop();
+    let first = range.start;
+    for i in range {
+        let Event::Flops(f) = events[i] else { continue };
+        let open = open_at(innermost, spans, i).take_while(|s| s.begin_event >= first);
+        for s in open.filter(|s| Some(s.name) != skip) {
+            match acc.iter_mut().find(|(n, _)| *n == s.name) {
+                Some((_, sum)) => *sum += f,
+                None => acc.push((s.name, f)),
             }
-            Event::Flops(f) => {
-                for &name in &open {
-                    if Some(name) == skip {
-                        continue;
-                    }
-                    match acc.iter_mut().find(|(n, _)| *n == name) {
-                        Some((_, sum)) => *sum += f,
-                        None => acc.push((name, f)),
-                    }
-                }
-            }
-            _ => {}
         }
     }
     acc
@@ -197,19 +196,21 @@ impl RunMetrics {
         trace: &WorldTrace,
         machine: &MachineProfile,
     ) -> Result<(RunMetrics, Timeline), Vec<PhaseFault>> {
-        let (summary, timeline) = RunSummary::from_trace_with_timeline(trace, machine)?;
-        let steps = StepMetrics::fold(trace, &timeline);
+        let spans = trace.spans()?;
+        let (summary, timeline) = RunSummary::derive(trace, &spans, machine);
+        let steps = StepMetrics::fold(trace, &spans, &timeline);
         Ok((RunMetrics { steps, summary }, timeline))
     }
 }
 
 impl StepMetrics {
-    /// One record per `"step"` phase of a validated trace, in step order,
-    /// measured on its timeline. Each rank's spans are walked once: the
-    /// spans inside a step are the ones that follow it in begin order
-    /// and begin before it ends.
-    pub fn fold(trace: &WorldTrace, timeline: &Timeline) -> Vec<StepMetrics> {
+    /// One record per `"step"` phase of a trace, in step order, measured
+    /// on its timeline (`paired` are the trace's [`WorldTrace::spans`]).
+    /// Each rank's spans are walked once: the spans inside a step are the
+    /// ones that follow it in begin order and begin before it ends.
+    pub fn fold(trace: &WorldTrace, paired: &[PhaseSpan], timeline: &Timeline) -> Vec<StepMetrics> {
         let n = trace.size();
+        let innermost = innermost_spans(trace, paired);
         let mut rank_spans: Vec<Vec<&Span>> = vec![Vec::new(); n];
         for s in &timeline.spans {
             rank_spans[s.rank].push(s);
@@ -248,8 +249,8 @@ impl StepMetrics {
             let mut rank_phase_secs: Vec<Vec<(&'static str, f64)>> = vec![Vec::new(); n];
             for (r, span) in spans.iter().enumerate() {
                 let Some(span) = span else { continue };
-                let slice = &trace.ranks[r][span.begin_event..=span.end_event];
-                for ev in slice {
+                let (evs, range) = (&trace.ranks[r], span.begin_event..span.end_event + 1);
+                for ev in &evs[range.clone()] {
                     match *ev {
                         Event::Send { bytes: b, .. } => {
                             messages[r] += 1;
@@ -259,7 +260,8 @@ impl StepMetrics {
                         _ => {}
                     }
                 }
-                rank_phase_flops[r] = phase_flops(slice, Some(STEP_PHASE));
+                rank_phase_flops[r] =
+                    phase_flops(evs, &innermost[r], paired, range, Some(STEP_PHASE));
                 let inside = rank_spans[r][step_at[r][k] + 1..]
                     .iter()
                     .take_while(|s| s.begin_event < span.end_event);
@@ -294,43 +296,42 @@ impl StepMetrics {
 }
 
 impl RunSummary {
-    /// Validate `trace`, replay it once against `machine`, and derive the
-    /// run summary and the [`Timeline`] of its spans — everything a
-    /// served job reports, without the per-step records.
+    /// Pair and replay `trace` once against `machine`, and derive the run
+    /// summary and the [`Timeline`] of its spans — everything a served job
+    /// reports, without the per-step records.
     pub fn from_trace_with_timeline(
         trace: &WorldTrace,
         machine: &MachineProfile,
     ) -> Result<(RunSummary, Timeline), Vec<PhaseFault>> {
-        trace.validate_phases()?;
-        let sched = schedule(trace, machine);
-        let timeline = Timeline::from_schedule(trace, &sched);
-        let flows = message_flows(trace, &sched, machine);
-        let waits = WaitReport::from_flows(trace, &sched, &flows, machine);
-        Ok((RunSummary::derive(trace, &timeline, &waits), timeline))
+        Ok(RunSummary::derive(trace, &trace.spans()?, machine))
     }
 
-    /// Fold a validated trace, its timeline and its wait report into the
-    /// whole-run aggregates.
-    fn derive(trace: &WorldTrace, timeline: &Timeline, waits: &WaitReport) -> RunSummary {
+    /// Replay `trace` (whose [`WorldTrace::spans`] are `spans`) and fold
+    /// it, its timeline and its wait report into the whole-run aggregates.
+    fn derive(
+        trace: &WorldTrace,
+        spans: &[PhaseSpan],
+        machine: &MachineProfile,
+    ) -> (RunSummary, Timeline) {
+        let sched = schedule(trace, machine);
+        let timeline = Timeline::from_schedule(trace, spans, &sched);
+        let flows = message_flows(trace, &sched, machine);
+        let waits = WaitReport::from_flows(trace, spans, &sched, &flows, machine);
         let n = trace.size();
         let mut steps_per_rank = vec![0usize; n];
         for s in timeline.spans.iter().filter(|s| s.name == STEP_PHASE) {
             steps_per_rank[s.rank] += 1;
         }
         let stats = trace.stats();
-        let rank_phase_secs: Vec<Vec<(&'static str, f64)>> = timeline
-            .phase_seconds_per_rank()
-            .into_iter()
-            .map(|m| {
-                let mut v: Vec<(&'static str, f64)> = m.into_iter().collect();
-                v.sort_unstable_by_key(|(n, _)| *n);
-                v
-            })
-            .collect();
-        let rank_phase_flops: Vec<Vec<(&'static str, f64)>> = trace
-            .ranks
-            .iter()
-            .map(|evs| phase_flops(evs, None))
+        let secs = |s: &Span| (s.rank, s.name, s.virt_duration());
+        let rank_phase_secs: Vec<Vec<(&'static str, f64)>> =
+            phase_seconds(n, timeline.spans.iter().map(secs))
+                .into_iter()
+                .map(|m| m.into_iter().collect())
+                .collect();
+        let innermost = innermost_spans(trace, spans);
+        let rank_phase_flops: Vec<Vec<(&'static str, f64)>> = (trace.ranks.iter().zip(&innermost))
+            .map(|(evs, inner)| phase_flops(evs, inner, spans, 0..evs.len(), None))
             .collect();
         let mut collectives: Vec<(String, u64)> = Vec::new();
         for rank in &trace.collectives {
@@ -343,7 +344,7 @@ impl RunSummary {
         }
         collectives.sort_by(|a, b| a.0.cmp(&b.0));
 
-        RunSummary {
+        let summary = RunSummary {
             ranks: n,
             steps: steps_per_rank.into_iter().max().unwrap_or(0),
             virt_seconds: timeline.total_time(),
@@ -357,7 +358,8 @@ impl RunSummary {
             wait_seconds: waits.ranks.iter().map(|r| r.wait).collect(),
             idle_imbalance: waits.idle_imbalance(),
             resilience: None,
-        }
+        };
+        (summary, timeline)
     }
 }
 
@@ -490,6 +492,8 @@ mod tests {
     /// span of its rank. Kept as the oracle for [`StepMetrics::fold`].
     fn fold_reference(trace: &WorldTrace, timeline: &Timeline) -> Vec<StepMetrics> {
         let n = trace.size();
+        let paired = trace.spans().unwrap();
+        let innermost = innermost_spans(trace, &paired);
         let rank_spans = |r: usize| timeline.spans.iter().filter(move |s| s.rank == r);
         let step_spans: Vec<Vec<&Span>> = (0..n)
             .map(|r| rank_spans(r).filter(|s| s.name == STEP_PHASE).collect())
@@ -515,8 +519,8 @@ mod tests {
             let mut rank_phase_secs: Vec<Vec<(&'static str, f64)>> = vec![Vec::new(); n];
             for (r, span) in spans.iter().enumerate() {
                 let Some(span) = span else { continue };
-                let slice = &trace.ranks[r][span.begin_event..=span.end_event];
-                for ev in slice {
+                let (evs, range) = (&trace.ranks[r], span.begin_event..span.end_event + 1);
+                for ev in &evs[range.clone()] {
                     match *ev {
                         Event::Send { bytes: b, .. } => {
                             messages[r] += 1;
@@ -526,7 +530,8 @@ mod tests {
                         _ => {}
                     }
                 }
-                rank_phase_flops[r] = phase_flops(slice, Some(STEP_PHASE));
+                rank_phase_flops[r] =
+                    phase_flops(evs, &innermost[r], &paired, range, Some(STEP_PHASE));
                 for s in rank_spans(r).filter(|s| span.contains(s)) {
                     match rank_phase_secs[r].iter_mut().find(|(nm, _)| *nm == s.name) {
                         Some((_, acc)) => *acc += s.virt_duration(),
@@ -599,7 +604,7 @@ mod tests {
     fn step_fold_matches_the_per_step_filter_bit_for_bit() {
         let trace = exchanging_trace(80);
         let (_, timeline) = RunSummary::from_trace_with_timeline(&trace, &machine()).unwrap();
-        let got = StepMetrics::fold(&trace, &timeline);
+        let got = StepMetrics::fold(&trace, &trace.spans().unwrap(), &timeline);
         let want = fold_reference(&trace, &timeline);
         assert_eq!(got.len(), 80);
         assert!(got[0].phase_seconds.iter().any(|(n, _)| *n == "filter"));

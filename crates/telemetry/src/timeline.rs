@@ -2,17 +2,16 @@
 //!
 //! `agcm-costmodel`'s replay answers "how many seconds does each phase
 //! cost?"; this module answers "*when* does each phase run on each rank?".
-//! It takes the replay's per-event [`EventSchedule`] — per-rank virtual
-//! clocks, receives bound by the matching send's simulated arrival — and
-//! folds it into one [`Span`] per `PhaseBegin`/`PhaseEnd` pair, with
-//! virtual start/end timestamps. When the trace carries wall-clock stamps
+//! It takes the closed phases [`WorldTrace::spans`] pairs and the replay's
+//! per-event [`EventSchedule`] — per-rank virtual clocks, receives bound by
+//! the matching send's simulated arrival — and gives each phase a [`Span`]
+//! with virtual start/end timestamps. When the trace carries wall-clock stamps
 //! (recorded runs do), each span also carries the real start/end on *this*
 //! machine, so a timeline viewer can show both tracks side by side.
 
 use agcm_costmodel::machine::MachineProfile;
 use agcm_costmodel::replay::{schedule, EventSchedule};
-use agcm_mps::trace::{Event, PhaseFault, WorldTrace};
-use std::collections::HashMap;
+use agcm_mps::trace::{PhaseFault, PhaseSpan, WorldTrace};
 
 /// One phase execution on one rank.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,55 +63,39 @@ pub struct Timeline {
 impl Timeline {
     /// Build the timeline by replaying `trace` against `machine`.
     ///
-    /// Validates phase balance first and reports every fault instead of
+    /// Pairs the phase events first and reports every fault instead of
     /// panicking mid-replay.
     pub fn from_trace(
         trace: &WorldTrace,
         machine: &MachineProfile,
     ) -> Result<Timeline, Vec<PhaseFault>> {
-        trace.validate_phases()?;
-        Ok(Timeline::from_schedule(trace, &schedule(trace, machine)))
+        let (spans, sched) = (trace.spans()?, schedule(trace, machine));
+        Ok(Timeline::from_schedule(trace, &spans, &sched))
     }
 
-    /// Build the timeline from an already-computed replay schedule. The
-    /// trace must be phase-balanced (see [`WorldTrace::validate_phases`]).
-    pub fn from_schedule(trace: &WorldTrace, sched: &EventSchedule) -> Timeline {
-        let mut spans: Vec<Span> = Vec::new();
-        for (r, evs) in trace.ranks.iter().enumerate() {
-            let walls = trace.walls.get(r).map(|w| w.as_slice());
-            // Running index over *phase* events, for the wall-stamp sidecar.
-            let mut phase_seq = 0usize;
-            // Open phases: (name, virtual start, wall start, begin event index).
-            let mut open: Vec<(&'static str, f64, Option<f64>, usize)> = Vec::new();
-            for (i, ev) in evs.iter().enumerate() {
-                match *ev {
-                    Event::PhaseBegin(name) => {
-                        let wall = walls.and_then(|w| w.get(phase_seq)).copied();
-                        phase_seq += 1;
-                        open.push((name, sched.times[r][i].end, wall, i));
-                    }
-                    Event::PhaseEnd(_) => {
-                        let wall = walls.and_then(|w| w.get(phase_seq)).copied();
-                        phase_seq += 1;
-                        // validate_phases guarantees balance.
-                        let (name, virt_start, wall_start, begin_event) = open.pop().unwrap();
-                        spans.push(Span {
-                            rank: r,
-                            name,
-                            depth: open.len(),
-                            virt_start,
-                            virt_end: sched.times[r][i].end,
-                            wall_start,
-                            wall_end: wall,
-                            begin_event,
-                            end_event: i,
-                        });
-                    }
-                    _ => {}
-                }
-            }
-        }
-
+    /// Build the timeline from the trace's [`WorldTrace::spans`] and an
+    /// already-computed replay schedule: each span gets its virtual times
+    /// and, when the trace has them, its wall stamps.
+    pub fn from_schedule(
+        trace: &WorldTrace,
+        spans: &[PhaseSpan],
+        sched: &EventSchedule,
+    ) -> Timeline {
+        let wall = |r: usize, k: usize| trace.walls.get(r).and_then(|w| w.get(k)).copied();
+        let mut spans: Vec<Span> = spans
+            .iter()
+            .map(|s| Span {
+                rank: s.rank,
+                name: s.name,
+                depth: s.depth,
+                virt_start: sched.times[s.rank][s.begin_event].end,
+                virt_end: sched.times[s.rank][s.end_event].end,
+                wall_start: wall(s.rank, s.begin_wall),
+                wall_end: wall(s.rank, s.end_wall),
+                begin_event: s.begin_event,
+                end_event: s.end_event,
+            })
+            .collect();
         spans.sort_by_key(|s| (s.rank, s.begin_event));
         Timeline {
             spans,
@@ -124,23 +107,12 @@ impl Timeline {
     pub fn total_time(&self) -> f64 {
         self.finish_times.iter().copied().fold(0.0, f64::max)
     }
-
-    /// Per-rank accumulated virtual seconds inside each named phase
-    /// (inclusive of nested phases) — matches the costmodel's
-    /// `ReplayResult::phase_times` accounting.
-    pub fn phase_seconds_per_rank(&self) -> Vec<HashMap<&'static str, f64>> {
-        let n = self.finish_times.len();
-        let mut acc: Vec<HashMap<&'static str, f64>> = vec![HashMap::new(); n];
-        for s in &self.spans {
-            *acc[s.rank].entry(s.name).or_insert(0.0) += s.virt_duration();
-        }
-        acc
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use agcm_mps::trace::Event;
 
     fn machine() -> MachineProfile {
         MachineProfile {
@@ -260,7 +232,8 @@ mod tests {
         ]);
         let tl = Timeline::from_trace(&trace, &machine()).unwrap();
         let replay = agcm_costmodel::replay::replay(&trace, &machine());
-        let per_rank = tl.phase_seconds_per_rank();
+        let secs = tl.spans.iter().map(|s| (s.rank, s.name, s.virt_duration()));
+        let per_rank = agcm_costmodel::replay::phase_seconds(2, secs);
         for (r, rank_phases) in per_rank.iter().enumerate() {
             let ours = rank_phases.get("filter").copied().unwrap_or(0.0);
             let theirs = replay.phase_times[r].get("filter").copied().unwrap_or(0.0);

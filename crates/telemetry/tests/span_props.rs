@@ -84,10 +84,7 @@ fn random_balanced_streams_yield_correctly_nested_spans() {
             .filter(|e| matches!(e, Event::PhaseBegin(_)))
             .count();
         let mut trace = WorldTrace::from_ranks(ranks);
-        assert!(
-            trace.validate_phases().is_ok(),
-            "case {case}: generator bug"
-        );
+        assert!(trace.spans().is_ok(), "case {case}: generator bug");
         // Monotone wall stamps off the nanosecond grid, one per phase event;
         // a third of them equal their predecessor, so children often tile
         // their parent exactly and a fold of rounded durations (rather than
