@@ -299,10 +299,11 @@ fn rank_body(
         }
     }
 
+    let outcome = state.outcome();
     Ok(RankOutcome {
         physics_loads,
-        stable: !state.has_blown_up(),
-        max_wind: state.max_wind(),
+        stable: outcome.stable(),
+        max_wind: outcome.max_wind(),
     })
 }
 

@@ -10,9 +10,9 @@
 //!
 //! Every phase is bracketed in the execution trace ("filter", "halo",
 //! "fd"), which is how Figure 1 and Tables 4–7 are regenerated. Inside
-//! "fd" the compute is three row-fused sweeps, sub-bracketed as
-//! "dyn.tendencies" (the continuity sweep, then — after the nested "halo"
-//! of `h*` — the momentum sweep) and "dyn.advection" (the tracer sweep).
+//! "fd" the compute is three row-fused sweeps: the continuity sweep
+//! ("dyn.tendencies"), the nested "halo" of `h*`, the tracer sweep
+//! ("dyn.advection") and the momentum sweep ("dyn.tendencies" again).
 //! The momentum sweep computes the winds' upwind self-advection in the
 //! same pass as the gradients and the update, so those `2·UPWIND` flops
 //! per point are charged to "dyn.tendencies" with it; "dyn.advection"
@@ -26,13 +26,14 @@
 //! original allocating `from_fn` operators. Both paths are bit-identical
 //! — enforced by the equivalence tests below and in `tests/fd_sweeps.rs`.
 //!
-//! The state's fields carry their ghost frame, and the step never copies
-//! one: it swaps each swept field with its previous-state buffer in the
-//! scratch (O(1)), exchanges the ghosts of those buffers — which now hold
-//! the current state — and the sweeps write the new state out of place
-//! from them. `h*` is the new thickness field itself, its ghosts exchanged
-//! in place. Pressure is not advanced, so it is neither swapped nor
-//! exchanged.
+//! The state's fields carry their ghost frame, and the step holds one
+//! copy of the state: it exchanges the ghosts of the five swept fields
+//! where they are and each sweep advances its fields in place, saving
+//! only the row it is about to overwrite (see [`agcm_kernels::sweeps`]).
+//! A sweep may read only fields not yet advanced, hence the order: the
+//! tracers read the old winds, so they run before the momentum sweep,
+//! which reads `h*` — the new thickness field itself, its ghosts
+//! exchanged in place. Pressure is not advanced, so it is not exchanged.
 
 use crate::advection::upwind_tendency;
 use crate::state::ModelState;
@@ -49,22 +50,14 @@ use agcm_kernels::{DynScratch, HaloView};
 use agcm_mps::topology::CartComm;
 use std::cell::RefCell;
 
-/// The variables the sweeps advance, in the order of
-/// [`DynScratch::prev`]. Pressure is carried unchanged.
-const SWEPT: [Variable; 5] = [
-    Variable::U,
-    Variable::V,
-    Variable::Theta,
-    Variable::Humidity,
-    Variable::Ozone,
-];
-
-/// Position of swept variable `v` in [`SWEPT`].
-fn slot(v: Variable) -> usize {
-    SWEPT
-        .iter()
-        .position(|&s| s == v)
-        .expect("the sweeps advance this variable")
+/// The five fields the sweeps advance — `u`, `v`, `θ`, humidity,
+/// ozone, in [`Variable::ALL`]'s order — borrowed at once. Pressure is
+/// carried unchanged.
+fn swept(state: &mut ModelState) -> [&mut HaloField; 5] {
+    let [u, v, theta, _pressure, humidity, ozone] = &mut state.fields[..] else {
+        panic!("a state holds one field per variable")
+    };
+    [u, v, theta, humidity, ozone]
 }
 
 /// Configuration of the dynamical core.
@@ -137,34 +130,23 @@ impl Dynamics {
     /// Size the scratch for `sub`, refreshing the Coriolis table whenever
     /// the buffers were (re)built. No-op after the first step.
     fn ensure_scratch(&self, scratch: &mut DynScratch, sub: Subdomain) {
-        if scratch.ensure(&self.grid, sub.j0, sub.ni, sub.nj, SWEPT.len()) {
+        if scratch.ensure(&self.grid, sub.j0, sub.ni, sub.nj) {
             for (j, f) in scratch.f_cor.iter_mut().enumerate() {
                 *f = coriolis_param(self.grid.latitude(sub.j0 + j));
             }
         }
     }
 
-    /// Swap each swept field of `state` with its previous-state buffer:
-    /// the buffers now hold the current state, ghosts still to exchange,
-    /// and the state holds storage the sweeps overwrite.
-    fn swap_in(scratch: &mut DynScratch, state: &mut ModelState) {
-        for (prev, &v) in scratch.prev.iter_mut().zip(&SWEPT) {
-            let field = state.field_mut(v);
-            assert_eq!(field.shape(), prev.shape(), "state shape mismatch");
-            std::mem::swap(field, prev);
-        }
-    }
-
-    /// The finite-difference phase: the three forward-backward sweeps
-    /// from the previous-state buffers into `state`. With a mesh each
+    /// The finite-difference phase: the three forward-backward sweeps,
+    /// each advancing its fields of `state` in place. With a mesh each
     /// sweep is bracketed and charged in the trace and `h*` is exchanged
-    /// between continuity and momentum; without one
+    /// between continuity and the tracers; without one
     /// ([`Dynamics::compute_step_no_comm`]) nothing is traced and the `h*`
     /// ghosts stay as they are.
     fn fd_sweeps(&self, cart: Option<&CartComm>, scratch: &mut DynScratch, state: &mut ModelState) {
         let sub = state.sub;
         let npts = (sub.ni * sub.nj * self.grid.n_lev) as f64;
-        let dt = self.cfg.dt;
+        let (dt, g) = (self.cfg.dt, self.cfg.gravity);
         let traced = |name: &'static str, flops_per_pt: f64, sweep: &mut dyn FnMut()| match cart {
             Some(cart) => cart.comm().phase(name, || {
                 sweep();
@@ -173,52 +155,36 @@ impl Dynamics {
             None => sweep(),
         };
         let DynScratch {
-            prev,
             tables,
             f_cor,
             rows,
             ..
         } = scratch;
-        let old = |v: Variable| HaloView::of(&prev[slot(v)]);
-        let (u_h, v_h) = (old(Variable::U), old(Variable::V));
+        let [u, v, theta, humidity, ozone] = swept(state);
 
         // 1. Continuity: h* = h − dt·∇·(h·u), the new thickness field.
         traced("dyn.tendencies", flops::FLUX_DIV + 2.0, &mut || {
-            let theta = state.field_mut(Variable::Theta);
-            continuity_sweep(&old(Variable::Theta), &u_h, &v_h, tables, dt, theta, rows);
+            continuity_sweep(theta, &HaloView::of(u), &HaloView::of(v), tables, dt, rows);
         });
 
         // Refresh the thickness halo with the updated field (backward
         // part of forward-backward): the state's own ghost frame.
         if let Some(cart) = cart {
-            let hstar = state.field_mut(Variable::Theta);
-            cart.comm().phase("halo", || hstar.exchange(cart));
+            cart.comm().phase("halo", || theta.exchange(cart));
         }
 
-        // 2. Momentum: Coriolis + pressure gradient on h* + advection.
-        let momentum_flops = 2.0 * (flops::GRAD + flops::UPWIND + flops::MOMENTUM);
-        traced("dyn.tendencies", momentum_flops, &mut || {
-            // u, v mutably and h* at once: split the field vec at θ's index.
-            let (winds, rest) = state.fields.split_at_mut(Variable::Theta.index());
-            let [u, v] = winds else {
-                unreachable!("u and v precede θ")
-            };
-            let hs = HaloView::of(&rest[0]);
-            let g = self.cfg.gravity;
-            momentum_sweep(&hs, &u_h, &v_h, tables, f_cor, dt, g, u, v, rows);
+        // 2. Tracers: upwind advection by the old winds, before the
+        // momentum sweep advances them.
+        traced("dyn.advection", 2.0 * (flops::UPWIND + 2.0), &mut || {
+            let winds = (HaloView::of(u), HaloView::of(v));
+            let tracers = &mut [&mut *humidity, &mut *ozone];
+            tracer_sweep(&winds.0, &winds.1, tables, dt, tracers, rows);
         });
 
-        // 3. Tracers: upwind advection by the old winds.
-        traced("dyn.advection", 2.0 * (flops::UPWIND + 2.0), &mut || {
-            let (left, right) = state.fields.split_at_mut(Variable::Ozone.index());
-            let mut tracers = [
-                (
-                    old(Variable::Humidity),
-                    &mut left[Variable::Humidity.index()],
-                ),
-                (old(Variable::Ozone), &mut right[0]),
-            ];
-            tracer_sweep(&u_h, &v_h, tables, dt, &mut tracers, rows);
+        // 3. Momentum: Coriolis + pressure gradient on h* + advection.
+        let momentum_flops = 2.0 * (flops::GRAD + flops::UPWIND + flops::MOMENTUM);
+        traced("dyn.tendencies", momentum_flops, &mut || {
+            momentum_sweep(u, v, &HaloView::of(theta), tables, f_cor, dt, g, rows);
         });
     }
 
@@ -244,26 +210,24 @@ impl Dynamics {
         // --- Ghost-point exchange (communication phase). -------------------
         // The five swept fields in one exchange: each phase's sends are
         // posted before its first receive, so they share one round trip.
-        Self::swap_in(scratch, state);
-        comm.phase("halo", || exchange_all(&mut scratch.prev, cart));
+        comm.phase("halo", || exchange_all(&mut swept(state), cart));
 
         // --- Finite differences (forward-backward). ------------------------
         comm.phase("fd", || self.fd_sweeps(Some(cart), scratch, state));
     }
 
     /// The per-step sweep sequence with **no communication and no trace
-    /// events**: the state is swapped into the previous-state buffers as
-    /// in [`Dynamics::step`], but their ghosts keep whatever the swapped-in
-    /// storage held (neighbour data from an earlier real step, zeros on a
-    /// fresh state) and h* is not re-exchanged. Not a substitute for
-    /// `step` — it exists so the counting-allocator test and the kernel
-    /// benchmarks can drive the hot compute path in isolation.
+    /// events**: the sweeps advance the state in place as in
+    /// [`Dynamics::step`], but its ghosts keep whatever they hold
+    /// (neighbour data from an earlier real step, zeros on a fresh state)
+    /// and h* is not re-exchanged. Not a substitute for `step` — it exists
+    /// so the counting-allocator test and the kernel benchmarks can drive
+    /// the hot compute path in isolation.
     pub fn compute_step_no_comm(&self, state: &mut ModelState) {
         let sub = state.sub;
         let mut scratch = self.scratch.borrow_mut();
         let scratch = &mut *scratch;
         self.ensure_scratch(scratch, sub);
-        Self::swap_in(scratch, state);
         self.fd_sweeps(None, scratch, state);
     }
 
@@ -418,6 +382,22 @@ mod tests {
             let wind = cart.comm().allreduce_f64(Op::Max, &[state.max_wind()])[0];
             (blown, wind, mass0, mass1)
         })
+    }
+
+    #[test]
+    fn swept_fields_follow_the_variable_order() {
+        use Variable::*;
+        assert_eq!(Variable::ALL, [U, V, Theta, Pressure, Humidity, Ozone]);
+        let grid = GridSpec::new(8, 4, 2);
+        let mut state = ModelState::zeros(grid, Decomp::new(grid, 1, 1).subdomain(0, 0));
+        for (i, field) in state.fields.iter_mut().enumerate() {
+            field.set(0, 0, 0, i as f64);
+        }
+        let values = swept(&mut state).map(|f| f.get(0, 0, 0));
+        assert_eq!(
+            values,
+            [U, V, Theta, Humidity, Ozone].map(|v| v.index() as f64)
+        );
     }
 
     #[test]

@@ -5,11 +5,10 @@
 //! variable of the shallow-water reduction), surface pressure p, and two
 //! advected tracers (specific humidity q and ozone o₃). Each is a local
 //! [`HaloField`] over the rank's subdomain, all vertical levels, with a
-//! one-point ghost frame: the dynamics swaps a field with its
-//! previous-state buffer and exchanges the ghosts there, so no step
-//! copies a field to give it a frame. The value of the state is its
-//! interiors — equality, the diagnostics and the checkpoint ignore
-//! whatever the ghosts hold.
+//! one-point ghost frame: the dynamics exchanges the ghosts where they
+//! are and advances each field in place, so no step copies a field. The
+//! value of the state is its interiors — equality, the diagnostics and
+//! the checkpoint ignore whatever the ghosts hold.
 
 use agcm_grid::arakawa::Variable;
 use agcm_grid::decomp::Subdomain;
@@ -136,11 +135,17 @@ impl ModelState {
 
     /// True if any field holds a non-finite value (instability detector).
     pub fn has_blown_up(&self) -> bool {
+        !self.outcome().stable()
+    }
+
+    /// Finiteness and the largest |u|, |v| in one pass over every field:
+    /// the bits of `!has_blown_up()` and `max_wind()`.
+    pub fn outcome(&self) -> OutcomeFold {
         let mut fold = OutcomeFold::default();
         for (index, field) in self.fields.iter().enumerate() {
             field.interior_rows().for_each(|row| fold.row(index, row));
         }
-        !fold.stable()
+        fold
     }
 }
 
@@ -410,8 +415,10 @@ mod tests {
             }
             assert_eq!(s.max_wind().to_bits(), max);
             assert_eq!(fold.max_wind().to_bits(), max);
+            assert_eq!(s.outcome().max_wind().to_bits(), max);
             assert_eq!(!s.has_blown_up(), finite);
             assert_eq!(fold.stable(), finite);
+            assert_eq!(s.outcome().stable(), finite);
         };
         check(&s);
         assert!(s.max_wind() > 100.0);

@@ -28,6 +28,7 @@ use crate::recycle;
 use agcm_mps::comm::Comm;
 use agcm_mps::message::Payload;
 use agcm_mps::topology::CartComm;
+use std::borrow::{Borrow, BorrowMut};
 
 const TAG_EAST: u64 = 101;
 const TAG_WEST: u64 = 102;
@@ -391,14 +392,15 @@ impl HaloField {
 /// mesh neighbours — the same messages, tags and ghosts as exchanging
 /// them one after another, but each phase posts all its sends before its
 /// first receive (see the module docs). The fields may differ in shape and
-/// halo width.
+/// halo width, and may be owned (`[HaloField]`) or borrowed from
+/// wherever they live (`[&mut HaloField]`).
 ///
 /// Dimension 1 of `cart` (longitude) must be periodic; dimension 0
 /// (latitude) is bounded, and at the poles the ghost rows are filled by
 /// zero-gradient extrapolation.
-pub fn exchange_all(fields: &mut [HaloField], cart: &CartComm) {
+pub fn exchange_all<F: BorrowMut<HaloField>>(fields: &mut [F], cart: &CartComm) {
     let comm = cart.comm();
-    for f in fields.iter() {
+    for f in fields.iter().map(Borrow::borrow) {
         assert!(
             f.ni >= f.h && f.nj >= f.h,
             "interior must be at least as wide as the halo"
@@ -410,11 +412,11 @@ pub fn exchange_all(fields: &mut [HaloField], cart: &CartComm) {
     let west = cart.neighbor(1, -1).expect("longitude is periodic");
     // Our easternmost h interior columns go east and become the east
     // neighbour's west ghost. And vice versa.
-    for f in fields.iter_mut() {
+    for f in fields.iter_mut().map(BorrowMut::borrow_mut) {
         f.send_columns(comm, east, EAST, TAG_EAST, (f.ni - f.h) as isize);
         f.send_columns(comm, west, WEST, TAG_WEST, 0);
     }
-    for f in fields.iter_mut() {
+    for f in fields.iter_mut().map(BorrowMut::borrow_mut) {
         f.recv_columns(comm, west, WEST, TAG_EAST, -(f.h as isize));
         f.recv_columns(comm, east, EAST, TAG_WEST, f.ni as isize);
     }
@@ -422,7 +424,7 @@ pub fn exchange_all(fields: &mut [HaloField], cart: &CartComm) {
     // --- Phase 2: north-south (latitude, bounded), full padded rows. ------
     let north = cart.neighbor(0, 1);
     let south = cart.neighbor(0, -1);
-    for f in fields.iter_mut() {
+    for f in fields.iter_mut().map(BorrowMut::borrow_mut) {
         if let Some(n) = north {
             f.send_rows(comm, n, NORTH, TAG_NORTH, (f.nj - f.h) as isize);
         }
@@ -430,7 +432,7 @@ pub fn exchange_all(fields: &mut [HaloField], cart: &CartComm) {
             f.send_rows(comm, s, SOUTH, TAG_SOUTH, 0);
         }
     }
-    for f in fields.iter_mut() {
+    for f in fields.iter_mut().map(BorrowMut::borrow_mut) {
         let (h, njh) = (f.h as isize, f.nj as isize);
         match south {
             Some(s) => f.recv_rows(comm, s, SOUTH, TAG_NORTH, -h),

@@ -19,8 +19,10 @@
 //!   primitive, whole-field in both the separate and block-interleaved
 //!   layouts so the paper's layout study runs on the real operator;
 //! * [`sweeps`] — the production path: the timestep's finite-difference
-//!   phase as three row-fused sweeps (continuity, momentum, tracers) built
-//!   from those primitives, tendencies in L1-sized row buffers;
+//!   phase as three row-fused sweeps (continuity, tracers, momentum) built
+//!   from those primitives, each advancing the state in place, with the
+//!   tendencies and the old copy of the row being overwritten in
+//!   L1-sized row buffers;
 //! * [`agcm_grid::dispatch`] — the one runtime SIMD dispatch (portable /
 //!   AVX2 / AVX-512F compilations of a safe body) the sweeps, the flat
 //!   upwind kernel and the stencil go through, as the column physics does;

@@ -88,16 +88,17 @@ pub struct WaitReport {
 
 impl WaitReport {
     /// Compute the report from already-derived parts (`spans` are the
-    /// trace's [`WorldTrace::spans`], `flows` must come from `sched`).
-    pub fn from_flows(
+    /// trace's [`WorldTrace::spans`], `innermost` their
+    /// [`innermost_spans`], `flows` must come from `sched`).
+    pub(crate) fn from_flows(
         trace: &WorldTrace,
         spans: &[PhaseSpan],
+        innermost: &[Vec<Option<usize>>],
         sched: &EventSchedule,
         flows: &[MessageFlow],
         machine: &MachineProfile,
     ) -> WaitReport {
         let n = trace.size();
-        let phases = innermost_phases(trace, spans);
         let mut ranks = vec![RankWait::default(); n];
 
         for (r, evs) in trace.ranks.iter().enumerate() {
@@ -136,7 +137,8 @@ impl WaitReport {
             ranks[f.pair.src].caused += f.wait;
             ranks[f.pair.dst].buffered += f.buffered;
             if f.wait > 0.0 {
-                let phase = phases[f.pair.dst][f.pair.recv_event].unwrap_or("");
+                let innermost = innermost[f.pair.dst][f.pair.recv_event];
+                let phase = innermost.map_or("", |k| spans[k].name);
                 bump(&mut phase_wait, phase, f.pair.dst, n, f.wait);
                 bump(&mut phase_caused, phase, f.pair.src, n, f.wait);
             }
@@ -274,7 +276,8 @@ pub fn analyze(
     let sched = schedule(trace, machine);
     let timeline = Timeline::from_schedule(trace, &spans, &sched);
     let flows = message_flows(trace, &sched, machine);
-    let waits = WaitReport::from_flows(trace, &spans, &sched, &flows, machine);
+    let innermost = innermost_spans(trace, &spans);
+    let waits = WaitReport::from_flows(trace, &spans, &innermost, &sched, &flows, machine);
     let critical = CriticalPath::extract(trace, &spans, &sched, &flows);
     let comm = CommMatrix::from_trace(trace);
     Ok(TraceAnalysis {

@@ -197,20 +197,26 @@ impl RunMetrics {
         machine: &MachineProfile,
     ) -> Result<(RunMetrics, Timeline), Vec<PhaseFault>> {
         let spans = trace.spans()?;
-        let (summary, timeline) = RunSummary::derive(trace, &spans, machine);
-        let steps = StepMetrics::fold(trace, &spans, &timeline);
+        let innermost = innermost_spans(trace, &spans);
+        let (summary, timeline) = RunSummary::derive(trace, &spans, &innermost, machine);
+        let steps = StepMetrics::fold(trace, &spans, &innermost, &timeline);
         Ok((RunMetrics { steps, summary }, timeline))
     }
 }
 
 impl StepMetrics {
     /// One record per `"step"` phase of a trace, in step order, measured
-    /// on its timeline (`paired` are the trace's [`WorldTrace::spans`]).
-    /// Each rank's spans are walked once: the spans inside a step are the
-    /// ones that follow it in begin order and begin before it ends.
-    pub fn fold(trace: &WorldTrace, paired: &[PhaseSpan], timeline: &Timeline) -> Vec<StepMetrics> {
+    /// on its timeline (`paired` are the trace's [`WorldTrace::spans`],
+    /// `innermost` their [`innermost_spans`]). Each rank's spans are
+    /// walked once: the spans inside a step are the ones that follow it
+    /// in begin order and begin before it ends.
+    pub(crate) fn fold(
+        trace: &WorldTrace,
+        paired: &[PhaseSpan],
+        innermost: &[Vec<Option<usize>>],
+        timeline: &Timeline,
+    ) -> Vec<StepMetrics> {
         let n = trace.size();
-        let innermost = innermost_spans(trace, paired);
         let mut rank_spans: Vec<Vec<&Span>> = vec![Vec::new(); n];
         for s in &timeline.spans {
             rank_spans[s.rank].push(s);
@@ -303,20 +309,24 @@ impl RunSummary {
         trace: &WorldTrace,
         machine: &MachineProfile,
     ) -> Result<(RunSummary, Timeline), Vec<PhaseFault>> {
-        Ok(RunSummary::derive(trace, &trace.spans()?, machine))
+        let spans = trace.spans()?;
+        let innermost = innermost_spans(trace, &spans);
+        Ok(RunSummary::derive(trace, &spans, &innermost, machine))
     }
 
-    /// Replay `trace` (whose [`WorldTrace::spans`] are `spans`) and fold
-    /// it, its timeline and its wait report into the whole-run aggregates.
+    /// Replay `trace` (whose [`WorldTrace::spans`] are `spans`, with
+    /// [`innermost_spans`] `innermost`) and fold it, its timeline and its
+    /// wait report into the whole-run aggregates.
     fn derive(
         trace: &WorldTrace,
         spans: &[PhaseSpan],
+        innermost: &[Vec<Option<usize>>],
         machine: &MachineProfile,
     ) -> (RunSummary, Timeline) {
         let sched = schedule(trace, machine);
         let timeline = Timeline::from_schedule(trace, spans, &sched);
         let flows = message_flows(trace, &sched, machine);
-        let waits = WaitReport::from_flows(trace, spans, &sched, &flows, machine);
+        let waits = WaitReport::from_flows(trace, spans, innermost, &sched, &flows, machine);
         let n = trace.size();
         let mut steps_per_rank = vec![0usize; n];
         for s in timeline.spans.iter().filter(|s| s.name == STEP_PHASE) {
@@ -329,8 +339,7 @@ impl RunSummary {
                 .into_iter()
                 .map(|m| m.into_iter().collect())
                 .collect();
-        let innermost = innermost_spans(trace, spans);
-        let rank_phase_flops: Vec<Vec<(&'static str, f64)>> = (trace.ranks.iter().zip(&innermost))
+        let rank_phase_flops: Vec<Vec<(&'static str, f64)>> = (trace.ranks.iter().zip(innermost))
             .map(|(evs, inner)| phase_flops(evs, inner, spans, 0..evs.len(), None))
             .collect();
         let mut collectives: Vec<(String, u64)> = Vec::new();
@@ -604,7 +613,8 @@ mod tests {
     fn step_fold_matches_the_per_step_filter_bit_for_bit() {
         let trace = exchanging_trace(80);
         let (_, timeline) = RunSummary::from_trace_with_timeline(&trace, &machine()).unwrap();
-        let got = StepMetrics::fold(&trace, &trace.spans().unwrap(), &timeline);
+        let spans = trace.spans().unwrap();
+        let got = StepMetrics::fold(&trace, &spans, &innermost_spans(&trace, &spans), &timeline);
         let want = fold_reference(&trace, &timeline);
         assert_eq!(got.len(), 80);
         assert!(got[0].phase_seconds.iter().any(|(n, _)| *n == "filter"));
