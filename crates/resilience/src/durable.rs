@@ -15,6 +15,11 @@
 //! each line whole in one unbuffered `write`, unsynced: a killed process
 //! loses nothing it wrote, an OS crash may lose the tail. After a failed
 //! write it stays closed and says so.
+//!
+//! **Compact**: a log whose lines go dead (a finished job's, a replaced
+//! entry's) is rewritten to its live lines by [`LineLog::rewrite`], a
+//! publish of the new contents, when [`LineLog::compaction_due`] says its
+//! dead bytes outweigh both its live bytes and [`COMPACTION_FLOOR`].
 
 use crate::coordinator::{io_err, StoreError};
 use std::fs::{self, File, OpenOptions};
@@ -117,6 +122,27 @@ pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
     Ok(())
 }
 
+/// Dead bytes a [`LineLog`] may hold before it is compacted, however few
+/// its live bytes. A compaction is one publish (two fsyncs); the floor
+/// makes each one save about as much replay as it costs. Opening a server
+/// journal of finished jobs (three lines, about 375 bytes each), which
+/// replays every line and compacts nothing, against one publish of a
+/// small file:
+///
+/// | dead bytes | finished jobs | open (p25–p75) |
+/// |-----------:|--------------:|---------------:|
+/// |     16 KiB |            44 |   0.10–0.11 ms |
+/// |     32 KiB |            88 |   0.19–0.20 ms |
+/// |     63 KiB |           173 |   0.36–0.39 ms |
+/// |    publish |               |   0.27–0.32 ms |
+///
+/// (release build, 2-vCPU VM, ext4 on a virtio disk; about 0.75 µs per
+/// replayed line), so the floor's worth of dead history replays in about
+/// 1.3 publishes. Above the floor, a log is compacted once its dead bytes
+/// exceed its live ones, which bounds it at twice its live bytes, or the
+/// floor plus them.
+pub const COMPACTION_FLOOR: u64 = 64 * 1024;
+
 /// An append-only file of lines, written one whole line at a time.
 #[derive(Debug)]
 pub struct LineLog {
@@ -173,6 +199,32 @@ impl LineLog {
     /// Bytes in the file.
     pub fn written(&self) -> u64 {
         self.written
+    }
+
+    /// Whether the log should be compacted, given that `live` of its bytes
+    /// are live: when its dead bytes exceed both `live` and
+    /// [`COMPACTION_FLOOR`].
+    pub fn compaction_due(&self, live: u64) -> bool {
+        self.written.saturating_sub(live) > live.max(COMPACTION_FLOOR)
+    }
+
+    /// Replace the file with `bytes` through [`write_atomic`] and append
+    /// to the new file from then on. A crash leaves the old file or the
+    /// new one, never a mix. If the publish fails, the old file stays and
+    /// stays open; if the new one cannot be reopened, the log is closed.
+    /// A closed log is not rewritten: it stays closed.
+    pub fn rewrite(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
+        if self.is_closed() {
+            return Err(io_err(
+                "rewrite",
+                &self.path,
+                io::Error::other("log closed after a failed write"),
+            ));
+        }
+        write_atomic(&self.path, bytes)?;
+        self.file = None;
+        *self = LineLog::open(&self.path).map_err(|e| io_err("reopen", &self.path, e))?;
+        Ok(())
     }
 
     /// Start a fresh file, keeping the current one as `<path>.1` and

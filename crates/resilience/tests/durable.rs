@@ -1,8 +1,9 @@
 //! The durable-write path (`agcm_resilience::durable`): a failed
 //! publish leaves nothing behind, a batch publishes every file, and a
-//! line log closes on a failed write and rotates its generations.
+//! line log closes on a failed write, rotates its generations and is
+//! rewritten when its compaction rule says so.
 
-use agcm_resilience::durable::{publish_all, write_atomic, LineLog, Staged};
+use agcm_resilience::durable::{publish_all, write_atomic, LineLog, Staged, COMPACTION_FLOOR};
 use agcm_resilience::StoreError;
 use std::fs;
 use std::path::PathBuf;
@@ -81,6 +82,42 @@ fn a_failed_append_closes_the_log() {
     assert!(log.is_closed());
     assert!(log.append("second\n").is_err());
     assert_eq!(log.written(), 0);
+    // A closed log stays closed: it is not rewritten.
+    assert!(log.rewrite(b"live\n").is_err());
+    assert!(log.is_closed());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_rewrite_replaces_the_file_and_a_failed_one_keeps_the_old() {
+    let dir = scratch("rewrite");
+    let path = dir.join("jobs.log");
+    let mut log = LineLog::open(&path).unwrap();
+    log.append("live\n").unwrap();
+    // Dead bytes must pass both the live ones and the floor.
+    while log.written() - 5 <= COMPACTION_FLOOR {
+        assert!(!log.compaction_due(5));
+        log.append("dead line\n").unwrap();
+    }
+    assert!(log.compaction_due(5));
+    assert!(!log.compaction_due(log.written() / 2));
+    // A publish that fails (its temporary name leads to the full device)
+    // leaves the old file, still open for append.
+    let tmp = dir.join("jobs.log.tmp");
+    std::os::unix::fs::symlink("/dev/full", &tmp).unwrap();
+    let before = fs::read(&path).unwrap();
+    assert!(log.rewrite(b"live\n").is_err());
+    assert!(!log.is_closed());
+    assert_eq!(fs::read(&path).unwrap(), before);
+    log.append("after\n").unwrap();
+    // A rewrite that succeeds replaces the file, and appends follow it.
+    let _ = fs::remove_file(&tmp);
+    log.rewrite(b"live\n").unwrap();
+    assert_eq!(log.written(), 5);
+    log.append("next\n").unwrap();
+    assert_eq!(fs::read_to_string(&path).unwrap(), "live\nnext\n");
+    assert_eq!(fs::read_dir(&dir).unwrap().count(), 1, "no temporary left");
     let _ = fs::remove_dir_all(&dir);
 }
 

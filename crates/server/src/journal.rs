@@ -8,14 +8,33 @@
 //! every checksum and stops at the first bad or torn line, so a crash
 //! mid-append costs at most the line being written, never the log behind
 //! it. Appends go through `durable::LineLog` (re-exported by the store
-//! crate): one write per line, not fsynced. On open, the journal
-//! compacts: live (non-terminal) jobs are published as a fresh log
-//! through `durable::write_atomic` (temp file, fsync, rename, fsync the
-//! directory), and finished history is dropped; a log that compaction
-//! would not change (a clean restart, an empty log) is not rewritten.
-//! The compacted log always begins with a `watermark` line carrying the
-//! highest durable id ever seen, so dropping terminal history can never
-//! rewind the server's id counter onto already-used ids.
+//! crate): one write per line, not fsynced.
+//!
+//! **Compaction.** Beside the file, the journal keeps each live job's
+//! framed `submitted` line (the bytes it appended, or the ones replay
+//! read) and whether it dispatched, and so knows how many of the file's
+//! bytes are dead: every line compaction would drop, chiefly those of
+//! finished jobs (a `terminal` line, `rejected` included, kills its
+//! job's lines). [`Journal::compact`] publishes a `watermark` line and
+//! then the live lines, in log order, through `LineLog::rewrite`
+//! (`durable::write_atomic`: temp file, fsync, rename, fsync the
+//! directory), under the append lock. The watermark carries the highest
+//! durable id ever seen, so dropping terminal history can never rewind
+//! the server's id counter onto already-used ids. Compaction runs when
+//! `LineLog::compaction_due` holds, i.e. the dead bytes exceed both the
+//! live ones and `durable::COMPACTION_FLOOR` (64 KiB, about what one
+//! publish costs in replay; its doc has the measurement):
+//! - at [`Journal::open`], which also rewrites a log whose replay
+//!   stopped at a bad or torn line (a line appended behind it would never
+//!   replay). Any other log is opened for append as it is;
+//! - while a server serves, on the server's journal thread, which a
+//!   terminal record wakes once the rule holds ([`Journal::compaction_due`]).
+//!   Appends only count: a `Journal` on its own never compacts between
+//!   opens, and a detached or degraded one never compacts.
+//!
+//! A restart of a server therefore replays at most the floor of dead
+//! history, plus what the jobs finished since the thread last ran, plus
+//! the live jobs, however long the server was up.
 //!
 //! Replay costs a checksum and one scan per line, plus a full parse
 //! only for the jobs still live. Each line's JSON is validated by
@@ -26,14 +45,14 @@
 //! not an exact integer in `0..=2^53` makes its line corrupt (a larger id
 //! is not exact as a JSON number), and the server hands out no id past
 //! that bound either. A second `submitted` line for an id is corrupt too:
-//! the writer never journals an id twice. A restart over finished history therefore allocates a fixed
-//! number of times however long the log is, and costs time linear in
-//! it: an open takes about 1.1, 5.5 and 25 ms on logs of 400, 4,000 and
-//! 16,000 finished jobs (two lines each, about 280 bytes per job) in a
-//! release build on a 2-vCPU VM, where a `Value` tree per line took 2.5,
-//! 20 and 80 ms. The checksums and the walk take about equal shares; at
-//! 400 jobs the compaction's publish (two fsyncs) is a third of it.
-//! Compaction then leaves only the live jobs for the next restart.
+//! the writer never journals an id twice. A restart over finished history
+//! therefore allocates a fixed number of times however long the log is,
+//! and costs time linear in it: an open takes about 1.1, 5.5 and 25 ms
+//! on logs of 400, 4,000 and 16,000 finished jobs (two lines each, about
+//! 280 bytes per job) in a release build on a 2-vCPU VM, where a `Value`
+//! tree per line took 2.5, 20 and 80 ms. The checksums and the walk take
+//! about equal shares; at 400 jobs the compaction's publish (two fsyncs)
+//! is a third of it.
 //!
 //! A job's checkpoints live in the fleet checkpoint store, never under
 //! the journal's directory. With the store attached
@@ -56,15 +75,28 @@
 //!   **resumed** on restart from its lineage's longest committed prefix
 //!   in the store rather than step 0.
 //! - crash after `terminal` → compaction drops it; it is done.
+//!
+//! A crash *during* a compaction while serving changes none of this. The
+//! compaction holds the append lock from the moment it reads the live
+//! set until the new file is open for append, so every line is either
+//! in the old file before the snapshot (and folded into it) or appended
+//! to the new file after it: none is lost or written twice across the
+//! swap. The new file is fsynced before the rename, the rename is atomic
+//! and the directory is fsynced after it, so a crash leaves either the
+//! old log, with every line, or the new one, whose replay is the old
+//! one's fold (the same live jobs, dispatched flags and highest id). At
+//! worst a stale `jobs.log.tmp` stays behind, and the next publish
+//! overwrites it. The new file also makes durable the appends it
+//! folded, which were not synced before.
 
-use agcm_ckptstore::durable::{write_atomic, LineLog};
+use agcm_ckptstore::durable::LineLog;
 use agcm_ckptstore::{frame_line, unframe_line, Store};
 use agcm_ensemble::{JobId, JobObserver, JobRecord};
 use agcm_telemetry::json::{walk_fields, Field, ParseLimits, Value};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A journaled job that has not reached a terminal state — the unit of
@@ -99,20 +131,91 @@ pub struct ReplayStats {
     pub max_id: u64,
 }
 
+/// A live job as the journal keeps it for compaction.
+struct Kept {
+    /// Order of its `submitted` line in the log: compaction keeps it.
+    seq: u64,
+    /// Its framed `submitted` line, newline included.
+    line: String,
+    /// Bytes of its `dispatched` line; 0 before it dispatched.
+    dispatched: u64,
+}
+
+impl Kept {
+    /// Bytes of its lines in the log.
+    fn bytes(&self) -> u64 {
+        self.line.len() as u64 + self.dispatched
+    }
+}
+
+/// The log and what compaction needs to know about it, under the append
+/// lock.
 struct Inner {
     log: LineLog,
     detached: bool,
+    live: HashMap<u64, Kept>,
+    /// Bytes of the log's live lines: every kept `submitted` line and
+    /// the `dispatched` line of each job that has one.
+    live_bytes: u64,
+    next_seq: u64,
+    max_id: u64,
 }
 
-/// Point-in-time journal health, reported on `/healthz`.
+impl Inner {
+    /// Fold one appended line into the live set.
+    fn apply(&mut self, id: u64, event: Event, line: String) {
+        self.max_id = self.max_id.max(id);
+        match event {
+            Event::Submitted => {
+                let kept = Kept {
+                    seq: self.next_seq,
+                    line,
+                    dispatched: 0,
+                };
+                self.next_seq += 1;
+                self.live_bytes += kept.bytes();
+                self.live.insert(id, kept);
+            }
+            Event::Dispatched => {
+                if let Some(job) = self.live.get_mut(&id).filter(|job| job.dispatched == 0) {
+                    job.dispatched = line.len() as u64;
+                    self.live_bytes += job.dispatched;
+                }
+            }
+            Event::Terminal => {
+                if let Some(job) = self.live.remove(&id) {
+                    self.live_bytes -= job.bytes();
+                }
+            }
+        }
+    }
+}
+
+/// What an appended line does to its job.
+#[derive(Clone, Copy)]
+enum Event {
+    Submitted,
+    Dispatched,
+    Terminal,
+}
+
+/// Point-in-time journal health, reported on `/healthz` and `/metrics`.
 #[derive(Debug, Clone, Default)]
 pub struct JournalStats {
     /// Lines appended by this process (post-open).
     pub appended_lines: u64,
-    /// Live jobs rewritten by the open-time compaction.
+    /// Live jobs the open's compaction rewrote (0 when the open left the
+    /// log as it was).
     pub compacted_live: usize,
-    /// Terminal jobs dropped by the open-time compaction.
+    /// Terminal jobs the open's compaction dropped (0 when the open left
+    /// the log as it was).
     pub dropped_terminal: usize,
+    /// Compactions this process ran, the open's included.
+    pub compactions: u64,
+    /// Bytes of the log that the next compaction would drop.
+    pub dead_bytes: u64,
+    /// Jobs journaled without a terminal record.
+    pub live_jobs: usize,
     /// An append failed, so the log is closed: later records are lost
     /// while the server keeps acking.
     pub degraded: bool,
@@ -125,6 +228,10 @@ pub struct Journal {
     path: PathBuf,
     inner: Mutex<Inner>,
     appended: AtomicU64,
+    compactions: AtomicU64,
+    /// Set when a terminal record makes the compaction rule hold, cleared
+    /// by [`Journal::compact`].
+    due: AtomicBool,
     compacted_live: usize,
     dropped_terminal: usize,
     /// Fleet checkpoint store, when the server runs one. Terminal-job
@@ -137,54 +244,51 @@ const LOG_NAME: &str = "jobs.log";
 
 impl Journal {
     /// Open (or create) the journal under `dir`: replay the existing
-    /// log, compact it down to the live jobs, and return those jobs plus
-    /// replay statistics.
+    /// log, compact it if replay stopped at a bad line or the compaction
+    /// rule holds, and return the live jobs plus replay statistics.
     pub fn open(dir: &Path) -> std::io::Result<(Journal, Vec<LiveJob>, ReplayStats)> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(LOG_NAME);
-        let (live, stats, text) = replay(&path)?;
-
-        // Compact: a crash while publishing leaves either the old log or
-        // the new one — never a mix — and a failed publish leaves no
-        // temporary file behind. A log that is already its own compaction
-        // (a clean restart, an empty log) is left as it is.
-        let mut out = String::new();
-        // The id high-water mark must survive even when every job it
-        // came from is terminal (and therefore dropped here) — otherwise
-        // a restart after an idle restart reseeds the id counter onto
-        // used ids.
-        if stats.max_id > 0 {
-            push_line(&mut out, &event_value("watermark", stats.max_id));
-        }
-        for job in &live {
-            push_line(
-                &mut out,
-                &submitted_value(
-                    job.id,
-                    job.tenant.as_deref(),
-                    job.trace.as_deref(),
-                    &job.spec,
-                ),
-            );
+        let text = match std::fs::read_to_string(&path) {
+            Ok(t) => t,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
+            Err(e) => return Err(e),
+        };
+        let (jobs, stats) = fold(&text);
+        let mut inner = Inner {
+            log: LineLog::open(&path)?,
+            detached: false,
+            live: HashMap::with_capacity(jobs.len()),
+            live_bytes: 0,
+            next_seq: 0,
+            max_id: stats.max_id,
+        };
+        for job in &jobs {
+            inner.apply(job.id, Event::Submitted, format!("{}\n", job.line));
             if job.dispatched {
-                push_line(&mut out, &event_value("dispatched", job.id));
+                inner.apply(job.id, Event::Dispatched, dispatched_line(job.id));
             }
         }
-        if out != text {
-            write_atomic(&path, out.as_bytes()).map_err(std::io::Error::other)?;
-        }
-
-        let journal = Journal {
-            inner: Mutex::new(Inner {
-                log: LineLog::open(&path)?,
-                detached: false,
-            }),
+        // A line appended behind a bad one, or onto a last line without
+        // its newline, would never replay.
+        let torn = stats.corrupt > 0 || !text.is_empty() && !text.ends_with('\n');
+        let rewrite = torn || inner.log.compaction_due(inner.live_bytes);
+        let mut journal = Journal {
+            inner: Mutex::new(inner),
             path,
             appended: AtomicU64::new(0),
-            compacted_live: live.len(),
-            dropped_terminal: stats.already_terminal,
+            compactions: AtomicU64::new(0),
+            due: AtomicBool::new(false),
+            compacted_live: 0,
+            dropped_terminal: 0,
             store: Mutex::new(None),
         };
+        if rewrite {
+            journal.compact()?;
+            journal.compacted_live = jobs.len();
+            journal.dropped_terminal = stats.already_terminal;
+        }
+        let live = jobs.iter().map(live_job).collect();
         Ok((journal, live, stats))
     }
 
@@ -195,12 +299,60 @@ impl Journal {
 
     /// Point-in-time journal health.
     pub fn stats(&self) -> JournalStats {
+        let inner = self.inner.lock().unwrap();
         JournalStats {
             appended_lines: self.appended.load(Ordering::Relaxed),
             compacted_live: self.compacted_live,
             dropped_terminal: self.dropped_terminal,
-            degraded: self.inner.lock().unwrap().log.is_closed(),
+            compactions: self.compactions.load(Ordering::Relaxed),
+            dead_bytes: inner.log.written().saturating_sub(inner.live_bytes),
+            live_jobs: inner.live.len(),
+            degraded: inner.log.is_closed(),
         }
+    }
+
+    /// Whether a terminal record made the compaction rule hold since the
+    /// last [`Journal::compact`]. One atomic load: cheap enough for the
+    /// scheduler's terminal path, which then hands the compaction to a
+    /// thread of its own.
+    pub fn compaction_due(&self) -> bool {
+        self.due.load(Ordering::Relaxed)
+    }
+
+    /// Publish the log as a `watermark` line plus the live jobs' lines,
+    /// in log order, and append to the new file from then on. Appends
+    /// wait for it. A detached journal is left as it is, and a degraded
+    /// one too (with an error).
+    pub fn compact(&self) -> std::io::Result<()> {
+        let mut inner = self.inner.lock().unwrap();
+        self.due.store(false, Ordering::Relaxed);
+        if inner.detached {
+            return Ok(());
+        }
+        let mut out = String::new();
+        // The id high-water mark must survive even when every job it
+        // came from is terminal (and therefore dropped here) — otherwise
+        // a restart after an idle restart reseeds the id counter onto
+        // used ids.
+        if inner.max_id > 0 {
+            push_line(&mut out, &event_value("watermark", inner.max_id));
+        }
+        let watermark = out.len();
+        let mut live: Vec<(&u64, &Kept)> = inner.live.iter().collect();
+        live.sort_unstable_by_key(|(_, job)| job.seq);
+        for (&id, job) in live {
+            out.push_str(&job.line);
+            if job.dispatched > 0 {
+                push_line(&mut out, &event_value("dispatched", id));
+            }
+        }
+        inner
+            .log
+            .rewrite(out.as_bytes())
+            .map_err(std::io::Error::other)?;
+        inner.live_bytes = (out.len() - watermark) as u64;
+        self.compactions.fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Route terminal-job checkpoint cleanup through `store`'s
@@ -215,18 +367,20 @@ impl Journal {
     /// Write-ahead record: the job exists, before the scheduler sees it.
     /// `trace` is the encoded trace context minted at submission.
     pub fn submitted(&self, id: u64, tenant: Option<&str>, trace: Option<&str>, spec: &Value) {
-        self.append(&submitted_value(id, tenant, trace, spec));
+        let value = submitted_value(id, tenant, trace, spec);
+        self.append(id, Event::Submitted, &value);
     }
 
     /// Terminal record written by the *server* (admission rejections —
     /// the scheduler never saw the job, so no observer event will come).
     pub fn rejected(&self, id: u64, error: &str) {
-        self.append(&Value::obj(vec![
+        let value = Value::obj(vec![
             ("event", Value::Str("terminal".into())),
             ("job", Value::Num(id as f64)),
             ("status", Value::Str("rejected".into())),
             ("error", Value::Str(error.into())),
-        ]));
+        ]);
+        self.append(id, Event::Terminal, &value);
     }
 
     /// Stop journaling. Subsequent appends (including observer events
@@ -239,12 +393,17 @@ impl Journal {
 
     /// An append failure must not take down the scheduler: the log
     /// closes, and [`JournalStats::degraded`] says so from then on.
-    fn append(&self, value: &Value) {
+    fn append(&self, id: u64, event: Event, value: &Value) {
         let mut line = String::new();
         push_line(&mut line, value);
         let mut inner = self.inner.lock().unwrap();
-        if !inner.detached && inner.log.append(&line).is_ok() {
-            self.appended.fetch_add(1, Ordering::Relaxed);
+        if inner.detached || inner.log.append(&line).is_err() {
+            return;
+        }
+        self.appended.fetch_add(1, Ordering::Relaxed);
+        inner.apply(id, event, line);
+        if matches!(event, Event::Terminal) && inner.log.compaction_due(inner.live_bytes) {
+            self.due.store(true, Ordering::Relaxed);
         }
     }
 }
@@ -252,17 +411,22 @@ impl Journal {
 impl JobObserver for Journal {
     fn on_dispatch(&self, _id: JobId, tag: Option<u64>) {
         if let Some(durable) = tag {
-            self.append(&event_value("dispatched", durable));
+            self.append(
+                durable,
+                Event::Dispatched,
+                &event_value("dispatched", durable),
+            );
         }
     }
 
     fn on_terminal(&self, record: &JobRecord) {
         if let Some(durable) = record.tag {
-            self.append(&Value::obj(vec![
+            let value = Value::obj(vec![
                 ("event", Value::Str("terminal".into())),
                 ("job", Value::Num(durable as f64)),
                 ("status", Value::Str(record.status.label())),
-            ]));
+            ]);
+            self.append(durable, Event::Terminal, &value);
             // Release the lineage lease (idempotent with the scheduler's
             // own release) so the next GC sweep can reclaim the chunks
             // once no live job shares the lineage. Gated on detach like
@@ -304,40 +468,35 @@ fn event_value(event: &str, id: u64) -> Value {
     ])
 }
 
-fn push_line(out: &mut String, value: &Value) {
-    frame_line(out, &value.to_string());
+/// The framed `dispatched` line of job `id`.
+fn dispatched_line(id: u64) -> String {
+    let mut line = String::new();
+    push_line(&mut line, &event_value("dispatched", id));
+    line
 }
 
-/// Replay the log. Also returns the text read, so open can tell whether
-/// compaction changes it.
-fn replay(path: &Path) -> std::io::Result<(Vec<LiveJob>, ReplayStats, String)> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-        Err(e) => return Err(e),
-    };
-    let (live, stats) = fold(&text);
-    Ok((live, stats, text))
+fn push_line(out: &mut String, value: &Value) {
+    frame_line(out, &value.to_string());
 }
 
 /// The highest id a journal line may carry, and so the highest the server
 /// hands out: every id up to it is exact as a JSON number.
 pub(crate) const MAX_ID: u64 = 1 << 53;
 
-/// A `submitted` line as the fold keeps it: its JSON, and whether a later
-/// line dispatched or finished its job.
+/// A `submitted` line as the fold keeps it: the line, and whether a
+/// later line dispatched or finished its job.
 struct Submitted<'a> {
-    json: &'a str,
+    line: &'a str,
     id: u64,
     dispatched: bool,
     terminal: bool,
 }
 
-/// Fold the log's events into per-job state. Every line's frame is
-/// verified and its JSON validated, but only `event` and `job` are read;
-/// a job's `tenant`, `trace` and `spec` are parsed only if it is still
-/// live after the fold.
-fn fold(text: &str) -> (Vec<LiveJob>, ReplayStats) {
+/// Fold the log's events into per-job state: the jobs still live, in log
+/// order, and the replay's statistics. Every line's frame is verified and
+/// its JSON validated, but only `event` and `job` are read; a job's
+/// `tenant`, `trace` and `spec` are parsed by [`live_job`].
+fn fold(text: &str) -> (Vec<Submitted<'_>>, ReplayStats) {
     let mut stats = ReplayStats::default();
     // Sized by the line count, so replay allocates the same few times
     // however long the log is.
@@ -351,9 +510,9 @@ fn fold(text: &str) -> (Vec<LiveJob>, ReplayStats) {
         // later `dispatched` or `terminal` could belong to a history the
         // log no longer shows, so replay stops at the first bad line.
         // The writer journals an id once: a second `submitted` is corrupt.
-        let Some((json, (event, id))) = unframe_line(line)
-            .and_then(|json| Some((json, event_of(json)?)))
-            .filter(|(_, (event, id))| !(event == "submitted" && by_id.contains_key(id)))
+        let Some((event, id)) = unframe_line(line)
+            .and_then(event_of)
+            .filter(|(event, id)| !(event == "submitted" && by_id.contains_key(id)))
         else {
             stats.corrupt += 1;
             break;
@@ -364,7 +523,7 @@ fn fold(text: &str) -> (Vec<LiveJob>, ReplayStats) {
             "submitted" => {
                 by_id.insert(id, jobs.len());
                 jobs.push(Submitted {
-                    json,
+                    line,
                     id,
                     dispatched: false,
                     terminal: false,
@@ -385,15 +544,9 @@ fn fold(text: &str) -> (Vec<LiveJob>, ReplayStats) {
             _ => {}
         }
     }
-    let mut live = Vec::new();
-    for job in jobs {
-        if job.terminal {
-            stats.already_terminal += 1;
-        } else {
-            live.push(live_job(&job));
-        }
-    }
-    (live, stats)
+    stats.already_terminal = jobs.iter().filter(|job| job.terminal).count();
+    jobs.retain(|job| !job.terminal);
+    (jobs, stats)
 }
 
 /// A line's `event` (empty when absent or not a string) and `job` (0 when
@@ -425,7 +578,8 @@ fn event_of(json: &str) -> Option<(Cow<'_, str>, u64)> {
 /// and `spec`.
 fn live_job(job: &Submitted) -> LiveJob {
     let (mut tenant, mut trace, mut spec) = (None, None, None);
-    walk_fields(job.json, ParseLimits::default(), |field| {
+    let json = unframe_line(job.line).expect("the fold verified this line");
+    walk_fields(json, ParseLimits::default(), |field| {
         let slot = match &*field.key {
             "tenant" => &mut tenant,
             "trace" => &mut trace,
@@ -540,9 +694,11 @@ mod tests {
         }
         // First restart: job 7 is terminal, so compaction drops it — but
         // the watermark must keep the high-water mark.
-        let (_, live, stats) = Journal::open(&dir).unwrap();
+        let (journal, live, stats) = Journal::open(&dir).unwrap();
         assert!(live.is_empty());
         assert_eq!(stats.max_id, 7);
+        journal.compact().unwrap();
+        drop(journal);
         // Second restart with no intervening submissions: still 7. This
         // is the id-reuse regression — before the watermark, this replay
         // of an empty live set reported max_id 0.
@@ -572,10 +728,17 @@ mod tests {
             journal.on_dispatch(102, Some(2));
             journal.on_terminal(&terminal_record(1));
         }
-        // The terminal job makes this open compact: a new file.
+        // One finished job is far below the floor: the open appends to
+        // the log as it is.
         let before = std::fs::read(&path).unwrap();
-        let (_, live, _) = Journal::open(&dir).unwrap();
+        let (journal, live, _) = Journal::open(&dir).unwrap();
         assert_eq!(live.len(), 1);
+        assert_eq!(inode(), empty, "a log under the floor is left as it is");
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        assert_eq!(journal.stats().compactions, 0);
+        // Compacting drops the terminal history into a new file.
+        journal.compact().unwrap();
+        drop(journal);
         let compacted = std::fs::read(&path).unwrap();
         assert_ne!(compacted, before, "terminal history is dropped");
         assert_ne!(inode(), empty, "compaction publishes a new file");
@@ -587,6 +750,65 @@ mod tests {
             assert_eq!(inode(), written, "a compacted log is left as it is");
             assert_eq!(std::fs::read(&path).unwrap(), compacted);
         }
+        // Compacting it again writes the same bytes.
+        Journal::open(&dir).unwrap().0.compact().unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), compacted);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn open_compacts_when_dead_bytes_pass_the_floor_or_the_tail_is_torn() {
+        use agcm_ckptstore::durable::COMPACTION_FLOOR;
+        let dir = std::env::temp_dir().join(format!("agcm-journal-rule-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join(LOG_NAME);
+        let size = || std::fs::metadata(&path).unwrap().len();
+        let (journal, _, _) = Journal::open(&dir).unwrap();
+        journal.submitted(1, None, None, &spec());
+        journal.on_dispatch(101, Some(1));
+        let live = size();
+        let mut id = 1;
+        // A journal on its own only counts: finished jobs pile up past the
+        // floor, and the rule says so.
+        while size() - live <= COMPACTION_FLOOR {
+            id += 1;
+            journal.submitted(id, None, None, &spec());
+            assert!(!journal.compaction_due());
+            journal.rejected(id, "full");
+        }
+        assert!(journal.compaction_due());
+        let stats = journal.stats();
+        assert_eq!((stats.compactions, stats.live_jobs), (0, 1));
+        assert_eq!(stats.dead_bytes, size() - live);
+        drop(journal);
+        // The open applies the rule: the log shrinks to the watermark and
+        // the live job, and the open reports what it rewrote.
+        let (journal, jobs, stats) = Journal::open(&dir).unwrap();
+        assert_eq!(stats.lines as u64, 2 + 2 * (id - 1));
+        assert_eq!((jobs.len(), jobs[0].id, jobs[0].dispatched), (1, 1, true));
+        let j = journal.stats();
+        assert_eq!((j.compactions, j.compacted_live), (1, 1));
+        assert_eq!(j.dropped_terminal as u64, id - 1);
+        assert!(!journal.compaction_due());
+        let watermark = std::fs::read_to_string(&path).unwrap().lines().count();
+        assert_eq!(watermark, 3, "watermark, submitted, dispatched");
+        assert_eq!(j.dead_bytes, size() - live, "the watermark");
+        // A last line without its newline is a torn tail: the open
+        // rewrites it, so the next append starts a line of its own.
+        journal.submitted(id + 1, None, None, &spec());
+        drop(journal);
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, text.trim_end()).unwrap();
+        let (journal, jobs, stats) = Journal::open(&dir).unwrap();
+        assert_eq!((jobs.len(), stats.corrupt), (2, 0));
+        assert_eq!(journal.stats().compactions, 1);
+        let rewritten = std::fs::read_to_string(&path).unwrap();
+        assert!(rewritten.ends_with('\n'));
+        assert!(rewritten.lines().skip(1).eq(text.lines().skip(1)));
+        journal.submitted(id + 2, None, None, &spec());
+        drop(journal);
+        let (_, jobs, stats) = Journal::open(&dir).unwrap();
+        assert_eq!((jobs.len(), stats.corrupt), (3, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -603,10 +825,11 @@ mod tests {
         // First reopen replays the appended lines; second reopen replays
         // the *compacted* rewrite — the trace must survive both forms.
         for _ in 0..2 {
-            let (_, live, _) = Journal::open(&dir).unwrap();
+            let (journal, live, _) = Journal::open(&dir).unwrap();
             assert_eq!(live.len(), 2);
             assert_eq!(live[0].trace.as_deref(), Some(encoded));
             assert_eq!(live[1].trace, None);
+            journal.compact().unwrap();
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -619,9 +842,9 @@ mod tests {
             let (journal, _, _) = Journal::open(&dir).unwrap();
             journal.submitted(5, None, None, &spec());
         }
-        // Reopen once so the log is the compacted form: watermark first,
+        // Compact once so the log is the compacted form: watermark first,
         // then the live job. Then flip a byte inside the watermark line.
-        let _ = Journal::open(&dir).unwrap();
+        Journal::open(&dir).unwrap().0.compact().unwrap();
         let path = dir.join(LOG_NAME);
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.lines().next().unwrap().contains("watermark"));
@@ -929,7 +1152,8 @@ mod tests {
                 }
             }
             let want = value_fold(&log);
-            let got = fold(&log);
+            let (jobs, stats) = fold(&log);
+            let got = (jobs.iter().map(live_job).collect::<Vec<_>>(), stats);
             assert_eq!(got, want, "case {case}:\n{log}");
             lines += got.1.lines;
             corrupt += got.1.corrupt;

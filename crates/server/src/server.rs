@@ -27,7 +27,10 @@
 //! write ([`write_response`]). Shutdown sets the stop flag and takes the
 //! thread list under the lock that guards spawning, wakes each blocked
 //! `accept` with a throwaway connection, force-closes the sockets being
-//! served, and joins every thread.
+//! served, and joins every thread. One more thread, `agcm-journal`,
+//! compacts the journal ([`Compactor`]): it starts the first time a
+//! terminal record makes the journal's compaction rule hold, and
+//! shutdown joins it.
 
 use crate::api::{error_body, record_to_value, result_to_value, view_to_value, JobRequest};
 use crate::http::{read_request, write_response, HttpLimits, ReadError, Request, Response};
@@ -47,6 +50,7 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, SyncSender};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -178,6 +182,7 @@ struct ServerState {
     cfg: ServerConfig,
     ensemble: RwLock<Option<Ensemble>>,
     journal: Arc<Journal>,
+    compactor: Arc<Compactor>,
     /// Fleet-wide content-addressed checkpoint store under
     /// `<journal_dir>/store`: every admitted job checkpoints into it and
     /// resumes from the longest committed prefix of its config lineage.
@@ -216,11 +221,80 @@ fn bounded_tenant<'a>(known: &'a [String], tenant: Option<&'a str>) -> &'a str {
     }
 }
 
+/// The journal's compaction thread. A terminal record that makes the
+/// journal's compaction rule hold wakes it, starting it the first time
+/// (the terminal observer runs with the scheduler lock held, so it never
+/// compacts itself); the thread runs [`Journal::compact`] and sleeps
+/// again. Wakes while one is pending coalesce.
+struct Compactor {
+    journal: Arc<Journal>,
+    /// The thread and its wake channel, once started.
+    thread: Mutex<Option<(SyncSender<()>, JoinHandle<()>)>>,
+    /// Set by [`Compactor::stop`]: no thread starts after it.
+    stopped: AtomicBool,
+}
+
+impl Compactor {
+    fn new(journal: Arc<Journal>) -> Compactor {
+        Compactor {
+            journal,
+            thread: Mutex::new(None),
+            stopped: AtomicBool::new(false),
+        }
+    }
+
+    /// Wake the thread if the journal wants a compaction.
+    fn poke(&self) {
+        if !self.journal.compaction_due() {
+            return;
+        }
+        let mut thread = self.thread.lock().unwrap();
+        if self.stopped.load(Ordering::Relaxed) {
+            return;
+        }
+        if thread.is_none() {
+            let (tx, rx) = mpsc::sync_channel::<()>(1);
+            let journal = Arc::clone(&self.journal);
+            // A wake queued while the last compaction ran finds the rule
+            // settled. A failed compaction leaves the log as valid as it
+            // was: appends go on, and the next terminal record retries.
+            let compact = move || {
+                for () in rx {
+                    if journal.compaction_due() {
+                        let _ = journal.compact();
+                    }
+                }
+            };
+            let spawned = std::thread::Builder::new()
+                .name("agcm-journal".into())
+                .spawn(compact);
+            *thread = spawned.ok().map(|handle| (tx, handle));
+        }
+        if let Some((tx, _)) = thread.as_ref() {
+            let _ = tx.try_send(());
+        }
+    }
+
+    /// Let the thread finish what it was woken for, and join it.
+    fn stop(&self) {
+        let thread = {
+            let mut thread = self.thread.lock().unwrap();
+            self.stopped.store(true, Ordering::Relaxed);
+            thread.take()
+        };
+        if let Some((tx, handle)) = thread {
+            drop(tx);
+            let _ = handle.join();
+        }
+    }
+}
+
 /// The scheduler-side observer fan-out: journal first (durability), then
 /// SLO burn accounting, then the structured event log. Runs with the
 /// scheduler lock held, so every step is append/increment-cheap.
 struct ServingObserver {
     journal: Arc<Journal>,
+    compactor: Arc<Compactor>,
     log: Arc<EventLog>,
     metrics: Arc<MetricsRegistry>,
     collector: Arc<LiveCollector>,
@@ -246,6 +320,7 @@ impl JobObserver for ServingObserver {
 
     fn on_terminal(&self, record: &JobRecord) {
         self.journal.on_terminal(record);
+        self.compactor.poke();
         let Some(durable) = record.tag else { return };
         let label = bounded_tenant(&self.known_tenants, record.tenant.as_deref());
         let mut slo_fields: Vec<(&str, Value)> = Vec::new();
@@ -325,6 +400,7 @@ impl AgcmServer {
     pub fn start(cfg: ServerConfig) -> std::io::Result<AgcmServer> {
         let (journal, live, replay) = Journal::open(&cfg.journal_dir)?;
         let journal = Arc::new(journal);
+        let compactor = Arc::new(Compactor::new(Arc::clone(&journal)));
         // The fleet checkpoint store shares the journal root. It must be
         // open before recovery so recovered jobs can lease their
         // lineages ahead of the startup GC sweep below.
@@ -350,6 +426,7 @@ impl AgcmServer {
             .unwrap_or_default();
         let observer = Arc::new(ServingObserver {
             journal: Arc::clone(&journal),
+            compactor: Arc::clone(&compactor),
             log: Arc::clone(&log),
             metrics: Arc::clone(&metrics),
             collector: Arc::clone(&collector),
@@ -458,6 +535,7 @@ impl AgcmServer {
             cfg,
             ensemble: RwLock::new(Some(ensemble)),
             journal,
+            compactor,
             store,
             jobs: Mutex::new(jobs),
             recovery: report,
@@ -499,10 +577,11 @@ impl AgcmServer {
 
     /// Graceful shutdown: stop accepting, drain connections, then tear
     /// down the ensemble (cancelling whatever is still live — their
-    /// terminal records are journaled, so nothing resurrects).
+    /// terminal records are journaled, so nothing resurrects) and join
+    /// the journal thread.
     pub fn shutdown(mut self) {
         self.stop_serving();
-        self.state.ensemble.write().unwrap().take();
+        self.stop_ensemble();
     }
 
     /// Simulated crash for restart testing: the journal is detached
@@ -513,7 +592,14 @@ impl AgcmServer {
     pub fn abort(mut self) {
         self.state.journal.detach();
         self.stop_serving();
+        self.stop_ensemble();
+    }
+
+    /// Tear down the ensemble, then stop the journal thread its last
+    /// terminal records may have woken.
+    fn stop_ensemble(&self) {
         self.state.ensemble.write().unwrap().take();
+        self.state.compactor.stop();
     }
 
     fn stop_serving(&mut self) {
@@ -552,7 +638,7 @@ impl Drop for AgcmServer {
     fn drop(&mut self) {
         if self.acceptors.is_some() {
             self.stop_serving();
-            self.state.ensemble.write().unwrap().take();
+            self.stop_ensemble();
         }
     }
 }
@@ -767,6 +853,9 @@ fn healthz(state: &ServerState) -> Response {
                 ("appended_lines", Value::Num(j.appended_lines as f64)),
                 ("compacted_live", Value::Num(j.compacted_live as f64)),
                 ("dropped_terminal", Value::Num(j.dropped_terminal as f64)),
+                ("compactions", Value::Num(j.compactions as f64)),
+                ("dead_bytes", Value::Num(j.dead_bytes as f64)),
+                ("live_jobs", Value::Num(j.live_jobs as f64)),
                 ("degraded", Value::Bool(j.degraded)),
             ]),
         ),
@@ -884,11 +973,20 @@ fn prom_metrics(state: &ServerState) -> Response {
             "live.tracked_jobs".to_string(),
             state.collector.tracked_jobs() as f64,
         ),
+    ];
+    let journal = state.journal.stats();
+    extras.extend([
         (
             "journal.degraded".to_string(),
-            f64::from(u8::from(state.journal.stats().degraded)),
+            f64::from(u8::from(journal.degraded)),
         ),
-    ];
+        (
+            "journal.compactions".to_string(),
+            journal.compactions as f64,
+        ),
+        ("journal.dead_bytes".to_string(), journal.dead_bytes as f64),
+        ("journal.live_jobs".to_string(), journal.live_jobs as f64),
+    ]);
     extras.extend(store_counters(&state.store.stats()).map(|(k, v)| (format!("store.{k}"), v)));
     extras.extend(field_counters().map(|(k, v)| (format!("fields.{k}"), v)));
     Response::prometheus(prom::render(&state.metrics.snapshot(), &extras))
@@ -1122,6 +1220,7 @@ fn submit(state: &Arc<ServerState>, req: &Request) -> Response {
             // between the admission check and here. The write-ahead
             // record must not resurrect this rejected job.
             state.journal.rejected(durable, &e.to_string());
+            state.compactor.poke();
             state
                 .metrics
                 .counter(&format!("tenant.{tenant_label}.rejected"))

@@ -18,7 +18,8 @@
 //!   cross-check, enforced by property tests.
 //!
 //! A wait, a critical-path segment or a send belongs to the innermost of
-//! the trace's [`WorldTrace::spans`] open at it ([`innermost_phases`]).
+//! the trace's [`WorldTrace::spans`] open at it ([`innermost_spans`], built
+//! once per analysis).
 //!
 //! [`analyze`] bundles the flows, the [`WaitReport`], the communication
 //! matrix and the critical path into one [`TraceAnalysis`] for report
@@ -184,7 +185,7 @@ impl WaitReport {
 /// [`WorldTrace::spans`]) of the innermost span open at it. A begin marker
 /// is inside the phase it opens, an end marker outside the one it closes,
 /// so a span's end marker is in its parent.
-pub(crate) fn innermost_spans(trace: &WorldTrace, spans: &[PhaseSpan]) -> Vec<Vec<Option<usize>>> {
+pub fn innermost_spans(trace: &WorldTrace, spans: &[PhaseSpan]) -> Vec<Vec<Option<usize>>> {
     let rows = trace.ranks.iter().map(|evs| vec![None; evs.len()]);
     let mut innermost: Vec<Vec<Option<usize>>> = rows.collect();
     // In closing order, the first span to claim an event is its innermost.
@@ -207,8 +208,7 @@ pub(crate) fn open_at<'a>(
 }
 
 /// The innermost phase open at every event of every rank (`None` outside
-/// any), from the trace's `spans`: the wait report, the comm-matrix slices
-/// and the critical path all attribute to phases through it.
+/// any), from the trace's `spans`: the names of [`innermost_spans`].
 pub fn innermost_phases(trace: &WorldTrace, spans: &[PhaseSpan]) -> Vec<Vec<Option<&'static str>>> {
     innermost_spans(trace, spans)
         .into_iter()
@@ -278,7 +278,7 @@ pub fn analyze(
     let flows = message_flows(trace, &sched, machine);
     let innermost = innermost_spans(trace, &spans);
     let waits = WaitReport::from_flows(trace, &spans, &innermost, &sched, &flows, machine);
-    let critical = CriticalPath::extract(trace, &spans, &sched, &flows);
+    let critical = CriticalPath::extract(trace, &spans, &innermost, &sched, &flows);
     let comm = CommMatrix::from_trace(trace);
     Ok(TraceAnalysis {
         timeline,

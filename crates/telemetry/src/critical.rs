@@ -16,7 +16,7 @@
 //! there, so the makespan decomposes into per-phase / per-rank attribution
 //! — "which phase, on which ranks, actually gates the run".
 
-use crate::analysis::{innermost_phases, MessageFlow};
+use crate::analysis::MessageFlow;
 use crate::json::Value;
 use agcm_costmodel::replay::EventSchedule;
 use agcm_mps::trace::{Event, PhaseSpan, WorldTrace};
@@ -82,13 +82,15 @@ pub struct CriticalPath {
 impl CriticalPath {
     /// Walk the path backwards from the slowest rank's last event.
     ///
-    /// `spans` are the trace's [`WorldTrace::spans`]; `flows` must come
-    /// from `sched` (see
+    /// `spans` are the trace's [`WorldTrace::spans`] and `innermost`
+    /// their [`innermost_spans`](crate::analysis::innermost_spans);
+    /// `flows` must come from `sched` (see
     /// [`message_flows`](crate::analysis::message_flows)); the flow map is
     /// how an arrival-bound receive finds its matching send.
     pub fn extract(
         trace: &WorldTrace,
         spans: &[PhaseSpan],
+        innermost: &[Vec<Option<usize>>],
         sched: &EventSchedule,
         flows: &[MessageFlow],
     ) -> CriticalPath {
@@ -105,7 +107,7 @@ impl CriticalPath {
         else {
             return path;
         };
-        let phases = innermost_phases(trace, spans);
+        let phase_at = |rank: usize, i: usize| innermost[rank][i].map(|k| spans[k].name);
         // (dst rank, recv event index) → flow.
         let by_recv: HashMap<(usize, usize), &MessageFlow> = flows
             .iter()
@@ -116,7 +118,7 @@ impl CriticalPath {
         while next >= 0 {
             let i = next as usize;
             let t = sched.times[rank][i];
-            let phase = phases[rank][i];
+            let phase = phase_at(rank, i);
             let mut push = |kind: SegmentKind, rank: usize, phase, start: f64, end: f64| {
                 if end > start {
                     path.segments.push(CriticalSegment {
@@ -137,7 +139,7 @@ impl CriticalPath {
                         // transfer segment charged to the sender — and
                         // continue backwards from the send event.
                         Some(f) if f.wait > 0.0 => {
-                            let sender_phase = phases[f.pair.src][f.pair.send_event];
+                            let sender_phase = phase_at(f.pair.src, f.pair.send_event);
                             push(
                                 SegmentKind::Transfer,
                                 f.pair.src,
@@ -235,7 +237,7 @@ impl CriticalPath {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::message_flows;
+    use crate::analysis::{innermost_spans, message_flows};
     use agcm_costmodel::machine::MachineProfile;
     use agcm_costmodel::replay::schedule;
 
@@ -254,7 +256,9 @@ mod tests {
         let m = machine();
         let sched = schedule(trace, &m);
         let flows = message_flows(trace, &sched, &m);
-        CriticalPath::extract(trace, &trace.spans().unwrap(), &sched, &flows)
+        let spans = trace.spans().unwrap();
+        let innermost = innermost_spans(trace, &spans);
+        CriticalPath::extract(trace, &spans, &innermost, &sched, &flows)
     }
 
     #[test]
