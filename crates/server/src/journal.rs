@@ -337,7 +337,6 @@ impl Journal {
         if inner.max_id > 0 {
             push_line(&mut out, &event_value("watermark", inner.max_id));
         }
-        let watermark = out.len();
         let mut live: Vec<(&u64, &Kept)> = inner.live.iter().collect();
         live.sort_unstable_by_key(|(_, job)| job.seq);
         for (&id, job) in live {
@@ -350,7 +349,6 @@ impl Journal {
             .log
             .rewrite(out.as_bytes())
             .map_err(std::io::Error::other)?;
-        inner.live_bytes = (out.len() - watermark) as u64;
         self.compactions.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }

@@ -230,28 +230,15 @@ struct Compactor {
     journal: Arc<Journal>,
     /// The thread and its wake channel, once started.
     thread: Mutex<Option<(SyncSender<()>, JoinHandle<()>)>>,
-    /// Set by [`Compactor::stop`]: no thread starts after it.
-    stopped: AtomicBool,
 }
 
 impl Compactor {
-    fn new(journal: Arc<Journal>) -> Compactor {
-        Compactor {
-            journal,
-            thread: Mutex::new(None),
-            stopped: AtomicBool::new(false),
-        }
-    }
-
     /// Wake the thread if the journal wants a compaction.
     fn poke(&self) {
         if !self.journal.compaction_due() {
             return;
         }
         let mut thread = self.thread.lock().unwrap();
-        if self.stopped.load(Ordering::Relaxed) {
-            return;
-        }
         if thread.is_none() {
             let (tx, rx) = mpsc::sync_channel::<()>(1);
             let journal = Arc::clone(&self.journal);
@@ -275,13 +262,11 @@ impl Compactor {
         }
     }
 
-    /// Let the thread finish what it was woken for, and join it.
+    /// Let the thread finish what it was woken for, and join it. Called
+    /// once the ensemble and the connection threads are gone, so nothing
+    /// wakes it again.
     fn stop(&self) {
-        let thread = {
-            let mut thread = self.thread.lock().unwrap();
-            self.stopped.store(true, Ordering::Relaxed);
-            thread.take()
-        };
+        let thread = self.thread.lock().unwrap().take();
         if let Some((tx, handle)) = thread {
             drop(tx);
             let _ = handle.join();
@@ -400,7 +385,10 @@ impl AgcmServer {
     pub fn start(cfg: ServerConfig) -> std::io::Result<AgcmServer> {
         let (journal, live, replay) = Journal::open(&cfg.journal_dir)?;
         let journal = Arc::new(journal);
-        let compactor = Arc::new(Compactor::new(Arc::clone(&journal)));
+        let compactor = Arc::new(Compactor {
+            journal: Arc::clone(&journal),
+            thread: Mutex::new(None),
+        });
         // The fleet checkpoint store shares the journal root. It must be
         // open before recovery so recovered jobs can lease their
         // lineages ahead of the startup GC sweep below.
